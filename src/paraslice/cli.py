@@ -24,6 +24,7 @@ from .metrics import (
     GlobalMetrics,
     NoComputeError,
     WindowMetrics,
+    critical_path,
     global_metrics,
     window_series,
 )
@@ -262,7 +263,8 @@ def run(config: RunConfig) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    series = window_series(timeline, plan)
+    bc = boundary_clocks(timeline, plan.boundaries())
+    series = window_series(timeline, plan, bc)
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -276,8 +278,7 @@ def run(config: RunConfig) -> int:
                   log, config)
     write_anomalies(out_dir / f"{stem}.anomalies.txt", log, counters)
     if config.plot:
-        bc = boundary_clocks(timeline, plan.boundaries())
-        cp = [int(v) for v in bc.ideal.max(axis=0)]
+        cp = [int(v) for v in critical_path(bc)]
         write_plot(out_dir / f"{stem}.plot.json", plan, series, cp)
 
     print(f"{stem}: {gm.rank_count} ranks, {len(series)} windows, "

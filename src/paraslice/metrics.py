@@ -89,12 +89,14 @@ def window_metrics(start_ns: int, end_ns: int, delta_oom: np.ndarray,
     )
 
 
-def window_series(timeline: AnnotatedTimeline,
-                  plan: WindowPlan) -> list[WindowMetrics]:
+def window_series(timeline: AnnotatedTimeline, plan: WindowPlan,
+                  bc: BoundaryClocks | None = None) -> list[WindowMetrics]:
     """Metrics for every window of a plan, via one vectorized
-    interpolation pass over the boundaries."""
-    bc = boundary_clocks(timeline, plan.boundaries())
-    cp = bc.ideal.max(axis=0)
+    interpolation pass over the boundaries; bc, when given, holds the
+    clocks at plan.boundaries() already."""
+    if bc is None:
+        bc = boundary_clocks(timeline, plan.boundaries())
+    cp = critical_path(bc)
     out = []
     for j, w in enumerate(plan.windows):
         delta_oom = bc.oom[:, j + 1] - bc.oom[:, j]

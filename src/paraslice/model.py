@@ -80,6 +80,11 @@ class MpiRegion:
         return self.entry_time <= t <= self.exit_time
 
 
+def _raw(values: np.ndarray, dtype) -> np.ndarray:
+    """values as contiguous bytes of dtype, for array.frombytes."""
+    return np.ascontiguousarray(values, dtype=dtype).view(np.uint8)
+
+
 #: stable wire order of call classes inside RegionStore.class_codes
 CLASS_BY_CODE = (CallClass.POINT_TO_POINT, CallClass.COLLECTIVE,
                  CallClass.OTHER_MPI)
@@ -117,6 +122,21 @@ class RegionStore:
         self.exit_times.append(exit_time)
         self.class_codes.append(CLASS_CODES[call_class])
         self.call_ids.append(call_id)
+
+    def extend_columns(self, entry_times: np.ndarray, exit_times: np.ndarray,
+                       class_codes: np.ndarray, call_ids: np.ndarray,
+                       hinted: np.ndarray, hints: np.ndarray) -> None:
+        """Append a batch of regions given as numpy columns; hints[i]
+        is region i's communicator id where hinted[i] is set."""
+        base = len(self.entry_times)
+        self.entry_times.frombytes(_raw(entry_times, np.int64))
+        self.exit_times.frombytes(_raw(exit_times, np.int64))
+        self.class_codes.extend(_raw(class_codes, np.uint8))
+        self.call_ids.frombytes(_raw(call_ids, np.int64))
+        at = np.flatnonzero(hinted)
+        if len(at):
+            self.comm_hints.update(zip((at + base).tolist(),
+                                       hints[at].tolist()))
 
     def append(self, region: MpiRegion) -> None:
         self.append_fields(region.entry_time, region.exit_time,
@@ -208,6 +228,19 @@ class MessageStore:
         self.tags.append(tag)
         self.status_codes.append(STATUS_CODES[status])
 
+    def extend_columns(self, senders: np.ndarray, receivers: np.ndarray,
+                       send_begins: np.ndarray, recv_ends: np.ndarray,
+                       sizes: np.ndarray, tags: np.ndarray,
+                       status_codes: np.ndarray) -> None:
+        """Append a batch of messages given as numpy columns."""
+        for column, values in ((self.senders, senders),
+                               (self.receivers, receivers),
+                               (self.send_begins, send_begins),
+                               (self.recv_ends, recv_ends),
+                               (self.sizes, sizes), (self.tags, tags)):
+            column.frombytes(_raw(values, np.int64))
+        self.status_codes.extend(_raw(status_codes, np.uint8))
+
     def append(self, message: PtpMessage) -> None:
         self.append_fields(message.sender, message.receiver,
                            message.send_begin, message.recv_end,
@@ -296,6 +329,21 @@ class CollectiveStore:
             self.part_region_idx.append(
                 -1 if region_indices is None else region_indices[j])
         self.part_offsets.append(len(self.part_ranks))
+
+    def extend_columns(self, comm_ids: np.ndarray, occ_indices: np.ndarray,
+                       part_counts: np.ndarray, part_ranks: np.ndarray,
+                       part_entries: np.ndarray, part_exits: np.ndarray,
+                       part_region_idx: np.ndarray) -> None:
+        """Append a batch of occurrences given as numpy columns;
+        occurrence i owns the next part_counts[i] participant rows."""
+        self.comm_ids.frombytes(_raw(comm_ids, np.int64))
+        self.occ_indices.frombytes(_raw(occ_indices, np.int64))
+        self.part_offsets.frombytes(_raw(
+            self.part_offsets[-1] + np.cumsum(part_counts), np.int64))
+        self.part_ranks.frombytes(_raw(part_ranks, np.int64))
+        self.part_entries.frombytes(_raw(part_entries, np.int64))
+        self.part_exits.frombytes(_raw(part_exits, np.int64))
+        self.part_region_idx.frombytes(_raw(part_region_idx, np.int64))
 
     def append(self, op: CollectiveOp) -> None:
         self.append_fields(op.communicator_id, op.occurrence_index,

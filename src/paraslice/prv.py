@@ -1,7 +1,19 @@
 """Reading Paraver .prv traces and their .pcf label files.
 
-The reader is line oriented and keeps memory proportional to the model it
-builds, not to the file: records stream through build_trace one at a time.
+The trace body is read in blocks of about BLOCK_SIZE bytes, each cut at
+its last newline, so ingest memory stays proportional to one block plus
+the model it builds, never to the file.  numpy classifies the lines of a
+block.  The plain ones -- state, event and communication records made of
+digit fields and colons only, with the field count of their kind -- are
+converted together in one bulk call.  Every other line (comments,
+communicator definitions, blank, garbled or oversized lines, signs,
+underscores, a lone carriage return, non-ASCII bytes) goes through the
+per-line rules of iter_raw_records on its decoded text.  A rank's events
+in a block pair into regions on array slices when they continue its
+cursor cleanly, and through the sequential _RankCursor rules otherwise,
+so counters and anomaly entries, in line order, are those of a
+record-at-a-time reader.
+
 Only MPI event types and communication records feed the model; state
 records are folded into per-rank totals for a cross-check, everything
 else is counted and dropped.
@@ -10,20 +22,24 @@ else is counted and dropped.
 from __future__ import annotations
 
 import os
-from array import array
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple
+from operator import attrgetter, itemgetter
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from .model import (
     AnomalyKind,
     AnomalyLog,
+    CLASS_BY_CODE,
     CLASS_CODES,
     CallClass,
     CollectiveStore,
     CommunicatorDef,
     MessageStatus,
     MessageStore,
+    STATUS_CODES,
     TimeUnit,
     Trace,
     TraceMeta,
@@ -80,6 +96,8 @@ class IngestCounters:
     states: int = 0
     communicator_defs: int = 0
     anomalies: int = 0
+    #: lines that took the per-line rules instead of the block tokenizer
+    routed: int = 0
 
 
 def _split_outside_parens(text: str) -> list[str]:
@@ -182,11 +200,24 @@ _STATE_LEN = 7
 _EVENT_MIN = 7
 _COMM_LEN = 14
 
+# Every integer lands in an int64 column, times after scaling to ns.
+_INT64_MIN = -(1 << 63)
+_INT64_MAX = (1 << 63) - 1
+_TIME_FIELDS = {RecordKind.STATE: (4, 5), RecordKind.EVENT: (4,),
+                RecordKind.COMMUNICATION: (4, 5, 10, 11)}
+
 
 def iter_raw_records(lines: Iterable[str], log: AnomalyLog,
                      counters: IngestCounters | None = None,
-                     first_line_number: int = 2) -> Iterator[RawRecord]:
-    """Yield well-formed records; malformed lines go to the anomaly log."""
+                     first_line_number: int = 2,
+                     scale: int = 1) -> Iterator[RawRecord]:
+    """Yield well-formed records; malformed lines go to the anomaly log.
+
+    These are the per-line rules.  load_trace applies them to the lines
+    its block tokenizer leaves alone, with scale the trace's factor to
+    nanoseconds, so a time that would leave int64 once scaled is caught
+    here too.
+    """
     counters = counters if counters is not None else IngestCounters()
     lineno = first_line_number - 1
     event_kind = RecordKind.EVENT
@@ -238,22 +269,18 @@ def iter_raw_records(lines: Iterable[str], log: AnomalyLog,
             if countable:
                 counters.dropped += 1
             continue
+        if min(fields) < _INT64_MIN or max(fields) > _INT64_MAX or (
+                scale != 1 and any(
+                    not _INT64_MIN <= fields[i] * scale <= _INT64_MAX
+                    for i in _TIME_FIELDS[kind])):
+            log.add(AnomalyKind.MALFORMED_RECORD, f"line {lineno}",
+                    "integer outside the 64-bit range")
+            if countable:
+                counters.dropped += 1
+            continue
         if kind is state_kind:
             counters.states += 1
         yield RawRecord(kind, fields, lineno)
-
-
-def parse_records(lines: Iterable[str],
-                  log: AnomalyLog | None = None,
-                  counters: IngestCounters | None = None,
-                  ) -> tuple[list[RawRecord], AnomalyLog]:
-    """Materialize every record of a trace body.
-
-    Convenience for tests and small inputs; large files should stream
-    through build_trace via iter_raw_records instead.
-    """
-    log = log if log is not None else AnomalyLog()
-    return list(iter_raw_records(lines, log, counters)), log
 
 
 class _RankCursor:
@@ -261,6 +288,8 @@ class _RankCursor:
 
     A communicator-id companion event binds to the region opened at the
     same timestamp, whichever of the two arrives first in the stream.
+    Times here are never negative: they start at 0 and are clamped to
+    never decrease.
     """
 
     __slots__ = ("open_entry", "open_class", "open_call", "open_hint",
@@ -276,12 +305,50 @@ class _RankCursor:
         self.last_time = 0
 
 
-def build_trace(records: Iterable[RawRecord], meta: TraceMeta,
+#: Bytes read per block.  A block ends at its last newline; the partial
+#: line after it opens the next block.
+BLOCK_SIZE = 1 << 19
+
+# byte values the block classifier looks at
+_NL, _CR, _COLON, _ZERO = 10, 13, 58, 48
+_STATE_BYTE, _EVENT_BYTE, _COMM_BYTE = 49, 50, 51       # "1", "2", "3"
+_TO_SPACES = bytes.maketrans(b":\n", b"  ")
+# classes of an event's type/value pair, after the CLASS_CODES 0..2
+_HINT = 3
+_FOREIGN = 4
+# per rank, the (line number, payload) of events for the cursor rules
+_Queues = dict[int, list[tuple[int, list[int]]]]
+
+
+def _blocks(stream: BinaryIO, block_size: int) -> Iterator[bytes]:
+    """Newline-terminated blocks of about block_size bytes; a last line
+    without its newline gets one.  Only the block handed out is held."""
+    pending: list = []
+    while chunk := stream.read(block_size):
+        cut = chunk.rfind(b"\n") + 1
+        if not cut:
+            pending.append(chunk)
+            continue
+        pending.append(memoryview(chunk)[:cut])
+        block = b"".join(pending)
+        pending = [chunk[cut:]]
+        del chunk
+        yield block
+    tail = b"".join(pending)
+    if tail:
+        yield tail + b"\n"
+
+
+def _entry_line(entry) -> int:
+    return int(entry.location[len("line "):])
+
+
+def build_trace(stream: BinaryIO, meta: TraceMeta,
                 log: AnomalyLog | None = None,
                 counters: IngestCounters | None = None,
-                comm_id_event_type: int = EVTYPE_COMM_ID,
                 ) -> tuple[Trace, AnomalyLog]:
-    """Assemble the trace model from raw records.
+    """Assemble the trace model from a .prv body, read as bytes from
+    stream; its first line is line 2, after the header.
 
     Event pairing is per rank: a positive MPI value opens a region, zero
     closes it.  A second open closes the dangling region where the new one
@@ -289,137 +356,499 @@ def build_trace(records: Iterable[RawRecord], meta: TraceMeta,
     open at stream end close at the rank's last observed timestamp.
     Non-monotonic event timestamps are clamped so the offending duration
     collapses to zero.  Microsecond traces are scaled to nanoseconds here.
+    Lines are numbered as a text-mode reader numbers them: a carriage
+    return not followed by a newline ends a line too.
     """
     log = log if log is not None else AnomalyLog()
     counters = counters if counters is not None else IngestCounters()
-    scale = _scale(meta.time_unit)
-    trace = Trace.empty(meta)
-    trace.messages = MessageStore()
-    trace.collectives = CollectiveStore()
-    cursors = [_RankCursor() for _ in range(meta.rank_count)]
-    flat = meta.flat_rank_encoding
+    asm = _Assembly(meta, log, counters)
+    lineno = 2
+    for block in _blocks(stream, BLOCK_SIZE):
+        lineno = asm.block(block, lineno)
+    return asm.finish(), log
 
-    def resolve_rank(appl: int, task: int, thread: int, lineno: int) -> int | None:
+
+class _Assembly:
+    """The model under construction and each rank's cursor, which carry
+    from one block to the next."""
+
+    def __init__(self, meta: TraceMeta, log: AnomalyLog,
+                 counters: IngestCounters) -> None:
+        self.meta = meta
+        self.log = log
+        self.counters = counters
+        self.scale = _scale(meta.time_unit)
+        self.trace = Trace.empty(meta)
+        self.trace.messages = MessageStore()
+        self.trace.collectives = CollectiveStore()
+        self.cursors = [_RankCursor() for _ in range(meta.rank_count)]
+        # the current block's anomalies, moved to log in line order
+        self.pending = AnomalyLog()
+
+    # --- one block -------------------------------------------------------
+
+    def block(self, data: bytes, lineno: int) -> int:
+        """Ingest a newline-terminated block whose first line is lineno;
+        returns the number of the line after it."""
+        if b"\r" in data:
+            # a text-mode reader reads \r\n as \n and a lone \r as a
+            # line end of its own; only the latter changes the numbering
+            data = data.replace(b"\r\n", b"\n")
+        a = np.frombuffer(data, dtype=np.uint8)
+        ends = np.flatnonzero(a == _NL)
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        n = len(ends)
+        linenos = lineno + np.arange(n)
+        if b"\r" in data:
+            breaks = np.bincount(np.searchsorted(ends, np.flatnonzero(a == _CR)),
+                                 minlength=n)
+            linenos += np.cumsum(breaks) - breaks
+            lineno += int(breaks.sum())
+        plain, kinds, ncol = self._classify(data, a, starts, ends)
+
+        irregular = self._per_line(data, starts, ends, linenos, plain)
+        p = np.flatnonzero(plain)
+        width = ncol[p] + 1
+        tok = self._tokens(data, starts, ends, plain, int(width.sum()),
+                           int(linenos[0]))
+        f0 = np.cumsum(width) - width + 1       # token of payload field 0
+        # from here on, one entry per plain line
+        kind, ncol, linenos = kinds[p], ncol[p], linenos[p]
+        self.counters.records += int(np.count_nonzero(kind != _STATE_BYTE))
+        self.counters.states += int(np.count_nonzero(kind == _STATE_BYTE))
+        rank, ok = self._coords(tok, f0 + 1)
+        comm = np.flatnonzero(kind == _COMM_BYTE)
+        recv_rank, recv_ok = self._coords(tok, f0[comm] + 7)
+        ok[comm] &= recv_ok
+        for i in np.flatnonzero(~ok).tolist():
+            irregular.append(RawRecord(
+                _KIND_BY_PREFIX[chr(kind[i])],
+                tok[f0[i]:f0[i] + ncol[i]].tolist(), int(linenos[i])))
+        irregular.sort(key=attrgetter("line_number"))
+        slow: _Queues = {}
+        messages: list[tuple[int, ...]] = []
+        self._irregular(irregular, slow, messages)
+
+        sel = ok & (kind == _COMM_BYTE)
+        self._messages(tok, f0[sel], linenos[sel], rank[sel],
+                       recv_rank[ok[comm]], messages)
+        sel = ok & (kind == _STATE_BYTE)
+        self._states(tok, f0[sel], rank[sel])
+        sel = ok & (kind == _EVENT_BYTE)
+        self._events(tok, f0[sel], ncol[sel], linenos[sel], rank[sel], slow)
+        for r, queue in slow.items():
+            queue.sort(key=itemgetter(0))
+            for line, fields in queue:
+                self._event(r, fields, line)
+
+        if self.pending.entries:
+            self.pending.entries.sort(key=_entry_line)
+            self.log.extend(self.pending)
+            self.pending = AnomalyLog()
+        return lineno + n
+
+    def _classify(self, data: bytes, a: np.ndarray, starts: np.ndarray,
+                  ends: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Plain mask, first byte and colon count of each line.
+
+        A plain line is a state, event or communication record of
+        non-empty digit fields joined by colons, with the field count of
+        its kind, and short enough integers that every value, and every
+        time once scaled to ns, fits in int64.
+        """
+        seps = np.flatnonzero((a == _COLON) | (a == _NL))
+        nl_at = np.flatnonzero(a[seps] == _NL)      # line i ends at seps[nl_at[i]]
+        ncol = np.diff(nl_at, prepend=-1) - 1
+        gap = np.diff(seps)         # the token ending at seps[j] has gap[j-1] - 1 bytes
+        digits = 18 if self.scale == 1 else 15
+        plain = np.ones(len(ends), dtype=bool)
+        plain[np.searchsorted(nl_at, np.flatnonzero(
+            (gap == 1) | (gap > digits + 1)) + 1)] = False
+        kind_len = np.empty(len(ends), dtype=np.int64)
+        kind_len[:1] = seps[:1]
+        kind_len[1:] = gap[nl_at[:-1]] - 1
+        del seps, gap
+        plain &= kind_len == 1
+        if data.translate(None, b"0123456789:\n"):     # bytes of no field
+            odd = np.flatnonzero(np.subtract(a, _ZERO, dtype=np.uint8) > 10)
+            plain[np.searchsorted(ends, odd[a[odd] != _NL])] = False
+        kinds = a[starts]
+        plain &= (((kinds == _EVENT_BYTE) & (ncol >= _EVENT_MIN) & (ncol % 2 == 1))
+                  | ((kinds == _COMM_BYTE) & (ncol == _COMM_LEN))
+                  | ((kinds == _STATE_BYTE) & (ncol == _STATE_LEN)))
+        return plain, kinds, ncol
+
+    def _per_line(self, data: bytes, starts: np.ndarray, ends: np.ndarray,
+                  linenos: np.ndarray, plain: np.ndarray) -> list[RawRecord]:
+        """Records of the lines that are not plain, by the per-line rules
+        on their text."""
+        records: list[RawRecord] = []
+        routed = np.flatnonzero(~plain)
+        # one pass of the rules per run of adjacent lines; a lone \r
+        # left in them ends a line too
+        for run in np.split(routed, np.flatnonzero(np.diff(routed) != 1) + 1):
+            if not len(run):
+                continue
+            text = data[starts[run[0]]:ends[run[-1]]].decode("utf-8", "replace")
+            lines = text.replace("\r", "\n").split("\n")
+            self.counters.routed += len(lines)
+            records.extend(iter_raw_records(lines, self.pending, self.counters,
+                                            int(linenos[run[0]]), self.scale))
+        return records
+
+    def _tokens(self, data: bytes, starts: np.ndarray, ends: np.ndarray,
+                plain: np.ndarray, expected: int, lineno: int) -> np.ndarray:
+        """Every integer of the plain lines, in line order, in one call."""
+        if not expected:
+            return np.empty(0, dtype=np.int64)
+        if plain.all():
+            text = data
+        else:
+            edge = np.flatnonzero(np.diff(plain.astype(np.int8),
+                                          prepend=0, append=0)).tolist()
+            text = b" ".join(data[starts[i]:ends[j - 1] + 1]
+                             for i, j in zip(edge[::2], edge[1::2]))
+        tok = np.fromstring(text.translate(_TO_SPACES), dtype=np.int64,
+                            sep=" ")
+        if len(tok) != expected:
+            raise IngestError(f"line {lineno}: block tokenizer read "
+                              f"{len(tok)} of {expected} integers")
+        return tok
+
+    def _coords(self, tok: np.ndarray, at: np.ndarray,
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """Rank addressed by appl:task:thread at tok[at:at+3], and where
+        that straight-line decode holds; elsewhere resolve_rank decides."""
+        appl, task, thread = tok[at], tok[at + 1], tok[at + 2]
+        if self.meta.flat_rank_encoding:
+            rank, other = thread - 1, task
+        else:
+            rank, other = task - 1, thread
+        ok = (appl == 1) & (other == 1) & (rank >= 0) \
+            & (rank < self.meta.rank_count)
+        return rank, ok
+
+    def resolve_rank(self, appl: int, task: int, thread: int,
+                     lineno: int) -> int | None:
         if appl != 1:
-            log.add(AnomalyKind.MALFORMED_RECORD, f"line {lineno}",
-                    f"application {appl} out of range")
+            self.pending.add(AnomalyKind.MALFORMED_RECORD, f"line {lineno}",
+                             f"application {appl} out of range")
             return None
+        flat = self.meta.flat_rank_encoding
         rank, other = (thread - 1, task) if flat else (task - 1, thread)
         if other != 1:
-            log.add(AnomalyKind.MALFORMED_RECORD, f"line {lineno}",
-                    "record addresses a second thread of a rank")
+            self.pending.add(AnomalyKind.MALFORMED_RECORD, f"line {lineno}",
+                             "record addresses a second thread of a rank")
             return None
-        if not (0 <= rank < meta.rank_count):
+        if not (0 <= rank < self.meta.rank_count):
             raise IngestError(f"line {lineno}: rank index {rank} out of range")
         return rank
 
-    event_kind = RecordKind.EVENT
-    rank_count = meta.rank_count
-    for rec in records:
-        if rec.kind is event_kind:
+    # --- the sequential rules --------------------------------------------
+
+    def _irregular(self, records: list[RawRecord],
+                   slow: _Queues, messages: list[tuple[int, ...]]) -> None:
+        """Records that take the per-record rules, in line order: those
+        of lines that were not plain, and plain ones whose coordinates
+        resolve_rank must log or reject.  Events are queued on their
+        rank's cursor, messages on the block's message list."""
+        trace = self.trace
+        counters = self.counters
+        scale = self.scale
+        for rec in records:
             f = rec.fields
-            # straight-line coordinate decode; anything off the happy path
-            # falls back to resolve_rank for logging or rejection
-            rank = (f[3] - 1) if flat else (f[2] - 1)
-            other = f[2] if flat else f[3]
-            if f[1] != 1 or other != 1 or not 0 <= rank < rank_count:
-                rank = resolve_rank(f[1], f[2], f[3], rec.line_number)
+            lineno = rec.line_number
+            if rec.kind is RecordKind.EVENT:
+                rank = self.resolve_rank(f[1], f[2], f[3], lineno)
                 if rank is None:
                     counters.dropped += 1
-                    continue
-            cur = cursors[rank]
-            time = f[4] * scale
-            if time < cur.last_time:
-                log.add(AnomalyKind.NONMONOTONIC_TIMESTAMP,
-                        f"line {rec.line_number}",
-                        f"rank {rank} time {time} before {cur.last_time}")
-                time = cur.last_time
-            cur.last_time = time
-            touched = False
-            for i in range(5, len(f), 2):
-                etype, value = f[i], f[i + 1]
-                klass = _MPI_CLASS.get(etype)
-                if klass is None:
-                    if etype == comm_id_event_type:
-                        if cur.open_entry == time:
-                            cur.open_hint = value
-                        else:
-                            cur.hint_time = time
-                            cur.hint_value = value
-                        touched = True
-                    continue
-                touched = True
-                if value > 0:
-                    if cur.open_entry is not None:
-                        log.add(AnomalyKind.UNMATCHED_SEND,
-                                f"line {rec.line_number}",
-                                f"rank {rank} region opened at {cur.open_entry} never closed")
-                        _close_region(trace, rank, cur, time)
-                    cur.open_entry = time
-                    cur.open_class = klass
-                    cur.open_call = value
-                    if cur.hint_time == time:
-                        cur.open_hint = cur.hint_value
-                        cur.hint_time = None
                 else:
-                    if cur.open_entry is None:
-                        log.add(AnomalyKind.UNMATCHED_RECV,
-                                f"line {rec.line_number}",
-                                f"rank {rank} close event with no open region")
-                    else:
-                        _close_region(trace, rank, cur, time)
-            if touched:
-                counters.consumed += 1
+                    slow.setdefault(rank, []).append((lineno, f))
+            elif rec.kind is RecordKind.COMMUNICATION:
+                s_rank = self.resolve_rank(f[1], f[2], f[3], lineno)
+                r_rank = self.resolve_rank(f[7], f[8], f[9], lineno)
+                if s_rank is None or r_rank is None:
+                    counters.dropped += 1
+                    continue
+                messages.append((lineno, s_rank, r_rank, f[4], f[11], f[12],
+                                 f[13]))
+            elif rec.kind is RecordKind.COMMUNICATOR_DEF:
+                if len(f) < 3 or len(f) != 3 + f[2]:
+                    self.pending.add(AnomalyKind.MALFORMED_RECORD,
+                                     f"line {lineno}",
+                                     "communicator definition length mismatch")
+                    continue
+                members = [t - 1 for t in f[3:]]
+                trace.communicators[f[1]] = CommunicatorDef(f[1], members)
             else:
-                counters.ignored += 1
-        elif rec.kind is RecordKind.COMMUNICATION:
-            f = rec.fields
-            s_rank = resolve_rank(f[1], f[2], f[3], rec.line_number)
-            r_rank = resolve_rank(f[7], f[8], f[9], rec.line_number)
-            if s_rank is None or r_rank is None:
-                counters.dropped += 1
-                continue
-            send_begin = f[4] * scale   # logical send
-            recv_end = f[11] * scale    # physical receive completion
-            status = MessageStatus.VALID
-            if send_begin > recv_end:
-                status = MessageStatus.FAULTY_LOCAL
-                log.add(AnomalyKind.REVERSED_PTP, f"line {rec.line_number}",
-                        f"send at {send_begin} after receive completion {recv_end}")
-            trace.messages.append_fields(s_rank, r_rank, send_begin, recv_end,
-                                         f[12], f[13], status)
-            counters.consumed += 1
-        elif rec.kind is RecordKind.COMMUNICATOR_DEF:
-            f = rec.fields
-            if len(f) < 3 or len(f) != 3 + f[2]:
-                log.add(AnomalyKind.MALFORMED_RECORD, f"line {rec.line_number}",
-                        "communicator definition length mismatch")
-                continue
-            members = [t - 1 for t in f[3:]]
-            trace.communicators[f[1]] = CommunicatorDef(f[1], members)
-        elif rec.kind is RecordKind.STATE:
-            f = rec.fields
-            rank = resolve_rank(f[1], f[2], f[3], rec.line_number)
-            if rank is None:
-                continue
-            begin, end, state = f[4] * scale, f[5] * scale, f[6]
-            key = (rank, state)
-            trace.state_time_ns[key] = trace.state_time_ns.get(key, 0) \
-                + max(0, end - begin)
+                rank = self.resolve_rank(f[1], f[2], f[3], lineno)
+                if rank is None:
+                    continue
+                key = (rank, f[6])
+                trace.state_time_ns[key] = trace.state_time_ns.get(key, 0) \
+                    + max(0, (f[5] - f[4]) * scale)
 
-    for rank, cur in enumerate(cursors):
-        if cur.open_entry is not None:
-            log.add(AnomalyKind.UNMATCHED_SEND, f"rank {rank}",
-                    f"region opened at {cur.open_entry} still open at stream end")
-            _close_region(trace, rank, cur, cur.last_time)
+    def _event(self, rank: int, f: list[int], lineno: int) -> None:
+        """One event record through its rank's cursor."""
+        cur = self.cursors[rank]
+        log = self.pending
+        time = f[4] * self.scale
+        if time < cur.last_time:
+            log.add(AnomalyKind.NONMONOTONIC_TIMESTAMP, f"line {lineno}",
+                    f"rank {rank} time {time} before {cur.last_time}")
+            time = cur.last_time
+        cur.last_time = time
+        touched = False
+        for i in range(5, len(f), 2):
+            etype, value = f[i], f[i + 1]
+            klass = _MPI_CLASS.get(etype)
+            if klass is None:
+                if etype == EVTYPE_COMM_ID:
+                    if cur.open_entry == time:
+                        cur.open_hint = value
+                    else:
+                        cur.hint_time = time
+                        cur.hint_value = value
+                    touched = True
+                continue
+            touched = True
+            if value > 0:
+                if cur.open_entry is not None:
+                    log.add(AnomalyKind.UNMATCHED_SEND, f"line {lineno}",
+                            f"rank {rank} region opened at {cur.open_entry} "
+                            f"never closed")
+                    _close_region(self.trace, rank, cur, time)
+                cur.open_entry = time
+                cur.open_class = klass
+                cur.open_call = value
+                if cur.hint_time == time:
+                    cur.open_hint = cur.hint_value
+                    cur.hint_time = None
+            elif cur.open_entry is None:
+                log.add(AnomalyKind.UNMATCHED_RECV, f"line {lineno}",
+                        f"rank {rank} close event with no open region")
+            else:
+                _close_region(self.trace, rank, cur, time)
+        if touched:
+            self.counters.consumed += 1
+        else:
+            self.counters.ignored += 1
 
-    if WORLD_COMM_ID not in trace.communicators:
-        trace.communicators[WORLD_COMM_ID] = CommunicatorDef(
-            WORLD_COMM_ID, list(range(meta.rank_count)))
+    # --- the array paths -------------------------------------------------
 
-    _group_collectives(trace)
-    counters.anomalies = log.total
-    return trace, log
+    def _messages(self, tok: np.ndarray, f0: np.ndarray,
+                  linenos: np.ndarray, senders: np.ndarray,
+                  receivers: np.ndarray, queued: list[tuple[int, ...]],
+                  ) -> None:
+        """Append the block's messages in line order: those of the plain
+        communication lines at payload offsets f0, and the queued
+        (line, sender, receiver, payload fields 4, 11, 12, 13) ones."""
+        cols = [linenos, senders, receivers, tok[f0 + 4], tok[f0 + 11],
+                tok[f0 + 12], tok[f0 + 13]]
+        if queued:
+            more = np.array(queued, dtype=np.int64).T
+            order = np.argsort(np.concatenate((linenos, more[0])),
+                               kind="stable")
+            cols = [np.concatenate((c, m))[order] for c, m in zip(cols, more)]
+        linenos, senders, receivers, send, recv, sizes, tags = cols
+        if not len(linenos):
+            return
+        send = send * self.scale    # logical send
+        recv = recv * self.scale    # physical receive completion
+        flipped = send > recv
+        for i in np.flatnonzero(flipped).tolist():
+            self.pending.add(
+                AnomalyKind.REVERSED_PTP, f"line {linenos[i]}",
+                f"send at {send[i]} after receive completion {recv[i]}")
+        self.counters.consumed += len(linenos)
+        status = np.where(flipped, STATUS_CODES[MessageStatus.FAULTY_LOCAL],
+                          STATUS_CODES[MessageStatus.VALID])
+        self.trace.messages.extend_columns(senders, receivers, send, recv,
+                                           sizes, tags, status)
+
+    def _states(self, tok: np.ndarray, f0: np.ndarray,
+                ranks: np.ndarray) -> None:
+        """Fold plain state lines into the per-(rank, state) totals."""
+        if not len(f0):
+            return
+        spent = np.maximum((tok[f0 + 5] - tok[f0 + 4]) * self.scale, 0)
+        states = tok[f0 + 6]
+        order = np.lexsort((states, ranks))
+        ranks, states, spent = ranks[order], states[order], spent[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (ranks[1:] != ranks[:-1]) | (states[1:] != states[:-1])
+        at = np.flatnonzero(first)
+        # summed in 32-bit halves so no int64 sum can overflow
+        high = np.add.reduceat(spent >> 32, at).tolist()
+        low = np.add.reduceat(spent & 0xFFFFFFFF, at).tolist()
+        totals = self.trace.state_time_ns
+        for key, hi, lo in zip(zip(ranks[at].tolist(), states[at].tolist()),
+                               high, low):
+            totals[key] = totals.get(key, 0) + (hi << 32) + lo
+
+    def _events(self, tok: np.ndarray, f0: np.ndarray, ncol: np.ndarray,
+                linenos: np.ndarray, ranks: np.ndarray,
+                slow: _Queues) -> None:
+        """Pair the block's plain event lines into regions, rank by rank.
+
+        A rank's lines take the array path when they continue its cursor
+        cleanly: times never decrease, MPI opens and closes strictly
+        alternate, each communicator-id companion binds to a region
+        opened at its own timestamp (before or after it, one companion
+        per region), and no hint is pending that a later open could
+        take.  Regions then pair each close with the open before it.
+        Other ranks, and ranks with records in slow already, queue their
+        lines in slow for the cursor.
+        """
+        if not len(f0):
+            return
+        counters = self.counters
+        times = tok[f0 + 4] * self.scale
+        npairs = (ncol - 5) // 2
+        p_line = np.repeat(np.arange(len(f0)), npairs)
+        p_at = f0[p_line] + 5 + 2 * (np.arange(len(p_line))
+                                     - (np.cumsum(npairs) - npairs)[p_line])
+        p_type, p_value = tok[p_at], tok[p_at + 1]
+        p_class = np.full(len(p_line), _FOREIGN, dtype=np.int64)
+        for etype, klass in _MPI_CLASS.items():
+            p_class[p_type == etype] = CLASS_CODES[klass]
+        p_class[p_type == EVTYPE_COMM_ID] = _HINT
+        touched = np.zeros(len(f0), dtype=bool)
+        touched[p_line[p_class != _FOREIGN]] = True
+
+        # group g: one rank's lines, in line order
+        by_rank = np.argsort(ranks, kind="stable")
+        g_rank, g_start, g_count = np.unique(
+            ranks[by_rank], return_index=True, return_counts=True)
+        line_g = np.empty(len(f0), dtype=np.int64)
+        line_g[by_rank] = np.repeat(np.arange(len(g_rank)), g_count)
+        curs = [self.cursors[r] for r in g_rank.tolist()]
+        c_last = np.array([c.last_time for c in curs], dtype=np.int64)
+        c_open = np.array([-1 if c.open_entry is None else c.open_entry
+                           for c in curs], dtype=np.int64)
+        c_pending = np.array([-1 if c.hint_time is None else c.hint_time
+                              for c in curs], dtype=np.int64)
+        c_class = np.array([CLASS_CODES[c.open_class] for c in curs],
+                           dtype=np.int64)
+        c_call = np.array([c.open_call for c in curs], dtype=np.int64)
+        c_hinted = np.array([c.open_hint is not None for c in curs])
+        c_hint = np.array([c.open_hint or 0 for c in curs], dtype=np.int64)
+
+        bad = np.isin(g_rank, list(slow))
+        g_times = times[by_rank]
+        g_of = line_g[by_rank]
+        bad[g_of[1:][(g_times[1:] < g_times[:-1])
+                     & (g_of[1:] == g_of[:-1])]] = True
+        first_time = g_times[g_start]
+        bad |= (first_time < c_last) | (c_pending >= first_time)
+
+        # every type/value pair, grouped like the lines
+        order = np.argsort(line_g[p_line], kind="stable")
+        s_g = line_g[p_line[order]]
+        s_class, s_value = p_class[order], p_value[order]
+        s_time = times[p_line[order]]
+        is_mpi = s_class < _HINT
+        m_g, m_time = s_g[is_mpi], s_time[is_mpi]
+        m_class, m_value = s_class[is_mpi], s_value[is_mpi]
+        m_open = m_value > 0
+        same = m_g[1:] == m_g[:-1]
+        bad[m_g[1:][same & (m_open[1:] == m_open[:-1])]] = True
+        first = np.flatnonzero(np.diff(m_g, prepend=-1))
+        bad[m_g[first][m_open[first] == (c_open[m_g[first]] >= 0)]] = True
+
+        m_hinted = np.zeros(len(m_g), dtype=bool)
+        m_hint = np.zeros(len(m_g), dtype=np.int64)
+        h = np.flatnonzero(s_class == _HINT)
+        if len(h):
+            h_g, h_time, h_value = s_g[h], s_time[h], s_value[h]
+            # the MPI events around each hint, padded with a no-event
+            nxt = np.cumsum(is_mpi)[h]
+            prev = nxt - 1
+            pad_g = np.append(m_g, -1)
+            pad_time = np.append(m_time, -1)
+            pad_open = np.append(m_open, False)
+            has_prev = pad_g[prev] == h_g
+            on_prev = has_prev & pad_open[prev] & (pad_time[prev] == h_time)
+            on_carried = ~has_prev & (c_open[h_g] == h_time)
+            on_next = ~on_prev & ~on_carried & (pad_g[nxt] == h_g) \
+                & pad_open[nxt] & (pad_time[nxt] == h_time)
+            bad[h_g[~(on_prev | on_carried | on_next)]] = True
+            opener = np.where(on_prev, prev, np.where(on_next, nxt, -1 - h_g))
+            twice = np.sort(opener)
+            twice = twice[1:][twice[1:] == twice[:-1]]
+            bad[h_g[np.isin(opener, twice)]] = True
+            on_m = on_prev | on_next
+            m_hinted[opener[on_m]] = True
+            m_hint[opener[on_m]] = h_value[on_m]
+            c_hinted[h_g[on_carried]] = True
+            c_hint[h_g[on_carried]] = h_value[on_carried]
+
+        good_line = ~bad[line_g]
+        counters.consumed += int(np.count_nonzero(touched & good_line))
+        counters.ignored += int(np.count_nonzero(~touched & good_line))
+
+        # a region per close; by alternation its open is the MPI event
+        # before it, or the rank's carried open for the first one
+        close = np.flatnonzero(~m_open & ~bad[m_g])
+        opened = close - 1
+        r_g = m_g[close]
+        in_block = (close > 0) & (m_g[opened] == r_g)
+        entry = np.where(in_block, m_time[opened], c_open[r_g])
+        exit_ = m_time[close]
+        codes = np.where(in_block, m_class[opened], c_class[r_g])
+        calls = np.where(in_block, m_value[opened], c_call[r_g])
+        hinted = np.where(in_block, m_hinted[opened], c_hinted[r_g])
+        hints = np.where(in_block, m_hint[opened], c_hint[r_g])
+        groups = np.arange(len(g_rank) + 1)
+        r_at = np.searchsorted(r_g, groups).tolist()
+        m_at = np.searchsorted(m_g, groups).tolist()
+        g_end = (g_start + g_count).tolist()
+
+        regions = self.trace.regions
+        for g, (rank, cur) in enumerate(zip(g_rank.tolist(), curs)):
+            if bad[g]:
+                queue = slow.setdefault(rank, [])
+                for i in by_rank[g_start[g]:g_end[g]].tolist():
+                    queue.append((int(linenos[i]),
+                                  tok[f0[i]:f0[i] + ncol[i]].tolist()))
+                continue
+            lo, hi = r_at[g], r_at[g + 1]
+            if hi > lo:
+                regions[rank].extend_columns(
+                    entry[lo:hi], exit_[lo:hi], codes[lo:hi], calls[lo:hi],
+                    hinted[lo:hi], hints[lo:hi])
+            last = m_at[g + 1] - 1
+            if last >= m_at[g]:
+                if m_open[last]:
+                    cur.open_entry = int(m_time[last])
+                    cur.open_class = CLASS_BY_CODE[m_class[last]]
+                    cur.open_call = int(m_value[last])
+                    cur.open_hint = int(m_hint[last]) if m_hinted[last] \
+                        else None
+                else:
+                    cur.open_entry = None
+                    cur.open_hint = None
+            elif c_hinted[g]:
+                cur.open_hint = int(c_hint[g])
+            cur.last_time = int(g_times[g_end[g] - 1])
+            cur.hint_time = None     # none pending, or older than any time ahead
+
+    # --- end of stream ---------------------------------------------------
+
+    def finish(self) -> Trace:
+        trace = self.trace
+        for rank, cur in enumerate(self.cursors):
+            if cur.open_entry is not None:
+                self.log.add(AnomalyKind.UNMATCHED_SEND, f"rank {rank}",
+                             f"region opened at {cur.open_entry} still open "
+                             f"at stream end")
+                _close_region(trace, rank, cur, cur.last_time)
+        if WORLD_COMM_ID not in trace.communicators:
+            trace.communicators[WORLD_COMM_ID] = CommunicatorDef(
+                WORLD_COMM_ID, list(range(self.meta.rank_count)))
+        _group_collectives(trace)
+        self.counters.anomalies = self.log.total
+        return trace
 
 
 def _close_region(trace: Trace, rank: int, cur: _RankCursor, time: int) -> None:
@@ -434,35 +863,57 @@ def _group_collectives(trace: Trace) -> None:
 
     A region belongs to the communicator its entry hint named, defaulting
     to world; the n-th collective of a communicator on each member rank
-    forms occurrence n.  Each participant row records the region index it
-    came from, so replay can reattach without re-matching timestamps.
+    forms occurrence n.  Occurrences are ordered by communicator, then
+    occurrence, participants by rank.  Each participant row records the
+    region index it came from, so replay can reattach without
+    re-matching timestamps.
     """
-    per_comm: dict[int, dict[int, array]] = {}
     coll_code = CLASS_CODES[CallClass.COLLECTIVE]
-    for rank, regs in enumerate(trace.regions):
-        hints = regs.comm_hints
-        for k, code in enumerate(regs.class_codes):
-            if code != coll_code:
-                continue
-            cid = hints.get(k, WORLD_COMM_ID)
-            per_comm.setdefault(cid, {}).setdefault(rank, array("q")).append(k)
-    store = trace.collectives
-    for cid in sorted(per_comm):
-        by_rank = per_comm[cid]
-        member_ranks = sorted(by_rank)
-        depth = max(len(v) for v in by_rank.values())
-        for occ in range(depth):
-            participants = []
-            region_indices = []
-            for r in member_ranks:
-                ks = by_rank[r]
-                if occ < len(ks):
-                    k = ks[occ]
-                    regs = trace.regions[r]
-                    participants.append(
-                        (r, regs.entry_times[k], regs.exit_times[k]))
-                    region_indices.append(k)
-            store.append_fields(cid, occ, participants, region_indices)
+    ks, cids, occs = [], [], []
+    for regs in trace.regions:
+        k = np.flatnonzero(np.frombuffer(regs.class_codes, dtype=np.uint8)
+                           == coll_code)
+        cid = np.full(len(k), WORLD_COMM_ID, dtype=np.int64)
+        if len(k) and regs.comm_hints:
+            n = len(regs.comm_hints)
+            hk = np.fromiter(regs.comm_hints.keys(), dtype=np.int64, count=n)
+            hv = np.fromiter(regs.comm_hints.values(), dtype=np.int64, count=n)
+            at = np.minimum(np.searchsorted(k, hk), len(k) - 1)
+            hit = k[at] == hk
+            cid[at[hit]] = hv[hit]
+        # occurrence: position among the rank's regions of that communicator
+        by_cid = np.argsort(cid, kind="stable")
+        pos = np.arange(len(k))
+        run = np.ones(len(k), dtype=bool)
+        run[1:] = cid[by_cid[1:]] != cid[by_cid[:-1]]
+        occ = np.empty(len(k), dtype=np.int64)
+        occ[by_cid] = pos - np.maximum.accumulate(np.where(run, pos, 0))
+        ks.append(k)
+        cids.append(cid)
+        occs.append(occ)
+    counts = [len(k) for k in ks]
+    if not sum(counts):
+        return
+    # participant rows ordered by communicator, occurrence, rank; the
+    # columns are gathered one at a time to keep few of them alive
+    rank = np.repeat(np.arange(len(ks), dtype=np.int32), counts)
+    cid = np.concatenate(cids)
+    occ = np.concatenate(occs)
+    del cids, occs
+    order = np.lexsort((rank, occ, cid))
+    cid, occ, rank = cid[order], occ[order], rank[order]
+    head = np.ones(len(order), dtype=bool)
+    head[1:] = (cid[1:] != cid[:-1]) | (occ[1:] != occ[:-1])
+    at = np.flatnonzero(head)
+    cid, occ = cid[at], occ[at]
+    entry = np.concatenate([np.frombuffer(regs.entry_times, dtype=np.int64)[k]
+                            for regs, k in zip(trace.regions, ks)])[order]
+    exit_ = np.concatenate([np.frombuffer(regs.exit_times, dtype=np.int64)[k]
+                            for regs, k in zip(trace.regions, ks)])[order]
+    k = np.concatenate(ks)[order]
+    del ks, order
+    trace.collectives.extend_columns(
+        cid, occ, np.diff(np.append(at, len(k))), rank, entry, exit_, k)
 
 
 def parse_pcf_labels(lines: Iterable[str],
@@ -525,12 +976,16 @@ def load_trace(path: str, time_unit: TimeUnit | None = None,
     """Stream a .prv file from disk into a Trace."""
     log = AnomalyLog()
     counters = IngestCounters()
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+    with open(path, "rb") as fh:
         header = fh.readline()
-        meta = parse_header(header, time_unit=time_unit,
+        cr = header.find(b"\r")
+        if cr >= 0:     # a text-mode reader ends the line there too
+            fh.seek(cr + 1 + (header[cr + 1:cr + 2] == b"\n"))
+            header = header[:cr]
+        meta = parse_header(header.decode("utf-8", "replace"),
+                            time_unit=time_unit,
                             source_name=os.path.basename(path))
-        records = iter_raw_records(fh, log, counters)
-        trace, log = build_trace(records, meta, log, counters)
+        trace, log = build_trace(fh, meta, log, counters)
     return trace, log, counters
 
 

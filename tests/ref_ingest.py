@@ -1,0 +1,385 @@
+"""Reference ingest: the record-at-a-time reader that paraslice shipped
+before the block reader, kept verbatim as the oracle for
+tests/test_ingest_diff.py, the way tests/bruteforce.py is for replay.
+
+`load_reference` reads a .prv in text mode (universal newlines, UTF-8
+with replacement) and assembles it one RawRecord at a time.  It must not
+be "fixed" along with the production reader: it defines the expected
+stores, counters and anomaly entries, except where the production rules
+deliberately changed (an integer outside int64, on which this reference
+raises OverflowError).  `snapshot` turns either reader's result into
+one comparable value.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import os
+from array import array
+from enum import Enum
+from typing import Iterable, Iterator, NamedTuple
+
+from paraslice.model import (
+    AnomalyKind,
+    AnomalyLog,
+    CLASS_CODES,
+    CallClass,
+    CollectiveStore,
+    CommunicatorDef,
+    MessageStatus,
+    MessageStore,
+    TimeUnit,
+    Trace,
+    TraceMeta,
+    WORLD_COMM_ID,
+)
+from paraslice.prv import (
+    EVTYPE_COLLECTIVE,
+    EVTYPE_COMM_ID,
+    EVTYPE_OTHER,
+    EVTYPE_P2P,
+    IngestCounters,
+    IngestError,
+    parse_header,
+)
+
+_MPI_CLASS = {
+    EVTYPE_P2P: CallClass.POINT_TO_POINT,
+    EVTYPE_COLLECTIVE: CallClass.COLLECTIVE,
+    EVTYPE_OTHER: CallClass.OTHER_MPI,
+}
+
+
+def _scale(unit: TimeUnit) -> int:
+    return 1000 if unit is TimeUnit.MICROSECONDS else 1
+
+
+class RecordKind(Enum):
+    STATE = "state"
+    EVENT = "event"
+    COMMUNICATION = "communication"
+    COMMUNICATOR_DEF = "communicator_def"
+
+
+class RawRecord(NamedTuple):
+    kind: RecordKind
+    fields: list[int]
+    line_number: int
+
+
+_KIND_BY_PREFIX = {"1": RecordKind.STATE, "2": RecordKind.EVENT,
+                   "3": RecordKind.COMMUNICATION}
+
+# Payload lengths: state rows carry 7 integers, events 5 plus
+# type/value pairs, communication rows exactly 14.
+_STATE_LEN = 7
+_EVENT_MIN = 7
+_COMM_LEN = 14
+
+
+def iter_raw_records(lines: Iterable[str], log: AnomalyLog,
+                     counters: IngestCounters | None = None,
+                     first_line_number: int = 2) -> Iterator[RawRecord]:
+    """Yield well-formed records; malformed lines go to the anomaly log."""
+    counters = counters if counters is not None else IngestCounters()
+    lineno = first_line_number - 1
+    event_kind = RecordKind.EVENT
+    comm_kind = RecordKind.COMMUNICATION
+    state_kind = RecordKind.STATE
+    kind_of = _KIND_BY_PREFIX.get
+    for raw in lines:
+        lineno += 1
+        line = raw.strip()
+        if not line:
+            continue
+        if line[0] == "#":
+            counters.comments += 1
+            continue
+        head, _, rest = line.partition(":")
+        if head == "c":
+            try:
+                fields = list(map(int, rest.split(":")))
+            except ValueError:
+                log.add(AnomalyKind.MALFORMED_RECORD, f"line {lineno}",
+                        "unparseable communicator definition")
+                continue
+            counters.communicator_defs += 1
+            yield RawRecord(RecordKind.COMMUNICATOR_DEF, fields, lineno)
+            continue
+        kind = kind_of(head)
+        if kind is None:
+            log.add(AnomalyKind.MALFORMED_RECORD, f"line {lineno}",
+                    f"unknown record kind {head!r}")
+            continue
+        countable = kind is event_kind or kind is comm_kind
+        if countable:
+            counters.records += 1
+        try:
+            fields = list(map(int, rest.split(":")))
+        except ValueError:
+            log.add(AnomalyKind.MALFORMED_RECORD, f"line {lineno}",
+                    "non-integer payload")
+            if countable:
+                counters.dropped += 1
+            continue
+        bad = (kind is state_kind and len(fields) != _STATE_LEN) \
+            or (kind is event_kind
+                and (len(fields) < _EVENT_MIN or (len(fields) - 5) % 2)) \
+            or (kind is comm_kind and len(fields) != _COMM_LEN)
+        if bad:
+            log.add(AnomalyKind.MALFORMED_RECORD, f"line {lineno}",
+                    f"{kind.value} record with {len(fields)} payload fields")
+            if countable:
+                counters.dropped += 1
+            continue
+        if kind is state_kind:
+            counters.states += 1
+        yield RawRecord(kind, fields, lineno)
+
+
+class _RankCursor:
+    """Open-region tracking for one rank during assembly.
+
+    A communicator-id companion event binds to the region opened at the
+    same timestamp, whichever of the two arrives first in the stream.
+    """
+
+    __slots__ = ("open_entry", "open_class", "open_call", "open_hint",
+                 "hint_time", "hint_value", "last_time")
+
+    def __init__(self) -> None:
+        self.open_entry: int | None = None
+        self.open_class = CallClass.OTHER_MPI
+        self.open_call = 0
+        self.open_hint: int | None = None
+        self.hint_time: int | None = None
+        self.hint_value = 0
+        self.last_time = 0
+
+
+def build_trace(records: Iterable[RawRecord], meta: TraceMeta,
+                log: AnomalyLog | None = None,
+                counters: IngestCounters | None = None,
+                comm_id_event_type: int = EVTYPE_COMM_ID,
+                ) -> tuple[Trace, AnomalyLog]:
+    """Assemble the trace model from raw records.
+
+    Event pairing is per rank: a positive MPI value opens a region, zero
+    closes it.  A second open closes the dangling region where the new one
+    starts; a close without an open is logged and dropped; regions still
+    open at stream end close at the rank's last observed timestamp.
+    Non-monotonic event timestamps are clamped so the offending duration
+    collapses to zero.  Microsecond traces are scaled to nanoseconds here.
+    """
+    log = log if log is not None else AnomalyLog()
+    counters = counters if counters is not None else IngestCounters()
+    scale = _scale(meta.time_unit)
+    trace = Trace.empty(meta)
+    trace.messages = MessageStore()
+    trace.collectives = CollectiveStore()
+    cursors = [_RankCursor() for _ in range(meta.rank_count)]
+    flat = meta.flat_rank_encoding
+
+    def resolve_rank(appl: int, task: int, thread: int, lineno: int) -> int | None:
+        if appl != 1:
+            log.add(AnomalyKind.MALFORMED_RECORD, f"line {lineno}",
+                    f"application {appl} out of range")
+            return None
+        rank, other = (thread - 1, task) if flat else (task - 1, thread)
+        if other != 1:
+            log.add(AnomalyKind.MALFORMED_RECORD, f"line {lineno}",
+                    "record addresses a second thread of a rank")
+            return None
+        if not (0 <= rank < meta.rank_count):
+            raise IngestError(f"line {lineno}: rank index {rank} out of range")
+        return rank
+
+    event_kind = RecordKind.EVENT
+    rank_count = meta.rank_count
+    for rec in records:
+        if rec.kind is event_kind:
+            f = rec.fields
+            # straight-line coordinate decode; anything off the happy path
+            # falls back to resolve_rank for logging or rejection
+            rank = (f[3] - 1) if flat else (f[2] - 1)
+            other = f[2] if flat else f[3]
+            if f[1] != 1 or other != 1 or not 0 <= rank < rank_count:
+                rank = resolve_rank(f[1], f[2], f[3], rec.line_number)
+                if rank is None:
+                    counters.dropped += 1
+                    continue
+            cur = cursors[rank]
+            time = f[4] * scale
+            if time < cur.last_time:
+                log.add(AnomalyKind.NONMONOTONIC_TIMESTAMP,
+                        f"line {rec.line_number}",
+                        f"rank {rank} time {time} before {cur.last_time}")
+                time = cur.last_time
+            cur.last_time = time
+            touched = False
+            for i in range(5, len(f), 2):
+                etype, value = f[i], f[i + 1]
+                klass = _MPI_CLASS.get(etype)
+                if klass is None:
+                    if etype == comm_id_event_type:
+                        if cur.open_entry == time:
+                            cur.open_hint = value
+                        else:
+                            cur.hint_time = time
+                            cur.hint_value = value
+                        touched = True
+                    continue
+                touched = True
+                if value > 0:
+                    if cur.open_entry is not None:
+                        log.add(AnomalyKind.UNMATCHED_SEND,
+                                f"line {rec.line_number}",
+                                f"rank {rank} region opened at {cur.open_entry} never closed")
+                        _close_region(trace, rank, cur, time)
+                    cur.open_entry = time
+                    cur.open_class = klass
+                    cur.open_call = value
+                    if cur.hint_time == time:
+                        cur.open_hint = cur.hint_value
+                        cur.hint_time = None
+                else:
+                    if cur.open_entry is None:
+                        log.add(AnomalyKind.UNMATCHED_RECV,
+                                f"line {rec.line_number}",
+                                f"rank {rank} close event with no open region")
+                    else:
+                        _close_region(trace, rank, cur, time)
+            if touched:
+                counters.consumed += 1
+            else:
+                counters.ignored += 1
+        elif rec.kind is RecordKind.COMMUNICATION:
+            f = rec.fields
+            s_rank = resolve_rank(f[1], f[2], f[3], rec.line_number)
+            r_rank = resolve_rank(f[7], f[8], f[9], rec.line_number)
+            if s_rank is None or r_rank is None:
+                counters.dropped += 1
+                continue
+            send_begin = f[4] * scale   # logical send
+            recv_end = f[11] * scale    # physical receive completion
+            status = MessageStatus.VALID
+            if send_begin > recv_end:
+                status = MessageStatus.FAULTY_LOCAL
+                log.add(AnomalyKind.REVERSED_PTP, f"line {rec.line_number}",
+                        f"send at {send_begin} after receive completion {recv_end}")
+            trace.messages.append_fields(s_rank, r_rank, send_begin, recv_end,
+                                         f[12], f[13], status)
+            counters.consumed += 1
+        elif rec.kind is RecordKind.COMMUNICATOR_DEF:
+            f = rec.fields
+            if len(f) < 3 or len(f) != 3 + f[2]:
+                log.add(AnomalyKind.MALFORMED_RECORD, f"line {rec.line_number}",
+                        "communicator definition length mismatch")
+                continue
+            members = [t - 1 for t in f[3:]]
+            trace.communicators[f[1]] = CommunicatorDef(f[1], members)
+        elif rec.kind is RecordKind.STATE:
+            f = rec.fields
+            rank = resolve_rank(f[1], f[2], f[3], rec.line_number)
+            if rank is None:
+                continue
+            begin, end, state = f[4] * scale, f[5] * scale, f[6]
+            key = (rank, state)
+            trace.state_time_ns[key] = trace.state_time_ns.get(key, 0) \
+                + max(0, end - begin)
+
+    for rank, cur in enumerate(cursors):
+        if cur.open_entry is not None:
+            log.add(AnomalyKind.UNMATCHED_SEND, f"rank {rank}",
+                    f"region opened at {cur.open_entry} still open at stream end")
+            _close_region(trace, rank, cur, cur.last_time)
+
+    if WORLD_COMM_ID not in trace.communicators:
+        trace.communicators[WORLD_COMM_ID] = CommunicatorDef(
+            WORLD_COMM_ID, list(range(meta.rank_count)))
+
+    _group_collectives(trace)
+    counters.anomalies = log.total
+    return trace, log
+
+
+def _close_region(trace: Trace, rank: int, cur: _RankCursor, time: int) -> None:
+    trace.regions[rank].append_fields(cur.open_entry, time, cur.open_class,
+                                      cur.open_call, cur.open_hint)
+    cur.open_entry = None
+    cur.open_hint = None
+
+
+def _group_collectives(trace: Trace) -> None:
+    """Group per-rank collective regions into collective occurrences.
+
+    A region belongs to the communicator its entry hint named, defaulting
+    to world; the n-th collective of a communicator on each member rank
+    forms occurrence n.  Each participant row records the region index it
+    came from, so replay can reattach without re-matching timestamps.
+    """
+    per_comm: dict[int, dict[int, array]] = {}
+    coll_code = CLASS_CODES[CallClass.COLLECTIVE]
+    for rank, regs in enumerate(trace.regions):
+        hints = regs.comm_hints
+        for k, code in enumerate(regs.class_codes):
+            if code != coll_code:
+                continue
+            cid = hints.get(k, WORLD_COMM_ID)
+            per_comm.setdefault(cid, {}).setdefault(rank, array("q")).append(k)
+    store = trace.collectives
+    for cid in sorted(per_comm):
+        by_rank = per_comm[cid]
+        member_ranks = sorted(by_rank)
+        depth = max(len(v) for v in by_rank.values())
+        for occ in range(depth):
+            participants = []
+            region_indices = []
+            for r in member_ranks:
+                ks = by_rank[r]
+                if occ < len(ks):
+                    k = ks[occ]
+                    regs = trace.regions[r]
+                    participants.append(
+                        (r, regs.entry_times[k], regs.exit_times[k]))
+                    region_indices.append(k)
+            store.append_fields(cid, occ, participants, region_indices)
+
+
+def load_reference(path: str, time_unit: TimeUnit | None = None,
+                   ) -> tuple[Trace, AnomalyLog, IngestCounters]:
+    """Stream a .prv file from disk into a Trace, one record at a time."""
+    log = AnomalyLog()
+    counters = IngestCounters()
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        header = fh.readline()
+        meta = parse_header(header, time_unit=time_unit,
+                            source_name=os.path.basename(path))
+        records = iter_raw_records(fh, log, counters)
+        trace, log = build_trace(records, meta, log, counters)
+    return trace, log, counters
+
+
+def snapshot(trace, log, counters) -> dict:
+    """Everything ingest produces, in comparable form: store columns,
+    communicators, state totals, counters (but `routed`, which only the
+    block reader keeps) and the anomaly entries in order."""
+    counts = dataclasses.asdict(counters)
+    counts.pop("routed")
+    colls = trace.collectives
+    msgs = trace.messages
+    return {
+        "meta": trace.meta,
+        "regions": [(r.entry_times.tobytes(), r.exit_times.tobytes(),
+                     bytes(r.class_codes), r.call_ids.tobytes(),
+                     dict(r.comm_hints)) for r in trace.regions],
+        "messages": [getattr(msgs, c).tolist()
+                     for c in msgs.__slots__ if c != "status_codes"]
+        + [bytes(msgs.status_codes)],
+        "collectives": [getattr(colls, c).tolist() for c in colls.__slots__],
+        "communicators": {k: (c.communicator_id, c.members)
+                          for k, c in trace.communicators.items()},
+        "states": trace.state_time_ns,
+        "counters": counts,
+        "anomalies": [(e.kind, e.location, e.detail) for e in log.entries],
+    }

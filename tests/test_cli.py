@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from paraslice import boundary_clocks
 from paraslice.cli import (
     EXIT_BAD_CONFIG,
     EXIT_MALFORMED,
@@ -194,6 +195,23 @@ class TestAnalyze:
         assert len(payload["windows"]["efficiency"]) == n
         assert len(bounds) == n + 1
 
+    def test_plot_reuses_boundary_clocks(self, generated, tmp_path,
+                                         monkeypatch):
+        import paraslice.cli as cli
+        import paraslice.metrics as metrics
+
+        calls = []
+
+        def counted(timeline, boundaries):
+            calls.append(len(boundaries))
+            return boundary_clocks(timeline, boundaries)
+
+        monkeypatch.setattr(cli, "boundary_clocks", counted)
+        monkeypatch.setattr(metrics, "boundary_clocks", counted)
+        assert analyze(generated["prv"], tmp_path / "out", "--plot") \
+            == EXIT_OK
+        assert len(calls) == 1
+
     def test_reference_match_passes(self, generated, tmp_path, capsys):
         exp = generated["expected"]
         ref = ",".join(repr(exp[k]) for k in
@@ -219,6 +237,18 @@ class TestAnalyze:
         bad.write_text("this is not a trace\n", encoding="utf-8")
         assert analyze(bad, tmp_path) == EXIT_MALFORMED
         assert "error" in capsys.readouterr().err
+
+    def test_integer_beyond_int64_is_dropped(self, generated, tmp_path):
+        # one bad record is logged, not a traceback
+        dirty = tmp_path / "huge.prv"
+        text = generated["prv"].read_text(encoding="utf-8")
+        dirty.write_text(text + "3:0:1:1:1:5:5:1:1:2:1:9:9:"
+                         "99999999999999999999:1\n", encoding="utf-8")
+        assert analyze(dirty, tmp_path / "out") == EXIT_OK
+        anomalies = (tmp_path / "out" / "huge.anomalies.txt").read_text(
+            encoding="utf-8")
+        assert "malformed_record @ line" in anomalies
+        assert "integer outside the 64-bit range" in anomalies
 
     def test_no_compute_trace(self, tmp_path, capsys):
         prv = tmp_path / "idle.prv"

@@ -1,5 +1,7 @@
 """Tests for .prv ingestion: header, records, assembly, and .pcf labels."""
 
+import io
+
 import pytest
 
 from paraslice import (
@@ -13,6 +15,7 @@ from paraslice import (
     load_labels,
     load_trace,
 )
+from paraslice import prv
 from paraslice.prv import (
     EVTYPE_COLLECTIVE,
     EVTYPE_COMM_ID,
@@ -20,10 +23,13 @@ from paraslice.prv import (
     EVTYPE_P2P,
     IngestCounters,
     build_trace,
-    iter_raw_records,
     parse_header,
     parse_pcf_labels,
 )
+
+from ref_ingest import snapshot
+
+TINY_BLOCK = 64
 
 
 def header(duration="1000_ns", rank_count=2):
@@ -32,13 +38,25 @@ def header(duration="1000_ns", rank_count=2):
             f"1({rank_count}):1:{rank_count}({tasks})")
 
 
-def assemble(body_lines, duration="1000_ns", rank_count=2, time_unit=None):
-    meta = parse_header(header(duration, rank_count), time_unit=time_unit)
-    log = AnomalyLog()
-    counters = IngestCounters()
-    records = iter_raw_records(body_lines, log, counters)
-    trace, log = build_trace(records, meta, log, counters)
-    return trace, log, counters
+def assemble(body_lines, duration="1000_ns", rank_count=2, time_unit=None,
+             header_line=None):
+    """Build a trace from body lines through the production byte-stream
+    entry, once in the default block size and once in blocks of
+    TINY_BLOCK bytes, where most lines straddle two blocks; both must
+    give the same result, which is returned."""
+    meta = parse_header(header_line or header(duration, rank_count),
+                        time_unit=time_unit)
+    body = "".join(line + "\n" for line in body_lines).encode()
+    results = []
+    for size in (prv.BLOCK_SIZE, TINY_BLOCK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(prv, "BLOCK_SIZE", size)
+            counters = IngestCounters()
+            trace, log = build_trace(io.BytesIO(body), meta, AnomalyLog(),
+                                     counters)
+        results.append((trace, log, counters))
+    assert snapshot(*results[1]) == snapshot(*results[0])
+    return results[0]
 
 
 def ev(rank, time, *pairs):
@@ -220,13 +238,10 @@ class TestRecordStream:
 
     def test_flat_encoding_uses_thread_field(self):
         line = "#Paraver (01/01/25 at 00:00):900_ns:1(3):1:1(3:0)"
-        meta = parse_header(line)
-        log = AnomalyLog()
-        records = iter_raw_records([
+        trace, log, _ = assemble([
             f"2:1:1:1:2:10:{EVTYPE_P2P}:1",
             f"2:1:1:1:2:20:{EVTYPE_P2P}:0",
-        ], log)
-        trace, log = build_trace(records, meta, log)
+        ], header_line=line)
         assert log.total == 0
         assert len(trace.regions[1]) == 1
 
@@ -238,6 +253,106 @@ class TestRecordStream:
         (reg,) = trace.regions[0]
         assert (reg.entry_time, reg.exit_time) == (10_000, 30_000)
         assert trace.meta.total_duration_ns == 1_000_000
+
+
+class TestOutOfRangeIntegers:
+    """An integer that no int64 column can hold drops its record as
+    malformed instead of failing the whole ingest."""
+
+    HUGE = 99999999999999999999
+
+    def test_event_time(self):
+        trace, log, counters = assemble([
+            ev(0, 10, (EVTYPE_P2P, 1)),
+            ev(0, self.HUGE, (EVTYPE_P2P, 0)),
+            ev(0, 30, (EVTYPE_P2P, 0)),
+        ])
+        assert [(e.kind, e.location) for e in log.entries] \
+            == [(AnomalyKind.MALFORMED_RECORD, "line 3")]
+        assert counters.dropped == 1
+        assert counters.records == counters.consumed + counters.ignored \
+            + counters.dropped
+        (reg,) = trace.regions[0]
+        assert (reg.entry_time, reg.exit_time) == (10, 30)
+
+    def test_message_size(self):
+        trace, log, counters = assemble([
+            f"3:1:1:1:1:10:10:2:1:2:1:40:40:{self.HUGE}:7",
+            "3:1:1:1:1:10:10:2:1:2:1:40:40:64:7",
+        ])
+        assert log.count(AnomalyKind.MALFORMED_RECORD) == 1
+        assert counters.dropped == 1
+        (msg,) = trace.messages
+        assert msg.size_bytes == 64
+
+    def test_microsecond_time_overflows_once_scaled(self):
+        last_ok = ((1 << 63) - 1) // 1000     # the largest time in us
+        trace, log, counters = assemble([
+            ev(0, 10, (EVTYPE_P2P, 1)),
+            ev(0, last_ok + 1, (EVTYPE_P2P, 0)),
+            ev(0, last_ok, (EVTYPE_P2P, 0)),
+        ], duration="1000_us")
+        assert [(e.kind, e.location) for e in log.entries] \
+            == [(AnomalyKind.MALFORMED_RECORD, "line 3")]
+        assert counters.dropped == 1
+        (reg,) = trace.regions[0]
+        assert (reg.entry_time, reg.exit_time) == (10_000, last_ok * 1000)
+
+
+class TestBlockReader:
+    def test_clean_trace_routes_only_communicator_lines(self, tmp_path):
+        """Every record of generator output takes the block tokenizer;
+        one garbled line is the only extra line for the per-line rules.
+        A silent fall-back to them would pass every other test."""
+        from paraslice import load_scenario
+        from paraslice.synth import generate_trace
+
+        sc = load_scenario({
+            "name": "routes", "rank_count": 4, "seed": 5,
+            "phases": [
+                {"pattern": "ring_exchange", "iterations": 20,
+                 "compute": {"kind": "uniform", "mean_ns": 500},
+                 "message_bytes": 64},
+                {"pattern": "allreduce", "iterations": 20,
+                 "compute": {"kind": "uniform", "mean_ns": 400},
+                 "communicator_split": 2},
+            ]})
+        text, _ = generate_trace(sc)
+        lines = text.splitlines()
+        path = tmp_path / "clean.prv"
+        path.write_text(text)
+        _, log, counters = load_trace(str(path))
+        assert log.total == 0
+        comm_defs = sum(ln.startswith("c:") for ln in lines)
+        assert comm_defs > 1
+        assert counters.routed == comm_defs
+
+        at = next(i for i in range(len(lines) // 2, len(lines))
+                  if lines[i].startswith("3:"))
+        lines[at] = lines[at].replace(":", ":x", 1)
+        path.write_text("\n".join(lines) + "\n")
+        _, log, counters = load_trace(str(path))
+        assert counters.routed == comm_defs + 1
+        assert [(e.kind, e.location) for e in log.entries] \
+            == [(AnomalyKind.MALFORMED_RECORD, f"line {at + 1}")]
+
+    def test_carriage_returns_end_lines_like_text_mode(self, tmp_path):
+        path = tmp_path / "cr.prv"
+        path.write_bytes((
+            header("100_ns", 1) + "\r\n"
+            + ev(0, 10, (EVTYPE_P2P, 1)) + "\r\n"      # line 2
+            + "bad\r9:1\n"                             # lines 3 and 4
+            + ev(0, 5, (EVTYPE_P2P, 0))                # line 5, no newline
+        ).encode())
+        trace, log, counters = load_trace(str(path))
+        assert [(e.kind, e.location) for e in log.entries] == [
+            (AnomalyKind.MALFORMED_RECORD, "line 3"),
+            (AnomalyKind.MALFORMED_RECORD, "line 4"),
+            (AnomalyKind.NONMONOTONIC_TIMESTAMP, "line 5"),
+        ]
+        (reg,) = trace.regions[0]
+        assert (reg.entry_time, reg.exit_time) == (10, 10)
+        assert counters.routed == 2     # a \r\n line is still plain
 
 
 class TestCommunicators:
