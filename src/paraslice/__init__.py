@@ -29,7 +29,6 @@ from .model import (
     Trace,
     TraceMeta,
     WORLD_COMM_ID,
-    locate_region,
     validate_trace,
 )
 from .prv import IngestCounters, IngestError, load_labels, load_trace
@@ -42,11 +41,7 @@ from .replay import (
     ReplayConfig,
     ReplayError,
     StrictAnomalyError,
-    degrade_faulty,
-    message_crosses_world_collective,
     replay,
-    synchronize_collective,
-    synchronize_ptp,
 )
 from .synth import (
     ComputeSpec,
@@ -83,10 +78,8 @@ __all__ = [
     "ReplayError", "Scenario", "ScenarioError", "StrictAnomalyError",
     "TimeUnit", "Trace", "TraceMeta", "WORLD_COMM_ID", "Window",
     "WindowMetrics", "WindowPlan", "boundary_clocks", "clocks_at",
-    "compute_matrix", "degrade_faulty", "expected_metrics",
-    "generate_to_files", "generate_trace", "global_metrics",
-    "interpolate_clock", "load_labels", "load_scenario", "load_trace",
-    "locate_region", "message_crosses_world_collective", "plan_windows",
-    "replay", "synchronize_collective", "synchronize_ptp",
+    "compute_matrix", "expected_metrics", "generate_to_files",
+    "generate_trace", "global_metrics", "interpolate_clock", "load_labels",
+    "load_scenario", "load_trace", "plan_windows", "replay",
     "validate_trace", "window_metrics", "window_series",
 ]

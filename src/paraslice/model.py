@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import enum
 from array import array
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -138,14 +137,6 @@ class RegionStore:
             self.comm_hints.update(zip((at + base).tolist(),
                                        hints[at].tolist()))
 
-    def append(self, region: MpiRegion) -> None:
-        self.append_fields(region.entry_time, region.exit_time,
-                           region.call_class, region.call_id,
-                           region.comm_hint)
-
-    def hint_at(self, index: int) -> int | None:
-        return self.comm_hints.get(index)
-
     def __len__(self) -> int:
         return len(self.entry_times)
 
@@ -201,8 +192,8 @@ class MessageStore:
 
     Six int64 columns plus one status byte per message; indexing and
     iteration materialize PtpMessage values on demand.  The views are
-    snapshots — assigning to a view's fields does not write back, so
-    status changes must go through set_status (replay does).
+    snapshots — assigning to a view's fields does not write back; replay
+    degrades a message by writing its byte in status_codes.
     """
 
     __slots__ = ("senders", "receivers", "send_begins", "recv_ends",
@@ -240,17 +231,6 @@ class MessageStore:
                                (self.sizes, sizes), (self.tags, tags)):
             column.frombytes(_raw(values, np.int64))
         self.status_codes.extend(_raw(status_codes, np.uint8))
-
-    def append(self, message: PtpMessage) -> None:
-        self.append_fields(message.sender, message.receiver,
-                           message.send_begin, message.recv_end,
-                           message.size_bytes, message.tag, message.status)
-
-    def set_status(self, index: int, status: MessageStatus) -> None:
-        self.status_codes[index] = STATUS_CODES[status]
-
-    def status_at(self, index: int) -> MessageStatus:
-        return STATUS_BY_CODE[self.status_codes[index]]
 
     def __len__(self) -> int:
         return len(self.senders)
@@ -300,10 +280,10 @@ class CollectiveStore:
 
     comm_ids and occ_indices hold one row per occurrence; participant
     triples live flattened behind part_offsets (row i owns the slice
-    part_offsets[i]:part_offsets[i+1]).  part_region_idx optionally pins
-    each participant to the region index it was grouped from (-1 when
-    unknown), letting replay skip re-matching regions by timestamp.
-    Indexing and iteration materialize CollectiveOp snapshots.
+    part_offsets[i]:part_offsets[i+1]).  part_region_idx pins each
+    participant to the index of the region it was grouped from, so
+    replay attaches occurrences without matching timestamps.  Indexing
+    and iteration materialize CollectiveOp snapshots.
     """
 
     __slots__ = ("comm_ids", "occ_indices", "part_offsets", "part_ranks",
@@ -317,18 +297,6 @@ class CollectiveStore:
         self.part_entries = array("q")
         self.part_exits = array("q")
         self.part_region_idx = array("q")
-
-    def append_fields(self, communicator_id: int, occurrence_index: int,
-                      participants, region_indices=None) -> None:
-        self.comm_ids.append(communicator_id)
-        self.occ_indices.append(occurrence_index)
-        for j, (rank, entry, exit_) in enumerate(participants):
-            self.part_ranks.append(rank)
-            self.part_entries.append(entry)
-            self.part_exits.append(exit_)
-            self.part_region_idx.append(
-                -1 if region_indices is None else region_indices[j])
-        self.part_offsets.append(len(self.part_ranks))
 
     def extend_columns(self, comm_ids: np.ndarray, occ_indices: np.ndarray,
                        part_counts: np.ndarray, part_ranks: np.ndarray,
@@ -344,10 +312,6 @@ class CollectiveStore:
         self.part_entries.frombytes(_raw(part_entries, np.int64))
         self.part_exits.frombytes(_raw(part_exits, np.int64))
         self.part_region_idx.frombytes(_raw(part_region_idx, np.int64))
-
-    def append(self, op: CollectiveOp) -> None:
-        self.append_fields(op.communicator_id, op.occurrence_index,
-                           op.participants)
 
     def __len__(self) -> int:
         return len(self.comm_ids)
@@ -426,16 +390,16 @@ class AnomalyLog:
 class Trace:
     """A fully assembled trace, immutable in structure after construction.
 
-    Replay may still flip PtpMessage.status on degradation; everything
-    else is fixed.  regions is indexed by rank and each list is ordered
-    by region_seq, which matches entry-time order.
+    Replay may still degrade a message's status; everything else is
+    fixed.  regions holds one RegionStore per rank, in entry-time order.
+    collectives is derived from the collective regions and their
+    communicator hints by group_collectives.
     """
 
     meta: TraceMeta
-    #: per rank, a RegionStore or any sequence of MpiRegion in entry order
-    regions: list
-    messages: list[PtpMessage] = field(default_factory=list)
-    collectives: list[CollectiveOp] = field(default_factory=list)
+    regions: list[RegionStore]
+    messages: MessageStore = field(default_factory=MessageStore)
+    collectives: CollectiveStore = field(default_factory=CollectiveStore)
     communicators: dict[int, CommunicatorDef] = field(default_factory=dict)
     #: (rank, state) -> total ns, kept only for the summary cross-check.
     state_time_ns: dict[tuple[int, int], int] = field(default_factory=dict)
@@ -445,36 +409,119 @@ class Trace:
         return cls(meta=meta,
                    regions=[RegionStore(r) for r in range(meta.rank_count)])
 
+    @classmethod
+    def build(cls, meta: TraceMeta, regions: Iterable[Iterable[MpiRegion]],
+              messages: Iterable[PtpMessage] = (),
+              communicators: Iterable[CommunicatorDef] = ()) -> "Trace":
+        """A trace from records: regions[r] lists rank r's regions in
+        entry order (their rank and region_seq fields are implied by
+        position).  Collectives are grouped from the regions as ingest
+        groups them, and a world communicator is added unless given."""
+        regions = list(regions)
+        if len(regions) != meta.rank_count:
+            raise ValueError(f"{len(regions)} rank lists for "
+                             f"{meta.rank_count} ranks")
+        trace = cls.empty(meta)
+        for store, regs in zip(trace.regions, regions):
+            for g in regs:
+                store.append_fields(g.entry_time, g.exit_time, g.call_class,
+                                    g.call_id, g.comm_hint)
+        for m in messages:
+            trace.messages.append_fields(m.sender, m.receiver, m.send_begin,
+                                         m.recv_end, m.size_bytes, m.tag,
+                                         m.status)
+        for comm in communicators:
+            trace.communicators[comm.communicator_id] = comm
+        group_collectives(trace)
+        return trace
 
-def locate_region(regions: list[MpiRegion], t: int,
-                  prefer_exit: bool = False) -> int | None:
-    """Index of the region containing time t, or None.
 
+def group_collectives(trace: Trace) -> None:
+    """Add the default world communicator if none is defined, then group
+    per-rank collective regions into collective occurrences.
+
+    A region belongs to the communicator its entry hint named, defaulting
+    to world; the n-th collective of a communicator on each member rank
+    forms occurrence n.  Occurrences are ordered by communicator, then
+    occurrence, participants by rank.  Each participant row records the
+    region index it came from.
+    """
+    if WORLD_COMM_ID not in trace.communicators:
+        trace.communicators[WORLD_COMM_ID] = CommunicatorDef(
+            WORLD_COMM_ID, list(range(trace.meta.rank_count)))
+    coll_code = CLASS_CODES[CallClass.COLLECTIVE]
+    ks, cids, occs = [], [], []
+    for regs in trace.regions:
+        k = np.flatnonzero(np.frombuffer(regs.class_codes, dtype=np.uint8)
+                           == coll_code)
+        cid = np.full(len(k), WORLD_COMM_ID, dtype=np.int64)
+        if len(k) and regs.comm_hints:
+            n = len(regs.comm_hints)
+            hk = np.fromiter(regs.comm_hints.keys(), dtype=np.int64, count=n)
+            hv = np.fromiter(regs.comm_hints.values(), dtype=np.int64, count=n)
+            at = np.minimum(np.searchsorted(k, hk), len(k) - 1)
+            hit = k[at] == hk
+            cid[at[hit]] = hv[hit]
+        # occurrence: position among the rank's regions of that communicator
+        by_cid = np.argsort(cid, kind="stable")
+        pos = np.arange(len(k))
+        run = np.ones(len(k), dtype=bool)
+        run[1:] = cid[by_cid[1:]] != cid[by_cid[:-1]]
+        occ = np.empty(len(k), dtype=np.int64)
+        occ[by_cid] = pos - np.maximum.accumulate(np.where(run, pos, 0))
+        ks.append(k)
+        cids.append(cid)
+        occs.append(occ)
+    counts = [len(k) for k in ks]
+    if not sum(counts):
+        return
+    # participant rows ordered by communicator, occurrence, rank; the
+    # columns are gathered one at a time to keep few of them alive
+    rank = np.repeat(np.arange(len(ks), dtype=np.int32), counts)
+    cid = np.concatenate(cids)
+    occ = np.concatenate(occs)
+    del cids, occs
+    order = np.lexsort((rank, occ, cid))
+    cid, occ, rank = cid[order], occ[order], rank[order]
+    head = np.ones(len(order), dtype=bool)
+    head[1:] = (cid[1:] != cid[:-1]) | (occ[1:] != occ[:-1])
+    at = np.flatnonzero(head)
+    cid, occ = cid[at], occ[at]
+    entry = np.concatenate([np.frombuffer(regs.entry_times, dtype=np.int64)[k]
+                            for regs, k in zip(trace.regions, ks)])[order]
+    exit_ = np.concatenate([np.frombuffer(regs.exit_times, dtype=np.int64)[k]
+                            for regs, k in zip(trace.regions, ks)])[order]
+    k = np.concatenate(ks)[order]
+    del ks, order
+    trace.collectives.extend_columns(
+        cid, occ, np.diff(np.append(at, len(k))), rank, entry, exit_, k)
+
+
+def locate_regions(entries: np.ndarray, exits: np.ndarray, t: np.ndarray,
+                   prefer_exit: bool = False) -> np.ndarray:
+    """Index of the region containing each time in t, or -1.
+
+    entries and exits are one rank's region columns in entry order.
     Consecutive regions may share a boundary and zero-length regions may
     stack at one timestamp, so several regions can contain t.  A receive
     completion (prefer_exit) resolves to the earliest of them: the region
     that ends at t.  A send origin resolves to the earliest region that
     begins at t, falling back to the last one containing it.
     """
-    if not len(regions):
-        return None
-    if isinstance(regions, RegionStore):
-        entries = regions.entry_times
-        exits = regions.exit_times
-    else:
-        entries = [r.entry_time for r in regions]
-        exits = [r.exit_time for r in regions]
-    hi = bisect_right(entries, t) - 1
-    if hi < 0:
-        return None
-    lo = bisect_left(exits, t)
-    if lo > hi:
-        return None
+    t = np.asarray(t, dtype=np.int64)
+    if not len(entries):
+        return np.full(len(t), -1, dtype=np.int64)
+    # t lies in some region iff the earliest region ending at or after t
+    # (lo) has begun by t, i.e. lo is not past the last one begun (hi)
+    hi = np.searchsorted(entries, t, side="right") - 1
+    lo = np.searchsorted(exits, t, side="left")
     if prefer_exit:
-        return lo
-    if entries[hi] == t:
-        return max(lo, bisect_left(entries, t))
-    return hi
+        res = lo
+    else:
+        at_entry = np.asarray(entries)[np.maximum(hi, 0)] == t
+        res = np.where(at_entry, np.maximum(
+            lo, np.searchsorted(entries, t, side="left")), hi)
+    return np.where(lo <= hi, res, -1)
 
 
 @dataclass(slots=True)
@@ -514,33 +561,18 @@ def validate_trace(trace: Trace) -> ValidationReport:
 
     max_ts = 0
     for rank, regs in enumerate(trace.regions):
-        if isinstance(regs, RegionStore):
-            # seq and owner rank hold by construction; check times in bulk
-            if not len(regs):
-                continue
-            ent = np.frombuffer(regs.entry_times, dtype=np.int64)
-            ex = np.frombuffer(regs.exit_times, dtype=np.int64)
-            for k in np.nonzero(ent > ex)[0]:
-                report.add("region.negative", f"rank {rank} region {k}",
-                           f"entry {ent[k]} > exit {ex[k]}")
-            for k in np.nonzero(ent[1:] < ex[:-1])[0]:
-                report.add("region.overlap", f"rank {rank} region {k + 1}",
-                           f"entry {ent[k + 1]} < previous exit {ex[k]}")
-            max_ts = max(max_ts, int(ex.max()))
+        # seq and owner rank hold by construction; check times in bulk
+        if not len(regs):
             continue
-        prev_exit = None
-        for k, reg in enumerate(regs):
-            where = f"rank {rank} region {k}"
-            if reg.region_seq != k:
-                report.add("region.seq", where, f"seq={reg.region_seq}")
-            if reg.entry_time > reg.exit_time:
-                report.add("region.negative", where,
-                           f"entry {reg.entry_time} > exit {reg.exit_time}")
-            if prev_exit is not None and reg.entry_time < prev_exit:
-                report.add("region.overlap", where,
-                           f"entry {reg.entry_time} < previous exit {prev_exit}")
-            prev_exit = reg.exit_time
-            max_ts = max(max_ts, reg.exit_time)
+        ent = np.frombuffer(regs.entry_times, dtype=np.int64)
+        ex = np.frombuffer(regs.exit_times, dtype=np.int64)
+        for k in np.nonzero(ent > ex)[0]:
+            report.add("region.negative", f"rank {rank} region {k}",
+                       f"entry {ent[k]} > exit {ex[k]}")
+        for k in np.nonzero(ent[1:] < ex[:-1])[0]:
+            report.add("region.overlap", f"rank {rank} region {k + 1}",
+                       f"entry {ent[k + 1]} < previous exit {ex[k]}")
+        max_ts = max(max_ts, int(ex.max()))
 
     max_ts = _validate_messages(trace, report, max_ts)
 
@@ -557,57 +589,37 @@ def validate_trace(trace: Trace) -> ValidationReport:
 
     last_entry: dict[tuple[int, int], int] = {}
     colls = trace.collectives
-    if isinstance(colls, CollectiveStore):
-        # same checks as below, reading the columns directly
-        members_of = {cid: set(c.members)
-                      for cid, c in trace.communicators.items()}
-        offsets = colls.part_offsets
-        p_ranks = colls.part_ranks
-        p_entries = colls.part_entries
-        p_exits = colls.part_exits
-        for i in range(len(colls)):
-            cid = colls.comm_ids[i]
-            lo = offsets[i]
-            hi = offsets[i + 1]
-            where = f"collective comm={cid} occ={colls.occ_indices[i]}"
-            ranks = p_ranks[lo:hi].tolist()
-            if len(set(ranks)) != len(ranks):
-                report.add("collective.participants", where,
-                           "duplicate participant rank")
-            members = members_of.get(cid)
-            if members is not None and set(ranks) != members:
-                report.add("collective.membership", where,
-                           f"participants {sorted(ranks)} != members "
-                           f"{sorted(members)}")
-            for j in range(lo, hi):
-                key = (cid, p_ranks[j])
-                entry = p_entries[j]
-                prev = last_entry.get(key)
-                if prev is not None and entry < prev:
-                    report.add("collective.order", where,
-                               f"rank {p_ranks[j]} occurrence entered at "
-                               f"{entry} before {prev}")
-                last_entry[key] = entry
-                if p_exits[j] > max_ts:
-                    max_ts = p_exits[j]
-    else:
-        for op in colls:
-            where = f"collective comm={op.communicator_id} occ={op.occurrence_index}"
-            ranks = op.ranks()
-            if len(set(ranks)) != len(ranks):
-                report.add("collective.participants", where, "duplicate participant rank")
-            comm = trace.communicators.get(op.communicator_id)
-            if comm is not None and set(ranks) != set(comm.members):
-                report.add("collective.membership", where,
-                           f"participants {sorted(ranks)} != members {sorted(comm.members)}")
-            for rank, entry, exit_ in op.participants:
-                key = (op.communicator_id, rank)
-                prev = last_entry.get(key)
-                if prev is not None and entry < prev:
-                    report.add("collective.order", where,
-                               f"rank {rank} occurrence entered at {entry} before {prev}")
-                last_entry[key] = entry
-                max_ts = max(max_ts, exit_)
+    members_of = {cid: set(c.members)
+                  for cid, c in trace.communicators.items()}
+    offsets = colls.part_offsets
+    p_ranks = colls.part_ranks
+    p_entries = colls.part_entries
+    p_exits = colls.part_exits
+    for i in range(len(colls)):
+        cid = colls.comm_ids[i]
+        lo = offsets[i]
+        hi = offsets[i + 1]
+        where = f"collective comm={cid} occ={colls.occ_indices[i]}"
+        ranks = p_ranks[lo:hi].tolist()
+        if len(set(ranks)) != len(ranks):
+            report.add("collective.participants", where,
+                       "duplicate participant rank")
+        members = members_of.get(cid)
+        if members is not None and set(ranks) != members:
+            report.add("collective.membership", where,
+                       f"participants {sorted(ranks)} != members "
+                       f"{sorted(members)}")
+        for j in range(lo, hi):
+            key = (cid, p_ranks[j])
+            entry = p_entries[j]
+            prev = last_entry.get(key)
+            if prev is not None and entry < prev:
+                report.add("collective.order", where,
+                           f"rank {p_ranks[j]} occurrence entered at "
+                           f"{entry} before {prev}")
+            last_entry[key] = entry
+            if p_exits[j] > max_ts:
+                max_ts = p_exits[j]
 
     if meta.total_duration_ns < max_ts:
         report.add("meta.duration", "header",
@@ -617,36 +629,9 @@ def validate_trace(trace: Trace) -> ValidationReport:
 
 def _validate_messages(trace: Trace, report: ValidationReport,
                        max_ts: int) -> int:
-    """Message checks of validate_trace; returns the updated max timestamp.
-
-    The containment rule is the one locate_region applies: a timestamp t
-    lies in some region iff the earliest region ending at or after t has
-    begun by t.  For columnar messages the rule is evaluated with bulk
-    searchsorted passes per rank instead of one bisect pair per message.
-    """
+    """Message checks of validate_trace; returns the updated max timestamp."""
     meta = trace.meta
     msgs = trace.messages
-    if not isinstance(msgs, MessageStore):
-        for i, msg in enumerate(msgs):
-            where = f"message {i}"
-            if not (0 <= msg.sender < meta.rank_count
-                    and 0 <= msg.receiver < meta.rank_count):
-                report.add("message.rank_range", where,
-                           f"sender={msg.sender} receiver={msg.receiver}")
-                continue
-            if msg.status is MessageStatus.VALID and msg.send_begin > msg.recv_end:
-                report.add("message.reversed", where,
-                           f"send {msg.send_begin} > recv {msg.recv_end} but status valid")
-            if locate_region(trace.regions[msg.sender], msg.send_begin) is None:
-                report.add("message.sender_region", where,
-                           f"send_begin {msg.send_begin} outside any region of rank {msg.sender}")
-            if locate_region(trace.regions[msg.receiver], msg.recv_end,
-                             prefer_exit=True) is None:
-                report.add("message.recv_region", where,
-                           f"recv_end {msg.recv_end} outside any region of rank {msg.receiver}")
-            max_ts = max(max_ts, msg.recv_end, msg.send_begin)
-        return max_ts
-
     if not len(msgs):
         return max_ts
     snd = np.frombuffer(msgs.senders, dtype=np.int64)
@@ -666,26 +651,16 @@ def _validate_messages(trace: Trace, report: ValidationReport,
 
     outside_send = np.zeros(len(snd), dtype=bool)
     outside_recv = np.zeros(len(snd), dtype=bool)
-    for rank in range(meta.rank_count):
-        regs = trace.regions[rank]
-        if isinstance(regs, RegionStore):
-            ent = np.frombuffer(regs.entry_times, dtype=np.int64)
-            ex = np.frombuffer(regs.exit_times, dtype=np.int64)
-        else:
-            ent = np.asarray([g.entry_time for g in regs], dtype=np.int64)
-            ex = np.asarray([g.exit_time for g in regs], dtype=np.int64)
+    for rank, regs in enumerate(trace.regions):
+        ent = np.frombuffer(regs.entry_times, dtype=np.int64)
+        ex = np.frombuffer(regs.exit_times, dtype=np.int64)
         smask = in_range & (snd == rank)
         if smask.any():
-            t = sb[smask]
-            hi = np.searchsorted(ent, t, side="right") - 1
-            lo = np.searchsorted(ex, t, side="left")
-            outside_send[smask] = lo > hi
+            outside_send[smask] = locate_regions(ent, ex, sb[smask]) < 0
         rmask = in_range & (rcv == rank)
         if rmask.any():
-            t = re_[rmask]
-            hi = np.searchsorted(ent, t, side="right") - 1
-            lo = np.searchsorted(ex, t, side="left")
-            outside_recv[rmask] = lo > hi
+            outside_recv[rmask] = locate_regions(
+                ent, ex, re_[rmask], prefer_exit=True) < 0
     for i in np.nonzero(outside_send)[0]:
         report.add("message.sender_region", f"message {i}",
                    f"send_begin {sb[i]} outside any region of rank {snd[i]}")

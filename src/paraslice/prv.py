@@ -35,15 +35,13 @@ from .model import (
     CLASS_BY_CODE,
     CLASS_CODES,
     CallClass,
-    CollectiveStore,
     CommunicatorDef,
     MessageStatus,
-    MessageStore,
     STATUS_CODES,
     TimeUnit,
     Trace,
     TraceMeta,
-    WORLD_COMM_ID,
+    group_collectives,
 )
 
 # Event types carrying MPI call activity.  A positive value opens a region
@@ -379,8 +377,6 @@ class _Assembly:
         self.counters = counters
         self.scale = _scale(meta.time_unit)
         self.trace = Trace.empty(meta)
-        self.trace.messages = MessageStore()
-        self.trace.collectives = CollectiveStore()
         self.cursors = [_RankCursor() for _ in range(meta.rank_count)]
         # the current block's anomalies, moved to log in line order
         self.pending = AnomalyLog()
@@ -843,10 +839,7 @@ class _Assembly:
                              f"region opened at {cur.open_entry} still open "
                              f"at stream end")
                 _close_region(trace, rank, cur, cur.last_time)
-        if WORLD_COMM_ID not in trace.communicators:
-            trace.communicators[WORLD_COMM_ID] = CommunicatorDef(
-                WORLD_COMM_ID, list(range(self.meta.rank_count)))
-        _group_collectives(trace)
+        group_collectives(trace)
         self.counters.anomalies = self.log.total
         return trace
 
@@ -856,64 +849,6 @@ def _close_region(trace: Trace, rank: int, cur: _RankCursor, time: int) -> None:
                                       cur.open_call, cur.open_hint)
     cur.open_entry = None
     cur.open_hint = None
-
-
-def _group_collectives(trace: Trace) -> None:
-    """Group per-rank collective regions into collective occurrences.
-
-    A region belongs to the communicator its entry hint named, defaulting
-    to world; the n-th collective of a communicator on each member rank
-    forms occurrence n.  Occurrences are ordered by communicator, then
-    occurrence, participants by rank.  Each participant row records the
-    region index it came from, so replay can reattach without
-    re-matching timestamps.
-    """
-    coll_code = CLASS_CODES[CallClass.COLLECTIVE]
-    ks, cids, occs = [], [], []
-    for regs in trace.regions:
-        k = np.flatnonzero(np.frombuffer(regs.class_codes, dtype=np.uint8)
-                           == coll_code)
-        cid = np.full(len(k), WORLD_COMM_ID, dtype=np.int64)
-        if len(k) and regs.comm_hints:
-            n = len(regs.comm_hints)
-            hk = np.fromiter(regs.comm_hints.keys(), dtype=np.int64, count=n)
-            hv = np.fromiter(regs.comm_hints.values(), dtype=np.int64, count=n)
-            at = np.minimum(np.searchsorted(k, hk), len(k) - 1)
-            hit = k[at] == hk
-            cid[at[hit]] = hv[hit]
-        # occurrence: position among the rank's regions of that communicator
-        by_cid = np.argsort(cid, kind="stable")
-        pos = np.arange(len(k))
-        run = np.ones(len(k), dtype=bool)
-        run[1:] = cid[by_cid[1:]] != cid[by_cid[:-1]]
-        occ = np.empty(len(k), dtype=np.int64)
-        occ[by_cid] = pos - np.maximum.accumulate(np.where(run, pos, 0))
-        ks.append(k)
-        cids.append(cid)
-        occs.append(occ)
-    counts = [len(k) for k in ks]
-    if not sum(counts):
-        return
-    # participant rows ordered by communicator, occurrence, rank; the
-    # columns are gathered one at a time to keep few of them alive
-    rank = np.repeat(np.arange(len(ks), dtype=np.int32), counts)
-    cid = np.concatenate(cids)
-    occ = np.concatenate(occs)
-    del cids, occs
-    order = np.lexsort((rank, occ, cid))
-    cid, occ, rank = cid[order], occ[order], rank[order]
-    head = np.ones(len(order), dtype=bool)
-    head[1:] = (cid[1:] != cid[:-1]) | (occ[1:] != occ[:-1])
-    at = np.flatnonzero(head)
-    cid, occ = cid[at], occ[at]
-    entry = np.concatenate([np.frombuffer(regs.entry_times, dtype=np.int64)[k]
-                            for regs, k in zip(trace.regions, ks)])[order]
-    exit_ = np.concatenate([np.frombuffer(regs.exit_times, dtype=np.int64)[k]
-                            for regs, k in zip(trace.regions, ks)])[order]
-    k = np.concatenate(ks)[order]
-    del ks, order
-    trace.collectives.extend_columns(
-        cid, occ, np.diff(np.append(at, len(k))), rank, entry, exit_, k)
 
 
 def parse_pcf_labels(lines: Iterable[str],

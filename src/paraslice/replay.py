@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import heapq
 from array import array
-from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 
@@ -29,19 +28,15 @@ from .model import (
     AnomalyLog,
     CLASS_CODES,
     CallClass,
-    CollectiveStore,
     MessageStatus,
-    MessageStore,
-    PtpMessage,
-    RegionStore,
     STATUS_CODES,
     Trace,
     WORLD_COMM_ID,
+    locate_regions,
 )
 
 DEFAULT_EAGER_LIMIT = 65536
 
-_CODE_COLL = CLASS_CODES[CallClass.COLLECTIVE]
 _CODE_OTHER = CLASS_CODES[CallClass.OTHER_MPI]
 _STATUS_VALID = STATUS_CODES[MessageStatus.VALID]
 _STATUS_FAULTY = STATUS_CODES[MessageStatus.FAULTY_LOCAL]
@@ -134,142 +129,58 @@ class AnnotatedTimeline:
         return [r.final() for r in self.ranks]
 
 
-def synchronize_ptp(message: PtpMessage, sender_clock_at_send_begin: int,
-                    receiver_clock_at_entry: int,
-                    config: ReplayConfig) -> tuple[int, int]:
-    """Ideal-clock outcome of one valid message.
-
-    Returns (receiver_exit_ideal, sender_exit_floor).  The receiver side
-    is a plain compare-and-swap with the value the sender held when the
-    send began.  Messages above the eager limit follow the rendezvous
-    protocol, so the sender cannot retire the send before the receiver
-    has entered the receiving region; its exit floor absorbs the
-    receiver's entry value.  Eager messages leave the sender untouched.
-    """
-    if message.status is MessageStatus.FAULTY_LOCAL:
-        raise ValueError("synchronize_ptp called on a degraded message")
-    receiver_exit = max(receiver_clock_at_entry, sender_clock_at_send_begin)
-    if message.size_bytes <= config.eager_limit_bytes:
-        sender_floor = sender_clock_at_send_begin
-    else:
-        sender_floor = max(sender_clock_at_send_begin, receiver_clock_at_entry)
-    return receiver_exit, sender_floor
-
-
-def synchronize_collective(op, entry_ideals) -> int:
-    """Exit ideal shared by all participants: the entry maximum."""
-    values = list(entry_ideals)
-    if not values:
-        raise ValueError("collective with no participants")
-    return max(values)
-
-
-def degrade_faulty(message: PtpMessage, log: AnomalyLog,
-                   crossing: bool = False, location: str = "",
-                   detail: str = "") -> bool:
-    """Downgrade a causally impossible message to a local MPI operation.
-
-    Degrades when the send begins after the receive completed, or when the
-    caller established that the match crosses a world collective
-    (crossing=True).  A healthy message is left untouched.  Returns
-    whether the message was degraded.
-    """
-    if message.status is MessageStatus.FAULTY_LOCAL:
-        return False
-    reversed_pair = message.send_begin > message.recv_end
-    if not (reversed_pair or crossing):
-        return False
-    message.status = MessageStatus.FAULTY_LOCAL
-    if not detail:
-        detail = (f"send at {message.send_begin} after receive completion "
-                  f"{message.recv_end}" if reversed_pair
-                  else "message matched across a world collective")
-    log.add(AnomalyKind.REVERSED_PTP, location or "replay", detail)
-    return True
-
-
 class WorldCollectiveIndex:
-    """Per-rank view of world-communicator collectives for causality checks."""
+    """Per-rank view of world-communicator collectives for causality checks.
+
+    For each rank that takes part in a world collective: its entry times
+    and occurrence indices in occurrence order, and the suffix minima of
+    its exit times, aligned with the occurrences.
+    """
 
     def __init__(self, trace: Trace):
-        per_rank_entries: dict[int, array] = {}
-        per_rank_occs: dict[int, array] = {}
-        per_rank_exits: dict[int, array] = {}
         colls = trace.collectives
-        if isinstance(colls, CollectiveStore):
-            cid_col = colls.comm_ids
-            occ_col = colls.occ_indices
-            offsets = colls.part_offsets
-            p_ranks = colls.part_ranks
-            p_entries = colls.part_entries
-            p_exits = colls.part_exits
-            order = sorted((i for i in range(len(cid_col))
-                            if cid_col[i] == WORLD_COMM_ID),
-                           key=occ_col.__getitem__)
-            for i in order:
-                occ = occ_col[i]
-                for j in range(offsets[i], offsets[i + 1]):
-                    rank = p_ranks[j]
-                    per_rank_entries.setdefault(rank, array("q")).append(
-                        p_entries[j])
-                    per_rank_occs.setdefault(rank, array("q")).append(occ)
-                    per_rank_exits.setdefault(rank, array("q")).append(
-                        p_exits[j])
-        else:
-            ops = sorted((op for op in colls
-                          if op.communicator_id == WORLD_COMM_ID),
-                         key=lambda op: op.occurrence_index)
-            for op in ops:
-                for rank, entry, exit_ in op.participants:
-                    per_rank_entries.setdefault(rank, array("q")).append(entry)
-                    per_rank_occs.setdefault(rank, array("q")).append(
-                        op.occurrence_index)
-                    per_rank_exits.setdefault(rank, array("q")).append(exit_)
-        self.entries = per_rank_entries
-        self.occs = per_rank_occs
-        # suffix minima of exit times, aligned with occs
-        self.suffix_min_exit = {
-            rank: _suffix_min(exits) for rank, exits in per_rank_exits.items()
-        }
-
-    def crosses_at(self, sender: int, receiver: int, send_begin: int,
-                   recv_end: int) -> bool:
-        # Strict on both sides: the receiver must enter the collective
-        # after the receive completed and the sender must leave it before
-        # the send began.  At exact timestamp ties the four events are
-        # simultaneous — zero-length regions produce that legitimately.
-        r_entries = self.entries.get(receiver)
-        if not r_entries:
-            return False
-        i = bisect_right(r_entries, recv_end)
-        if i >= len(r_entries):
-            return False
-        occ = self.occs[receiver][i]
-        s_occs = self.occs.get(sender)
-        if not s_occs:
-            return False
-        j = bisect_left(s_occs, occ)
-        if j >= len(s_occs):
-            return False
-        return self.suffix_min_exit[sender][j] < send_begin
-
-    def crosses(self, msg: PtpMessage) -> bool:
-        return self.crosses_at(msg.sender, msg.receiver, msg.send_begin,
-                               msg.recv_end)
+        counts = np.diff(np.frombuffer(colls.part_offsets, dtype=np.int64))
+        world = np.repeat(np.frombuffer(colls.comm_ids, dtype=np.int64)
+                          == WORLD_COMM_ID, counts)
+        occ = np.repeat(np.frombuffer(colls.occ_indices, dtype=np.int64),
+                        counts)[world]
+        rank = np.frombuffer(colls.part_ranks, dtype=np.int64)[world]
+        order = np.lexsort((occ, rank))
+        rank = rank[order]
+        occ = occ[order]
+        entry = np.frombuffer(colls.part_entries, dtype=np.int64)[world][order]
+        exit_ = np.frombuffer(colls.part_exits, dtype=np.int64)[world][order]
+        # each rank's rows run from one bound to the next
+        bounds = np.flatnonzero(np.diff(rank, prepend=-1, append=-1)).tolist()
+        self.entries: dict[int, np.ndarray] = {}
+        self.occs: dict[int, np.ndarray] = {}
+        self.suffix_min_exit: dict[int, np.ndarray] = {}
+        for lo, hi in zip(bounds, bounds[1:]):
+            r = int(rank[lo])
+            self.entries[r] = entry[lo:hi]
+            self.occs[r] = occ[lo:hi]
+            self.suffix_min_exit[r] = \
+                np.minimum.accumulate(exit_[lo:hi][::-1])[::-1]
 
     def crosses_many(self, snd: np.ndarray, rcv: np.ndarray, sb: np.ndarray,
                      re_: np.ndarray) -> np.ndarray:
-        """Vectorized crosses_at over message batches."""
+        """Which messages would have to pass through a world collective
+        backwards: the receive completes before a world collective begins
+        on the receiver, and the send starts only after that same
+        collective ended on the sender.
+
+        Strict on both sides: at exact timestamp ties the four events are
+        simultaneous, which zero-length regions produce legitimately.
+        """
         out = np.zeros(len(snd), dtype=bool)
         if not self.entries:
             return out
         base = np.arange(len(snd))
         for receiver in np.unique(rcv):
-            r_entries = self.entries.get(int(receiver))
-            if not r_entries:
+            rent = self.entries.get(int(receiver))
+            if rent is None:
                 continue
-            rent = np.frombuffer(r_entries, dtype=np.int64)
-            rocc = np.frombuffer(self.occs[int(receiver)], dtype=np.int64)
+            rocc = self.occs[int(receiver)]
             rsel = base[rcv == receiver]
             i = np.searchsorted(rent, re_[rsel], side="right")
             has = i < len(rent)
@@ -279,12 +190,10 @@ class WorldCollectiveIndex:
             occ = rocc[i[has]]
             sgroup = snd[rsel]
             for sender in np.unique(sgroup):
-                s_occs = self.occs.get(int(sender))
-                if not s_occs:
+                socc = self.occs.get(int(sender))
+                if socc is None:
                     continue
-                socc = np.frombuffer(s_occs, dtype=np.int64)
-                ssuf = np.frombuffer(self.suffix_min_exit[int(sender)],
-                                     dtype=np.int64)
+                ssuf = self.suffix_min_exit[int(sender)]
                 pick = sgroup == sender
                 ssel = rsel[pick]
                 j = np.searchsorted(socc, occ[pick], side="left")
@@ -293,22 +202,6 @@ class WorldCollectiveIndex:
                 hit = ssuf[j[ok]] < sb[sel_ok]
                 out[sel_ok[hit]] = True
         return out
-
-
-def _suffix_min(values) -> array:
-    out = array("q", values)
-    for i in range(len(out) - 2, -1, -1):
-        if out[i + 1] < out[i]:
-            out[i] = out[i + 1]
-    return out
-
-
-def message_crosses_world_collective(msg: PtpMessage, trace: Trace) -> bool:
-    """True when the matched pair would have to pass through a world
-    collective backwards: the receive completes before a world collective
-    begins on the receiver, and the send starts only after that same
-    collective ended on the sender."""
-    return WorldCollectiveIndex(trace).crosses(msg)
 
 
 # bitmask flags marking regions that carry synchronization work
@@ -331,62 +224,24 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
     meta = trace.meta
     P = meta.rank_count
 
-    entries: list = []
-    exits: list = []
-    klass: list[bytes] = []      # CLASS_CODES per region
-    hints: list[dict[int, int]] = []
-    nreg: list[int] = []
-    for regs in trace.regions:
-        if isinstance(regs, RegionStore):
-            entries.append(regs.entry_times)
-            exits.append(regs.exit_times)
-            klass.append(regs.class_codes)
-            hints.append(regs.comm_hints)
-        else:
-            entries.append([g.entry_time for g in regs])
-            exits.append([g.exit_time for g in regs])
-            klass.append(bytearray(CLASS_CODES[g.call_class] for g in regs))
-            hints.append({k: g.comm_hint for k, g in enumerate(regs)
-                          if g.comm_hint is not None})
-        nreg.append(len(regs))
-
-    ent_np = [np.frombuffer(entries[r], dtype=np.int64)
-              if isinstance(entries[r], array)
-              else np.asarray(entries[r], dtype=np.int64) for r in range(P)]
-    ex_np = [np.frombuffer(exits[r], dtype=np.int64)
-             if isinstance(exits[r], array)
-             else np.asarray(exits[r], dtype=np.int64) for r in range(P)]
+    entries = [regs.entry_times for regs in trace.regions]
+    exits = [regs.exit_times for regs in trace.regions]
+    nreg = [len(regs) for regs in trace.regions]
+    ent_np = [np.frombuffer(e, dtype=np.int64) for e in entries]
+    ex_np = [np.frombuffer(x, dtype=np.int64) for x in exits]
 
     end_time = meta.total_duration_ns
     for r in range(P):
         if nreg[r]:
             end_time = max(end_time, exits[r][-1])
 
-    # --- normalize messages to flat columns --------------------------------
     msgs = trace.messages
-    is_store = isinstance(msgs, MessageStore)
     nmsg = len(msgs)
-    if is_store:
-        m_sender = msgs.senders
-        m_receiver = msgs.receivers
-        m_begin = msgs.send_begins
-        m_end = msgs.recv_ends
-        m_size = msgs.sizes
-        m_status = msgs.status_codes     # shared buffer: writes go through
-    else:
-        m_sender = array("q", (m.sender for m in msgs))
-        m_receiver = array("q", (m.receiver for m in msgs))
-        m_begin = array("q", (m.send_begin for m in msgs))
-        m_end = array("q", (m.recv_end for m in msgs))
-        m_size = array("q", (m.size_bytes for m in msgs))
-        m_status = bytearray(
-            _STATUS_VALID if m.status is MessageStatus.VALID
-            else _STATUS_FAULTY for m in msgs)
-
-    def _mark_faulty(i: int) -> None:
-        m_status[i] = _STATUS_FAULTY
-        if not is_store:
-            msgs[i].status = MessageStatus.FAULTY_LOCAL
+    m_sender = msgs.senders
+    m_receiver = msgs.receivers
+    m_begin = msgs.send_begins
+    m_end = msgs.recv_ends
+    m_status = msgs.status_codes     # degradations write through
 
     # --- degrade faulty matches --------------------------------------------
     if nmsg:
@@ -394,7 +249,7 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
         rcv_np = np.frombuffer(m_receiver, dtype=np.int64)
         sb_np = np.frombuffer(m_begin, dtype=np.int64)
         re_np = np.frombuffer(m_end, dtype=np.int64)
-        sz_np = np.frombuffer(m_size, dtype=np.int64)
+        sz_np = np.frombuffer(msgs.sizes, dtype=np.int64)
         st_np = np.frombuffer(m_status, dtype=np.uint8)
 
         world_index = WorldCollectiveIndex(trace)
@@ -413,7 +268,7 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
                           f"{m_end[i]}")
             else:
                 detail = "message matched across a world collective"
-            _mark_faulty(i)
+            m_status[i] = _STATUS_FAULTY
             log.add(AnomalyKind.REVERSED_PTP, f"message {i}", detail)
             if config.strict_mode:
                 raise StrictAnomalyError(f"faulty message {i}: {detail}")
@@ -432,32 +287,19 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
     sks = array("q")
     rks = array("q")
     if nmsg:
-        consider = np.frombuffer(m_status, dtype=np.uint8) == _STATUS_VALID
+        consider = st_np == _STATUS_VALID
         rank_ok = ((snd_np >= 0) & (snd_np < P)
                    & (rcv_np >= 0) & (rcv_np < P))
         sk = np.full(nmsg, -1, dtype=np.int64)
         rk = np.full(nmsg, -1, dtype=np.int64)
         for r in range(P):
-            ent = ent_np[r]
-            ex = ex_np[r]
             smask = consider & rank_ok & (snd_np == r)
             if smask.any():
-                t = sb_np[smask]
-                hi = np.searchsorted(ent, t, side="right") - 1
-                lo = np.searchsorted(ex, t, side="left")
-                found = lo <= hi
-                res = hi
-                at_entry = found & (ent[np.maximum(hi, 0)] == t)
-                if at_entry.any():
-                    left = np.searchsorted(ent, t, side="left")
-                    res = np.where(at_entry, np.maximum(lo, left), res)
-                sk[smask] = np.where(found, res, -1)
+                sk[smask] = locate_regions(ent_np[r], ex_np[r], sb_np[smask])
             rmask = consider & rank_ok & (rcv_np == r)
             if rmask.any():
-                t = re_np[rmask]
-                hi = np.searchsorted(ent, t, side="right") - 1
-                lo = np.searchsorted(ex, t, side="left")
-                rk[rmask] = np.where(lo <= hi, lo, -1)
+                rk[rmask] = locate_regions(ent_np[r], ex_np[r], re_np[rmask],
+                                           prefer_exit=True)
 
         bad_rank = consider & ~rank_ok
         un_send = consider & rank_ok & (sk < 0)
@@ -482,14 +324,14 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
                 if config.strict_mode:
                     raise StrictAnomalyError(
                         f"unmatched receive of message {i}")
-            _mark_faulty(i)
+            m_status[i] = _STATUS_FAULTY
 
         attached = consider & rank_ok & (sk >= 0) & (rk >= 0)
         a_recv = np.zeros(nmsg, dtype=bool)
         a_floor = np.zeros(nmsg, dtype=bool)
         over_eager = sz_np > config.eager_limit_bytes
         for r in range(P):
-            kl = np.frombuffer(klass[r], dtype=np.uint8)
+            kl = np.frombuffer(trace.regions[r].class_codes, dtype=np.uint8)
             mask = attached & (rcv_np == r)
             if mask.any():
                 # regions of the other-MPI class never synchronize
@@ -531,94 +373,13 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
         del attached, a_recv, a_floor, over_eager
 
     # --- attach collectives --------------------------------------------------
-    # Each usable occurrence becomes one flat participant slice
-    # [op_poff[o], op_poff[o+1]) over (rank, region index) columns, with a
-    # lazily computed shared exit value.  Parsed stores carry the region
-    # index each participant was grouped from, so attachment is a checked
-    # direct claim; anything else falls back to claiming in stream order
-    # within each communicator (timestamps alone cannot disambiguate
-    # stacked zero-length regions).
-    colls = trace.collectives
+    # Each occurrence is one flat participant slice [op_poff[o],
+    # op_poff[o+1]) over (rank, region index) columns, with a lazily
+    # computed shared exit value; occurrences whose participants do not
+    # match their communicator are skipped.
     coll_at = [np.zeros(nreg[r], dtype=np.int64) for r in range(P)]
-    fast = None
-    if isinstance(colls, CollectiveStore) and len(colls):
-        fast = _claim_collectives_by_provenance(
-            trace, colls, klass, ent_np, ex_np, nreg, coll_at, dep, P)
-    if fast is not None:
-        op_poff, op_prank, op_pidx, op_value, op_skip = fast
-    else:
-        op_poff = array("q", [0])
-        op_prank = array("q")
-        op_pidx = array("q")
-        op_value = array("q")
-        op_skip = bytearray()
-
-        coll_order: list[list[int]] = [[] for _ in range(P)]
-        by_comm: dict[tuple[int, int], deque] = {}
-        claimed: list[set] = [set() for _ in range(P)]
-        for r in range(P):
-            rank_hints = hints[r]
-            for k, code in enumerate(klass[r]):
-                if code == _CODE_COLL:
-                    coll_order[r].append(k)
-                    cid = rank_hints.get(k, WORLD_COMM_ID)
-                    by_comm.setdefault((r, cid), deque()).append(k)
-
-        def _claim(rank: int, cid: int, entry: int, exit_: int) -> int | None:
-            q = by_comm.get((rank, cid))
-            if q is not None:
-                while q and q[0] in claimed[rank]:
-                    q.popleft()
-                if q and entries[rank][q[0]] == entry \
-                        and exits[rank][q[0]] == exit_:
-                    k = q.popleft()
-                    claimed[rank].add(k)
-                    return k
-            for k in coll_order[rank]:
-                if k not in claimed[rank] and entries[rank][k] == entry \
-                        and exits[rank][k] == exit_:
-                    claimed[rank].add(k)
-                    return k
-            return None
-
-        for op in colls:
-            where = (f"collective comm={op.communicator_id} "
-                     f"occ={op.occurrence_index}")
-            comm = trace.communicators.get(op.communicator_id)
-            ranks = [p[0] for p in op.participants]
-            if comm is None or set(ranks) != set(comm.members):
-                if config.strict_mode:
-                    raise StrictAnomalyError(f"{where}: participant mismatch")
-                log.add(AnomalyKind.MALFORMED_RECORD, where,
-                        "participants do not match communicator membership; "
-                        "synchronization skipped")
-                continue
-            part_idx: list[tuple[int, int]] = []
-            usable = True
-            for rank, entry, exit_ in op.participants:
-                k = _claim(rank, op.communicator_id, entry, exit_)
-                if k is None:
-                    if config.strict_mode:
-                        raise StrictAnomalyError(
-                            f"{where}: no region for rank {rank} at {entry}")
-                    log.add(AnomalyKind.MALFORMED_RECORD, where,
-                            f"no collective region of rank {rank} at {entry}; "
-                            "synchronization skipped")
-                    usable = False
-                    break
-                part_idx.append((rank, k))
-            if not usable:
-                continue
-            opi = len(op_skip)
-            for rank, k in part_idx:
-                op_prank.append(rank)
-                op_pidx.append(k)
-                coll_at[rank][k] = opi
-                dep[rank][k] |= _HAS_COLL
-            op_poff.append(len(op_prank))
-            op_value.append(-1)
-            op_skip.append(0)
-        del coll_order, by_comm, claimed
+    op_poff, op_prank, op_pidx, op_value, op_skip = _attach_collectives(
+        trace, config, log, coll_at, dep)
 
     dep_mask = [bytearray(d.tobytes()) for d in dep]
     del dep
@@ -733,7 +494,7 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
                     i = lst[j]
                     if not m_status[i] and m_sender[i] in cycle_set \
                             and ptr[m_sender[i]] < sks[i]:
-                        _mark_faulty(i)
+                        m_status[i] = _STATUS_FAULTY
                         log.add(AnomalyKind.REVERSED_PTP,
                                 f"rank {r} region {k}",
                                 "message on a dependency cycle")
@@ -745,7 +506,7 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
                     i = lst[j]
                     if not m_status[i] and m_receiver[i] in cycle_set \
                             and ptr[m_receiver[i]] < rks[i]:
-                        _mark_faulty(i)
+                        m_status[i] = _STATUS_FAULTY
                         log.add(AnomalyKind.REVERSED_PTP,
                                 f"rank {r} region {k}",
                                 "rendezvous floor on a dependency cycle")
@@ -817,68 +578,52 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
     return timeline, log
 
 
-def _claim_collectives_by_provenance(trace, colls, klass, ent_np, ex_np,
-                                     nreg, coll_at, dep, P):
-    """Claim collective regions through recorded region indices.
+def _attach_collectives(trace: Trace, config: ReplayConfig, log: AnomalyLog,
+                        coll_at: list, dep: list) -> tuple:
+    """Attach each collective occurrence to the regions it was grouped
+    from.  An occurrence on an undefined communicator, or whose
+    participant ranks differ from the members, is logged in occurrence
+    order and marked to skip (strict mode raises on the first)."""
+    colls = trace.collectives
+    cid = np.frombuffer(colls.comm_ids, dtype=np.int64)
+    counts = np.diff(np.frombuffer(colls.part_offsets, dtype=np.int64))
+    prank = np.frombuffer(colls.part_ranks, dtype=np.int64)
+    pidx = np.frombuffer(colls.part_region_idx, dtype=np.int64)
+    nops = len(cid)
 
-    Verifies that every participant row points at a collective-class
-    region with matching timestamps, claimed exactly once, and that every
-    occurrence matches its communicator membership.  Any discrepancy
-    returns None so the caller reruns the general claiming path with its
-    per-occurrence logging.
-    """
-    pidx_np = np.frombuffer(colls.part_region_idx, dtype=np.int64)
-    if not len(pidx_np) or pidx_np.min() < 0:
-        return None
-    poff_np = np.frombuffer(colls.part_offsets, dtype=np.int64)
-    prank_np = np.frombuffer(colls.part_ranks, dtype=np.int64)
-    pent_np = np.frombuffer(colls.part_entries, dtype=np.int64)
-    pex_np = np.frombuffer(colls.part_exits, dtype=np.int64)
-    cid_np = np.frombuffer(colls.comm_ids, dtype=np.int64)
-    counts = np.diff(poff_np)
-    nops = len(cid_np)
-
-    if (prank_np < 0).any() or (prank_np >= P).any():
-        return None
-    for cid in np.unique(cid_np):
-        comm = trace.communicators.get(int(cid))
+    # participants are distinct ranks in rank order, so they match the
+    # membership iff they equal its sorted distinct members
+    bad = np.ones(nops, dtype=bool)
+    for c in np.unique(cid):
+        comm = trace.communicators.get(int(c))
         if comm is None:
-            return None
+            continue
         members = np.unique(np.asarray(comm.members, dtype=np.int64))
-        sel = cid_np == cid
-        if not (counts[sel] == len(members)).all():
-            return None
-        ranks_flat = prank_np[np.repeat(sel, counts)]
-        if not (ranks_flat.reshape(-1, len(members)) == members).all():
-            return None
+        fit = (cid == c) & (counts == len(members))
+        if fit.any():
+            ranks = prank[np.repeat(fit, counts)].reshape(-1, len(members))
+            bad[np.flatnonzero(fit)[(ranks == members).all(axis=1)]] = False
+    for i in np.flatnonzero(bad):
+        where = f"collective comm={cid[i]} occ={colls.occ_indices[i]}"
+        if config.strict_mode:
+            raise StrictAnomalyError(f"{where}: participant mismatch")
+        log.add(AnomalyKind.MALFORMED_RECORD, where,
+                "participants do not match communicator membership; "
+                "synchronization skipped")
 
-    opi_part = np.repeat(np.arange(nops, dtype=np.int64), counts)
-    for r in range(P):
-        pick = prank_np == r
-        if not pick.any():
-            continue
-        kv = pidx_np[pick]
-        if kv.max() >= nreg[r]:
-            return None
-        kl = np.frombuffer(klass[r], dtype=np.uint8)
-        if (kl[kv] != _CODE_COLL).any():
-            return None
-        if (ent_np[r][kv] != pent_np[pick]).any() \
-                or (ex_np[r][kv] != pex_np[pick]).any():
-            return None
-        if len(np.unique(kv)) != len(kv):
-            return None
-    for r in range(P):
-        pick = prank_np == r
-        if not pick.any():
-            continue
-        kv = pidx_np[pick]
-        coll_at[r][kv] = opi_part[pick]
+    # participant rows grouped by rank
+    rows = np.argsort(prank, kind="stable")
+    opi = np.repeat(np.arange(nops, dtype=np.int64), counts)
+    bounds = np.searchsorted(prank[rows], np.arange(len(coll_at) + 1))
+    for r in range(len(coll_at)):
+        at = rows[bounds[r]:bounds[r + 1]]
+        kv = pidx[at]
+        coll_at[r][kv] = opi[at]
         dep[r][kv] |= _HAS_COLL
     op_value = array("q")
     op_value.frombytes(np.full(nops, -1, dtype=np.int64).tobytes())
     return (colls.part_offsets, colls.part_ranks, colls.part_region_idx,
-            op_value, bytearray(nops))
+            op_value, bytearray(bad.tobytes()))
 
 
 def _assemble_timeline(trace: Trace, ent_np, ex_np, ideal_exit,

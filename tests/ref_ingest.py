@@ -19,6 +19,8 @@ from array import array
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple
 
+import numpy as np
+
 from paraslice.model import (
     AnomalyKind,
     AnomalyLog,
@@ -327,23 +329,26 @@ def _group_collectives(trace: Trace) -> None:
                 continue
             cid = hints.get(k, WORLD_COMM_ID)
             per_comm.setdefault(cid, {}).setdefault(rank, array("q")).append(k)
-    store = trace.collectives
+    occ_rows = []       # (communicator, occurrence, participant count)
+    part_rows = []      # (rank, entry, exit, region index)
     for cid in sorted(per_comm):
         by_rank = per_comm[cid]
         member_ranks = sorted(by_rank)
         depth = max(len(v) for v in by_rank.values())
         for occ in range(depth):
-            participants = []
-            region_indices = []
+            count = 0
             for r in member_ranks:
                 ks = by_rank[r]
                 if occ < len(ks):
                     k = ks[occ]
                     regs = trace.regions[r]
-                    participants.append(
-                        (r, regs.entry_times[k], regs.exit_times[k]))
-                    region_indices.append(k)
-            store.append_fields(cid, occ, participants, region_indices)
+                    part_rows.append(
+                        (r, regs.entry_times[k], regs.exit_times[k], k))
+                    count += 1
+            occ_rows.append((cid, occ, count))
+    trace.collectives.extend_columns(
+        *np.array(occ_rows, dtype=np.int64).reshape(-1, 3).T,
+        *np.array(part_rows, dtype=np.int64).reshape(-1, 4).T)
 
 
 def load_reference(path: str, time_unit: TimeUnit | None = None,

@@ -23,14 +23,11 @@ import pytest
 from paraslice import (
     AnomalyKind,
     CallClass,
-    CollectiveOp,
-    CommunicatorDef,
     MpiRegion,
     PtpMessage,
     StrictAnomalyError,
     Trace,
     TraceMeta,
-    WORLD_COMM_ID,
     boundary_clocks,
     global_metrics,
     interpolate_clock,
@@ -53,18 +50,12 @@ CORPUS_SEED = 20260816
 CORPUS_SIZE = 20
 
 
-def _trace_of(duration, rank_regions, messages=(), collectives=()):
+def _trace_of(duration, rank_regions, messages=()):
     meta = TraceMeta(total_duration_ns=duration,
                      rank_count=len(rank_regions))
-    regions = []
-    for r, spec in enumerate(rank_regions):
-        regions.append([MpiRegion(r, e, x, klass, region_seq=k)
-                        for k, (e, x, klass) in enumerate(spec)])
-    trace = Trace(meta=meta, regions=regions, messages=list(messages),
-                  collectives=list(collectives))
-    trace.communicators[WORLD_COMM_ID] = CommunicatorDef(
-        WORLD_COMM_ID, list(range(len(rank_regions))))
-    return trace
+    regions = [[MpiRegion(r, e, x, klass) for e, x, klass in spec]
+               for r, spec in enumerate(rank_regions)]
+    return Trace.build(meta, regions, messages)
 
 
 def _assert_timeline_invariants(timeline):
@@ -108,13 +99,8 @@ def _scale_trace(trace, factor):
     messages = [PtpMessage(m.sender, m.receiver, m.send_begin * factor,
                            m.recv_end * factor, m.size_bytes, m.tag, m.status)
                 for m in trace.messages]
-    collectives = [CollectiveOp(c.communicator_id, c.occurrence_index,
-                                [(r, e * factor, x * factor)
-                                 for r, e, x in c.participants])
-                   for c in trace.collectives]
-    return Trace(meta=meta, regions=regions, messages=messages,
-                 collectives=collectives,
-                 communicators=dict(trace.communicators))
+    return Trace.build(meta, regions, messages,
+                       trace.communicators.values())
 
 
 def _corpus_scenarios():
@@ -163,10 +149,7 @@ def test_criterion_1_identity_suite_and_scale_invariance(tmp_path):
 
     # balanced ranks meeting in a zero-length collective: synchronization
     # happens but costs nothing, so the identity still holds exactly
-    sync = _trace_of(
-        100, [[(50, 50, COLL)] for _ in range(4)],
-        collectives=[CollectiveOp(WORLD_COMM_ID, 0,
-                                  [(r, 50, 50) for r in range(4)])])
+    sync = _trace_of(100, [[(50, 50, COLL)] for _ in range(4)])
     timeline, log = replay(sync)
     assert log.total == 0
     gm = global_metrics(timeline)

@@ -1,5 +1,6 @@
 """Tests for the in-memory trace model and its structural validation."""
 
+import numpy as np
 import pytest
 
 from paraslice import (
@@ -7,20 +8,28 @@ from paraslice import (
     AnomalyLog,
     CallClass,
     ClockTriple,
-    CollectiveOp,
     CommunicatorDef,
     MessageStatus,
     MpiRegion,
     PtpMessage,
     Trace,
     TraceMeta,
-    locate_region,
+    WORLD_COMM_ID,
     validate_trace,
 )
+from paraslice.model import locate_regions
 
 
 def region(rank, entry, exit_, klass=CallClass.POINT_TO_POINT, seq=0, **kw):
     return MpiRegion(rank, entry, exit_, klass, region_seq=seq, **kw)
+
+
+def locate(regs, t, prefer_exit=False):
+    """locate_regions on one rank's regions, for a single time t."""
+    entries = np.array([g.entry_time for g in regs], dtype=np.int64)
+    exits = np.array([g.exit_time for g in regs], dtype=np.int64)
+    found = locate_regions(entries, exits, np.array([t]), prefer_exit)
+    return int(found[0])
 
 
 class TestClockTriple:
@@ -37,51 +46,65 @@ class TestClockTriple:
 
 class TestLocateRegion:
     def test_empty_and_out_of_range(self):
-        assert locate_region([], 5) is None
+        assert locate([], 5) == -1
+        assert len(locate_regions(np.array([], dtype=np.int64),
+                                  np.array([], dtype=np.int64),
+                                  np.array([], dtype=np.int64))) == 0
         regs = [region(0, 10, 20)]
-        assert locate_region(regs, 9) is None
-        assert locate_region(regs, 21) is None
+        assert locate(regs, 9) == -1
+        assert locate(regs, 21) == -1
 
     def test_interior_point(self):
         regs = [region(0, 0, 5), region(0, 10, 20, seq=1)]
-        assert locate_region(regs, 15) == 1
-        assert locate_region(regs, 15, prefer_exit=True) == 1
-        assert locate_region(regs, 3) == 0
+        assert locate(regs, 15) == 1
+        assert locate(regs, 15, prefer_exit=True) == 1
+        assert locate(regs, 3) == 0
 
     def test_gap_between_regions(self):
         regs = [region(0, 0, 5), region(0, 10, 20, seq=1)]
-        assert locate_region(regs, 7) is None
-        assert locate_region(regs, 7, prefer_exit=True) is None
+        assert locate(regs, 7) == -1
+        assert locate(regs, 7, prefer_exit=True) == -1
 
     def test_boundaries_inclusive(self):
         regs = [region(0, 10, 20)]
-        assert locate_region(regs, 10) == 0
-        assert locate_region(regs, 20) == 0
+        assert locate(regs, 10) == 0
+        assert locate(regs, 20) == 0
 
     def test_shared_boundary_tie_break(self):
         # [0,5] and [5,9] both contain t=5
         regs = [region(0, 0, 5), region(0, 5, 9, seq=1)]
         # a receive completing at 5 belongs to the region that ends there
-        assert locate_region(regs, 5, prefer_exit=True) == 0
+        assert locate(regs, 5, prefer_exit=True) == 0
         # a send starting at 5 belongs to the region that begins there
-        assert locate_region(regs, 5) == 1
+        assert locate(regs, 5) == 1
 
     def test_stacked_zero_length_regions(self):
         # closing region, two zero-length calls, then an opening region
         regs = [region(0, 0, 5), region(0, 5, 5, seq=1),
                 region(0, 5, 5, seq=2), region(0, 5, 9, seq=3)]
-        assert locate_region(regs, 5, prefer_exit=True) == 0
+        assert locate(regs, 5, prefer_exit=True) == 0
         # earliest region *starting* at 5 wins for a send
-        assert locate_region(regs, 5) == 1
+        assert locate(regs, 5) == 1
 
     def test_zero_length_only(self):
         regs = [region(0, 7, 7)]
-        assert locate_region(regs, 7) == 0
-        assert locate_region(regs, 7, prefer_exit=True) == 0
+        assert locate(regs, 7) == 0
+        assert locate(regs, 7, prefer_exit=True) == 0
 
     def test_send_strictly_inside(self):
         regs = [region(0, 0, 5), region(0, 5, 9, seq=1)]
-        assert locate_region(regs, 6) == 1
+        assert locate(regs, 6) == 1
+
+    def test_many_times_at_once(self):
+        regs = [region(0, 0, 5), region(0, 5, 5, seq=1),
+                region(0, 5, 9, seq=2), region(0, 12, 20, seq=3)]
+        entries = np.array([g.entry_time for g in regs])
+        exits = np.array([g.exit_time for g in regs])
+        t = np.array([-1, 0, 5, 6, 10, 12, 20, 21])
+        assert locate_regions(entries, exits, t).tolist() \
+            == [-1, 0, 1, 2, -1, 3, 3, -1]
+        assert locate_regions(entries, exits, t, prefer_exit=True).tolist() \
+            == [-1, 0, 0, 2, -1, 3, 3, -1]
 
 
 class TestAnomalyLog:
@@ -108,21 +131,56 @@ class TestAnomalyLog:
         assert a.consistent()
 
 
-def make_clean_trace():
-    meta = TraceMeta(total_duration_ns=100, rank_count=2)
+def make_clean_trace(duration=100, rank0_last=(90, 100),
+                     rank1_middle=(30, 50, CallClass.POINT_TO_POINT),
+                     message=(1, 0, 30, 60), status=MessageStatus.VALID,
+                     members=(0, 1)):
+    """Two ranks and one message; each argument swaps in a defect."""
+    meta = TraceMeta(total_duration_ns=duration, rank_count=2)
     regions = [
-        [region(0, 0, 0, CallClass.OTHER_MPI, seq=0),
-         region(0, 40, 60, CallClass.POINT_TO_POINT, seq=1),
-         region(0, 90, 100, CallClass.OTHER_MPI, seq=2)],
-        [region(1, 0, 0, CallClass.OTHER_MPI, seq=0),
-         region(1, 30, 50, CallClass.POINT_TO_POINT, seq=1),
-         region(1, 90, 100, CallClass.OTHER_MPI, seq=2)],
+        [region(0, 0, 0, CallClass.OTHER_MPI),
+         region(0, 40, 60, CallClass.POINT_TO_POINT),
+         region(0, *rank0_last, CallClass.OTHER_MPI)],
+        [region(1, 0, 0, CallClass.OTHER_MPI),
+         region(1, *rank1_middle),
+         region(1, 90, 100, CallClass.OTHER_MPI)],
     ]
-    messages = [PtpMessage(sender=1, receiver=0, send_begin=30, recv_end=60,
-                           size_bytes=8)]
-    comm = {1: CommunicatorDef(1, [0, 1])}
-    return Trace(meta=meta, regions=regions, messages=messages,
-                 communicators=comm)
+    messages = [PtpMessage(*message, size_bytes=8, status=status)]
+    return Trace.build(meta, regions, messages,
+                       [CommunicatorDef(1, list(members))])
+
+
+class TestTraceBuild:
+    def test_packs_records_into_stores(self):
+        t = make_clean_trace()
+        assert [len(regs) for regs in t.regions] == [3, 3]
+        assert t.regions[1][1] == region(1, 30, 50, seq=1)
+        assert t.messages[0] == PtpMessage(1, 0, 30, 60, size_bytes=8)
+        assert len(t.collectives) == 0
+
+    def test_collectives_grouped_from_regions(self):
+        coll = CallClass.COLLECTIVE
+        meta = TraceMeta(total_duration_ns=50, rank_count=3)
+        t = Trace.build(meta, [
+            [region(0, 1, 2, coll), region(0, 5, 6, coll, comm_hint=7),
+             region(0, 8, 9, coll)],
+            [region(1, 3, 4, coll, comm_hint=7), region(1, 6, 7, coll)],
+            [region(2, 2, 3, coll), region(2, 4, 9, coll)],
+        ], communicators=[CommunicatorDef(7, [0, 1])])
+        assert t.communicators[WORLD_COMM_ID].members == [0, 1, 2]
+        ops = [(op.communicator_id, op.occurrence_index, op.participants)
+               for op in t.collectives]
+        assert ops == [
+            (WORLD_COMM_ID, 0, [(0, 1, 2), (1, 6, 7), (2, 2, 3)]),
+            (WORLD_COMM_ID, 1, [(0, 8, 9), (2, 4, 9)]),
+            (7, 0, [(0, 5, 6), (1, 3, 4)]),
+        ]
+        assert t.collectives.part_region_idx.tolist() \
+            == [0, 1, 0, 2, 1, 1, 0]
+
+    def test_rank_count_must_match(self):
+        with pytest.raises(ValueError):
+            Trace.build(TraceMeta(total_duration_ns=10, rank_count=2), [[]])
 
 
 class TestValidateTrace:
@@ -131,64 +189,61 @@ class TestValidateTrace:
         assert report.ok, str(report)
 
     def test_overlapping_regions_flagged(self):
-        t = make_clean_trace()
-        t.regions[0][2] = region(0, 55, 100, CallClass.OTHER_MPI, seq=2)
+        t = make_clean_trace(rank0_last=(55, 100))
         report = validate_trace(t)
         assert not report.ok
         assert any(v.code == "region.overlap" for v in report.violations)
 
     def test_negative_region_flagged(self):
-        t = make_clean_trace()
-        t.regions[1][1] = region(1, 50, 30, CallClass.POINT_TO_POINT, seq=1)
+        t = make_clean_trace(
+            rank1_middle=(50, 30, CallClass.POINT_TO_POINT))
         report = validate_trace(t)
         assert any(v.code == "region.negative" for v in report.violations)
 
     def test_reversed_valid_message_flagged(self):
-        t = make_clean_trace()
-        t.messages[0].send_begin, t.messages[0].recv_end = 60, 30
+        t = make_clean_trace(message=(1, 0, 60, 30))
         report = validate_trace(t)
         assert any(v.code == "message.reversed" for v in report.violations)
 
     def test_degraded_reversed_message_accepted(self):
-        t = make_clean_trace()
-        t.messages[0].send_begin, t.messages[0].recv_end = 60, 50
-        t.messages[0].status = MessageStatus.FAULTY_LOCAL
+        t = make_clean_trace(message=(1, 0, 60, 50),
+                             status=MessageStatus.FAULTY_LOCAL)
         report = validate_trace(t)
         assert not any(v.code == "message.reversed" for v in report.violations)
 
     def test_message_rank_out_of_range(self):
-        t = make_clean_trace()
-        t.messages[0].receiver = 7
+        t = make_clean_trace(message=(1, 7, 30, 60))
         report = validate_trace(t)
         assert any(v.code == "message.rank_range" for v in report.violations)
 
     def test_message_outside_regions(self):
-        t = make_clean_trace()
-        t.messages[0].send_begin = 10  # rank 1 gap
+        t = make_clean_trace(message=(1, 0, 10, 60))  # rank 1 gap
         report = validate_trace(t)
         assert any(v.code == "message.sender_region" for v in report.violations)
 
+    def test_message_receive_outside_regions(self):
+        t = make_clean_trace(message=(1, 0, 30, 70))  # rank 0 gap
+        report = validate_trace(t)
+        assert [v.code for v in report.violations] == ["message.recv_region"]
+
     def test_bad_communicator_membership(self):
-        t = make_clean_trace()
-        t.communicators[1].members = [0, 0, 1]
+        t = make_clean_trace(members=(0, 0, 1))
         report = validate_trace(t)
         assert any(v.code == "communicator.members" for v in report.violations)
 
     def test_collective_participant_mismatch(self):
-        t = make_clean_trace()
-        t.collectives.append(CollectiveOp(1, 0, participants=[(0, 40, 60)]))
+        # rank 1 enters a world collective that rank 0 never joins
+        t = make_clean_trace(rank1_middle=(30, 50, CallClass.COLLECTIVE))
         report = validate_trace(t)
         assert any(v.code == "collective.membership" for v in report.violations)
 
     def test_duration_shorter_than_last_timestamp(self):
-        t = make_clean_trace()
-        t.meta.total_duration_ns = 80
+        t = make_clean_trace(duration=80)
         report = validate_trace(t)
         assert any(v.code == "meta.duration" for v in report.violations)
 
     def test_report_str_lists_violations(self):
-        t = make_clean_trace()
-        t.meta.total_duration_ns = 80
+        t = make_clean_trace(duration=80)
         report = validate_trace(t)
         assert "meta.duration" in str(report)
         assert str(validate_trace(make_clean_trace())) == "trace valid"

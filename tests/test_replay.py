@@ -3,14 +3,13 @@ worklist replay, and the assembled timelines."""
 
 import random
 
+import numpy as np
 import pytest
 
 from paraslice import (
     AnomalyKind,
-    AnomalyLog,
     CallClass,
     ClockTriple,
-    CollectiveOp,
     CommunicatorDef,
     DependencyCycleError,
     MessageStatus,
@@ -20,15 +19,10 @@ from paraslice import (
     StrictAnomalyError,
     Trace,
     TraceMeta,
-    WORLD_COMM_ID,
     interpolate_clock,
-    load_trace,
     replay,
-    synchronize_collective,
-    synchronize_ptp,
-    message_crosses_world_collective,
 )
-from paraslice.replay import degrade_faulty
+from paraslice.replay import WorldCollectiveIndex
 
 from scenarios import random_scenario, roundtrip
 
@@ -37,116 +31,147 @@ COLL = CallClass.COLLECTIVE
 OTHER = CallClass.OTHER_MPI
 
 
-def trace_of(duration, rank_regions, messages=(), collectives=(), comms=()):
-    rank_count = len(rank_regions)
-    meta = TraceMeta(total_duration_ns=duration, rank_count=rank_count)
-    regions = []
-    for r, spec in enumerate(rank_regions):
-        regions.append([MpiRegion(r, e, x, klass, region_seq=k)
-                        for k, (e, x, klass) in enumerate(spec)])
-    trace = Trace(meta=meta, regions=regions, messages=list(messages),
-                  collectives=list(collectives))
-    trace.communicators[WORLD_COMM_ID] = CommunicatorDef(
-        WORLD_COMM_ID, list(range(rank_count)))
-    for comm in comms:
-        trace.communicators[comm.communicator_id] = comm
-    return trace
+def trace_of(duration, rank_regions, messages=(), comms=()):
+    """A built trace; each region spec is (entry, exit, class) or
+    (entry, exit, class, communicator hint)."""
+    meta = TraceMeta(total_duration_ns=duration,
+                     rank_count=len(rank_regions))
+    regions = [[MpiRegion(r, *spec[:3],
+                          comm_hint=spec[3] if len(spec) > 3 else None)
+                for spec in specs]
+               for r, specs in enumerate(rank_regions)]
+    return Trace.build(meta, regions, messages, comms)
+
+
+def one_message(sender_entry, receiver_entry, size=8,
+                status=MessageStatus.VALID, send_begin=None, recv_end=12):
+    """Rank 0 sends to rank 1; each rank's only region ends at 12."""
+    if send_begin is None:
+        send_begin = sender_entry
+    return trace_of(
+        20,
+        [[(sender_entry, 12, P2P)], [(receiver_entry, 12, P2P)]],
+        messages=[PtpMessage(0, 1, send_begin=send_begin, recv_end=recv_end,
+                             size_bytes=size, status=status)],
+    )
+
+
+def exit_ideals(trace, config=None):
+    """(sender, receiver) ideal clocks at their region exits, and the log."""
+    timeline, log = replay(trace, config)
+    return tuple(interpolate_clock(tl, 12).ideal
+                 for tl in timeline.ranks), log
 
 
 class TestSynchronizePtp:
+    """The point-to-point and collective rules, observed through replay."""
+
     def test_eager_receiver_compare_and_swap(self):
-        cfg = ReplayConfig()
-        msg = PtpMessage(0, 1, 5, 9, size_bytes=64)
-        recv_exit, floor = synchronize_ptp(msg, 8, 3, cfg)
+        (send_exit, recv_exit), log = exit_ideals(one_message(8, 3))
+        assert log.total == 0
         assert recv_exit == 8          # sender value wins
-        assert floor == 8              # floor is the sender's own value
-        recv_exit, floor = synchronize_ptp(msg, 2, 7, cfg)
+        assert send_exit == 8          # floor is the sender's own value
+        (_, recv_exit), _ = exit_ideals(one_message(2, 7))
         assert recv_exit == 7          # receiver already ahead
 
     def test_rendezvous_floor_absorbs_receiver_entry(self):
         cfg = ReplayConfig(eager_limit_bytes=100)
-        msg = PtpMessage(0, 1, 5, 9, size_bytes=101)
-        recv_exit, floor = synchronize_ptp(msg, 2, 7, cfg)
+        (send_exit, recv_exit), log = exit_ideals(one_message(2, 7, 101),
+                                                  cfg)
+        assert log.total == 0
         assert recv_exit == 7
-        assert floor == 7              # sender must wait for the receiver
-        msg_small = PtpMessage(0, 1, 5, 9, size_bytes=100)
-        _, floor = synchronize_ptp(msg_small, 2, 7, cfg)
-        assert floor == 2              # at the limit: still eager
+        assert send_exit == 7          # sender must wait for the receiver
 
     def test_degraded_message_rejected(self):
-        msg = PtpMessage(0, 1, 5, 9, status=MessageStatus.FAULTY_LOCAL)
-        with pytest.raises(ValueError):
-            synchronize_ptp(msg, 0, 0, ReplayConfig())
+        trace = one_message(2, 7, 101, status=MessageStatus.FAULTY_LOCAL)
+        (send_exit, recv_exit), log = exit_ideals(
+            trace, ReplayConfig(eager_limit_bytes=100))
+        assert log.total == 0
+        assert (send_exit, recv_exit) == (2, 7)   # no synchronization
 
     def test_collective_is_max(self):
-        op = CollectiveOp(1, 0)
-        assert synchronize_collective(op, [3, 11, 7]) == 11
+        trace = trace_of(30, [[(3, 20, COLL)], [(11, 20, COLL)],
+                              [(7, 20, COLL)]])
+        timeline, log = replay(trace)
+        assert log.total == 0
+        assert [interpolate_clock(tl, 20).ideal for tl in timeline.ranks] \
+            == [11, 11, 11]
 
 
 class TestDegradeFaulty:
+    """Degradation of causally impossible matches, observed through
+    replay's anomaly log and the message status it writes back."""
+
     def test_reversed_degraded_and_logged(self):
-        log = AnomalyLog()
-        msg = PtpMessage(0, 1, send_begin=9, recv_end=5)
-        assert degrade_faulty(msg, log)
-        assert msg.status is MessageStatus.FAULTY_LOCAL
-        assert log.count(AnomalyKind.REVERSED_PTP) == 1
+        trace = one_message(2, 3, send_begin=9, recv_end=5)
+        _, log = exit_ideals(trace)
+        assert trace.messages[0].status is MessageStatus.FAULTY_LOCAL
+        assert [(e.kind, e.location, e.detail) for e in log.entries] == [
+            (AnomalyKind.REVERSED_PTP, "message 0",
+             "send at 9 after receive completion 5")]
 
     def test_healthy_untouched(self):
-        log = AnomalyLog()
-        msg = PtpMessage(0, 1, send_begin=5, recv_end=9)
-        assert not degrade_faulty(msg, log)
-        assert msg.status is MessageStatus.VALID
+        trace = one_message(5, 3, recv_end=9)
+        _, log = exit_ideals(trace)
+        assert trace.messages[0].status is MessageStatus.VALID
         assert log.total == 0
 
     def test_no_double_degradation(self):
-        log = AnomalyLog()
-        msg = PtpMessage(0, 1, send_begin=9, recv_end=5)
-        degrade_faulty(msg, log)
-        assert not degrade_faulty(msg, log)
-        assert log.total == 1
+        trace = one_message(2, 3, send_begin=9, recv_end=5)
+        assert exit_ideals(trace)[1].total == 1
+        # the status written back keeps a second replay from logging again
+        assert exit_ideals(trace)[1].total == 0
+        assert trace.messages[0].status is MessageStatus.FAULTY_LOCAL
 
     def test_crossing_flag_forces_degradation(self):
-        log = AnomalyLog()
-        msg = PtpMessage(0, 1, send_begin=5, recv_end=9)
-        assert degrade_faulty(msg, log, crossing=True)
-        assert "world collective" in log.entries[0].detail
+        trace = crossing_fixture()      # sends before it receives
+        _, log = replay(trace)
+        assert trace.messages[0].status is MessageStatus.FAULTY_LOCAL
+        assert [(e.kind, e.location, e.detail) for e in log.entries] == [
+            (AnomalyKind.REVERSED_PTP, "message 0",
+             "message matched across a world collective")]
 
 
-def crossing_fixture():
+def crossing_fixture(sender_coll=(10, 22), receiver_coll=(28, 30),
+                     klass=COLL, hint=None):
     """A physically ordered message that overtakes a world barrier."""
-    trace = trace_of(
+    return trace_of(
         50,
-        [[(10, 22, COLL), (23, 24, P2P)],    # sender leaves barrier, sends
-         [(12, 25, P2P), (28, 30, COLL)]],   # receive ends before barrier
+        [[(*sender_coll, klass, hint), (sender_coll[1], 24, P2P)],
+         [(12, 25, P2P), (*receiver_coll, klass, hint)]],
         messages=[PtpMessage(0, 1, send_begin=23, recv_end=25, size_bytes=8)],
-        collectives=[CollectiveOp(WORLD_COMM_ID, 0,
-                                  participants=[(0, 10, 22), (1, 28, 30)])],
     )
-    return trace
+
+
+def crosses(trace):
+    m = trace.messages
+    columns = [np.frombuffer(c, dtype=np.int64)
+               for c in (m.senders, m.receivers, m.send_begins, m.recv_ends)]
+    return WorldCollectiveIndex(trace).crosses_many(*columns).tolist()
 
 
 class TestWorldCollectiveCrossing:
     def test_crossing_detected(self):
-        trace = crossing_fixture()
-        assert message_crosses_world_collective(trace.messages[0], trace)
+        assert crosses(crossing_fixture()) == [True]
 
     def test_strictness_on_receiver_side(self):
-        trace = crossing_fixture()
         # receive completes exactly when the barrier begins: simultaneous,
         # not a crossing
-        trace.collectives[0].participants[1] = (1, 25, 30)
-        assert not message_crosses_world_collective(trace.messages[0], trace)
+        assert crosses(crossing_fixture(receiver_coll=(25, 30))) == [False]
 
     def test_strictness_on_sender_side(self):
-        trace = crossing_fixture()
         # barrier ends exactly when the send begins
-        trace.collectives[0].participants[0] = (0, 10, 23)
-        assert not message_crosses_world_collective(trace.messages[0], trace)
+        assert crosses(crossing_fixture(sender_coll=(10, 23))) == [False]
 
     def test_no_world_collectives(self):
-        trace = crossing_fixture()
-        trace.collectives.clear()
-        assert not message_crosses_world_collective(trace.messages[0], trace)
+        trace = crossing_fixture(klass=P2P)
+        assert crosses(trace) == [False]
+        _, log = replay(trace)
+        assert log.total == 0
+        assert trace.messages[0].status is MessageStatus.VALID
+
+    def test_sub_communicator_collectives_do_not_count(self):
+        assert crosses(crossing_fixture(hint=2)) == [False]
 
     def test_replay_degrades_crossing(self):
         trace = crossing_fixture()
@@ -226,15 +251,15 @@ class TestRendezvous:
         timeline, _ = replay(self.make(100_000), cfg)
         assert timeline.final_triples()[0].ideal == 2
 
+    def test_exact_limit_is_eager(self):
+        cfg = ReplayConfig(eager_limit_bytes=100)
+        timeline, _ = replay(self.make(100), cfg)
+        assert timeline.final_triples()[0].ideal == 2
+
 
 class TestCollectiveSync:
     def test_barrier_equalizes_ideal(self):
-        trace = trace_of(
-            30,
-            [[(5, 20, COLL)], [(12, 20, COLL)]],
-            collectives=[CollectiveOp(WORLD_COMM_ID, 0,
-                                      participants=[(0, 5, 20), (1, 12, 20)])],
-        )
+        trace = trace_of(30, [[(5, 20, COLL)], [(12, 20, COLL)]])
         timeline, log = replay(trace)
         assert log.total == 0
         r0, r1 = timeline.final_triples()
@@ -244,25 +269,59 @@ class TestCollectiveSync:
         assert r0.oom == 15 and r1.oom == 22
 
     def test_membership_mismatch_skipped(self):
-        trace = trace_of(
-            30,
-            [[(5, 20, COLL)], [(12, 20, COLL)]],
-            collectives=[CollectiveOp(WORLD_COMM_ID, 0,
-                                      participants=[(0, 5, 20)])],
-        )
+        # rank 1 never enters the world collective rank 0 is in
+        trace = trace_of(30, [[(5, 20, COLL)], [(12, 20, P2P)]])
         timeline, log = replay(trace)
-        assert log.count(AnomalyKind.MALFORMED_RECORD) == 1
+        assert [(e.kind, e.location, e.detail) for e in log.entries] == [
+            (AnomalyKind.MALFORMED_RECORD, "collective comm=1 occ=0",
+             "participants do not match communicator membership; "
+             "synchronization skipped")]
         assert timeline.final_triples()[0].ideal == 15  # no sync happened
 
-    def test_missing_region_skipped(self):
-        trace = trace_of(
-            30,
-            [[(5, 20, COLL)], [(12, 20, COLL)]],
-            collectives=[CollectiveOp(WORLD_COMM_ID, 0,
-                                      participants=[(0, 5, 19), (1, 12, 20)])],
-        )
-        _, log = replay(trace)
-        assert log.count(AnomalyKind.MALFORMED_RECORD) == 1
+    def test_non_member_participant_skipped(self):
+        # rank 1 enters a collective of communicator 2, whose only member
+        # is rank 0; synchronizing would lift rank 0 to 22
+        trace = trace_of(30, [[(5, 20, COLL, 2)], [(12, 20, COLL, 2)]],
+                         comms=[CommunicatorDef(2, [0])])
+        timeline, log = replay(trace)
+        assert [(e.kind, e.location) for e in log.entries] == [
+            (AnomalyKind.MALFORMED_RECORD, "collective comm=2 occ=0")]
+        assert timeline.final_triples()[0].ideal == 15
+
+    def test_undefined_communicator_skipped(self):
+        trace = trace_of(30, [[(5, 20, COLL, 9)], [(12, 20, COLL, 9)]])
+        timeline, log = replay(trace)
+        assert [(e.kind, e.location) for e in log.entries] == [
+            (AnomalyKind.MALFORMED_RECORD, "collective comm=9 occ=0")]
+        assert timeline.final_triples()[0].ideal == 15
+
+    def sub_communicator_gap(self):
+        """Ranks 0 and 1 meet twice on communicator 2, but rank 1 misses
+        the second meeting; all three then meet on world."""
+        return trace_of(
+            50,
+            [[(5, 10, COLL, 2), (20, 25, COLL, 2), (40, 45, COLL)],
+             [(8, 10, COLL, 2), (42, 45, COLL)],
+             [(44, 45, COLL)]],
+            comms=[CommunicatorDef(2, [0, 1])])
+
+    def test_one_bad_occurrence_among_good_ones(self):
+        timeline, log = replay(self.sub_communicator_gap())
+        assert [(e.kind, e.location, e.detail) for e in log.entries] == [
+            (AnomalyKind.MALFORMED_RECORD, "collective comm=2 occ=1",
+             "participants do not match communicator membership; "
+             "synchronization skipped")]
+        r0 = timeline.ranks[0]
+        assert interpolate_clock(r0, 10).ideal == 8    # occ 0 synchronized
+        assert interpolate_clock(r0, 25).ideal == 18   # occ 1 skipped
+        # world: every rank leaves at rank 2's entry value
+        assert [interpolate_clock(tl, 45).ideal for tl in timeline.ranks] \
+            == [44, 44, 44]
+
+    def test_one_bad_occurrence_strict_mode_raises(self):
+        with pytest.raises(StrictAnomalyError, match="comm=2 occ=1"):
+            replay(self.sub_communicator_gap(),
+                   ReplayConfig(strict_mode=True))
 
     def test_stacked_zero_length_split_collectives(self, tmp_path):
         """Regression: a zero-length subgroup collective stacked on a world
