@@ -587,44 +587,86 @@ def validate_trace(trace: Trace) -> ValidationReport:
         if any(not (0 <= m < meta.rank_count) for m in comm.members):
             report.add("communicator.members", where, "member out of range")
 
-    last_entry: dict[tuple[int, int], int] = {}
-    colls = trace.collectives
-    members_of = {cid: set(c.members)
-                  for cid, c in trace.communicators.items()}
-    offsets = colls.part_offsets
-    p_ranks = colls.part_ranks
-    p_entries = colls.part_entries
-    p_exits = colls.part_exits
-    for i in range(len(colls)):
-        cid = colls.comm_ids[i]
-        lo = offsets[i]
-        hi = offsets[i + 1]
-        where = f"collective comm={cid} occ={colls.occ_indices[i]}"
-        ranks = p_ranks[lo:hi].tolist()
-        if len(set(ranks)) != len(ranks):
-            report.add("collective.participants", where,
-                       "duplicate participant rank")
-        members = members_of.get(cid)
-        if members is not None and set(ranks) != members:
-            report.add("collective.membership", where,
-                       f"participants {sorted(ranks)} != members "
-                       f"{sorted(members)}")
-        for j in range(lo, hi):
-            key = (cid, p_ranks[j])
-            entry = p_entries[j]
-            prev = last_entry.get(key)
-            if prev is not None and entry < prev:
-                report.add("collective.order", where,
-                           f"rank {p_ranks[j]} occurrence entered at "
-                           f"{entry} before {prev}")
-            last_entry[key] = entry
-            if p_exits[j] > max_ts:
-                max_ts = p_exits[j]
+    max_ts = _validate_collectives(trace, report, max_ts)
 
     if meta.total_duration_ns < max_ts:
         report.add("meta.duration", "header",
                    f"total_duration {meta.total_duration_ns} < last timestamp {max_ts}")
     return report
+
+
+def _validate_collectives(trace: Trace, report: ValidationReport,
+                          max_ts: int) -> int:
+    """Collective checks of validate_trace; returns the updated max
+    timestamp.  Per occurrence, in store order: a duplicate participant
+    rank, participants that differ from the communicator's members, and
+    each participant row that enters before the previous occurrence of
+    its (communicator, rank) did."""
+    colls = trace.collectives
+    nops = len(colls)
+    if not nops:
+        return max_ts
+    cid = np.frombuffer(colls.comm_ids, dtype=np.int64)
+    offsets = np.frombuffer(colls.part_offsets, dtype=np.int64)
+    ranks = np.frombuffer(colls.part_ranks, dtype=np.int64)
+    entries = np.frombuffer(colls.part_entries, dtype=np.int64)
+    exits = np.frombuffer(colls.part_exits, dtype=np.int64)
+    counts = np.diff(offsets)
+    op = np.repeat(np.arange(nops), counts)
+    row_cid = cid[op]
+
+    # rows sorted by (occurrence, rank): a repeat is a duplicate rank
+    by_op = np.lexsort((ranks, op))
+    repeat = np.zeros(len(ranks), dtype=bool)
+    repeat[by_op[1:]] = ((op[by_op[1:]] == op[by_op[:-1]])
+                         & (ranks[by_op[1:]] == ranks[by_op[:-1]]))
+    repeats = np.bincount(op[repeat], minlength=nops)
+    duplicate = repeats > 0
+    # the distinct participant ranks equal the members iff every rank is
+    # a member and there are as many of them as members
+    mismatch = np.zeros(nops, dtype=bool)
+    for c in set(colls.comm_ids):
+        comm = trace.communicators.get(c)
+        if comm is None:
+            continue
+        members = np.array(sorted(set(comm.members)), dtype=np.int64)
+        rows = row_cid == c
+        outside = np.bincount(op[rows & ~np.isin(ranks, members)],
+                              minlength=nops)
+        mismatch |= (cid == c) & ((outside > 0)
+                                  | (counts - repeats != len(members)))
+    # rows sorted stably by (communicator, rank) keep store order
+    by_key = np.lexsort((ranks, row_cid))
+    early = np.zeros(len(ranks), dtype=bool)
+    prev = np.zeros(len(ranks), dtype=np.int64)
+    same = ((row_cid[by_key[1:]] == row_cid[by_key[:-1]])
+            & (ranks[by_key[1:]] == ranks[by_key[:-1]]))
+    prev[by_key[1:]] = entries[by_key[:-1]]
+    early[by_key[1:]] = same & (entries[by_key[1:]] < prev[by_key[1:]])
+
+    early_rows = np.flatnonzero(early).tolist()
+    row_ops = op[early_rows].tolist()
+    at = 0
+    flagged = duplicate | mismatch
+    flagged[row_ops] = True
+    for i in np.flatnonzero(flagged).tolist():
+        c = colls.comm_ids[i]
+        where = f"collective comm={c} occ={colls.occ_indices[i]}"
+        if duplicate[i]:
+            report.add("collective.participants", where,
+                       "duplicate participant rank")
+        if mismatch[i]:
+            got = sorted(colls.part_ranks[offsets[i]:offsets[i + 1]])
+            members = sorted(set(trace.communicators[c].members))
+            report.add("collective.membership", where,
+                       f"participants {got} != members {members}")
+        while at < len(row_ops) and row_ops[at] == i:
+            j = early_rows[at]
+            report.add("collective.order", where,
+                       f"rank {ranks[j]} occurrence entered at "
+                       f"{entries[j]} before {prev[j]}")
+            at += 1
+    return max(max_ts, int(exits.max())) if len(exits) else max_ts
 
 
 def _validate_messages(trace: Trace, report: ValidationReport,

@@ -5,19 +5,29 @@ region entry and exit: elapsed (physical time), out-of-MPI time, and the
 ideal-network clock.  Out-of-MPI gaps advance all three by the gap length;
 an MPI region advances only elapsed, and its exit ideal is raised by a
 compare-and-swap against the values arriving through messages and
-collectives.  The replay itself is a topological worklist over the
-per-rank region sequences; dependency cycles in corrupt traces are broken
-by degrading the offending edges (or abort in strict mode).
+collectives.
 
-Internally everything lives in flat arrays — message columns, per-region
-sync lists in offset/payload (CSR) form, collective participant slices —
-because multi-million-event traces cannot afford per-edge objects.
+The replay is counted dependency propagation (Kahn's algorithm) over the
+per-rank region sequences.  Each region counts the edges it waits on:
+receive edges, rendezvous floors, and one for its collective occurrence.
+When a rank's frontier reaches a region, that region's entry ideal is
+known and its triggers fire once each: a message edge max-accumulates
+the value into its consumer and decrements the consumer's count; a
+collective arrival does the same into its occurrence, and the last
+arrival delivers the occurrence's maximum to every participant.  A rank
+runs while the count at its frontier is zero.  Dependency cycles in
+corrupt traces are broken by degrading the offending edges (or abort in
+strict mode).
+
+Internally everything lives in flat arrays (message columns, triggers
+in offset/payload (CSR) form, collective participant slices) because
+multi-million-event traces cannot afford per-edge objects.
 """
 
 from __future__ import annotations
 
-import heapq
 from array import array
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 
@@ -40,6 +50,17 @@ DEFAULT_EAGER_LIMIT = 65536
 _CODE_OTHER = CLASS_CODES[CallClass.OTHER_MPI]
 _STATUS_VALID = STATUS_CODES[MessageStatus.VALID]
 _STATUS_FAULTY = STATUS_CODES[MessageStatus.FAULTY_LOCAL]
+_NONE = -(1 << 63)      # below every clock value: nothing has arrived
+
+
+def _flat(values: np.ndarray, top: int | None = None) -> array:
+    """A flat array copy of an integer numpy array: int64, or int32 when
+    every value lies in [-top, top)."""
+    wide = top is None or top >= 1 << 31
+    out = array("q" if wide else "i")
+    out.frombytes(memoryview(np.ascontiguousarray(
+        values, dtype=np.int64 if wide else np.int32)).cast("B"))
+    return out
 
 
 class ReplayError(Exception):
@@ -204,20 +225,15 @@ class WorldCollectiveIndex:
         return out
 
 
-# bitmask flags marking regions that carry synchronization work
-_HAS_RECV = 1
-_HAS_FLOOR = 2
-_HAS_COLL = 4
-
-
 def replay(trace: Trace, config: ReplayConfig | None = None,
            ) -> tuple[AnnotatedTimeline, AnomalyLog]:
     """Reconstruct every rank's clocks.  Deterministic for a given input.
 
     Faulty matches are degraded first (reversed pairs and world-collective
     crossings), messages are attached to the regions containing their
-    endpoints, then a worklist finalizes region exits in dependency order.
-    In strict mode any degradation or cycle aborts instead.
+    endpoints, then counted propagation finalizes region exits in
+    dependency order.  In strict mode any degradation or cycle aborts
+    instead.
     """
     config = config or ReplayConfig()
     log = AnomalyLog()
@@ -229,6 +245,10 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
     nreg = [len(regs) for regs in trace.regions]
     ent_np = [np.frombuffer(e, dtype=np.int64) for e in entries]
     ex_np = [np.frombuffer(x, dtype=np.int64) for x in exits]
+    # regions are numbered globally: rank r's region k is base[r] + k
+    base = np.zeros(P + 1, dtype=np.int64)
+    np.cumsum(nreg, out=base[1:])
+    N = int(base[-1])
 
     end_time = meta.total_duration_ns
     for r in range(P):
@@ -242,16 +262,15 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
     m_begin = msgs.send_begins
     m_end = msgs.recv_ends
     m_status = msgs.status_codes     # degradations write through
+    snd_np = np.frombuffer(m_sender, dtype=np.int64)
+    rcv_np = np.frombuffer(m_receiver, dtype=np.int64)
+    sb_np = np.frombuffer(m_begin, dtype=np.int64)
+    re_np = np.frombuffer(m_end, dtype=np.int64)
+    sz_np = np.frombuffer(msgs.sizes, dtype=np.int64)
+    st_np = np.frombuffer(m_status, dtype=np.uint8)
 
     # --- degrade faulty matches --------------------------------------------
     if nmsg:
-        snd_np = np.frombuffer(m_sender, dtype=np.int64)
-        rcv_np = np.frombuffer(m_receiver, dtype=np.int64)
-        sb_np = np.frombuffer(m_begin, dtype=np.int64)
-        re_np = np.frombuffer(m_end, dtype=np.int64)
-        sz_np = np.frombuffer(msgs.sizes, dtype=np.int64)
-        st_np = np.frombuffer(m_status, dtype=np.uint8)
-
         world_index = WorldCollectiveIndex(trace)
         valid = st_np == _STATUS_VALID
         rev = valid & (sb_np > re_np)
@@ -274,24 +293,17 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
                 raise StrictAnomalyError(f"faulty message {i}: {detail}")
         del valid, rev, cross, chk
 
-    # --- attach messages to regions (CSR layout) ----------------------------
-    # Per rank: dep bits per region, and for each region the contiguous
-    # slice [off[k], off[k+1]) of attached message indices.  A receive
-    # depends on the sender's region holding the send; a rendezvous floor
-    # depends on the receiver's region holding the receive.
-    dep = [np.zeros(nreg[r], dtype=np.uint8) for r in range(P)]
-    recv_off: list = [None] * P
-    recv_msg: list = [None] * P
-    floor_off: list = [None] * P
-    floor_msg: list = [None] * P
-    sks = array("q")
-    rks = array("q")
+    # --- attach messages to regions ---------------------------------------
+    # A receive edge runs from the sender's region holding the send to the
+    # receiver's region holding the receive; a rendezvous floor runs back
+    # from the receive region to the send region.
+    sk = np.full(nmsg, -1, dtype=np.int64)
+    rk = np.full(nmsg, -1, dtype=np.int64)
+    recv_i = floor_i = np.zeros(0, dtype=np.int64)
     if nmsg:
         consider = st_np == _STATUS_VALID
         rank_ok = ((snd_np >= 0) & (snd_np < P)
                    & (rcv_np >= 0) & (rcv_np < P))
-        sk = np.full(nmsg, -1, dtype=np.int64)
-        rk = np.full(nmsg, -1, dtype=np.int64)
         for r in range(P):
             smask = consider & rank_ok & (snd_np == r)
             if smask.any():
@@ -326,147 +338,223 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
                         f"unmatched receive of message {i}")
             m_status[i] = _STATUS_FAULTY
 
-        attached = consider & rank_ok & (sk >= 0) & (rk >= 0)
-        a_recv = np.zeros(nmsg, dtype=bool)
-        a_floor = np.zeros(nmsg, dtype=bool)
-        over_eager = sz_np > config.eager_limit_bytes
-        for r in range(P):
-            kl = np.frombuffer(trace.regions[r].class_codes, dtype=np.uint8)
-            mask = attached & (rcv_np == r)
-            if mask.any():
-                # regions of the other-MPI class never synchronize
-                a_recv[mask] = kl[rk[mask]] != _CODE_OTHER
-            mask = attached & over_eager & (snd_np == r)
-            if mask.any():
-                a_floor[mask] = kl[sk[mask]] != _CODE_OTHER
-
-        sks.frombytes(sk.tobytes())
-        rks.frombytes(rk.tobytes())
-
-        def _build_csr(sel: np.ndarray, owner: np.ndarray, region: np.ndarray,
-                       flag: int, off_out: list, msg_out: list) -> None:
-            midx = np.nonzero(sel)[0]
-            if not len(midx):
-                return
-            owners = owner[midx]
-            regions_k = region[midx]
-            for r in range(P):
-                pick = owners == r
-                if not pick.any():
-                    continue
-                kv = regions_k[pick]
-                mi = midx[pick]
-                dep[r][kv] |= flag
-                order = np.argsort(kv, kind="stable")
-                lst = array("q")
-                lst.frombytes(mi[order].tobytes())
-                msg_out[r] = lst
-                off = np.zeros(nreg[r] + 1, dtype=np.int64)
-                np.cumsum(np.bincount(kv, minlength=nreg[r]), out=off[1:])
-                o = array("q")
-                o.frombytes(off.tobytes())
-                off_out[r] = o
-
-        _build_csr(a_recv, rcv_np, rk, _HAS_RECV, recv_off, recv_msg)
-        _build_csr(a_floor, snd_np, sk, _HAS_FLOOR, floor_off, floor_msg)
-        del consider, rank_ok, sk, rk, bad_rank, un_send, un_recv
-        del attached, a_recv, a_floor, over_eager
+        attached = np.flatnonzero(consider & rank_ok & (sk >= 0) & (rk >= 0))
+        del consider, rank_ok, bad_rank, un_send, un_recv
+        # regions of the other-MPI class never synchronize, and an edge
+        # from a region to itself holds nothing back
+        kl = [np.frombuffer(regs.class_codes, dtype=np.uint8)
+              for regs in trace.regions]
+        codes = np.concatenate(kl) if kl else np.zeros(0, dtype=np.uint8)
+        sg = base[snd_np[attached]] + sk[attached]
+        rg = base[rcv_np[attached]] + rk[attached]
+        linked = sg != rg
+        recv_i = attached[linked & (codes[rg] != _CODE_OTHER)]
+        floor_i = attached[linked & (codes[sg] != _CODE_OTHER)
+                           & (sz_np[attached] > config.eager_limit_bytes)]
+        del attached, kl, codes, sg, rg, linked
 
     # --- attach collectives --------------------------------------------------
-    # Each occurrence is one flat participant slice [op_poff[o],
-    # op_poff[o+1]) over (rank, region index) columns, with a lazily
-    # computed shared exit value; occurrences whose participants do not
-    # match their communicator are skipped.
-    coll_at = [np.zeros(nreg[r], dtype=np.int64) for r in range(P)]
-    op_poff, op_prank, op_pidx, op_value, op_skip = _attach_collectives(
-        trace, config, log, coll_at, dep)
+    colls = trace.collectives
+    op_skip = _skipped_collectives(trace, config, log)
+    part_counts = np.diff(np.frombuffer(colls.part_offsets, dtype=np.int64))
+    part_op = np.repeat(np.arange(len(op_skip), dtype=np.int64), part_counts)
+    part_g = (base[np.frombuffer(colls.part_ranks, dtype=np.int64)]
+              + np.frombuffer(colls.part_region_idx, dtype=np.int64))
+    live = ~op_skip[part_op]
 
-    dep_mask = [bytearray(d.tobytes()) for d in dep]
-    del dep
+    # --- triggers ------------------------------------------------------------
+    # One CSR over providers (global region ids): the triggers of region g
+    # are the slice [trig_off[g], trig_off[g+1]).  A message trigger holds
+    # the message index and its consumer region; a collective arrival
+    # holds ~occurrence.  Each region counts its unfired edges, plus one
+    # while its collective occurrence has not delivered.
+    prov = np.concatenate((base[snd_np[recv_i]] + sk[recv_i],
+                           base[rcv_np[floor_i]] + rk[floor_i],
+                           part_g[live]))
+    order = np.argsort(prov, kind="stable")
+    trig_off = _flat(np.searchsorted(prov[order], np.arange(N + 1)),
+                     len(prov) + 1)
+    del prov
+    ids = np.concatenate((recv_i, floor_i, ~part_op[live]))[order]
+    trig_id = _flat(ids, max(nmsg, len(op_skip)))
+    del ids
+    cons = np.concatenate((base[rcv_np[recv_i]] + rk[recv_i],
+                           base[snd_np[floor_i]] + sk[floor_i],
+                           np.zeros(int(live.sum()), dtype=np.int64)))
+    counts = (np.bincount(cons[:len(recv_i) + len(floor_i)], minlength=N)
+              + np.bincount(part_g[live], minlength=N))
+    trig_cons = _flat(cons[order], N)
+    del cons, order, recv_i, floor_i
+    count = _flat(counts, len(trig_id) + 1)
+    del counts, live
 
-    # --- worklist sweep ------------------------------------------------------
-    # flat int64 storage: finalized exits are write-once scalars, and the
-    # boxed-int churn of a list would dominate memory on large traces
-    ideal_exit: list[array] = [array("q", bytes(8 * nreg[r]))
-                               for r in range(P)]
-    ptr = [0] * P
+    # exit ideals; until a region is finalized, the maximum value that has
+    # arrived for it through messages and its collective
+    ideal_exit = _flat(np.full(N, _NONE, dtype=np.int64))
+    left = _flat(part_counts)             # participants yet to arrive
+    op_max = _flat(np.full(len(op_skip), _NONE, dtype=np.int64))
+    op_skip = bytearray(op_skip.tobytes())
+    part_off = colls.part_offsets
+    part_rank = colls.part_ranks
+    part_gid = _flat(part_g, N)
+    del part_op, part_g, part_counts
+
+    # entry ideal of region g: the exit ideal before it plus gap[g], the
+    # out-of-MPI time in between (a rank's first region: its entry time)
+    gap = np.zeros(N, dtype=np.int64)
+    if N:
+        ent_all = np.concatenate(ent_np)
+        gap[1:] = ent_all[1:] - np.concatenate(ex_np)[:-1]
+        heads = base[:-1][np.asarray(nreg) > 0]
+        gap[heads] = ent_all[heads]
+        del ent_all, heads
+    gap = _flat(gap)
+
+    first = base[:-1].tolist()
+    stop = base[1:].tolist()
+    front = list(first)          # per rank: the global id of its frontier
+    ready: deque[int] = deque()
+    queued = bytearray(P)
+
+    def release(r: int, g: int) -> None:
+        """One edge of region g of rank r has fired or been dropped."""
+        n = count[g] - 1
+        count[g] = n
+        if not n and front[r] == g and not queued[r]:
+            queued[r] = 1
+            ready.append(r)
+
+    def fire(lo: int, hi: int, e: int) -> None:
+        """A region's entry ideal e is known: fire its triggers [lo, hi)."""
+        for t in range(lo, hi):
+            i = trig_id[t]
+            if i >= 0:
+                if m_status[i]:
+                    continue
+                c = trig_cons[t]
+                if e > ideal_exit[c]:
+                    ideal_exit[c] = e
+                n = count[c] - 1
+                count[c] = n
+                if not n:
+                    r = bisect_right(first, c) - 1
+                    if front[r] == c and not queued[r]:
+                        queued[r] = 1
+                        ready.append(r)
+                continue
+            o = ~i
+            if op_skip[o]:
+                continue
+            if e > op_max[o]:
+                op_max[o] = e
+            n = left[o] - 1
+            left[o] = n
+            if n:
+                continue
+            # the last participant arrived: every participant waits at
+            # this occurrence, so each is at its frontier
+            v = op_max[o]
+            for j in range(part_off[o], part_off[o + 1]):
+                c = part_gid[j]
+                if v > ideal_exit[c]:
+                    ideal_exit[c] = v
+                n = count[c] - 1
+                count[c] = n
+                if not n:
+                    r = part_rank[j]
+                    if not queued[r]:
+                        queued[r] = 1
+                        ready.append(r)
+
+    # --- cycle breaking (rare; corrupt traces only) --------------------------
+    view: list = []
+    coll_of: list = []
+
+    def edges_into(g: int) -> tuple[list[int], list[int]]:
+        """Messages whose receive edge, and whose floor, region g waits
+        on, each in message order."""
+        if not view:
+            ti = np.frombuffer(trig_id, dtype=trig_id.typecode)
+            tc = np.frombuffer(trig_cons, dtype=trig_cons.typecode
+                               ).astype(np.int64)
+            msg = ti >= 0
+            mi = ti[msg]
+            key = 2 * tc[msg] + (tc[msg] != base[rcv_np[mi]] + rk[mi])
+            order = np.lexsort((mi, key))
+            view.extend((key[order], mi[order]))
+        key, mi = view
+        lo, mid, hi = np.searchsorted(key, (2 * g, 2 * g + 1, 2 * g + 2))
+        return mi[lo:mid].tolist(), mi[mid:hi].tolist()
+
+    def occurrence_at(g: int) -> int:
+        """The collective occurrence region g takes part in, or -1."""
+        if not coll_of:
+            at = np.full(N, -1, dtype=np.int64)
+            at[np.frombuffer(part_gid, dtype=part_gid.typecode)] = np.repeat(
+                np.arange(len(op_skip), dtype=np.int64),
+                np.diff(np.frombuffer(part_off, dtype=np.int64)))
+            coll_of.append(at)
+        return int(coll_of[0][g])
+
+    def ptr(r: int) -> int:
+        return front[r] - first[r]
 
     def entry_ideal(r: int, k: int) -> int:
-        if k == 0:
-            return entries[r][0]
-        return ideal_exit[r][k - 1] + entries[r][k] - exits[r][k - 1]
+        g = first[r] + k
+        return gap[g] + (ideal_exit[g - 1] if k else 0)
 
-    def first_unmet(r: int, k: int) -> tuple[int, int] | None:
-        mask = dep_mask[r][k]
-        if mask & _HAS_RECV:
-            off = recv_off[r]
-            lst = recv_msg[r]
-            for j in range(off[k], off[k + 1]):
-                i = lst[j]
-                if not m_status[i]:
-                    s = m_sender[i]
-                    sidx = sks[i]
-                    if (s != r or sidx != k) and ptr[s] < sidx:
-                        return s, sidx
-        if mask & _HAS_FLOOR:
-            off = floor_off[r]
-            lst = floor_msg[r]
-            for j in range(off[k], off[k + 1]):
-                i = lst[j]
-                if not m_status[i]:
-                    rr = m_receiver[i]
-                    ridx = rks[i]
-                    if (rr != r or ridx != k) and ptr[rr] < ridx:
-                        return rr, ridx
-        if mask & _HAS_COLL:
-            opi = coll_at[r][k]
-            if not op_skip[opi] and op_value[opi] < 0:
-                for j in range(op_poff[opi], op_poff[opi + 1]):
-                    pr = op_prank[j]
-                    if ptr[pr] < op_pidx[j]:
-                        return pr, op_pidx[j]
+    def first_unmet(r: int) -> tuple[int, int] | None:
+        """A dependency rank r's frontier waits on, as (rank, region)."""
+        recv, floor = edges_into(front[r])
+        for i in recv:
+            if not m_status[i] and ptr(m_sender[i]) < sk[i]:
+                return m_sender[i], int(sk[i])
+        for i in floor:
+            if not m_status[i] and ptr(m_receiver[i]) < rk[i]:
+                return m_receiver[i], int(rk[i])
+        o = occurrence_at(front[r])
+        if o >= 0 and not op_skip[o] and left[o]:
+            for j in range(part_off[o], part_off[o + 1]):
+                pr = part_rank[j]
+                if ptr(pr) < part_gid[j] - first[pr]:
+                    return pr, part_gid[j] - first[pr]
         return None
 
-    def finalize_value(r: int, k: int) -> int:
-        v = entry_ideal(r, k)
-        mask = dep_mask[r][k]
-        if mask & _HAS_RECV:
-            off = recv_off[r]
-            lst = recv_msg[r]
-            for j in range(off[k], off[k + 1]):
-                i = lst[j]
-                if not m_status[i]:
-                    sv = entry_ideal(m_sender[i], sks[i])
-                    if sv > v:
-                        v = sv
-        if mask & _HAS_FLOOR:
-            off = floor_off[r]
-            lst = floor_msg[r]
-            for j in range(off[k], off[k + 1]):
-                i = lst[j]
-                if not m_status[i]:
-                    rv = entry_ideal(m_receiver[i], rks[i])
-                    if rv > v:
-                        v = rv
-        if mask & _HAS_COLL:
-            opi = coll_at[r][k]
-            if not op_skip[opi]:
-                if op_value[opi] < 0:
-                    best = -1
-                    for j in range(op_poff[opi], op_poff[opi + 1]):
-                        pv = entry_ideal(op_prank[j], op_pidx[j])
-                        if pv > best:
-                            best = pv
-                    op_value[opi] = best
-                if op_value[opi] > v:
-                    v = op_value[opi]
-        return v
+    def refill(g: int) -> None:
+        """Recompute region g's arrived maximum without degraded edges."""
+        v = _NONE
+        recv, floor = edges_into(g)
+        for i in recv:
+            if not m_status[i] and ptr(m_sender[i]) >= sk[i]:
+                v = max(v, entry_ideal(m_sender[i], int(sk[i])))
+        for i in floor:
+            if not m_status[i] and ptr(m_receiver[i]) >= rk[i]:
+                v = max(v, entry_ideal(m_receiver[i], int(rk[i])))
+        o = occurrence_at(g)
+        if o >= 0 and not op_skip[o] and not left[o]:
+            v = max(v, op_max[o])
+        ideal_exit[g] = v
+
+    def degrade(i: int) -> None:
+        """Drop both edges of message i: an unfired edge releases its
+        consumer's count, a fired one is taken back out of its maximum."""
+        m_status[i] = _STATUS_FAULTY
+        s, sg = m_sender[i], first[m_sender[i]] + int(sk[i])
+        r, rg = m_receiver[i], first[m_receiver[i]] + int(rk[i])
+        for prov_r, prov_g, cons_r, cons_g, floor in (
+                (s, sg, r, rg, False), (r, rg, s, sg, True)):
+            if i not in edges_into(cons_g)[floor]:
+                continue
+            if front[prov_r] < prov_g:
+                release(cons_r, cons_g)
+            else:
+                refill(cons_g)
 
     def break_cycle(blocked: list[int]) -> None:
         """Find one dependency cycle among the blocked frontiers, cut it."""
         succ: dict[int, int] = {}
         for r in blocked:
-            dep_ = first_unmet(r, ptr[r])
+            dep_ = first_unmet(r)
             if dep_ is None:
                 # a degradation elsewhere already unblocked this rank
                 return
@@ -481,114 +569,102 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
         cycle = path[order[cur]:]
         cycle_set = set(cycle)
         if config.strict_mode:
-            raise DependencyCycleError([(r, ptr[r]) for r in cycle])
+            raise DependencyCycleError([(r, ptr(r)) for r in cycle])
 
         degraded = False
         for r in sorted(cycle_set):
-            k = ptr[r]
-            mask = dep_mask[r][k]
-            if mask & _HAS_RECV:
-                off = recv_off[r]
-                lst = recv_msg[r]
-                for j in range(off[k], off[k + 1]):
-                    i = lst[j]
-                    if not m_status[i] and m_sender[i] in cycle_set \
-                            and ptr[m_sender[i]] < sks[i]:
-                        m_status[i] = _STATUS_FAULTY
-                        log.add(AnomalyKind.REVERSED_PTP,
-                                f"rank {r} region {k}",
-                                "message on a dependency cycle")
-                        degraded = True
-            if mask & _HAS_FLOOR:
-                off = floor_off[r]
-                lst = floor_msg[r]
-                for j in range(off[k], off[k + 1]):
-                    i = lst[j]
-                    if not m_status[i] and m_receiver[i] in cycle_set \
-                            and ptr[m_receiver[i]] < rks[i]:
-                        m_status[i] = _STATUS_FAULTY
-                        log.add(AnomalyKind.REVERSED_PTP,
-                                f"rank {r} region {k}",
-                                "rendezvous floor on a dependency cycle")
-                        degraded = True
+            k = ptr(r)
+            recv, floor = edges_into(front[r])
+            for i in recv:
+                if not m_status[i] and m_sender[i] in cycle_set \
+                        and ptr(m_sender[i]) < sk[i]:
+                    degrade(i)
+                    log.add(AnomalyKind.REVERSED_PTP, f"rank {r} region {k}",
+                            "message on a dependency cycle")
+                    degraded = True
+            for i in floor:
+                if not m_status[i] and m_receiver[i] in cycle_set \
+                        and ptr(m_receiver[i]) < rk[i]:
+                    degrade(i)
+                    log.add(AnomalyKind.REVERSED_PTP, f"rank {r} region {k}",
+                            "rendezvous floor on a dependency cycle")
+                    degraded = True
         if not degraded:
-            # held together by collectives alone: drop their synchronization
+            # held together by collectives alone: drop their synchronization.
+            # Each such occurrence is still waiting for a participant, so
+            # it holds one count on every participant region.
             for r in sorted(cycle_set):
-                k = ptr[r]
-                if dep_mask[r][k] & _HAS_COLL:
-                    opi = coll_at[r][k]
-                    if not op_skip[opi]:
-                        op_skip[opi] = 1
-                        log.add(AnomalyKind.MALFORMED_RECORD,
-                                f"rank {r} region {k}",
-                                "collective on a dependency cycle; "
-                                "synchronization skipped")
-                        degraded = True
+                o = occurrence_at(front[r])
+                if o >= 0 and not op_skip[o]:
+                    op_skip[o] = 1
+                    for j in range(part_off[o], part_off[o + 1]):
+                        release(part_rank[j], part_gid[j])
+                    log.add(AnomalyKind.MALFORMED_RECORD,
+                            f"rank {r} region {ptr(r)}",
+                            "collective on a dependency cycle; "
+                            "synchronization skipped")
+                    degraded = True
         if not degraded:
             # should be unreachable: a cycle always has a breakable edge
             raise ReplayError("unbreakable dependency cycle")
 
-    ready: deque[int] = deque(r for r in range(P) if nreg[r])
-    in_queue = [nreg[r] > 0 for r in range(P)]
-    waiters: list[list[tuple[int, int]]] = [[] for _ in range(P)]
-
-    def wake(provider: int) -> None:
-        w = waiters[provider]
-        while w and w[0][0] <= ptr[provider]:
-            _, wr = heapq.heappop(w)
-            if not in_queue[wr]:
-                in_queue[wr] = True
-                ready.append(wr)
-
+    # --- sweep ---------------------------------------------------------------
+    for r in range(P):
+        g = first[r]
+        if g < stop[r]:
+            fire(trig_off[g], trig_off[g + 1], gap[g])
+            if not count[g] and not queued[r]:
+                queued[r] = 1
+                ready.append(r)
     while True:
         while ready:
+            # finalize rank r's regions from its frontier until one waits
             r = ready.popleft()
-            in_queue[r] = False
-            n = nreg[r]
-            dm = dep_mask[r]
-            ie = ideal_exit[r]
-            en = entries[r]
-            ex = exits[r]
-            wl = waiters[r]
-            while ptr[r] < n:
-                k = ptr[r]
-                if dm[k]:
-                    dep_ = first_unmet(r, k)
-                    if dep_ is not None:
-                        heapq.heappush(waiters[dep_[0]], (dep_[1], r))
-                        break
-                    ie[k] = finalize_value(r, k)
-                elif k:
-                    ie[k] = ie[k - 1] + en[k] - ex[k - 1]
-                else:
-                    ie[0] = en[0]
-                ptr[r] = k + 1
-                if wl:
-                    wake(r)
-        blocked = [r for r in range(P) if ptr[r] < nreg[r]]
+            g = front[r]
+            end = stop[r]
+            e = gap[g] if g == first[r] else ideal_exit[g - 1] + gap[g]
+            lo = trig_off[g + 1]
+            while True:
+                v = ideal_exit[g]
+                if e > v:
+                    v = e
+                    ideal_exit[g] = v
+                g += 1
+                if g == end:
+                    break
+                e = v + gap[g]
+                hi = trig_off[g + 1]
+                if hi != lo:
+                    front[r] = g
+                    fire(lo, hi, e)
+                    lo = hi
+                if count[g]:
+                    break
+            front[r] = g
+            queued[r] = 0
+        blocked = [r for r in range(P) if front[r] < stop[r]]
         if not blocked:
             break
         break_cycle(blocked)
-        for r in blocked:
-            if not in_queue[r]:
-                in_queue[r] = True
-                ready.append(r)
+    # the timeline needs only the exit ideals
+    del trig_off, trig_id, trig_cons, count, gap, view, coll_of
 
-    timeline = _assemble_timeline(trace, ent_np, ex_np, ideal_exit, end_time)
+    timeline = _assemble_timeline(trace, ent_np, ex_np,
+                                  np.frombuffer(ideal_exit, dtype=np.int64),
+                                  base, end_time)
     return timeline, log
 
 
-def _attach_collectives(trace: Trace, config: ReplayConfig, log: AnomalyLog,
-                        coll_at: list, dep: list) -> tuple:
-    """Attach each collective occurrence to the regions it was grouped
-    from.  An occurrence on an undefined communicator, or whose
-    participant ranks differ from the members, is logged in occurrence
-    order and marked to skip (strict mode raises on the first)."""
+def _skipped_collectives(trace: Trace, config: ReplayConfig,
+                         log: AnomalyLog) -> np.ndarray:
+    """Which collective occurrences do not synchronize: those on an
+    undefined communicator, or whose participant ranks differ from the
+    members.  Each is logged in occurrence order (strict mode raises on
+    the first)."""
     colls = trace.collectives
     cid = np.frombuffer(colls.comm_ids, dtype=np.int64)
     counts = np.diff(np.frombuffer(colls.part_offsets, dtype=np.int64))
     prank = np.frombuffer(colls.part_ranks, dtype=np.int64)
-    pidx = np.frombuffer(colls.part_region_idx, dtype=np.int64)
     nops = len(cid)
 
     # participants are distinct ranks in rank order, so they match the
@@ -610,29 +686,16 @@ def _attach_collectives(trace: Trace, config: ReplayConfig, log: AnomalyLog,
         log.add(AnomalyKind.MALFORMED_RECORD, where,
                 "participants do not match communicator membership; "
                 "synchronization skipped")
-
-    # participant rows grouped by rank
-    rows = np.argsort(prank, kind="stable")
-    opi = np.repeat(np.arange(nops, dtype=np.int64), counts)
-    bounds = np.searchsorted(prank[rows], np.arange(len(coll_at) + 1))
-    for r in range(len(coll_at)):
-        at = rows[bounds[r]:bounds[r + 1]]
-        kv = pidx[at]
-        coll_at[r][kv] = opi[at]
-        dep[r][kv] |= _HAS_COLL
-    op_value = array("q")
-    op_value.frombytes(np.full(nops, -1, dtype=np.int64).tobytes())
-    return (colls.part_offsets, colls.part_ranks, colls.part_region_idx,
-            op_value, bytearray(bad.tobytes()))
+    return bad
 
 
-def _assemble_timeline(trace: Trace, ent_np, ex_np, ideal_exit,
-                       end_time: int) -> AnnotatedTimeline:
+def _assemble_timeline(trace: Trace, ent_np, ex_np, ideal_exit: np.ndarray,
+                       base: np.ndarray, end_time: int) -> AnnotatedTimeline:
     ranks: list[RankTimeline] = []
     for r in range(trace.meta.rank_count):
         en = ent_np[r]
         ex = ex_np[r]
-        ie = np.frombuffer(ideal_exit[r], dtype=np.int64)
+        ie = ideal_exit[base[r]:base[r + 1]]
         n = len(en)
 
         # clocks at region boundaries: oom and ideal advance by the

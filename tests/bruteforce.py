@@ -1,6 +1,6 @@
 """Independent zero-cost-network oracle used to cross-check the replay engine.
 
-Instead of the engine's worklist topological sweep, this module wires every
+Instead of the engine's counted topological sweep, this module wires every
 ordering constraint into an explicit list and relaxes exit values to a fixed
 point (Bellman-Ford style).  Region lookup is done with plain linear scans.
 Agreement between the two implementations on the reconstructed ideal clock
@@ -79,6 +79,11 @@ def brute_force_ideal(trace: Trace, eager_limit: int = DEFAULT_EAGER_LIMIT):
             assert regs[rank][k].entry_time == entry
             assert regs[rank][k].exit_time == exit_
             members.append((rank, k))
+        # an occurrence whose ranks are not its communicator's membership
+        # does not synchronize
+        comm = trace.communicators.get(op.communicator_id)
+        if comm is None or sorted(op.ranks()) != sorted(set(comm.members)):
+            continue
         for tgt in members:
             for src in members:
                 if src != tgt:

@@ -150,6 +150,27 @@ def make_clean_trace(duration=100, rank0_last=(90, 100),
                        [CommunicatorDef(1, list(members))])
 
 
+def with_collectives(occurrences, comms=()):
+    """The clean trace plus hand-built collective occurrences, each
+    (communicator, occurrence, [(rank, entry, exit), ...]): shapes that
+    grouping from regions never produces."""
+    t = make_clean_trace()
+    for comm in comms:
+        t.communicators[comm.communicator_id] = comm
+    for cid, occ, parts in occurrences:
+        ranks, entries, exits = (np.array(col, dtype=np.int64)
+                                 for col in zip(*parts))
+        t.collectives.extend_columns(
+            np.array([cid]), np.array([occ]), np.array([len(parts)]),
+            ranks, entries, exits, np.zeros(len(parts), dtype=np.int64))
+    return t
+
+
+def violations(trace):
+    return [(v.code, v.location, v.detail)
+            for v in validate_trace(trace).violations]
+
+
 class TestTraceBuild:
     def test_packs_records_into_stores(self):
         t = make_clean_trace()
@@ -236,6 +257,60 @@ class TestValidateTrace:
         t = make_clean_trace(rank1_middle=(30, 50, CallClass.COLLECTIVE))
         report = validate_trace(t)
         assert any(v.code == "collective.membership" for v in report.violations)
+
+    def test_duplicate_participant_rank(self):
+        t = with_collectives([
+            (1, 0, [(0, 40, 60), (0, 40, 60)]),
+            (5, 0, [(1, 30, 50), (1, 30, 50)]),     # undefined communicator
+        ])
+        assert violations(t) == [
+            ("collective.participants", "collective comm=1 occ=0",
+             "duplicate participant rank"),
+            ("collective.membership", "collective comm=1 occ=0",
+             "participants [0, 0] != members [0, 1]"),
+            ("collective.participants", "collective comm=5 occ=0",
+             "duplicate participant rank"),
+        ]
+
+    def test_collective_entered_out_of_order(self):
+        # each (communicator, rank) compares with its previous occurrence
+        # in store order; communicator 2 keeps its own order
+        t = with_collectives([
+            (1, 0, [(0, 40, 60), (1, 30, 50)]),
+            (1, 1, [(0, 35, 38), (1, 20, 25)]),
+            (1, 2, [(0, 38, 39), (1, 10, 12)]),
+            (2, 0, [(0, 5, 6), (1, 5, 6)]),
+        ], comms=[CommunicatorDef(2, [1, 0])])
+        assert violations(t) == [
+            ("collective.order", "collective comm=1 occ=1",
+             "rank 0 occurrence entered at 35 before 40"),
+            ("collective.order", "collective comm=1 occ=1",
+             "rank 1 occurrence entered at 20 before 30"),
+            ("collective.order", "collective comm=1 occ=2",
+             "rank 1 occurrence entered at 10 before 20"),
+        ]
+
+    def test_collective_order_and_membership_interleave(self):
+        t = with_collectives([
+            (1, 0, [(0, 40, 60), (1, 30, 50)]),
+            (1, 1, [(1, 20, 25), (1, 10, 12)]),
+        ])
+        assert violations(t) == [
+            ("collective.participants", "collective comm=1 occ=1",
+             "duplicate participant rank"),
+            ("collective.membership", "collective comm=1 occ=1",
+             "participants [1, 1] != members [0, 1]"),
+            ("collective.order", "collective comm=1 occ=1",
+             "rank 1 occurrence entered at 20 before 30"),
+            ("collective.order", "collective comm=1 occ=1",
+             "rank 1 occurrence entered at 10 before 20"),
+        ]
+
+    def test_collective_exit_counts_toward_duration(self):
+        t = with_collectives([(1, 0, [(0, 40, 60), (1, 30, 120)])])
+        assert violations(t) == [
+            ("meta.duration", "header",
+             "total_duration 100 < last timestamp 120")]
 
     def test_duration_shorter_than_last_timestamp(self):
         t = make_clean_trace(duration=80)

@@ -1,5 +1,5 @@
 """Tests for clock reconstruction: synchronization rules, degradation,
-worklist replay, and the assembled timelines."""
+counted replay, and the assembled timelines."""
 
 import random
 
@@ -24,6 +24,7 @@ from paraslice import (
 )
 from paraslice.replay import WorldCollectiveIndex
 
+from bruteforce import brute_force_ideal
 from scenarios import random_scenario, roundtrip
 
 P2P = CallClass.POINT_TO_POINT
@@ -454,6 +455,72 @@ class TestDependencyCycle:
         with pytest.raises(DependencyCycleError):
             replay(self.make_cycle(), ReplayConfig(strict_mode=True))
 
+    def make_floor_cycle(self):
+        # rank 0's first region floors on the rendezvous receive in rank
+        # 1's second region, and rank 1's first region receives from rank
+        # 0's second region
+        return trace_of(
+            30,
+            [[(15, 20, P2P), (20, 25, P2P)],
+             [(5, 20, P2P), (20, 25, P2P)]],
+            messages=[
+                PtpMessage(0, 1, send_begin=15, recv_end=25,
+                           size_bytes=100_000),
+                PtpMessage(0, 1, send_begin=20, recv_end=20, size_bytes=8),
+            ],
+        )
+
+    def test_rendezvous_floor_cycle_broken(self):
+        trace = self.make_floor_cycle()
+        timeline, log = replay(trace)
+        assert [(e.kind, e.location, e.detail) for e in log.entries] == [
+            (AnomalyKind.REVERSED_PTP, "rank 0 region 0",
+             "rendezvous floor on a dependency cycle"),
+            (AnomalyKind.REVERSED_PTP, "rank 1 region 0",
+             "message on a dependency cycle")]
+        assert [m.status for m in trace.messages] \
+            == [MessageStatus.FAULTY_LOCAL] * 2
+        # the degraded rendezvous message lifts neither side: rank 1's
+        # second region keeps its own entry value 5, not rank 0's 15
+        assert timeline.final_triples() == [ClockTriple(30, 20, 20),
+                                            ClockTriple(30, 10, 10)]
+        assert timeline.ranks[1].ideal.tolist() == [0, 5, 5, 5, 10]
+
+    def test_rendezvous_floor_cycle_strict_listing(self):
+        with pytest.raises(DependencyCycleError) as info:
+            replay(self.make_floor_cycle(), ReplayConfig(strict_mode=True))
+        assert info.value.cycle == [(0, 0), (1, 0)]
+        assert str(info.value) == ("message dependency cycle: "
+                                   "rank 0 region 0, rank 1 region 0")
+
+    def make_collective_cycle(self):
+        # two communicators over both ranks, entered in opposite order,
+        # then a world barrier that still synchronizes
+        return trace_of(
+            20,
+            [[(5, 10, COLL, 2), (12, 15, COLL, 3), (16, 18, COLL)],
+             [(3, 8, COLL, 3), (9, 15, COLL, 2), (16, 18, COLL)]],
+            comms=[CommunicatorDef(2, [0, 1]), CommunicatorDef(3, [0, 1])])
+
+    def test_collective_cycle_skips_synchronization(self):
+        timeline, log = replay(self.make_collective_cycle())
+        detail = "collective on a dependency cycle; synchronization skipped"
+        assert [(e.kind, e.location, e.detail) for e in log.entries] == [
+            (AnomalyKind.MALFORMED_RECORD, "rank 0 region 0", detail),
+            (AnomalyKind.MALFORMED_RECORD, "rank 1 region 0", detail)]
+        assert timeline.final_triples() == [ClockTriple(20, 10, 10),
+                                            ClockTriple(20, 7, 10)]
+        # both skipped occurrences leave the ranks' own values; the world
+        # barrier lifts rank 1 to rank 0's entry value 8
+        assert timeline.ranks[0].ideal.tolist() == [0, 5, 5, 7, 7, 8, 8, 10]
+        assert timeline.ranks[1].ideal.tolist() == [0, 3, 3, 4, 4, 5, 8, 10]
+
+    def test_collective_cycle_strict_listing(self):
+        with pytest.raises(DependencyCycleError) as info:
+            replay(self.make_collective_cycle(),
+                   ReplayConfig(strict_mode=True))
+        assert info.value.cycle == [(0, 0), (1, 0)]
+
 
 class TestReplayConfig:
     def test_negative_eager_limit_rejected(self):
@@ -491,3 +558,69 @@ class TestInvariantsOnGeneratedTraces:
                     assert tl.point(i).well_ordered(), (sc.name, tl.rank, i)
             finals = timeline.final_triples()
             assert all(t.elapsed == duration for t in finals)
+
+
+class TestWideCollectiveOracle:
+    """32 ranks: per iteration a serial message chain, then a world
+    barrier.  One chain message is above the eager limit and so is one
+    message after the last barrier; one occurrence of a three-member
+    communicator is entered by two ranks only, so it is skipped when
+    collectives are attached."""
+
+    RANKS = 32
+    ITERATIONS = 4
+    TAIL = ITERATIONS * 10_000      # after the last barrier
+
+    def make(self):
+        rng = random.Random(11)
+        regions = [[] for _ in range(self.RANKS)]
+        messages = []
+        for it in range(self.ITERATIONS):
+            t0 = it * 10_000
+            for r in range(self.RANKS):
+                got = t0 + 100 * r + 30          # chain receive completes
+                if r:
+                    enter = got - 1 if (it, r) == (1, 6) \
+                        else t0 + 5 + rng.randrange(90)
+                    regions[r].append((enter, got, P2P))
+                send = (t0 + 80) if r == 0 else got + 50
+                if r < self.RANKS - 1:
+                    regions[r].append((send, send + 5, P2P))
+                    size = 100_000 if (it, r) == (1, 5) else 512
+                    messages.append(PtpMessage(
+                        r, r + 1, send_begin=send,
+                        recv_end=t0 + 100 * (r + 1) + 30, size_bytes=size))
+                if it == 2 and r < 2:
+                    at = t0 + 3400 + 200 * r
+                    regions[r].append((at, at + 100, COLL, 2))
+                barrier = t0 + 3700 + rng.randrange(250)
+                regions[r].append((barrier, t0 + 4000, COLL))
+        regions[5].append((self.TAIL + 100, self.TAIL + 105, P2P))
+        regions[6].append((self.TAIL + 900, self.TAIL + 950, P2P))
+        messages.append(PtpMessage(5, 6, send_begin=self.TAIL + 100,
+                                   recv_end=self.TAIL + 950,
+                                   size_bytes=100_000))
+        return trace_of(self.TAIL + 1000, regions, messages,
+                        comms=[CommunicatorDef(2, [0, 1, 2])])
+
+    @pytest.mark.parametrize("eager_limit", [65536, 1 << 20])
+    def test_matches_brute_force(self, eager_limit):
+        finals, ideal = brute_force_ideal(self.make(), eager_limit)
+        trace = self.make()
+        assert len(trace.collectives) == self.ITERATIONS + 1
+        timeline, log = replay(trace, ReplayConfig(eager_limit))
+        assert [(e.kind, e.location) for e in log.entries] == [
+            (AnomalyKind.MALFORMED_RECORD, "collective comm=2 occ=0")]
+        got = [t.ideal for t in timeline.final_triples()]
+        assert got == finals
+        assert max(got) == ideal
+
+    def test_rendezvous_floor_binds(self):
+        # rank 5 leaves each rendezvous send no earlier than rank 6's
+        # entry value at the matching receive
+        timeline, _ = replay(self.make())
+        relaxed, _ = replay(self.make(), ReplayConfig(1 << 20))
+        for exit_ in (10_000 + 585, self.TAIL + 105):
+            floored = interpolate_clock(timeline.ranks[5], exit_).ideal
+            eager = interpolate_clock(relaxed.ranks[5], exit_).ideal
+            assert floored > eager
