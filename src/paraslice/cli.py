@@ -244,6 +244,9 @@ def run(config: RunConfig) -> int:
     except ReplayError as exc:
         print(f"error: strict mode: {exc}", file=sys.stderr)
         return EXIT_STRICT
+    # the timeline keeps the region times windowing needs; the rest of
+    # the trace goes before window planning allocates
+    del trace
     log.extend(replay_log)
 
     window_ns = config.window_ns

@@ -4,6 +4,10 @@ Holds the parsed regions, point-to-point messages, collective operations
 and communicator definitions of one run, together with the anomaly log
 that ingestion and replay append to.  All timestamps are 64-bit integer
 nanoseconds; traces recorded in microseconds are scaled on the way in.
+
+The regions of all ranks form one rank-major RegionTable: flat columns
+plus an offsets array, so later stages index whole columns by rank
+offsets instead of looping over per-rank stores.
 """
 
 from __future__ import annotations
@@ -84,84 +88,170 @@ def _raw(values: np.ndarray, dtype) -> np.ndarray:
     return np.ascontiguousarray(values, dtype=dtype).view(np.uint8)
 
 
-#: stable wire order of call classes inside RegionStore.class_codes
+def _frozen(values, dtype) -> np.ndarray:
+    out = np.asarray(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
+def distinct(values) -> np.ndarray:
+    """The sorted distinct values of an integer array (np.unique without
+    its numpy.ma import)."""
+    s = np.sort(np.asarray(values, dtype=np.int64))
+    keep = np.ones(len(s), dtype=bool)
+    keep[1:] = s[1:] != s[:-1]
+    return s[keep]
+
+
+#: stable wire order of call classes inside RegionTable.class_codes
 CLASS_BY_CODE = (CallClass.POINT_TO_POINT, CallClass.COLLECTIVE,
                  CallClass.OTHER_MPI)
 CLASS_CODES = {cls: code for code, cls in enumerate(CLASS_BY_CODE)}
 
 
-class RegionStore:
-    """Columnar storage of one rank's MPI regions.
+class RegionTable:
+    """Every rank's MPI regions in one rank-major table.
 
     Multi-million-region traces cannot afford an object per region, so
-    times, call classes, and ids live in flat arrays; indexing and
-    iteration materialize MpiRegion values on demand and hot paths read
-    the arrays directly.  Append order must be entry-time order, matching
-    the region_seq each materialized view derives from its index.
+    the regions live in flat read-only columns with one row per region:
+    rank r owns rows offsets[r]:offsets[r+1], in entry-time order, and
+    row offsets[r] + k is its region k.  Communicator hints are sparse:
+    hint_rows lists the hinted rows in ascending order and hint_values
+    the ids they announced.
+
+    As a sequence the table holds one RankRegions view per rank, so
+    trace.regions[r] reads like a list of rank r's MpiRegion values;
+    hot paths read the columns directly.
     """
 
-    __slots__ = ("rank", "entry_times", "exit_times", "class_codes",
-                 "call_ids", "comm_hints")
+    COLUMNS = ("offsets", "entry_times", "exit_times", "class_codes",
+               "call_ids", "hint_rows", "hint_values")
+    __slots__ = COLUMNS + ("_views",)
 
-    def __init__(self, rank: int) -> None:
-        self.rank = rank
-        self.entry_times = array("q")
-        self.exit_times = array("q")
-        self.class_codes = bytearray()
-        self.call_ids = array("q")
-        #: sparse: region index -> communicator id announced at entry
-        self.comm_hints: dict[int, int] = {}
+    def __init__(self, offsets, entry_times, exit_times, class_codes,
+                 call_ids, hint_rows=(), hint_values=()) -> None:
+        self.offsets = _frozen(offsets, np.int64)
+        self.entry_times = _frozen(entry_times, np.int64)
+        self.exit_times = _frozen(exit_times, np.int64)
+        self.class_codes = _frozen(class_codes, np.uint8)
+        self.call_ids = _frozen(call_ids, np.int64)
+        self.hint_rows = _frozen(hint_rows, np.int64)
+        self.hint_values = _frozen(hint_values, np.int64)
+        n = int(self.offsets[-1])
+        if any(len(c) != n for c in (self.entry_times, self.exit_times,
+                                     self.class_codes, self.call_ids)) \
+                or len(self.hint_rows) != len(self.hint_values):
+            raise ValueError("region columns of unequal length")
+        self._views = None
 
-    def append_fields(self, entry_time: int, exit_time: int,
-                      call_class: CallClass, call_id: int = 0,
-                      comm_hint: int | None = None) -> None:
-        if comm_hint is not None:
-            self.comm_hints[len(self.entry_times)] = comm_hint
-        self.entry_times.append(entry_time)
-        self.exit_times.append(exit_time)
-        self.class_codes.append(CLASS_CODES[call_class])
-        self.call_ids.append(call_id)
+    @classmethod
+    def from_regions(cls, regions: Iterable[Iterable[MpiRegion]],
+                     ) -> "RegionTable":
+        """A table from per-rank lists of regions in entry order (their
+        rank and region_seq fields are implied by position)."""
+        per_rank = [list(regs) for regs in regions]
+        flat = [g for regs in per_rank for g in regs]
+        hinted = [i for i, g in enumerate(flat) if g.comm_hint is not None]
+        return cls(np.cumsum([0] + [len(regs) for regs in per_rank]),
+                   [g.entry_time for g in flat], [g.exit_time for g in flat],
+                   [CLASS_CODES[g.call_class] for g in flat],
+                   [g.call_id for g in flat], hinted,
+                   [flat[i].comm_hint for i in hinted])
 
-    def extend_columns(self, entry_times: np.ndarray, exit_times: np.ndarray,
-                       class_codes: np.ndarray, call_ids: np.ndarray,
-                       hinted: np.ndarray, hints: np.ndarray) -> None:
-        """Append a batch of regions given as numpy columns; hints[i]
-        is region i's communicator id where hinted[i] is set."""
-        base = len(self.entry_times)
-        self.entry_times.frombytes(_raw(entry_times, np.int64))
-        self.exit_times.frombytes(_raw(exit_times, np.int64))
-        self.class_codes.extend(_raw(class_codes, np.uint8))
-        self.call_ids.frombytes(_raw(call_ids, np.int64))
-        at = np.flatnonzero(hinted)
-        if len(at):
-            self.comm_hints.update(zip((at + base).tolist(),
-                                       hints[at].tolist()))
+    @property
+    def rank_count(self) -> int:
+        return len(self.offsets) - 1
 
-    def __len__(self) -> int:
+    @property
+    def row_count(self) -> int:
         return len(self.entry_times)
 
+    def ranks_of(self, rows: np.ndarray) -> np.ndarray:
+        """The rank owning each row."""
+        return np.searchsorted(self.offsets, rows, side="right") - 1
+
+    def __len__(self) -> int:
+        return self.rank_count
+
+    def _rank_views(self) -> list["RankRegions"]:
+        if self._views is None:
+            self._views = [RankRegions(self, r)
+                           for r in range(self.rank_count)]
+        return self._views
+
+    def __getitem__(self, rank: int) -> "RankRegions":
+        return self._rank_views()[rank]
+
+    def __iter__(self) -> Iterator["RankRegions"]:
+        return iter(self._rank_views())
+
+    def __repr__(self) -> str:
+        return (f"RegionTable(ranks={self.rank_count}, "
+                f"regions={self.row_count})")
+
+
+class RankRegions:
+    """Read-only view of one rank's rows of a RegionTable.  Indexing and
+    iteration materialize MpiRegion values; the column properties are
+    numpy views of the rank's slice."""
+
+    __slots__ = ("table", "rank", "lo", "hi", "_fields")
+
+    def __init__(self, table: RegionTable, rank: int) -> None:
+        self.table = table
+        self.rank = rank
+        self.lo = int(table.offsets[rank])
+        self.hi = int(table.offsets[rank + 1])
+        self._fields = None
+
+    @property
+    def entry_times(self) -> np.ndarray:
+        return self.table.entry_times[self.lo:self.hi]
+
+    @property
+    def exit_times(self) -> np.ndarray:
+        return self.table.exit_times[self.lo:self.hi]
+
+    @property
+    def class_codes(self) -> np.ndarray:
+        return self.table.class_codes[self.lo:self.hi]
+
+    @property
+    def call_ids(self) -> np.ndarray:
+        return self.table.call_ids[self.lo:self.hi]
+
+    def _region(self, k: int) -> MpiRegion:
+        if self._fields is None:    # the rank's columns as lists, once
+            t, lo, hi = self.table, self.lo, self.hi
+            h_lo, h_hi = np.searchsorted(t.hint_rows, (lo, hi))
+            self._fields = (
+                self.entry_times.tolist(), self.exit_times.tolist(),
+                self.class_codes.tolist(), self.call_ids.tolist(),
+                dict(zip((t.hint_rows[h_lo:h_hi] - lo).tolist(),
+                         t.hint_values[h_lo:h_hi].tolist())))
+        entry, exit_, code, call, hints = self._fields
+        return MpiRegion(self.rank, entry[k], exit_[k], CLASS_BY_CODE[code[k]],
+                         call[k], k, hints.get(k))
+
+    def __len__(self) -> int:
+        return self.hi - self.lo
+
     def __getitem__(self, index):
-        n = len(self.entry_times)
+        n = self.hi - self.lo
         if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(n))]
+            return [self._region(k) for k in range(*index.indices(n))]
         if index < 0:
             index += n
         if not 0 <= index < n:
             raise IndexError("region index out of range")
-        return MpiRegion(rank=self.rank,
-                         entry_time=self.entry_times[index],
-                         exit_time=self.exit_times[index],
-                         call_class=CLASS_BY_CODE[self.class_codes[index]],
-                         call_id=self.call_ids[index],
-                         region_seq=index,
-                         comm_hint=self.comm_hints.get(index))
+        return self._region(index)
 
     def __iter__(self) -> Iterator[MpiRegion]:
-        for i in range(len(self.entry_times)):
-            yield self[i]
+        for k in range(self.hi - self.lo):
+            yield self._region(k)
 
     def __repr__(self) -> str:
-        return f"RegionStore(rank={self.rank}, regions={len(self)})"
+        return f"RankRegions(rank={self.rank}, regions={len(self)})"
 
 
 @dataclass(slots=True)
@@ -391,13 +481,13 @@ class Trace:
     """A fully assembled trace, immutable in structure after construction.
 
     Replay may still degrade a message's status; everything else is
-    fixed.  regions holds one RegionStore per rank, in entry-time order.
-    collectives is derived from the collective regions and their
-    communicator hints by group_collectives.
+    fixed.  regions is the rank-major RegionTable.  collectives is
+    derived from the collective regions and their communicator hints by
+    group_collectives.
     """
 
     meta: TraceMeta
-    regions: list[RegionStore]
+    regions: RegionTable
     messages: MessageStore = field(default_factory=MessageStore)
     collectives: CollectiveStore = field(default_factory=CollectiveStore)
     communicators: dict[int, CommunicatorDef] = field(default_factory=dict)
@@ -406,8 +496,8 @@ class Trace:
 
     @classmethod
     def empty(cls, meta: TraceMeta) -> "Trace":
-        return cls(meta=meta,
-                   regions=[RegionStore(r) for r in range(meta.rank_count)])
+        return cls(meta=meta, regions=RegionTable(
+            np.zeros(meta.rank_count + 1, dtype=np.int64), (), (), (), ()))
 
     @classmethod
     def build(cls, meta: TraceMeta, regions: Iterable[Iterable[MpiRegion]],
@@ -417,15 +507,11 @@ class Trace:
         entry order (their rank and region_seq fields are implied by
         position).  Collectives are grouped from the regions as ingest
         groups them, and a world communicator is added unless given."""
-        regions = list(regions)
-        if len(regions) != meta.rank_count:
-            raise ValueError(f"{len(regions)} rank lists for "
+        table = RegionTable.from_regions(regions)
+        if table.rank_count != meta.rank_count:
+            raise ValueError(f"{table.rank_count} rank lists for "
                              f"{meta.rank_count} ranks")
-        trace = cls.empty(meta)
-        for store, regs in zip(trace.regions, regions):
-            for g in regs:
-                store.append_fields(g.entry_time, g.exit_time, g.call_class,
-                                    g.call_id, g.comm_hint)
+        trace = cls(meta=meta, regions=table)
         for m in messages:
             trace.messages.append_fields(m.sender, m.receiver, m.send_begin,
                                          m.recv_end, m.size_bytes, m.tag,
@@ -438,63 +524,52 @@ class Trace:
 
 def group_collectives(trace: Trace) -> None:
     """Add the default world communicator if none is defined, then group
-    per-rank collective regions into collective occurrences.
+    the collective regions into collective occurrences.
 
     A region belongs to the communicator its entry hint named, defaulting
     to world; the n-th collective of a communicator on each member rank
     forms occurrence n.  Occurrences are ordered by communicator, then
     occurrence, participants by rank.  Each participant row records the
-    region index it came from.
+    index of the region it came from on its rank.
     """
     if WORLD_COMM_ID not in trace.communicators:
         trace.communicators[WORLD_COMM_ID] = CommunicatorDef(
             WORLD_COMM_ID, list(range(trace.meta.rank_count)))
-    coll_code = CLASS_CODES[CallClass.COLLECTIVE]
-    ks, cids, occs = [], [], []
-    for regs in trace.regions:
-        k = np.flatnonzero(np.frombuffer(regs.class_codes, dtype=np.uint8)
-                           == coll_code)
-        cid = np.full(len(k), WORLD_COMM_ID, dtype=np.int64)
-        if len(k) and regs.comm_hints:
-            n = len(regs.comm_hints)
-            hk = np.fromiter(regs.comm_hints.keys(), dtype=np.int64, count=n)
-            hv = np.fromiter(regs.comm_hints.values(), dtype=np.int64, count=n)
-            at = np.minimum(np.searchsorted(k, hk), len(k) - 1)
-            hit = k[at] == hk
-            cid[at[hit]] = hv[hit]
-        # occurrence: position among the rank's regions of that communicator
-        by_cid = np.argsort(cid, kind="stable")
-        pos = np.arange(len(k))
-        run = np.ones(len(k), dtype=bool)
-        run[1:] = cid[by_cid[1:]] != cid[by_cid[:-1]]
-        occ = np.empty(len(k), dtype=np.int64)
-        occ[by_cid] = pos - np.maximum.accumulate(np.where(run, pos, 0))
-        ks.append(k)
-        cids.append(cid)
-        occs.append(occ)
-    counts = [len(k) for k in ks]
-    if not sum(counts):
+    table = trace.regions
+    rows = np.flatnonzero(table.class_codes
+                          == CLASS_CODES[CallClass.COLLECTIVE])
+    if not len(rows):
         return
+    rank = table.ranks_of(rows)
+    cid = np.full(len(rows), WORLD_COMM_ID, dtype=np.int64)
+    at = np.minimum(np.searchsorted(rows, table.hint_rows), len(rows) - 1)
+    hit = rows[at] == table.hint_rows
+    cid[at[hit]] = table.hint_values[hit]
+    # rows sorted by communicator keep rank-major row order; the
+    # occurrence is the position within each (communicator, rank) run
+    order = np.argsort(cid, kind="stable")
+    c, rk = cid[order], rank[order]
+    pos = np.arange(len(rows))
+    run = np.ones(len(rows), dtype=bool)
+    run[1:] = (c[1:] != c[:-1]) | (rk[1:] != rk[:-1])
+    occ = np.empty(len(rows), dtype=np.int64)
+    occ[order] = pos - np.maximum.accumulate(np.where(run, pos, 0))
+    del c, rk, run, pos
     # participant rows ordered by communicator, occurrence, rank; the
     # columns are gathered one at a time to keep few of them alive
-    rank = np.repeat(np.arange(len(ks), dtype=np.int32), counts)
-    cid = np.concatenate(cids)
-    occ = np.concatenate(occs)
-    del cids, occs
     order = np.lexsort((rank, occ, cid))
-    cid, occ, rank = cid[order], occ[order], rank[order]
-    head = np.ones(len(order), dtype=bool)
+    cid = cid[order]
+    occ = occ[order]
+    rank = rank[order]
+    rows = rows[order]
+    del order
+    head = np.ones(len(rows), dtype=bool)
     head[1:] = (cid[1:] != cid[:-1]) | (occ[1:] != occ[:-1])
     at = np.flatnonzero(head)
-    cid, occ = cid[at], occ[at]
-    entry = np.concatenate([np.frombuffer(regs.entry_times, dtype=np.int64)[k]
-                            for regs, k in zip(trace.regions, ks)])[order]
-    exit_ = np.concatenate([np.frombuffer(regs.exit_times, dtype=np.int64)[k]
-                            for regs, k in zip(trace.regions, ks)])[order]
-    k = np.concatenate(ks)[order]
-    del ks, order
     trace.collectives.extend_columns(
-        cid, occ, np.diff(np.append(at, len(k))), rank, entry, exit_, k)
+        cid[at], occ[at], np.diff(np.append(at, len(rows))), rank,
+        table.entry_times[rows], table.exit_times[rows],
+        rows - table.offsets[rank])
 
 
 def locate_regions(entries: np.ndarray, exits: np.ndarray, t: np.ndarray,
@@ -522,6 +597,36 @@ def locate_regions(entries: np.ndarray, exits: np.ndarray, t: np.ndarray,
         res = np.where(at_entry, np.maximum(
             lo, np.searchsorted(entries, t, side="left")), hi)
     return np.where(lo <= hi, res, -1)
+
+
+def rank_order(ranks: np.ndarray, rank_count: int) -> np.ndarray:
+    """A stable order of ranks, each in [0, rank_count), by rank.  They
+    are sorted as the smallest unsigned type that holds them, which
+    numpy radix-sorts."""
+    small = np.min_scalar_type(max(rank_count - 1, 0))
+    return np.argsort(ranks.astype(small), kind="stable")
+
+
+def locate_rows(table: RegionTable, ranks: np.ndarray, t: np.ndarray,
+                prefer_exit: bool = False) -> np.ndarray:
+    """Table row of the region of rank ranks[i] containing t[i], or -1.
+
+    locate_regions applied to each rank's slice of the table, with the
+    queries sorted by rank; ranks must lie in range."""
+    order = rank_order(ranks, table.rank_count)
+    bounds = np.searchsorted(ranks[order],
+                             np.arange(table.rank_count + 1)).tolist()
+    t = np.asarray(t, dtype=np.int64)[order]
+    offsets = table.offsets.tolist()
+    found = np.full(len(t), -1, dtype=np.int64)
+    for r in np.flatnonzero(np.diff(bounds)).tolist():
+        lo, hi = offsets[r], offsets[r + 1]
+        k = locate_regions(table.entry_times[lo:hi], table.exit_times[lo:hi],
+                           t[bounds[r]:bounds[r + 1]], prefer_exit)
+        found[bounds[r]:bounds[r + 1]] = np.where(k >= 0, k + lo, -1)
+    out = np.empty(len(t), dtype=np.int64)
+    out[order] = found
+    return out
 
 
 @dataclass(slots=True)
@@ -559,20 +664,27 @@ def validate_trace(trace: Trace) -> ValidationReport:
         report.add("meta.rank_count", "regions",
                    f"{len(trace.regions)} rank lists for {meta.rank_count} ranks")
 
-    max_ts = 0
-    for rank, regs in enumerate(trace.regions):
-        # seq and owner rank hold by construction; check times in bulk
-        if not len(regs):
-            continue
-        ent = np.frombuffer(regs.entry_times, dtype=np.int64)
-        ex = np.frombuffer(regs.exit_times, dtype=np.int64)
-        for k in np.nonzero(ent > ex)[0]:
-            report.add("region.negative", f"rank {rank} region {k}",
-                       f"entry {ent[k]} > exit {ex[k]}")
-        for k in np.nonzero(ent[1:] < ex[:-1])[0]:
-            report.add("region.overlap", f"rank {rank} region {k + 1}",
-                       f"entry {ent[k + 1]} < previous exit {ex[k]}")
-        max_ts = max(max_ts, int(ex.max()))
+    # seq and owner rank hold by construction; check times in bulk, and
+    # report each rank's negative regions, then its overlaps
+    table = trace.regions
+    ent, ex = table.entry_times, table.exit_times
+    head = np.zeros(len(ent), dtype=bool)
+    head[table.offsets[:-1][table.offsets[:-1] < len(ent)]] = True
+    negative = np.flatnonzero(ent > ex)
+    overlap = np.flatnonzero(~head[1:] & (ent[1:] < ex[:-1])) + 1
+    rows = np.concatenate((negative, overlap))
+    kind = np.repeat((0, 1), (len(negative), len(overlap)))
+    rank = table.ranks_of(rows)
+    for j, r, is_overlap in zip(*(a[np.lexsort((rows, kind, rank))].tolist()
+                                  for a in (rows, rank, kind))):
+        k = j - int(table.offsets[r])
+        if is_overlap:
+            report.add("region.overlap", f"rank {r} region {k}",
+                       f"entry {ent[j]} < previous exit {ex[j - 1]}")
+        else:
+            report.add("region.negative", f"rank {r} region {k}",
+                       f"entry {ent[j]} > exit {ex[j]}")
+    max_ts = max(0, int(ex.max())) if len(ex) else 0
 
     max_ts = _validate_messages(trace, report, max_ts)
 
@@ -693,16 +805,10 @@ def _validate_messages(trace: Trace, report: ValidationReport,
 
     outside_send = np.zeros(len(snd), dtype=bool)
     outside_recv = np.zeros(len(snd), dtype=bool)
-    for rank, regs in enumerate(trace.regions):
-        ent = np.frombuffer(regs.entry_times, dtype=np.int64)
-        ex = np.frombuffer(regs.exit_times, dtype=np.int64)
-        smask = in_range & (snd == rank)
-        if smask.any():
-            outside_send[smask] = locate_regions(ent, ex, sb[smask]) < 0
-        rmask = in_range & (rcv == rank)
-        if rmask.any():
-            outside_recv[rmask] = locate_regions(
-                ent, ex, re_[rmask], prefer_exit=True) < 0
+    ok = np.flatnonzero(in_range)
+    outside_send[ok] = locate_rows(trace.regions, snd[ok], sb[ok]) < 0
+    outside_recv[ok] = locate_rows(trace.regions, rcv[ok], re_[ok],
+                                   prefer_exit=True) < 0
     for i in np.nonzero(outside_send)[0]:
         report.add("message.sender_region", f"message {i}",
                    f"send_begin {sb[i]} outside any region of rank {snd[i]}")

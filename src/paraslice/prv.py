@@ -8,11 +8,17 @@ digit fields and colons only, with the field count of their kind -- are
 converted together in one bulk call.  Every other line (comments,
 communicator definitions, blank, garbled or oversized lines, signs,
 underscores, a lone carriage return, non-ASCII bytes) goes through the
-per-line rules of iter_raw_records on its decoded text.  A rank's events
-in a block pair into regions on array slices when they continue its
-cursor cleanly, and through the sequential _RankCursor rules otherwise,
+per-line rules of iter_raw_records on its decoded text.
+
+Each rank's open-region state (its cursor) lives in per-rank numpy
+columns.  A block's events pair into regions on arrays, for all ranks
+at once, wherever a rank's events continue its cursor cleanly; a rank
+that does not goes through the sequential cursor rules for that block,
 so counters and anomaly entries, in line order, are those of a
-record-at-a-time reader.
+record-at-a-time reader.  Both emit the block's regions as one chunk in
+rank order; at the end of the stream the chunks are scattered into one
+rank-major RegionTable, which keeps each rank's regions in emission
+order.
 
 Only MPI event types and communication records feed the model; state
 records are folded into per-rank totals for a cross-check, everything
@@ -22,6 +28,7 @@ else is counted and dropped.
 from __future__ import annotations
 
 import os
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter, itemgetter
@@ -32,16 +39,17 @@ import numpy as np
 from .model import (
     AnomalyKind,
     AnomalyLog,
-    CLASS_BY_CODE,
     CLASS_CODES,
     CallClass,
     CommunicatorDef,
     MessageStatus,
+    RegionTable,
     STATUS_CODES,
     TimeUnit,
     Trace,
     TraceMeta,
     group_collectives,
+    rank_order,
 )
 
 # Event types carrying MPI call activity.  A positive value opens a region
@@ -53,10 +61,11 @@ EVTYPE_OTHER = 50000003
 # same timestamp.  Absent, the collective belongs to the world communicator.
 EVTYPE_COMM_ID = 50000004
 
-_MPI_CLASS = {
-    EVTYPE_P2P: CallClass.POINT_TO_POINT,
-    EVTYPE_COLLECTIVE: CallClass.COLLECTIVE,
-    EVTYPE_OTHER: CallClass.OTHER_MPI,
+#: class code (CLASS_CODES) of the regions each MPI event type opens
+_MPI_CODE = {
+    EVTYPE_P2P: CLASS_CODES[CallClass.POINT_TO_POINT],
+    EVTYPE_COLLECTIVE: CLASS_CODES[CallClass.COLLECTIVE],
+    EVTYPE_OTHER: CLASS_CODES[CallClass.OTHER_MPI],
 }
 
 
@@ -281,28 +290,6 @@ def iter_raw_records(lines: Iterable[str], log: AnomalyLog,
         yield RawRecord(kind, fields, lineno)
 
 
-class _RankCursor:
-    """Open-region tracking for one rank during assembly.
-
-    A communicator-id companion event binds to the region opened at the
-    same timestamp, whichever of the two arrives first in the stream.
-    Times here are never negative: they start at 0 and are clamped to
-    never decrease.
-    """
-
-    __slots__ = ("open_entry", "open_class", "open_call", "open_hint",
-                 "hint_time", "hint_value", "last_time")
-
-    def __init__(self) -> None:
-        self.open_entry: int | None = None
-        self.open_class = CallClass.OTHER_MPI
-        self.open_call = 0
-        self.open_hint: int | None = None
-        self.hint_time: int | None = None
-        self.hint_value = 0
-        self.last_time = 0
-
-
 #: Bytes read per block.  A block ends at its last newline; the partial
 #: line after it opens the next block.
 BLOCK_SIZE = 1 << 19
@@ -368,7 +355,19 @@ def build_trace(stream: BinaryIO, meta: TraceMeta,
 
 class _Assembly:
     """The model under construction and each rank's cursor, which carry
-    from one block to the next."""
+    from one block to the next.
+
+    The cursors are per-rank columns: the entry time of the open region
+    (-1: none), its class code, call value and communicator hint; the
+    time (-1: none) and value of a hint waiting for a region opened at
+    its timestamp; and the last event time.  Times here are never
+    negative: they start at 0 and are clamped to never decrease.
+
+    Closed regions are emitted a chunk at a time, each chunk in rank
+    order, onto growing columns in emission order; a chunk is recorded
+    as its ranks and their region counts.  finish scatters the columns
+    into one rank-major RegionTable.
+    """
 
     def __init__(self, meta: TraceMeta, log: AnomalyLog,
                  counters: IngestCounters) -> None:
@@ -377,9 +376,44 @@ class _Assembly:
         self.counters = counters
         self.scale = _scale(meta.time_unit)
         self.trace = Trace.empty(meta)
-        self.cursors = [_RankCursor() for _ in range(meta.rank_count)]
+        P = meta.rank_count
+        self.open_entry = np.full(P, -1, dtype=np.int64)
+        self.open_class = np.full(P, CLASS_CODES[CallClass.OTHER_MPI],
+                                  dtype=np.int64)
+        self.open_call = np.zeros(P, dtype=np.int64)
+        self.open_hinted = np.zeros(P, dtype=bool)
+        self.open_hint = np.zeros(P, dtype=np.int64)
+        self.hint_time = np.full(P, -1, dtype=np.int64)
+        self.hint_value = np.zeros(P, dtype=np.int64)
+        self.last_time = np.zeros(P, dtype=np.int64)
+        self.region_counts = np.zeros(P, dtype=np.int64)
+        self.chunks: list[tuple[np.ndarray, np.ndarray]] = []
+        # entry, exit, class code, call; the hinted rows and their hints
+        self.columns = [array("q"), array("q"), array("B"), array("q")]
+        self.hint_rows = array("q")
+        self.hint_values = array("q")
         # the current block's anomalies, moved to log in line order
         self.pending = AnomalyLog()
+
+    def _emit(self, rank: np.ndarray, entry: np.ndarray, exit_: np.ndarray,
+              codes: np.ndarray, calls: np.ndarray, hinted: np.ndarray,
+              hints: np.ndarray) -> None:
+        """Closed regions as columns, ordered by rank, each rank's in
+        entry order; hints[i] is region i's hint where hinted[i] is set."""
+        if not len(rank):
+            return
+        head = np.flatnonzero(np.diff(rank, prepend=-1))
+        ranks = rank[head]
+        counts = np.diff(np.append(head, len(rank)))
+        self.region_counts[ranks] += counts
+        self.chunks.append((ranks, counts))
+        at = np.flatnonzero(hinted)
+        for column, values in (
+                (self.hint_rows, at + len(self.columns[0])),
+                (self.hint_values, hints[at]),
+                *zip(self.columns, (entry, exit_, codes, calls))):
+            column.frombytes(np.ascontiguousarray(
+                values, dtype=column.typecode).view(np.uint8))
 
     # --- one block -------------------------------------------------------
 
@@ -432,10 +466,7 @@ class _Assembly:
         self._states(tok, f0[sel], rank[sel])
         sel = ok & (kind == _EVENT_BYTE)
         self._events(tok, f0[sel], ncol[sel], linenos[sel], rank[sel], slow)
-        for r, queue in slow.items():
-            queue.sort(key=itemgetter(0))
-            for line, fields in queue:
-                self._event(r, fields, line)
+        self._sequential(slow)
 
         if self.pending.entries:
             self.pending.entries.sort(key=_entry_line)
@@ -584,51 +615,87 @@ class _Assembly:
                 trace.state_time_ns[key] = trace.state_time_ns.get(key, 0) \
                     + max(0, (f[5] - f[4]) * scale)
 
-    def _event(self, rank: int, f: list[int], lineno: int) -> None:
-        """One event record through its rank's cursor."""
-        cur = self.cursors[rank]
+    def _sequential(self, slow: _Queues) -> None:
+        """The queued events, rank by rank in line order, through the
+        cursor rules; their regions are emitted as one chunk."""
         log = self.pending
-        time = f[4] * self.scale
-        if time < cur.last_time:
-            log.add(AnomalyKind.NONMONOTONIC_TIMESTAMP, f"line {lineno}",
-                    f"rank {rank} time {time} before {cur.last_time}")
-            time = cur.last_time
-        cur.last_time = time
-        touched = False
-        for i in range(5, len(f), 2):
-            etype, value = f[i], f[i + 1]
-            klass = _MPI_CLASS.get(etype)
-            if klass is None:
-                if etype == EVTYPE_COMM_ID:
-                    if cur.open_entry == time:
-                        cur.open_hint = value
-                    else:
-                        cur.hint_time = time
-                        cur.hint_value = value
+        scale = self.scale
+        nonmonotonic = AnomalyKind.NONMONOTONIC_TIMESTAMP
+        rows: list[tuple[int, ...]] = []
+        touched_lines = 0
+        lines = 0
+        for rank in sorted(slow):
+            queue = slow[rank]
+            queue.sort(key=itemgetter(0))
+            lines += len(queue)
+            open_entry = int(self.open_entry[rank])
+            open_class = int(self.open_class[rank])
+            open_call = int(self.open_call[rank])
+            open_hint = int(self.open_hint[rank]) \
+                if self.open_hinted[rank] else None
+            hint_time = int(self.hint_time[rank])
+            hint_value = int(self.hint_value[rank])
+            last = int(self.last_time[rank])
+            for lineno, f in queue:
+                time = f[4] * scale
+                if time < last:
+                    log.add(nonmonotonic, f"line {lineno}",
+                            f"rank {rank} time {time} before {last}")
+                    time = last
+                last = time
+                touched = False
+                for i in range(5, len(f), 2):
+                    etype, value = f[i], f[i + 1]
+                    code = _MPI_CODE.get(etype)
+                    if code is None:
+                        if etype == EVTYPE_COMM_ID:
+                            if open_entry == time:
+                                open_hint = value
+                            else:
+                                hint_time = time
+                                hint_value = value
+                            touched = True
+                        continue
                     touched = True
-                continue
-            touched = True
-            if value > 0:
-                if cur.open_entry is not None:
-                    log.add(AnomalyKind.UNMATCHED_SEND, f"line {lineno}",
-                            f"rank {rank} region opened at {cur.open_entry} "
-                            f"never closed")
-                    _close_region(self.trace, rank, cur, time)
-                cur.open_entry = time
-                cur.open_class = klass
-                cur.open_call = value
-                if cur.hint_time == time:
-                    cur.open_hint = cur.hint_value
-                    cur.hint_time = None
-            elif cur.open_entry is None:
-                log.add(AnomalyKind.UNMATCHED_RECV, f"line {lineno}",
-                        f"rank {rank} close event with no open region")
-            else:
-                _close_region(self.trace, rank, cur, time)
-        if touched:
-            self.counters.consumed += 1
-        else:
-            self.counters.ignored += 1
+                    if value > 0:
+                        if open_entry >= 0:
+                            log.add(AnomalyKind.UNMATCHED_SEND,
+                                    f"line {lineno}",
+                                    f"rank {rank} region opened at "
+                                    f"{open_entry} never closed")
+                            rows.append((rank, open_entry, time, open_class,
+                                         open_call, open_hint is not None,
+                                         open_hint or 0))
+                            open_hint = None
+                        open_entry = time
+                        open_class = code
+                        open_call = value
+                        if hint_time == time:
+                            open_hint = hint_value
+                            hint_time = -1
+                    elif open_entry < 0:
+                        log.add(AnomalyKind.UNMATCHED_RECV, f"line {lineno}",
+                                f"rank {rank} close event with no open "
+                                f"region")
+                    else:
+                        rows.append((rank, open_entry, time, open_class,
+                                     open_call, open_hint is not None,
+                                     open_hint or 0))
+                        open_entry = -1
+                        open_hint = None
+                touched_lines += touched
+            self.open_entry[rank] = open_entry
+            self.open_class[rank] = open_class
+            self.open_call[rank] = open_call
+            self.open_hinted[rank] = open_hint is not None
+            self.open_hint[rank] = open_hint or 0
+            self.hint_time[rank] = hint_time
+            self.hint_value[rank] = hint_value
+            self.last_time[rank] = last
+        self.counters.consumed += touched_lines
+        self.counters.ignored += lines - touched_lines
+        if rows:
+            self._emit(*np.array(rows, dtype=np.int64).T)
 
     # --- the array paths -------------------------------------------------
 
@@ -706,29 +773,26 @@ class _Assembly:
                                      - (np.cumsum(npairs) - npairs)[p_line])
         p_type, p_value = tok[p_at], tok[p_at + 1]
         p_class = np.full(len(p_line), _FOREIGN, dtype=np.int64)
-        for etype, klass in _MPI_CLASS.items():
-            p_class[p_type == etype] = CLASS_CODES[klass]
+        for etype, code in _MPI_CODE.items():
+            p_class[p_type == etype] = code
         p_class[p_type == EVTYPE_COMM_ID] = _HINT
         touched = np.zeros(len(f0), dtype=bool)
         touched[p_line[p_class != _FOREIGN]] = True
 
         # group g: one rank's lines, in line order
-        by_rank = np.argsort(ranks, kind="stable")
-        g_rank, g_start, g_count = np.unique(
-            ranks[by_rank], return_index=True, return_counts=True)
+        by_rank = rank_order(ranks, self.meta.rank_count)
+        g_start = np.flatnonzero(np.diff(ranks[by_rank], prepend=-1))
+        g_rank = ranks[by_rank[g_start]]
+        g_count = np.diff(np.append(g_start, len(f0)))
         line_g = np.empty(len(f0), dtype=np.int64)
         line_g[by_rank] = np.repeat(np.arange(len(g_rank)), g_count)
-        curs = [self.cursors[r] for r in g_rank.tolist()]
-        c_last = np.array([c.last_time for c in curs], dtype=np.int64)
-        c_open = np.array([-1 if c.open_entry is None else c.open_entry
-                           for c in curs], dtype=np.int64)
-        c_pending = np.array([-1 if c.hint_time is None else c.hint_time
-                              for c in curs], dtype=np.int64)
-        c_class = np.array([CLASS_CODES[c.open_class] for c in curs],
-                           dtype=np.int64)
-        c_call = np.array([c.open_call for c in curs], dtype=np.int64)
-        c_hinted = np.array([c.open_hint is not None for c in curs])
-        c_hint = np.array([c.open_hint or 0 for c in curs], dtype=np.int64)
+        c_last = self.last_time[g_rank]
+        c_open = self.open_entry[g_rank]
+        c_pending = self.hint_time[g_rank]
+        c_class = self.open_class[g_rank]
+        c_call = self.open_call[g_rank]
+        c_hinted = self.open_hinted[g_rank]
+        c_hint = self.open_hint[g_rank]
 
         bad = np.isin(g_rank, list(slow))
         g_times = times[by_rank]
@@ -795,60 +859,91 @@ class _Assembly:
         calls = np.where(in_block, m_value[opened], c_call[r_g])
         hinted = np.where(in_block, m_hinted[opened], c_hinted[r_g])
         hints = np.where(in_block, m_hint[opened], c_hint[r_g])
-        groups = np.arange(len(g_rank) + 1)
-        r_at = np.searchsorted(r_g, groups).tolist()
-        m_at = np.searchsorted(m_g, groups).tolist()
-        g_end = (g_start + g_count).tolist()
+        self._emit(g_rank[r_g], entry, exit_, codes, calls, hinted, hints)
 
-        regions = self.trace.regions
-        for g, (rank, cur) in enumerate(zip(g_rank.tolist(), curs)):
-            if bad[g]:
-                queue = slow.setdefault(rank, [])
-                for i in by_rank[g_start[g]:g_end[g]].tolist():
-                    queue.append((int(linenos[i]),
-                                  tok[f0[i]:f0[i] + ncol[i]].tolist()))
-                continue
-            lo, hi = r_at[g], r_at[g + 1]
-            if hi > lo:
-                regions[rank].extend_columns(
-                    entry[lo:hi], exit_[lo:hi], codes[lo:hi], calls[lo:hi],
-                    hinted[lo:hi], hints[lo:hi])
-            last = m_at[g + 1] - 1
-            if last >= m_at[g]:
-                if m_open[last]:
-                    cur.open_entry = int(m_time[last])
-                    cur.open_class = CLASS_BY_CODE[m_class[last]]
-                    cur.open_call = int(m_value[last])
-                    cur.open_hint = int(m_hint[last]) if m_hinted[last] \
-                        else None
-                else:
-                    cur.open_entry = None
-                    cur.open_hint = None
-            elif c_hinted[g]:
-                cur.open_hint = int(c_hint[g])
-            cur.last_time = int(g_times[g_end[g] - 1])
-            cur.hint_time = None     # none pending, or older than any time ahead
+        # the cursors of the good groups: the open region after their
+        # last MPI event, or the carried one with its hint
+        good = np.flatnonzero(~bad)
+        m_at = np.searchsorted(m_g, np.arange(len(g_rank) + 1))
+        last = m_at[1:][good] - 1
+        has = last >= m_at[:-1][good]
+        r, last = g_rank[good[has]], last[has]
+        is_open = m_open[last]
+        self.open_entry[r] = np.where(is_open, m_time[last], -1)
+        self.open_class[r[is_open]] = m_class[last[is_open]]
+        self.open_call[r[is_open]] = m_value[last[is_open]]
+        self.open_hinted[r] = is_open & m_hinted[last]
+        self.open_hint[r] = m_hint[last]
+        carried = good[~has]
+        self.open_hinted[g_rank[carried]] = c_hinted[carried]
+        self.open_hint[g_rank[carried]] = c_hint[carried]
+        self.last_time[g_rank[good]] = \
+            g_times[g_start[good] + g_count[good] - 1]
+        # none pending, or older than any time ahead
+        self.hint_time[g_rank[good]] = -1
+
+        # the bad groups' lines go to the cursor rules
+        lines = by_rank[np.repeat(bad, g_count)]
+        for r, line, at, n in zip(ranks[lines].tolist(),
+                                  linenos[lines].tolist(),
+                                  f0[lines].tolist(), ncol[lines].tolist()):
+            slow.setdefault(r, []).append((line, tok[at:at + n].tolist()))
 
     # --- end of stream ---------------------------------------------------
 
     def finish(self) -> Trace:
+        still = np.flatnonzero(self.open_entry >= 0)
+        for rank, entry in zip(still.tolist(),
+                               self.open_entry[still].tolist()):
+            self.log.add(AnomalyKind.UNMATCHED_SEND, f"rank {rank}",
+                         f"region opened at {entry} still open at stream end")
+        self._emit(still, self.open_entry[still], self.last_time[still],
+                   self.open_class[still], self.open_call[still],
+                   self.open_hinted[still], self.open_hint[still])
         trace = self.trace
-        for rank, cur in enumerate(self.cursors):
-            if cur.open_entry is not None:
-                self.log.add(AnomalyKind.UNMATCHED_SEND, f"rank {rank}",
-                             f"region opened at {cur.open_entry} still open "
-                             f"at stream end")
-                _close_region(trace, rank, cur, cur.last_time)
+        trace.regions = self._table()
         group_collectives(trace)
         self.counters.anomalies = self.log.total
         return trace
 
+    def _table(self) -> RegionTable:
+        """The emitted regions as one rank-major table.  A chunk's rows of
+        rank r follow that rank's rows of the chunks before it, so every
+        rank keeps its emission order.  The columns are scattered one at a
+        time, a chunk at a time, and each is freed once copied."""
+        offsets = np.zeros(len(self.region_counts) + 1, dtype=np.int64)
+        np.cumsum(self.region_counts, out=offsets[1:])
+        fill = offsets[:-1].copy()
+        starts = [0]        # first emitted row of each chunk
+        shift = []          # per chunk and rank: table row - emitted row
+        for ranks, counts in self.chunks:
+            shift.append(fill[ranks] + counts - np.cumsum(counts)
+                         - starts[-1])
+            fill[ranks] += counts
+            starts.append(starts[-1] + int(counts.sum()))
 
-def _close_region(trace: Trace, rank: int, cur: _RankCursor, time: int) -> None:
-    trace.regions[rank].append_fields(cur.open_entry, time, cur.open_class,
-                                      cur.open_call, cur.open_hint)
-    cur.open_entry = None
-    cur.open_hint = None
+        def rows(i: int) -> np.ndarray:
+            return np.repeat(shift[i], self.chunks[i][1]) \
+                + np.arange(starts[i], starts[i + 1])
+
+        columns = []
+        for c, column in enumerate(self.columns):
+            values = np.frombuffer(column, dtype=column.typecode)
+            out = np.empty(offsets[-1], dtype=values.dtype)
+            for i in range(len(self.chunks)):
+                out[rows(i)] = values[starts[i]:starts[i + 1]]
+            del values
+            self.columns[c] = None
+            columns.append(out)
+        emitted = np.frombuffer(self.hint_rows, dtype=np.int64)
+        at = np.searchsorted(emitted, starts)
+        hint_rows = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+            rows(i)[emitted[at[i]:at[i + 1]] - starts[i]]
+            for i in range(len(self.chunks))])
+        order = np.argsort(hint_rows)
+        return RegionTable(offsets, *columns, hint_rows[order],
+                           np.frombuffer(self.hint_values,
+                                         dtype=np.int64)[order])
 
 
 def parse_pcf_labels(lines: Iterable[str],

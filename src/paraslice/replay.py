@@ -40,9 +40,12 @@ from .model import (
     CallClass,
     MessageStatus,
     STATUS_CODES,
+    RegionTable,
     Trace,
     WORLD_COMM_ID,
-    locate_regions,
+    distinct,
+    locate_rows,
+    rank_order,
 )
 
 DEFAULT_EAGER_LIMIT = 65536
@@ -103,26 +106,23 @@ class RankTimeline:
 
     times[0] is the start sentinel 0 and times[-1] the end sentinel at the
     trace end; elapsed always equals the event time, so only the other two
-    clocks are stored.  event_times lists the uncollapsed MPI region
-    entries and exits for window planning.
+    clocks are stored.
     """
 
-    __slots__ = ("rank", "times", "oom", "ideal", "event_times")
+    __slots__ = ("rank", "times", "oom", "ideal")
 
     def __init__(self, rank: int, times: np.ndarray, oom: np.ndarray,
-                 ideal: np.ndarray, event_times: np.ndarray):
+                 ideal: np.ndarray):
         self.rank = rank
         self.times = times
         self.oom = oom
         self.ideal = ideal
-        self.event_times = event_times
 
     @classmethod
-    def from_points(cls, rank: int, points: list[tuple[int, int, int]],
-                    event_times: list[int] | None = None) -> "RankTimeline":
+    def from_points(cls, rank: int,
+                    points: list[tuple[int, int, int]]) -> "RankTimeline":
         arr = np.asarray(points, dtype=np.int64).reshape(-1, 3)
-        return cls(rank, arr[:, 0].copy(), arr[:, 1].copy(), arr[:, 2].copy(),
-                   np.asarray(event_times or [], dtype=np.int64))
+        return cls(rank, arr[:, 0].copy(), arr[:, 1].copy(), arr[:, 2].copy())
 
     def __len__(self) -> int:
         return len(self.times)
@@ -136,11 +136,22 @@ class RankTimeline:
 
 
 class AnnotatedTimeline:
-    """Replay output: one RankTimeline per rank plus the shared end time."""
+    """Replay output: one RankTimeline per rank plus the shared end time.
 
-    def __init__(self, ranks: list[RankTimeline], total_duration: int):
+    The MPI event times that window planning counts are rank-major
+    columns: rank r owns rows event_offsets[r]:event_offsets[r+1] of each
+    column in event_columns.  Replay hands over the region table's entry
+    and exit columns, uncopied.
+    """
+
+    def __init__(self, ranks: list[RankTimeline], total_duration: int,
+                 event_offsets: np.ndarray | None = None,
+                 event_columns: tuple[np.ndarray, ...] = ()):
         self.ranks = ranks
         self.total_duration = total_duration
+        self.event_offsets = np.zeros(len(ranks) + 1, dtype=np.int64) \
+            if event_offsets is None else event_offsets
+        self.event_columns = event_columns
 
     @property
     def rank_count(self) -> int:
@@ -151,11 +162,12 @@ class AnnotatedTimeline:
 
 
 class WorldCollectiveIndex:
-    """Per-rank view of world-communicator collectives for causality checks.
+    """World-communicator collectives by rank, for causality checks.
 
-    For each rank that takes part in a world collective: its entry times
-    and occurrence indices in occurrence order, and the suffix minima of
-    its exit times, aligned with the occurrences.
+    One row per world participant, sorted by (rank, occurrence): its
+    entry time, occurrence index, and the minimum exit time over the
+    rank's rows from this one on.  Rank r owns rows bounds[r] to
+    bounds[r + 1].
     """
 
     def __init__(self, trace: Trace):
@@ -167,21 +179,20 @@ class WorldCollectiveIndex:
                         counts)[world]
         rank = np.frombuffer(colls.part_ranks, dtype=np.int64)[world]
         order = np.lexsort((occ, rank))
-        rank = rank[order]
-        occ = occ[order]
-        entry = np.frombuffer(colls.part_entries, dtype=np.int64)[world][order]
+        self.ranks = rank[order]
+        self.occs = occ[order]
+        self.entries = np.frombuffer(colls.part_entries,
+                                     dtype=np.int64)[world][order]
         exit_ = np.frombuffer(colls.part_exits, dtype=np.int64)[world][order]
-        # each rank's rows run from one bound to the next
-        bounds = np.flatnonzero(np.diff(rank, prepend=-1, append=-1)).tolist()
-        self.entries: dict[int, np.ndarray] = {}
-        self.occs: dict[int, np.ndarray] = {}
-        self.suffix_min_exit: dict[int, np.ndarray] = {}
-        for lo, hi in zip(bounds, bounds[1:]):
-            r = int(rank[lo])
-            self.entries[r] = entry[lo:hi]
-            self.occs[r] = occ[lo:hi]
-            self.suffix_min_exit[r] = \
-                np.minimum.accumulate(exit_[lo:hi][::-1])[::-1]
+        self.bounds = np.searchsorted(
+            self.ranks, np.arange(trace.meta.rank_count + 1)).tolist()
+        self.suffix_min_exit = exit_
+        for r in np.flatnonzero(np.diff(self.bounds)).tolist():
+            rows = slice(self.bounds[r], self.bounds[r + 1])
+            exit_[rows] = np.minimum.accumulate(exit_[rows][::-1])[::-1]
+        # (rank, occurrence) as one sorted key
+        self.width = int(self.occs.max()) + 1 if len(order) else 1
+        self.occ_keys = self.ranks * self.width + self.occs
 
     def crosses_many(self, snd: np.ndarray, rcv: np.ndarray, sb: np.ndarray,
                      re_: np.ndarray) -> np.ndarray:
@@ -194,34 +205,30 @@ class WorldCollectiveIndex:
         simultaneous, which zero-length regions produce legitimately.
         """
         out = np.zeros(len(snd), dtype=bool)
-        if not self.entries:
+        n = len(self.ranks)
+        if not n:
             return out
-        base = np.arange(len(snd))
-        for receiver in np.unique(rcv):
-            rent = self.entries.get(int(receiver))
-            if rent is None:
-                continue
-            rocc = self.occs[int(receiver)]
-            rsel = base[rcv == receiver]
-            i = np.searchsorted(rent, re_[rsel], side="right")
-            has = i < len(rent)
-            rsel = rsel[has]
-            if not len(rsel):
-                continue
-            occ = rocc[i[has]]
-            sgroup = snd[rsel]
-            for sender in np.unique(sgroup):
-                socc = self.occs.get(int(sender))
-                if socc is None:
-                    continue
-                ssuf = self.suffix_min_exit[int(sender)]
-                pick = sgroup == sender
-                ssel = rsel[pick]
-                j = np.searchsorted(socc, occ[pick], side="left")
-                ok = j < len(socc)
-                sel_ok = ssel[ok]
-                hit = ssuf[j[ok]] < sb[sel_ok]
-                out[sel_ok[hit]] = True
+        P = len(self.bounds) - 1
+        sel = np.flatnonzero((snd >= 0) & (snd < P) & (rcv >= 0) & (rcv < P))
+        # the receiver's first world collective entered after the
+        # receive completes, searched with the messages sorted by receiver
+        sel = sel[rank_order(rcv[sel], P)]
+        cut = np.searchsorted(rcv[sel], np.arange(P + 1)).tolist()
+        t = re_[sel]
+        row = np.full(len(sel), -1, dtype=np.int64)
+        for r in np.flatnonzero(np.diff(cut)).tolist():
+            lo, hi = self.bounds[r], self.bounds[r + 1]
+            i = lo + np.searchsorted(self.entries[lo:hi],
+                                     t[cut[r]:cut[r + 1]], side="right")
+            row[cut[r]:cut[r + 1]] = np.where(i < hi, i, -1)
+        sel, row = sel[row >= 0], row[row >= 0]
+        # the sender's first world collective of that occurrence or later
+        s = snd[sel]
+        j = np.searchsorted(self.occ_keys, s * self.width + self.occs[row])
+        found = j < n
+        j = np.minimum(j, n - 1)
+        out[sel] = found & (self.ranks[j] == s) \
+            & (self.suffix_min_exit[j] < sb[sel])
         return out
 
 
@@ -240,20 +247,15 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
     meta = trace.meta
     P = meta.rank_count
 
-    entries = [regs.entry_times for regs in trace.regions]
-    exits = [regs.exit_times for regs in trace.regions]
-    nreg = [len(regs) for regs in trace.regions]
-    ent_np = [np.frombuffer(e, dtype=np.int64) for e in entries]
-    ex_np = [np.frombuffer(x, dtype=np.int64) for x in exits]
-    # regions are numbered globally: rank r's region k is base[r] + k
-    base = np.zeros(P + 1, dtype=np.int64)
-    np.cumsum(nreg, out=base[1:])
-    N = int(base[-1])
-
-    end_time = meta.total_duration_ns
-    for r in range(P):
-        if nreg[r]:
-            end_time = max(end_time, exits[r][-1])
+    # regions are numbered by their row in the rank-major table: rank
+    # r's region k is row offsets[r] + k
+    table = trace.regions
+    offsets = table.offsets
+    ent, ex = table.entry_times, table.exit_times
+    N = table.row_count
+    ends = offsets[1:][offsets[1:] > offsets[:-1]] - 1    # last rows
+    end_time = max(meta.total_duration_ns, int(ex[ends].max())) \
+        if len(ends) else meta.total_duration_ns
 
     msgs = trace.messages
     nmsg = len(msgs)
@@ -276,7 +278,7 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
         rev = valid & (sb_np > re_np)
         cross = np.zeros(nmsg, dtype=bool)
         chk = np.nonzero(valid & ~rev)[0]
-        if len(chk) and world_index.entries:
+        if len(chk):
             cross[chk] = world_index.crosses_many(
                 snd_np[chk], rcv_np[chk], sb_np[chk], re_np[chk])
         del world_index
@@ -297,25 +299,21 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
     # A receive edge runs from the sender's region holding the send to the
     # receiver's region holding the receive; a rendezvous floor runs back
     # from the receive region to the send region.
-    sk = np.full(nmsg, -1, dtype=np.int64)
-    rk = np.full(nmsg, -1, dtype=np.int64)
+    s_row = np.full(nmsg, -1, dtype=np.int64)
+    r_row = np.full(nmsg, -1, dtype=np.int64)
     recv_i = floor_i = np.zeros(0, dtype=np.int64)
     if nmsg:
         consider = st_np == _STATUS_VALID
         rank_ok = ((snd_np >= 0) & (snd_np < P)
                    & (rcv_np >= 0) & (rcv_np < P))
-        for r in range(P):
-            smask = consider & rank_ok & (snd_np == r)
-            if smask.any():
-                sk[smask] = locate_regions(ent_np[r], ex_np[r], sb_np[smask])
-            rmask = consider & rank_ok & (rcv_np == r)
-            if rmask.any():
-                rk[rmask] = locate_regions(ent_np[r], ex_np[r], re_np[rmask],
-                                           prefer_exit=True)
+        at = np.flatnonzero(consider & rank_ok)
+        s_row[at] = locate_rows(table, snd_np[at], sb_np[at])
+        r_row[at] = locate_rows(table, rcv_np[at], re_np[at],
+                                prefer_exit=True)
 
         bad_rank = consider & ~rank_ok
-        un_send = consider & rank_ok & (sk < 0)
-        un_recv = consider & rank_ok & (sk >= 0) & (rk < 0)
+        un_send = consider & rank_ok & (s_row < 0)
+        un_recv = consider & rank_ok & (s_row >= 0) & (r_row < 0)
         for i in np.nonzero(bad_rank | un_send | un_recv)[0]:
             i = int(i)
             if bad_rank[i]:
@@ -338,27 +336,24 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
                         f"unmatched receive of message {i}")
             m_status[i] = _STATUS_FAULTY
 
-        attached = np.flatnonzero(consider & rank_ok & (sk >= 0) & (rk >= 0))
-        del consider, rank_ok, bad_rank, un_send, un_recv
+        attached = np.flatnonzero(consider & rank_ok & (s_row >= 0)
+                                  & (r_row >= 0))
+        del consider, rank_ok, bad_rank, un_send, un_recv, at
         # regions of the other-MPI class never synchronize, and an edge
         # from a region to itself holds nothing back
-        kl = [np.frombuffer(regs.class_codes, dtype=np.uint8)
-              for regs in trace.regions]
-        codes = np.concatenate(kl) if kl else np.zeros(0, dtype=np.uint8)
-        sg = base[snd_np[attached]] + sk[attached]
-        rg = base[rcv_np[attached]] + rk[attached]
+        sg, rg = s_row[attached], r_row[attached]
         linked = sg != rg
-        recv_i = attached[linked & (codes[rg] != _CODE_OTHER)]
-        floor_i = attached[linked & (codes[sg] != _CODE_OTHER)
+        recv_i = attached[linked & (table.class_codes[rg] != _CODE_OTHER)]
+        floor_i = attached[linked & (table.class_codes[sg] != _CODE_OTHER)
                            & (sz_np[attached] > config.eager_limit_bytes)]
-        del attached, kl, codes, sg, rg, linked
+        del attached, sg, rg, linked
 
     # --- attach collectives --------------------------------------------------
     colls = trace.collectives
     op_skip = _skipped_collectives(trace, config, log)
     part_counts = np.diff(np.frombuffer(colls.part_offsets, dtype=np.int64))
     part_op = np.repeat(np.arange(len(op_skip), dtype=np.int64), part_counts)
-    part_g = (base[np.frombuffer(colls.part_ranks, dtype=np.int64)]
+    part_g = (offsets[np.frombuffer(colls.part_ranks, dtype=np.int64)]
               + np.frombuffer(colls.part_region_idx, dtype=np.int64))
     live = ~op_skip[part_op]
 
@@ -368,9 +363,7 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
     # the message index and its consumer region; a collective arrival
     # holds ~occurrence.  Each region counts its unfired edges, plus one
     # while its collective occurrence has not delivered.
-    prov = np.concatenate((base[snd_np[recv_i]] + sk[recv_i],
-                           base[rcv_np[floor_i]] + rk[floor_i],
-                           part_g[live]))
+    prov = np.concatenate((s_row[recv_i], r_row[floor_i], part_g[live]))
     order = np.argsort(prov, kind="stable")
     trig_off = _flat(np.searchsorted(prov[order], np.arange(N + 1)),
                      len(prov) + 1)
@@ -378,8 +371,7 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
     ids = np.concatenate((recv_i, floor_i, ~part_op[live]))[order]
     trig_id = _flat(ids, max(nmsg, len(op_skip)))
     del ids
-    cons = np.concatenate((base[rcv_np[recv_i]] + rk[recv_i],
-                           base[snd_np[floor_i]] + sk[floor_i],
+    cons = np.concatenate((r_row[recv_i], s_row[floor_i],
                            np.zeros(int(live.sum()), dtype=np.int64)))
     counts = (np.bincount(cons[:len(recv_i) + len(floor_i)], minlength=N)
               + np.bincount(part_g[live], minlength=N))
@@ -401,17 +393,16 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
 
     # entry ideal of region g: the exit ideal before it plus gap[g], the
     # out-of-MPI time in between (a rank's first region: its entry time)
-    gap = np.zeros(N, dtype=np.int64)
+    gap = np.empty(N, dtype=np.int64)
     if N:
-        ent_all = np.concatenate(ent_np)
-        gap[1:] = ent_all[1:] - np.concatenate(ex_np)[:-1]
-        heads = base[:-1][np.asarray(nreg) > 0]
-        gap[heads] = ent_all[heads]
-        del ent_all, heads
+        gap[1:] = ent[1:] - ex[:-1]
+        heads = offsets[:-1][offsets[1:] > offsets[:-1]]
+        gap[heads] = ent[heads]
+        del heads
     gap = _flat(gap)
 
-    first = base[:-1].tolist()
-    stop = base[1:].tolist()
+    first = offsets[:-1].tolist()
+    stop = offsets[1:].tolist()
     front = list(first)          # per rank: the global id of its frontier
     ready: deque[int] = deque()
     queued = bytearray(P)
@@ -479,7 +470,7 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
                                ).astype(np.int64)
             msg = ti >= 0
             mi = ti[msg]
-            key = 2 * tc[msg] + (tc[msg] != base[rcv_np[mi]] + rk[mi])
+            key = 2 * tc[msg] + (tc[msg] != r_row[mi])
             order = np.lexsort((mi, key))
             view.extend((key[order], mi[order]))
         key, mi = view
@@ -499,24 +490,25 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
     def ptr(r: int) -> int:
         return front[r] - first[r]
 
-    def entry_ideal(r: int, k: int) -> int:
-        g = first[r] + k
-        return gap[g] + (ideal_exit[g - 1] if k else 0)
+    def entry_ideal(r: int, g: int) -> int:
+        return gap[g] + (ideal_exit[g - 1] if g != first[r] else 0)
 
     def first_unmet(r: int) -> tuple[int, int] | None:
         """A dependency rank r's frontier waits on, as (rank, region)."""
         recv, floor = edges_into(front[r])
         for i in recv:
-            if not m_status[i] and ptr(m_sender[i]) < sk[i]:
-                return m_sender[i], int(sk[i])
+            s = m_sender[i]
+            if not m_status[i] and front[s] < s_row[i]:
+                return s, int(s_row[i]) - first[s]
         for i in floor:
-            if not m_status[i] and ptr(m_receiver[i]) < rk[i]:
-                return m_receiver[i], int(rk[i])
+            q = m_receiver[i]
+            if not m_status[i] and front[q] < r_row[i]:
+                return q, int(r_row[i]) - first[q]
         o = occurrence_at(front[r])
         if o >= 0 and not op_skip[o] and left[o]:
             for j in range(part_off[o], part_off[o + 1]):
                 pr = part_rank[j]
-                if ptr(pr) < part_gid[j] - first[pr]:
+                if front[pr] < part_gid[j]:
                     return pr, part_gid[j] - first[pr]
         return None
 
@@ -525,11 +517,13 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
         v = _NONE
         recv, floor = edges_into(g)
         for i in recv:
-            if not m_status[i] and ptr(m_sender[i]) >= sk[i]:
-                v = max(v, entry_ideal(m_sender[i], int(sk[i])))
+            s = m_sender[i]
+            if not m_status[i] and front[s] >= s_row[i]:
+                v = max(v, entry_ideal(s, int(s_row[i])))
         for i in floor:
-            if not m_status[i] and ptr(m_receiver[i]) >= rk[i]:
-                v = max(v, entry_ideal(m_receiver[i], int(rk[i])))
+            q = m_receiver[i]
+            if not m_status[i] and front[q] >= r_row[i]:
+                v = max(v, entry_ideal(q, int(r_row[i])))
         o = occurrence_at(g)
         if o >= 0 and not op_skip[o] and not left[o]:
             v = max(v, op_max[o])
@@ -539,8 +533,8 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
         """Drop both edges of message i: an unfired edge releases its
         consumer's count, a fired one is taken back out of its maximum."""
         m_status[i] = _STATUS_FAULTY
-        s, sg = m_sender[i], first[m_sender[i]] + int(sk[i])
-        r, rg = m_receiver[i], first[m_receiver[i]] + int(rk[i])
+        s, sg = m_sender[i], int(s_row[i])
+        r, rg = m_receiver[i], int(r_row[i])
         for prov_r, prov_g, cons_r, cons_g, floor in (
                 (s, sg, r, rg, False), (r, rg, s, sg, True)):
             if i not in edges_into(cons_g)[floor]:
@@ -577,14 +571,14 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
             recv, floor = edges_into(front[r])
             for i in recv:
                 if not m_status[i] and m_sender[i] in cycle_set \
-                        and ptr(m_sender[i]) < sk[i]:
+                        and front[m_sender[i]] < s_row[i]:
                     degrade(i)
                     log.add(AnomalyKind.REVERSED_PTP, f"rank {r} region {k}",
                             "message on a dependency cycle")
                     degraded = True
             for i in floor:
                 if not m_status[i] and m_receiver[i] in cycle_set \
-                        and ptr(m_receiver[i]) < rk[i]:
+                        and front[m_receiver[i]] < r_row[i]:
                     degrade(i)
                     log.add(AnomalyKind.REVERSED_PTP, f"rank {r} region {k}",
                             "rendezvous floor on a dependency cycle")
@@ -649,9 +643,9 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
     # the timeline needs only the exit ideals
     del trig_off, trig_id, trig_cons, count, gap, view, coll_of
 
-    timeline = _assemble_timeline(trace, ent_np, ex_np,
-                                  np.frombuffer(ideal_exit, dtype=np.int64),
-                                  base, end_time)
+    timeline = _assemble_timeline(table, np.frombuffer(ideal_exit,
+                                                       dtype=np.int64),
+                                  end_time)
     return timeline, log
 
 
@@ -670,11 +664,11 @@ def _skipped_collectives(trace: Trace, config: ReplayConfig,
     # participants are distinct ranks in rank order, so they match the
     # membership iff they equal its sorted distinct members
     bad = np.ones(nops, dtype=bool)
-    for c in np.unique(cid):
-        comm = trace.communicators.get(int(c))
+    for c in distinct(cid).tolist():
+        comm = trace.communicators.get(c)
         if comm is None:
             continue
-        members = np.unique(np.asarray(comm.members, dtype=np.int64))
+        members = distinct(comm.members)
         fit = (cid == c) & (counts == len(members))
         if fit.any():
             ranks = prank[np.repeat(fit, counts)].reshape(-1, len(members))
@@ -689,54 +683,77 @@ def _skipped_collectives(trace: Trace, config: ReplayConfig,
     return bad
 
 
-def _assemble_timeline(trace: Trace, ent_np, ex_np, ideal_exit: np.ndarray,
-                       base: np.ndarray, end_time: int) -> AnnotatedTimeline:
-    ranks: list[RankTimeline] = []
-    for r in range(trace.meta.rank_count):
-        en = ent_np[r]
-        ex = ex_np[r]
-        ie = ideal_exit[base[r]:base[r + 1]]
-        n = len(en)
+def _assemble_timeline(table: RegionTable, ideal_exit: np.ndarray,
+                       end_time: int) -> AnnotatedTimeline:
+    """Every rank's clock points, built for all ranks at once in one
+    rank-major column per clock and cut into per-rank views.
 
-        # clocks at region boundaries: oom and ideal advance by the
-        # out-of-MPI gap before each entry; an exit carries the finalized
-        # ideal and the unchanged oom
-        prev_ex = np.empty(n, dtype=np.int64)
-        prev_ie = np.empty(n, dtype=np.int64)
-        if n:
-            prev_ex[0] = 0
-            prev_ex[1:] = ex[:-1]
-            prev_ie[0] = 0
-            prev_ie[1:] = ie[:-1]
-        gap = en - prev_ex
-        oom_entry = np.cumsum(gap)
-        ideal_entry = prev_ie + gap
+    Rank r's points: the start sentinel 0, an entry and an exit point per
+    region, and the end sentinel when the trace ends after its last exit.
+    oom and ideal advance by the out-of-MPI gap before each entry; an exit
+    carries the finalized ideal and the unchanged oom.  Points at equal
+    timestamps collapse onto the last one written: a point is dropped when
+    the next point of its rank has its time.
+    """
+    P = table.rank_count
+    offsets = table.offsets
+    ent, ex = table.entry_times, table.exit_times
+    n = np.diff(offsets)
+    busy = n > 0
+    head = offsets[:-1][busy]       # first and last row of each rank
+    tail = offsets[1:][busy] - 1    # that has regions
 
-        last = int(ex[-1]) if n else 0
-        tail_oom = int(oom_entry[-1]) if n else 0
-        tail_ideal = int(ie[-1]) if n else 0
-        size = 1 + 2 * n + (1 if end_time > last else 0)
-        t = np.empty(size, dtype=np.int64)
-        o = np.empty(size, dtype=np.int64)
-        d = np.empty(size, dtype=np.int64)
-        t[0] = o[0] = d[0] = 0
-        t[1:2 * n + 1:2] = en
-        t[2:2 * n + 1:2] = ex
-        o[1:2 * n + 1:2] = oom_entry
-        o[2:2 * n + 1:2] = oom_entry
-        d[1:2 * n + 1:2] = ideal_entry
-        d[2:2 * n + 1:2] = ie
-        if end_time > last:
-            t[-1] = end_time
-            o[-1] = tail_oom + end_time - last
-            d[-1] = tail_ideal + end_time - last
+    def by_rank(values) -> np.ndarray:
+        """values of the ranks with regions, 0 for the others."""
+        out = np.zeros(P, dtype=np.int64)
+        out[busy] = values
+        return out
 
-        # points at equal timestamps collapse onto the last one written
-        keep = np.empty(size, dtype=bool)
-        keep[:-1] = t[:-1] != t[1:]
-        keep[-1] = True
-        ev = np.empty(2 * n, dtype=np.int64)
-        ev[0::2] = en
-        ev[1::2] = ex
-        ranks.append(RankTimeline(r, t[keep], o[keep], d[keep], ev))
-    return AnnotatedTimeline(ranks, end_time)
+    last = by_rank(ex[tail])
+    extra = end_time > last         # ranks that get an end sentinel
+    keep_start = ~busy | (by_rank(ent[head]) != 0)
+    keep_entry = ent != ex
+    keep_exit = np.ones(len(ent), dtype=bool)
+    keep_exit[:-1] = ex[:-1] != ent[1:]
+    keep_exit[tail] = True
+    # output position of every kept point: kept points before it, per
+    # rank, after the rank's first output position
+    entry_at = np.cumsum(keep_entry, dtype=np.int64)
+    entry_at += np.cumsum(keep_exit, dtype=np.int64)
+    rank_kept = by_rank(entry_at[tail])
+    entry_at -= keep_entry
+    entry_at -= keep_exit
+    rank_kept -= by_rank(entry_at[head])
+    stop = np.cumsum(keep_start + rank_kept + extra)
+    entry_at += np.repeat((stop - rank_kept - extra)[busy] - entry_at[head],
+                          n[busy])
+    exit_at = (entry_at + keep_entry)[keep_exit]
+    entry_at = entry_at[keep_entry]
+    sentinel = stop[extra] - 1
+    after = end_time - last[extra]  # from the last exit to the end
+
+    def column(entry_values, exit_values, end_values) -> np.ndarray:
+        out = np.zeros(int(stop[-1]) if P else 0, dtype=np.int64)
+        out[entry_at] = entry_values[keep_entry]
+        out[exit_at] = exit_values[keep_exit]
+        out[sentinel] = end_values
+        return out
+
+    times = column(ent, ex, end_time)
+    gap = np.empty(len(ent), dtype=np.int64)
+    gap[1:] = ent[1:] - ex[:-1]
+    gap[head] = ent[head]
+    oom_entry = np.cumsum(gap)
+    oom_entry -= np.repeat(oom_entry[head] - gap[head], n[busy])
+    oom = column(oom_entry, oom_entry,
+                 by_rank(oom_entry[tail])[extra] + after)
+    del oom_entry
+    ideal_entry = gap
+    ideal_entry[1:] += ideal_exit[:-1]
+    ideal_entry[head] = ent[head]
+    ideal = column(ideal_entry, ideal_exit,
+                   by_rank(ideal_exit[tail])[extra] + after)
+    bounds = [0] + stop.tolist()
+    ranks = [RankTimeline(r, times[a:b], oom[a:b], ideal[a:b])
+             for r, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+    return AnnotatedTimeline(ranks, end_time, offsets, (ent, ex))

@@ -3,10 +3,15 @@
 The analysis span is tiled with fixed-length windows, the tile length is
 doubled while any window contains no MPI event point at all, and windows
 that still leave some rank under the event-count threshold are merged
-greedily into their successors.  Between two stored event points a clock
-is interpolated with the min-cap rule: it rises 1:1 with elapsed time
-until it hits the value stored at the segment end, so waiting inside MPI
-is attributed to the tail of the region, never smeared.
+greedily into their successors.  The event points are the MPI region
+entries and exits, read from the replayed trace's rank-major region
+columns; planning costs time in the number of points and output
+windows, never in the number of spans a short window length asks for.
+
+Between two stored event points a clock is interpolated with the min-cap
+rule: it rises 1:1 with elapsed time until it hits the value stored at
+the segment end, so waiting inside MPI is attributed to the tail of the
+region, never smeared.
 """
 
 from __future__ import annotations
@@ -50,31 +55,18 @@ class WindowPlan:
         return np.asarray(bounds, dtype=np.int64)
 
 
-def _tile(duration: int, length: int) -> list[tuple[int, int]]:
-    spans = []
-    start = 0
-    while start < duration:
-        spans.append((start, min(start + length, duration)))
-        start += length
-    return spans
-
-
-def _counts(events: np.ndarray, spans: list[tuple[int, int]],
-            duration: int) -> np.ndarray:
-    """Events per span; half-open except the last span, which keeps its
-    end so a point exactly at the analysis end is not lost."""
-    edges = np.asarray([s for s, _ in spans] + [spans[-1][1]], dtype=np.int64)
-    lo = np.searchsorted(events, edges[:-1], side="left")
-    hi = np.searchsorted(events, edges[1:], side="left")
-    out = hi - lo
-    out[-1] = np.searchsorted(events, edges[-1], side="right") - lo[-1]
-    return out
-
-
 def plan_windows(timeline: AnnotatedTimeline, base_length_ns: int,
                  min_events: int = 8,
                  cutoff_ns: int | None = None) -> WindowPlan:
-    """Lay out the analysis windows for one replayed trace."""
+    """Lay out the analysis windows for one replayed trace.
+
+    Spans of one length tile [0, duration]; the last one also keeps the
+    point at its end.  The event points are the timeline's event
+    columns, each counted in the span min(t // length, spans - 1).  The
+    doubling only asks whether the points cover every span, and starts
+    counting once there are no more spans than points; per-rank counts
+    exist only at the final length, as one bincount over (rank, span).
+    """
     if base_length_ns <= 0:
         raise ValueError("window length must be positive")
     if min_events < 3:
@@ -87,44 +79,88 @@ def plan_windows(timeline: AnnotatedTimeline, base_length_ns: int,
     if duration <= 0:
         raise ValueError("analysis span is empty")
 
-    per_rank = [tl.event_times for tl in timeline.ranks]
-    pooled = (np.sort(np.concatenate(per_rank))
-              if any(len(e) for e in per_rank)
-              else np.asarray([], dtype=np.int64))
-    pooled = pooled[pooled <= duration]
+    # each column's points inside the analysis span, and where they sit
+    offsets = timeline.event_offsets
+    columns = []
+    for col in timeline.event_columns:
+        inside = (col >= 0) & (col <= duration)
+        columns.append((col, None) if inside.all() else (col[inside], inside))
+    key = np.empty(sum(len(col) for col, _ in columns), dtype=np.int64)
+
+    def spans_into_key(length: int, nspans: int) -> None:
+        """key <- the span of every point, column after column."""
+        at = 0
+        for col, _ in columns:
+            part = key[at:at + len(col)]
+            np.floor_divide(col, length, out=part)
+            np.minimum(part, nspans - 1, out=part)
+            at += len(col)
 
     length = base_length_ns
     while length < duration:
-        spans = _tile(duration, length)
-        if _counts(pooled, spans, duration).min() > 0:
-            break
+        nspans = -(-duration // length)
+        if nspans <= len(key):
+            spans_into_key(length, nspans)
+            seen = np.zeros(nspans, dtype=bool)
+            seen[key] = True
+            if seen.all():
+                break
         length *= 2
-    if length >= duration:
-        spans = [(0, duration)]
-        length = duration
-    else:
-        spans = _tile(duration, length)
+    length = min(length, duration)
+    nspans = -(-duration // length)
 
-    rank_counts = np.stack([_counts(ev[ev <= duration], spans, duration)
-                            for ev in per_rank])
+    # key <- rank * nspans + span: one bincount gives the counts
+    spans_into_key(length, nspans)
+    P = len(offsets) - 1
+    rank_base = np.repeat(np.arange(P, dtype=np.int64) * nspans,
+                          np.diff(offsets))
+    at = 0
+    for col, inside in columns:
+        key[at:at + len(col)] += \
+            rank_base if inside is None else rank_base[inside]
+        at += len(col)
+    del rank_base, columns
+    counts = np.bincount(key, minlength=P * nspans).reshape(P, nspans)
+    del key
+    alone = counts.min(axis=0) >= min_events
 
-    windows: list[Window] = []
+    # a window merges spans i..j, the fewest that give every rank
+    # min_events points.  Row r of cum holds rank r's running counts
+    # through each span, lifted above every value of the rows before it,
+    # so one searchsorted over the flattened rows finds, per rank, the
+    # first span that suffices.
+    cum = np.cumsum(counts, axis=1, out=counts)
+    lift = np.arange(P, dtype=np.int64) * (int(cum[:, -1].max())
+                                           + min_events + 1)
+    cum += lift[:, None]
+
+    def before(spans: list[int]) -> np.ndarray:
+        """Each rank's lifted running count before each of spans, a
+        column per span."""
+        at = np.asarray(spans, dtype=np.int64)
+        out = cum[:, np.maximum(at - 1, 0)]
+        out[:, at == 0] = lift[:, None]
+        return out
+
+    row_start = np.arange(P, dtype=np.int64) * nspans
+    starts, ends = [], []
     i = 0
-    total = len(spans)
-    while i < total:
-        start, end = spans[i]
-        counts = rank_counts[:, i].copy()
-        merged_from = 1
-        while counts.min() < min_events and i + 1 < total:
-            i += 1
-            end = spans[i][1]
-            counts += rank_counts[:, i]
-            merged_from += 1
-        windows.append(Window(start, end, merged_from,
-                              idle=bool(counts.min() < min_events),
-                              event_counts=[int(c) for c in counts]))
-        i += 1
-
+    while i < nspans:
+        if alone[i]:
+            j = i
+        else:
+            need = before([i])[:, 0] + min_events
+            first = np.searchsorted(cum.ravel(), need)
+            j = min(int((first - row_start).max()), nspans - 1)
+        starts.append(i)
+        ends.append(j)
+        i = j + 1
+    event_counts = cum[:, ends] - before(starts)
+    idle = (event_counts.min(axis=0) < min_events).tolist()
+    windows = [Window(i * length, min((j + 1) * length, duration), j - i + 1,
+                      idle=w_idle, event_counts=c)
+               for i, j, w_idle, c in zip(starts, ends, idle,
+                                          event_counts.T.tolist())]
     return WindowPlan(windows, length, base_length_ns, duration,
                       clamped, min_events)
 

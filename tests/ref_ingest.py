@@ -24,12 +24,13 @@ import numpy as np
 from paraslice.model import (
     AnomalyKind,
     AnomalyLog,
-    CLASS_CODES,
     CallClass,
     CollectiveStore,
     CommunicatorDef,
     MessageStatus,
     MessageStore,
+    MpiRegion,
+    RegionTable,
     TimeUnit,
     Trace,
     TraceMeta,
@@ -177,6 +178,7 @@ def build_trace(records: Iterable[RawRecord], meta: TraceMeta,
     counters = counters if counters is not None else IngestCounters()
     scale = _scale(meta.time_unit)
     trace = Trace.empty(meta)
+    regions: list[list[MpiRegion]] = [[] for _ in range(meta.rank_count)]
     trace.messages = MessageStore()
     trace.collectives = CollectiveStore()
     cursors = [_RankCursor() for _ in range(meta.rank_count)]
@@ -237,7 +239,7 @@ def build_trace(records: Iterable[RawRecord], meta: TraceMeta,
                         log.add(AnomalyKind.UNMATCHED_SEND,
                                 f"line {rec.line_number}",
                                 f"rank {rank} region opened at {cur.open_entry} never closed")
-                        _close_region(trace, rank, cur, time)
+                        _close_region(regions, rank, cur, time)
                     cur.open_entry = time
                     cur.open_class = klass
                     cur.open_call = value
@@ -250,7 +252,7 @@ def build_trace(records: Iterable[RawRecord], meta: TraceMeta,
                                 f"line {rec.line_number}",
                                 f"rank {rank} close event with no open region")
                     else:
-                        _close_region(trace, rank, cur, time)
+                        _close_region(regions, rank, cur, time)
             if touched:
                 counters.consumed += 1
             else:
@@ -294,25 +296,28 @@ def build_trace(records: Iterable[RawRecord], meta: TraceMeta,
         if cur.open_entry is not None:
             log.add(AnomalyKind.UNMATCHED_SEND, f"rank {rank}",
                     f"region opened at {cur.open_entry} still open at stream end")
-            _close_region(trace, rank, cur, cur.last_time)
+            _close_region(regions, rank, cur, cur.last_time)
 
     if WORLD_COMM_ID not in trace.communicators:
         trace.communicators[WORLD_COMM_ID] = CommunicatorDef(
             WORLD_COMM_ID, list(range(meta.rank_count)))
 
-    _group_collectives(trace)
+    trace.regions = RegionTable.from_regions(regions)
+    _group_collectives(trace, regions)
     counters.anomalies = log.total
     return trace, log
 
 
-def _close_region(trace: Trace, rank: int, cur: _RankCursor, time: int) -> None:
-    trace.regions[rank].append_fields(cur.open_entry, time, cur.open_class,
-                                      cur.open_call, cur.open_hint)
+def _close_region(regions: list[list[MpiRegion]], rank: int,
+                  cur: _RankCursor, time: int) -> None:
+    regions[rank].append(MpiRegion(rank, cur.open_entry, time,
+                                   cur.open_class, cur.open_call,
+                                   len(regions[rank]), cur.open_hint))
     cur.open_entry = None
     cur.open_hint = None
 
 
-def _group_collectives(trace: Trace) -> None:
+def _group_collectives(trace: Trace, regions: list[list[MpiRegion]]) -> None:
     """Group per-rank collective regions into collective occurrences.
 
     A region belongs to the communicator its entry hint named, defaulting
@@ -321,13 +326,11 @@ def _group_collectives(trace: Trace) -> None:
     came from, so replay can reattach without re-matching timestamps.
     """
     per_comm: dict[int, dict[int, array]] = {}
-    coll_code = CLASS_CODES[CallClass.COLLECTIVE]
-    for rank, regs in enumerate(trace.regions):
-        hints = regs.comm_hints
-        for k, code in enumerate(regs.class_codes):
-            if code != coll_code:
+    for rank, regs in enumerate(regions):
+        for k, reg in enumerate(regs):
+            if reg.call_class is not CallClass.COLLECTIVE:
                 continue
-            cid = hints.get(k, WORLD_COMM_ID)
+            cid = WORLD_COMM_ID if reg.comm_hint is None else reg.comm_hint
             per_comm.setdefault(cid, {}).setdefault(rank, array("q")).append(k)
     occ_rows = []       # (communicator, occurrence, participant count)
     part_rows = []      # (rank, entry, exit, region index)
@@ -341,9 +344,8 @@ def _group_collectives(trace: Trace) -> None:
                 ks = by_rank[r]
                 if occ < len(ks):
                     k = ks[occ]
-                    regs = trace.regions[r]
-                    part_rows.append(
-                        (r, regs.entry_times[k], regs.exit_times[k], k))
+                    reg = regions[r][k]
+                    part_rows.append((r, reg.entry_time, reg.exit_time, k))
                     count += 1
             occ_rows.append((cid, occ, count))
     trace.collectives.extend_columns(
@@ -366,18 +368,17 @@ def load_reference(path: str, time_unit: TimeUnit | None = None,
 
 
 def snapshot(trace, log, counters) -> dict:
-    """Everything ingest produces, in comparable form: store columns,
-    communicators, state totals, counters (but `routed`, which only the
-    block reader keeps) and the anomaly entries in order."""
+    """Everything ingest produces, in comparable form: region table and
+    store columns, communicators, state totals, counters (but `routed`,
+    which only the block reader keeps) and the anomaly entries in order."""
     counts = dataclasses.asdict(counters)
     counts.pop("routed")
     colls = trace.collectives
     msgs = trace.messages
     return {
         "meta": trace.meta,
-        "regions": [(r.entry_times.tobytes(), r.exit_times.tobytes(),
-                     bytes(r.class_codes), r.call_ids.tobytes(),
-                     dict(r.comm_hints)) for r in trace.regions],
+        "regions": [getattr(trace.regions, c).tolist()
+                    for c in trace.regions.COLUMNS],
         "messages": [getattr(msgs, c).tolist()
                      for c in msgs.__slots__ if c != "status_codes"]
         + [bytes(msgs.status_codes)],

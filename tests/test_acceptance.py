@@ -427,6 +427,7 @@ def test_criterion_8_windowed_metrics_localize_planted_phases(tmp_path):
     assert max(wm.efficiency for wm in series) > 0.99
 
 
+@pytest.mark.slow
 def test_criterion_9_gigabyte_trace_analyzes_under_five_minutes(
         tmp_path_factory):
     base = tmp_path_factory.mktemp("throughput")

@@ -359,3 +359,24 @@ class TestConsoleScript:
             capture_output=True, text=True)
         assert run.returncode == EXIT_OK, run.stderr
         assert "4 ranks" in run.stdout
+
+    def test_analyze_never_imports_numpy_ma(self, tmp_path):
+        """numpy.ma takes about 20 ms to import; a clean analyze run,
+        collectives and sub-communicators included, must not load it."""
+        doc = dict(SCENARIO, phases=SCENARIO["phases"] + [
+            {"pattern": "allreduce", "iterations": 3,
+             "compute": {"kind": "uniform", "mean_ns": 20000},
+             "communicator_split": 2}])
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        prv = tmp_path / "s.prv"
+        assert main(["generate", str(scenario), "--out", str(prv)]) == EXIT_OK
+        code = ("import sys\n"
+                "from paraslice.cli import main\n"
+                f"rc = main(['analyze', {str(prv)!r}, '--out-dir', "
+                f"{str(tmp_path / 'out')!r}, '--format', 'json', '--plot'])\n"
+                "assert rc == 0, rc\n"
+                "assert 'numpy.ma' not in sys.modules\n")
+        run = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr

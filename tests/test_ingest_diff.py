@@ -13,7 +13,7 @@ import pytest
 from paraslice import AnomalyKind
 from paraslice import prv
 from paraslice.prv import IngestError, load_trace
-from paraslice.synth import generate_trace
+from paraslice.synth import ComputeSpec, PhaseSpec, Scenario, generate_trace
 
 from ref_ingest import load_reference, snapshot
 from scenarios import random_scenario
@@ -289,4 +289,64 @@ def test_corpus_reaches_every_path(tmp_path):
     assert routed and errors
     assert {AnomalyKind.NONMONOTONIC_TIMESTAMP, AnomalyKind.UNMATCHED_SEND,
             AnomalyKind.UNMATCHED_RECV, AnomalyKind.REVERSED_PTP,
+            AnomalyKind.MALFORMED_RECORD} <= kinds
+
+
+def _task(line: bytes) -> int:
+    return int(line.split(b":")[3])
+
+
+def many_rank_file(seed: int) -> bytes:
+    """A 320-rank trace, larger than one default block, whose allreduce
+    carries sub-communicator hints, bent so that one block mixes ranks
+    paired on arrays with ranks that take the cursor rules: a trailing
+    space routes a line of ranks 200 and 201 to the per-line rules, a
+    time goes backwards on rank 60, and a garbled line of rank 250 is
+    dropped.  Rank 8 loses every event (no regions at all), and ranks 4,
+    111 and 300 lose their last one, leaving a region open at the end."""
+    sc = Scenario(name="wide", rank_count=320, seed=seed, phases=(
+        PhaseSpec("allreduce", 12, ComputeSpec("uniform", mean_ns=20000,
+                                               jitter_ns=3000),
+                  communicator_split=4),
+        PhaseSpec("neighbor_stencil", 6, ComputeSpec("uniform",
+                                                     mean_ns=15000),
+                  message_bytes=512)))
+    text, _ = generate_trace(sc)
+    header, *lines = text.encode().split(b"\n")
+    lines = [ln for ln in lines[:-1]
+             if not (ln.startswith(b"2:") and _task(ln) == 9)]
+    events = {}
+    for i, ln in enumerate(lines):
+        if ln.startswith(b"2:"):
+            events.setdefault(_task(ln), []).append(i)
+    for task in (201, 202):
+        i = events[task][len(events[task]) // 2]
+        lines[i] += b" "
+    i = events[61][len(events[61]) // 2]
+    t = int(lines[i].split(b":")[5])
+    lines[i] = _set_field(lines[i], 5, b"%d" % max(0, t - 5000))
+    i = events[251][len(events[251]) // 3]
+    lines[i] = _set_field(lines[i], 6, b"5x")
+    drop = {events[task][-1] for task in (5, 112, 301)}
+    lines = [ln for i, ln in enumerate(lines) if i not in drop]
+    return header + b"\n" + b"\n".join(lines) + b"\n"
+
+
+@pytest.mark.parametrize("block_size", [prv.BLOCK_SIZE, 8191])
+def test_many_ranks_match_reference(tmp_path, monkeypatch, block_size):
+    path = tmp_path / "wide.prv"
+    path.write_bytes(many_rank_file(11))
+    assert path.stat().st_size > prv.BLOCK_SIZE
+    want = outcome(load_reference, str(path))
+    monkeypatch.setattr(prv, "BLOCK_SIZE", block_size)
+    got = outcome(load_trace, str(path))
+    assert got == want
+    trace, log, counters = load_trace(str(path))
+    assert counters.routed
+    assert len(trace.regions[8]) == 0
+    assert trace.regions.hint_rows.size
+    ended = {e.location for e in log.entries if "stream end" in e.detail}
+    assert ended == {"rank 4", "rank 111", "rank 300"}
+    kinds = {e.kind for e in log.entries}
+    assert {AnomalyKind.NONMONOTONIC_TIMESTAMP,
             AnomalyKind.MALFORMED_RECORD} <= kinds

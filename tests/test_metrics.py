@@ -88,7 +88,7 @@ class TestWindowMetrics:
 class TestGlobalMetrics:
     def test_single_rank_identity(self):
         tl = AnnotatedTimeline(
-            [RankTimeline.from_points(0, [(0, 0, 0), (50, 50, 50)], [])], 50)
+            [RankTimeline.from_points(0, [(0, 0, 0), (50, 50, 50)])], 50)
         g = global_metrics(tl)
         assert g.load_balance == 1.0
         assert g.serialisation == 1.0
@@ -97,7 +97,7 @@ class TestGlobalMetrics:
         assert g.t_compute == (50,)
 
     def test_balanced_ranks_identity(self):
-        ranks = [RankTimeline.from_points(r, [(0, 0, 0), (50, 50, 50)], [])
+        ranks = [RankTimeline.from_points(r, [(0, 0, 0), (50, 50, 50)])
                  for r in range(4)]
         g = global_metrics(AnnotatedTimeline(ranks, 50))
         assert (g.load_balance, g.serialisation, g.transfer,
@@ -112,8 +112,8 @@ class TestGlobalMetrics:
     def test_imbalance_lowers_lb_only(self):
         ranks = [
             RankTimeline.from_points(0, [(0, 0, 0), (40, 40, 40),
-                                         (50, 40, 50)], []),
-            RankTimeline.from_points(1, [(0, 0, 0), (50, 50, 50)], []),
+                                         (50, 40, 50)]),
+            RankTimeline.from_points(1, [(0, 0, 0), (50, 50, 50)]),
         ]
         g = global_metrics(AnnotatedTimeline(ranks, 50))
         assert g.load_balance == pytest.approx(0.9)

@@ -4,11 +4,18 @@ identities each communication pattern is designed to exhibit."""
 import json
 import math
 
+import numpy as np
 import pytest
 
 from paraslice.prv import load_trace, parse_pcf_labels
 from paraslice.replay import replay
-from paraslice.metrics import global_metrics
+from paraslice.metrics import (
+    critical_path,
+    global_metrics,
+    window_metrics,
+    window_series,
+)
+from paraslice.windows import boundary_clocks, plan_windows
 from paraslice.model import validate_trace
 from paraslice.synth import (
     ComputeSpec,
@@ -370,6 +377,57 @@ class TestExpectedMetrics:
                      "efficiency"):
             assert math.isclose(getattr(gm, name), getattr(exp, name),
                                 rel_tol=1e-12), name
+
+
+class TestManyRanks:
+    def test_oracle_at_320_ranks(self, tmp_path):
+        """Validation, replay and window planning at 320 ranks: an
+        allreduce on four sub-communicators, then a halo exchange,
+        reproduce the oracle's global and per-phase factors exactly."""
+        P = 320
+        sc = Scenario(name="wide", rank_count=P, seed=13, phases=(
+            PhaseSpec("allreduce", 6,
+                      ComputeSpec("linear_imbalance", mean_ns=40000,
+                                  imbalance_ratio=1.5, jitter_ns=4000),
+                      communicator_split=4, injected_wait_ns=2000),
+            PhaseSpec("neighbor_stencil", 6,
+                      ComputeSpec("uniform", mean_ns=15000, jitter_ns=2000),
+                      message_bytes=2048)))
+        exp = expected_metrics(sc)
+        trace, anomalies, _ = roundtrip(sc, tmp_path)
+        assert anomalies.total == 0
+        assert len(trace.communicators) == 5
+        assert validate_trace(trace).ok
+        timeline, log = replay(trace)
+        assert log.total == 0
+        gm = global_metrics(timeline)
+        assert gm.t_compute == exp.t_compute
+        assert gm.runtime_ideal == exp.runtime_ideal
+        names = ("load_balance", "serialisation", "transfer", "efficiency")
+        for name in names:
+            assert getattr(gm, name) == getattr(exp, name), name
+
+        bounds = np.asarray([ph.start_ns for ph in exp.phases]
+                            + [exp.total_duration_ns], dtype=np.int64)
+        bc = boundary_clocks(timeline, bounds)
+        cp = critical_path(bc)
+        for k, ph in enumerate(exp.phases):
+            delta_oom = bc.oom[:, k + 1] - bc.oom[:, k]
+            assert tuple(delta_oom.tolist()) == ph.delta_oom
+            assert int(cp[k + 1] - cp[k]) == ph.delta_cp
+            wm = window_metrics(ph.start_ns, ph.end_ns, delta_oom,
+                                ph.delta_cp)
+            for name in names:
+                assert getattr(wm, name) == getattr(ph, name), (k, name)
+
+        plan = plan_windows(timeline, exp.phases[0].end_ns // 5,
+                            min_events=3)
+        assert len(plan.windows) >= 5
+        assert all(len(w.event_counts) == P for w in plan.windows)
+        series = window_series(timeline, plan)
+        assert tuple(np.sum([w.delta_oom for w in series], axis=0).tolist()) \
+            == exp.t_compute
+        assert sum(w.delta_cp for w in series) == exp.runtime_ideal
 
 
 class TestGeneration:

@@ -1,28 +1,40 @@
 """Tests for window planning, merging, and min-cap clock interpolation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from paraslice import (
     AnnotatedTimeline,
+    ComputeSpec,
+    PhaseSpec,
+    Scenario,
     ClockTriple,
     RankTimeline,
     boundary_clocks,
     clocks_at,
     interpolate_clock,
+    generate_to_files,
+    load_trace,
     plan_windows,
+    replay,
 )
 
 
-def linear_rank(rank, duration, event_times):
+def linear_rank(rank, duration):
     """A rank that never enters MPI: all clocks equal elapsed time."""
     pts = [(0, 0, 0), (duration, duration, duration)]
-    return RankTimeline.from_points(rank, pts, list(event_times))
+    return RankTimeline.from_points(rank, pts)
 
 
 def timeline_of(duration, *event_lists):
-    ranks = [linear_rank(r, duration, ev) for r, ev in enumerate(event_lists)]
-    return AnnotatedTimeline(ranks, duration)
+    """Ranks with linear clocks whose event points for window planning
+    are event_lists[r], as one rank-major event column."""
+    ranks = [linear_rank(r, duration) for r in range(len(event_lists))]
+    offsets = np.cumsum([0] + [len(ev) for ev in event_lists])
+    events = np.asarray([t for ev in event_lists for t in ev], dtype=np.int64)
+    return AnnotatedTimeline(ranks, duration, offsets, (events,))
 
 
 class TestPlanWindows:
@@ -121,10 +133,37 @@ class TestPlanWindows:
         assert plan.windows[0].idle
 
 
+def test_window_of_one_ns_plans_in_bounded_memory(tmp_path):
+    """A 1.19 ms trace at a 1 ns window asks for over a million spans.
+    Each doubling is decided by counting the spans the event points
+    cover, so planning costs memory in points, not spans, and the plan
+    is exactly the one for the final doubled length."""
+    sc = Scenario(name="tiny", rank_count=16, seed=7, phases=(
+        PhaseSpec("ring_exchange", 20,
+                  ComputeSpec("uniform", mean_ns=50000, jitter_ns=10000),
+                  message_bytes=1024),))
+    prv, _ = generate_to_files(sc, tmp_path / "tiny.prv")
+    trace, _, _ = load_trace(prv)
+    timeline, _ = replay(trace)
+    assert timeline.total_duration > 1_000_000
+    tracemalloc.start()
+    try:
+        plan = plan_windows(timeline, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert plan.requested_length_ns == 1
+    direct = plan_windows(timeline, plan.base_length_ns)
+    assert plan.base_length_ns == direct.base_length_ns > 1
+    assert plan.effective_duration_ns == direct.effective_duration_ns
+    assert plan.windows == direct.windows
+
+
 def mpi_rank():
     """Rank 0 of the micro-trace: compute [0,4], MPI [4,10], exit ideal 8."""
     pts = [(0, 0, 0), (4, 4, 4), (10, 4, 8)]
-    return RankTimeline.from_points(0, pts, [4, 10])
+    return RankTimeline.from_points(0, pts)
 
 
 class TestInterpolation:
@@ -165,7 +204,7 @@ class TestInterpolation:
 class TestBoundaryClocks:
     def test_shapes_and_endpoints(self):
         ranks = [mpi_rank(),
-                 RankTimeline.from_points(1, [(0, 0, 0), (10, 8, 8)], [8])]
+                 RankTimeline.from_points(1, [(0, 0, 0), (10, 8, 8)])]
         tl = AnnotatedTimeline(ranks, 10)
         bounds = np.asarray([0, 5, 10], dtype=np.int64)
         bc = boundary_clocks(tl, bounds)
