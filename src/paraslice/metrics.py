@@ -75,13 +75,15 @@ def window_metrics(start_ns: int, end_ns: int, delta_oom: np.ndarray,
     length = end_ns - start_ns
     if length <= 0:
         raise ValueError("window must have positive length")
-    total = int(delta_oom.sum())
-    peak = int(delta_oom.max())
-    ranks = len(delta_oom)
+    deltas = tuple(delta_oom.tolist())
+    delta_cp = int(delta_cp)
+    total = sum(deltas)
+    peak = max(deltas)
+    ranks = len(deltas)
     return WindowMetrics(
         start_ns, end_ns, merged_from, idle or peak == 0,
         defined=peak > 0 and delta_cp > 0,
-        delta_oom=tuple(int(d) for d in delta_oom), delta_cp=int(delta_cp),
+        delta_oom=deltas, delta_cp=delta_cp,
         load_balance=total / (ranks * peak) if peak else None,
         serialisation=peak / delta_cp if delta_cp else None,
         transfer=delta_cp / length,
@@ -96,14 +98,12 @@ def window_series(timeline: AnnotatedTimeline, plan: WindowPlan,
     clocks at plan.boundaries() already."""
     if bc is None:
         bc = boundary_clocks(timeline, plan.boundaries())
-    cp = critical_path(bc)
-    out = []
-    for j, w in enumerate(plan.windows):
-        delta_oom = bc.oom[:, j + 1] - bc.oom[:, j]
-        delta_cp = int(cp[j + 1] - cp[j])
-        out.append(window_metrics(w.start_ns, w.end_ns, delta_oom, delta_cp,
-                                  merged_from=w.merged_from, idle=w.idle))
-    return out
+    # one row of rank deltas per window
+    deltas = np.ascontiguousarray(np.diff(bc.oom, axis=1).T)
+    delta_cp = np.diff(critical_path(bc)).tolist()
+    return [window_metrics(w.start_ns, w.end_ns, d, cp,
+                           merged_from=w.merged_from, idle=w.idle)
+            for w, d, cp in zip(plan.windows, deltas, delta_cp)]
 
 
 def critical_path(bc: BoundaryClocks) -> np.ndarray:

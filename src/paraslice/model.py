@@ -727,12 +727,16 @@ def _validate_collectives(trace: Trace, report: ValidationReport,
     op = np.repeat(np.arange(nops), counts)
     row_cid = cid[op]
 
-    # rows sorted by (occurrence, rank): a repeat is a duplicate rank
-    by_op = np.lexsort((ranks, op))
-    repeat = np.zeros(len(ranks), dtype=bool)
-    repeat[by_op[1:]] = ((op[by_op[1:]] == op[by_op[:-1]])
-                         & (ranks[by_op[1:]] == ranks[by_op[:-1]]))
-    repeats = np.bincount(op[repeat], minlength=nops)
+    # a repeat of a rank within an occurrence is a duplicate; rows that
+    # group_collectives emitted are in rank order, and others are sorted
+    same_op = op[1:] == op[:-1]
+    by_op = slice(None)
+    if (same_op & (ranks[1:] < ranks[:-1])).any():
+        by_op = np.lexsort((ranks, op))
+    r, o = ranks[by_op], op[by_op]
+    repeats = np.bincount(o[1:][(o[1:] == o[:-1]) & (r[1:] == r[:-1])],
+                          minlength=nops)
+    del r, o, same_op
     duplicate = repeats > 0
     # the distinct participant ranks equal the members iff every rank is
     # a member and there are as many of them as members
@@ -742,19 +746,33 @@ def _validate_collectives(trace: Trace, report: ValidationReport,
         if comm is None:
             continue
         members = np.array(sorted(set(comm.members)), dtype=np.int64)
-        rows = row_cid == c
-        outside = np.bincount(op[rows & ~np.isin(ranks, members)],
+        rows = np.flatnonzero(row_cid == c)
+        outside = np.bincount(op[rows[~np.isin(ranks[rows], members)]],
                               minlength=nops)
         mismatch |= (cid == c) & ((outside > 0)
                                   | (counts - repeats != len(members)))
-    # rows sorted stably by (communicator, rank) keep store order
-    by_key = np.lexsort((ranks, row_cid))
+    # rows ordered stably by (communicator, rank) keep store order; both
+    # go into one key, the ranks as their distinct index when their span
+    # is too wide for it
+    comms = distinct(cid)
+    low, high = int(ranks.min()), int(ranks.max())
+    span = high - low + 1
+    if span * len(comms) < 1 << 62:
+        key = ranks - low
+    else:
+        values = distinct(ranks)
+        key = np.searchsorted(values, ranks)
+        span = len(values)
+    key += np.searchsorted(comms, row_cid) * span
+    by_key = rank_order(key, span * len(comms))
+    key = key[by_key]
+    sorted_entries = entries[by_key]
     early = np.zeros(len(ranks), dtype=bool)
     prev = np.zeros(len(ranks), dtype=np.int64)
-    same = ((row_cid[by_key[1:]] == row_cid[by_key[:-1]])
-            & (ranks[by_key[1:]] == ranks[by_key[:-1]]))
-    prev[by_key[1:]] = entries[by_key[:-1]]
-    early[by_key[1:]] = same & (entries[by_key[1:]] < prev[by_key[1:]])
+    prev[by_key[1:]] = sorted_entries[:-1]
+    early[by_key[1:]] = (key[1:] == key[:-1]) & (sorted_entries[1:]
+                                                 < sorted_entries[:-1])
+    del key, sorted_entries
 
     early_rows = np.flatnonzero(early).tolist()
     row_ops = op[early_rows].tolist()

@@ -19,6 +19,16 @@ runs while the count at its frontier is zero.  Dependency cycles in
 corrupt traces are broken by degrading the offending edges (or abort in
 strict mode).
 
+The ranks that are ready at once advance by one of two paths, chosen
+each time a batch of them forms: at least WIDE_WAVE_RANKS ranks (as when
+a collective releases its participants) advance as one numpy wave, which
+finalizes every run up to its next waiting region, fires the triggers
+the runs reach and collects the next batch; a narrower batch goes rank
+by rank through the scalar loop, which follows a serial chain to its end
+in one pass.  Both work on the same flat state, and the fixpoint does
+not depend on the order in which ranks advance, so the path changes
+nothing in the result.  Cycle breaking is scalar.
+
 Internally everything lives in flat arrays (message columns, triggers
 in offset/payload (CSR) form, collective participant slices) because
 multi-million-event traces cannot afford per-edge objects.
@@ -54,6 +64,14 @@ _CODE_OTHER = CLASS_CODES[CallClass.OTHER_MPI]
 _STATUS_VALID = STATUS_CODES[MessageStatus.VALID]
 _STATUS_FAULTY = STATUS_CODES[MessageStatus.FAULTY_LOCAL]
 _NONE = -(1 << 63)      # below every clock value: nothing has arrived
+
+# Fewest ready ranks that advance as one numpy wave: the measured
+# crossover.  On a 2-vCPU VM a wave costs about 100 us when every run is
+# one region and about 170 us when runs carry messages, the scalar loop
+# 1.5-3 us per rank run.  With 64 here, 64-rank ring and stencil traces
+# replayed 10-27% slower (an allreduce-only one 19% faster); at 96 a ring
+# trace broke even and a stencil trace gained 12%.
+WIDE_WAVE_RANKS = 96
 
 
 def _flat(values: np.ndarray, top: int | None = None) -> array:
@@ -403,7 +421,7 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
 
     first = offsets[:-1].tolist()
     stop = offsets[1:].tolist()
-    front = list(first)          # per rank: the global id of its frontier
+    front = array("q", first)    # per rank: the global id of its frontier
     ready: deque[int] = deque()
     queued = bytearray(P)
 
@@ -603,6 +621,18 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
             raise ReplayError("unbreakable dependency cycle")
 
     # --- sweep ---------------------------------------------------------------
+    # A batch of at least `wide` ready ranks advances as one numpy wave;
+    # narrower batches take the scalar loop below, in queue order.
+    wide = P + 1
+    views = None
+    if P >= WIDE_WAVE_RANKS and _sums_fit(gap):
+        wide = WIDE_WAVE_RANKS
+        views = _SweepViews(front=front, queued=queued, count=count,
+                            ideal=ideal_exit, gap=gap, trig_off=trig_off,
+                            trig_id=trig_id, trig_cons=trig_cons,
+                            status=m_status, op_skip=op_skip, op_max=op_max,
+                            left=left, part_off=part_off,
+                            part_rank=part_rank, part_gid=part_gid)
     for r in range(P):
         g = first[r]
         if g < stop[r]:
@@ -612,41 +642,199 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
                 ready.append(r)
     while True:
         while ready:
-            # finalize rank r's regions from its frontier until one waits
-            r = ready.popleft()
-            g = front[r]
-            end = stop[r]
-            e = gap[g] if g == first[r] else ideal_exit[g - 1] + gap[g]
-            lo = trig_off[g + 1]
-            while True:
-                v = ideal_exit[g]
-                if e > v:
-                    v = e
-                    ideal_exit[g] = v
-                g += 1
-                if g == end:
-                    break
-                e = v + gap[g]
-                hi = trig_off[g + 1]
-                if hi != lo:
-                    front[r] = g
-                    fire(lo, hi, e)
-                    lo = hi
-                if count[g]:
-                    break
-            front[r] = g
-            queued[r] = 0
+            if len(ready) >= wide:
+                batch = np.fromiter(ready, np.int64, len(ready))
+                ready.clear()
+                views.queued[batch] = 0
+                while len(batch) >= wide:
+                    batch = _wave(batch, views, offsets)
+                views.queued[batch] = 1
+                ready.extend(batch.tolist())
+                continue
+            for _ in range(len(ready)):
+                # finalize rank r's regions from its frontier until one waits
+                r = ready.popleft()
+                g = front[r]
+                end = stop[r]
+                e = gap[g] if g == first[r] else ideal_exit[g - 1] + gap[g]
+                lo = trig_off[g + 1]
+                while True:
+                    v = ideal_exit[g]
+                    if e > v:
+                        v = e
+                        ideal_exit[g] = v
+                    g += 1
+                    if g == end:
+                        break
+                    e = v + gap[g]
+                    hi = trig_off[g + 1]
+                    if hi != lo:
+                        # front[r] may lag until the run ends: a region
+                        # fire reaches still waits, so it is never the
+                        # frontier this run started from
+                        fire(lo, hi, e)
+                        lo = hi
+                    if count[g]:
+                        break
+                front[r] = g
+                queued[r] = 0
         blocked = [r for r in range(P) if front[r] < stop[r]]
         if not blocked:
             break
         break_cycle(blocked)
-    # the timeline needs only the exit ideals
-    del trig_off, trig_id, trig_cons, count, gap, view, coll_of
+    # the timeline needs only the exit ideals; the views hold the arrays
+    del views, trig_off, trig_id, trig_cons, count, gap, view, coll_of
 
     timeline = _assemble_timeline(table, np.frombuffer(ideal_exit,
                                                        dtype=np.int64),
                                   end_time)
     return timeline, log
+
+
+class _SweepViews:
+    """Writable numpy views of the sweep's flat arrays, for the waves.  A
+    view keeps its array alive, so these go together with the arrays."""
+
+    def __init__(self, **arrays):
+        for name, values in arrays.items():
+            setattr(self, name, np.frombuffer(
+                values, dtype=getattr(values, "typecode", "B")))
+
+
+def _sums_fit(gap: array) -> bool:
+    """Whether every value a wave forms fits in int64.  Each clock value
+    is a sum of gaps of distinct regions, and a wave also subtracts
+    partial gap sums from clock values, so a total |gap| below 2**61
+    bounds them all.  It is summed in float64, in small blocks."""
+    values = np.frombuffer(gap, dtype=np.int64)
+    total = 0.0
+    for i in range(0, len(values), 1 << 14):
+        total += float(np.abs(values[i:i + (1 << 14)],
+                              dtype=np.float64).sum())
+    return total < 2.0 ** 61
+
+
+def _spans(lo: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The ranges lo[i] .. lo[i] + n[i] - 1, concatenated."""
+    start = np.cumsum(n) - n
+    return np.arange(int(n.sum())) + np.repeat(lo - start, n)
+
+
+def _run_ends(count: np.ndarray, s: np.ndarray,
+              top: np.ndarray) -> np.ndarray:
+    """Per rank, the first region after s[i] whose count is positive, or
+    top[i] when none is; windows of doubling width probe the counts."""
+    end = s + 1
+    on = end < top
+    on &= count[np.minimum(end, len(count) - 1)] == 0
+    if not on.any():
+        return end
+    go = np.flatnonzero(on)               # runs that go on past end
+    width = 4
+    while len(go):
+        lo = end[go] + 1
+        probe = lo[:, None] + np.arange(width)
+        hit = probe >= top[go][:, None]
+        inside = ~hit
+        hit[inside] = count[probe[inside]] > 0
+        found = hit.any(axis=1)
+        end[go] = lo + np.where(found, hit.argmax(axis=1), width - 1)
+        go = go[~found]
+        width *= 2
+    return end
+
+
+def _wave(ranks: np.ndarray, v: _SweepViews,
+          offsets: np.ndarray) -> np.ndarray:
+    """Advance every ready rank at once; returns the next ready ranks.
+
+    Each rank's frontier s has count 0 and its triggers fired.  Its run
+    s..end-1 ends before the next region that still waits (or at the
+    rank's end); the run's exit ideals follow X[g] = max(arrived[g],
+    X[g-1] + gap[g]), the triggers of s+1..end fire as in the scalar
+    fire, and the ranks left at a frontier with count 0 are ready.  No
+    region in a run can receive a trigger (its count is 0), so firing
+    after finalizing gives the scalar result.
+    """
+    s = v.front[ranks]
+    top = offsets[ranks + 1]
+    end = _run_ends(v.count, s, top)
+    v.front[ranks] = end
+    size = end - s
+    longest = int(size.max())
+    prev = v.ideal[s - 1]
+    prev[s == offsets[ranks]] = 0         # a rank's first region
+    if longest == 1:
+        g = s
+        x = np.maximum(v.ideal[s], prev + v.gap[s])
+    else:
+        # with C the running gap sum of a run, X - C is a running maximum
+        # of arrived - C seeded with the exit ideal before the run
+        head = np.cumsum(size) - size
+        pos = np.arange(int(head[-1] + size[-1])) - np.repeat(head, size)
+        g = pos + np.repeat(s, size)
+        gap = v.gap[g]
+        c = np.cumsum(gap)
+        c -= np.repeat(c[head] - gap[head], size)
+        y = v.ideal[g]
+        none = y == _NONE
+        y -= c
+        y[none] = _NONE
+        y[head] = np.maximum(y[head], prev)
+        step = 1
+        while step < longest:
+            i = np.flatnonzero(pos >= step)
+            y[i] = np.maximum(y[i], y[i - step])
+            step *= 2
+        x = c + y
+        top = np.repeat(top, size)
+    v.ideal[g] = x
+
+    # fire the triggers of the region after each finalized one
+    fired = g + 1 < top
+    reached = g[fired] + 1
+    lo = v.trig_off[reached]
+    n = v.trig_off[reached + 1] - lo
+    e = x[fired] + v.gap[reached]
+    if n.min(initial=1) == n.max(initial=1) == 1:
+        at = lo.astype(np.intp)
+    else:
+        at = _spans(lo, n)
+        e = np.repeat(e, n)
+    tid = v.trig_id[at].astype(np.intp)
+    msg = tid >= 0
+    ready = tid[:0]
+    if msg.any():
+        # message edges not degraded since
+        live = msg.copy()
+        live[msg] = v.status[tid[msg]] == 0
+        cons = v.trig_cons[at[live]].astype(np.intp)
+        np.maximum.at(v.ideal, cons, e[live])
+        np.subtract.at(v.count, cons, v.count.dtype.type(1))
+        cons = distinct(cons[v.count[cons] == 0])
+        ready = cons[v.front[np.searchsorted(offsets, cons, side="right") - 1]
+                     == cons]
+        e, tid = e[~msg], tid[~msg]
+    if len(tid):
+        # collective arrivals; a completed occurrence delivers its maximum
+        occ = ~tid
+        skip = v.op_skip[occ] != 0
+        if skip.any():
+            occ, e = occ[~skip], e[~skip]
+        np.maximum.at(v.op_max, occ, e)
+        np.subtract.at(v.left, occ, 1)
+        done = distinct(occ[v.left[occ] == 0])
+        lo = v.part_off[done]
+        n = v.part_off[done + 1] - lo
+        pg = v.part_gid[_spans(lo, n)].astype(np.intp)
+        v.ideal[pg] = np.maximum(v.ideal[pg], np.repeat(v.op_max[done], n))
+        waits = v.count[pg] - 1
+        v.count[pg] = waits
+        # every participant waits at its occurrence, as its frontier
+        released = pg[waits == 0]
+        ready = distinct(np.concatenate((ready, released))) if len(ready) \
+            else released
+    return np.searchsorted(offsets, ready, side="right") - 1
 
 
 def _skipped_collectives(trace: Trace, config: ReplayConfig,

@@ -306,6 +306,37 @@ class TestValidateTrace:
              "rank 1 occurrence entered at 10 before 20"),
         ]
 
+    def test_shuffled_store_reports_in_store_order(self):
+        # occurrences out of (communicator, occurrence) order and ranks
+        # out of rank order within them
+        t = with_collectives([
+            (2, 1, [(1, 50, 55), (0, 52, 56)]),
+            (1, 0, [(1, 30, 50), (0, 40, 60)]),
+            (2, 0, [(1, 60, 61), (0, 10, 12)]),
+            (1, 1, [(1, 35, 38), (0, 41, 42), (1, 36, 37)]),
+            (1, 2, [(2, 45, 46), (0, 44, 45)]),
+        ], comms=[CommunicatorDef(2, [1, 0])])
+        assert violations(t) == [
+            ("collective.order", "collective comm=2 occ=0",
+             "rank 0 occurrence entered at 10 before 52"),
+            ("collective.participants", "collective comm=1 occ=1",
+             "duplicate participant rank"),
+            ("collective.membership", "collective comm=1 occ=2",
+             "participants [0, 2] != members [0, 1]"),
+        ]
+
+    def test_ranks_spanning_int64_keep_their_order_check(self):
+        far = 1 << 62
+        t = with_collectives([(1, 0, [(far, 40, 60), (-far, 30, 50)]),
+                              (1, 1, [(far, 35, 38), (-far, 31, 32)])])
+        members = f"participants [{-far}, {far}] != members [0, 1]"
+        assert violations(t) == [
+            ("collective.membership", "collective comm=1 occ=0", members),
+            ("collective.membership", "collective comm=1 occ=1", members),
+            ("collective.order", "collective comm=1 occ=1",
+             f"rank {far} occurrence entered at 35 before 40"),
+        ]
+
     def test_collective_exit_counts_toward_duration(self):
         t = with_collectives([(1, 0, [(0, 40, 60), (1, 30, 120)])])
         assert violations(t) == [

@@ -522,6 +522,16 @@ class TestDependencyCycle:
         assert info.value.cycle == [(0, 0), (1, 0)]
 
 
+@pytest.mark.usefixtures("every_wave_wide")
+class TestDependencyCycleWide(TestDependencyCycle):
+    """The cycle cases with every batch of ready ranks a numpy wave."""
+
+
+@pytest.mark.usefixtures("every_wave_scalar")
+class TestDependencyCycleScalar(TestDependencyCycle):
+    """The cycle cases with every ready rank in the scalar loop."""
+
+
 class TestReplayConfig:
     def test_negative_eager_limit_rejected(self):
         with pytest.raises(ValueError):
@@ -624,3 +634,13 @@ class TestWideCollectiveOracle:
             floored = interpolate_clock(timeline.ranks[5], exit_).ideal
             eager = interpolate_clock(relaxed.ranks[5], exit_).ideal
             assert floored > eager
+
+
+@pytest.mark.usefixtures("every_wave_wide")
+class TestWideCollectiveOracleWide(TestWideCollectiveOracle):
+    """The 32-rank oracle with every batch of ready ranks a numpy wave."""
+
+
+@pytest.mark.usefixtures("every_wave_scalar")
+class TestWideCollectiveOracleScalar(TestWideCollectiveOracle):
+    """The 32-rank oracle with every ready rank in the scalar loop."""

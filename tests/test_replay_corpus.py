@@ -139,3 +139,20 @@ def test_corpus_has_membership_mismatches(tmp_path):
                for e in log.entries):
             seeds.append(seed)
     assert seeds == [4, 21, 28, 1013, 1015, 1019, 1021, 1026]
+
+
+@pytest.mark.parametrize("sweep", ["every_wave_wide", "every_wave_scalar"])
+def test_replay_outcomes_pinned_on_both_sweep_paths(tmp_path, request, sweep):
+    """The pinned digests hold with either sweep path forced."""
+    request.getfixturevalue(sweep)
+    differ = []
+    for seed, mutators in CASES:
+        path = tmp_path / f"{seed}.prv"
+        path.write_bytes(corpus_file(seed, mutators))
+        try:
+            trace, _, _ = load_trace(str(path))
+        except IngestError:
+            continue
+        if outcome_digest(trace) != DIGESTS[seed]:
+            differ.append(seed)
+    assert differ == []

@@ -30,6 +30,7 @@ from paraslice.synth import (
     load_scenario,
 )
 
+from conftest import replay_module
 from scenarios import roundtrip
 
 
@@ -380,7 +381,7 @@ class TestExpectedMetrics:
 
 
 class TestManyRanks:
-    def test_oracle_at_320_ranks(self, tmp_path):
+    def test_oracle_at_320_ranks(self, tmp_path, monkeypatch):
         """Validation, replay and window planning at 320 ranks: an
         allreduce on four sub-communicators, then a halo exchange,
         reproduce the oracle's global and per-phase factors exactly."""
@@ -398,8 +399,15 @@ class TestManyRanks:
         assert anomalies.total == 0
         assert len(trace.communicators) == 5
         assert validate_trace(trace).ok
+        # 320 ranks wait at each allreduce together: the default sweep
+        # advances them as numpy waves
+        waves = []
+        wave = replay_module._wave
+        monkeypatch.setattr(replay_module, "_wave", lambda ranks, *rest: (
+            waves.append(len(ranks)) or wave(ranks, *rest)))
         timeline, log = replay(trace)
         assert log.total == 0
+        assert waves and min(waves) >= replay_module.WIDE_WAVE_RANKS
         gm = global_metrics(timeline)
         assert gm.t_compute == exp.t_compute
         assert gm.runtime_ideal == exp.runtime_ideal
