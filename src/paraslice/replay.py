@@ -7,27 +7,52 @@ an MPI region advances only elapsed, and its exit ideal is raised by a
 compare-and-swap against the values arriving through messages and
 collectives.
 
-The replay is counted dependency propagation (Kahn's algorithm) over the
-per-rank region sequences.  Each region counts the edges it waits on:
-receive edges, rendezvous floors, and one for its collective occurrence.
-When a rank's frontier reaches a region, that region's entry ideal is
-known and its triggers fire once each: a message edge max-accumulates
-the value into its consumer and decrements the consumer's count; a
-collective arrival does the same into its occurrence, and the last
-arrival delivers the occurrence's maximum to every participant.  A rank
-runs while the count at its frontier is zero.  Dependency cycles in
-corrupt traces are broken by degrading the offending edges (or abort in
-strict mode).
+The replay is counted dependency propagation (Kahn's algorithm) over
+lanes: runs of consecutive regions of one rank, each replayed from an
+ideal clock of 0.  Each region counts the edges it waits on: receive
+edges, rendezvous floors, and one for its collective occurrence.  When a
+lane's frontier reaches a region, that region's entry ideal is known and
+its triggers fire once each: a message edge max-accumulates the value
+into its consumer and decrements the consumer's count; a collective
+arrival does the same into its occurrence, and the last arrival
+delivers the occurrence's maximum to every participant.  A lane runs
+while the count at its frontier is zero.
 
-The ranks that are ready at once advance by one of two paths, chosen
-each time a batch of them forms: at least WIDE_WAVE_RANKS ranks (as when
-a collective releases its participants) advance as one numpy wave, which
-finalizes every run up to its next waiting region, fires the triggers
-the runs reach and collects the next batch; a narrower batch goes rank
-by rank through the scalar loop, which follows a serial chain to its end
-in one pass.  Both work on the same flat state, and the fixpoint does
-not depend on the order in which ranks advance, so the path changes
-nothing in the result.  Cycle breaking is scalar.
+Lanes are ranks, unless the trace can be cut.  A cut is a live
+collective occurrence that every rank takes part in; each rank's
+sequence is cut after each cut, and each stretch between two cuts (a
+segment) is a lane.  With no negative gap, ideal clocks never fall
+along a rank, so every rank leaves cut k with the same exit ideal V_k,
+the maximum of the participants' entries, and an edge whose provider p
+lies in an earlier segment than its consumer c is dominated: cut k
+between them gives entry(p) <= V_k <= entry(c).  So the cut
+occurrences and those forward edges are dropped, every lane is replayed
+from 0, and the segments are stitched: with D_k the largest exit ideal
+any rank reaches at cut k, V = cumsum(D), segment k is lifted by
+V_(k-1) and the cut regions are set to V_k.  Replay does not cut when a
+gap is negative, when ranks meet the cuts in different orders, when an
+edge's provider lies in a later segment than its consumer, or when
+another live occurrence has participants in two segments.  Every
+dropped edge then leads into a later segment and nothing leads back, so
+none lies on a dependency cycle: when the lane sweep stalls, the trace
+has one, and the sweep is rerun on ranks with every edge, where
+dependency cycles in corrupt traces are broken by degrading the
+offending edges (or abort in strict mode).  The lane sweep writes no
+message status and logs nothing, so the rerun reports exactly what a
+sweep on ranks alone would.
+
+Every lane's first region has its entry ideal from the start, so all
+lane heads fire their triggers in one vectorized step.  Then the lanes
+that are ready at once advance by one of two paths, chosen each time a
+batch of them forms: at least WIDE_WAVE_RANKS lanes (all of a trace's
+iterations at once, or the participants a collective releases) advance
+as numpy waves of at most _WAVE_LANES lanes each, which finalize every
+run up to its next waiting region, fire the triggers the runs reach and
+collect the next batch; a narrower batch goes lane by lane through the
+scalar loop, which follows a serial chain to its end in one pass.  Both
+work on the same flat state, and the fixpoint does not depend on the
+order in which lanes advance, so the path changes nothing in the
+result.  Cycle breaking is scalar.
 
 Internally everything lives in flat arrays (message columns, triggers
 in offset/payload (CSR) form, collective participant slices) because
@@ -65,13 +90,18 @@ _STATUS_VALID = STATUS_CODES[MessageStatus.VALID]
 _STATUS_FAULTY = STATUS_CODES[MessageStatus.FAULTY_LOCAL]
 _NONE = -(1 << 63)      # below every clock value: nothing has arrived
 
-# Fewest ready ranks that advance as one numpy wave: the measured
-# crossover.  On a 2-vCPU VM a wave costs about 100 us when every run is
+# Fewest ready lanes that advance as numpy waves: the measured crossover
+# for ranks.  On a 2-vCPU VM a wave costs about 100 us when every run is
 # one region and about 170 us when runs carry messages, the scalar loop
-# 1.5-3 us per rank run.  With 64 here, 64-rank ring and stencil traces
-# replayed 10-27% slower (an allreduce-only one 19% faster); at 96 a ring
-# trace broke even and a stencil trace gained 12%.
+# 1.5-3 us per lane run.  With 64 here, 64-rank ring and stencil traces
+# replayed rank by rank (without cuts) run 23-28% slower; cut into lanes
+# they replay in the same time at 64 and 96, and a 64-rank allreduce on
+# four sub-communicators replays about 25% faster at 64.
 WIDE_WAVE_RANKS = 96
+
+# Most lanes one wave, or one step of firing lane heads, takes at a time,
+# so that its temporaries stay bounded; a wider batch is split evenly.
+_WAVE_LANES = 1024
 
 
 def _flat(values: np.ndarray, top: int | None = None) -> array:
@@ -369,45 +399,9 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
     # --- attach collectives --------------------------------------------------
     colls = trace.collectives
     op_skip = _skipped_collectives(trace, config, log)
-    part_counts = np.diff(np.frombuffer(colls.part_offsets, dtype=np.int64))
-    part_op = np.repeat(np.arange(len(op_skip), dtype=np.int64), part_counts)
-    part_g = (offsets[np.frombuffer(colls.part_ranks, dtype=np.int64)]
-              + np.frombuffer(colls.part_region_idx, dtype=np.int64))
-    live = ~op_skip[part_op]
-
-    # --- triggers ------------------------------------------------------------
-    # One CSR over providers (global region ids): the triggers of region g
-    # are the slice [trig_off[g], trig_off[g+1]).  A message trigger holds
-    # the message index and its consumer region; a collective arrival
-    # holds ~occurrence.  Each region counts its unfired edges, plus one
-    # while its collective occurrence has not delivered.
-    prov = np.concatenate((s_row[recv_i], r_row[floor_i], part_g[live]))
-    order = np.argsort(prov, kind="stable")
-    trig_off = _flat(np.searchsorted(prov[order], np.arange(N + 1)),
-                     len(prov) + 1)
-    del prov
-    ids = np.concatenate((recv_i, floor_i, ~part_op[live]))[order]
-    trig_id = _flat(ids, max(nmsg, len(op_skip)))
-    del ids
-    cons = np.concatenate((r_row[recv_i], s_row[floor_i],
-                           np.zeros(int(live.sum()), dtype=np.int64)))
-    counts = (np.bincount(cons[:len(recv_i) + len(floor_i)], minlength=N)
-              + np.bincount(part_g[live], minlength=N))
-    trig_cons = _flat(cons[order], N)
-    del cons, order, recv_i, floor_i
-    count = _flat(counts, len(trig_id) + 1)
-    del counts, live
-
-    # exit ideals; until a region is finalized, the maximum value that has
-    # arrived for it through messages and its collective
-    ideal_exit = _flat(np.full(N, _NONE, dtype=np.int64))
-    left = _flat(part_counts)             # participants yet to arrive
-    op_max = _flat(np.full(len(op_skip), _NONE, dtype=np.int64))
-    op_skip = bytearray(op_skip.tobytes())
-    part_off = colls.part_offsets
-    part_rank = colls.part_ranks
-    part_gid = _flat(part_g, N)
-    del part_op, part_g, part_counts
+    part_gid = _flat(offsets[np.frombuffer(colls.part_ranks, dtype=np.int64)]
+                     + np.frombuffer(colls.part_region_idx, dtype=np.int64),
+                     N)
 
     # entry ideal of region g: the exit ideal before it plus gap[g], the
     # out-of-MPI time in between (a rank's first region: its entry time)
@@ -417,16 +411,205 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
         heads = offsets[:-1][offsets[1:] > offsets[:-1]]
         gap[heads] = ent[heads]
         del heads
-    gap = _flat(gap)
+    graph = _Graph(ranks=P, rows=N, gap=_flat(gap), senders=m_sender,
+                   receivers=m_receiver, status=m_status, s_row=s_row,
+                   r_row=r_row, part_off=colls.part_offsets,
+                   part_rank=colls.part_ranks, part_gid=part_gid)
+    del gap
 
-    first = offsets[:-1].tolist()
-    stop = offsets[1:].tolist()
-    front = array("q", first)    # per rank: the global id of its frontier
+    # --- sweep ---------------------------------------------------------------
+    cuts = _find_cuts(table, graph, op_skip, recv_i, floor_i)
+    widest = P if cuts is None else len(cuts.lanes) - 1
+    waves = widest >= WIDE_WAVE_RANKS and _sums_fit(graph.gap)
+    ideal_exit = None
+    if cuts is not None:
+        keep = cuts.keep
+        ideal_exit = _sweep(graph, cuts.lanes, _flat(cuts.segs),
+                            recv_i[keep[:len(recv_i)]],
+                            floor_i[keep[len(recv_i):]], op_skip | cuts.occs,
+                            waves, config, log, break_cycles=False)
+        del keep
+    if ideal_exit is None:
+        # no cut, or a dependency cycle: every edge, rank by rank
+        ideal_exit = _sweep(graph, _flat(offsets), bytes(len(op_skip)),
+                            recv_i, floor_i, op_skip, waves, config, log,
+                            break_cycles=True)
+    else:
+        _stitch(np.frombuffer(ideal_exit, dtype=np.int64),
+                np.frombuffer(cuts.lanes, dtype=np.int64), P)
+    del graph, cuts, s_row, r_row, recv_i, floor_i, part_gid, op_skip
+
+    timeline = _assemble_timeline(table, np.frombuffer(ideal_exit,
+                                                       dtype=np.int64),
+                                  end_time)
+    return timeline, log
+
+
+class _Graph:
+    """What every sweep over one trace shares: the gap before each region,
+    the message columns (whose status bytes degradations write through)
+    with each message's send and receive rows, and each collective
+    participant's rank and region (occurrence o owns participants
+    part_off[o] to part_off[o+1] - 1)."""
+
+    __slots__ = ("ranks", "rows", "gap", "senders", "receivers", "status",
+                 "s_row", "r_row", "part_off", "part_rank", "part_gid")
+
+    def __init__(self, **columns):
+        for name, values in columns.items():
+            setattr(self, name, values)
+
+    @property
+    def part_g(self) -> np.ndarray:
+        return np.frombuffer(self.part_gid, dtype=self.part_gid.typecode)
+
+
+class _Cuts:
+    """Where every rank's region sequence is cut: lane offsets (rank r's
+    segment k is lane r*S + k of S per rank), the cut occurrences, the
+    segment of every other occurrence, and which message edges (receive
+    edges, then floors) stay within one segment."""
+
+    __slots__ = ("lanes", "occs", "segs", "keep")
+
+    def __init__(self, lanes: array, occs: np.ndarray, segs: np.ndarray,
+                 keep: np.ndarray):
+        self.lanes = lanes
+        self.occs = occs
+        self.segs = segs
+        self.keep = keep
+
+
+def _find_cuts(table: RegionTable, graph: _Graph, skip: np.ndarray,
+               recv_i: np.ndarray, floor_i: np.ndarray) -> _Cuts | None:
+    """Cut every rank after each live collective occurrence that all
+    ranks take part in, or None when there is no such occurrence or
+    cutting there would not be sound: a negative gap, ranks that meet
+    the cuts in different orders, a message edge whose provider lies in
+    a later segment than its consumer, or another live occurrence with
+    participants in two segments."""
+    P = table.rank_count
+    counts = np.diff(np.frombuffer(graph.part_off, dtype=np.int64))
+    occs = ~skip & (counts == P)
+    K = int(occs.sum())
+    if not K or (np.frombuffer(graph.gap, dtype=np.int64) < 0).any():
+        return None
+    # participants are distinct ranks in rank order: row r of the
+    # transpose is rank r's cut rows, put in rank 0's order
+    rows = graph.part_g[np.repeat(occs, counts)].reshape(K, P).T
+    rows = rows[:, np.argsort(rows[0])]
+    if (rows[:, 1:] <= rows[:, :-1]).any():
+        return None
+    S = K + 1
+    lanes = np.empty(P * S + 1, dtype=np.int64)
+    grid = lanes[:-1].reshape(P, S)
+    grid[:, 0] = table.offsets[:-1]
+    grid[:, 1:] = rows + 1
+    lanes[-1] = table.row_count
+    del rows, grid
+    # the segment of every row, in the narrowest type that holds S
+    segment = np.repeat(np.tile(np.arange(S, dtype=np.min_scalar_type(S)),
+                                P), np.diff(lanes))
+    prov = segment[np.concatenate((graph.s_row[recv_i],
+                                   graph.r_row[floor_i]))]
+    cons = segment[np.concatenate((graph.r_row[recv_i],
+                                   graph.s_row[floor_i]))]
+    if (prov > cons).any():
+        return None
+    keep = prov == cons
+    del prov, cons
+    other = ~skip & ~occs
+    segs = np.zeros(len(skip), dtype=np.int64)
+    if other.any():
+        seg = segment[graph.part_g[np.repeat(other, counts)]]
+        n = counts[other]
+        segs[other] = seg[np.cumsum(n) - n]
+        if (seg != np.repeat(segs[other], n)).any():
+            return None
+    return _Cuts(_flat(lanes), occs, segs, keep)
+
+
+def _stitch(ideal: np.ndarray, lanes: np.ndarray, P: int) -> None:
+    """Lift each segment's exit ideals, computed from 0, onto the exit
+    ideal all P ranks share at the cut before it."""
+    S = (len(lanes) - 1) // P
+    rows = lanes[:-1].reshape(P, S)[:, 1:] - 1
+    shared = np.cumsum(ideal[rows].max(axis=0))
+    shift = np.concatenate(([0], shared))
+    sizes = np.diff(lanes)
+    for lo in range(0, len(sizes), 1 << 16):
+        hi = min(lo + (1 << 16), len(sizes))
+        ideal[lanes[lo]:lanes[hi]] += np.repeat(
+            shift[np.arange(lo, hi) % S], sizes[lo:hi])
+    ideal[rows] = shared
+
+
+def _sweep(graph: _Graph, lanes: array, segs, recv_i: np.ndarray,
+           floor_i: np.ndarray, skip: np.ndarray, waves: bool,
+           config: ReplayConfig, log: AnomalyLog,
+           break_cycles: bool) -> array | None:
+    """Counted propagation over lanes, S per rank (lane l owns regions
+    lanes[l] to lanes[l+1] - 1 and starts from 0), along the given
+    receive edges and floors and the occurrences not in skip; occurrence
+    o lies in segment segs[o], so rank r takes part in lane r*S +
+    segs[o].  Returns the exit ideals, or None when the sweep stalls and
+    break_cycles is off; cycles are broken only when lanes are ranks."""
+    N = graph.rows
+    L = len(lanes) - 1
+    S = L // graph.ranks if graph.ranks else 1
+    gap = graph.gap
+    m_sender, m_receiver = graph.senders, graph.receivers
+    m_status = graph.status
+    s_row, r_row = graph.s_row, graph.r_row
+    part_off, part_rank = graph.part_off, graph.part_rank
+    part_gid = graph.part_gid
+    part_counts = np.diff(np.frombuffer(part_off, dtype=np.int64))
+
+    # --- triggers ------------------------------------------------------------
+    # One CSR over providers (global region ids): the triggers of region g
+    # are the slice [trig_off[g], trig_off[g+1]).  A message trigger holds
+    # the message index and its consumer region; a collective arrival
+    # holds ~occurrence.  Each region counts its unfired edges, plus one
+    # while its collective occurrence has not delivered.
+    live = np.flatnonzero(~skip)
+    part_g = graph.part_g[np.repeat(~skip, part_counts)]
+    prov = np.concatenate((s_row[recv_i], r_row[floor_i], part_g))
+    order = np.argsort(prov, kind="stable")
+    prov += 1
+    at = np.bincount(prov, minlength=N + 1)
+    del prov
+    trig_off = _flat(np.cumsum(at, out=at), len(order) + 1)
+    del at
+    ids = np.concatenate((recv_i, floor_i,
+                          ~np.repeat(live, part_counts[live])))[order]
+    trig_id = _flat(ids, max(len(m_sender), len(skip)))
+    del ids
+    cons = np.concatenate((r_row[recv_i], s_row[floor_i],
+                           np.zeros(len(part_g), dtype=np.int64)))
+    counts = np.bincount(cons[:len(recv_i) + len(floor_i)], minlength=N)
+    counts += np.bincount(part_g, minlength=N)
+    trig_cons = _flat(cons[order], N)
+    del cons, order, part_g, live
+    count = _flat(counts, len(trig_id) + 1)
+    del counts
+
+    # exit ideals; until a region is finalized, the maximum value that has
+    # arrived for it through messages and its collective
+    ideal_exit = _flat(np.full(N, _NONE, dtype=np.int64))
+    left = _flat(part_counts)             # participants yet to arrive
+    op_max = _flat(np.full(len(skip), _NONE, dtype=np.int64))
+    op_skip = bytearray(skip.tobytes())
+
+    # lane l: regions first[l] to first[l+1]-1; the scalar loop reads a
+    # list faster, an array holds many lanes in 8 bytes each
+    first = lanes.tolist() if len(lanes) <= 1 << 12 else lanes
+    lanes = np.frombuffer(lanes, dtype=np.int64)
+    front = _flat(lanes[:-1], N + 1)  # per lane: its frontier's region id
     ready: deque[int] = deque()
-    queued = bytearray(P)
+    queued = bytearray(L)
 
     def release(r: int, g: int) -> None:
-        """One edge of region g of rank r has fired or been dropped."""
+        """One edge of region g of lane r has fired or been dropped."""
         n = count[g] - 1
         count[g] = n
         if not n and front[r] == g and not queued[r]:
@@ -463,6 +646,7 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
             # the last participant arrived: every participant waits at
             # this occurrence, so each is at its frontier
             v = op_max[o]
+            seg = segs[o]
             for j in range(part_off[o], part_off[o + 1]):
                 c = part_gid[j]
                 if v > ideal_exit[c]:
@@ -470,12 +654,12 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
                 n = count[c] - 1
                 count[c] = n
                 if not n:
-                    r = part_rank[j]
+                    r = part_rank[j] * S + seg
                     if not queued[r]:
                         queued[r] = 1
                         ready.append(r)
 
-    # --- cycle breaking (rare; corrupt traces only) --------------------------
+    # --- cycle breaking (rare; corrupt traces only, lanes are ranks) ---------
     view: list = []
     coll_of: list = []
 
@@ -499,9 +683,8 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
         """The collective occurrence region g takes part in, or -1."""
         if not coll_of:
             at = np.full(N, -1, dtype=np.int64)
-            at[np.frombuffer(part_gid, dtype=part_gid.typecode)] = np.repeat(
-                np.arange(len(op_skip), dtype=np.int64),
-                np.diff(np.frombuffer(part_off, dtype=np.int64)))
+            at[graph.part_g] = np.repeat(
+                np.arange(len(skip), dtype=np.int64), part_counts)
             coll_of.append(at)
         return int(coll_of[0][g])
 
@@ -621,41 +804,55 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
             raise ReplayError("unbreakable dependency cycle")
 
     # --- sweep ---------------------------------------------------------------
-    # A batch of at least `wide` ready ranks advances as one numpy wave;
-    # narrower batches take the scalar loop below, in queue order.
-    wide = P + 1
-    views = None
-    if P >= WIDE_WAVE_RANKS and _sums_fit(gap):
-        wide = WIDE_WAVE_RANKS
-        views = _SweepViews(front=front, queued=queued, count=count,
-                            ideal=ideal_exit, gap=gap, trig_off=trig_off,
-                            trig_id=trig_id, trig_cons=trig_cons,
-                            status=m_status, op_skip=op_skip, op_max=op_max,
-                            left=left, part_off=part_off,
-                            part_rank=part_rank, part_gid=part_gid)
-    for r in range(P):
-        g = first[r]
-        if g < stop[r]:
-            fire(trig_off[g], trig_off[g + 1], gap[g])
-            if not count[g] and not queued[r]:
-                queued[r] = 1
-                ready.append(r)
+    # A batch of at least `wide` ready lanes advances as numpy waves of at
+    # most about _WAVE_LANES lanes each; narrower batches take the scalar
+    # loop below, in queue order.
+    wide = WIDE_WAVE_RANKS if waves else L + 1
+    views = _SweepViews(front=front, queued=queued, count=count,
+                        ideal=ideal_exit, gap=gap, trig_off=trig_off,
+                        trig_id=trig_id, trig_cons=trig_cons,
+                        status=m_status, op_skip=op_skip, op_max=op_max,
+                        left=left, part_off=part_off, part_gid=part_gid)
+
+    def advance(batch: np.ndarray) -> None:
+        """Run waves while the batch is wide; queue what is left."""
+        while len(batch) >= wide:
+            parts = -(-len(batch) // _WAVE_LANES)
+            batch = _wave(batch, views, lanes) if parts == 1 else \
+                np.concatenate([_wave(part, views, lanes)
+                                for part in np.array_split(batch, parts)])
+        views.queued[batch] = 1
+        ready.extend(batch.tolist())
+
+    # every lane's first region has its entry ideal, gap[head], from the
+    # start: fire all heads, then every lane whose head waits on nothing
+    # is ready
+    heads = lanes[:-1]
+    busy = lanes[1:] > heads
+    for lo in range(0, L, _WAVE_LANES):
+        at = heads[lo:lo + _WAVE_LANES][busy[lo:lo + _WAVE_LANES]]
+        _fire(at, views.gap[at], views, lanes)
+    batch = []
+    for lo in range(0, L, _WAVE_LANES):
+        at = lo + np.flatnonzero(busy[lo:lo + _WAVE_LANES])
+        batch.append(at[views.count[heads[at]] == 0])
+    del heads, busy
+    advance(np.concatenate(batch) if batch else np.zeros(0, np.int64))
+    del batch
     while True:
         while ready:
             if len(ready) >= wide:
                 batch = np.fromiter(ready, np.int64, len(ready))
                 ready.clear()
                 views.queued[batch] = 0
-                while len(batch) >= wide:
-                    batch = _wave(batch, views, offsets)
-                views.queued[batch] = 1
-                ready.extend(batch.tolist())
+                advance(batch)
                 continue
             for _ in range(len(ready)):
-                # finalize rank r's regions from its frontier until one waits
+                # finalize lane r's regions from its frontier until one
+                # waits
                 r = ready.popleft()
                 g = front[r]
-                end = stop[r]
+                end = first[r + 1]
                 e = gap[g] if g == first[r] else ideal_exit[g - 1] + gap[g]
                 lo = trig_off[g + 1]
                 while True:
@@ -678,22 +875,18 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
                         break
                 front[r] = g
                 queued[r] = 0
-        blocked = [r for r in range(P) if front[r] < stop[r]]
-        if not blocked:
-            break
-        break_cycle(blocked)
-    # the timeline needs only the exit ideals; the views hold the arrays
-    del views, trig_off, trig_id, trig_cons, count, gap, view, coll_of
-
-    timeline = _assemble_timeline(table, np.frombuffer(ideal_exit,
-                                                       dtype=np.int64),
-                                  end_time)
-    return timeline, log
+        blocked = np.flatnonzero(views.front < lanes[1:])
+        if not len(blocked):
+            return ideal_exit
+        if not break_cycles:
+            return None
+        break_cycle(blocked.tolist())
 
 
 class _SweepViews:
-    """Writable numpy views of the sweep's flat arrays, for the waves.  A
-    view keeps its array alive, so these go together with the arrays."""
+    """Writable numpy views of the sweep's flat arrays, for the waves and
+    the first firing of lane heads.  A view keeps its array alive, so
+    these go together with the arrays."""
 
     def __init__(self, **arrays):
         for name, values in arrays.items():
@@ -722,7 +915,7 @@ def _spans(lo: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 def _run_ends(count: np.ndarray, s: np.ndarray,
               top: np.ndarray) -> np.ndarray:
-    """Per rank, the first region after s[i] whose count is positive, or
+    """Per lane, the first region after s[i] whose count is positive, or
     top[i] when none is; windows of doubling width probe the counts."""
     end = s + 1
     on = end < top
@@ -744,26 +937,26 @@ def _run_ends(count: np.ndarray, s: np.ndarray,
     return end
 
 
-def _wave(ranks: np.ndarray, v: _SweepViews,
+def _wave(batch: np.ndarray, v: _SweepViews,
           offsets: np.ndarray) -> np.ndarray:
-    """Advance every ready rank at once; returns the next ready ranks.
+    """Advance every ready lane at once; returns the next ready lanes.
 
-    Each rank's frontier s has count 0 and its triggers fired.  Its run
+    Each lane's frontier s has count 0 and its triggers fired.  Its run
     s..end-1 ends before the next region that still waits (or at the
-    rank's end); the run's exit ideals follow X[g] = max(arrived[g],
+    lane's end); the run's exit ideals follow X[g] = max(arrived[g],
     X[g-1] + gap[g]), the triggers of s+1..end fire as in the scalar
-    fire, and the ranks left at a frontier with count 0 are ready.  No
+    fire, and the lanes left at a frontier with count 0 are ready.  No
     region in a run can receive a trigger (its count is 0), so firing
     after finalizing gives the scalar result.
     """
-    s = v.front[ranks]
-    top = offsets[ranks + 1]
+    s = v.front[batch].astype(np.intp)
+    top = offsets[batch + 1]
     end = _run_ends(v.count, s, top)
-    v.front[ranks] = end
+    v.front[batch] = end
     size = end - s
     longest = int(size.max())
     prev = v.ideal[s - 1]
-    prev[s == offsets[ranks]] = 0         # a rank's first region
+    prev[s == offsets[batch]] = 0         # a lane's first region
     if longest == 1:
         g = s
         x = np.maximum(v.ideal[s], prev + v.gap[s])
@@ -793,9 +986,18 @@ def _wave(ranks: np.ndarray, v: _SweepViews,
     # fire the triggers of the region after each finalized one
     fired = g + 1 < top
     reached = g[fired] + 1
+    return _fire(reached, x[fired] + v.gap[reached], v, offsets)
+
+
+def _fire(reached: np.ndarray, e: np.ndarray, v: _SweepViews,
+          offsets: np.ndarray) -> np.ndarray:
+    """Fire the triggers of the regions reached, whose entry ideals are e,
+    as the scalar fire does (degraded messages and skipped occurrences
+    ignored, each completed occurrence delivering to all its
+    participants); returns the lanes whose frontier is left with count
+    0, among those it waited for."""
     lo = v.trig_off[reached]
     n = v.trig_off[reached + 1] - lo
-    e = x[fired] + v.gap[reached]
     if n.min(initial=1) == n.max(initial=1) == 1:
         at = lo.astype(np.intp)
     else:

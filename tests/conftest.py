@@ -1,4 +1,5 @@
-"""Shared fixtures: force one of replay's two sweep paths."""
+"""Shared fixtures: force one of replay's two sweep paths, or turn off
+its cuts at all-rank collectives."""
 
 import importlib
 
@@ -22,3 +23,14 @@ def every_wave_wide(monkeypatch):
 def every_wave_scalar(monkeypatch):
     """Every ready rank advances through the scalar loop."""
     monkeypatch.setattr(replay_module, "WIDE_WAVE_RANKS", EVERY_WAVE_SCALAR)
+
+
+def no_cuts(*args):
+    """A cut finder that never cuts: every sweep runs on ranks."""
+    return None
+
+
+@pytest.fixture
+def without_cuts(monkeypatch):
+    """Replay never cuts at all-rank collectives."""
+    monkeypatch.setattr(replay_module, "_find_cuts", no_cuts)

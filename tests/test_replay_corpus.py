@@ -141,10 +141,14 @@ def test_corpus_has_membership_mismatches(tmp_path):
     assert seeds == [4, 21, 28, 1013, 1015, 1019, 1021, 1026]
 
 
-@pytest.mark.parametrize("sweep", ["every_wave_wide", "every_wave_scalar"])
+@pytest.mark.parametrize("sweep", [
+    "every_wave_wide", "every_wave_scalar",
+    "every_wave_wide+without_cuts", "every_wave_scalar+without_cuts"])
 def test_replay_outcomes_pinned_on_both_sweep_paths(tmp_path, request, sweep):
-    """The pinned digests hold with either sweep path forced."""
-    request.getfixturevalue(sweep)
+    """The pinned digests hold with either sweep path forced, with and
+    without cuts at all-rank collectives."""
+    for fixture in sweep.split("+"):
+        request.getfixturevalue(fixture)
     differ = []
     for seed, mutators in CASES:
         path = tmp_path / f"{seed}.prv"
