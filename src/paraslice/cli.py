@@ -31,8 +31,6 @@ from .metrics import (
 from .model import AnomalyKind, AnomalyLog, TimeUnit, validate_trace
 from .prv import IngestCounters, IngestError, load_trace
 from .replay import DEFAULT_EAGER_LIMIT, ReplayConfig, ReplayError, replay
-from .synth import ScenarioError, expected_metrics, generate_to_files, \
-    load_scenario
 from .windows import WindowPlan, boundary_clocks, plan_windows
 
 EXIT_OK = 0
@@ -392,6 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_generate(args) -> int:
+    # imported here so that `analyze` never loads the generator
+    from .synth import (ScenarioError, expected_metrics, generate_to_files,
+                        load_scenario)
     try:
         scenario = load_scenario(args.scenario)
     except OSError as exc:

@@ -1,0 +1,119 @@
+"""What `import paraslice` does to a fresh interpreter: numpy's OpenBLAS
+starts with one thread unless the user chose otherwise, the environment
+reads as before, and the `analyze` path never loads the generator."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import paraslice
+from paraslice.cli import EXIT_BAD_CONFIG, EXIT_UNREADABLE
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+HAS_TASK_DIR = os.path.isdir("/proc/self/task")
+
+# prints what the child saw after its imports: BLAS variables and threads
+REPORT = """
+import json, os, sys
+print(json.dumps({
+    "env": {v: os.environ.get(v) for v in %r},
+    "threads": (len(os.listdir("/proc/self/task"))
+                if os.path.isdir("/proc/self/task") else None),
+    "synth": "paraslice.synth" in sys.modules,
+}))
+""" % (BLAS_VARS,)
+
+
+def run_python(code, preset=None, flags=(), argv=()):
+    """Run `code` in a fresh interpreter with paraslice importable, no BLAS
+    thread variable set except those in `preset`."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = SRC
+    env.update(preset or {})
+    return subprocess.run([sys.executable, *flags, "-c", code, *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def report_after(imports, preset=None):
+    proc = run_python(imports + REPORT, preset)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestBlasPin:
+    def test_pin_leaves_no_variable_behind(self):
+        got = report_after("import paraslice")
+        assert got["env"] == dict.fromkeys(BLAS_VARS)
+
+    @pytest.mark.skipif(not HAS_TASK_DIR, reason="no /proc/self/task")
+    def test_one_thread_after_import(self):
+        assert report_after("import paraslice")["threads"] == 1
+
+    @pytest.mark.skipif(not HAS_TASK_DIR, reason="no /proc/self/task")
+    def test_one_thread_after_a_matmul(self):
+        got = report_after("import paraslice, numpy as np\n"
+                           "a = np.ones((600, 600)); a @ a")
+        assert got["threads"] == 1
+
+    @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS",
+                                     "OMP_NUM_THREADS"])
+    def test_pin_skipped_when_user_sets_threads(self, var):
+        got = report_after("import paraslice", {var: "2"})
+        assert got["env"] == {**dict.fromkeys(BLAS_VARS), var: "2"}
+        assert got == report_after("import numpy", {var: "2"})
+
+    def test_numpy_imported_first_is_left_alone(self):
+        baseline = report_after("import numpy")
+        assert report_after("import numpy, paraslice") == baseline
+
+
+class TestImportPath:
+    def test_cli_does_not_load_the_generator(self):
+        assert report_after("import paraslice.cli")["synth"] is False
+
+    def test_no_warnings_on_import(self):
+        proc = run_python("import paraslice", flags=("-W", "error"))
+        assert proc.returncode == 0, proc.stderr
+
+    def test_generator_names_resolve(self):
+        from paraslice import synth
+        for name in paraslice._SYNTH_NAMES:
+            assert getattr(paraslice, name) is getattr(synth, name)
+            assert name in dir(paraslice)
+            assert name in paraslice.__all__
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            paraslice.no_such_name
+
+    def test_star_import_binds_all(self):
+        namespace = {}
+        exec("from paraslice import *", namespace)
+        assert set(paraslice.__all__) <= set(namespace)
+
+    def generate(self, scenario, tmp_path):
+        """`paraslice generate` in a fresh interpreter, where the generator
+        is first loaded by the command itself."""
+        code = ("import sys; from paraslice.cli import main; "
+                "sys.exit(main(sys.argv[1:]))")
+        return run_python(code, argv=("generate", str(scenario), "--out",
+                                      str(tmp_path / "out.prv")))
+
+    def test_generate_missing_scenario(self, tmp_path):
+        proc = self.generate(tmp_path / "nope.json", tmp_path)
+        assert proc.returncode == EXIT_UNREADABLE, proc.stderr
+        assert "cannot read" in proc.stderr
+
+    @pytest.mark.parametrize("text", ['{"rank_count": 0}', "{not json"])
+    def test_generate_invalid_scenario(self, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        proc = self.generate(bad, tmp_path)
+        assert proc.returncode == EXIT_BAD_CONFIG, proc.stderr
+        assert "invalid scenario" in proc.stderr
