@@ -71,16 +71,9 @@ class MpiRegion:
     entry_time: int
     exit_time: int
     call_class: CallClass
-    call_id: int = 0
     region_seq: int = 0
     # communicator announced by a companion event at entry (collectives)
     comm_hint: int | None = None
-
-    def duration(self) -> int:
-        return self.exit_time - self.entry_time
-
-    def contains(self, t: int) -> bool:
-        return self.entry_time <= t <= self.exit_time
 
 
 def _raw(values: np.ndarray, dtype) -> np.ndarray:
@@ -113,9 +106,11 @@ class RegionTable:
     """Every rank's MPI regions in one rank-major table.
 
     Multi-million-region traces cannot afford an object per region, so
-    the regions live in flat read-only columns with one row per region:
-    rank r owns rows offsets[r]:offsets[r+1], in entry-time order, and
-    row offsets[r] + k is its region k.  Communicator hints are sparse:
+    the regions live in flat read-only columns with one row per region
+    (entry time, exit time and class code; no analysis reads the MPI
+    call value that opened a region, so it is not kept): rank r owns
+    rows offsets[r]:offsets[r+1], in entry-time order, and row
+    offsets[r] + k is its region k.  Communicator hints are sparse:
     hint_rows lists the hinted rows in ascending order and hint_values
     the ids they announced.
 
@@ -125,21 +120,20 @@ class RegionTable:
     """
 
     COLUMNS = ("offsets", "entry_times", "exit_times", "class_codes",
-               "call_ids", "hint_rows", "hint_values")
+               "hint_rows", "hint_values")
     __slots__ = COLUMNS + ("_views",)
 
     def __init__(self, offsets, entry_times, exit_times, class_codes,
-                 call_ids, hint_rows=(), hint_values=()) -> None:
+                 hint_rows=(), hint_values=()) -> None:
         self.offsets = _frozen(offsets, np.int64)
         self.entry_times = _frozen(entry_times, np.int64)
         self.exit_times = _frozen(exit_times, np.int64)
         self.class_codes = _frozen(class_codes, np.uint8)
-        self.call_ids = _frozen(call_ids, np.int64)
         self.hint_rows = _frozen(hint_rows, np.int64)
         self.hint_values = _frozen(hint_values, np.int64)
         n = int(self.offsets[-1])
         if any(len(c) != n for c in (self.entry_times, self.exit_times,
-                                     self.class_codes, self.call_ids)) \
+                                     self.class_codes)) \
                 or len(self.hint_rows) != len(self.hint_values):
             raise ValueError("region columns of unequal length")
         self._views = None
@@ -154,8 +148,7 @@ class RegionTable:
         hinted = [i for i, g in enumerate(flat) if g.comm_hint is not None]
         return cls(np.cumsum([0] + [len(regs) for regs in per_rank]),
                    [g.entry_time for g in flat], [g.exit_time for g in flat],
-                   [CLASS_CODES[g.call_class] for g in flat],
-                   [g.call_id for g in flat], hinted,
+                   [CLASS_CODES[g.call_class] for g in flat], hinted,
                    [flat[i].comm_hint for i in hinted])
 
     @property
@@ -216,22 +209,18 @@ class RankRegions:
     def class_codes(self) -> np.ndarray:
         return self.table.class_codes[self.lo:self.hi]
 
-    @property
-    def call_ids(self) -> np.ndarray:
-        return self.table.call_ids[self.lo:self.hi]
-
     def _region(self, k: int) -> MpiRegion:
         if self._fields is None:    # the rank's columns as lists, once
             t, lo, hi = self.table, self.lo, self.hi
             h_lo, h_hi = np.searchsorted(t.hint_rows, (lo, hi))
             self._fields = (
                 self.entry_times.tolist(), self.exit_times.tolist(),
-                self.class_codes.tolist(), self.call_ids.tolist(),
+                self.class_codes.tolist(),
                 dict(zip((t.hint_rows[h_lo:h_hi] - lo).tolist(),
                          t.hint_values[h_lo:h_hi].tolist())))
-        entry, exit_, code, call, hints = self._fields
+        entry, exit_, code, hints = self._fields
         return MpiRegion(self.rank, entry[k], exit_[k], CLASS_BY_CODE[code[k]],
-                         call[k], k, hints.get(k))
+                         k, hints.get(k))
 
     def __len__(self) -> int:
         return self.hi - self.lo

@@ -1,4 +1,4 @@
-"""Reading Paraver .prv traces and their .pcf label files.
+"""Reading Paraver .prv traces.
 
 The trace body is read in blocks of about BLOCK_SIZE bytes, each cut at
 its last newline, so ingest memory stays proportional to one block plus
@@ -358,7 +358,7 @@ class _Assembly:
     from one block to the next.
 
     The cursors are per-rank columns: the entry time of the open region
-    (-1: none), its class code, call value and communicator hint; the
+    (-1: none), its class code and communicator hint; the
     time (-1: none) and value of a hint waiting for a region opened at
     its timestamp; and the last event time.  Times here are never
     negative: they start at 0 and are clamped to never decrease.
@@ -380,7 +380,6 @@ class _Assembly:
         self.open_entry = np.full(P, -1, dtype=np.int64)
         self.open_class = np.full(P, CLASS_CODES[CallClass.OTHER_MPI],
                                   dtype=np.int64)
-        self.open_call = np.zeros(P, dtype=np.int64)
         self.open_hinted = np.zeros(P, dtype=bool)
         self.open_hint = np.zeros(P, dtype=np.int64)
         self.hint_time = np.full(P, -1, dtype=np.int64)
@@ -388,15 +387,15 @@ class _Assembly:
         self.last_time = np.zeros(P, dtype=np.int64)
         self.region_counts = np.zeros(P, dtype=np.int64)
         self.chunks: list[tuple[np.ndarray, np.ndarray]] = []
-        # entry, exit, class code, call; the hinted rows and their hints
-        self.columns = [array("q"), array("q"), array("B"), array("q")]
+        # entry, exit, class code; the hinted rows and their hints
+        self.columns = [array("q"), array("q"), array("B")]
         self.hint_rows = array("q")
         self.hint_values = array("q")
         # the current block's anomalies, moved to log in line order
         self.pending = AnomalyLog()
 
     def _emit(self, rank: np.ndarray, entry: np.ndarray, exit_: np.ndarray,
-              codes: np.ndarray, calls: np.ndarray, hinted: np.ndarray,
+              codes: np.ndarray, hinted: np.ndarray,
               hints: np.ndarray) -> None:
         """Closed regions as columns, ordered by rank, each rank's in
         entry order; hints[i] is region i's hint where hinted[i] is set."""
@@ -411,7 +410,7 @@ class _Assembly:
         for column, values in (
                 (self.hint_rows, at + len(self.columns[0])),
                 (self.hint_values, hints[at]),
-                *zip(self.columns, (entry, exit_, codes, calls))):
+                *zip(self.columns, (entry, exit_, codes))):
             column.frombytes(np.ascontiguousarray(
                 values, dtype=column.typecode).view(np.uint8))
 
@@ -630,7 +629,6 @@ class _Assembly:
             lines += len(queue)
             open_entry = int(self.open_entry[rank])
             open_class = int(self.open_class[rank])
-            open_call = int(self.open_call[rank])
             open_hint = int(self.open_hint[rank]) \
                 if self.open_hinted[rank] else None
             hint_time = int(self.hint_time[rank])
@@ -664,12 +662,11 @@ class _Assembly:
                                     f"rank {rank} region opened at "
                                     f"{open_entry} never closed")
                             rows.append((rank, open_entry, time, open_class,
-                                         open_call, open_hint is not None,
+                                         open_hint is not None,
                                          open_hint or 0))
                             open_hint = None
                         open_entry = time
                         open_class = code
-                        open_call = value
                         if hint_time == time:
                             open_hint = hint_value
                             hint_time = -1
@@ -679,14 +676,12 @@ class _Assembly:
                                 f"region")
                     else:
                         rows.append((rank, open_entry, time, open_class,
-                                     open_call, open_hint is not None,
-                                     open_hint or 0))
+                                     open_hint is not None, open_hint or 0))
                         open_entry = -1
                         open_hint = None
                 touched_lines += touched
             self.open_entry[rank] = open_entry
             self.open_class[rank] = open_class
-            self.open_call[rank] = open_call
             self.open_hinted[rank] = open_hint is not None
             self.open_hint[rank] = open_hint or 0
             self.hint_time[rank] = hint_time
@@ -790,7 +785,6 @@ class _Assembly:
         c_open = self.open_entry[g_rank]
         c_pending = self.hint_time[g_rank]
         c_class = self.open_class[g_rank]
-        c_call = self.open_call[g_rank]
         c_hinted = self.open_hinted[g_rank]
         c_hint = self.open_hint[g_rank]
 
@@ -856,10 +850,9 @@ class _Assembly:
         entry = np.where(in_block, m_time[opened], c_open[r_g])
         exit_ = m_time[close]
         codes = np.where(in_block, m_class[opened], c_class[r_g])
-        calls = np.where(in_block, m_value[opened], c_call[r_g])
         hinted = np.where(in_block, m_hinted[opened], c_hinted[r_g])
         hints = np.where(in_block, m_hint[opened], c_hint[r_g])
-        self._emit(g_rank[r_g], entry, exit_, codes, calls, hinted, hints)
+        self._emit(g_rank[r_g], entry, exit_, codes, hinted, hints)
 
         # the cursors of the good groups: the open region after their
         # last MPI event, or the carried one with its hint
@@ -871,7 +864,6 @@ class _Assembly:
         is_open = m_open[last]
         self.open_entry[r] = np.where(is_open, m_time[last], -1)
         self.open_class[r[is_open]] = m_class[last[is_open]]
-        self.open_call[r[is_open]] = m_value[last[is_open]]
         self.open_hinted[r] = is_open & m_hinted[last]
         self.open_hint[r] = m_hint[last]
         carried = good[~has]
@@ -898,8 +890,8 @@ class _Assembly:
             self.log.add(AnomalyKind.UNMATCHED_SEND, f"rank {rank}",
                          f"region opened at {entry} still open at stream end")
         self._emit(still, self.open_entry[still], self.last_time[still],
-                   self.open_class[still], self.open_call[still],
-                   self.open_hinted[still], self.open_hint[still])
+                   self.open_class[still], self.open_hinted[still],
+                   self.open_hint[still])
         trace = self.trace
         trace.regions = self._table()
         group_collectives(trace)
@@ -946,61 +938,6 @@ class _Assembly:
                                          dtype=np.int64)[order])
 
 
-def parse_pcf_labels(lines: Iterable[str],
-                     log: AnomalyLog | None = None) -> dict[tuple[int, int], str]:
-    """Read EVENT_TYPE/VALUES blocks of a .pcf into {(type, value): label}.
-
-    On duplicate value lines the last definition wins and an anomaly is
-    logged.  Sections other than EVENT_TYPE are skipped wholesale.
-    """
-    labels: dict[tuple[int, int], str] = {}
-    current_types: list[int] = []
-    in_values = False
-    in_event_type = False
-    for n, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        upper = line.upper()
-        if upper.startswith("EVENT_TYPE"):
-            current_types = []
-            in_values = False
-            in_event_type = True
-            continue
-        if upper.startswith("VALUES") and in_event_type:
-            in_values = True
-            continue
-        if line[0].isalpha():
-            current_types = []
-            in_values = False
-            in_event_type = False
-            continue
-        if not in_event_type:
-            continue
-        parts = line.split(None, 2)
-        if not in_values:
-            # "<gradient> <type> <label>" rows naming the event types
-            if len(parts) >= 2:
-                try:
-                    current_types.append(int(parts[1]))
-                except ValueError:
-                    pass
-            continue
-        if current_types and len(parts) >= 2:
-            try:
-                value = int(parts[0])
-            except ValueError:
-                continue
-            label = line.split(None, 1)[1].strip()
-            for etype in current_types:
-                key = (etype, value)
-                if key in labels and log is not None:
-                    log.add(AnomalyKind.MALFORMED_RECORD, f"pcf line {n}",
-                            f"duplicate label for type {etype} value {value}")
-                labels[key] = label
-    return labels
-
-
 def load_trace(path: str, time_unit: TimeUnit | None = None,
                ) -> tuple[Trace, AnomalyLog, IngestCounters]:
     """Stream a .prv file from disk into a Trace."""
@@ -1017,12 +954,3 @@ def load_trace(path: str, time_unit: TimeUnit | None = None,
                             source_name=os.path.basename(path))
         trace, log = build_trace(fh, meta, log, counters)
     return trace, log, counters
-
-
-def load_labels(prv_path: str) -> dict[tuple[int, int], str]:
-    """Labels from the .pcf sitting next to a .prv, if there is one."""
-    pcf = os.path.splitext(prv_path)[0] + ".pcf"
-    if not os.path.exists(pcf):
-        return {}
-    with open(pcf, "r", encoding="utf-8", errors="replace") as fh:
-        return parse_pcf_labels(fh)

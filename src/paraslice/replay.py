@@ -135,9 +135,6 @@ class ClockTriple:
     oom: int
     ideal: int
 
-    def well_ordered(self) -> bool:
-        return 0 <= self.oom <= self.ideal <= self.elapsed
-
 
 @dataclass(slots=True)
 class ReplayConfig:
@@ -166,21 +163,9 @@ class RankTimeline:
         self.oom = oom
         self.ideal = ideal
 
-    @classmethod
-    def from_points(cls, rank: int,
-                    points: list[tuple[int, int, int]]) -> "RankTimeline":
-        arr = np.asarray(points, dtype=np.int64).reshape(-1, 3)
-        return cls(rank, arr[:, 0].copy(), arr[:, 1].copy(), arr[:, 2].copy())
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def point(self, i: int) -> ClockTriple:
-        return ClockTriple(int(self.times[i]), int(self.oom[i]),
-                           int(self.ideal[i]))
-
     def final(self) -> ClockTriple:
-        return self.point(len(self.times) - 1)
+        return ClockTriple(int(self.times[-1]), int(self.oom[-1]),
+                           int(self.ideal[-1]))
 
 
 class AnnotatedTimeline:

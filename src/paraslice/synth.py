@@ -294,11 +294,13 @@ class _Sink:
         pass
 
 
-class _LineSink(_Sink):
-    """Formats Paraver record lines, ordered by (time, rank, per-rank
-    sequence) so every rank's open/close order survives the merge."""
+class _StreamSink(_Sink):
+    """Writes Paraver record lines to fh a batch at a time, each batch
+    ordered by (time, rank, per-rank sequence) so every rank's
+    open/close order survives the merge."""
 
-    def __init__(self, scenario: Scenario):
+    def __init__(self, scenario: Scenario, fh):
+        self.fh = fh
         self.div = 1000 if scenario.time_unit is TimeUnit.MICROSECONDS else 1
         self._seq = [0] * scenario.rank_count
         self._batch: list[tuple[int, int, int, str]] = []
@@ -323,32 +325,12 @@ class _LineSink(_Sink):
         self._push(send_begin, sender,
                    f"3:{s}:{sb}:{sb}:{r}:{re}:{re}:{size}:{tag}")
 
-    def _drain(self) -> list[str]:
-        self._batch.sort()
-        lines = [t[3] for t in self._batch]
-        self._batch.clear()
-        return lines
-
-
-class _CollectSink(_LineSink):
-    def __init__(self, scenario: Scenario):
-        super().__init__(scenario)
-        self.lines: list[str] = []
-
     def batch_done(self) -> None:
-        self.lines.extend(self._drain())
-
-
-class _StreamSink(_LineSink):
-    def __init__(self, scenario: Scenario, fh):
-        super().__init__(scenario)
-        self.fh = fh
-
-    def batch_done(self) -> None:
-        batch = self._drain()
-        if batch:
-            self.fh.write("\n".join(batch))
+        if self._batch:
+            self._batch.sort()
+            self.fh.write("\n".join([t[3] for t in self._batch]))
             self.fh.write("\n")
+            self._batch.clear()
 
 
 @dataclass(slots=True)
@@ -651,19 +633,6 @@ VALUES
 EVENT_TYPE
 0    {EVTYPE_COMM_ID}    Collective communicator id
 """
-
-
-def generate_trace(scenario: Scenario) -> tuple[str, str]:
-    """Render the scenario to (.prv text, .pcf text) in memory."""
-    scenario.validate()
-    matrix = compute_matrix(scenario)
-    comm_ids = _communicator_ids(scenario)
-    sink = _CollectSink(scenario)
-    duration, _, _ = _walk(scenario, matrix, sink, comm_ids)
-    parts = [_header(scenario, duration)]
-    parts.extend(_communicator_lines(scenario, comm_ids))
-    parts.extend(sink.lines)
-    return "\n".join(parts) + "\n", pcf_text(scenario)
 
 
 def generate_to_files(scenario: Scenario, prv_path) -> tuple[str, str]:

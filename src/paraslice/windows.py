@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .replay import AnnotatedTimeline, ClockTriple, RankTimeline
+from .replay import AnnotatedTimeline, RankTimeline
 
 
 @dataclass(slots=True)
@@ -34,10 +34,6 @@ class Window:
     @property
     def merged(self) -> bool:
         return self.merged_from > 1
-
-    @property
-    def length_ns(self) -> int:
-        return self.end_ns - self.start_ns
 
 
 @dataclass(slots=True)
@@ -165,24 +161,9 @@ def plan_windows(timeline: AnnotatedTimeline, base_length_ns: int,
                       clamped, min_events)
 
 
-def interpolate_clock(tl: RankTimeline, t: int) -> ClockTriple:
-    """Clock triple of one rank at an arbitrary time inside the trace.
-
-    Elapsed time is the identity.  The stored clocks are interpolated
-    with min(c0 + (t - t0), c1) over the enclosing segment: the clock
-    keeps pace with elapsed time until the segment's final value caps it.
-    """
-    times = tl.times
-    i = int(np.searchsorted(times, t, side="right")) - 1
-    i = max(0, min(i, len(times) - 2))
-    dt = t - int(times[i])
-    oom = min(int(tl.oom[i]) + dt, int(tl.oom[i + 1]))
-    ideal = min(int(tl.ideal[i]) + dt, int(tl.ideal[i + 1]))
-    return ClockTriple(t, oom, ideal)
-
-
 def clocks_at(tl: RankTimeline, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized min-cap interpolation: (oom, ideal) at each time."""
+    """Vectorized min-cap interpolation: (oom, ideal) at each time (the
+    elapsed clock is the time itself)."""
     idx = np.searchsorted(tl.times, ts, side="right") - 1
     idx = np.clip(idx, 0, len(tl.times) - 2)
     dt = ts - tl.times[idx]

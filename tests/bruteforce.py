@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from collections import deque
 
-from paraslice import CallClass, MessageStatus, Trace, WORLD_COMM_ID
+from paraslice import CallClass, Trace
+from paraslice.model import MessageStatus, WORLD_COMM_ID
 from paraslice.replay import DEFAULT_EAGER_LIMIT
 
 

@@ -147,13 +147,12 @@ class _RankCursor:
     same timestamp, whichever of the two arrives first in the stream.
     """
 
-    __slots__ = ("open_entry", "open_class", "open_call", "open_hint",
+    __slots__ = ("open_entry", "open_class", "open_hint",
                  "hint_time", "hint_value", "last_time")
 
     def __init__(self) -> None:
         self.open_entry: int | None = None
         self.open_class = CallClass.OTHER_MPI
-        self.open_call = 0
         self.open_hint: int | None = None
         self.hint_time: int | None = None
         self.hint_value = 0
@@ -242,7 +241,6 @@ def build_trace(records: Iterable[RawRecord], meta: TraceMeta,
                         _close_region(regions, rank, cur, time)
                     cur.open_entry = time
                     cur.open_class = klass
-                    cur.open_call = value
                     if cur.hint_time == time:
                         cur.open_hint = cur.hint_value
                         cur.hint_time = None
@@ -311,8 +309,8 @@ def build_trace(records: Iterable[RawRecord], meta: TraceMeta,
 def _close_region(regions: list[list[MpiRegion]], rank: int,
                   cur: _RankCursor, time: int) -> None:
     regions[rank].append(MpiRegion(rank, cur.open_entry, time,
-                                   cur.open_class, cur.open_call,
-                                   len(regions[rank]), cur.open_hint))
+                                   cur.open_class, len(regions[rank]),
+                                   cur.open_hint))
     cur.open_entry = None
     cur.open_hint = None
 

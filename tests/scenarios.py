@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from paraslice import Scenario, load_scenario
+from paraslice.synth import Scenario, load_scenario
 
 
 PTP_PATTERNS = ("ring_exchange", "neighbor_stencil", "serial_chain")
@@ -84,9 +84,8 @@ def phase_bench_scenario() -> Scenario:
 def roundtrip(scenario: Scenario, tmp_path, strict: bool = False):
     """generate -> write -> parse; returns (trace, ingest_log, counters)."""
     from paraslice import load_trace
-    from paraslice.synth import generate_trace
+    from paraslice.synth import generate_to_files
 
-    prv_text, _pcf = generate_trace(scenario)
-    path = tmp_path / f"{scenario.name}.prv"
-    path.write_text(prv_text)
-    return load_trace(str(path))
+    prv_path, _ = generate_to_files(scenario,
+                                    tmp_path / f"{scenario.name}.prv")
+    return load_trace(prv_path)

@@ -21,24 +21,23 @@ import numpy as np
 import pytest
 
 from paraslice import (
-    AnomalyKind,
     CallClass,
     MpiRegion,
     PtpMessage,
-    StrictAnomalyError,
+    ReplayConfig,
     Trace,
     TraceMeta,
-    boundary_clocks,
     global_metrics,
-    interpolate_clock,
-    load_scenario,
     load_trace,
     plan_windows,
     replay,
     window_series,
 )
 from paraslice.cli import main as cli_main
-from paraslice.synth import expected_metrics, generate_to_files
+from paraslice.model import AnomalyKind
+from paraslice.replay import StrictAnomalyError
+from paraslice.synth import expected_metrics, generate_to_files, load_scenario
+from paraslice.windows import boundary_clocks, clocks_at
 
 from bruteforce import brute_force_ideal, brute_force_oom
 from scenarios import phase_bench_scenario, random_scenario, roundtrip
@@ -93,7 +92,7 @@ def _scale_trace(trace, factor):
                      source_name=trace.meta.source_name,
                      flat_rank_encoding=trace.meta.flat_rank_encoding)
     regions = [[MpiRegion(g.rank, g.entry_time * factor,
-                          g.exit_time * factor, g.call_class, g.call_id,
+                          g.exit_time * factor, g.call_class,
                           g.region_seq, g.comm_hint) for g in regs]
                for regs in trace.regions]
     messages = [PtpMessage(m.sender, m.receiver, m.send_begin * factor,
@@ -245,17 +244,18 @@ def test_criterion_5_boundary_interpolation_exact_deltas():
     timeline, log = replay(trace)
     assert log.total == 0
 
-    assert timeline.ranks[0].final() == \
-        timeline.ranks[0].point(len(timeline.ranks[0]) - 1)
-    f0 = timeline.ranks[0].final()
+    tl0 = timeline.ranks[0]
+    f0 = tl0.final()
+    assert (f0.elapsed, f0.oom, f0.ideal) == \
+        (tl0.times[-1], tl0.oom[-1], tl0.ideal[-1])
     f1 = timeline.ranks[1].final()
     assert (f0.elapsed, f0.oom, f0.ideal) == (10, 4, 8)
     assert (f1.elapsed, f1.oom, f1.ideal) == (10, 8, 8)
 
     # inside rank 0's receive the ideal clock keeps pace with elapsed
     # time until its finalized exit value caps it
-    tri = interpolate_clock(timeline.ranks[0], 7)
-    assert (tri.elapsed, tri.oom, tri.ideal) == (7, 4, 7)
+    oom, ideal = clocks_at(tl0, np.asarray([7], dtype=np.int64))
+    assert (oom.tolist(), ideal.tolist()) == ([4], [7])
 
     bc = boundary_clocks(timeline, np.asarray([0, 7, 10], dtype=np.int64))
     assert np.diff(bc.oom[0]).tolist() == [4, 0]
@@ -368,7 +368,6 @@ def test_criterion_7_anomalous_traces_analyze_cleanly_by_default(
     assert cli_main(["analyze", str(bad_prv), "--strict",
                      "--out-dir", str(out_dir)]) == 5
     capsys.readouterr()
-    from paraslice import ReplayConfig
     fresh, _, _ = load_trace(str(bad_prv))
     with pytest.raises(StrictAnomalyError):
         replay(fresh, ReplayConfig(strict_mode=True))

@@ -8,7 +8,6 @@ import sys
 
 import pytest
 
-from paraslice import boundary_clocks
 from paraslice.cli import (
     EXIT_BAD_CONFIG,
     EXIT_MALFORMED,
@@ -20,6 +19,7 @@ from paraslice.cli import (
     main,
     parse_duration,
 )
+from paraslice.windows import boundary_clocks
 
 SCENARIO = {
     "name": "demo",

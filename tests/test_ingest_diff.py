@@ -10,10 +10,11 @@ import random
 
 import pytest
 
-from paraslice import AnomalyKind
 from paraslice import prv
+from paraslice.model import AnomalyKind
 from paraslice.prv import IngestError, load_trace
-from paraslice.synth import ComputeSpec, PhaseSpec, Scenario, generate_trace
+from paraslice.synth import (ComputeSpec, PhaseSpec, Scenario,
+                             generate_to_files)
 
 from ref_ingest import load_reference, snapshot
 from scenarios import random_scenario
@@ -226,11 +227,12 @@ class Body(list):
     final_newline = True
 
 
-def corpus_file(seed: int, mutators) -> bytes:
+def corpus_file(path, seed: int, mutators) -> None:
+    """Write case seed's generated trace, bent by mutators, to path."""
     rng = random.Random(seed)
     scenario = random_scenario(rng, max_ranks=6, max_phases=3)
-    text, _ = generate_trace(scenario)
-    header, *rest = text.encode().split(b"\n")
+    generate_to_files(scenario, path)
+    header, *rest = path.read_bytes().split(b"\n")
     lines = Body(rest[:-1] if rest and rest[-1] == b"" else rest)
     if rng.random() < 0.2:
         header = header.replace(b"_ns:", b"_us:", 1)
@@ -241,7 +243,7 @@ def corpus_file(seed: int, mutators) -> bytes:
     body = b"\n".join(lines)
     if lines and lines.final_newline:
         body += b"\n"
-    return header + end + body
+    path.write_bytes(header + end + body)
 
 
 def outcome(load, path):
@@ -262,7 +264,7 @@ CASES = [(seed, (m,)) for seed, m in enumerate(MUTATORS * 2)] + [
 def test_block_reader_matches_reference(tmp_path, monkeypatch, seed,
                                         mutators):
     path = tmp_path / "t.prv"
-    path.write_bytes(corpus_file(seed, mutators))
+    corpus_file(path, seed, mutators)
     want = outcome(load_reference, str(path))
     assert outcome(load_trace, str(path)) == want
     # blocks of a few lines, cut at a different place in every case
@@ -278,7 +280,7 @@ def test_corpus_reaches_every_path(tmp_path):
     kinds = set()
     for seed, mutators in CASES:
         path = tmp_path / f"{seed}.prv"
-        path.write_bytes(corpus_file(seed, mutators))
+        corpus_file(path, seed, mutators)
         try:
             _, log, counters = load_trace(str(path))
         except IngestError:
@@ -296,8 +298,8 @@ def _task(line: bytes) -> int:
     return int(line.split(b":")[3])
 
 
-def many_rank_file(seed: int) -> bytes:
-    """A 320-rank trace, larger than one default block, whose allreduce
+def many_rank_file(path, seed: int) -> None:
+    """Write to path a 320-rank trace, larger than one default block, whose allreduce
     carries sub-communicator hints, bent so that one block mixes ranks
     paired on arrays with ranks that take the cursor rules: a trailing
     space routes a line of ranks 200 and 201 to the per-line rules, a
@@ -311,8 +313,8 @@ def many_rank_file(seed: int) -> bytes:
         PhaseSpec("neighbor_stencil", 6, ComputeSpec("uniform",
                                                      mean_ns=15000),
                   message_bytes=512)))
-    text, _ = generate_trace(sc)
-    header, *lines = text.encode().split(b"\n")
+    generate_to_files(sc, path)
+    header, *lines = path.read_bytes().split(b"\n")
     lines = [ln for ln in lines[:-1]
              if not (ln.startswith(b"2:") and _task(ln) == 9)]
     events = {}
@@ -329,13 +331,13 @@ def many_rank_file(seed: int) -> bytes:
     lines[i] = _set_field(lines[i], 6, b"5x")
     drop = {events[task][-1] for task in (5, 112, 301)}
     lines = [ln for i, ln in enumerate(lines) if i not in drop]
-    return header + b"\n" + b"\n".join(lines) + b"\n"
+    path.write_bytes(header + b"\n" + b"\n".join(lines) + b"\n")
 
 
 @pytest.mark.parametrize("block_size", [prv.BLOCK_SIZE, 8191])
 def test_many_ranks_match_reference(tmp_path, monkeypatch, block_size):
     path = tmp_path / "wide.prv"
-    path.write_bytes(many_rank_file(11))
+    many_rank_file(path, 11)
     assert path.stat().st_size > prv.BLOCK_SIZE
     want = outcome(load_reference, str(path))
     monkeypatch.setattr(prv, "BLOCK_SIZE", block_size)

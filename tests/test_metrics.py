@@ -7,23 +7,19 @@ import numpy as np
 import pytest
 
 from paraslice import (
-    AnnotatedTimeline,
-    CallClass,
     NoComputeError,
-    RankTimeline,
-    Window,
-    WindowPlan,
-    boundary_clocks,
     global_metrics,
     plan_windows,
     replay,
-    window_metrics,
     window_series,
 )
-from paraslice.metrics import critical_path
+from paraslice.metrics import critical_path, window_metrics
+from paraslice.replay import AnnotatedTimeline, RankTimeline
+from paraslice.windows import Window, WindowPlan, boundary_clocks
 
 from scenarios import random_scenario, roundtrip
 from test_replay import trace_of, P2P
+from test_windows import linear_rank
 
 
 def manual_plan(bounds, duration=None):
@@ -88,7 +84,7 @@ class TestWindowMetrics:
 class TestGlobalMetrics:
     def test_single_rank_identity(self):
         tl = AnnotatedTimeline(
-            [RankTimeline.from_points(0, [(0, 0, 0), (50, 50, 50)])], 50)
+            [linear_rank(0, 50)], 50)
         g = global_metrics(tl)
         assert g.load_balance == 1.0
         assert g.serialisation == 1.0
@@ -97,8 +93,7 @@ class TestGlobalMetrics:
         assert g.t_compute == (50,)
 
     def test_balanced_ranks_identity(self):
-        ranks = [RankTimeline.from_points(r, [(0, 0, 0), (50, 50, 50)])
-                 for r in range(4)]
+        ranks = [linear_rank(r, 50) for r in range(4)]
         g = global_metrics(AnnotatedTimeline(ranks, 50))
         assert (g.load_balance, g.serialisation, g.transfer,
                 g.efficiency) == (1.0, 1.0, 1.0, 1.0)
@@ -111,9 +106,9 @@ class TestGlobalMetrics:
 
     def test_imbalance_lowers_lb_only(self):
         ranks = [
-            RankTimeline.from_points(0, [(0, 0, 0), (40, 40, 40),
-                                         (50, 40, 50)]),
-            RankTimeline.from_points(1, [(0, 0, 0), (50, 50, 50)]),
+            RankTimeline(0, np.asarray([0, 40, 50]), np.asarray([0, 40, 40]),
+                         np.asarray([0, 40, 50])),
+            linear_rank(1, 50),
         ]
         g = global_metrics(AnnotatedTimeline(ranks, 50))
         assert g.load_balance == pytest.approx(0.9)

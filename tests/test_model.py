@@ -4,20 +4,21 @@ import numpy as np
 import pytest
 
 from paraslice import (
-    AnomalyKind,
-    AnomalyLog,
     CallClass,
-    ClockTriple,
     CommunicatorDef,
-    MessageStatus,
     MpiRegion,
     PtpMessage,
     Trace,
     TraceMeta,
-    WORLD_COMM_ID,
     validate_trace,
 )
-from paraslice.model import locate_regions
+from paraslice.model import (
+    AnomalyKind,
+    AnomalyLog,
+    MessageStatus,
+    WORLD_COMM_ID,
+    locate_regions,
+)
 
 
 def region(rank, entry, exit_, klass=CallClass.POINT_TO_POINT, seq=0, **kw):
@@ -30,18 +31,6 @@ def locate(regs, t, prefer_exit=False):
     exits = np.array([g.exit_time for g in regs], dtype=np.int64)
     found = locate_regions(entries, exits, np.array([t]), prefer_exit)
     return int(found[0])
-
-
-class TestClockTriple:
-    def test_well_ordered_accepts_clean_values(self):
-        assert ClockTriple(elapsed=10, oom=4, ideal=8).well_ordered()
-        assert ClockTriple(elapsed=0, oom=0, ideal=0).well_ordered()
-        assert ClockTriple(elapsed=5, oom=5, ideal=5).well_ordered()
-
-    def test_well_ordered_rejects_inversions(self):
-        assert not ClockTriple(elapsed=10, oom=9, ideal=8).well_ordered()
-        assert not ClockTriple(elapsed=7, oom=2, ideal=8).well_ordered()
-        assert not ClockTriple(elapsed=3, oom=-1, ideal=2).well_ordered()
 
 
 class TestLocateRegion:

@@ -1,21 +1,18 @@
-"""Tests for .prv ingestion: header, records, assembly, and .pcf labels."""
+"""Tests for .prv ingestion: header, records and assembly."""
 
 import io
 
 import pytest
 
-from paraslice import (
+from paraslice import CallClass, IngestError, load_trace
+from paraslice import prv
+from paraslice.model import (
     AnomalyKind,
     AnomalyLog,
-    CallClass,
-    IngestError,
     MessageStatus,
     TimeUnit,
     WORLD_COMM_ID,
-    load_labels,
-    load_trace,
 )
-from paraslice import prv
 from paraslice.prv import (
     EVTYPE_COLLECTIVE,
     EVTYPE_COMM_ID,
@@ -24,8 +21,8 @@ from paraslice.prv import (
     IngestCounters,
     build_trace,
     parse_header,
-    parse_pcf_labels,
 )
+from paraslice.synth import generate_to_files, load_scenario
 
 from ref_ingest import snapshot
 
@@ -122,7 +119,6 @@ class TestRecordStream:
         assert len(regs) == 1
         assert (regs[0].entry_time, regs[0].exit_time) == (10, 30)
         assert regs[0].call_class is CallClass.POINT_TO_POINT
-        assert regs[0].call_id == 4
 
     def test_event_kinds_map_to_classes(self):
         trace, _, _ = assemble([
@@ -304,9 +300,6 @@ class TestBlockReader:
         """Every record of generator output takes the block tokenizer;
         one garbled line is the only extra line for the per-line rules.
         A silent fall-back to them would pass every other test."""
-        from paraslice import load_scenario
-        from paraslice.synth import generate_trace
-
         sc = load_scenario({
             "name": "routes", "rank_count": 4, "seed": 5,
             "phases": [
@@ -317,10 +310,9 @@ class TestBlockReader:
                  "compute": {"kind": "uniform", "mean_ns": 400},
                  "communicator_split": 2},
             ]})
-        text, _ = generate_trace(sc)
-        lines = text.splitlines()
         path = tmp_path / "clean.prv"
-        path.write_text(text)
+        generate_to_files(sc, path)
+        lines = path.read_text().splitlines()
         _, log, counters = load_trace(str(path))
         assert log.total == 0
         comm_defs = sum(ln.startswith("c:") for ln in lines)
@@ -432,72 +424,22 @@ class TestCommunicators:
         assert op.participants == [(0, 10, 15), (1, 10, 16)]
 
 
-class TestPcfLabels:
-    PCF = """\
-DEFAULT_OPTIONS
-
-LEVEL               THREAD
-
-EVENT_TYPE
-0    50000001    MPI point-to-point call
-VALUES
-0      End
-1      MPI_Isend
-2      MPI_Recv
-
-EVENT_TYPE
-0    50000002    MPI collective call
-0    50000003    MPI other call
-VALUES
-0      End
-1      First
-
-EVENT_TYPE
-9    50000004    Collective communicator id
-"""
-
-    def test_blocks_parsed(self):
-        labels = parse_pcf_labels(self.PCF.splitlines())
-        assert labels[(50000001, 1)] == "MPI_Isend"
-        assert labels[(50000001, 2)] == "MPI_Recv"
-        # a shared VALUES block labels every type declared above it
-        assert labels[(50000002, 1)] == "First"
-        assert labels[(50000003, 1)] == "First"
-        assert (50000004, 1) not in labels
-
-    def test_duplicate_label_logged(self):
-        log = AnomalyLog()
-        text = ("EVENT_TYPE\n0 1 t\nVALUES\n1 a\n1 b\n")
-        labels = parse_pcf_labels(text.splitlines(), log)
-        assert labels[(1, 1)] == "b"
-        assert log.count(AnomalyKind.MALFORMED_RECORD) == 1
-
-
 class TestFiles:
-    def test_load_trace_and_labels(self, tmp_path):
+    def test_load_trace_ignores_pcf(self, tmp_path):
+        """The .pcf next to a trace is never read, not even a garbled one."""
         prv = tmp_path / "mini.prv"
         prv.write_text("\n".join([
             header("100_ns", 1),
             ev(0, 10, (EVTYPE_P2P, 1)),
             ev(0, 30, (EVTYPE_P2P, 0)),
         ]) + "\n")
-        (tmp_path / "mini.pcf").write_text(
-            "EVENT_TYPE\n0 50000001 ptp\nVALUES\n1 MPI_Isend\n")
+        (tmp_path / "mini.pcf").write_bytes(b"EVENT_TYPE\n\xff 1 2\nVALUES\n")
         trace, log, counters = load_trace(str(prv))
         assert trace.meta.source_name == "mini.prv"
         assert len(trace.regions[0]) == 1
-        labels = load_labels(str(prv))
-        assert labels[(50000001, 1)] == "MPI_Isend"
-
-    def test_load_labels_missing_pcf(self, tmp_path):
-        prv = tmp_path / "alone.prv"
-        prv.write_text(header("10_ns", 1) + "\n")
-        assert load_labels(str(prv)) == {}
+        assert log.total == 0
 
     def test_generated_trace_round_trip(self, tmp_path):
-        from paraslice import load_scenario
-        from paraslice.synth import generate_trace
-
         sc = load_scenario({
             "name": "rt", "rank_count": 4, "seed": 9,
             "phases": [
@@ -508,10 +450,8 @@ class TestFiles:
                  "compute": {"kind": "uniform", "mean_ns": 400},
                  "communicator_split": 2},
             ]})
-        prv_text, pcf_text = generate_trace(sc)
         path = tmp_path / "rt.prv"
-        path.write_text(prv_text)
-        (tmp_path / "rt.pcf").write_text(pcf_text)
+        generate_to_files(sc, path)
         trace, log, counters = load_trace(str(path))
         assert log.total == 0
         assert counters.records == counters.consumed + counters.ignored \
@@ -520,4 +460,3 @@ class TestFiles:
         assert trace.meta.rank_count == 4
         # every rank: init + 3 ring iterations + 2 allreduce + finalize
         assert all(len(regs) > 5 for regs in trace.regions)
-        assert load_labels(str(path))

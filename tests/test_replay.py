@@ -7,25 +7,26 @@ import numpy as np
 import pytest
 
 from paraslice import (
-    AnomalyKind,
     CallClass,
-    ClockTriple,
     CommunicatorDef,
-    DependencyCycleError,
-    MessageStatus,
     MpiRegion,
     PtpMessage,
     ReplayConfig,
-    StrictAnomalyError,
     Trace,
     TraceMeta,
-    interpolate_clock,
     replay,
 )
-from paraslice.replay import WorldCollectiveIndex
+from paraslice.model import AnomalyKind, MessageStatus
+from paraslice.replay import (
+    ClockTriple,
+    DependencyCycleError,
+    StrictAnomalyError,
+    WorldCollectiveIndex,
+)
 
 from bruteforce import brute_force_ideal
 from scenarios import random_scenario, roundtrip
+from test_windows import clocks_of
 
 P2P = CallClass.POINT_TO_POINT
 COLL = CallClass.COLLECTIVE
@@ -57,11 +58,20 @@ def one_message(sender_entry, receiver_entry, size=8,
     )
 
 
+def ideal_at(tl, t):
+    return clocks_of(tl, t)[1][0]
+
+
+def well_ordered(tl):
+    """0 <= oom <= ideal <= elapsed at every stored point of tl."""
+    return bool(((0 <= tl.oom) & (tl.oom <= tl.ideal)
+                 & (tl.ideal <= tl.times)).all())
+
+
 def exit_ideals(trace, config=None):
     """(sender, receiver) ideal clocks at their region exits, and the log."""
     timeline, log = replay(trace, config)
-    return tuple(interpolate_clock(tl, 12).ideal
-                 for tl in timeline.ranks), log
+    return tuple(ideal_at(tl, 12) for tl in timeline.ranks), log
 
 
 class TestSynchronizePtp:
@@ -95,8 +105,7 @@ class TestSynchronizePtp:
                               [(7, 20, COLL)]])
         timeline, log = replay(trace)
         assert log.total == 0
-        assert [interpolate_clock(tl, 20).ideal for tl in timeline.ranks] \
-            == [11, 11, 11]
+        assert [ideal_at(tl, 20) for tl in timeline.ranks] == [11, 11, 11]
 
 
 class TestDegradeFaulty:
@@ -208,20 +217,19 @@ class TestReplayMicroTrace:
     def test_stored_points_well_ordered(self):
         timeline, _ = replay(self.make())
         for tl in timeline.ranks:
-            for i in range(len(tl.times)):
-                assert tl.point(i).well_ordered()
+            assert well_ordered(tl)
 
     def test_interpolation_inside_mpi_region(self):
         timeline, _ = replay(self.make())
         # inside rank 0's MPI region the wait precedes the transfer:
         # oom freezes at 4, ideal advances until capped at its exit value
-        assert interpolate_clock(timeline.ranks[0], 7) == ClockTriple(7, 4, 7)
-        assert interpolate_clock(timeline.ranks[0], 9) == ClockTriple(9, 4, 8)
+        assert clocks_of(timeline.ranks[0], 7) == ([4], [7])
+        assert clocks_of(timeline.ranks[0], 9) == ([4], [8])
 
     def test_interpolation_at_bounds(self):
         timeline, _ = replay(self.make())
-        assert interpolate_clock(timeline.ranks[0], 0) == ClockTriple(0, 0, 0)
-        assert interpolate_clock(timeline.ranks[0], 10) == ClockTriple(10, 4, 8)
+        assert clocks_of(timeline.ranks[0], 0) == ([0], [0])
+        assert clocks_of(timeline.ranks[0], 10) == ([4], [8])
 
 
 class TestRendezvous:
@@ -313,11 +321,10 @@ class TestCollectiveSync:
              "participants do not match communicator membership; "
              "synchronization skipped")]
         r0 = timeline.ranks[0]
-        assert interpolate_clock(r0, 10).ideal == 8    # occ 0 synchronized
-        assert interpolate_clock(r0, 25).ideal == 18   # occ 1 skipped
+        assert ideal_at(r0, 10) == 8    # occ 0 synchronized
+        assert ideal_at(r0, 25) == 18   # occ 1 skipped
         # world: every rank leaves at rank 2's entry value
-        assert [interpolate_clock(tl, 45).ideal for tl in timeline.ranks] \
-            == [44, 44, 44]
+        assert [ideal_at(tl, 45) for tl in timeline.ranks] == [44, 44, 44]
 
     def test_one_bad_occurrence_strict_mode_raises(self):
         with pytest.raises(StrictAnomalyError, match="comm=2 occ=1"):
@@ -327,7 +334,7 @@ class TestCollectiveSync:
     def test_stacked_zero_length_split_collectives(self, tmp_path):
         """Regression: a zero-length subgroup collective stacked on a world
         barrier at the same instant must not swap attachments."""
-        from paraslice import load_scenario
+        from paraslice.synth import load_scenario
 
         sc = load_scenario({
             "name": "stacked", "rank_count": 4, "seed": 5,
@@ -424,7 +431,7 @@ class TestReplayAnomalies:
         )
         timeline, log = replay(trace)
         assert log.total == 0
-        assert timeline.final_triples()[0].well_ordered()
+        assert well_ordered(timeline.ranks[0])
 
 
 class TestDependencyCycle:
@@ -445,7 +452,7 @@ class TestDependencyCycle:
         trace = self.make_cycle()
         timeline, log = replay(trace)
         assert log.count(AnomalyKind.REVERSED_PTP) >= 1
-        assert all(t.well_ordered() for t in timeline.final_triples())
+        assert all(well_ordered(tl) for tl in timeline.ranks)
         # deterministic: same trace, same outcome
         log2 = replay(self.make_cycle())[1]
         assert [(e.kind, e.location) for e in log.entries] \
@@ -564,8 +571,7 @@ class TestInvariantsOnGeneratedTraces:
                            for i in range(len(times) - 1))
                 assert all(tl.ideal[i] <= tl.ideal[i + 1]
                            for i in range(len(times) - 1))
-                for i in range(len(times)):
-                    assert tl.point(i).well_ordered(), (sc.name, tl.rank, i)
+                assert well_ordered(tl), (sc.name, tl.rank)
             finals = timeline.final_triples()
             assert all(t.elapsed == duration for t in finals)
 
@@ -631,8 +637,8 @@ class TestWideCollectiveOracle:
         timeline, _ = replay(self.make())
         relaxed, _ = replay(self.make(), ReplayConfig(1 << 20))
         for exit_ in (10_000 + 585, self.TAIL + 105):
-            floored = interpolate_clock(timeline.ranks[5], exit_).ideal
-            eager = interpolate_clock(relaxed.ranks[5], exit_).ideal
+            floored = ideal_at(timeline.ranks[5], exit_)
+            eager = ideal_at(relaxed.ranks[5], exit_)
             assert floored > eager
 
 

@@ -115,7 +115,7 @@ def outcome_digest(trace) -> str:
                               for s, ms in CASES])
 def test_replay_outcome_pinned(tmp_path, seed, mutators):
     path = tmp_path / "t.prv"
-    path.write_bytes(corpus_file(seed, mutators))
+    corpus_file(path, seed, mutators)
     try:
         trace, _, _ = load_trace(str(path))
     except IngestError:
@@ -129,7 +129,7 @@ def test_corpus_has_membership_mismatches(tmp_path):
     seeds = []
     for seed, mutators in CASES:
         path = tmp_path / f"{seed}.prv"
-        path.write_bytes(corpus_file(seed, mutators))
+        corpus_file(path, seed, mutators)
         try:
             trace, _, _ = load_trace(str(path))
         except IngestError:
@@ -152,7 +152,7 @@ def test_replay_outcomes_pinned_on_both_sweep_paths(tmp_path, request, sweep):
     differ = []
     for seed, mutators in CASES:
         path = tmp_path / f"{seed}.prv"
-        path.write_bytes(corpus_file(seed, mutators))
+        corpus_file(path, seed, mutators)
         try:
             trace, _, _ = load_trace(str(path))
         except IngestError:

@@ -21,16 +21,15 @@ import pytest
 from paraslice import (
     CallClass,
     CommunicatorDef,
-    DependencyCycleError,
-    MessageStatus,
     MpiRegion,
     PtpMessage,
     ReplayConfig,
-    StrictAnomalyError,
     Trace,
     TraceMeta,
     replay,
 )
+from paraslice.model import MessageStatus
+from paraslice.replay import DependencyCycleError, StrictAnomalyError
 
 from bruteforce import brute_force_ideal
 from conftest import EVERY_WAVE_SCALAR, EVERY_WAVE_WIDE, no_cuts, \

@@ -81,13 +81,6 @@ class TestImportPath:
         proc = run_python("import paraslice", flags=("-W", "error"))
         assert proc.returncode == 0, proc.stderr
 
-    def test_generator_names_resolve(self):
-        from paraslice import synth
-        for name in paraslice._SYNTH_NAMES:
-            assert getattr(paraslice, name) is getattr(synth, name)
-            assert name in dir(paraslice)
-            assert name in paraslice.__all__
-
     def test_unknown_name_raises(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             paraslice.no_such_name

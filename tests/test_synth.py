@@ -3,11 +3,12 @@ identities each communication pattern is designed to exhibit."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from paraslice.prv import load_trace, parse_pcf_labels
+from paraslice.prv import EVTYPE_COMM_ID
 from paraslice.replay import replay
 from paraslice.metrics import (
     critical_path,
@@ -26,7 +27,6 @@ from paraslice.synth import (
     compute_matrix,
     expected_metrics,
     generate_to_files,
-    generate_trace,
     load_scenario,
 )
 
@@ -449,25 +449,44 @@ class TestGeneration:
                               message_bytes=128),),
             **args)
 
-    def test_generation_is_deterministic(self):
-        assert generate_trace(self.scenario()) == \
-            generate_trace(self.scenario())
+    def test_generation_is_deterministic(self, tmp_path):
+        first = generate_to_files(self.scenario(), tmp_path / "a.prv")
+        again = generate_to_files(self.scenario(), tmp_path / "b.prv")
+        for one, other in zip(first, again):
+            with open(one, "rb") as a, open(other, "rb") as b:
+                assert a.read() == b.read()
 
-    def test_streaming_matches_in_memory(self, tmp_path):
-        sc = self.scenario()
-        prv_text, pcf_text_ = generate_trace(sc)
-        prv_path, pcf_path = generate_to_files(sc, tmp_path / "out.prv")
+    def test_pcf_labels_cover_event_types(self, tmp_path):
+        """Every event type the .prv uses has its line in the .pcf, and
+        every value of an MPI call type a label line under its type."""
+        sc = load_scenario(base_doc(phases=[
+            {"pattern": pattern, "iterations": 2,
+             "compute": {"kind": "uniform", "mean_ns": 1000}}
+            for pattern in ("ring_exchange", "neighbor_stencil",
+                            "serial_chain")] + [
+            {"pattern": "allreduce", "iterations": 2,
+             "compute": {"kind": "uniform", "mean_ns": 1000},
+             "communicator_split": 2}]))
+        prv_path, pcf_path = generate_to_files(sc, tmp_path / "all.prv")
+        used = {}
         with open(prv_path, encoding="utf-8") as fh:
-            assert fh.read() == prv_text
+            for line in fh:
+                if line.startswith("2:"):
+                    pairs = line.rstrip("\n").split(":")[6:]
+                    for etype, value in zip(pairs[::2], pairs[1::2]):
+                        used.setdefault(etype, set()).add(value)
         with open(pcf_path, encoding="utf-8") as fh:
-            assert fh.read() == pcf_text_
-
-    def test_pcf_labels_cover_event_types(self):
-        _, pcf = generate_trace(self.scenario())
-        labels = parse_pcf_labels(pcf.splitlines())
-        types = {t for t, _ in labels}
-        assert types >= {50000001, 50000002, 50000003}
-        assert "50000004" in pcf                       # declared, unlabeled
+            pcf = fh.read()
+        # "EVENT_TYPE\n0    <type>    <label>\n[VALUES\n<value>    <label>...]"
+        blocks = {block.split()[1]: block
+                  for block in pcf.split("EVENT_TYPE\n")[1:]}
+        assert set(used) == set(blocks) == {
+            "50000001", "50000002", "50000003", str(EVTYPE_COMM_ID)}
+        del used[str(EVTYPE_COMM_ID)]           # ids: declared, unlabeled
+        for etype, values in used.items():
+            for value in values:
+                assert re.search(rf"^{value} +\S", blocks[etype], re.M), \
+                    (etype, value)
 
     def test_roundtrip_is_clean(self, tmp_path):
         trace, anomalies, counters = roundtrip(self.scenario(), tmp_path)
@@ -479,10 +498,12 @@ class TestGeneration:
 
     def test_microsecond_header_and_scaling(self, tmp_path):
         sc = self.scenario(time_unit=TimeUnit.MICROSECONDS)
-        prv_text, pcf = generate_trace(sc)
-        header = prv_text.splitlines()[0]
+        prv_path, pcf_path = generate_to_files(sc, tmp_path / "us.prv")
+        with open(prv_path, encoding="utf-8") as fh:
+            header = fh.readline()
         assert "_us:" in header
-        assert "UNITS               MICROSEC" in pcf
+        with open(pcf_path, encoding="utf-8") as fh:
+            assert "UNITS               MICROSEC" in fh.read()
         trace, anomalies, _ = roundtrip(sc, tmp_path)
         assert anomalies.total == 0
         exp = expected_metrics(sc)

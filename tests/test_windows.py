@@ -5,27 +5,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from paraslice import (
-    AnnotatedTimeline,
-    ComputeSpec,
-    PhaseSpec,
-    Scenario,
-    ClockTriple,
-    RankTimeline,
-    boundary_clocks,
-    clocks_at,
-    interpolate_clock,
-    generate_to_files,
-    load_trace,
-    plan_windows,
-    replay,
-)
+from paraslice import load_trace, replay
+from paraslice.replay import AnnotatedTimeline, RankTimeline
+from paraslice.synth import ComputeSpec, PhaseSpec, Scenario, generate_to_files
+from paraslice.windows import boundary_clocks, clocks_at, plan_windows
 
 
 def linear_rank(rank, duration):
     """A rank that never enters MPI: all clocks equal elapsed time."""
-    pts = [(0, 0, 0), (duration, duration, duration)]
-    return RankTimeline.from_points(rank, pts)
+    clock = np.asarray([0, duration])
+    return RankTimeline(rank, clock, clock, clock)
 
 
 def timeline_of(duration, *event_lists):
@@ -162,35 +151,41 @@ def test_window_of_one_ns_plans_in_bounded_memory(tmp_path):
 
 def mpi_rank():
     """Rank 0 of the micro-trace: compute [0,4], MPI [4,10], exit ideal 8."""
-    pts = [(0, 0, 0), (4, 4, 4), (10, 4, 8)]
-    return RankTimeline.from_points(0, pts)
+    return RankTimeline(0, np.asarray([0, 4, 10]), np.asarray([0, 4, 4]),
+                        np.asarray([0, 4, 8]))
+
+
+def clocks_of(tl, *ts):
+    """(oom, ideal) lists of tl at the times ts."""
+    oom, ideal = clocks_at(tl, np.asarray(ts, dtype=np.int64))
+    return oom.tolist(), ideal.tolist()
 
 
 class TestInterpolation:
     def test_identity_on_compute(self):
         tl = mpi_rank()
-        assert interpolate_clock(tl, 2) == ClockTriple(2, 2, 2)
+        assert clocks_of(tl, 2) == ([2], [2])
 
     def test_min_cap_inside_mpi(self):
         tl = mpi_rank()
         # oom is capped at 4 immediately; ideal rises 1:1 until capped at 8
-        assert interpolate_clock(tl, 5) == ClockTriple(5, 4, 5)
-        assert interpolate_clock(tl, 7) == ClockTriple(7, 4, 7)
-        assert interpolate_clock(tl, 8) == ClockTriple(8, 4, 8)
-        assert interpolate_clock(tl, 9) == ClockTriple(9, 4, 8)
+        assert clocks_of(tl, 5) == ([4], [5])
+        assert clocks_of(tl, 7) == ([4], [7])
+        assert clocks_of(tl, 8) == ([4], [8])
+        assert clocks_of(tl, 9) == ([4], [8])
 
     def test_bounds(self):
         tl = mpi_rank()
-        assert interpolate_clock(tl, 0) == ClockTriple(0, 0, 0)
-        assert interpolate_clock(tl, 10) == ClockTriple(10, 4, 8)
+        assert clocks_of(tl, 0) == ([0], [0])
+        assert clocks_of(tl, 10) == ([4], [8])
 
     def test_vectorized_matches_scalar(self):
+        """Every time of one call reads as it does alone."""
         tl = mpi_rank()
-        ts = np.arange(0, 11, dtype=np.int64)
-        oom, ideal = clocks_at(tl, ts)
+        ts = list(range(11))
+        oom, ideal = clocks_of(tl, *ts)
         for k, t in enumerate(ts):
-            expected = interpolate_clock(tl, int(t))
-            assert (int(oom[k]), int(ideal[k])) == (expected.oom, expected.ideal)
+            assert clocks_of(tl, t) == ([oom[k]], [ideal[k]])
 
     def test_monotone_and_lipschitz(self):
         tl = mpi_rank()
@@ -204,7 +199,8 @@ class TestInterpolation:
 class TestBoundaryClocks:
     def test_shapes_and_endpoints(self):
         ranks = [mpi_rank(),
-                 RankTimeline.from_points(1, [(0, 0, 0), (10, 8, 8)])]
+                 RankTimeline(1, np.asarray([0, 10]), np.asarray([0, 8]),
+                              np.asarray([0, 8]))]
         tl = AnnotatedTimeline(ranks, 10)
         bounds = np.asarray([0, 5, 10], dtype=np.int64)
         bc = boundary_clocks(tl, bounds)
