@@ -230,10 +230,11 @@ def run(config: RunConfig) -> int:
               file=sys.stderr)
         return EXIT_STRICT
 
-    report = validate_trace(trace)
-    if config.strict and not report.ok:
-        print(f"error: strict mode: {report}", file=sys.stderr)
-        return EXIT_STRICT
+    if config.strict:
+        report = validate_trace(trace)
+        if not report.ok:
+            print(f"error: strict mode: {report}", file=sys.stderr)
+            return EXIT_STRICT
 
     try:
         timeline, replay_log = replay(

@@ -41,10 +41,6 @@ class WindowMetrics:
     def merged(self) -> bool:
         return self.merged_from > 1
 
-    @property
-    def length_ns(self) -> int:
-        return self.end_ns - self.start_ns
-
 
 @dataclass(frozen=True, slots=True)
 class GlobalMetrics:

@@ -71,7 +71,6 @@ class MpiRegion:
     entry_time: int
     exit_time: int
     call_class: CallClass
-    region_seq: int = 0
     # communicator announced by a companion event at entry (collectives)
     comm_hint: int | None = None
 
@@ -142,7 +141,7 @@ class RegionTable:
     def from_regions(cls, regions: Iterable[Iterable[MpiRegion]],
                      ) -> "RegionTable":
         """A table from per-rank lists of regions in entry order (their
-        rank and region_seq fields are implied by position)."""
+        rank field is implied by position)."""
         per_rank = [list(regs) for regs in regions]
         flat = [g for regs in per_rank for g in regs]
         hinted = [i for i, g in enumerate(flat) if g.comm_hint is not None]
@@ -220,7 +219,7 @@ class RankRegions:
                          t.hint_values[h_lo:h_hi].tolist())))
         entry, exit_, code, hints = self._fields
         return MpiRegion(self.rank, entry[k], exit_[k], CLASS_BY_CODE[code[k]],
-                         k, hints.get(k))
+                         hints.get(k))
 
     def __len__(self) -> int:
         return self.hi - self.lo
@@ -257,7 +256,6 @@ class PtpMessage:
     send_begin: int
     recv_end: int
     size_bytes: int = 0
-    tag: int = 0
     status: MessageStatus = MessageStatus.VALID
 
 
@@ -269,14 +267,14 @@ STATUS_CODES = {status: code for code, status in enumerate(STATUS_BY_CODE)}
 class MessageStore:
     """Columnar storage of matched point-to-point messages.
 
-    Six int64 columns plus one status byte per message; indexing and
+    Five int64 columns plus one status byte per message; indexing and
     iteration materialize PtpMessage values on demand.  The views are
     snapshots — assigning to a view's fields does not write back; replay
     degrades a message by writing its byte in status_codes.
     """
 
     __slots__ = ("senders", "receivers", "send_begins", "recv_ends",
-                 "sizes", "tags", "status_codes")
+                 "sizes", "status_codes")
 
     def __init__(self) -> None:
         self.senders = array("q")
@@ -284,30 +282,27 @@ class MessageStore:
         self.send_begins = array("q")
         self.recv_ends = array("q")
         self.sizes = array("q")
-        self.tags = array("q")
         self.status_codes = bytearray()
 
     def append_fields(self, sender: int, receiver: int, send_begin: int,
-                      recv_end: int, size_bytes: int = 0, tag: int = 0,
+                      recv_end: int, size_bytes: int = 0,
                       status: MessageStatus = MessageStatus.VALID) -> None:
         self.senders.append(sender)
         self.receivers.append(receiver)
         self.send_begins.append(send_begin)
         self.recv_ends.append(recv_end)
         self.sizes.append(size_bytes)
-        self.tags.append(tag)
         self.status_codes.append(STATUS_CODES[status])
 
     def extend_columns(self, senders: np.ndarray, receivers: np.ndarray,
                        send_begins: np.ndarray, recv_ends: np.ndarray,
-                       sizes: np.ndarray, tags: np.ndarray,
-                       status_codes: np.ndarray) -> None:
+                       sizes: np.ndarray, status_codes: np.ndarray) -> None:
         """Append a batch of messages given as numpy columns."""
         for column, values in ((self.senders, senders),
                                (self.receivers, receivers),
                                (self.send_begins, send_begins),
                                (self.recv_ends, recv_ends),
-                               (self.sizes, sizes), (self.tags, tags)):
+                               (self.sizes, sizes)):
             column.frombytes(_raw(values, np.int64))
         self.status_codes.extend(_raw(status_codes, np.uint8))
 
@@ -327,7 +322,6 @@ class MessageStore:
                           send_begin=self.send_begins[index],
                           recv_end=self.recv_ends[index],
                           size_bytes=self.sizes[index],
-                          tag=self.tags[index],
                           status=STATUS_BY_CODE[self.status_codes[index]])
 
     def __iter__(self) -> Iterator[PtpMessage]:
@@ -350,47 +344,32 @@ class CollectiveOp:
     occurrence_index: int
     participants: list[tuple[int, int, int]] = field(default_factory=list)
 
-    def ranks(self) -> list[int]:
-        return [p[0] for p in self.participants]
-
 
 class CollectiveStore:
-    """Columnar storage of collective occurrences.
+    """Collective occurrences, each a set of rows of a RegionTable.
 
-    comm_ids and occ_indices hold one row per occurrence; participant
-    triples live flattened behind part_offsets (row i owns the slice
-    part_offsets[i]:part_offsets[i+1]).  part_region_idx pins each
-    participant to the index of the region it was grouped from, so
-    replay attaches occurrences without matching timestamps.  Indexing
-    and iteration materialize CollectiveOp snapshots.
+    comm_ids and occ_indices hold one row per occurrence, ordered by
+    communicator, then occurrence.  Occurrence i's participants are the
+    table rows part_rows[part_offsets[i]:part_offsets[i+1]], one
+    collective region per rank in rank order; their ranks and times are
+    read from the table, never copied.  Indexing and iteration
+    materialize CollectiveOp snapshots.
     """
 
-    __slots__ = ("comm_ids", "occ_indices", "part_offsets", "part_ranks",
-                 "part_entries", "part_exits", "part_region_idx")
+    COLUMNS = ("comm_ids", "occ_indices", "part_offsets", "part_rows")
+    __slots__ = COLUMNS + ("table",)
 
-    def __init__(self) -> None:
-        self.comm_ids = array("q")
-        self.occ_indices = array("q")
-        self.part_offsets = array("q", [0])
-        self.part_ranks = array("q")
-        self.part_entries = array("q")
-        self.part_exits = array("q")
-        self.part_region_idx = array("q")
+    def __init__(self, table: RegionTable | None = None, comm_ids=(),
+                 occ_indices=(), part_offsets=(0,), part_rows=()) -> None:
+        self.table = table
+        self.comm_ids = _frozen(comm_ids, np.int64)
+        self.occ_indices = _frozen(occ_indices, np.int64)
+        self.part_offsets = _frozen(part_offsets, np.int64)
+        self.part_rows = _frozen(part_rows, np.int64)
 
-    def extend_columns(self, comm_ids: np.ndarray, occ_indices: np.ndarray,
-                       part_counts: np.ndarray, part_ranks: np.ndarray,
-                       part_entries: np.ndarray, part_exits: np.ndarray,
-                       part_region_idx: np.ndarray) -> None:
-        """Append a batch of occurrences given as numpy columns;
-        occurrence i owns the next part_counts[i] participant rows."""
-        self.comm_ids.frombytes(_raw(comm_ids, np.int64))
-        self.occ_indices.frombytes(_raw(occ_indices, np.int64))
-        self.part_offsets.frombytes(_raw(
-            self.part_offsets[-1] + np.cumsum(part_counts), np.int64))
-        self.part_ranks.frombytes(_raw(part_ranks, np.int64))
-        self.part_entries.frombytes(_raw(part_entries, np.int64))
-        self.part_exits.frombytes(_raw(part_exits, np.int64))
-        self.part_region_idx.frombytes(_raw(part_region_idx, np.int64))
+    def part_ranks(self) -> np.ndarray:
+        """The rank of every participant row."""
+        return self.table.ranks_of(self.part_rows)
 
     def __len__(self) -> int:
         return len(self.comm_ids)
@@ -403,13 +382,15 @@ class CollectiveStore:
             index += n
         if not 0 <= index < n:
             raise IndexError("collective index out of range")
-        lo = self.part_offsets[index]
-        hi = self.part_offsets[index + 1]
+        rows = self.part_rows[self.part_offsets[index]:
+                              self.part_offsets[index + 1]]
+        t = self.table
         return CollectiveOp(
-            communicator_id=self.comm_ids[index],
-            occurrence_index=self.occ_indices[index],
-            participants=[(self.part_ranks[j], self.part_entries[j],
-                           self.part_exits[j]) for j in range(lo, hi)])
+            communicator_id=int(self.comm_ids[index]),
+            occurrence_index=int(self.occ_indices[index]),
+            participants=list(zip(t.ranks_of(rows).tolist(),
+                                  t.entry_times[rows].tolist(),
+                                  t.exit_times[rows].tolist())))
 
     def __iter__(self) -> Iterator[CollectiveOp]:
         for i in range(len(self.comm_ids)):
@@ -455,10 +436,6 @@ class AnomalyLog:
             self.entries.append(entry)
             self.counters[entry.kind] += 1
 
-    def consistent(self) -> bool:
-        """Counters must agree with a recount of the entries."""
-        return self.counters == Counter(e.kind for e in self.entries)
-
     def __repr__(self) -> str:
         parts = ", ".join(f"{k.value}={v}" for k, v in sorted(
             self.counters.items(), key=lambda kv: kv[0].value))
@@ -472,7 +449,7 @@ class Trace:
     Replay may still degrade a message's status; everything else is
     fixed.  regions is the rank-major RegionTable.  collectives is
     derived from the collective regions and their communicator hints by
-    group_collectives.
+    group_collectives: each participant is a row of regions.
     """
 
     meta: TraceMeta
@@ -480,8 +457,6 @@ class Trace:
     messages: MessageStore = field(default_factory=MessageStore)
     collectives: CollectiveStore = field(default_factory=CollectiveStore)
     communicators: dict[int, CommunicatorDef] = field(default_factory=dict)
-    #: (rank, state) -> total ns, kept only for the summary cross-check.
-    state_time_ns: dict[tuple[int, int], int] = field(default_factory=dict)
 
     @classmethod
     def empty(cls, meta: TraceMeta) -> "Trace":
@@ -493,9 +468,9 @@ class Trace:
               messages: Iterable[PtpMessage] = (),
               communicators: Iterable[CommunicatorDef] = ()) -> "Trace":
         """A trace from records: regions[r] lists rank r's regions in
-        entry order (their rank and region_seq fields are implied by
-        position).  Collectives are grouped from the regions as ingest
-        groups them, and a world communicator is added unless given."""
+        entry order (their rank field is implied by position).
+        Collectives are grouped from the regions as ingest groups them,
+        and a world communicator is added unless given."""
         table = RegionTable.from_regions(regions)
         if table.rank_count != meta.rank_count:
             raise ValueError(f"{table.rank_count} rank lists for "
@@ -503,8 +478,7 @@ class Trace:
         trace = cls(meta=meta, regions=table)
         for m in messages:
             trace.messages.append_fields(m.sender, m.receiver, m.send_begin,
-                                         m.recv_end, m.size_bytes, m.tag,
-                                         m.status)
+                                         m.recv_end, m.size_bytes, m.status)
         for comm in communicators:
             trace.communicators[comm.communicator_id] = comm
         group_collectives(trace)
@@ -513,13 +487,12 @@ class Trace:
 
 def group_collectives(trace: Trace) -> None:
     """Add the default world communicator if none is defined, then group
-    the collective regions into collective occurrences.
+    the collective regions into the trace's collective occurrences.
 
     A region belongs to the communicator its entry hint named, defaulting
     to world; the n-th collective of a communicator on each member rank
     forms occurrence n.  Occurrences are ordered by communicator, then
-    occurrence, participants by rank.  Each participant row records the
-    index of the region it came from on its rank.
+    occurrence, participants by rank.
     """
     if WORLD_COMM_ID not in trace.communicators:
         trace.communicators[WORLD_COMM_ID] = CommunicatorDef(
@@ -528,6 +501,7 @@ def group_collectives(trace: Trace) -> None:
     rows = np.flatnonzero(table.class_codes
                           == CLASS_CODES[CallClass.COLLECTIVE])
     if not len(rows):
+        trace.collectives = CollectiveStore(table)
         return
     rank = table.ranks_of(rows)
     cid = np.full(len(rows), WORLD_COMM_ID, dtype=np.int64)
@@ -547,18 +521,16 @@ def group_collectives(trace: Trace) -> None:
     # participant rows ordered by communicator, occurrence, rank; the
     # columns are gathered one at a time to keep few of them alive
     order = np.lexsort((rank, occ, cid))
+    del rank
     cid = cid[order]
     occ = occ[order]
-    rank = rank[order]
     rows = rows[order]
     del order
     head = np.ones(len(rows), dtype=bool)
     head[1:] = (cid[1:] != cid[:-1]) | (occ[1:] != occ[:-1])
     at = np.flatnonzero(head)
-    trace.collectives.extend_columns(
-        cid[at], occ[at], np.diff(np.append(at, len(rows))), rank,
-        table.entry_times[rows], table.exit_times[rows],
-        rows - table.offsets[rank])
+    trace.collectives = CollectiveStore(table, cid[at], occ[at],
+                                        np.append(at, len(rows)), rows)
 
 
 def locate_regions(entries: np.ndarray, exits: np.ndarray, t: np.ndarray,
@@ -644,7 +616,11 @@ class ValidationReport:
 
 
 def validate_trace(trace: Trace) -> ValidationReport:
-    """Check every structural invariant of the model; report, never raise."""
+    """Check the structural invariants of the model; report, never raise.
+
+    Only strict mode reads the report (the command line aborts on any
+    violation), so a default analysis does not run it.
+    """
     report = ValidationReport()
     meta = trace.meta
     if meta.rank_count < 1:
@@ -673,6 +649,7 @@ def validate_trace(trace: Trace) -> ValidationReport:
         else:
             report.add("region.negative", f"rank {r} region {k}",
                        f"entry {ent[j]} > exit {ex[j]}")
+    # collective participants are regions, so this covers their exits
     max_ts = max(0, int(ex.max())) if len(ex) else 0
 
     max_ts = _validate_messages(trace, report, max_ts)
@@ -688,7 +665,7 @@ def validate_trace(trace: Trace) -> ValidationReport:
         if any(not (0 <= m < meta.rank_count) for m in comm.members):
             report.add("communicator.members", where, "member out of range")
 
-    max_ts = _validate_collectives(trace, report, max_ts)
+    _validate_collectives(trace, report)
 
     if meta.total_duration_ns < max_ts:
         report.add("meta.duration", "header",
@@ -696,64 +673,51 @@ def validate_trace(trace: Trace) -> ValidationReport:
     return report
 
 
-def _validate_collectives(trace: Trace, report: ValidationReport,
-                          max_ts: int) -> int:
-    """Collective checks of validate_trace; returns the updated max
-    timestamp.  Per occurrence, in store order: a duplicate participant
-    rank, participants that differ from the communicator's members, and
-    each participant row that enters before the previous occurrence of
-    its (communicator, rank) did."""
+def collective_membership(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
+    """Per collective occurrence: whether its communicator is defined,
+    and whether its participant ranks equal the communicator's sorted
+    distinct members (never, when it is undefined)."""
     colls = trace.collectives
-    nops = len(colls)
-    if not nops:
-        return max_ts
-    cid = np.frombuffer(colls.comm_ids, dtype=np.int64)
-    offsets = np.frombuffer(colls.part_offsets, dtype=np.int64)
-    ranks = np.frombuffer(colls.part_ranks, dtype=np.int64)
-    entries = np.frombuffer(colls.part_entries, dtype=np.int64)
-    exits = np.frombuffer(colls.part_exits, dtype=np.int64)
-    counts = np.diff(offsets)
-    op = np.repeat(np.arange(nops), counts)
-    row_cid = cid[op]
-
-    # a repeat of a rank within an occurrence is a duplicate; rows that
-    # group_collectives emitted are in rank order, and others are sorted
-    same_op = op[1:] == op[:-1]
-    by_op = slice(None)
-    if (same_op & (ranks[1:] < ranks[:-1])).any():
-        by_op = np.lexsort((ranks, op))
-    r, o = ranks[by_op], op[by_op]
-    repeats = np.bincount(o[1:][(o[1:] == o[:-1]) & (r[1:] == r[:-1])],
-                          minlength=nops)
-    del r, o, same_op
-    duplicate = repeats > 0
-    # the distinct participant ranks equal the members iff every rank is
-    # a member and there are as many of them as members
-    mismatch = np.zeros(nops, dtype=bool)
-    for c in set(colls.comm_ids):
+    cid = colls.comm_ids
+    counts = np.diff(colls.part_offsets)
+    ranks = colls.part_ranks()
+    defined = np.zeros(len(cid), dtype=bool)
+    fits = np.zeros(len(cid), dtype=bool)
+    # participants are distinct ranks in rank order
+    for c in distinct(cid).tolist():
         comm = trace.communicators.get(c)
         if comm is None:
             continue
-        members = np.array(sorted(set(comm.members)), dtype=np.int64)
-        rows = np.flatnonzero(row_cid == c)
-        outside = np.bincount(op[rows[~np.isin(ranks[rows], members)]],
-                              minlength=nops)
-        mismatch |= (cid == c) & ((outside > 0)
-                                  | (counts - repeats != len(members)))
-    # rows ordered stably by (communicator, rank) keep store order; both
-    # go into one key, the ranks as their distinct index when their span
-    # is too wide for it
+        defined[cid == c] = True
+        members = distinct(comm.members)
+        same = (cid == c) & (counts == len(members))
+        if same.any():
+            got = ranks[np.repeat(same, counts)].reshape(-1, len(members))
+            fits[np.flatnonzero(same)[(got == members).all(axis=1)]] = True
+    return defined, fits
+
+
+def _validate_collectives(trace: Trace, report: ValidationReport) -> None:
+    """Collective checks of validate_trace, per occurrence in store
+    order: participants that differ from the communicator's members, and
+    each participant that enters before the previous occurrence of its
+    (communicator, rank) did."""
+    colls = trace.collectives
+    nops = len(colls)
+    if not nops:
+        return
+    table = trace.regions
+    cid = colls.comm_ids
+    offsets = colls.part_offsets
+    ranks = colls.part_ranks()
+    entries = table.entry_times[colls.part_rows]
+    op = np.repeat(np.arange(nops), np.diff(offsets))
+    defined, fits = collective_membership(trace)
+    # rows ordered stably by (communicator, rank) keep occurrence order
+    P = table.rank_count
     comms = distinct(cid)
-    low, high = int(ranks.min()), int(ranks.max())
-    span = high - low + 1
-    if span * len(comms) < 1 << 62:
-        key = ranks - low
-    else:
-        values = distinct(ranks)
-        key = np.searchsorted(values, ranks)
-        span = len(values)
-    key += np.searchsorted(comms, row_cid) * span
-    by_key = rank_order(key, span * len(comms))
+    key = np.searchsorted(comms, cid[op]) * P + ranks
+    by_key = rank_order(key, len(comms) * P)
     key = key[by_key]
     sorted_entries = entries[by_key]
     early = np.zeros(len(ranks), dtype=bool)
@@ -766,16 +730,14 @@ def _validate_collectives(trace: Trace, report: ValidationReport,
     early_rows = np.flatnonzero(early).tolist()
     row_ops = op[early_rows].tolist()
     at = 0
-    flagged = duplicate | mismatch
+    mismatch = defined & ~fits
+    flagged = mismatch.copy()
     flagged[row_ops] = True
     for i in np.flatnonzero(flagged).tolist():
-        c = colls.comm_ids[i]
+        c = int(cid[i])
         where = f"collective comm={c} occ={colls.occ_indices[i]}"
-        if duplicate[i]:
-            report.add("collective.participants", where,
-                       "duplicate participant rank")
         if mismatch[i]:
-            got = sorted(colls.part_ranks[offsets[i]:offsets[i + 1]])
+            got = ranks[offsets[i]:offsets[i + 1]].tolist()
             members = sorted(set(trace.communicators[c].members))
             report.add("collective.membership", where,
                        f"participants {got} != members {members}")
@@ -785,7 +747,6 @@ def _validate_collectives(trace: Trace, report: ValidationReport,
                        f"rank {ranks[j]} occurrence entered at "
                        f"{entries[j]} before {prev[j]}")
             at += 1
-    return max(max_ts, int(exits.max())) if len(exits) else max_ts
 
 
 def _validate_messages(trace: Trace, report: ValidationReport,

@@ -20,9 +20,10 @@ rank order; at the end of the stream the chunks are scattered into one
 rank-major RegionTable, which keeps each rank's regions in emission
 order.
 
-Only MPI event types and communication records feed the model; state
-records are folded into per-rank totals for a cross-check, everything
-else is counted and dropped.
+Only MPI event types, communication records and communicator definitions
+feed the model.  State records are counted and their coordinates checked
+like any record's; nothing else reads them.  A communication record's
+tag is not kept, since no rule reads it.
 """
 
 from __future__ import annotations
@@ -461,8 +462,6 @@ class _Assembly:
         sel = ok & (kind == _COMM_BYTE)
         self._messages(tok, f0[sel], linenos[sel], rank[sel],
                        recv_rank[ok[comm]], messages)
-        sel = ok & (kind == _STATE_BYTE)
-        self._states(tok, f0[sel], rank[sel])
         sel = ok & (kind == _EVENT_BYTE)
         self._events(tok, f0[sel], ncol[sel], linenos[sel], rank[sel], slow)
         self._sequential(slow)
@@ -580,7 +579,6 @@ class _Assembly:
         rank's cursor, messages on the block's message list."""
         trace = self.trace
         counters = self.counters
-        scale = self.scale
         for rec in records:
             f = rec.fields
             lineno = rec.line_number
@@ -596,8 +594,7 @@ class _Assembly:
                 if s_rank is None or r_rank is None:
                     counters.dropped += 1
                     continue
-                messages.append((lineno, s_rank, r_rank, f[4], f[11], f[12],
-                                 f[13]))
+                messages.append((lineno, s_rank, r_rank, f[4], f[11], f[12]))
             elif rec.kind is RecordKind.COMMUNICATOR_DEF:
                 if len(f) < 3 or len(f) != 3 + f[2]:
                     self.pending.add(AnomalyKind.MALFORMED_RECORD,
@@ -607,12 +604,8 @@ class _Assembly:
                 members = [t - 1 for t in f[3:]]
                 trace.communicators[f[1]] = CommunicatorDef(f[1], members)
             else:
-                rank = self.resolve_rank(f[1], f[2], f[3], lineno)
-                if rank is None:
-                    continue
-                key = (rank, f[6])
-                trace.state_time_ns[key] = trace.state_time_ns.get(key, 0) \
-                    + max(0, (f[5] - f[4]) * scale)
+                # a state line: only its coordinates are checked
+                self.resolve_rank(f[1], f[2], f[3], lineno)
 
     def _sequential(self, slow: _Queues) -> None:
         """The queued events, rank by rank in line order, through the
@@ -700,15 +693,15 @@ class _Assembly:
                   ) -> None:
         """Append the block's messages in line order: those of the plain
         communication lines at payload offsets f0, and the queued
-        (line, sender, receiver, payload fields 4, 11, 12, 13) ones."""
+        (line, sender, receiver, payload fields 4, 11, 12) ones."""
         cols = [linenos, senders, receivers, tok[f0 + 4], tok[f0 + 11],
-                tok[f0 + 12], tok[f0 + 13]]
+                tok[f0 + 12]]
         if queued:
             more = np.array(queued, dtype=np.int64).T
             order = np.argsort(np.concatenate((linenos, more[0])),
                                kind="stable")
             cols = [np.concatenate((c, m))[order] for c, m in zip(cols, more)]
-        linenos, senders, receivers, send, recv, sizes, tags = cols
+        linenos, senders, receivers, send, recv, sizes = cols
         if not len(linenos):
             return
         send = send * self.scale    # logical send
@@ -722,27 +715,7 @@ class _Assembly:
         status = np.where(flipped, STATUS_CODES[MessageStatus.FAULTY_LOCAL],
                           STATUS_CODES[MessageStatus.VALID])
         self.trace.messages.extend_columns(senders, receivers, send, recv,
-                                           sizes, tags, status)
-
-    def _states(self, tok: np.ndarray, f0: np.ndarray,
-                ranks: np.ndarray) -> None:
-        """Fold plain state lines into the per-(rank, state) totals."""
-        if not len(f0):
-            return
-        spent = np.maximum((tok[f0 + 5] - tok[f0 + 4]) * self.scale, 0)
-        states = tok[f0 + 6]
-        order = np.lexsort((states, ranks))
-        ranks, states, spent = ranks[order], states[order], spent[order]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = (ranks[1:] != ranks[:-1]) | (states[1:] != states[:-1])
-        at = np.flatnonzero(first)
-        # summed in 32-bit halves so no int64 sum can overflow
-        high = np.add.reduceat(spent >> 32, at).tolist()
-        low = np.add.reduceat(spent & 0xFFFFFFFF, at).tolist()
-        totals = self.trace.state_time_ns
-        for key, hi, lo in zip(zip(ranks[at].tolist(), states[at].tolist()),
-                               high, low):
-            totals[key] = totals.get(key, 0) + (hi << 32) + lo
+                                           sizes, status)
 
     def _events(self, tok: np.ndarray, f0: np.ndarray, ncol: np.ndarray,
                 linenos: np.ndarray, ranks: np.ndarray,

@@ -78,6 +78,7 @@ from .model import (
     RegionTable,
     Trace,
     WORLD_COMM_ID,
+    collective_membership,
     distinct,
     locate_rows,
     rank_order,
@@ -205,18 +206,18 @@ class WorldCollectiveIndex:
 
     def __init__(self, trace: Trace):
         colls = trace.collectives
-        counts = np.diff(np.frombuffer(colls.part_offsets, dtype=np.int64))
-        world = np.repeat(np.frombuffer(colls.comm_ids, dtype=np.int64)
-                          == WORLD_COMM_ID, counts)
-        occ = np.repeat(np.frombuffer(colls.occ_indices, dtype=np.int64),
-                        counts)[world]
-        rank = np.frombuffer(colls.part_ranks, dtype=np.int64)[world]
+        table = trace.regions
+        counts = np.diff(colls.part_offsets)
+        world = np.repeat(colls.comm_ids == WORLD_COMM_ID, counts)
+        occ = np.repeat(colls.occ_indices, counts)[world]
+        rows = colls.part_rows[world]
+        rank = table.ranks_of(rows)
         order = np.lexsort((occ, rank))
+        rows = rows[order]
         self.ranks = rank[order]
         self.occs = occ[order]
-        self.entries = np.frombuffer(colls.part_entries,
-                                     dtype=np.int64)[world][order]
-        exit_ = np.frombuffer(colls.part_exits, dtype=np.int64)[world][order]
+        self.entries = table.entry_times[rows]
+        exit_ = table.exit_times[rows]
         self.bounds = np.searchsorted(
             self.ranks, np.arange(trace.meta.rank_count + 1)).tolist()
         self.suffix_min_exit = exit_
@@ -384,9 +385,6 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
     # --- attach collectives --------------------------------------------------
     colls = trace.collectives
     op_skip = _skipped_collectives(trace, config, log)
-    part_gid = _flat(offsets[np.frombuffer(colls.part_ranks, dtype=np.int64)]
-                     + np.frombuffer(colls.part_region_idx, dtype=np.int64),
-                     N)
 
     # entry ideal of region g: the exit ideal before it plus gap[g], the
     # out-of-MPI time in between (a rank's first region: its entry time)
@@ -398,8 +396,9 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
         del heads
     graph = _Graph(ranks=P, rows=N, gap=_flat(gap), senders=m_sender,
                    receivers=m_receiver, status=m_status, s_row=s_row,
-                   r_row=r_row, part_off=colls.part_offsets,
-                   part_rank=colls.part_ranks, part_gid=part_gid)
+                   r_row=r_row, part_off=_flat(colls.part_offsets),
+                   part_rank=_flat(colls.part_ranks(), P),
+                   part_gid=_flat(colls.part_rows, N))
     del gap
 
     # --- sweep ---------------------------------------------------------------
@@ -422,7 +421,7 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
     else:
         _stitch(np.frombuffer(ideal_exit, dtype=np.int64),
                 np.frombuffer(cuts.lanes, dtype=np.int64), P)
-    del graph, cuts, s_row, r_row, recv_i, floor_i, part_gid, op_skip
+    del graph, cuts, s_row, r_row, recv_i, floor_i, op_skip
 
     timeline = _assemble_timeline(table, np.frombuffer(ideal_exit,
                                                        dtype=np.int64),
@@ -1031,25 +1030,10 @@ def _skipped_collectives(trace: Trace, config: ReplayConfig,
     members.  Each is logged in occurrence order (strict mode raises on
     the first)."""
     colls = trace.collectives
-    cid = np.frombuffer(colls.comm_ids, dtype=np.int64)
-    counts = np.diff(np.frombuffer(colls.part_offsets, dtype=np.int64))
-    prank = np.frombuffer(colls.part_ranks, dtype=np.int64)
-    nops = len(cid)
-
-    # participants are distinct ranks in rank order, so they match the
-    # membership iff they equal its sorted distinct members
-    bad = np.ones(nops, dtype=bool)
-    for c in distinct(cid).tolist():
-        comm = trace.communicators.get(c)
-        if comm is None:
-            continue
-        members = distinct(comm.members)
-        fit = (cid == c) & (counts == len(members))
-        if fit.any():
-            ranks = prank[np.repeat(fit, counts)].reshape(-1, len(members))
-            bad[np.flatnonzero(fit)[(ranks == members).all(axis=1)]] = False
+    bad = ~collective_membership(trace)[1]
     for i in np.flatnonzero(bad):
-        where = f"collective comm={cid[i]} occ={colls.occ_indices[i]}"
+        where = f"collective comm={colls.comm_ids[i]} " \
+                f"occ={colls.occ_indices[i]}"
         if config.strict_mode:
             raise StrictAnomalyError(f"{where}: participant mismatch")
         log.add(AnomalyKind.MALFORMED_RECORD, where,

@@ -83,7 +83,8 @@ def brute_force_ideal(trace: Trace, eager_limit: int = DEFAULT_EAGER_LIMIT):
         # an occurrence whose ranks are not its communicator's membership
         # does not synchronize
         comm = trace.communicators.get(op.communicator_id)
-        if comm is None or sorted(op.ranks()) != sorted(set(comm.members)):
+        ranks = [rank for rank, _ in members]
+        if comm is None or sorted(ranks) != sorted(set(comm.members)):
             continue
         for tgt in members:
             for src in members:

@@ -19,8 +19,6 @@ from array import array
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple
 
-import numpy as np
-
 from paraslice.model import (
     AnomalyKind,
     AnomalyLog,
@@ -270,7 +268,7 @@ def build_trace(records: Iterable[RawRecord], meta: TraceMeta,
                 log.add(AnomalyKind.REVERSED_PTP, f"line {rec.line_number}",
                         f"send at {send_begin} after receive completion {recv_end}")
             trace.messages.append_fields(s_rank, r_rank, send_begin, recv_end,
-                                         f[12], f[13], status)
+                                         f[12], status)
             counters.consumed += 1
         elif rec.kind is RecordKind.COMMUNICATOR_DEF:
             f = rec.fields
@@ -282,13 +280,7 @@ def build_trace(records: Iterable[RawRecord], meta: TraceMeta,
             trace.communicators[f[1]] = CommunicatorDef(f[1], members)
         elif rec.kind is RecordKind.STATE:
             f = rec.fields
-            rank = resolve_rank(f[1], f[2], f[3], rec.line_number)
-            if rank is None:
-                continue
-            begin, end, state = f[4] * scale, f[5] * scale, f[6]
-            key = (rank, state)
-            trace.state_time_ns[key] = trace.state_time_ns.get(key, 0) \
-                + max(0, end - begin)
+            resolve_rank(f[1], f[2], f[3], rec.line_number)
 
     for rank, cur in enumerate(cursors):
         if cur.open_entry is not None:
@@ -309,8 +301,7 @@ def build_trace(records: Iterable[RawRecord], meta: TraceMeta,
 def _close_region(regions: list[list[MpiRegion]], rank: int,
                   cur: _RankCursor, time: int) -> None:
     regions[rank].append(MpiRegion(rank, cur.open_entry, time,
-                                   cur.open_class, len(regions[rank]),
-                                   cur.open_hint))
+                                   cur.open_class, cur.open_hint))
     cur.open_entry = None
     cur.open_hint = None
 
@@ -320,8 +311,8 @@ def _group_collectives(trace: Trace, regions: list[list[MpiRegion]]) -> None:
 
     A region belongs to the communicator its entry hint named, defaulting
     to world; the n-th collective of a communicator on each member rank
-    forms occurrence n.  Each participant row records the region index it
-    came from, so replay can reattach without re-matching timestamps.
+    forms occurrence n.  Each participant is the table row of the region
+    it came from.
     """
     per_comm: dict[int, dict[int, array]] = {}
     for rank, regs in enumerate(regions):
@@ -330,25 +321,22 @@ def _group_collectives(trace: Trace, regions: list[list[MpiRegion]]) -> None:
                 continue
             cid = WORLD_COMM_ID if reg.comm_hint is None else reg.comm_hint
             per_comm.setdefault(cid, {}).setdefault(rank, array("q")).append(k)
-    occ_rows = []       # (communicator, occurrence, participant count)
-    part_rows = []      # (rank, entry, exit, region index)
+    offsets = trace.regions.offsets.tolist()
+    comm_ids, occ_indices, part_offsets, part_rows = [], [], [0], []
     for cid in sorted(per_comm):
         by_rank = per_comm[cid]
         member_ranks = sorted(by_rank)
         depth = max(len(v) for v in by_rank.values())
         for occ in range(depth):
-            count = 0
             for r in member_ranks:
                 ks = by_rank[r]
                 if occ < len(ks):
-                    k = ks[occ]
-                    reg = regions[r][k]
-                    part_rows.append((r, reg.entry_time, reg.exit_time, k))
-                    count += 1
-            occ_rows.append((cid, occ, count))
-    trace.collectives.extend_columns(
-        *np.array(occ_rows, dtype=np.int64).reshape(-1, 3).T,
-        *np.array(part_rows, dtype=np.int64).reshape(-1, 4).T)
+                    part_rows.append(offsets[r] + ks[occ])
+            comm_ids.append(cid)
+            occ_indices.append(occ)
+            part_offsets.append(len(part_rows))
+    trace.collectives = CollectiveStore(trace.regions, comm_ids, occ_indices,
+                                        part_offsets, part_rows)
 
 
 def load_reference(path: str, time_unit: TimeUnit | None = None,
@@ -367,8 +355,8 @@ def load_reference(path: str, time_unit: TimeUnit | None = None,
 
 def snapshot(trace, log, counters) -> dict:
     """Everything ingest produces, in comparable form: region table and
-    store columns, communicators, state totals, counters (but `routed`,
-    which only the block reader keeps) and the anomaly entries in order."""
+    store columns, communicators, counters (but `routed`, which only the
+    block reader keeps) and the anomaly entries in order."""
     counts = dataclasses.asdict(counters)
     counts.pop("routed")
     colls = trace.collectives
@@ -380,10 +368,9 @@ def snapshot(trace, log, counters) -> dict:
         "messages": [getattr(msgs, c).tolist()
                      for c in msgs.__slots__ if c != "status_codes"]
         + [bytes(msgs.status_codes)],
-        "collectives": [getattr(colls, c).tolist() for c in colls.__slots__],
+        "collectives": [getattr(colls, c).tolist() for c in colls.COLUMNS],
         "communicators": {k: (c.communicator_id, c.members)
                           for k, c in trace.communicators.items()},
-        "states": trace.state_time_ns,
         "counters": counts,
         "anomalies": [(e.kind, e.location, e.detail) for e in log.entries],
     }

@@ -93,10 +93,10 @@ def _scale_trace(trace, factor):
                      flat_rank_encoding=trace.meta.flat_rank_encoding)
     regions = [[MpiRegion(g.rank, g.entry_time * factor,
                           g.exit_time * factor, g.call_class,
-                          g.region_seq, g.comm_hint) for g in regs]
+                          g.comm_hint) for g in regs]
                for regs in trace.regions]
     messages = [PtpMessage(m.sender, m.receiver, m.send_begin * factor,
-                           m.recv_end * factor, m.size_bytes, m.tag, m.status)
+                           m.recv_end * factor, m.size_bytes, m.status)
                 for m in trace.messages]
     return Trace.build(meta, regions, messages,
                        trace.communicators.values())

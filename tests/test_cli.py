@@ -285,6 +285,36 @@ class TestAnalyze:
         assert analyze(generated["prv"], tmp_path / "out", "--strict") \
             == EXIT_OK
 
+    @pytest.fixture()
+    def short_header(self, generated, tmp_path):
+        """The generated trace with its header duration halved: ingest
+        and replay accept it, only validation flags it."""
+        total = generated["expected"]["total_duration_ns"]
+        header, body = generated["prv"].read_bytes().split(b"\n", 1)
+        old = b":%d_ns:" % total
+        assert old in header
+        prv = tmp_path / "short.prv"
+        prv.write_bytes(header.replace(old, b":%d_ns:" % (total // 2))
+                        + b"\n" + body)
+        return prv, total
+
+    def test_strict_rejects_duration_short_of_last_timestamp(
+            self, short_header, tmp_path, capsys):
+        prv, total = short_header
+        assert analyze(prv, tmp_path / "out", "--strict") == EXIT_STRICT
+        assert capsys.readouterr().err == (
+            f"error: strict mode: meta.duration at header: total_duration "
+            f"{total // 2} < last timestamp {total}\n")
+
+    def test_default_mode_does_not_validate(self, short_header, tmp_path,
+                                            monkeypatch):
+        def refuse(trace):
+            raise AssertionError("validate_trace runs in default mode")
+
+        monkeypatch.setattr("paraslice.cli.validate_trace", refuse)
+        prv, _ = short_header
+        assert analyze(prv, tmp_path / "out") == EXIT_OK
+
     def test_negative_eager_limit_is_bad_config(self, generated, tmp_path,
                                                 capsys):
         code = analyze(generated["prv"], tmp_path, "--eager-limit", "-5")

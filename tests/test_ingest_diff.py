@@ -1,8 +1,8 @@
 """Differential test of the block reader against the record-at-a-time
 reference in tests/ref_ingest.py, on a seeded corpus of mutated
-generator output.  Every store column, communicator, state total,
-counter and anomaly entry (in order) must match, at the default block
-size and at one of a few lines, where many lines straddle two blocks."""
+generator output.  Every store column, communicator, counter and
+anomaly entry (in order) must match, at the default block size and at
+one of a few lines, where many lines straddle two blocks."""
 
 from __future__ import annotations
 

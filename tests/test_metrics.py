@@ -78,7 +78,7 @@ class TestWindowMetrics:
         wm = window_metrics(10, 30, np.asarray([5]), 9, merged_from=4,
                             idle=True)
         assert wm.merged and wm.merged_from == 4 and wm.idle
-        assert wm.length_ns == 20
+        assert wm.end_ns - wm.start_ns == 20
 
 
 class TestGlobalMetrics:
@@ -183,7 +183,7 @@ class TestConservation:
             # every window, compute-free ones contribute exactly zero
             acc = 0.0
             for wm in series:
-                acc += wm.efficiency * wm.length_ns
+                acc += wm.efficiency * (wm.end_ns - wm.start_ns)
                 if not wm.defined:
                     assert wm.load_balance is None or wm.serialisation is None
             assert acc / duration == pytest.approx(g.efficiency, rel=1e-12)

@@ -1,5 +1,7 @@
 """Tests for the in-memory trace model and its structural validation."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,8 @@ from paraslice.model import (
 )
 
 
-def region(rank, entry, exit_, klass=CallClass.POINT_TO_POINT, seq=0, **kw):
-    return MpiRegion(rank, entry, exit_, klass, region_seq=seq, **kw)
+def region(rank, entry, exit_, klass=CallClass.POINT_TO_POINT, **kw):
+    return MpiRegion(rank, entry, exit_, klass, **kw)
 
 
 def locate(regs, t, prefer_exit=False):
@@ -44,13 +46,13 @@ class TestLocateRegion:
         assert locate(regs, 21) == -1
 
     def test_interior_point(self):
-        regs = [region(0, 0, 5), region(0, 10, 20, seq=1)]
+        regs = [region(0, 0, 5), region(0, 10, 20)]
         assert locate(regs, 15) == 1
         assert locate(regs, 15, prefer_exit=True) == 1
         assert locate(regs, 3) == 0
 
     def test_gap_between_regions(self):
-        regs = [region(0, 0, 5), region(0, 10, 20, seq=1)]
+        regs = [region(0, 0, 5), region(0, 10, 20)]
         assert locate(regs, 7) == -1
         assert locate(regs, 7, prefer_exit=True) == -1
 
@@ -61,7 +63,7 @@ class TestLocateRegion:
 
     def test_shared_boundary_tie_break(self):
         # [0,5] and [5,9] both contain t=5
-        regs = [region(0, 0, 5), region(0, 5, 9, seq=1)]
+        regs = [region(0, 0, 5), region(0, 5, 9)]
         # a receive completing at 5 belongs to the region that ends there
         assert locate(regs, 5, prefer_exit=True) == 0
         # a send starting at 5 belongs to the region that begins there
@@ -69,8 +71,8 @@ class TestLocateRegion:
 
     def test_stacked_zero_length_regions(self):
         # closing region, two zero-length calls, then an opening region
-        regs = [region(0, 0, 5), region(0, 5, 5, seq=1),
-                region(0, 5, 5, seq=2), region(0, 5, 9, seq=3)]
+        regs = [region(0, 0, 5), region(0, 5, 5),
+                region(0, 5, 5), region(0, 5, 9)]
         assert locate(regs, 5, prefer_exit=True) == 0
         # earliest region *starting* at 5 wins for a send
         assert locate(regs, 5) == 1
@@ -81,12 +83,12 @@ class TestLocateRegion:
         assert locate(regs, 7, prefer_exit=True) == 0
 
     def test_send_strictly_inside(self):
-        regs = [region(0, 0, 5), region(0, 5, 9, seq=1)]
+        regs = [region(0, 0, 5), region(0, 5, 9)]
         assert locate(regs, 6) == 1
 
     def test_many_times_at_once(self):
-        regs = [region(0, 0, 5), region(0, 5, 5, seq=1),
-                region(0, 5, 9, seq=2), region(0, 12, 20, seq=3)]
+        regs = [region(0, 0, 5), region(0, 5, 5),
+                region(0, 5, 9), region(0, 12, 20)]
         entries = np.array([g.entry_time for g in regs])
         exits = np.array([g.exit_time for g in regs])
         t = np.array([-1, 0, 5, 6, 10, 12, 20, 21])
@@ -107,7 +109,7 @@ class TestAnomalyLog:
         assert log.count(AnomalyKind.REVERSED_PTP) == 2
         assert log.count(AnomalyKind.UNMATCHED_SEND) == 1
         assert log.count(AnomalyKind.MALFORMED_RECORD) == 0
-        assert log.consistent()
+        assert log.counters == Counter(e.kind for e in log.entries)
 
     def test_extend_merges_counters(self):
         a, b = AnomalyLog(), AnomalyLog()
@@ -117,7 +119,7 @@ class TestAnomalyLog:
         a.extend(b)
         assert a.total == 3
         assert a.count(AnomalyKind.MALFORMED_RECORD) == 2
-        assert a.consistent()
+        assert a.counters == Counter(e.kind for e in a.entries)
 
 
 def make_clean_trace(duration=100, rank0_last=(90, 100),
@@ -139,20 +141,17 @@ def make_clean_trace(duration=100, rank0_last=(90, 100),
                        [CommunicatorDef(1, list(members))])
 
 
-def with_collectives(occurrences, comms=()):
-    """The clean trace plus hand-built collective occurrences, each
-    (communicator, occurrence, [(rank, entry, exit), ...]): shapes that
-    grouping from regions never produces."""
-    t = make_clean_trace()
-    for comm in comms:
-        t.communicators[comm.communicator_id] = comm
-    for cid, occ, parts in occurrences:
-        ranks, entries, exits = (np.array(col, dtype=np.int64)
-                                 for col in zip(*parts))
-        t.collectives.extend_columns(
-            np.array([cid]), np.array([occ]), np.array([len(parts)]),
-            ranks, entries, exits, np.zeros(len(parts), dtype=np.int64))
-    return t
+def collectives_trace(rank_regions, comms=(), duration=100):
+    """A trace of collective regions only: rank_regions[r] lists rank r's
+    (entry, exit) or (entry, exit, communicator hint) in the given order,
+    which need not be entry order."""
+    coll = CallClass.COLLECTIVE
+    regions = [[region(r, spec[0], spec[1], coll,
+                       comm_hint=spec[2] if len(spec) > 2 else None)
+                for spec in specs]
+               for r, specs in enumerate(rank_regions)]
+    meta = TraceMeta(total_duration_ns=duration, rank_count=len(regions))
+    return Trace.build(meta, regions, communicators=comms)
 
 
 def violations(trace):
@@ -164,7 +163,7 @@ class TestTraceBuild:
     def test_packs_records_into_stores(self):
         t = make_clean_trace()
         assert [len(regs) for regs in t.regions] == [3, 3]
-        assert t.regions[1][1] == region(1, 30, 50, seq=1)
+        assert t.regions[1][1] == region(1, 30, 50)
         assert t.messages[0] == PtpMessage(1, 0, 30, 60, size_bytes=8)
         assert len(t.collectives) == 0
 
@@ -185,8 +184,10 @@ class TestTraceBuild:
             (WORLD_COMM_ID, 1, [(0, 8, 9), (2, 4, 9)]),
             (7, 0, [(0, 5, 6), (1, 3, 4)]),
         ]
-        assert t.collectives.part_region_idx.tolist() \
-            == [0, 1, 0, 2, 1, 1, 0]
+        colls = t.collectives
+        assert colls.part_rows.tolist() == [0, 4, 5, 2, 6, 1, 3]
+        assert (colls.part_rows - t.regions.offsets[colls.part_ranks()]
+                ).tolist() == [0, 1, 0, 2, 1, 1, 0]
 
     def test_rank_count_must_match(self):
         with pytest.raises(ValueError):
@@ -247,30 +248,24 @@ class TestValidateTrace:
         report = validate_trace(t)
         assert any(v.code == "collective.membership" for v in report.violations)
 
-    def test_duplicate_participant_rank(self):
-        t = with_collectives([
-            (1, 0, [(0, 40, 60), (0, 40, 60)]),
-            (5, 0, [(1, 30, 50), (1, 30, 50)]),     # undefined communicator
-        ])
-        assert violations(t) == [
-            ("collective.participants", "collective comm=1 occ=0",
-             "duplicate participant rank"),
-            ("collective.membership", "collective comm=1 occ=0",
-             "participants [0, 0] != members [0, 1]"),
-            ("collective.participants", "collective comm=5 occ=0",
-             "duplicate participant rank"),
-        ]
-
     def test_collective_entered_out_of_order(self):
-        # each (communicator, rank) compares with its previous occurrence
-        # in store order; communicator 2 keeps its own order
-        t = with_collectives([
-            (1, 0, [(0, 40, 60), (1, 30, 50)]),
-            (1, 1, [(0, 35, 38), (1, 20, 25)]),
-            (1, 2, [(0, 38, 39), (1, 10, 12)]),
-            (2, 0, [(0, 5, 6), (1, 5, 6)]),
+        # regions out of entry order: each (communicator, rank) compares
+        # with its previous occurrence; communicator 2 keeps its own order
+        t = collectives_trace([
+            [(40, 60), (35, 38), (38, 39), (5, 6, 2)],
+            [(30, 50), (20, 25), (10, 12), (5, 6, 2)],
         ], comms=[CommunicatorDef(2, [1, 0])])
         assert violations(t) == [
+            ("region.overlap", "rank 0 region 1",
+             "entry 35 < previous exit 60"),
+            ("region.overlap", "rank 0 region 3",
+             "entry 5 < previous exit 39"),
+            ("region.overlap", "rank 1 region 1",
+             "entry 20 < previous exit 50"),
+            ("region.overlap", "rank 1 region 2",
+             "entry 10 < previous exit 25"),
+            ("region.overlap", "rank 1 region 3",
+             "entry 5 < previous exit 12"),
             ("collective.order", "collective comm=1 occ=1",
              "rank 0 occurrence entered at 35 before 40"),
             ("collective.order", "collective comm=1 occ=1",
@@ -280,54 +275,24 @@ class TestValidateTrace:
         ]
 
     def test_collective_order_and_membership_interleave(self):
-        t = with_collectives([
-            (1, 0, [(0, 40, 60), (1, 30, 50)]),
-            (1, 1, [(1, 20, 25), (1, 10, 12)]),
-        ])
+        t = collectives_trace([[(40, 60)], [(30, 50), (20, 25), (10, 12)]])
         assert violations(t) == [
-            ("collective.participants", "collective comm=1 occ=1",
-             "duplicate participant rank"),
+            ("region.overlap", "rank 1 region 1",
+             "entry 20 < previous exit 50"),
+            ("region.overlap", "rank 1 region 2",
+             "entry 10 < previous exit 25"),
             ("collective.membership", "collective comm=1 occ=1",
-             "participants [1, 1] != members [0, 1]"),
+             "participants [1] != members [0, 1]"),
             ("collective.order", "collective comm=1 occ=1",
              "rank 1 occurrence entered at 20 before 30"),
-            ("collective.order", "collective comm=1 occ=1",
+            ("collective.membership", "collective comm=1 occ=2",
+             "participants [1] != members [0, 1]"),
+            ("collective.order", "collective comm=1 occ=2",
              "rank 1 occurrence entered at 10 before 20"),
         ]
 
-    def test_shuffled_store_reports_in_store_order(self):
-        # occurrences out of (communicator, occurrence) order and ranks
-        # out of rank order within them
-        t = with_collectives([
-            (2, 1, [(1, 50, 55), (0, 52, 56)]),
-            (1, 0, [(1, 30, 50), (0, 40, 60)]),
-            (2, 0, [(1, 60, 61), (0, 10, 12)]),
-            (1, 1, [(1, 35, 38), (0, 41, 42), (1, 36, 37)]),
-            (1, 2, [(2, 45, 46), (0, 44, 45)]),
-        ], comms=[CommunicatorDef(2, [1, 0])])
-        assert violations(t) == [
-            ("collective.order", "collective comm=2 occ=0",
-             "rank 0 occurrence entered at 10 before 52"),
-            ("collective.participants", "collective comm=1 occ=1",
-             "duplicate participant rank"),
-            ("collective.membership", "collective comm=1 occ=2",
-             "participants [0, 2] != members [0, 1]"),
-        ]
-
-    def test_ranks_spanning_int64_keep_their_order_check(self):
-        far = 1 << 62
-        t = with_collectives([(1, 0, [(far, 40, 60), (-far, 30, 50)]),
-                              (1, 1, [(far, 35, 38), (-far, 31, 32)])])
-        members = f"participants [{-far}, {far}] != members [0, 1]"
-        assert violations(t) == [
-            ("collective.membership", "collective comm=1 occ=0", members),
-            ("collective.membership", "collective comm=1 occ=1", members),
-            ("collective.order", "collective comm=1 occ=1",
-             f"rank {far} occurrence entered at 35 before 40"),
-        ]
-
     def test_collective_exit_counts_toward_duration(self):
-        t = with_collectives([(1, 0, [(0, 40, 60), (1, 30, 120)])])
+        t = collectives_trace([[(40, 60)], [(30, 120)]])
         assert violations(t) == [
             ("meta.duration", "header",
              "total_duration 100 < last timestamp 120")]

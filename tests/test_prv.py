@@ -165,7 +165,7 @@ class TestRecordStream:
         (msg,) = trace.messages
         assert (msg.sender, msg.receiver) == (0, 1)
         assert (msg.send_begin, msg.recv_end) == (10, 40)
-        assert (msg.size_bytes, msg.tag) == (8192, 55)
+        assert msg.size_bytes == 8192
         assert msg.status is MessageStatus.VALID
 
     def test_reversed_message_flagged_at_parse(self):
@@ -407,8 +407,8 @@ class TestCommunicators:
                 ]
         trace, log, _ = assemble(lines)
         assert log.total == 0
-        ops = {(op.communicator_id, op.occurrence_index): op.ranks()
-               for op in trace.collectives}
+        ops = {(op.communicator_id, op.occurrence_index):
+               [p[0] for p in op.participants] for op in trace.collectives}
         assert ops == {(2, 0): [0], (2, 1): [0], (3, 0): [1], (3, 1): [1]}
 
     def test_world_default_grouping(self):
