@@ -498,34 +498,44 @@ def group_collectives(trace: Trace) -> None:
         trace.communicators[WORLD_COMM_ID] = CommunicatorDef(
             WORLD_COMM_ID, list(range(trace.meta.rank_count)))
     table = trace.regions
-    rows = np.flatnonzero(table.class_codes
-                          == CLASS_CODES[CallClass.COLLECTIVE])
+    is_coll = table.class_codes == CLASS_CODES[CallClass.COLLECTIVE]
+    rows = np.flatnonzero(is_coll)
     if not len(rows):
         trace.collectives = CollectiveStore(table)
         return
-    rank = table.ranks_of(rows)
+    # the table is rank-major, and rows and hint_rows both ascend, so
+    # the k-th hinted collective row takes the k-th collective hint
+    rank = np.repeat(np.arange(table.rank_count),
+                     np.diff(np.searchsorted(rows, table.offsets)))
+    hinted = np.zeros(table.row_count, dtype=bool)
+    hinted[table.hint_rows] = True
     cid = np.full(len(rows), WORLD_COMM_ID, dtype=np.int64)
-    at = np.minimum(np.searchsorted(rows, table.hint_rows), len(rows) - 1)
-    hit = rows[at] == table.hint_rows
-    cid[at[hit]] = table.hint_values[hit]
+    cid[hinted[rows]] = table.hint_values[is_coll[table.hint_rows]]
+    del is_coll, hinted
     # rows sorted by communicator keep rank-major row order; the
     # occurrence is the position within each (communicator, rank) run
     order = np.argsort(cid, kind="stable")
-    c, rk = cid[order], rank[order]
+    cid, rank = cid[order], rank[order]
+    new_comm = cid[1:] != cid[:-1]
     pos = np.arange(len(rows))
     run = np.ones(len(rows), dtype=bool)
-    run[1:] = (c[1:] != c[:-1]) | (rk[1:] != rk[:-1])
-    occ = np.empty(len(rows), dtype=np.int64)
-    occ[order] = pos - np.maximum.accumulate(np.where(run, pos, 0))
-    del c, rk, run, pos
-    # participant rows ordered by communicator, occurrence, rank; the
-    # columns are gathered one at a time to keep few of them alive
-    order = np.lexsort((rank, occ, cid))
-    del rank
-    cid = cid[order]
-    occ = occ[order]
-    rows = rows[order]
-    del order
+    run[1:] = new_comm | (rank[1:] != rank[:-1])
+    occ = pos - np.maximum.accumulate(np.where(run, pos, 0))
+    del rank, run, pos
+    # participants ordered by communicator, occurrence, rank: a stable
+    # sort on (communicator, occurrence) keeps each occurrence's ranks in
+    # order, and merges the (communicator, rank) runs, each of which is
+    # in occurrence order already
+    key = np.zeros(len(rows), dtype=np.int64)
+    np.cumsum(new_comm, out=key[1:])
+    key *= int(occ.max()) + 1
+    key += occ
+    by_occ = np.argsort(key, kind="stable")
+    del key, new_comm
+    cid = cid[by_occ]
+    occ = occ[by_occ]
+    rows = rows[order[by_occ]]
+    del order, by_occ
     head = np.ones(len(rows), dtype=bool)
     head[1:] = (cid[1:] != cid[:-1]) | (occ[1:] != occ[:-1])
     at = np.flatnonzero(head)

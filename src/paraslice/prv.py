@@ -3,22 +3,30 @@
 The trace body is read in blocks of about BLOCK_SIZE bytes, each cut at
 its last newline, so ingest memory stays proportional to one block plus
 the model it builds, never to the file.  numpy classifies the lines of a
-block.  The plain ones -- state, event and communication records made of
-digit fields and colons only, with the field count of their kind -- are
-converted together in one bulk call.  Every other line (comments,
-communicator definitions, blank, garbled or oversized lines, signs,
-underscores, a lone carriage return, non-ASCII bytes) goes through the
-per-line rules of iter_raw_records on its decoded text.
+block from one scan for the bytes that are not digits: the positions of
+the colons, newlines and odd bytes give every line's bounds, field count
+and field lengths.  The plain lines -- state, event and communication
+records made of digit fields and colons only, with the field count of
+their kind -- are converted together in one np.fromstring call over the
+block, with its colons made spaces and its other lines blanked.  Every
+other line (comments, communicator definitions, blank, garbled or
+oversized lines, signs, underscores, a lone carriage return, non-ASCII
+bytes) goes through the per-line rules of iter_raw_records on its
+decoded text, one pass per run of such lines.
 
 Each rank's open-region state (its cursor) lives in per-rank numpy
-columns.  A block's events pair into regions on arrays, for all ranks
-at once, wherever a rank's events continue its cursor cleanly; a rank
-that does not goes through the sequential cursor rules for that block,
-so counters and anomaly entries, in line order, are those of a
+columns.  A block's event lines, grouped by rank with one radix sort,
+pair into regions on arrays, for all ranks at once, wherever a rank's
+events continue its cursor cleanly; each type/value pair is classed by
+its type's offset from EVTYPE_P2P.  A rank that does not continue
+cleanly goes through the sequential cursor rules for that block, so
+counters and anomaly entries, in line order, are those of a
 record-at-a-time reader.  Both emit the block's regions as one chunk in
 rank order; at the end of the stream the chunks are scattered into one
 rank-major RegionTable, which keeps each rank's regions in emission
-order.
+order.  So a clean block costs one np.fromstring, one scan of its bytes
+and a fixed number of numpy calls over its lines, whatever its rank
+count.
 
 Only MPI event types, communication records and communicator definitions
 feed the model.  State records are counted and their coordinates checked
@@ -29,7 +37,6 @@ tag is not kept, since no rule reads it.
 from __future__ import annotations
 
 import os
-from array import array
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter, itemgetter
@@ -296,12 +303,16 @@ def iter_raw_records(lines: Iterable[str], log: AnomalyLog,
 BLOCK_SIZE = 1 << 19
 
 # byte values the block classifier looks at
-_NL, _CR, _COLON, _ZERO = 10, 13, 58, 48
+_NL, _CR, _SPACE, _COLON, _ZERO = 10, 13, 32, 58, 48
 _STATE_BYTE, _EVENT_BYTE, _COMM_BYTE = 49, 50, 51       # "1", "2", "3"
-_TO_SPACES = bytes.maketrans(b":\n", b"  ")
-# classes of an event's type/value pair, after the CLASS_CODES 0..2
+# Classes of an event's type/value pair: the CLASS_CODES 0..2 of the MPI
+# types, then a companion, then any other type.  The types run in that
+# order from EVTYPE_P2P, so a pair's class is its type's offset from
+# EVTYPE_P2P, capped at _FOREIGN.
 _HINT = 3
 _FOREIGN = 4
+assert all(_MPI_CODE[EVTYPE_P2P + c] == c for c in range(_HINT)) \
+    and EVTYPE_COMM_ID == EVTYPE_P2P + _HINT
 # per rank, the (line number, payload) of events for the cursor rules
 _Queues = dict[int, list[tuple[int, list[int]]]]
 
@@ -354,6 +365,28 @@ def build_trace(stream: BinaryIO, meta: TraceMeta,
     return asm.finish(), log
 
 
+class _Column:
+    """A numpy column that grows by appends, into spare room that doubles
+    when it runs out, so a long stream of appends copies each value a
+    few times at most."""
+
+    def __init__(self, dtype) -> None:
+        self.data = np.empty(1 << 12, dtype=dtype)
+        self.size = 0
+
+    def extend(self, values: np.ndarray) -> None:
+        end = self.size + len(values)
+        if end > len(self.data):
+            grown = np.empty(max(end, 2 * len(self.data)), dtype=self.data.dtype)
+            grown[:self.size] = self.data[:self.size]
+            self.data = grown
+        self.data[self.size:end] = values
+        self.size = end
+
+    def values(self) -> np.ndarray:
+        return self.data[:self.size]
+
+
 class _Assembly:
     """The model under construction and each rank's cursor, which carry
     from one block to the next.
@@ -389,9 +422,10 @@ class _Assembly:
         self.region_counts = np.zeros(P, dtype=np.int64)
         self.chunks: list[tuple[np.ndarray, np.ndarray]] = []
         # entry, exit, class code; the hinted rows and their hints
-        self.columns = [array("q"), array("q"), array("B")]
-        self.hint_rows = array("q")
-        self.hint_values = array("q")
+        self.columns = [_Column(np.int64), _Column(np.int64),
+                        _Column(np.uint8)]
+        self.hint_rows = _Column(np.int64)
+        self.hint_values = _Column(np.int64)
         # the current block's anomalies, moved to log in line order
         self.pending = AnomalyLog()
 
@@ -409,24 +443,23 @@ class _Assembly:
         self.chunks.append((ranks, counts))
         at = np.flatnonzero(hinted)
         for column, values in (
-                (self.hint_rows, at + len(self.columns[0])),
+                (self.hint_rows, at + self.columns[0].size),
                 (self.hint_values, hints[at]),
                 *zip(self.columns, (entry, exit_, codes))):
-            column.frombytes(np.ascontiguousarray(
-                values, dtype=column.typecode).view(np.uint8))
+            column.extend(values)
 
     # --- one block -------------------------------------------------------
 
     def block(self, data: bytes, lineno: int) -> int:
         """Ingest a newline-terminated block whose first line is lineno;
         returns the number of the line after it."""
+        first_line = lineno
         if b"\r" in data:
             # a text-mode reader reads \r\n as \n and a lone \r as a
             # line end of its own; only the latter changes the numbering
             data = data.replace(b"\r\n", b"\n")
         a = np.frombuffer(data, dtype=np.uint8)
-        ends = np.flatnonzero(a == _NL)
-        starts = np.concatenate(([0], ends[:-1] + 1))
+        starts, ends, plain, kinds, ncol = self._classify(a)
         n = len(ends)
         linenos = lineno + np.arange(n)
         if b"\r" in data:
@@ -434,18 +467,23 @@ class _Assembly:
                                  minlength=n)
             linenos += np.cumsum(breaks) - breaks
             lineno += int(breaks.sum())
-        plain, kinds, ncol = self._classify(data, a, starts, ends)
+        # runs of adjacent lines that are not plain: first and last line
+        routed = np.flatnonzero(~plain)
+        cut = np.flatnonzero(np.diff(routed) != 1)
+        runs = list(zip(routed[np.append(0, cut + 1)].tolist(),
+                        routed[np.append(cut, -1)].tolist())) \
+            if len(routed) else []
+        irregular = self._per_line(data, starts, ends, linenos, runs)
 
-        irregular = self._per_line(data, starts, ends, linenos, plain)
         p = np.flatnonzero(plain)
-        width = ncol[p] + 1
-        tok = self._tokens(data, starts, ends, plain, int(width.sum()),
-                           int(linenos[0]))
-        f0 = np.cumsum(width) - width + 1       # token of payload field 0
         # from here on, one entry per plain line
         kind, ncol, linenos = kinds[p], ncol[p], linenos[p]
-        self.counters.records += int(np.count_nonzero(kind != _STATE_BYTE))
-        self.counters.states += int(np.count_nonzero(kind == _STATE_BYTE))
+        f0 = np.cumsum(ncol + 1) - ncol     # token of payload field 0
+        tok = self._tokens(a, starts, ends, runs, int(f0[-1] + ncol[-1])
+                           if len(p) else 0, first_line)
+        states = int(np.count_nonzero(kind == _STATE_BYTE))
+        self.counters.records += len(p) - states
+        self.counters.states += states
         rank, ok = self._coords(tok, f0 + 1)
         comm = np.flatnonzero(kind == _COMM_BYTE)
         recv_rank, recv_ok = self._coords(tok, f0[comm] + 7)
@@ -459,10 +497,12 @@ class _Assembly:
         messages: list[tuple[int, ...]] = []
         self._irregular(irregular, slow, messages)
 
-        sel = ok & (kind == _COMM_BYTE)
+        good = ok[comm]
+        sel = comm[good]
         self._messages(tok, f0[sel], linenos[sel], rank[sel],
-                       recv_rank[ok[comm]], messages)
-        sel = ok & (kind == _EVENT_BYTE)
+                       recv_rank[good], messages)
+        sel = np.flatnonzero(ok & (kind == _EVENT_BYTE))
+        sel = sel[rank_order(rank[sel], self.meta.rank_count)]
         self._events(tok, f0[sel], ncol[sel], linenos[sel], rank[sel], slow)
         self._sequential(slow)
 
@@ -472,69 +512,75 @@ class _Assembly:
             self.pending = AnomalyLog()
         return lineno + n
 
-    def _classify(self, data: bytes, a: np.ndarray, starts: np.ndarray,
-                  ends: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Plain mask, first byte and colon count of each line.
+    def _classify(self, a: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Start, end (its newline), plain flag, first byte and colon count
+        of each line of block a.
 
         A plain line is a state, event or communication record of
         non-empty digit fields joined by colons, with the field count of
         its kind, and short enough integers that every value, and every
-        time once scaled to ns, fits in int64.
+        time once scaled to ns, fits in int64.  One scan finds every byte
+        that is not a digit -- colons, newlines and odd bytes -- and the
+        rest is read off those positions.
         """
-        seps = np.flatnonzero((a == _COLON) | (a == _NL))
-        nl_at = np.flatnonzero(a[seps] == _NL)      # line i ends at seps[nl_at[i]]
+        seps = np.flatnonzero(np.subtract(a, _ZERO, dtype=np.uint8) > 9)
+        sep_bytes = a[seps]
+        nl_at = np.flatnonzero(sep_bytes == _NL)    # line i ends at seps[nl_at[i]]
+        ends = seps[nl_at]
+        starts = np.empty_like(ends)
+        starts[:1] = 0
+        starts[1:] = ends[:-1] + 1
         ncol = np.diff(nl_at, prepend=-1) - 1
-        gap = np.diff(seps)         # the token ending at seps[j] has gap[j-1] - 1 bytes
+        # the token ending at seps[j] has short[j] + 1 bytes
+        short = np.empty_like(seps)
+        short[:1] = seps[:1] + 1
+        np.subtract(seps[1:], seps[:-1], out=short[1:])
+        short -= 2
         digits = 18 if self.scale == 1 else 15
         plain = np.ones(len(ends), dtype=bool)
+        # an empty token wraps round to the largest unsigned value
         plain[np.searchsorted(nl_at, np.flatnonzero(
-            (gap == 1) | (gap > digits + 1)) + 1)] = False
-        kind_len = np.empty(len(ends), dtype=np.int64)
-        kind_len[:1] = seps[:1]
-        kind_len[1:] = gap[nl_at[:-1]] - 1
-        del seps, gap
-        plain &= kind_len == 1
-        if data.translate(None, b"0123456789:\n"):     # bytes of no field
-            odd = np.flatnonzero(np.subtract(a, _ZERO, dtype=np.uint8) > 10)
-            plain[np.searchsorted(ends, odd[a[odd] != _NL])] = False
+            short.view(np.uint64) >= digits))] = False
+        plain &= short[nl_at - ncol] == 0   # a one-byte first field
+        if len(seps) - len(ends) != np.count_nonzero(sep_bytes == _COLON):
+            odd = seps[(sep_bytes != _COLON) & (sep_bytes != _NL)]
+            plain[np.searchsorted(ends, odd)] = False
+        del seps, sep_bytes, short
         kinds = a[starts]
         plain &= (((kinds == _EVENT_BYTE) & (ncol >= _EVENT_MIN) & (ncol % 2 == 1))
                   | ((kinds == _COMM_BYTE) & (ncol == _COMM_LEN))
                   | ((kinds == _STATE_BYTE) & (ncol == _STATE_LEN)))
-        return plain, kinds, ncol
+        return starts, ends, plain, kinds, ncol
 
     def _per_line(self, data: bytes, starts: np.ndarray, ends: np.ndarray,
-                  linenos: np.ndarray, plain: np.ndarray) -> list[RawRecord]:
+                  linenos: np.ndarray, runs: list[tuple[int, int]],
+                  ) -> list[RawRecord]:
         """Records of the lines that are not plain, by the per-line rules
-        on their text."""
+        on their text, one pass of the rules per run of such lines."""
         records: list[RawRecord] = []
-        routed = np.flatnonzero(~plain)
-        # one pass of the rules per run of adjacent lines; a lone \r
-        # left in them ends a line too
-        for run in np.split(routed, np.flatnonzero(np.diff(routed) != 1) + 1):
-            if not len(run):
-                continue
-            text = data[starts[run[0]]:ends[run[-1]]].decode("utf-8", "replace")
+        for first, last in runs:
+            text = data[starts[first]:ends[last]].decode("utf-8", "replace")
+            # a lone \r left in them ends a line too
             lines = text.replace("\r", "\n").split("\n")
             self.counters.routed += len(lines)
             records.extend(iter_raw_records(lines, self.pending, self.counters,
-                                            int(linenos[run[0]]), self.scale))
+                                            int(linenos[first]), self.scale))
         return records
 
-    def _tokens(self, data: bytes, starts: np.ndarray, ends: np.ndarray,
-                plain: np.ndarray, expected: int, lineno: int) -> np.ndarray:
-        """Every integer of the plain lines, in line order, in one call."""
+    def _tokens(self, a: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                runs: list[tuple[int, int]], expected: int,
+                lineno: int) -> np.ndarray:
+        """Every integer of the plain lines, in line order, in one call:
+        the block with its colons made spaces and the runs of other lines
+        blanked."""
         if not expected:
             return np.empty(0, dtype=np.int64)
-        if plain.all():
-            text = data
-        else:
-            edge = np.flatnonzero(np.diff(plain.astype(np.int8),
-                                          prepend=0, append=0)).tolist()
-            text = b" ".join(data[starts[i]:ends[j - 1] + 1]
-                             for i, j in zip(edge[::2], edge[1::2]))
-        tok = np.fromstring(text.translate(_TO_SPACES), dtype=np.int64,
-                            sep=" ")
+        text = (a == _COLON).view(np.uint8)
+        text *= _COLON - _SPACE
+        np.subtract(a, text, out=text)
+        for first, last in runs:
+            text[starts[first]:ends[last]] = _SPACE
+        tok = np.fromstring(text.tobytes(), dtype=np.int64, sep=" ")
         if len(tok) != expected:
             raise IngestError(f"line {lineno}: block tokenizer read "
                               f"{len(tok)} of {expected} integers")
@@ -721,6 +767,7 @@ class _Assembly:
                 linenos: np.ndarray, ranks: np.ndarray,
                 slow: _Queues) -> None:
         """Pair the block's plain event lines into regions, rank by rank.
+        The lines come grouped by rank, each rank's in line order.
 
         A rank's lines take the array path when they continue its cursor
         cleanly: times never decrease, MPI opens and closes strictly
@@ -731,65 +778,72 @@ class _Assembly:
         Other ranks, and ranks with records in slow already, queue their
         lines in slow for the cursor.
         """
-        if not len(f0):
+        n = len(f0)
+        if not n:
             return
         counters = self.counters
-        times = tok[f0 + 4] * self.scale
-        npairs = (ncol - 5) // 2
-        p_line = np.repeat(np.arange(len(f0)), npairs)
-        p_at = f0[p_line] + 5 + 2 * (np.arange(len(p_line))
-                                     - (np.cumsum(npairs) - npairs)[p_line])
-        p_type, p_value = tok[p_at], tok[p_at + 1]
-        p_class = np.full(len(p_line), _FOREIGN, dtype=np.int64)
-        for etype, code in _MPI_CODE.items():
-            p_class[p_type == etype] = code
-        p_class[p_type == EVTYPE_COMM_ID] = _HINT
-        touched = np.zeros(len(f0), dtype=bool)
-        touched[p_line[p_class != _FOREIGN]] = True
+        times = tok[f0 + 4]
+        if self.scale != 1:
+            times *= self.scale
 
-        # group g: one rank's lines, in line order
-        by_rank = rank_order(ranks, self.meta.rank_count)
-        g_start = np.flatnonzero(np.diff(ranks[by_rank], prepend=-1))
-        g_rank = ranks[by_rank[g_start]]
-        g_count = np.diff(np.append(g_start, len(f0)))
-        line_g = np.empty(len(f0), dtype=np.int64)
-        line_g[by_rank] = np.repeat(np.arange(len(g_rank)), g_count)
-        c_last = self.last_time[g_rank]
+        # group g: one rank's lines
+        head = np.empty(n, dtype=bool)
+        head[0] = True
+        np.not_equal(ranks[1:], ranks[:-1], out=head[1:])
+        g_start = np.flatnonzero(head)
+        g_rank = ranks[g_start]
+        g_count = np.diff(g_start, append=n)
+        line_g = np.repeat(np.arange(len(g_start)), g_count)
         c_open = self.open_entry[g_rank]
-        c_pending = self.hint_time[g_rank]
         c_class = self.open_class[g_rank]
         c_hinted = self.open_hinted[g_rank]
         c_hint = self.open_hint[g_rank]
+        first_time = times[g_start]
+        bad = (first_time < self.last_time[g_rank]) \
+            | (self.hint_time[g_rank] >= first_time)
+        if slow:
+            bad |= np.isin(g_rank, list(slow))
+        bad[line_g[1:][(times[1:] < times[:-1]) & ~head[1:]]] = True
 
-        bad = np.isin(g_rank, list(slow))
-        g_times = times[by_rank]
-        g_of = line_g[by_rank]
-        bad[g_of[1:][(g_times[1:] < g_times[:-1])
-                     & (g_of[1:] == g_of[:-1])]] = True
-        first_time = g_times[g_start]
-        bad |= (first_time < c_last) | (c_pending >= first_time)
+        # every type/value pair, in line order, classed by its type
+        npairs = (ncol - 5) >> 1
+        p_line = np.repeat(np.arange(n), npairs)
+        p_at = (f0 + 5 - 2 * (np.cumsum(npairs) - npairs))[p_line] \
+            + 2 * np.arange(len(p_line))
+        p_value = tok[p_at + 1]
+        # a type below EVTYPE_P2P wraps round to a large unsigned offset
+        p_class = np.minimum((tok[p_at] - EVTYPE_P2P).view(np.uint64),
+                             _FOREIGN).view(np.int64)
+        touched = np.zeros(n, dtype=bool)
+        touched[p_line[p_class != _FOREIGN]] = True
 
-        # every type/value pair, grouped like the lines
-        order = np.argsort(line_g[p_line], kind="stable")
-        s_g = line_g[p_line[order]]
-        s_class, s_value = p_class[order], p_value[order]
-        s_time = times[p_line[order]]
-        is_mpi = s_class < _HINT
-        m_g, m_time = s_g[is_mpi], s_time[is_mpi]
-        m_class, m_value = s_class[is_mpi], s_value[is_mpi]
-        m_open = m_value > 0
-        same = m_g[1:] == m_g[:-1]
-        bad[m_g[1:][same & (m_open[1:] == m_open[:-1])]] = True
-        first = np.flatnonzero(np.diff(m_g, prepend=-1))
-        bad[m_g[first][m_open[first] == (c_open[m_g[first]] >= 0)]] = True
+        # the MPI events; from the rank's carried cursor on, opens and
+        # closes alternate
+        m = np.flatnonzero(p_class < _HINT)
+        m_line = p_line[m]
+        m_g, m_time = line_g[m_line], times[m_line]
+        m_class, m_open = p_class[m], p_value[m] > 0
+        m_head = np.empty(len(m), dtype=bool)
+        m_head[:1] = True
+        np.not_equal(m_g[1:], m_g[:-1], out=m_head[1:])
+        was_open = np.empty(len(m), dtype=bool)
+        was_open[1:] = m_open[:-1]
+        first = np.flatnonzero(m_head)
+        was_open[first] = c_open[m_g[first]] >= 0
+        bad[m_g[m_open == was_open]] = True
 
-        m_hinted = np.zeros(len(m_g), dtype=bool)
-        m_hint = np.zeros(len(m_g), dtype=np.int64)
-        h = np.flatnonzero(s_class == _HINT)
+        m_hinted = np.zeros(len(m), dtype=bool)
+        m_hint = np.zeros(len(m), dtype=np.int64)
+        # the companions h; k[i] pairs that are not MPI events precede
+        # companion i
+        other = np.flatnonzero(p_class >= _HINT)
+        k = np.flatnonzero(p_class[other] == _HINT)
+        h = other[k]
         if len(h):
-            h_g, h_time, h_value = s_g[h], s_time[h], s_value[h]
+            h_line = p_line[h]
+            h_g, h_time, h_value = line_g[h_line], times[h_line], p_value[h]
             # the MPI events around each hint, padded with a no-event
-            nxt = np.cumsum(is_mpi)[h]
+            nxt = h - k     # the MPI events before each companion
             prev = nxt - 1
             pad_g = np.append(m_g, -1)
             pad_time = np.append(m_time, -1)
@@ -800,32 +854,33 @@ class _Assembly:
             on_next = ~on_prev & ~on_carried & (pad_g[nxt] == h_g) \
                 & pad_open[nxt] & (pad_time[nxt] == h_time)
             bad[h_g[~(on_prev | on_carried | on_next)]] = True
+            # the region each binds to: an MPI event, or -1 - g for the
+            # carried one of group g; two on one region spoil the group
             opener = np.where(on_prev, prev, np.where(on_next, nxt, -1 - h_g))
-            twice = np.sort(opener)
-            twice = twice[1:][twice[1:] == twice[:-1]]
-            bad[h_g[np.isin(opener, twice)]] = True
+            shared = np.bincount(opener + len(g_rank))[opener + len(g_rank)] > 1
+            bad[h_g[shared]] = True
             on_m = on_prev | on_next
             m_hinted[opener[on_m]] = True
             m_hint[opener[on_m]] = h_value[on_m]
             c_hinted[h_g[on_carried]] = True
             c_hint[h_g[on_carried]] = h_value[on_carried]
 
-        good_line = ~bad[line_g]
-        counters.consumed += int(np.count_nonzero(touched & good_line))
-        counters.ignored += int(np.count_nonzero(~touched & good_line))
+        bad_line = np.repeat(bad, g_count)
+        consumed = int(np.count_nonzero(touched & ~bad_line))
+        counters.consumed += consumed
+        counters.ignored += n - int(np.count_nonzero(bad_line)) - consumed
 
         # a region per close; by alternation its open is the MPI event
-        # before it, or the rank's carried open for the first one
+        # before it, or the rank's carried open for a rank's first one
         close = np.flatnonzero(~m_open & ~bad[m_g])
         opened = close - 1
         r_g = m_g[close]
-        in_block = (close > 0) & (m_g[opened] == r_g)
+        in_block = ~m_head[close]
         entry = np.where(in_block, m_time[opened], c_open[r_g])
-        exit_ = m_time[close]
         codes = np.where(in_block, m_class[opened], c_class[r_g])
         hinted = np.where(in_block, m_hinted[opened], c_hinted[r_g])
         hints = np.where(in_block, m_hint[opened], c_hint[r_g])
-        self._emit(g_rank[r_g], entry, exit_, codes, hinted, hints)
+        self._emit(g_rank[r_g], entry, m_time[close], codes, hinted, hints)
 
         # the cursors of the good groups: the open region after their
         # last MPI event, or the carried one with its hint
@@ -842,17 +897,16 @@ class _Assembly:
         carried = good[~has]
         self.open_hinted[g_rank[carried]] = c_hinted[carried]
         self.open_hint[g_rank[carried]] = c_hint[carried]
-        self.last_time[g_rank[good]] = \
-            g_times[g_start[good] + g_count[good] - 1]
+        self.last_time[g_rank[good]] = times[g_start[good] + g_count[good] - 1]
         # none pending, or older than any time ahead
         self.hint_time[g_rank[good]] = -1
 
         # the bad groups' lines go to the cursor rules
-        lines = by_rank[np.repeat(bad, g_count)]
-        for r, line, at, n in zip(ranks[lines].tolist(),
-                                  linenos[lines].tolist(),
-                                  f0[lines].tolist(), ncol[lines].tolist()):
-            slow.setdefault(r, []).append((line, tok[at:at + n].tolist()))
+        lines = np.flatnonzero(bad_line)
+        for r, line, at, width in zip(ranks[lines].tolist(),
+                                      linenos[lines].tolist(),
+                                      f0[lines].tolist(), ncol[lines].tolist()):
+            slow.setdefault(r, []).append((line, tok[at:at + width].tolist()))
 
     # --- end of stream ---------------------------------------------------
 
@@ -875,40 +929,33 @@ class _Assembly:
         """The emitted regions as one rank-major table.  A chunk's rows of
         rank r follow that rank's rows of the chunks before it, so every
         rank keeps its emission order.  The columns are scattered one at a
-        time, a chunk at a time, and each is freed once copied."""
-        offsets = np.zeros(len(self.region_counts) + 1, dtype=np.int64)
+        time, and each is freed once copied."""
+        P = len(self.region_counts)
+        offsets = np.zeros(P + 1, dtype=np.int64)
         np.cumsum(self.region_counts, out=offsets[1:])
-        fill = offsets[:-1].copy()
-        starts = [0]        # first emitted row of each chunk
-        shift = []          # per chunk and rank: table row - emitted row
+        fill = offsets[:-1].copy()      # each rank's next free row
+        rows = np.empty(offsets[-1], dtype=np.int64)    # of each emitted region
+        at = 0
         for ranks, counts in self.chunks:
-            shift.append(fill[ranks] + counts - np.cumsum(counts)
-                         - starts[-1])
+            end = at + int(counts.sum())
+            rows[at:end] = np.repeat(fill[ranks] + counts - np.cumsum(counts)
+                                     - at, counts)
+            rows[at:end] += np.arange(at, end)
             fill[ranks] += counts
-            starts.append(starts[-1] + int(counts.sum()))
-
-        def rows(i: int) -> np.ndarray:
-            return np.repeat(shift[i], self.chunks[i][1]) \
-                + np.arange(starts[i], starts[i + 1])
-
+            at = end
         columns = []
         for c, column in enumerate(self.columns):
-            values = np.frombuffer(column, dtype=column.typecode)
-            out = np.empty(offsets[-1], dtype=values.dtype)
-            for i in range(len(self.chunks)):
-                out[rows(i)] = values[starts[i]:starts[i + 1]]
-            del values
+            out = np.empty(offsets[-1], dtype=column.data.dtype)
+            out[rows] = column.values()
             self.columns[c] = None
             columns.append(out)
-        emitted = np.frombuffer(self.hint_rows, dtype=np.int64)
-        at = np.searchsorted(emitted, starts)
-        hint_rows = np.concatenate([np.zeros(0, dtype=np.int64)] + [
-            rows(i)[emitted[at[i]:at[i + 1]] - starts[i]]
-            for i in range(len(self.chunks))])
-        order = np.argsort(hint_rows)
+        hint_rows = rows[self.hint_rows.values()]
+        del rows
+        # each rank's hinted rows ascend already
+        order = rank_order(np.searchsorted(offsets, hint_rows, side="right")
+                           - 1, P)
         return RegionTable(offsets, *columns, hint_rows[order],
-                           np.frombuffer(self.hint_values,
-                                         dtype=np.int64)[order])
+                           self.hint_values.values()[order])
 
 
 def load_trace(path: str, time_unit: TimeUnit | None = None,
