@@ -18,28 +18,34 @@ arrival does the same into its occurrence, and the last arrival
 delivers the occurrence's maximum to every participant.  A lane runs
 while the count at its frontier is zero.
 
-Lanes are ranks, unless the trace can be cut.  A cut is a live
-collective occurrence that every rank takes part in; each rank's
-sequence is cut after each cut, and each stretch between two cuts (a
-segment) is a lane.  With no negative gap, ideal clocks never fall
-along a rank, so every rank leaves cut k with the same exit ideal V_k,
-the maximum of the participants' entries, and an edge whose provider p
-lies in an earlier segment than its consumer c is dominated: cut k
-between them gives entry(p) <= V_k <= entry(c).  So the cut
-occurrences and those forward edges are dropped, every lane is replayed
-from 0, and the segments are stitched: with D_k the largest exit ideal
-any rank reaches at cut k, V = cumsum(D), segment k is lifted by
-V_(k-1) and the cut regions are set to V_k.  Replay does not cut when a
-gap is negative, when ranks meet the cuts in different orders, when an
-edge's provider lies in a later segment than its consumer, or when
-another live occurrence has participants in two segments.  Every
-dropped edge then leads into a later segment and nothing leads back, so
-none lies on a dependency cycle: when the lane sweep stalls, the trace
-has one, and the sweep is rerun on ranks with every edge, where
-dependency cycles in corrupt traces are broken by degrading the
-offending edges (or abort in strict mode).  The lane sweep writes no
-message status and logs nothing, so the rerun reports exactly what a
-sweep on ranks alone would.
+Lanes are ranks, unless the trace can be cut.  Ranks fall into groups,
+the connected components that message edges and every live collective
+occurrence not of all ranks join them into.  A cut is a live occurrence
+of all ranks of a group: a world cut when all ranks take part, which
+every group shares, or a group cut of one group's own.  Each rank's
+sequence is cut after each of its cuts, and each stretch between two
+cuts (a segment) is a lane.  With no negative gap, ideal clocks never
+fall along a rank, so the ranks of a cut leave it with one exit ideal,
+the maximum of their entries, and an edge whose provider p lies in an
+earlier segment than its consumer c is dominated: the cut between them
+gives entry(p) <= its exit ideal <= entry(c).  So the cut occurrences
+and those forward edges are dropped, every lane is replayed from 0, and
+the segments are stitched with prefix sums: with D the largest exit
+ideal a group's ranks reach at a cut, counted from 0, the group's cuts
+after world cut k-1 sit at V_(k-1) plus the group's running sum of D,
+and world cut k at V_k, V_(k-1) plus the largest such sum over the
+groups.  A group is not cut at its own occurrences when its ranks meet
+its cuts in different orders, when an edge's provider lies in a later
+segment than its consumer, or when another live occurrence has
+participants in two of its segments; it keeps the world cuts.  Replay
+does not cut at all when a gap is negative, or when the world cuts alone
+break one of those rules.  Every dropped edge then leads into a later
+segment and nothing leads back, so none lies on a dependency cycle: when
+the lane sweep stalls, the trace has one, and the sweep is rerun on
+ranks with every edge, where dependency cycles in corrupt traces are
+broken by degrading the offending edges (or abort in strict mode).  The
+lane sweep writes no message status and logs nothing, so the rerun
+reports exactly what a sweep on ranks alone would.
 
 Every lane's first region has its entry ideal from the start, so all
 lane heads fire their triggers in one vectorized step.  Then the lanes
@@ -402,25 +408,24 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
     del gap
 
     # --- sweep ---------------------------------------------------------------
-    cuts = _find_cuts(table, graph, op_skip, recv_i, floor_i)
+    cuts = _find_cuts(table, graph, op_skip, recv_i, floor_i, colls.comm_ids)
     widest = P if cuts is None else len(cuts.lanes) - 1
     waves = widest >= WIDE_WAVE_RANKS and _sums_fit(graph.gap)
     ideal_exit = None
     if cuts is not None:
         keep = cuts.keep
-        ideal_exit = _sweep(graph, cuts.lanes, _flat(cuts.segs),
-                            recv_i[keep[:len(recv_i)]],
+        ideal_exit = _sweep(graph, cuts.lanes, cuts.base.tolist(),
+                            _flat(cuts.segs), recv_i[keep[:len(recv_i)]],
                             floor_i[keep[len(recv_i):]], op_skip | cuts.occs,
                             waves, config, log, break_cycles=False)
         del keep
     if ideal_exit is None:
         # no cut, or a dependency cycle: every edge, rank by rank
-        ideal_exit = _sweep(graph, _flat(offsets), bytes(len(op_skip)),
-                            recv_i, floor_i, op_skip, waves, config, log,
-                            break_cycles=True)
+        ideal_exit = _sweep(graph, _flat(offsets), range(P),
+                            bytes(len(op_skip)), recv_i, floor_i, op_skip,
+                            waves, config, log, break_cycles=True)
     else:
-        _stitch(np.frombuffer(ideal_exit, dtype=np.int64),
-                np.frombuffer(cuts.lanes, dtype=np.int64), P)
+        _stitch(np.frombuffer(ideal_exit, dtype=np.int64), cuts)
     del graph, cuts, s_row, r_row, recv_i, floor_i, op_skip
 
     timeline = _assemble_timeline(table, np.frombuffer(ideal_exit,
@@ -449,98 +454,269 @@ class _Graph:
 
 
 class _Cuts:
-    """Where every rank's region sequence is cut: lane offsets (rank r's
-    segment k is lane r*S + k of S per rank), the cut occurrences, the
-    segment of every other occurrence, and which message edges (receive
+    """Where each rank's region sequence is cut, and how the pieces fit.
+
+    Rank r's lanes are base[r] to base[r+1] - 1, in order: lane l owns
+    regions lanes[l] to lanes[l+1] - 1, and the lane after rank r's j-th
+    cut is base[r] + j.  The ranks of one class meet the same cuts in the
+    same order; classes[r] is rank r's class, and world flags which of
+    the cuts, listed class by class in each class's order, are world
+    cuts.  occs marks the cut occurrences, segs holds the segment of
+    every other occurrence, and keep says which message edges (receive
     edges, then floors) stay within one segment."""
 
-    __slots__ = ("lanes", "occs", "segs", "keep")
+    __slots__ = ("lanes", "base", "classes", "world", "occs", "segs", "keep")
 
-    def __init__(self, lanes: array, occs: np.ndarray, segs: np.ndarray,
+    def __init__(self, lanes: array, base: np.ndarray, classes: np.ndarray,
+                 world: np.ndarray, occs: np.ndarray, segs: np.ndarray,
                  keep: np.ndarray):
         self.lanes = lanes
+        self.base = base
+        self.classes = classes
+        self.world = world
         self.occs = occs
         self.segs = segs
         self.keep = keep
 
 
 def _find_cuts(table: RegionTable, graph: _Graph, skip: np.ndarray,
-               recv_i: np.ndarray, floor_i: np.ndarray) -> _Cuts | None:
+               recv_i: np.ndarray, floor_i: np.ndarray,
+               comm_ids: np.ndarray) -> _Cuts | None:
     """Cut every rank after each live collective occurrence that all
-    ranks take part in, or None when there is no such occurrence or
-    cutting there would not be sound: a negative gap, ranks that meet
-    the cuts in different orders, a message edge whose provider lies in
-    a later segment than its consumer, or another live occurrence with
-    participants in two segments."""
+    ranks take part in (a world cut), and after each one whose
+    participants are exactly its group (a group cut); None when there is
+    nothing to cut or no cut is sound.
+
+    A group is a connected component of ranks, joined by the attached
+    message edges and by every live occurrence that is not all-rank;
+    without such occurrences no group has cuts of its own, and all ranks
+    count as one.  Any negative gap, or ranks that meet the world cuts in
+    different orders, void every cut.  A group whose members meet its
+    cuts in different orders, that has a message edge whose provider
+    lies in a later segment than its consumer, or another live
+    occurrence with participants in two segments, loses its group cuts;
+    when it breaks a rule with world cuts alone, nothing is cut."""
     P = table.rank_count
-    counts = np.diff(np.frombuffer(graph.part_off, dtype=np.int64))
-    occs = ~skip & (counts == P)
-    K = int(occs.sum())
-    if not K or (np.frombuffer(graph.gap, dtype=np.int64) < 0).any():
+    part_off = np.frombuffer(graph.part_off, dtype=np.int64)
+    counts = np.diff(part_off)
+    world = ~skip & (counts == P)
+    sub = np.flatnonzero(~skip & ~world)
+    label = np.zeros(P, dtype=np.int64)
+    cut = world.copy()
+    if len(sub):
+        part_rank = np.frombuffer(graph.part_rank,
+                                  dtype=graph.part_rank.typecode)
+        # the first live occurrence of each communicator joins its members
+        comms = comm_ids[sub]
+        heads = sub[np.concatenate(([True], comms[1:] != comms[:-1]))]
+        first = part_off[heads]
+        ends = np.concatenate((recv_i, floor_i))
+        pairs = distinct(np.frombuffer(graph.senders, dtype=np.int64)[ends]
+                         * P + np.frombuffer(graph.receivers,
+                                             dtype=np.int64)[ends])
+        label = _components(
+            P, np.concatenate((pairs // P, np.repeat(part_rank[first],
+                                                     counts[heads]))),
+            np.concatenate((pairs % P,
+                            part_rank[_spans(first, counts[heads])])))
+        del comms, heads, first, ends, pairs
+        # a group cut: an occurrence of every rank of its group
+        size = np.bincount(label, minlength=P)
+        cut[sub] = counts[sub] == size[label[part_rank[part_off[sub]]]]
+    if not cut.any() or (np.frombuffer(graph.gap, dtype=np.int64) < 0).any():
         return None
-    # participants are distinct ranks in rank order: row r of the
-    # transpose is rank r's cut rows, put in rank 0's order
-    rows = graph.part_g[np.repeat(occs, counts)].reshape(K, P).T
-    rows = rows[:, np.argsort(rows[0])]
-    if (rows[:, 1:] <= rows[:, :-1]).any():
-        return None
-    S = K + 1
-    lanes = np.empty(P * S + 1, dtype=np.int64)
-    grid = lanes[:-1].reshape(P, S)
-    grid[:, 0] = table.offsets[:-1]
-    grid[:, 1:] = rows + 1
-    lanes[-1] = table.row_count
-    del rows, grid
-    # the segment of every row, in the narrowest type that holds S
-    segment = np.repeat(np.tile(np.arange(S, dtype=np.min_scalar_type(S)),
-                                P), np.diff(lanes))
+    while cut.any():
+        plan = _lay_out(table, graph, skip, cut, world, label, recv_i,
+                        floor_i)
+        if not isinstance(plan, np.ndarray):
+            return plan
+        cut &= ~plan
+    return None
+
+
+def _components(P: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Label ranks 0..P-1 by the connected component that the pairs
+    (a[i], b[i]) join them into: each with its component's lowest rank.
+    Every round hooks each component under its lowest neighbour and
+    flattens the labels, so the components at least halve per round."""
+    label = np.arange(P)
+    while len(a):
+        la, lb = label[a], label[b]
+        apart = la != lb
+        if not apart.any():
+            break
+        a, b, la, lb = a[apart], b[apart], la[apart], lb[apart]
+        low = np.minimum(la, lb)
+        np.minimum.at(label, la, low)
+        np.minimum.at(label, lb, low)
+        while True:
+            up = label[label]
+            if (up == label).all():
+                break
+            label = up
+    return label
+
+
+def _lay_out(table: RegionTable, graph: _Graph, skip: np.ndarray,
+             cut: np.ndarray, world: np.ndarray, label: np.ndarray,
+             recv_i: np.ndarray, floor_i: np.ndarray,
+             ) -> _Cuts | np.ndarray | None:
+    """The lanes of cutting after the occurrences in cut, if sound.
+    Otherwise, when only groups with cuts of their own break a rule, the
+    group cuts to drop; or None, when the world cuts do."""
+    P, N = table.rank_count, table.row_count
+    n_occ = len(cut)
+    part_off = np.frombuffer(graph.part_off, dtype=np.int64)
+    part_rank = np.frombuffer(graph.part_rank, dtype=graph.part_rank.typecode)
+    counts = np.diff(part_off)
+    group_cut = np.flatnonzero(cut & ~world)
+    group_of = label[part_rank[part_off[group_cut]]]
+    # classes: the members of each group with cuts of its own, and all
+    # other ranks; each is named by its lowest rank, its reference
+    own = np.zeros(P, dtype=bool)
+    own[group_of] = True
+    key = np.where(own[label], label, P)
+    named = np.zeros(P + 1, dtype=bool)
+    named[key] = True
+    ref = np.flatnonzero(named)
+    owns = ref < P                       # classes with cuts of their own
+    cls = np.searchsorted(ref, key)
+    if not owns[-1]:
+        ref[-1] = int(np.argmax(key == P))
+    del own, key, named
+    C = len(ref)
+
+    # every cut row with its occurrence, in row order, which is (rank,
+    # position): the occurrences scattered over the table, read back
+    occ = np.full(N, -1, dtype=np.min_scalar_type(-n_occ))
+    occ[graph.part_g[np.repeat(cut, counts)]] = np.repeat(
+        np.arange(n_occ, dtype=occ.dtype)[cut], counts[cut])
+    rows = np.flatnonzero(occ >= 0)
+    occ = occ[rows]
+    bounds = np.searchsorted(rows, table.offsets)
+    before = bounds[:-1]                 # cut rows of the ranks before
+    m = np.diff(bounds)                  # cuts per rank
+    # the reference ranks' cuts, class by class: the cut slots
+    slot_occ = occ[_spans(before[ref], m[ref])]
+    slot_world = world[slot_occ]
+    K = int(world.sum())
+    seq = slot_occ[slot_world].reshape(C, K)
+    if (seq != seq[0]).any():
+        return None                      # world cuts met in different orders
+    bad = np.zeros(C, dtype=bool)
+    # each rank meets its class's cuts in its reference rank's order
+    wrong = occ[np.arange(len(rows)) + np.repeat(before[ref][cls] - before,
+                                                 m)] != occ
+    bad[cls[table.ranks_of(rows[wrong])]] = True
+    del occ, wrong
+
+    base = np.zeros(P + 1, dtype=np.int64)
+    np.cumsum(m + 1, out=base[1:])
+    L = int(base[-1])
+    lanes = np.empty(L + 1, dtype=np.int64)
+    lanes[base[:-1]] = table.offsets[:-1]
+    lanes[np.arange(len(rows)) + np.repeat(np.arange(1, P + 1), m)] = rows + 1
+    lanes[L] = N
+    del rows
+    # the segment of every row, in the narrowest type that holds it
+    top = int(m.max(initial=0)) + 1
+    segment = np.repeat((np.arange(L) - np.repeat(base[:-1], m + 1)).astype(
+        np.min_scalar_type(top)), np.diff(lanes))
+    ends = np.concatenate((recv_i, floor_i))
     prov = segment[np.concatenate((graph.s_row[recv_i],
                                    graph.r_row[floor_i]))]
     cons = segment[np.concatenate((graph.r_row[recv_i],
                                    graph.s_row[floor_i]))]
-    if (prov > cons).any():
-        return None
+    back = prov > cons
+    if back.any():
+        bad[cls[np.frombuffer(graph.senders, dtype=np.int64)[ends[back]]]] \
+            = True
     keep = prov == cons
-    del prov, cons
-    other = ~skip & ~occs
-    segs = np.zeros(len(skip), dtype=np.int64)
+    del prov, cons, back, ends
+    other = ~skip & ~cut
+    segs = np.zeros(n_occ, dtype=np.int64)
     if other.any():
         seg = segment[graph.part_g[np.repeat(other, counts)]]
         n = counts[other]
-        segs[other] = seg[np.cumsum(n) - n]
-        if (seg != np.repeat(segs[other], n)).any():
+        head = np.cumsum(n) - n
+        segs[other] = seg[head]
+        split = seg != np.repeat(segs[other], n)
+        if split.any():
+            spans = np.logical_or.reduceat(split, head)
+            bad[cls[part_rank[part_off[:-1][other][spans]]]] = True
+    if bad.any():
+        if (bad & ~owns).any():
             return None
-    return _Cuts(_flat(lanes), occs, segs, keep)
+        drop = np.zeros(n_occ, dtype=bool)
+        drop[group_cut] = bad[cls[group_of]]
+        return drop
+    return _Cuts(_flat(lanes), base, cls, slot_world, cut, segs, keep)
 
 
-def _stitch(ideal: np.ndarray, lanes: np.ndarray, P: int) -> None:
+def _stitch(ideal: np.ndarray, cuts: _Cuts) -> None:
     """Lift each segment's exit ideals, computed from 0, onto the exit
-    ideal all P ranks share at the cut before it."""
-    S = (len(lanes) - 1) // P
-    rows = lanes[:-1].reshape(P, S)[:, 1:] - 1
-    shared = np.cumsum(ideal[rows].max(axis=0))
-    shift = np.concatenate(([0], shared))
-    sizes = np.diff(lanes)
-    for lo in range(0, len(sizes), 1 << 16):
-        hi = min(lo + (1 << 16), len(sizes))
+    ideal its ranks share at the cut before it.
+
+    With no negative gap, ideal clocks never fall along a rank, so the
+    members of a group leave a cut with the largest exit ideal any of
+    them reaches there, counted from 0 in the segment it ends: D.  A
+    group's cuts between world cuts k-1 and k add up their D on top of
+    V_(k-1); world cut k takes V_k, V_(k-1) plus the largest of these
+    running sums, each with the group's D at cut k."""
+    lanes = np.frombuffer(cuts.lanes, dtype=np.int64)
+    base, cls, world = cuts.base, cuts.classes, cuts.world
+    P, L = len(cls), len(lanes) - 1
+    C = int(cls.max()) + 1
+    m = np.diff(base) - 1                # cuts per rank
+    per = np.zeros(C, dtype=np.int64)    # cuts per class
+    per[cls] = m
+    slot0 = np.cumsum(per) - per         # class c's first cut slot
+    # rank-major, every cut: the lane after it, and its slot
+    i = np.arange(L - P)
+    at = i + np.repeat(np.arange(1, P + 1), m)
+    rows = lanes[at] - 1
+    slot = i + np.repeat(slot0[cls] + np.arange(P) - base[:-1], m)
+    del i
+    d = np.zeros(len(world), dtype=np.int64)
+    np.maximum.at(d, slot, ideal[rows])
+    # running sums of D, restarted at each class and after each world cut
+    slot_cls = np.repeat(np.arange(C), per)
+    start = np.zeros(len(d), dtype=bool)
+    start[slot0[per > 0]] = True
+    start[1:] |= world[:-1]
+    run = np.cumsum(d)
+    run -= (run - d)[np.maximum.accumulate(
+        np.where(start, np.arange(len(d)), 0))]
+    K = int(world.sum()) // C
+    shared = np.cumsum(run[world].reshape(C, K).max(axis=0))
+    after = np.cumsum(world) - world - K * slot_cls     # world cuts before
+    run += np.concatenate(([0], shared))[after]
+    run[world] = np.tile(shared, C)
+    exit_ = run[slot]
+    del slot, run, d
+    lift = np.zeros(L, dtype=np.int64)
+    lift[at] = exit_
+    del at
+    for lo in range(0, L, 1 << 16):
+        hi = min(lo + (1 << 16), L)
         ideal[lanes[lo]:lanes[hi]] += np.repeat(
-            shift[np.arange(lo, hi) % S], sizes[lo:hi])
-    ideal[rows] = shared
+            lift[lo:hi], np.diff(lanes[lo:hi + 1]))
+    ideal[rows] = exit_
 
 
-def _sweep(graph: _Graph, lanes: array, segs, recv_i: np.ndarray,
+def _sweep(graph: _Graph, lanes: array, base, segs, recv_i: np.ndarray,
            floor_i: np.ndarray, skip: np.ndarray, waves: bool,
            config: ReplayConfig, log: AnomalyLog,
            break_cycles: bool) -> array | None:
-    """Counted propagation over lanes, S per rank (lane l owns regions
-    lanes[l] to lanes[l+1] - 1 and starts from 0), along the given
-    receive edges and floors and the occurrences not in skip; occurrence
-    o lies in segment segs[o], so rank r takes part in lane r*S +
-    segs[o].  Returns the exit ideals, or None when the sweep stalls and
-    break_cycles is off; cycles are broken only when lanes are ranks."""
+    """Counted propagation over lanes (lane l owns regions lanes[l] to
+    lanes[l+1] - 1 and starts from 0; rank r's first lane is base[r]),
+    along the given receive edges and floors and the occurrences not in
+    skip; occurrence o lies in segment segs[o], so rank r takes part in
+    lane base[r] + segs[o].  Returns the exit ideals, or None when the
+    sweep stalls and break_cycles is off; cycles are broken only when
+    lanes are ranks."""
     N = graph.rows
     L = len(lanes) - 1
-    S = L // graph.ranks if graph.ranks else 1
     gap = graph.gap
     m_sender, m_receiver = graph.senders, graph.receivers
     m_status = graph.status
@@ -638,7 +814,7 @@ def _sweep(graph: _Graph, lanes: array, segs, recv_i: np.ndarray,
                 n = count[c] - 1
                 count[c] = n
                 if not n:
-                    r = part_rank[j] * S + seg
+                    r = base[part_rank[j]] + seg
                     if not queued[r]:
                         queued[r] = 1
                         ready.append(r)
@@ -982,6 +1158,8 @@ def _fire(reached: np.ndarray, e: np.ndarray, v: _SweepViews,
     0, among those it waited for."""
     lo = v.trig_off[reached]
     n = v.trig_off[reached + 1] - lo
+    if not n.any():
+        return reached[:0]
     if n.min(initial=1) == n.max(initial=1) == 1:
         at = lo.astype(np.intp)
     else:

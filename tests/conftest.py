@@ -1,5 +1,5 @@
 """Shared fixtures: force one of replay's two sweep paths, or turn off
-its cuts at all-rank collectives."""
+its cuts at collectives (world cuts and group cuts alike)."""
 
 import importlib
 
@@ -26,11 +26,13 @@ def every_wave_scalar(monkeypatch):
 
 
 def no_cuts(*args):
-    """A cut finder that never cuts: every sweep runs on ranks."""
+    """A cut finder that never cuts, neither at world nor at group
+    collectives: every sweep runs on ranks."""
     return None
 
 
 @pytest.fixture
 def without_cuts(monkeypatch):
-    """Replay never cuts at all-rank collectives."""
+    """Replay never cuts, neither at collectives of all ranks nor at
+    those of all ranks of a group."""
     monkeypatch.setattr(replay_module, "_find_cuts", no_cuts)

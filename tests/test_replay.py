@@ -1,6 +1,7 @@
 """Tests for clock reconstruction: synchronization rules, degradation,
 counted replay, and the assembled timelines."""
 
+import math
 import random
 
 import numpy as np
@@ -25,6 +26,7 @@ from paraslice.replay import (
 )
 
 from bruteforce import brute_force_ideal
+from conftest import no_cuts, replay_module
 from scenarios import random_scenario, roundtrip
 from test_windows import clocks_of
 
@@ -346,6 +348,50 @@ class TestCollectiveSync:
         assert ilog.total == 0
         timeline, rlog = replay(trace)
         assert rlog.total == 0, [(e.location, e.detail) for e in rlog.entries]
+
+
+class TestGroupCuts:
+    """Allreduce on four sub-communicators: each group of ranks is cut at
+    its own collectives, not only at the world barrier."""
+
+    SCENARIO = {
+        "name": "split4", "rank_count": 8, "seed": 5,
+        "phases": [{"pattern": "allreduce", "iterations": 6,
+                    "compute": {"kind": "linear_imbalance", "mean_ns": 5000,
+                                "imbalance_ratio": 1.5, "jitter_ns": 1000},
+                    "communicator_split": 4, "injected_wait_ns": 200}]}
+
+    def test_replays_on_group_lanes_like_the_oracle(self, tmp_path,
+                                                    monkeypatch):
+        from paraslice.metrics import global_metrics
+        from paraslice.synth import expected_metrics, load_scenario
+
+        sc = load_scenario(self.SCENARIO)
+        trace = roundtrip(sc, tmp_path)[0]
+        lanes = []
+        sweep = replay_module._sweep
+
+        def spy(graph, lane_offsets, *rest, **flags):
+            lanes.append(len(lane_offsets) - 1)
+            return sweep(graph, lane_offsets, *rest, **flags)
+
+        monkeypatch.setattr(replay_module, "_sweep", spy)
+        timeline, log = replay(trace)
+        assert log.total == 0
+        # per rank: six allreduces and the closing world barrier
+        assert lanes == [8 * (6 + 1 + 1)]
+        monkeypatch.setattr(replay_module, "_find_cuts", no_cuts)
+        ranked, _ = replay(roundtrip(sc, tmp_path)[0])
+        assert lanes[1:] == [8]
+        for got, want in zip(timeline.ranks, ranked.ranks):
+            for column in ("times", "oom", "ideal"):
+                assert getattr(got, column).tolist() == \
+                    getattr(want, column).tolist()
+        gm, exp = global_metrics(timeline), expected_metrics(sc)
+        for name in ("load_balance", "serialisation", "transfer",
+                     "efficiency"):
+            assert math.isclose(getattr(gm, name), getattr(exp, name),
+                                rel_tol=1e-9), name
 
 
 class TestOtherMpi:

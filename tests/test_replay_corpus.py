@@ -146,7 +146,7 @@ def test_corpus_has_membership_mismatches(tmp_path):
     "every_wave_wide+without_cuts", "every_wave_scalar+without_cuts"])
 def test_replay_outcomes_pinned_on_both_sweep_paths(tmp_path, request, sweep):
     """The pinned digests hold with either sweep path forced, with and
-    without cuts at all-rank collectives."""
+    without cuts at collectives."""
     for fixture in sweep.split("+"):
         request.getfixturevalue(fixture)
     differ = []

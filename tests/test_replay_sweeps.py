@@ -1,14 +1,18 @@
 """replay's sweep paths against each other and against the oracle.
 
 A batch of at least WIDE_WAVE_RANKS ready lanes advances as numpy waves;
-narrower batches go lane by lane.  Lanes are ranks, or, where every
-rank meets live all-rank collectives (cuts), each rank's stretches
-between them.  The fixpoint does not depend on the order in which lanes
-advance, and the cuts only drop edges the shared clock at a cut
-dominates, so forcing either path on every batch, with or without cuts,
-must give the same timelines, anomaly logs and message statuses, and
-all must agree with the brute-force relaxation in tests/bruteforce.py.
-Where a cut would not be sound, replay must not cut.
+narrower batches go lane by lane.  Lanes are ranks, or each rank's
+stretches between its cuts: the live collectives of all ranks (world
+cuts), and those of all ranks of a group, a component that messages and
+sub-communicators join ranks into (group cuts).  The fixpoint does not
+depend on the order in which lanes advance, and the cuts only drop edges
+the shared clock at a cut dominates, so forcing either path on every
+batch, with or without cuts, must give the same timelines, anomaly logs
+and message statuses, and all must agree with the brute-force relaxation
+in tests/bruteforce.py.  Where a cut would not be sound, replay must not
+cut there: a group that breaks a rule loses its own cuts, and a trace
+whose world cuts break one is not cut at all.  Traces that form one
+group must keep the cut plan of world cuts alone.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from paraslice import (
@@ -31,9 +36,12 @@ from paraslice import (
 from paraslice.model import MessageStatus
 from paraslice.replay import DependencyCycleError, StrictAnomalyError
 
+from paraslice.synth import load_scenario
+
 from bruteforce import brute_force_ideal
 from conftest import EVERY_WAVE_SCALAR, EVERY_WAVE_WIDE, no_cuts, \
     replay_module
+from scenarios import roundtrip
 
 P2P = CallClass.POINT_TO_POINT
 COLL = CallClass.COLLECTIVE
@@ -254,6 +262,162 @@ def test_both_sweeps_match_each_other_and_the_oracle(monkeypatch):
     assert all(count >= 10 for count in seen.values()), seen
 
 
+GROUP_CASES = 240
+FLAWS = ("order", "later provider", "straddle", "negative gap")
+
+
+def group_spec(rng: random.Random, flaw: str | None = None) -> dict:
+    """Records of a trace whose ranks split into two or three disjoint
+    groups, each repeating collectives on its own communicator, with
+    eager and rendezvous messages inside each group (some forward across
+    its collectives), optional world barriers, and sometimes a rank left
+    out of every group.  Round j lies in [1000 j, 1000 j + 900].
+
+    A flaw makes group 0's own cuts unsound: a member meets its two
+    communicators in the other order ("order"), a rendezvous floor runs
+    back across a cut ("later provider"), an occurrence of two of its
+    members straddles a cut ("straddle"), or a region enters before the
+    one before it exits ("negative gap")."""
+    P = rng.randint(5 if flaw else 2, 9)
+    ranks = rng.sample(range(P), P)
+    left_out = int(P > 3 and rng.random() < 0.3)
+    n = P - left_out
+    k = rng.randint(2, min(3, n - 2 if flaw else n))
+    first = rng.randint(3 if flaw else 1, n - k + 1)    # group 0's size
+    bounds = [0, first] + sorted(rng.sample(range(first + 1, n), k - 2)) \
+        + [n]
+    groups = [sorted(ranks[a:b]) for a, b in zip(bounds, bounds[1:])]
+    rounds = rng.randint(2 if flaw else 1, 4)
+    barriers = set(rng.sample(range(rounds), rng.randint(1, rounds))) \
+        if rng.random() < 0.5 else set()
+    group_of = {r: g for g, members in enumerate(groups) for r in members}
+    comms = [CommunicatorDef(2 + g, members)
+             for g, members in enumerate(groups)]
+    a, b = groups[0][0], groups[0][-1]
+    regions = [[] for _ in range(P)]
+    for j in range(rounds):
+        base = 1000 * j
+        for r in range(P):
+            t = base + rng.randint(0, 50)
+            for _ in range(rng.randint(0, 3)):
+                entry = t + rng.randint(0, 40)
+                t = entry + rng.randint(0, 60)
+                regions[r].append((entry, t, P2P, None))
+            if r in group_of:
+                g = group_of[r]
+                colls = [(t + rng.randint(0, 100), base + 700, COLL, 2 + g)]
+                if flaw == "order" and g == 0 and j == 0:
+                    colls.append((base + 700, base + 710, COLL, 10))
+                    if r == a:
+                        colls = [(colls[0][0], base + 690, COLL, 10),
+                                 (base + 690, base + 710, COLL, 2)]
+                if flaw == "straddle" and j == (r == b) and r in (a, b):
+                    # a meets it before group 0's first cut, b after
+                    colls.insert(0, (colls[0][0], colls[0][0] + 5, COLL,
+                                     20))
+                    colls[1] = (colls[0][1],) + colls[1][1:]
+                regions[r] += colls
+            if j in barriers:
+                regions[r].append((base + 820 + rng.randint(0, 50),
+                                   base + 900, COLL, None))
+    if flaw == "order":
+        comms.append(CommunicatorDef(10, groups[0]))
+    elif flaw == "straddle":
+        comms.append(CommunicatorDef(20, sorted((a, b))))
+    elif flaw == "negative gap":
+        # a's first region now exits after its second one enters
+        head = regions[a][0]
+        regions[a][0] = (head[0], regions[a][1][0] + 5) + head[2:]
+
+    def inside(r: int, j: int, after: int = 0) -> int | None:
+        """A time at or after `after` inside a region of rank r in
+        round j, or None."""
+        pool = [spec for spec in regions[r]
+                if 1000 * j <= spec[0] and spec[1] <= 1000 * j + 900
+                and spec[1] >= after]
+        if not pool:
+            return None
+        entry, exit_ = rng.choice(pool)[:2]
+        return rng.randint(max(entry, after), exit_)
+
+    messages = []
+    for _ in range(rng.randint(0, 2 * P)):
+        members = rng.choice(groups)
+        s, r = rng.choice(members), rng.choice(members)
+        j = rng.randrange(rounds)
+        send = inside(s, j)
+        recv = None if send is None else inside(
+            r, rng.choice((j, j, rng.randint(j, rounds - 1))), send)
+        if recv is not None:
+            messages.append((s, r, send, recv, rng.choice((8, 100_000)), V))
+    if flaw == "later provider":
+        # sent before group 0's first cut, received after it, and too
+        # big to be eager: its floor runs back across the cut
+        send = inside(a, 0) or regions[a][0][0]
+        messages.append((a, b, send, inside(b, 1, send) or 1700, 100_000,
+                         V))
+    if left_out and not flaw and rng.random() < 0.5:
+        # the rank left out joins a group: the group's communicator is no
+        # longer all of it
+        s, r = ranks[-1], groups[0][0]
+        send = inside(s, 0)
+        recv = None if send is None else inside(r, rounds - 1, send)
+        if recv is not None:
+            messages.append((s, r, send, recv, 8, V))
+    return {"P": P, "regions": regions, "comms": comms,
+            "messages": messages, "duration": 1000 * rounds + 50,
+            "group 0": a}
+
+
+def own_cuts(plan, rank: int | None = None) -> bool:
+    """Whether a cut plan cuts some group (the one of `rank`, if given)
+    at its own collectives, not only at world cuts."""
+    if plan is None:
+        return False
+    world = int(plan.world.sum()) // (int(plan.classes.max()) + 1)
+    cuts = np.diff(plan.base) - 1
+    return bool((cuts[rank] if rank is not None else cuts.max()) > world)
+
+
+def test_group_cuts_match_no_cuts_and_the_oracle(monkeypatch):
+    """Sub-communicator traces replayed with and without cuts, on both
+    sweep paths; group cuts are taken where sound, never where not."""
+    rng = random.Random(20261019)
+    spy = LanePass(monkeypatch)
+    seen = {"grouped": 0, "oracle": 0} | dict.fromkeys(FLAWS, 0)
+    for case in range(GROUP_CASES):
+        flaw = FLAWS[case // 3 % len(FLAWS)] if case % 3 == 0 else None
+        spec = group_spec(rng, flaw)
+        config = ReplayConfig(eager_limit_bytes=rng.choice((512, 65536)),
+                              strict_mode=rng.random() < 0.1)
+        got = {}
+        for cuts, path in MODES:
+            monkeypatch.setattr(replay_module, "WIDE_WAVE_RANKS", path)
+            spy.cutting = cuts
+            spy.cuts.clear()
+            got[cuts, path] = outcome(spec, config)
+            if (cuts, path) == MODES[0]:
+                plan = spy.cuts[-1] if spy.cuts else None
+        trace, result = got[MODES[0]]
+        for mode in MODES[1:]:
+            assert got[mode][1] == result, (case, flaw, mode)
+        if flaw:
+            assert not own_cuts(plan, spec["group 0"]), (case, flaw)
+            seen[flaw] += 1
+        else:
+            seen["grouped"] += own_cuts(plan)
+        if config.strict_mode:
+            continue
+        timelines, entries, _ = result
+        if COLLECTIVE_CYCLE in [detail for _, _, detail in entries]:
+            continue
+        finals, _ = brute_force_ideal(trace, config.eager_limit_bytes)
+        assert [ideal[-1] for _, _, ideal in timelines] == finals, case
+        seen["oracle"] += 1
+    assert seen["grouped"] >= GROUP_CASES // 4, seen
+    assert all(count >= 10 for count in seen.values()), seen
+
+
 def two_ways(monkeypatch, spec: dict):
     """Replay a trace with cuts and without; both must report the same.
     Returns how many lanes replay cut it into (None: no cut) and the
@@ -338,13 +502,6 @@ REFUSED = {
         "synchronization skipped",
         ranks_of(2, {0: [(0, 10, COLL, None), (20, 30, P2P, None)],
                      1: [(0, 10, COLL, None)]})),
-    "empty rank": (
-        ranks_of(3, {0: [(0, 10, COLL, 4), (20, 30, P2P, None)],
-                     1: [(0, 10, COLL, 4)]}, ALL2),
-        None,
-        ranks_of(3, {0: [(0, 10, COLL, 4), (20, 30, P2P, None)],
-                     1: [(0, 10, COLL, 4)], 2: [(0, 10, COLL, 4)]},
-                 [CommunicatorDef(4, [0, 1, 2])])),
 }
 
 
@@ -357,6 +514,93 @@ def test_replay_does_not_cut_where_cuts_are_unsound(monkeypatch, case):
         set() if logged is None else {logged})
     lanes, (_, entries, _) = two_ways(monkeypatch, cut)
     assert lanes is not None and lanes > cut["P"] and entries == []
+
+
+# Each case: a trace whose groups replay cuts at their own collectives,
+# and the lanes it cuts them into.
+GROUPED = {
+    # ranks 0 and 1 are cut at their occurrence; rank 2, which has no
+    # regions, keeps one empty lane
+    "empty rank": (
+        ranks_of(3, {0: [(0, 10, COLL, 4), (20, 30, P2P, None)],
+                     1: [(0, 10, COLL, 4)]}, ALL2),
+        2 + 2 + 1),
+    # ranks 0 and 1 meet three cuts, ranks 2 and 3 two, with messages
+    # inside segments and one forward across a group cut
+    "two pairs and a barrier": (
+        ranks_of(4, {0: [(0, 10, COLL, 2), (20, 30, COLL, None),
+                         (40, 50, COLL, 2)],
+                     1: [(0, 10, COLL, 2), (20, 30, COLL, None),
+                         (40, 50, COLL, 2)],
+                     2: [(0, 10, COLL, 3), (20, 30, COLL, None),
+                         (40, 50, P2P, None)],
+                     3: [(0, 10, COLL, 3), (20, 30, COLL, None),
+                         (40, 50, P2P, None)]},
+                 [CommunicatorDef(2, [0, 1]), CommunicatorDef(3, [2, 3])],
+                 [(0, 1, 45, 50, 8, V), (2, 3, 5, 10, 100_000, V),
+                  (3, 2, 5, 45, 8, V)]),
+        4 + 4 + 3 + 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GROUPED))
+def test_replay_cuts_groups_at_their_own_collectives(monkeypatch, case):
+    spec, want = GROUPED[case]
+    lanes, (timelines, entries, _) = two_ways(monkeypatch, spec)
+    assert lanes == want and entries == []
+    finals, _ = brute_force_ideal(build(spec))
+    assert [ideal[-1] for _, _, ideal in timelines] == finals
+
+
+def world_plan(trace: Trace) -> list[int]:
+    """The lane offsets of cutting every rank after each occurrence that
+    all ranks take part in, and nowhere else."""
+    P = trace.meta.rank_count
+    colls = trace.collectives
+    bounds = colls.part_offsets.tolist()
+    after = [[] for _ in range(P)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        if hi - lo == P:
+            for r, row in enumerate(colls.part_rows[lo:hi].tolist()):
+                after[r].append(row + 1)
+    lanes = []
+    for r in range(P):
+        lanes += [int(trace.regions.offsets[r])] + sorted(after[r])
+    return lanes + [trace.regions.row_count]
+
+
+ONE_GROUP = {
+    # the shapes of the ring16 and chain64_anomalous benchmark workloads
+    "ring16": (16, [{"pattern": "ring_exchange", "iterations": 6,
+                     "compute": {"kind": "uniform", "mean_ns": 50000,
+                                 "jitter_ns": 10000},
+                     "message_bytes": 1024}]),
+    "chain64": (64, [{"pattern": "serial_chain", "iterations": 3,
+                      "compute": {"kind": "uniform", "mean_ns": 5000},
+                      "message_bytes": 256},
+                     {"pattern": "neighbor_stencil", "iterations": 3,
+                      "compute": {"kind": "uniform", "mean_ns": 20000},
+                      "message_bytes": 4096}]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_GROUP))
+def test_one_group_traces_keep_the_world_cut_plan(monkeypatch, tmp_path,
+                                                  name):
+    """Messages join all ranks of these traces into one group, so they
+    are cut at their world barriers exactly as before groups existed."""
+    ranks, phases = ONE_GROUP[name]
+    trace = roundtrip(load_scenario({"name": name, "rank_count": ranks,
+                                     "seed": 7, "phases": phases}),
+                      tmp_path)[0]
+    want = world_plan(trace)
+    with monkeypatch.context() as patch:
+        spy = LanePass(patch)
+        replay(trace)
+    plan = spy.cuts[-1]
+    assert plan.lanes.tolist() == want
+    assert plan.world.all() and not plan.classes.any()
+    assert spy.stalls == [False]
 
 
 def ring_with_barriers(ranks: int, iterations: int) -> dict:
