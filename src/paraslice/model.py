@@ -13,7 +13,6 @@ offsets instead of looping over per-rank stores.
 from __future__ import annotations
 
 import enum
-from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -73,11 +72,6 @@ class MpiRegion:
     call_class: CallClass
     # communicator announced by a companion event at entry (collectives)
     comm_hint: int | None = None
-
-
-def _raw(values: np.ndarray, dtype) -> np.ndarray:
-    """values as contiguous bytes of dtype, for array.frombytes."""
-    return np.ascontiguousarray(values, dtype=dtype).view(np.uint8)
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -267,44 +261,36 @@ STATUS_CODES = {status: code for code, status in enumerate(STATUS_BY_CODE)}
 class MessageStore:
     """Columnar storage of matched point-to-point messages.
 
-    Five int64 columns plus one status byte per message; indexing and
-    iteration materialize PtpMessage values on demand.  The views are
-    snapshots — assigning to a view's fields does not write back; replay
-    degrades a message by writing its byte in status_codes.
+    Five read-only int64 numpy columns (sender, receiver, send begin,
+    receive end, size) plus status_codes, one uint8 per message and the
+    one writable column: replay degrades a message by writing its byte.
+    Indexing and iteration materialize PtpMessage snapshots; assigning
+    to a snapshot's fields does not write back.
     """
 
-    __slots__ = ("senders", "receivers", "send_begins", "recv_ends",
-                 "sizes", "status_codes")
+    COLUMNS = ("senders", "receivers", "send_begins", "recv_ends", "sizes",
+               "status_codes")
+    __slots__ = COLUMNS
 
-    def __init__(self) -> None:
-        self.senders = array("q")
-        self.receivers = array("q")
-        self.send_begins = array("q")
-        self.recv_ends = array("q")
-        self.sizes = array("q")
-        self.status_codes = bytearray()
+    def __init__(self, senders=(), receivers=(), send_begins=(), recv_ends=(),
+                 sizes=(), status_codes=()) -> None:
+        self.senders = _frozen(senders, np.int64)
+        self.receivers = _frozen(receivers, np.int64)
+        self.send_begins = _frozen(send_begins, np.int64)
+        self.recv_ends = _frozen(recv_ends, np.int64)
+        self.sizes = _frozen(sizes, np.int64)
+        self.status_codes = np.array(status_codes, dtype=np.uint8)
+        if any(len(getattr(self, c)) != len(self.senders)
+               for c in self.COLUMNS):
+            raise ValueError("message columns of unequal length")
 
-    def append_fields(self, sender: int, receiver: int, send_begin: int,
-                      recv_end: int, size_bytes: int = 0,
-                      status: MessageStatus = MessageStatus.VALID) -> None:
-        self.senders.append(sender)
-        self.receivers.append(receiver)
-        self.send_begins.append(send_begin)
-        self.recv_ends.append(recv_end)
-        self.sizes.append(size_bytes)
-        self.status_codes.append(STATUS_CODES[status])
-
-    def extend_columns(self, senders: np.ndarray, receivers: np.ndarray,
-                       send_begins: np.ndarray, recv_ends: np.ndarray,
-                       sizes: np.ndarray, status_codes: np.ndarray) -> None:
-        """Append a batch of messages given as numpy columns."""
-        for column, values in ((self.senders, senders),
-                               (self.receivers, receivers),
-                               (self.send_begins, send_begins),
-                               (self.recv_ends, recv_ends),
-                               (self.sizes, sizes)):
-            column.frombytes(_raw(values, np.int64))
-        self.status_codes.extend(_raw(status_codes, np.uint8))
+    @classmethod
+    def from_messages(cls, messages: Iterable[PtpMessage]) -> "MessageStore":
+        """A store from message records, in their order."""
+        rows = [(m.sender, m.receiver, m.send_begin, m.recv_end,
+                 m.size_bytes, STATUS_CODES[m.status]) for m in messages]
+        columns = np.array(rows, dtype=np.int64).reshape(-1, 6)
+        return cls(*np.ascontiguousarray(columns.T))
 
     def __len__(self) -> int:
         return len(self.senders)
@@ -317,11 +303,11 @@ class MessageStore:
             index += n
         if not 0 <= index < n:
             raise IndexError("message index out of range")
-        return PtpMessage(sender=self.senders[index],
-                          receiver=self.receivers[index],
-                          send_begin=self.send_begins[index],
-                          recv_end=self.recv_ends[index],
-                          size_bytes=self.sizes[index],
+        return PtpMessage(sender=int(self.senders[index]),
+                          receiver=int(self.receivers[index]),
+                          send_begin=int(self.send_begins[index]),
+                          recv_end=int(self.recv_ends[index]),
+                          size_bytes=int(self.sizes[index]),
                           status=STATUS_BY_CODE[self.status_codes[index]])
 
     def __iter__(self) -> Iterator[PtpMessage]:
@@ -475,10 +461,8 @@ class Trace:
         if table.rank_count != meta.rank_count:
             raise ValueError(f"{table.rank_count} rank lists for "
                              f"{meta.rank_count} ranks")
-        trace = cls(meta=meta, regions=table)
-        for m in messages:
-            trace.messages.append_fields(m.sender, m.receiver, m.send_begin,
-                                         m.recv_end, m.size_bytes, m.status)
+        trace = cls(meta=meta, regions=table,
+                    messages=MessageStore.from_messages(messages))
         for comm in communicators:
             trace.communicators[comm.communicator_id] = comm
         group_collectives(trace)
@@ -766,11 +750,8 @@ def _validate_messages(trace: Trace, report: ValidationReport,
     msgs = trace.messages
     if not len(msgs):
         return max_ts
-    snd = np.frombuffer(msgs.senders, dtype=np.int64)
-    rcv = np.frombuffer(msgs.receivers, dtype=np.int64)
-    sb = np.frombuffer(msgs.send_begins, dtype=np.int64)
-    re_ = np.frombuffer(msgs.recv_ends, dtype=np.int64)
-    st = np.frombuffer(msgs.status_codes, dtype=np.uint8)
+    snd, rcv = msgs.senders, msgs.receivers
+    sb, re_, st = msgs.send_begins, msgs.recv_ends, msgs.status_codes
 
     in_range = ((snd >= 0) & (snd < meta.rank_count)
                 & (rcv >= 0) & (rcv < meta.rank_count))

@@ -51,6 +51,7 @@ from .model import (
     CallClass,
     CommunicatorDef,
     MessageStatus,
+    MessageStore,
     RegionTable,
     STATUS_CODES,
     TimeUnit,
@@ -400,7 +401,8 @@ class _Assembly:
     Closed regions are emitted a chunk at a time, each chunk in rank
     order, onto growing columns in emission order; a chunk is recorded
     as its ranks and their region counts.  finish scatters the columns
-    into one rank-major RegionTable.
+    into one rank-major RegionTable.  Messages grow columns of their
+    own, in line order, which finish hands to the MessageStore.
     """
 
     def __init__(self, meta: TraceMeta, log: AnomalyLog,
@@ -426,6 +428,9 @@ class _Assembly:
                         _Column(np.uint8)]
         self.hint_rows = _Column(np.int64)
         self.hint_values = _Column(np.int64)
+        # sender, receiver, send begin, receive end, size; status code
+        self.messages = [_Column(np.int64) for _ in range(5)] \
+            + [_Column(np.uint8)]
         # the current block's anomalies, moved to log in line order
         self.pending = AnomalyLog()
 
@@ -760,8 +765,9 @@ class _Assembly:
         self.counters.consumed += len(linenos)
         status = np.where(flipped, STATUS_CODES[MessageStatus.FAULTY_LOCAL],
                           STATUS_CODES[MessageStatus.VALID])
-        self.trace.messages.extend_columns(senders, receivers, send, recv,
-                                           sizes, status)
+        for column, values in zip(self.messages, (senders, receivers, send,
+                                                  recv, sizes, status)):
+            column.extend(values)
 
     def _events(self, tok: np.ndarray, f0: np.ndarray, ncol: np.ndarray,
                 linenos: np.ndarray, ranks: np.ndarray,
@@ -921,6 +927,7 @@ class _Assembly:
                    self.open_hint[still])
         trace = self.trace
         trace.regions = self._table()
+        trace.messages = MessageStore(*(c.values() for c in self.messages))
         group_collectives(trace)
         self.counters.anomalies = self.log.total
         return trace

@@ -60,17 +60,21 @@ work on the same flat state, and the fixpoint does not depend on the
 order in which lanes advance, so the path changes nothing in the
 result.  Cycle breaking is scalar.
 
-Internally everything lives in flat arrays (message columns, triggers
-in offset/payload (CSR) form, collective participant slices) because
-multi-million-event traces cannot afford per-edge objects.
+Internally everything lives in numpy arrays (the message columns,
+triggers in offset/payload (CSR) form, collective participant slices and
+the sweep's state), each in the narrowest integer type that holds it,
+because multi-million-event traces cannot afford per-edge objects.  The
+waves index the arrays; the scalar loop and cycle breaking index
+memoryviews of the same buffers, so a degradation the scalar path writes
+lands in the trace's message status column.
 """
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -111,14 +115,10 @@ WIDE_WAVE_RANKS = 96
 _WAVE_LANES = 1024
 
 
-def _flat(values: np.ndarray, top: int | None = None) -> array:
-    """A flat array copy of an integer numpy array: int64, or int32 when
-    every value lies in [-top, top)."""
-    wide = top is None or top >= 1 << 31
-    out = array("q" if wide else "i")
-    out.frombytes(memoryview(np.ascontiguousarray(
-        values, dtype=np.int64 if wide else np.int32)).cast("B"))
-    return out
+def _narrow(values: np.ndarray, top: int) -> np.ndarray:
+    """A copy of an integer array as int32 when every value lies in
+    [-top, top), else as int64."""
+    return values.astype(np.int32 if top < 1 << 31 else np.int64)
 
 
 class ReplayError(Exception):
@@ -299,37 +299,29 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
 
     msgs = trace.messages
     nmsg = len(msgs)
-    m_sender = msgs.senders
-    m_receiver = msgs.receivers
-    m_begin = msgs.send_begins
-    m_end = msgs.recv_ends
-    m_status = msgs.status_codes     # degradations write through
-    snd_np = np.frombuffer(m_sender, dtype=np.int64)
-    rcv_np = np.frombuffer(m_receiver, dtype=np.int64)
-    sb_np = np.frombuffer(m_begin, dtype=np.int64)
-    re_np = np.frombuffer(m_end, dtype=np.int64)
-    sz_np = np.frombuffer(msgs.sizes, dtype=np.int64)
-    st_np = np.frombuffer(m_status, dtype=np.uint8)
+    snd, rcv = msgs.senders, msgs.receivers
+    sb, re_ = msgs.send_begins, msgs.recv_ends
+    status = msgs.status_codes      # degradations write through
 
     # --- degrade faulty matches --------------------------------------------
     if nmsg:
         world_index = WorldCollectiveIndex(trace)
-        valid = st_np == _STATUS_VALID
-        rev = valid & (sb_np > re_np)
+        valid = status == _STATUS_VALID
+        rev = valid & (sb > re_)
         cross = np.zeros(nmsg, dtype=bool)
         chk = np.nonzero(valid & ~rev)[0]
         if len(chk):
             cross[chk] = world_index.crosses_many(
-                snd_np[chk], rcv_np[chk], sb_np[chk], re_np[chk])
+                snd[chk], rcv[chk], sb[chk], re_[chk])
         del world_index
         for i in np.nonzero(rev | cross)[0]:
             i = int(i)
             if rev[i]:
-                detail = (f"send at {m_begin[i]} after receive completion "
-                          f"{m_end[i]}")
+                detail = (f"send at {sb[i]} after receive completion "
+                          f"{re_[i]}")
             else:
                 detail = "message matched across a world collective"
-            m_status[i] = _STATUS_FAULTY
+            status[i] = _STATUS_FAULTY
             log.add(AnomalyKind.REVERSED_PTP, f"message {i}", detail)
             if config.strict_mode:
                 raise StrictAnomalyError(f"faulty message {i}: {detail}")
@@ -343,13 +335,11 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
     r_row = np.full(nmsg, -1, dtype=np.int64)
     recv_i = floor_i = np.zeros(0, dtype=np.int64)
     if nmsg:
-        consider = st_np == _STATUS_VALID
-        rank_ok = ((snd_np >= 0) & (snd_np < P)
-                   & (rcv_np >= 0) & (rcv_np < P))
+        consider = status == _STATUS_VALID
+        rank_ok = (snd >= 0) & (snd < P) & (rcv >= 0) & (rcv < P)
         at = np.flatnonzero(consider & rank_ok)
-        s_row[at] = locate_rows(table, snd_np[at], sb_np[at])
-        r_row[at] = locate_rows(table, rcv_np[at], re_np[at],
-                                prefer_exit=True)
+        s_row[at] = locate_rows(table, snd[at], sb[at])
+        r_row[at] = locate_rows(table, rcv[at], re_[at], prefer_exit=True)
 
         bad_rank = consider & ~rank_ok
         un_send = consider & rank_ok & (s_row < 0)
@@ -363,18 +353,18 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
                     raise StrictAnomalyError(f"message {i}: rank out of range")
             elif un_send[i]:
                 log.add(AnomalyKind.UNMATCHED_SEND, f"message {i}",
-                        f"send at {m_begin[i]} outside any region of "
-                        f"rank {m_sender[i]}")
+                        f"send at {sb[i]} outside any region of "
+                        f"rank {snd[i]}")
                 if config.strict_mode:
                     raise StrictAnomalyError(f"unmatched send of message {i}")
             else:
                 log.add(AnomalyKind.UNMATCHED_RECV, f"message {i}",
-                        f"receive at {m_end[i]} outside any region of "
-                        f"rank {m_receiver[i]}")
+                        f"receive at {re_[i]} outside any region of "
+                        f"rank {rcv[i]}")
                 if config.strict_mode:
                     raise StrictAnomalyError(
                         f"unmatched receive of message {i}")
-            m_status[i] = _STATUS_FAULTY
+            status[i] = _STATUS_FAULTY
 
         attached = np.flatnonzero(consider & rank_ok & (s_row >= 0)
                                   & (r_row >= 0))
@@ -385,7 +375,7 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
         linked = sg != rg
         recv_i = attached[linked & (table.class_codes[rg] != _CODE_OTHER)]
         floor_i = attached[linked & (table.class_codes[sg] != _CODE_OTHER)
-                           & (sz_np[attached] > config.eager_limit_bytes)]
+                           & (msgs.sizes[attached] > config.eager_limit_bytes)]
         del attached, sg, rg, linked
 
     # --- attach collectives --------------------------------------------------
@@ -400,37 +390,35 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
         heads = offsets[:-1][offsets[1:] > offsets[:-1]]
         gap[heads] = ent[heads]
         del heads
-    graph = _Graph(ranks=P, rows=N, gap=_flat(gap), senders=m_sender,
-                   receivers=m_receiver, status=m_status, s_row=s_row,
-                   r_row=r_row, part_off=_flat(colls.part_offsets),
-                   part_rank=_flat(colls.part_ranks(), P),
-                   part_gid=_flat(colls.part_rows, N))
-    del gap
+    graph = _Graph(rows=N, gap=gap, senders=snd, receivers=rcv,
+                   status=status, s_row=s_row, r_row=r_row,
+                   part_off=colls.part_offsets,
+                   part_rank=_narrow(colls.part_ranks(), P),
+                   part_gid=_narrow(colls.part_rows, N))
 
     # --- sweep ---------------------------------------------------------------
     cuts = _find_cuts(table, graph, op_skip, recv_i, floor_i, colls.comm_ids)
     widest = P if cuts is None else len(cuts.lanes) - 1
-    waves = widest >= WIDE_WAVE_RANKS and _sums_fit(graph.gap)
+    waves = widest >= WIDE_WAVE_RANKS and _sums_fit(gap)
     ideal_exit = None
     if cuts is not None:
         keep = cuts.keep
-        ideal_exit = _sweep(graph, cuts.lanes, cuts.base.tolist(),
-                            _flat(cuts.segs), recv_i[keep[:len(recv_i)]],
+        ideal_exit = _sweep(graph, cuts.lanes, cuts.base.tolist(), cuts.segs,
+                            recv_i[keep[:len(recv_i)]],
                             floor_i[keep[len(recv_i):]], op_skip | cuts.occs,
                             waves, config, log, break_cycles=False)
         del keep
     if ideal_exit is None:
         # no cut, or a dependency cycle: every edge, rank by rank
-        ideal_exit = _sweep(graph, _flat(offsets), range(P),
-                            bytes(len(op_skip)), recv_i, floor_i, op_skip,
-                            waves, config, log, break_cycles=True)
+        ideal_exit = _sweep(graph, offsets, range(P),
+                            np.zeros(len(op_skip), dtype=np.uint8), recv_i,
+                            floor_i, op_skip, waves, config, log,
+                            break_cycles=True)
     else:
-        _stitch(np.frombuffer(ideal_exit, dtype=np.int64), cuts)
+        _stitch(ideal_exit, cuts)
     del graph, cuts, s_row, r_row, recv_i, floor_i, op_skip
 
-    timeline = _assemble_timeline(table, np.frombuffer(ideal_exit,
-                                                       dtype=np.int64),
-                                  end_time)
+    timeline = _assemble_timeline(table, ideal_exit, gap, end_time)
     return timeline, log
 
 
@@ -441,16 +429,12 @@ class _Graph:
     participant's rank and region (occurrence o owns participants
     part_off[o] to part_off[o+1] - 1)."""
 
-    __slots__ = ("ranks", "rows", "gap", "senders", "receivers", "status",
-                 "s_row", "r_row", "part_off", "part_rank", "part_gid")
+    __slots__ = ("rows", "gap", "senders", "receivers", "status", "s_row",
+                 "r_row", "part_off", "part_rank", "part_gid")
 
     def __init__(self, **columns):
         for name, values in columns.items():
             setattr(self, name, values)
-
-    @property
-    def part_g(self) -> np.ndarray:
-        return np.frombuffer(self.part_gid, dtype=self.part_gid.typecode)
 
 
 class _Cuts:
@@ -467,9 +451,9 @@ class _Cuts:
 
     __slots__ = ("lanes", "base", "classes", "world", "occs", "segs", "keep")
 
-    def __init__(self, lanes: array, base: np.ndarray, classes: np.ndarray,
-                 world: np.ndarray, occs: np.ndarray, segs: np.ndarray,
-                 keep: np.ndarray):
+    def __init__(self, lanes: np.ndarray, base: np.ndarray,
+                 classes: np.ndarray, world: np.ndarray, occs: np.ndarray,
+                 segs: np.ndarray, keep: np.ndarray):
         self.lanes = lanes
         self.base = base
         self.classes = classes
@@ -497,23 +481,19 @@ def _find_cuts(table: RegionTable, graph: _Graph, skip: np.ndarray,
     occurrence with participants in two segments, loses its group cuts;
     when it breaks a rule with world cuts alone, nothing is cut."""
     P = table.rank_count
-    part_off = np.frombuffer(graph.part_off, dtype=np.int64)
+    part_off, part_rank = graph.part_off, graph.part_rank
     counts = np.diff(part_off)
     world = ~skip & (counts == P)
     sub = np.flatnonzero(~skip & ~world)
     label = np.zeros(P, dtype=np.int64)
     cut = world.copy()
     if len(sub):
-        part_rank = np.frombuffer(graph.part_rank,
-                                  dtype=graph.part_rank.typecode)
         # the first live occurrence of each communicator joins its members
         comms = comm_ids[sub]
         heads = sub[np.concatenate(([True], comms[1:] != comms[:-1]))]
         first = part_off[heads]
         ends = np.concatenate((recv_i, floor_i))
-        pairs = distinct(np.frombuffer(graph.senders, dtype=np.int64)[ends]
-                         * P + np.frombuffer(graph.receivers,
-                                             dtype=np.int64)[ends])
+        pairs = distinct(graph.senders[ends] * P + graph.receivers[ends])
         label = _components(
             P, np.concatenate((pairs // P, np.repeat(part_rank[first],
                                                      counts[heads]))),
@@ -523,7 +503,7 @@ def _find_cuts(table: RegionTable, graph: _Graph, skip: np.ndarray,
         # a group cut: an occurrence of every rank of its group
         size = np.bincount(label, minlength=P)
         cut[sub] = counts[sub] == size[label[part_rank[part_off[sub]]]]
-    if not cut.any() or (np.frombuffer(graph.gap, dtype=np.int64) < 0).any():
+    if not cut.any() or (graph.gap < 0).any():
         return None
     while cut.any():
         plan = _lay_out(table, graph, skip, cut, world, label, recv_i,
@@ -566,8 +546,7 @@ def _lay_out(table: RegionTable, graph: _Graph, skip: np.ndarray,
     group cuts to drop; or None, when the world cuts do."""
     P, N = table.rank_count, table.row_count
     n_occ = len(cut)
-    part_off = np.frombuffer(graph.part_off, dtype=np.int64)
-    part_rank = np.frombuffer(graph.part_rank, dtype=graph.part_rank.typecode)
+    part_off, part_rank = graph.part_off, graph.part_rank
     counts = np.diff(part_off)
     group_cut = np.flatnonzero(cut & ~world)
     group_of = label[part_rank[part_off[group_cut]]]
@@ -589,7 +568,7 @@ def _lay_out(table: RegionTable, graph: _Graph, skip: np.ndarray,
     # every cut row with its occurrence, in row order, which is (rank,
     # position): the occurrences scattered over the table, read back
     occ = np.full(N, -1, dtype=np.min_scalar_type(-n_occ))
-    occ[graph.part_g[np.repeat(cut, counts)]] = np.repeat(
+    occ[graph.part_gid[np.repeat(cut, counts)]] = np.repeat(
         np.arange(n_occ, dtype=occ.dtype)[cut], counts[cut])
     rows = np.flatnonzero(occ >= 0)
     occ = occ[rows]
@@ -629,14 +608,13 @@ def _lay_out(table: RegionTable, graph: _Graph, skip: np.ndarray,
                                    graph.s_row[floor_i]))]
     back = prov > cons
     if back.any():
-        bad[cls[np.frombuffer(graph.senders, dtype=np.int64)[ends[back]]]] \
-            = True
+        bad[cls[graph.senders[ends[back]]]] = True
     keep = prov == cons
     del prov, cons, back, ends
     other = ~skip & ~cut
     segs = np.zeros(n_occ, dtype=np.int64)
     if other.any():
-        seg = segment[graph.part_g[np.repeat(other, counts)]]
+        seg = segment[graph.part_gid[np.repeat(other, counts)]]
         n = counts[other]
         head = np.cumsum(n) - n
         segs[other] = seg[head]
@@ -650,7 +628,7 @@ def _lay_out(table: RegionTable, graph: _Graph, skip: np.ndarray,
         drop = np.zeros(n_occ, dtype=bool)
         drop[group_cut] = bad[cls[group_of]]
         return drop
-    return _Cuts(_flat(lanes), base, cls, slot_world, cut, segs, keep)
+    return _Cuts(lanes, base, cls, slot_world, cut, segs, keep)
 
 
 def _stitch(ideal: np.ndarray, cuts: _Cuts) -> None:
@@ -663,8 +641,7 @@ def _stitch(ideal: np.ndarray, cuts: _Cuts) -> None:
     group's cuts between world cuts k-1 and k add up their D on top of
     V_(k-1); world cut k takes V_k, V_(k-1) plus the largest of these
     running sums, each with the group's D at cut k."""
-    lanes = np.frombuffer(cuts.lanes, dtype=np.int64)
-    base, cls, world = cuts.base, cuts.classes, cuts.world
+    lanes, base, cls, world = cuts.lanes, cuts.base, cuts.classes, cuts.world
     P, L = len(cls), len(lanes) - 1
     C = int(cls.max()) + 1
     m = np.diff(base) - 1                # cuts per rank
@@ -704,10 +681,10 @@ def _stitch(ideal: np.ndarray, cuts: _Cuts) -> None:
     ideal[rows] = exit_
 
 
-def _sweep(graph: _Graph, lanes: array, base, segs, recv_i: np.ndarray,
-           floor_i: np.ndarray, skip: np.ndarray, waves: bool,
-           config: ReplayConfig, log: AnomalyLog,
-           break_cycles: bool) -> array | None:
+def _sweep(graph: _Graph, lanes: np.ndarray, base, segs: np.ndarray,
+           recv_i: np.ndarray, floor_i: np.ndarray, skip: np.ndarray,
+           waves: bool, config: ReplayConfig, log: AnomalyLog,
+           break_cycles: bool) -> np.ndarray | None:
     """Counted propagation over lanes (lane l owns regions lanes[l] to
     lanes[l+1] - 1 and starts from 0; rank r's first lane is base[r]),
     along the given receive edges and floors and the occurrences not in
@@ -717,13 +694,7 @@ def _sweep(graph: _Graph, lanes: array, base, segs, recv_i: np.ndarray,
     lanes are ranks."""
     N = graph.rows
     L = len(lanes) - 1
-    gap = graph.gap
-    m_sender, m_receiver = graph.senders, graph.receivers
-    m_status = graph.status
-    s_row, r_row = graph.s_row, graph.r_row
-    part_off, part_rank = graph.part_off, graph.part_rank
-    part_gid = graph.part_gid
-    part_counts = np.diff(np.frombuffer(part_off, dtype=np.int64))
+    part_counts = np.diff(graph.part_off)
 
     # --- triggers ------------------------------------------------------------
     # One CSR over providers (global region ids): the triggers of region g
@@ -732,41 +703,56 @@ def _sweep(graph: _Graph, lanes: array, base, segs, recv_i: np.ndarray,
     # holds ~occurrence.  Each region counts its unfired edges, plus one
     # while its collective occurrence has not delivered.
     live = np.flatnonzero(~skip)
-    part_g = graph.part_g[np.repeat(~skip, part_counts)]
-    prov = np.concatenate((s_row[recv_i], r_row[floor_i], part_g))
+    part_g = graph.part_gid[np.repeat(~skip, part_counts)]
+    prov = np.concatenate((graph.s_row[recv_i], graph.r_row[floor_i], part_g))
     order = np.argsort(prov, kind="stable")
     prov += 1
     at = np.bincount(prov, minlength=N + 1)
     del prov
-    trig_off = _flat(np.cumsum(at, out=at), len(order) + 1)
+    trig_off = _narrow(np.cumsum(at, out=at), len(order) + 1)
     del at
     ids = np.concatenate((recv_i, floor_i,
                           ~np.repeat(live, part_counts[live])))[order]
-    trig_id = _flat(ids, max(len(m_sender), len(skip)))
+    trig_id = _narrow(ids, max(len(graph.senders), len(skip)))
     del ids
-    cons = np.concatenate((r_row[recv_i], s_row[floor_i],
+    cons = np.concatenate((graph.r_row[recv_i], graph.s_row[floor_i],
                            np.zeros(len(part_g), dtype=np.int64)))
     counts = np.bincount(cons[:len(recv_i) + len(floor_i)], minlength=N)
     counts += np.bincount(part_g, minlength=N)
-    trig_cons = _flat(cons[order], N)
+    trig_cons = _narrow(cons[order], N)
     del cons, order, part_g, live
-    count = _flat(counts, len(trig_id) + 1)
+
+    # The sweep's state, for the waves: ideal holds the exit ideals, and
+    # until a region is finalized, the maximum value that has arrived for
+    # it through messages and its collective; front, each lane's frontier
+    # region; left and op_max, each occurrence's participants yet to
+    # arrive and the maximum of those that have.
+    v = SimpleNamespace(
+        gap=graph.gap, status=graph.status, part_off=graph.part_off,
+        part_gid=graph.part_gid, trig_off=trig_off, trig_id=trig_id,
+        trig_cons=trig_cons, count=_narrow(counts, len(trig_id) + 1),
+        ideal=np.full(N, _NONE, dtype=np.int64),
+        front=_narrow(lanes[:-1], N + 1), queued=np.zeros(L, dtype=np.uint8),
+        left=part_counts.copy(), op_max=np.full(len(skip), _NONE,
+                                                dtype=np.int64),
+        op_skip=skip.astype(np.uint8))
     del counts
-
-    # exit ideals; until a region is finalized, the maximum value that has
-    # arrived for it through messages and its collective
-    ideal_exit = _flat(np.full(N, _NONE, dtype=np.int64))
-    left = _flat(part_counts)             # participants yet to arrive
-    op_max = _flat(np.full(len(skip), _NONE, dtype=np.int64))
-    op_skip = bytearray(skip.tobytes())
-
+    # The scalar paths index memoryviews of the same buffers, which read
+    # and write Python ints faster than numpy's scalar indexing.
+    gap, ideal_exit, front, queued, count, trig_off, trig_id, trig_cons, \
+        left, op_max, op_skip = map(memoryview, (
+            v.gap, v.ideal, v.front, v.queued, v.count, v.trig_off,
+            v.trig_id, v.trig_cons, v.left, v.op_max, v.op_skip))
+    m_sender, m_receiver, m_status, s_row, r_row, part_off, part_rank, \
+        part_gid, segs = map(memoryview, (
+            graph.senders, graph.receivers, graph.status, graph.s_row,
+            graph.r_row, graph.part_off, graph.part_rank, graph.part_gid,
+            segs))
     # lane l: regions first[l] to first[l+1]-1; the scalar loop reads a
-    # list faster, an array holds many lanes in 8 bytes each
-    first = lanes.tolist() if len(lanes) <= 1 << 12 else lanes
-    lanes = np.frombuffer(lanes, dtype=np.int64)
-    front = _flat(lanes[:-1], N + 1)  # per lane: its frontier's region id
+    # list faster than a memoryview, which holds many lanes in 8 bytes
+    # each
+    first = lanes.tolist() if len(lanes) <= 1 << 12 else memoryview(lanes)
     ready: deque[int] = deque()
-    queued = bytearray(L)
 
     def release(r: int, g: int) -> None:
         """One edge of region g of lane r has fired or been dropped."""
@@ -805,12 +791,12 @@ def _sweep(graph: _Graph, lanes: array, base, segs, recv_i: np.ndarray,
                 continue
             # the last participant arrived: every participant waits at
             # this occurrence, so each is at its frontier
-            v = op_max[o]
+            x = op_max[o]
             seg = segs[o]
             for j in range(part_off[o], part_off[o + 1]):
                 c = part_gid[j]
-                if v > ideal_exit[c]:
-                    ideal_exit[c] = v
+                if x > ideal_exit[c]:
+                    ideal_exit[c] = x
                 n = count[c] - 1
                 count[c] = n
                 if not n:
@@ -827,12 +813,10 @@ def _sweep(graph: _Graph, lanes: array, base, segs, recv_i: np.ndarray,
         """Messages whose receive edge, and whose floor, region g waits
         on, each in message order."""
         if not view:
-            ti = np.frombuffer(trig_id, dtype=trig_id.typecode)
-            tc = np.frombuffer(trig_cons, dtype=trig_cons.typecode
-                               ).astype(np.int64)
+            ti, tc = v.trig_id, v.trig_cons.astype(np.int64)
             msg = ti >= 0
             mi = ti[msg]
-            key = 2 * tc[msg] + (tc[msg] != r_row[mi])
+            key = 2 * tc[msg] + (tc[msg] != graph.r_row[mi])
             order = np.lexsort((mi, key))
             view.extend((key[order], mi[order]))
         key, mi = view
@@ -843,7 +827,7 @@ def _sweep(graph: _Graph, lanes: array, base, segs, recv_i: np.ndarray,
         """The collective occurrence region g takes part in, or -1."""
         if not coll_of:
             at = np.full(N, -1, dtype=np.int64)
-            at[graph.part_g] = np.repeat(
+            at[graph.part_gid] = np.repeat(
                 np.arange(len(skip), dtype=np.int64), part_counts)
             coll_of.append(at)
         return int(coll_of[0][g])
@@ -860,11 +844,11 @@ def _sweep(graph: _Graph, lanes: array, base, segs, recv_i: np.ndarray,
         for i in recv:
             s = m_sender[i]
             if not m_status[i] and front[s] < s_row[i]:
-                return s, int(s_row[i]) - first[s]
+                return s, s_row[i] - first[s]
         for i in floor:
             q = m_receiver[i]
             if not m_status[i] and front[q] < r_row[i]:
-                return q, int(r_row[i]) - first[q]
+                return q, r_row[i] - first[q]
         o = occurrence_at(front[r])
         if o >= 0 and not op_skip[o] and left[o]:
             for j in range(part_off[o], part_off[o + 1]):
@@ -875,27 +859,27 @@ def _sweep(graph: _Graph, lanes: array, base, segs, recv_i: np.ndarray,
 
     def refill(g: int) -> None:
         """Recompute region g's arrived maximum without degraded edges."""
-        v = _NONE
+        x = _NONE
         recv, floor = edges_into(g)
         for i in recv:
             s = m_sender[i]
             if not m_status[i] and front[s] >= s_row[i]:
-                v = max(v, entry_ideal(s, int(s_row[i])))
+                x = max(x, entry_ideal(s, s_row[i]))
         for i in floor:
             q = m_receiver[i]
             if not m_status[i] and front[q] >= r_row[i]:
-                v = max(v, entry_ideal(q, int(r_row[i])))
+                x = max(x, entry_ideal(q, r_row[i]))
         o = occurrence_at(g)
         if o >= 0 and not op_skip[o] and not left[o]:
-            v = max(v, op_max[o])
-        ideal_exit[g] = v
+            x = max(x, op_max[o])
+        ideal_exit[g] = x
 
     def degrade(i: int) -> None:
         """Drop both edges of message i: an unfired edge releases its
         consumer's count, a fired one is taken back out of its maximum."""
         m_status[i] = _STATUS_FAULTY
-        s, sg = m_sender[i], int(s_row[i])
-        r, rg = m_receiver[i], int(r_row[i])
+        s, sg = m_sender[i], s_row[i]
+        r, rg = m_receiver[i], r_row[i]
         for prov_r, prov_g, cons_r, cons_g, floor in (
                 (s, sg, r, rg, False), (r, rg, s, sg, True)):
             if i not in edges_into(cons_g)[floor]:
@@ -968,20 +952,15 @@ def _sweep(graph: _Graph, lanes: array, base, segs, recv_i: np.ndarray,
     # most about _WAVE_LANES lanes each; narrower batches take the scalar
     # loop below, in queue order.
     wide = WIDE_WAVE_RANKS if waves else L + 1
-    views = _SweepViews(front=front, queued=queued, count=count,
-                        ideal=ideal_exit, gap=gap, trig_off=trig_off,
-                        trig_id=trig_id, trig_cons=trig_cons,
-                        status=m_status, op_skip=op_skip, op_max=op_max,
-                        left=left, part_off=part_off, part_gid=part_gid)
 
     def advance(batch: np.ndarray) -> None:
         """Run waves while the batch is wide; queue what is left."""
         while len(batch) >= wide:
             parts = -(-len(batch) // _WAVE_LANES)
-            batch = _wave(batch, views, lanes) if parts == 1 else \
-                np.concatenate([_wave(part, views, lanes)
+            batch = _wave(batch, v, lanes) if parts == 1 else \
+                np.concatenate([_wave(part, v, lanes)
                                 for part in np.array_split(batch, parts)])
-        views.queued[batch] = 1
+        v.queued[batch] = 1
         ready.extend(batch.tolist())
 
     # every lane's first region has its entry ideal, gap[head], from the
@@ -991,11 +970,11 @@ def _sweep(graph: _Graph, lanes: array, base, segs, recv_i: np.ndarray,
     busy = lanes[1:] > heads
     for lo in range(0, L, _WAVE_LANES):
         at = heads[lo:lo + _WAVE_LANES][busy[lo:lo + _WAVE_LANES]]
-        _fire(at, views.gap[at], views, lanes)
+        _fire(at, v.gap[at], v, lanes)
     batch = []
     for lo in range(0, L, _WAVE_LANES):
         at = lo + np.flatnonzero(busy[lo:lo + _WAVE_LANES])
-        batch.append(at[views.count[heads[at]] == 0])
+        batch.append(at[v.count[heads[at]] == 0])
     del heads, busy
     advance(np.concatenate(batch) if batch else np.zeros(0, np.int64))
     del batch
@@ -1004,7 +983,7 @@ def _sweep(graph: _Graph, lanes: array, base, segs, recv_i: np.ndarray,
             if len(ready) >= wide:
                 batch = np.fromiter(ready, np.int64, len(ready))
                 ready.clear()
-                views.queued[batch] = 0
+                v.queued[batch] = 0
                 advance(batch)
                 continue
             for _ in range(len(ready)):
@@ -1016,14 +995,14 @@ def _sweep(graph: _Graph, lanes: array, base, segs, recv_i: np.ndarray,
                 e = gap[g] if g == first[r] else ideal_exit[g - 1] + gap[g]
                 lo = trig_off[g + 1]
                 while True:
-                    v = ideal_exit[g]
-                    if e > v:
-                        v = e
-                        ideal_exit[g] = v
+                    x = ideal_exit[g]
+                    if e > x:
+                        x = e
+                        ideal_exit[g] = x
                     g += 1
                     if g == end:
                         break
-                    e = v + gap[g]
+                    e = x + gap[g]
                     hi = trig_off[g + 1]
                     if hi != lo:
                         # front[r] may lag until the run ends: a region
@@ -1035,35 +1014,22 @@ def _sweep(graph: _Graph, lanes: array, base, segs, recv_i: np.ndarray,
                         break
                 front[r] = g
                 queued[r] = 0
-        blocked = np.flatnonzero(views.front < lanes[1:])
+        blocked = np.flatnonzero(v.front < lanes[1:])
         if not len(blocked):
-            return ideal_exit
+            return v.ideal
         if not break_cycles:
             return None
         break_cycle(blocked.tolist())
 
 
-class _SweepViews:
-    """Writable numpy views of the sweep's flat arrays, for the waves and
-    the first firing of lane heads.  A view keeps its array alive, so
-    these go together with the arrays."""
-
-    def __init__(self, **arrays):
-        for name, values in arrays.items():
-            setattr(self, name, np.frombuffer(
-                values, dtype=getattr(values, "typecode", "B")))
-
-
-def _sums_fit(gap: array) -> bool:
+def _sums_fit(gap: np.ndarray) -> bool:
     """Whether every value a wave forms fits in int64.  Each clock value
     is a sum of gaps of distinct regions, and a wave also subtracts
     partial gap sums from clock values, so a total |gap| below 2**61
     bounds them all.  It is summed in float64, in small blocks."""
-    values = np.frombuffer(gap, dtype=np.int64)
     total = 0.0
-    for i in range(0, len(values), 1 << 14):
-        total += float(np.abs(values[i:i + (1 << 14)],
-                              dtype=np.float64).sum())
+    for i in range(0, len(gap), 1 << 14):
+        total += float(np.abs(gap[i:i + (1 << 14)], dtype=np.float64).sum())
     return total < 2.0 ** 61
 
 
@@ -1097,7 +1063,7 @@ def _run_ends(count: np.ndarray, s: np.ndarray,
     return end
 
 
-def _wave(batch: np.ndarray, v: _SweepViews,
+def _wave(batch: np.ndarray, v: SimpleNamespace,
           offsets: np.ndarray) -> np.ndarray:
     """Advance every ready lane at once; returns the next ready lanes.
 
@@ -1149,7 +1115,7 @@ def _wave(batch: np.ndarray, v: _SweepViews,
     return _fire(reached, x[fired] + v.gap[reached], v, offsets)
 
 
-def _fire(reached: np.ndarray, e: np.ndarray, v: _SweepViews,
+def _fire(reached: np.ndarray, e: np.ndarray, v: SimpleNamespace,
           offsets: np.ndarray) -> np.ndarray:
     """Fire the triggers of the regions reached, whose entry ideals are e,
     as the scalar fire does (degraded messages and skipped occurrences
@@ -1221,16 +1187,17 @@ def _skipped_collectives(trace: Trace, config: ReplayConfig,
 
 
 def _assemble_timeline(table: RegionTable, ideal_exit: np.ndarray,
-                       end_time: int) -> AnnotatedTimeline:
+                       gap: np.ndarray, end_time: int) -> AnnotatedTimeline:
     """Every rank's clock points, built for all ranks at once in one
     rank-major column per clock and cut into per-rank views.
 
     Rank r's points: the start sentinel 0, an entry and an exit point per
     region, and the end sentinel when the trace ends after its last exit.
-    oom and ideal advance by the out-of-MPI gap before each entry; an exit
-    carries the finalized ideal and the unchanged oom.  Points at equal
-    timestamps collapse onto the last one written: a point is dropped when
-    the next point of its rank has its time.
+    oom and ideal advance by the out-of-MPI gap before each entry, gap[g]
+    for region g (a rank's first region: its entry time), which this
+    overwrites; an exit carries the finalized ideal and the unchanged oom.
+    Points at equal timestamps collapse onto the last one written: a
+    point is dropped when the next point of its rank has its time.
     """
     P = table.rank_count
     offsets = table.offsets
@@ -1277,9 +1244,6 @@ def _assemble_timeline(table: RegionTable, ideal_exit: np.ndarray,
         return out
 
     times = column(ent, ex, end_time)
-    gap = np.empty(len(ent), dtype=np.int64)
-    gap[1:] = ent[1:] - ex[:-1]
-    gap[head] = ent[head]
     oom_entry = np.cumsum(gap)
     oom_entry -= np.repeat(oom_entry[head] - gap[head], n[busy])
     oom = column(oom_entry, oom_entry,

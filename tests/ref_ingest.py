@@ -28,6 +28,7 @@ from paraslice.model import (
     MessageStatus,
     MessageStore,
     MpiRegion,
+    PtpMessage,
     RegionTable,
     TimeUnit,
     Trace,
@@ -176,7 +177,7 @@ def build_trace(records: Iterable[RawRecord], meta: TraceMeta,
     scale = _scale(meta.time_unit)
     trace = Trace.empty(meta)
     regions: list[list[MpiRegion]] = [[] for _ in range(meta.rank_count)]
-    trace.messages = MessageStore()
+    messages: list[PtpMessage] = []
     trace.collectives = CollectiveStore()
     cursors = [_RankCursor() for _ in range(meta.rank_count)]
     flat = meta.flat_rank_encoding
@@ -267,8 +268,8 @@ def build_trace(records: Iterable[RawRecord], meta: TraceMeta,
                 status = MessageStatus.FAULTY_LOCAL
                 log.add(AnomalyKind.REVERSED_PTP, f"line {rec.line_number}",
                         f"send at {send_begin} after receive completion {recv_end}")
-            trace.messages.append_fields(s_rank, r_rank, send_begin, recv_end,
-                                         f[12], status)
+            messages.append(PtpMessage(s_rank, r_rank, send_begin, recv_end,
+                                       f[12], status))
             counters.consumed += 1
         elif rec.kind is RecordKind.COMMUNICATOR_DEF:
             f = rec.fields
@@ -292,6 +293,7 @@ def build_trace(records: Iterable[RawRecord], meta: TraceMeta,
         trace.communicators[WORLD_COMM_ID] = CommunicatorDef(
             WORLD_COMM_ID, list(range(meta.rank_count)))
 
+    trace.messages = MessageStore.from_messages(messages)
     trace.regions = RegionTable.from_regions(regions)
     _group_collectives(trace, regions)
     counters.anomalies = log.total
@@ -366,7 +368,7 @@ def snapshot(trace, log, counters) -> dict:
         "regions": [getattr(trace.regions, c).tolist()
                     for c in trace.regions.COLUMNS],
         "messages": [getattr(msgs, c).tolist()
-                     for c in msgs.__slots__ if c != "status_codes"]
+                     for c in msgs.COLUMNS if c != "status_codes"]
         + [bytes(msgs.status_codes)],
         "collectives": [getattr(colls, c).tolist() for c in colls.COLUMNS],
         "communicators": {k: (c.communicator_id, c.members)

@@ -18,6 +18,8 @@ from paraslice.model import (
     AnomalyKind,
     AnomalyLog,
     MessageStatus,
+    MessageStore,
+    STATUS_CODES,
     WORLD_COMM_ID,
     locate_regions,
 )
@@ -166,6 +168,18 @@ class TestTraceBuild:
         assert t.regions[1][1] == region(1, 30, 50)
         assert t.messages[0] == PtpMessage(1, 0, 30, 60, size_bytes=8)
         assert len(t.collectives) == 0
+
+    def test_message_columns(self):
+        """The message columns are read-only int64; status_codes, which
+        replay degrades messages through, is the one writable column."""
+        msgs = make_clean_trace().messages
+        for name in MessageStore.COLUMNS[:-1]:
+            column = getattr(msgs, name)
+            assert column.dtype == np.int64 and not column.flags.writeable
+        assert msgs.status_codes.dtype == np.uint8
+        assert msgs.status_codes.flags.writeable
+        msgs.status_codes[0] = STATUS_CODES[MessageStatus.FAULTY_LOCAL]
+        assert msgs[0].status is MessageStatus.FAULTY_LOCAL
 
     def test_collectives_grouped_from_regions(self):
         coll = CallClass.COLLECTIVE

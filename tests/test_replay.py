@@ -4,7 +4,6 @@ counted replay, and the assembled timelines."""
 import math
 import random
 
-import numpy as np
 import pytest
 
 from paraslice import (
@@ -157,9 +156,8 @@ def crossing_fixture(sender_coll=(10, 22), receiver_coll=(28, 30),
 
 def crosses(trace):
     m = trace.messages
-    columns = [np.frombuffer(c, dtype=np.int64)
-               for c in (m.senders, m.receivers, m.send_begins, m.recv_ends)]
-    return WorldCollectiveIndex(trace).crosses_many(*columns).tolist()
+    return WorldCollectiveIndex(trace).crosses_many(
+        m.senders, m.receivers, m.send_begins, m.recv_ends).tolist()
 
 
 class TestWorldCollectiveCrossing:
@@ -439,6 +437,7 @@ class TestReplayAnomalies:
         _, log = replay(trace)
         assert log.count(AnomalyKind.UNMATCHED_SEND) == 1
         assert log.total == 1
+        assert trace.messages[0].status is MessageStatus.FAULTY_LOCAL
 
     def test_unmatched_recv(self):
         trace = trace_of(
@@ -480,6 +479,16 @@ class TestReplayAnomalies:
         assert well_ordered(timeline.ranks[0])
 
 
+@pytest.mark.usefixtures("every_wave_wide")
+class TestReplayAnomaliesWide(TestReplayAnomalies):
+    """The anomaly cases with every batch of ready ranks a numpy wave."""
+
+
+@pytest.mark.usefixtures("every_wave_scalar")
+class TestReplayAnomaliesScalar(TestReplayAnomalies):
+    """The anomaly cases with every ready rank in the scalar loop."""
+
+
 class TestDependencyCycle:
     def make_cycle(self):
         # each rank's first region receives a message sent from the other
@@ -499,6 +508,9 @@ class TestDependencyCycle:
         timeline, log = replay(trace)
         assert log.count(AnomalyKind.REVERSED_PTP) >= 1
         assert all(well_ordered(tl) for tl in timeline.ranks)
+        # cycle breaking writes each degradation into the trace's store
+        assert [m.status for m in trace.messages] \
+            == [MessageStatus.FAULTY_LOCAL] * 2
         # deterministic: same trace, same outcome
         log2 = replay(self.make_cycle())[1]
         assert [(e.kind, e.location) for e in log.entries] \
