@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -53,10 +54,12 @@ def parse_duration(text: str) -> int:
         if raw.endswith(suffix):
             number = raw[: -len(suffix)]
             try:
-                value = float(number)
+                value = float(number) * mult
             except ValueError:
                 raise ValueError(f"bad duration {text!r}")
-            ns = round(value * mult)
+            if not math.isfinite(value):
+                raise ValueError(f"duration {text!r} must be finite")
+            ns = round(value)
             if ns <= 0:
                 raise ValueError(f"duration {text!r} must be positive")
             return ns
@@ -335,10 +338,13 @@ def _reference_arg(text: str) -> tuple[float, float, float, float]:
         raise argparse.ArgumentTypeError(
             "expected LB,SER,TRF,EFF (four comma-separated numbers)")
     try:
-        lb, ser, trf, eff = (float(p) for p in parts)
+        values = tuple(float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad reference values {text!r}")
-    return lb, ser, trf, eff
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(
+            f"reference values {text!r} must be finite")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:

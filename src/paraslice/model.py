@@ -89,10 +89,9 @@ def distinct(values) -> np.ndarray:
     return s[keep]
 
 
-#: stable wire order of call classes inside RegionTable.class_codes
-CLASS_BY_CODE = (CallClass.POINT_TO_POINT, CallClass.COLLECTIVE,
-                 CallClass.OTHER_MPI)
-CLASS_CODES = {cls: code for code, cls in enumerate(CLASS_BY_CODE)}
+#: wire order of call classes inside RegionTable.class_codes: the
+#: enum's declaration order
+CLASS_CODES = {cls: code for code, cls in enumerate(CallClass)}
 
 
 class RegionTable:
@@ -107,9 +106,8 @@ class RegionTable:
     hint_rows lists the hinted rows in ascending order and hint_values
     the ids they announced.
 
-    As a sequence the table holds one RankRegions view per rank, so
-    trace.regions[r] reads like a list of rank r's MpiRegion values;
-    hot paths read the columns directly.
+    As a sequence the table holds one RankRegions view per rank:
+    trace.regions[r] reads rank r's slice of the columns.
     """
 
     COLUMNS = ("offsets", "entry_times", "exit_times", "class_codes",
@@ -177,18 +175,16 @@ class RegionTable:
 
 
 class RankRegions:
-    """Read-only view of one rank's rows of a RegionTable.  Indexing and
-    iteration materialize MpiRegion values; the column properties are
-    numpy views of the rank's slice."""
+    """Read-only view of one rank's rows of a RegionTable: its column
+    properties are numpy views of the rank's slice."""
 
-    __slots__ = ("table", "rank", "lo", "hi", "_fields")
+    __slots__ = ("table", "rank", "lo", "hi")
 
     def __init__(self, table: RegionTable, rank: int) -> None:
         self.table = table
         self.rank = rank
         self.lo = int(table.offsets[rank])
         self.hi = int(table.offsets[rank + 1])
-        self._fields = None
 
     @property
     def entry_times(self) -> np.ndarray:
@@ -202,35 +198,8 @@ class RankRegions:
     def class_codes(self) -> np.ndarray:
         return self.table.class_codes[self.lo:self.hi]
 
-    def _region(self, k: int) -> MpiRegion:
-        if self._fields is None:    # the rank's columns as lists, once
-            t, lo, hi = self.table, self.lo, self.hi
-            h_lo, h_hi = np.searchsorted(t.hint_rows, (lo, hi))
-            self._fields = (
-                self.entry_times.tolist(), self.exit_times.tolist(),
-                self.class_codes.tolist(),
-                dict(zip((t.hint_rows[h_lo:h_hi] - lo).tolist(),
-                         t.hint_values[h_lo:h_hi].tolist())))
-        entry, exit_, code, hints = self._fields
-        return MpiRegion(self.rank, entry[k], exit_[k], CLASS_BY_CODE[code[k]],
-                         hints.get(k))
-
     def __len__(self) -> int:
         return self.hi - self.lo
-
-    def __getitem__(self, index):
-        n = self.hi - self.lo
-        if isinstance(index, slice):
-            return [self._region(k) for k in range(*index.indices(n))]
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError("region index out of range")
-        return self._region(index)
-
-    def __iter__(self) -> Iterator[MpiRegion]:
-        for k in range(self.hi - self.lo):
-            yield self._region(k)
 
     def __repr__(self) -> str:
         return f"RankRegions(rank={self.rank}, regions={len(self)})"
@@ -253,9 +222,9 @@ class PtpMessage:
     status: MessageStatus = MessageStatus.VALID
 
 
-#: stable wire order of statuses inside MessageStore.status_codes
-STATUS_BY_CODE = (MessageStatus.VALID, MessageStatus.FAULTY_LOCAL)
-STATUS_CODES = {status: code for code, status in enumerate(STATUS_BY_CODE)}
+#: wire order of statuses inside MessageStore.status_codes: the enum's
+#: declaration order
+STATUS_CODES = {status: code for code, status in enumerate(MessageStatus)}
 
 
 class MessageStore:
@@ -264,8 +233,6 @@ class MessageStore:
     Five read-only int64 numpy columns (sender, receiver, send begin,
     receive end, size) plus status_codes, one uint8 per message and the
     one writable column: replay degrades a message by writing its byte.
-    Indexing and iteration materialize PtpMessage snapshots; assigning
-    to a snapshot's fields does not write back.
     """
 
     COLUMNS = ("senders", "receivers", "send_begins", "recv_ends", "sizes",
@@ -295,40 +262,8 @@ class MessageStore:
     def __len__(self) -> int:
         return len(self.senders)
 
-    def __getitem__(self, index):
-        n = len(self.senders)
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(n))]
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError("message index out of range")
-        return PtpMessage(sender=int(self.senders[index]),
-                          receiver=int(self.receivers[index]),
-                          send_begin=int(self.send_begins[index]),
-                          recv_end=int(self.recv_ends[index]),
-                          size_bytes=int(self.sizes[index]),
-                          status=STATUS_BY_CODE[self.status_codes[index]])
-
-    def __iter__(self) -> Iterator[PtpMessage]:
-        for i in range(len(self.senders)):
-            yield self[i]
-
     def __repr__(self) -> str:
         return f"MessageStore(messages={len(self)})"
-
-
-@dataclass(slots=True)
-class CollectiveOp:
-    """One occurrence of a collective on a communicator.
-
-    participants holds (rank, entry_time, exit_time) per member, in rank
-    order.  occurrence_index counts collectives per communicator.
-    """
-
-    communicator_id: int
-    occurrence_index: int
-    participants: list[tuple[int, int, int]] = field(default_factory=list)
 
 
 class CollectiveStore:
@@ -338,8 +273,7 @@ class CollectiveStore:
     communicator, then occurrence.  Occurrence i's participants are the
     table rows part_rows[part_offsets[i]:part_offsets[i+1]], one
     collective region per rank in rank order; their ranks and times are
-    read from the table, never copied.  Indexing and iteration
-    materialize CollectiveOp snapshots.
+    read from the table, never copied.
     """
 
     COLUMNS = ("comm_ids", "occ_indices", "part_offsets", "part_rows")
@@ -359,28 +293,6 @@ class CollectiveStore:
 
     def __len__(self) -> int:
         return len(self.comm_ids)
-
-    def __getitem__(self, index):
-        n = len(self.comm_ids)
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(n))]
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError("collective index out of range")
-        rows = self.part_rows[self.part_offsets[index]:
-                              self.part_offsets[index + 1]]
-        t = self.table
-        return CollectiveOp(
-            communicator_id=int(self.comm_ids[index]),
-            occurrence_index=int(self.occ_indices[index]),
-            participants=list(zip(t.ranks_of(rows).tolist(),
-                                  t.entry_times[rows].tolist(),
-                                  t.exit_times[rows].tolist())))
-
-    def __iter__(self) -> Iterator[CollectiveOp]:
-        for i in range(len(self.comm_ids)):
-            yield self[i]
 
     def __repr__(self) -> str:
         return f"CollectiveStore(collectives={len(self)})"
@@ -692,55 +604,24 @@ def collective_membership(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _validate_collectives(trace: Trace, report: ValidationReport) -> None:
-    """Collective checks of validate_trace, per occurrence in store
-    order: participants that differ from the communicator's members, and
-    each participant that enters before the previous occurrence of its
-    (communicator, rank) did."""
+    """Collective check of validate_trace, per occurrence in store order:
+    participants that differ from the communicator's members.  One
+    (communicator, rank)'s occurrences ascend in table rows, so they
+    enter in order unless a region overlap or negative region, reported
+    already, lies between them."""
     colls = trace.collectives
-    nops = len(colls)
-    if not nops:
+    if not len(colls):
         return
-    table = trace.regions
-    cid = colls.comm_ids
-    offsets = colls.part_offsets
-    ranks = colls.part_ranks()
-    entries = table.entry_times[colls.part_rows]
-    op = np.repeat(np.arange(nops), np.diff(offsets))
     defined, fits = collective_membership(trace)
-    # rows ordered stably by (communicator, rank) keep occurrence order
-    P = table.rank_count
-    comms = distinct(cid)
-    key = np.searchsorted(comms, cid[op]) * P + ranks
-    by_key = rank_order(key, len(comms) * P)
-    key = key[by_key]
-    sorted_entries = entries[by_key]
-    early = np.zeros(len(ranks), dtype=bool)
-    prev = np.zeros(len(ranks), dtype=np.int64)
-    prev[by_key[1:]] = sorted_entries[:-1]
-    early[by_key[1:]] = (key[1:] == key[:-1]) & (sorted_entries[1:]
-                                                 < sorted_entries[:-1])
-    del key, sorted_entries
-
-    early_rows = np.flatnonzero(early).tolist()
-    row_ops = op[early_rows].tolist()
-    at = 0
-    mismatch = defined & ~fits
-    flagged = mismatch.copy()
-    flagged[row_ops] = True
-    for i in np.flatnonzero(flagged).tolist():
-        c = int(cid[i])
-        where = f"collective comm={c} occ={colls.occ_indices[i]}"
-        if mismatch[i]:
-            got = ranks[offsets[i]:offsets[i + 1]].tolist()
-            members = sorted(set(trace.communicators[c].members))
-            report.add("collective.membership", where,
-                       f"participants {got} != members {members}")
-        while at < len(row_ops) and row_ops[at] == i:
-            j = early_rows[at]
-            report.add("collective.order", where,
-                       f"rank {ranks[j]} occurrence entered at "
-                       f"{entries[j]} before {prev[j]}")
-            at += 1
+    ranks = colls.part_ranks()
+    offsets = colls.part_offsets
+    for i in np.flatnonzero(defined & ~fits).tolist():
+        c = int(colls.comm_ids[i])
+        got = ranks[offsets[i]:offsets[i + 1]].tolist()
+        members = sorted(set(trace.communicators[c].members))
+        report.add("collective.membership",
+                   f"collective comm={c} occ={colls.occ_indices[i]}",
+                   f"participants {got} != members {members}")
 
 
 def _validate_messages(trace: Trace, report: ValidationReport,

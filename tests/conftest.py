@@ -1,9 +1,12 @@
 """Shared fixtures: force one of replay's two sweep paths, or turn off
-its cuts at collectives (world cuts and group cuts alike)."""
+its cuts at collectives (world cuts and group cuts alike); and a reader
+of a trace's region columns."""
 
 import importlib
 
 import pytest
+
+from paraslice.model import CLASS_CODES
 
 # the module, not the replay function the package exports under its name
 replay_module = importlib.import_module("paraslice.replay")
@@ -36,3 +39,16 @@ def without_cuts(monkeypatch):
     """Replay never cuts, neither at collectives of all ranks nor at
     those of all ranks of a group."""
     monkeypatch.setattr(replay_module, "_find_cuts", no_cuts)
+
+
+def region_lists(trace):
+    """Every rank's regions as (entry, exit, CallClass, communicator hint
+    or None) tuples, read from the region table's columns."""
+    t = trace.regions
+    classes = {code: cls for cls, code in CLASS_CODES.items()}
+    hints = dict(zip(t.hint_rows.tolist(), t.hint_values.tolist()))
+    rows = list(zip(t.entry_times.tolist(), t.exit_times.tolist(),
+                    [classes[c] for c in t.class_codes.tolist()],
+                    [hints.get(j) for j in range(t.row_count)]))
+    bounds = t.offsets.tolist()
+    return [rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]

@@ -34,7 +34,12 @@ from paraslice import (
     window_series,
 )
 from paraslice.cli import main as cli_main
-from paraslice.model import AnomalyKind
+from paraslice.model import (
+    AnomalyKind,
+    MessageStore,
+    RegionTable,
+    group_collectives,
+)
 from paraslice.replay import StrictAnomalyError
 from paraslice.synth import expected_metrics, generate_to_files, load_scenario
 from paraslice.windows import boundary_clocks, clocks_at
@@ -91,15 +96,16 @@ def _scale_trace(trace, factor):
                      time_unit=trace.meta.time_unit,
                      source_name=trace.meta.source_name,
                      flat_rank_encoding=trace.meta.flat_rank_encoding)
-    regions = [[MpiRegion(g.rank, g.entry_time * factor,
-                          g.exit_time * factor, g.call_class,
-                          g.comm_hint) for g in regs]
-               for regs in trace.regions]
-    messages = [PtpMessage(m.sender, m.receiver, m.send_begin * factor,
-                           m.recv_end * factor, m.size_bytes, m.status)
-                for m in trace.messages]
-    return Trace.build(meta, regions, messages,
-                       trace.communicators.values())
+    t, m = trace.regions, trace.messages
+    regions = RegionTable(t.offsets, t.entry_times * factor,
+                          t.exit_times * factor, t.class_codes, t.hint_rows,
+                          t.hint_values)
+    messages = MessageStore(m.senders, m.receivers, m.send_begins * factor,
+                            m.recv_ends * factor, m.sizes, m.status_codes)
+    scaled = Trace(meta, regions, messages,
+                   communicators=dict(trace.communicators))
+    group_collectives(scaled)
+    return scaled
 
 
 def _corpus_scenarios():

@@ -65,7 +65,8 @@ class TestParseDuration:
         assert parse_duration("1234") == 1234
 
     def test_rejects_garbage(self):
-        for bad in ("abc", "12qq", "", "-5us", "0"):
+        for bad in ("abc", "12qq", "", "-5us", "0", "infs", "1e400s",
+                    "infms", "nanus", "1e300s"):
             with pytest.raises(ValueError):
                 parse_duration(bad)
 
@@ -353,6 +354,19 @@ class TestAnalyze:
         with pytest.raises(SystemExit) as exc:
             analyze(generated["prv"], tmp_path, "--window", "soon")
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("option, value", [
+        ("--window", "infs"), ("--window", "1e400s"), ("--cutoff", "infms"),
+        ("--reference-global", "nan,nan,nan,nan"),
+        ("--reference-global", "1,1,inf,1"),
+    ])
+    def test_non_finite_number_rejected_by_parser(self, generated, tmp_path,
+                                                  capsys, option, value):
+        with pytest.raises(SystemExit) as exc:
+            analyze(generated["prv"], tmp_path / "out", option, value)
+        assert exc.value.code == EXIT_BAD_CONFIG
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_time_unit_override_scales_bare_header(self, tmp_path):
         prv = tmp_path / "bare.prv"

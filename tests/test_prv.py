@@ -7,6 +7,7 @@ import pytest
 from paraslice import CallClass, IngestError, load_trace
 from paraslice import prv
 from paraslice.model import (
+    STATUS_CODES,
     AnomalyKind,
     AnomalyLog,
     MessageStatus,
@@ -24,6 +25,7 @@ from paraslice.prv import (
 )
 from paraslice.synth import generate_to_files, load_scenario
 
+from conftest import region_lists
 from ref_ingest import snapshot
 
 TINY_BLOCK = 64
@@ -115,17 +117,15 @@ class TestRecordStream:
             ev(0, 30, (EVTYPE_P2P, 0)),
         ])
         assert log.total == 0
-        regs = trace.regions[0]
-        assert len(regs) == 1
-        assert (regs[0].entry_time, regs[0].exit_time) == (10, 30)
-        assert regs[0].call_class is CallClass.POINT_TO_POINT
+        assert region_lists(trace)[0] == [(10, 30, CallClass.POINT_TO_POINT,
+                                           None)]
 
     def test_event_kinds_map_to_classes(self):
         trace, _, _ = assemble([
             ev(0, 0, (EVTYPE_COLLECTIVE, 1)), ev(0, 5, (EVTYPE_COLLECTIVE, 0)),
             ev(0, 10, (EVTYPE_OTHER, 2)), ev(0, 12, (EVTYPE_OTHER, 0)),
         ])
-        classes = [r.call_class for r in trace.regions[0]]
+        classes = [cls for _, _, cls, _ in region_lists(trace)[0]]
         assert classes == [CallClass.COLLECTIVE, CallClass.OTHER_MPI]
 
     def test_multiple_pairs_on_one_line(self):
@@ -162,18 +162,17 @@ class TestRecordStream:
             "3:1:1:1:1:10:10:2:1:2:1:40:40:8192:55",
         ])
         assert log.total == 0
-        (msg,) = trace.messages
-        assert (msg.sender, msg.receiver) == (0, 1)
-        assert (msg.send_begin, msg.recv_end) == (10, 40)
-        assert msg.size_bytes == 8192
-        assert msg.status is MessageStatus.VALID
+        msgs = trace.messages
+        assert [getattr(msgs, c).tolist() for c in msgs.COLUMNS] \
+            == [[0], [1], [10], [40], [8192],
+                [STATUS_CODES[MessageStatus.VALID]]]
 
     def test_reversed_message_flagged_at_parse(self):
         trace, log, _ = assemble([
             "3:1:1:1:1:50:50:2:1:2:1:20:20:0:0",
         ])
-        (msg,) = trace.messages
-        assert msg.status is MessageStatus.FAULTY_LOCAL
+        assert trace.messages.status_codes.tolist() \
+            == [STATUS_CODES[MessageStatus.FAULTY_LOCAL]]
         assert log.count(AnomalyKind.REVERSED_PTP) == 1
 
     def test_double_open_closes_dangling(self):
@@ -184,7 +183,8 @@ class TestRecordStream:
         ])
         assert log.count(AnomalyKind.UNMATCHED_SEND) == 1
         regs = trace.regions[0]
-        assert [(r.entry_time, r.exit_time) for r in regs] == [(10, 20), (20, 30)]
+        assert regs.entry_times.tolist() == [10, 20]
+        assert regs.exit_times.tolist() == [20, 30]
 
     def test_close_without_open_logged(self):
         _, log, _ = assemble([ev(0, 10, (EVTYPE_P2P, 0))])
@@ -196,8 +196,9 @@ class TestRecordStream:
             ev(0, 25, (99999999, 3)),
         ])
         assert log.count(AnomalyKind.UNMATCHED_SEND) == 1
-        (reg,) = trace.regions[0]
-        assert (reg.entry_time, reg.exit_time) == (10, 25)
+        regs = trace.regions[0]
+        assert (regs.entry_times.tolist(), regs.exit_times.tolist()) \
+            == ([10], [25])
 
     def test_nonmonotonic_timestamp_clamped(self):
         trace, log, _ = assemble([
@@ -205,8 +206,9 @@ class TestRecordStream:
             ev(0, 40, (EVTYPE_P2P, 0)),
         ])
         assert log.count(AnomalyKind.NONMONOTONIC_TIMESTAMP) == 1
-        (reg,) = trace.regions[0]
-        assert (reg.entry_time, reg.exit_time) == (50, 50)
+        regs = trace.regions[0]
+        assert (regs.entry_times.tolist(), regs.exit_times.tolist()) \
+            == ([50], [50])
 
     def test_unknown_record_kind(self):
         _, log, counters = assemble(["9:1:1:1:1:0"])
@@ -246,8 +248,9 @@ class TestRecordStream:
             ev(0, 10, (EVTYPE_P2P, 1)),
             ev(0, 30, (EVTYPE_P2P, 0)),
         ], duration="1000_us")
-        (reg,) = trace.regions[0]
-        assert (reg.entry_time, reg.exit_time) == (10_000, 30_000)
+        regs = trace.regions[0]
+        assert (regs.entry_times.tolist(), regs.exit_times.tolist()) \
+            == ([10_000], [30_000])
         assert trace.meta.total_duration_ns == 1_000_000
 
 
@@ -268,8 +271,9 @@ class TestOutOfRangeIntegers:
         assert counters.dropped == 1
         assert counters.records == counters.consumed + counters.ignored \
             + counters.dropped
-        (reg,) = trace.regions[0]
-        assert (reg.entry_time, reg.exit_time) == (10, 30)
+        regs = trace.regions[0]
+        assert (regs.entry_times.tolist(), regs.exit_times.tolist()) \
+            == ([10], [30])
 
     def test_message_size(self):
         trace, log, counters = assemble([
@@ -278,8 +282,7 @@ class TestOutOfRangeIntegers:
         ])
         assert log.count(AnomalyKind.MALFORMED_RECORD) == 1
         assert counters.dropped == 1
-        (msg,) = trace.messages
-        assert msg.size_bytes == 64
+        assert trace.messages.sizes.tolist() == [64]
 
     def test_microsecond_time_overflows_once_scaled(self):
         last_ok = ((1 << 63) - 1) // 1000     # the largest time in us
@@ -291,8 +294,9 @@ class TestOutOfRangeIntegers:
         assert [(e.kind, e.location) for e in log.entries] \
             == [(AnomalyKind.MALFORMED_RECORD, "line 3")]
         assert counters.dropped == 1
-        (reg,) = trace.regions[0]
-        assert (reg.entry_time, reg.exit_time) == (10_000, last_ok * 1000)
+        regs = trace.regions[0]
+        assert (regs.entry_times.tolist(), regs.exit_times.tolist()) \
+            == ([10_000], [last_ok * 1000])
 
 
 class TestBlockReader:
@@ -360,8 +364,9 @@ class TestBlockReader:
             (AnomalyKind.MALFORMED_RECORD, "line 4"),
             (AnomalyKind.NONMONOTONIC_TIMESTAMP, "line 5"),
         ]
-        (reg,) = trace.regions[0]
-        assert (reg.entry_time, reg.exit_time) == (10, 10)
+        regs = trace.regions[0]
+        assert (regs.entry_times.tolist(), regs.exit_times.tolist()) \
+            == ([10], [10])
         assert counters.routed == 2     # a \r\n line is still plain
 
 
@@ -383,8 +388,8 @@ class TestCommunicators:
         def scenario(lines):
             trace, log, _ = assemble(lines, rank_count=1)
             assert log.total == 0
-            (reg,) = trace.regions[0]
-            return reg.comm_hint
+            assert len(trace.regions[0]) == 1
+            return trace.regions.hint_values.tolist()
 
         open_then_hint = [
             ev(0, 10, (EVTYPE_COLLECTIVE, 1)),
@@ -400,9 +405,9 @@ class TestCommunicators:
             ev(0, 10, (EVTYPE_COLLECTIVE, 1), (EVTYPE_COMM_ID, 7)),
             ev(0, 20, (EVTYPE_COLLECTIVE, 0)),
         ]
-        assert scenario(open_then_hint) == 7
-        assert scenario(hint_then_open) == 7
-        assert scenario(same_line) == 7
+        assert scenario(open_then_hint) == [7]
+        assert scenario(hint_then_open) == [7]
+        assert scenario(same_line) == [7]
 
     def test_hint_does_not_leak_to_next_region(self):
         trace, log, _ = assemble([
@@ -411,8 +416,8 @@ class TestCommunicators:
             ev(0, 30, (EVTYPE_COLLECTIVE, 1)),
             ev(0, 40, (EVTYPE_COLLECTIVE, 0)),
         ], rank_count=1)
-        hints = [r.comm_hint for r in trace.regions[0]]
-        assert hints == [7, None]
+        assert [hint for _, _, _, hint in region_lists(trace)[0]] \
+            == [7, None]
 
     def test_grouping_by_communicator_and_occurrence(self):
         lines = ["c:1:2:1:1", "c:1:3:1:2"]
@@ -425,8 +430,12 @@ class TestCommunicators:
                 ]
         trace, log, _ = assemble(lines)
         assert log.total == 0
-        ops = {(op.communicator_id, op.occurrence_index):
-               [p[0] for p in op.participants] for op in trace.collectives}
+        colls = trace.collectives
+        ranks = colls.part_ranks().tolist()
+        bounds = colls.part_offsets.tolist()
+        ops = {(c, occ): ranks[lo:hi] for c, occ, lo, hi in zip(
+            colls.comm_ids.tolist(), colls.occ_indices.tolist(), bounds,
+            bounds[1:])}
         assert ops == {(2, 0): [0], (2, 1): [0], (3, 0): [1], (3, 1): [1]}
 
     def test_world_default_grouping(self):
@@ -437,9 +446,12 @@ class TestCommunicators:
                 ev(rank, 15 + rank, (EVTYPE_COLLECTIVE, 0)),
             ]
         trace, log, _ = assemble(lines)
-        (op,) = trace.collectives
-        assert op.communicator_id == WORLD_COMM_ID
-        assert op.participants == [(0, 10, 15), (1, 10, 16)]
+        colls, table = trace.collectives, trace.regions
+        assert colls.comm_ids.tolist() == [WORLD_COMM_ID]
+        assert colls.part_offsets.tolist() == [0, 2]
+        assert colls.part_ranks().tolist() == [0, 1]
+        assert table.entry_times[colls.part_rows].tolist() == [10, 10]
+        assert table.exit_times[colls.part_rows].tolist() == [15, 16]
 
 
 class TestFiles:

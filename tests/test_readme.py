@@ -45,9 +45,10 @@ def test_analysis_example_runs_on_a_generated_trace(tmp_path, monkeypatch,
     assert 0 < efficiency <= 1
 
 
-def test_in_memory_example_runs():
+def test_in_memory_example_runs(capsys):
     namespace = {}
     exec(library_blocks()[1], namespace)
     timeline, replay_log = namespace["timeline"], namespace["replay_log"]
     assert timeline.rank_count == 2
     assert replay_log.total == 0
+    assert capsys.readouterr().out == "[10 50] [0]\n"

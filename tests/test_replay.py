@@ -16,7 +16,7 @@ from paraslice import (
     TraceMeta,
     replay,
 )
-from paraslice.model import AnomalyKind, MessageStatus
+from paraslice.model import STATUS_CODES, AnomalyKind, MessageStatus
 from paraslice.replay import (
     ClockTriple,
     DependencyCycleError,
@@ -32,6 +32,8 @@ from test_windows import clocks_of
 P2P = CallClass.POINT_TO_POINT
 COLL = CallClass.COLLECTIVE
 OTHER = CallClass.OTHER_MPI
+VALID = STATUS_CODES[MessageStatus.VALID]
+FAULTY = STATUS_CODES[MessageStatus.FAULTY_LOCAL]
 
 
 def trace_of(duration, rank_regions, messages=(), comms=()):
@@ -116,7 +118,7 @@ class TestDegradeFaulty:
     def test_reversed_degraded_and_logged(self):
         trace = one_message(2, 3, send_begin=9, recv_end=5)
         _, log = exit_ideals(trace)
-        assert trace.messages[0].status is MessageStatus.FAULTY_LOCAL
+        assert trace.messages.status_codes[0] == FAULTY
         assert [(e.kind, e.location, e.detail) for e in log.entries] == [
             (AnomalyKind.REVERSED_PTP, "message 0",
              "send at 9 after receive completion 5")]
@@ -124,7 +126,7 @@ class TestDegradeFaulty:
     def test_healthy_untouched(self):
         trace = one_message(5, 3, recv_end=9)
         _, log = exit_ideals(trace)
-        assert trace.messages[0].status is MessageStatus.VALID
+        assert trace.messages.status_codes[0] == VALID
         assert log.total == 0
 
     def test_no_double_degradation(self):
@@ -132,12 +134,12 @@ class TestDegradeFaulty:
         assert exit_ideals(trace)[1].total == 1
         # the status written back keeps a second replay from logging again
         assert exit_ideals(trace)[1].total == 0
-        assert trace.messages[0].status is MessageStatus.FAULTY_LOCAL
+        assert trace.messages.status_codes[0] == FAULTY
 
     def test_crossing_flag_forces_degradation(self):
         trace = crossing_fixture()      # sends before it receives
         _, log = replay(trace)
-        assert trace.messages[0].status is MessageStatus.FAULTY_LOCAL
+        assert trace.messages.status_codes[0] == FAULTY
         assert [(e.kind, e.location, e.detail) for e in log.entries] == [
             (AnomalyKind.REVERSED_PTP, "message 0",
              "message matched across a world collective")]
@@ -178,7 +180,7 @@ class TestWorldCollectiveCrossing:
         assert crosses(trace) == [False]
         _, log = replay(trace)
         assert log.total == 0
-        assert trace.messages[0].status is MessageStatus.VALID
+        assert trace.messages.status_codes[0] == VALID
 
     def test_sub_communicator_collectives_do_not_count(self):
         assert crosses(crossing_fixture(hint=2)) == [False]
@@ -187,7 +189,7 @@ class TestWorldCollectiveCrossing:
         trace = crossing_fixture()
         timeline, log = replay(trace)
         assert log.count(AnomalyKind.REVERSED_PTP) == 1
-        assert trace.messages[0].status is MessageStatus.FAULTY_LOCAL
+        assert trace.messages.status_codes[0] == FAULTY
 
     def test_strict_mode_raises(self):
         trace = crossing_fixture()
@@ -437,7 +439,7 @@ class TestReplayAnomalies:
         _, log = replay(trace)
         assert log.count(AnomalyKind.UNMATCHED_SEND) == 1
         assert log.total == 1
-        assert trace.messages[0].status is MessageStatus.FAULTY_LOCAL
+        assert trace.messages.status_codes[0] == FAULTY
 
     def test_unmatched_recv(self):
         trace = trace_of(
@@ -509,8 +511,7 @@ class TestDependencyCycle:
         assert log.count(AnomalyKind.REVERSED_PTP) >= 1
         assert all(well_ordered(tl) for tl in timeline.ranks)
         # cycle breaking writes each degradation into the trace's store
-        assert [m.status for m in trace.messages] \
-            == [MessageStatus.FAULTY_LOCAL] * 2
+        assert trace.messages.status_codes.tolist() == [FAULTY] * 2
         # deterministic: same trace, same outcome
         log2 = replay(self.make_cycle())[1]
         assert [(e.kind, e.location) for e in log.entries] \
@@ -543,8 +544,7 @@ class TestDependencyCycle:
              "rendezvous floor on a dependency cycle"),
             (AnomalyKind.REVERSED_PTP, "rank 1 region 0",
              "message on a dependency cycle")]
-        assert [m.status for m in trace.messages] \
-            == [MessageStatus.FAULTY_LOCAL] * 2
+        assert trace.messages.status_codes.tolist() == [FAULTY] * 2
         # the degraded rendezvous message lifts neither side: rank 1's
         # second region keeps its own entry value 5, not rank 0's 15
         assert timeline.final_triples() == [ClockTriple(30, 20, 20),
