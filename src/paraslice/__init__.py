@@ -43,14 +43,14 @@ from .model import (
     validate_trace,
 )
 from .prv import IngestError, load_trace
-from .replay import ReplayConfig, ReplayError, replay
+from .replay import ReplayError, replay
 from .windows import plan_windows
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CallClass", "CommunicatorDef", "IngestError", "MpiRegion",
-    "NoComputeError", "PtpMessage", "ReplayConfig", "ReplayError", "Trace",
+    "NoComputeError", "PtpMessage", "ReplayError", "Trace",
     "TraceMeta", "global_metrics", "load_trace", "plan_windows", "replay",
     "validate_trace", "window_series",
 ]

@@ -31,7 +31,7 @@ from .metrics import (
 )
 from .model import AnomalyKind, AnomalyLog, TimeUnit, validate_trace
 from .prv import IngestCounters, IngestError, load_trace
-from .replay import DEFAULT_EAGER_LIMIT, ReplayConfig, ReplayError, replay
+from .replay import DEFAULT_EAGER_LIMIT, ReplayError, replay
 from .windows import WindowPlan, boundary_clocks, plan_windows
 
 EXIT_OK = 0
@@ -213,6 +213,16 @@ def write_plot(path: Path, plan: WindowPlan, series: list[WindowMetrics],
                     encoding="utf-8")
 
 
+def _strict_failure(log: AnomalyLog, stage: str) -> int:
+    """--strict refuses a run whose stage logged anomalies: report how
+    many, and the first."""
+    first = log.entries[0]
+    print(f"error: strict mode: {log.total} anomalies during {stage}; "
+          f"first: {first.kind.value} @ {first.location}: {first.detail}",
+          file=sys.stderr)
+    return EXIT_STRICT
+
+
 def run(config: RunConfig) -> int:
     """Analyze one trace per the config; returns the process exit code."""
     try:
@@ -227,11 +237,7 @@ def run(config: RunConfig) -> int:
         return EXIT_MALFORMED
 
     if config.strict and log.total:
-        first = log.entries[0]
-        print(f"error: strict mode: {log.total} anomalies during ingest; "
-              f"first: {first.kind.value} @ {first.location}: {first.detail}",
-              file=sys.stderr)
-        return EXIT_STRICT
+        return _strict_failure(log, "ingest")
 
     if config.strict:
         report = validate_trace(trace)
@@ -240,12 +246,13 @@ def run(config: RunConfig) -> int:
             return EXIT_STRICT
 
     try:
-        timeline, replay_log = replay(
-            trace, ReplayConfig(eager_limit_bytes=config.eager_limit,
-                                strict_mode=config.strict))
+        timeline, replay_log = replay(trace,
+                                      eager_limit_bytes=config.eager_limit)
     except ReplayError as exc:
-        print(f"error: strict mode: {exc}", file=sys.stderr)
+        print(f"error: replay: {exc}", file=sys.stderr)
         return EXIT_STRICT
+    if config.strict and replay_log.total:
+        return _strict_failure(replay_log, "replay")
     # the timeline keeps the region times windowing needs; the rest of
     # the trace goes before window planning allocates
     del trace
@@ -377,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--plot", action="store_true",
                     help="also write a <stem>.plot.json payload")
     an.add_argument("--strict", action="store_true",
-                    help="abort on any anomaly instead of degrading")
+                    help="exit 5, writing nothing, when ingest or replay "
+                         "logs an anomaly")
     an.add_argument("--time-unit", choices=("ns", "us"), default=None,
                     help="override the trace time unit when the header "
                          "does not carry one")

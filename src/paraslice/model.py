@@ -521,11 +521,25 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+def member_faults(members: list[int], rank_count: int) -> list[str]:
+    """What is wrong with a communicator's member list, if anything."""
+    faults = []
+    if not members:
+        faults.append("empty membership")
+    if len(set(members)) != len(members):
+        faults.append("duplicate members")
+    if any(not (0 <= m < rank_count) for m in members):
+        faults.append("member out of range")
+    return faults
+
+
 def validate_trace(trace: Trace) -> ValidationReport:
     """Check the structural invariants of the model; report, never raise.
 
-    Only strict mode reads the report (the command line aborts on any
-    violation), so a default analysis does not run it.
+    Ingest logs the same communicator member faults, and a header
+    duration short of the last region exit, as anomalies of its own.  The
+    command line runs this under --strict only, once ingest's log is
+    empty; a default analysis does not.
     """
     report = ValidationReport()
     meta = trace.meta
@@ -564,12 +578,8 @@ def validate_trace(trace: Trace) -> ValidationReport:
         where = f"communicator {comm_id}"
         if comm.communicator_id != comm_id:
             report.add("communicator.id", where, "key does not match definition")
-        if not comm.members:
-            report.add("communicator.members", where, "empty membership")
-        if len(set(comm.members)) != len(comm.members):
-            report.add("communicator.members", where, "duplicate members")
-        if any(not (0 <= m < meta.rank_count) for m in comm.members):
-            report.add("communicator.members", where, "member out of range")
+        for detail in member_faults(comm.members, meta.rank_count):
+            report.add("communicator.members", where, detail)
 
     _validate_collectives(trace, report)
 

@@ -58,6 +58,7 @@ from .model import (
     Trace,
     TraceMeta,
     group_collectives,
+    member_faults,
     rank_order,
 )
 
@@ -351,7 +352,10 @@ def build_trace(stream: BinaryIO, meta: TraceMeta,
     Event pairing is per rank: a positive MPI value opens a region, zero
     closes it.  A second open closes the dangling region where the new one
     starts; a close without an open is logged and dropped; regions still
-    open at stream end close at the rank's last observed timestamp.
+    open at stream end close at the rank's last observed timestamp.  At
+    the end, every communicator definition with empty, duplicate or
+    out-of-range members is logged, and so is a header duration short of
+    the last region exit.
     Non-monotonic event timestamps are clamped so the offending duration
     collapses to zero.  Microsecond traces are scaled to nanoseconds here.
     Lines are numbered as a text-mode reader numbers them: a carriage
@@ -929,6 +933,16 @@ class _Assembly:
         trace.regions = self._table()
         trace.messages = MessageStore(*(c.values() for c in self.messages))
         group_collectives(trace)
+        for comm_id, comm in trace.communicators.items():
+            for detail in member_faults(comm.members, self.meta.rank_count):
+                self.log.add(AnomalyKind.MALFORMED_RECORD,
+                             f"communicator {comm_id}", detail)
+        exits = trace.regions.exit_times
+        last = int(exits.max()) if len(exits) else 0
+        if self.meta.total_duration_ns < last:
+            self.log.add(AnomalyKind.MALFORMED_RECORD, "header",
+                         f"total_duration {self.meta.total_duration_ns} "
+                         f"< last timestamp {last}")
         self.counters.anomalies = self.log.total
         return trace
 

@@ -43,9 +43,9 @@ break one of those rules.  Every dropped edge then leads into a later
 segment and nothing leads back, so none lies on a dependency cycle: when
 the lane sweep stalls, the trace has one, and the sweep is rerun on
 ranks with every edge, where dependency cycles in corrupt traces are
-broken by degrading the offending edges (or abort in strict mode).  The
-lane sweep writes no message status and logs nothing, so the rerun
-reports exactly what a sweep on ranks alone would.
+broken by degrading the offending edges, each logged.  The lane sweep
+writes no message status and logs nothing, so the rerun reports exactly
+what a sweep on ranks alone would.
 
 Every lane's first region has its entry ideal from the start, so all
 lane heads fire their triggers in one vectorized step.  Then the lanes
@@ -122,18 +122,8 @@ def _narrow(values: np.ndarray, top: int) -> np.ndarray:
 
 
 class ReplayError(Exception):
-    pass
-
-
-class StrictAnomalyError(ReplayError):
-    """Raised in strict mode instead of degrading."""
-
-
-class DependencyCycleError(ReplayError):
-    def __init__(self, cycle: list[tuple[int, int]]):
-        self.cycle = cycle
-        listing = ", ".join(f"rank {r} region {k}" for r, k in cycle)
-        super().__init__(f"message dependency cycle: {listing}")
+    """Replay met a dependency cycle that no degradation breaks, which
+    the cycle breaker's rules make unreachable."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,16 +131,6 @@ class ClockTriple:
     elapsed: int
     oom: int
     ideal: int
-
-
-@dataclass(slots=True)
-class ReplayConfig:
-    eager_limit_bytes: int = DEFAULT_EAGER_LIMIT
-    strict_mode: bool = False
-
-    def __post_init__(self) -> None:
-        if self.eager_limit_bytes < 0:
-            raise ValueError("eager_limit_bytes must be non-negative")
 
 
 class RankTimeline:
@@ -272,17 +252,18 @@ class WorldCollectiveIndex:
         return out
 
 
-def replay(trace: Trace, config: ReplayConfig | None = None,
+def replay(trace: Trace, eager_limit_bytes: int = DEFAULT_EAGER_LIMIT,
            ) -> tuple[AnnotatedTimeline, AnomalyLog]:
     """Reconstruct every rank's clocks.  Deterministic for a given input.
 
     Faulty matches are degraded first (reversed pairs and world-collective
     crossings), messages are attached to the regions containing their
     endpoints, then counted propagation finalizes region exits in
-    dependency order.  In strict mode any degradation or cycle aborts
-    instead.
+    dependency order.  Every degradation is logged.  Messages larger than
+    eager_limit_bytes are rendezvous: the send also waits for the receive.
     """
-    config = config or ReplayConfig()
+    if eager_limit_bytes < 0:
+        raise ValueError("eager_limit_bytes must be non-negative")
     log = AnomalyLog()
     meta = trace.meta
     P = meta.rank_count
@@ -323,8 +304,6 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
                 detail = "message matched across a world collective"
             status[i] = _STATUS_FAULTY
             log.add(AnomalyKind.REVERSED_PTP, f"message {i}", detail)
-            if config.strict_mode:
-                raise StrictAnomalyError(f"faulty message {i}: {detail}")
         del valid, rev, cross, chk
 
     # --- attach messages to regions ---------------------------------------
@@ -349,21 +328,14 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
             if bad_rank[i]:
                 log.add(AnomalyKind.MALFORMED_RECORD, f"message {i}",
                         "rank out of range")
-                if config.strict_mode:
-                    raise StrictAnomalyError(f"message {i}: rank out of range")
             elif un_send[i]:
                 log.add(AnomalyKind.UNMATCHED_SEND, f"message {i}",
                         f"send at {sb[i]} outside any region of "
                         f"rank {snd[i]}")
-                if config.strict_mode:
-                    raise StrictAnomalyError(f"unmatched send of message {i}")
             else:
                 log.add(AnomalyKind.UNMATCHED_RECV, f"message {i}",
                         f"receive at {re_[i]} outside any region of "
                         f"rank {rcv[i]}")
-                if config.strict_mode:
-                    raise StrictAnomalyError(
-                        f"unmatched receive of message {i}")
             status[i] = _STATUS_FAULTY
 
         attached = np.flatnonzero(consider & rank_ok & (s_row >= 0)
@@ -375,12 +347,12 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
         linked = sg != rg
         recv_i = attached[linked & (table.class_codes[rg] != _CODE_OTHER)]
         floor_i = attached[linked & (table.class_codes[sg] != _CODE_OTHER)
-                           & (msgs.sizes[attached] > config.eager_limit_bytes)]
+                           & (msgs.sizes[attached] > eager_limit_bytes)]
         del attached, sg, rg, linked
 
     # --- attach collectives --------------------------------------------------
     colls = trace.collectives
-    op_skip = _skipped_collectives(trace, config, log)
+    op_skip = _skipped_collectives(trace, log)
 
     # entry ideal of region g: the exit ideal before it plus gap[g], the
     # out-of-MPI time in between (a rank's first region: its entry time)
@@ -406,13 +378,13 @@ def replay(trace: Trace, config: ReplayConfig | None = None,
         ideal_exit = _sweep(graph, cuts.lanes, cuts.base.tolist(), cuts.segs,
                             recv_i[keep[:len(recv_i)]],
                             floor_i[keep[len(recv_i):]], op_skip | cuts.occs,
-                            waves, config, log, break_cycles=False)
+                            waves, log, break_cycles=False)
         del keep
     if ideal_exit is None:
         # no cut, or a dependency cycle: every edge, rank by rank
         ideal_exit = _sweep(graph, offsets, range(P),
                             np.zeros(len(op_skip), dtype=np.uint8), recv_i,
-                            floor_i, op_skip, waves, config, log,
+                            floor_i, op_skip, waves, log,
                             break_cycles=True)
     else:
         _stitch(ideal_exit, cuts)
@@ -683,7 +655,7 @@ def _stitch(ideal: np.ndarray, cuts: _Cuts) -> None:
 
 def _sweep(graph: _Graph, lanes: np.ndarray, base, segs: np.ndarray,
            recv_i: np.ndarray, floor_i: np.ndarray, skip: np.ndarray,
-           waves: bool, config: ReplayConfig, log: AnomalyLog,
+           waves: bool, log: AnomalyLog,
            break_cycles: bool) -> np.ndarray | None:
     """Counted propagation over lanes (lane l owns regions lanes[l] to
     lanes[l+1] - 1 and starts from 0; rank r's first lane is base[r]),
@@ -907,8 +879,6 @@ def _sweep(graph: _Graph, lanes: np.ndarray, base, segs: np.ndarray,
             cur = succ[cur]
         cycle = path[order[cur]:]
         cycle_set = set(cycle)
-        if config.strict_mode:
-            raise DependencyCycleError([(r, ptr(r)) for r in cycle])
 
         degraded = False
         for r in sorted(cycle_set):
@@ -1167,19 +1137,15 @@ def _fire(reached: np.ndarray, e: np.ndarray, v: SimpleNamespace,
     return np.searchsorted(offsets, ready, side="right") - 1
 
 
-def _skipped_collectives(trace: Trace, config: ReplayConfig,
-                         log: AnomalyLog) -> np.ndarray:
+def _skipped_collectives(trace: Trace, log: AnomalyLog) -> np.ndarray:
     """Which collective occurrences do not synchronize: those on an
     undefined communicator, or whose participant ranks differ from the
-    members.  Each is logged in occurrence order (strict mode raises on
-    the first)."""
+    members.  Each is logged in occurrence order."""
     colls = trace.collectives
     bad = ~collective_membership(trace)[1]
     for i in np.flatnonzero(bad):
         where = f"collective comm={colls.comm_ids[i]} " \
                 f"occ={colls.occ_indices[i]}"
-        if config.strict_mode:
-            raise StrictAnomalyError(f"{where}: participant mismatch")
         log.add(AnomalyKind.MALFORMED_RECORD, where,
                 "participants do not match communicator membership; "
                 "synchronization skipped")

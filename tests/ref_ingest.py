@@ -6,8 +6,9 @@ tests/test_ingest_diff.py, the way tests/bruteforce.py is for replay.
 with replacement) and assembles it one RawRecord at a time.  It must not
 be "fixed" along with the production reader: it defines the expected
 stores, counters and anomaly entries, except where the production rules
-deliberately changed (an integer outside int64, on which this reference
-raises OverflowError).  `snapshot` turns either reader's result into
+deliberately changed: an integer outside int64, on which this reference
+raises OverflowError, and the two end-of-stream checks the production
+reader added later, which this reference carries too.  `snapshot` turns either reader's result into
 one comparable value.
 """
 
@@ -296,6 +297,23 @@ def build_trace(records: Iterable[RawRecord], meta: TraceMeta,
     trace.messages = MessageStore.from_messages(messages)
     trace.regions = RegionTable.from_regions(regions)
     _group_collectives(trace, regions)
+    # rules added after the block reader: bad communicator members and a
+    # header duration short of the last region exit
+    for comm_id, comm in trace.communicators.items():
+        m = comm.members
+        for bad, detail in (
+                (not m, "empty membership"),
+                (len(set(m)) != len(m), "duplicate members"),
+                (any(not 0 <= r < meta.rank_count for r in m),
+                 "member out of range")):
+            if bad:
+                log.add(AnomalyKind.MALFORMED_RECORD,
+                        f"communicator {comm_id}", detail)
+    last = max((reg.exit_time for rank in regions for reg in rank), default=0)
+    if meta.total_duration_ns < last:
+        log.add(AnomalyKind.MALFORMED_RECORD, "header",
+                f"total_duration {meta.total_duration_ns} "
+                f"< last timestamp {last}")
     counters.anomalies = log.total
     return trace, log
 

@@ -288,8 +288,8 @@ class TestAnalyze:
 
     @pytest.fixture()
     def short_header(self, generated, tmp_path):
-        """The generated trace with its header duration halved: ingest
-        and replay accept it, only validation flags it."""
+        """The generated trace with its header duration halved, which
+        ingest logs and analysis tolerates."""
         total = generated["expected"]["total_duration_ns"]
         header, body = generated["prv"].read_bytes().split(b"\n", 1)
         old = b":%d_ns:" % total
@@ -304,8 +304,74 @@ class TestAnalyze:
         prv, total = short_header
         assert analyze(prv, tmp_path / "out", "--strict") == EXIT_STRICT
         assert capsys.readouterr().err == (
-            f"error: strict mode: meta.duration at header: total_duration "
-            f"{total // 2} < last timestamp {total}\n")
+            f"error: strict mode: 1 anomalies during ingest; first: "
+            f"malformed_record @ header: total_duration {total // 2} "
+            f"< last timestamp {total}\n")
+
+    def test_short_header_logged_by_default(self, short_header, tmp_path):
+        prv, total = short_header
+        out_dir = tmp_path / "out"
+        assert analyze(prv, out_dir) == EXIT_OK
+        lines = (out_dir / "short.anomalies.txt").read_text(
+            encoding="utf-8").splitlines()
+        assert lines[0] == "total: 1"
+        assert lines[2:] == [
+            "malformed_record: 1", "",
+            f"malformed_record @ header: total_duration {total // 2} "
+            f"< last timestamp {total}"]
+
+    @pytest.fixture()
+    def unused_bad_communicator(self, generated, tmp_path):
+        """The generated trace with a communicator definition that no
+        collective uses, listing rank 0 twice."""
+        prv = tmp_path / "badcomm.prv"
+        prv.write_bytes(generated["prv"].read_bytes() + b"c:1:5:2:1:1\n")
+        return prv
+
+    def test_unused_bad_communicator_logged_by_default(
+            self, unused_bad_communicator, tmp_path):
+        out_dir = tmp_path / "out"
+        assert analyze(unused_bad_communicator, out_dir) == EXIT_OK
+        lines = (out_dir / "badcomm.anomalies.txt").read_text(
+            encoding="utf-8").splitlines()
+        assert lines[0] == "total: 1"
+        assert lines[2:] == [
+            "malformed_record: 1", "",
+            "malformed_record @ communicator 5: duplicate members"]
+
+    def test_strict_rejects_unused_bad_communicator(
+            self, unused_bad_communicator, tmp_path, capsys):
+        assert analyze(unused_bad_communicator, tmp_path / "out",
+                       "--strict") == EXIT_STRICT
+        assert capsys.readouterr().err == (
+            "error: strict mode: 1 anomalies during ingest; first: "
+            "malformed_record @ communicator 5: duplicate members\n")
+
+    def test_strict_rejects_replay_anomalies(self, tmp_path, capsys):
+        # each rank's first region receives what the other rank sends
+        # from its second region: a dependency cycle that only replay
+        # finds, and degrades by default
+        prv = tmp_path / "cycle.prv"
+        prv.write_text(
+            "#Paraver (12/07/2025 at 10:00):30_ns:1(2):1:2(1:1,1:1)\n"
+            + "".join(f"2:{t}:1:{t}:1:{time}:50000001:{value}\n"
+                      for t in (1, 2)
+                      for time, value in ((10, 1), (20, 0), (20, 1),
+                                          (25, 0)))
+            + "3:1:1:1:1:20:20:2:1:2:1:20:20:8:1\n"
+            + "3:2:1:2:1:20:20:1:1:1:1:20:20:8:1\n",
+            encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert analyze(prv, out_dir) == EXIT_OK
+        assert "reversed_ptp: 2" in (out_dir / "cycle.anomalies.txt"
+                                     ).read_text(encoding="utf-8")
+        capsys.readouterr()
+        assert analyze(prv, tmp_path / "strict", "--strict") == EXIT_STRICT
+        assert capsys.readouterr().err == (
+            "error: strict mode: 2 anomalies during replay; first: "
+            "reversed_ptp @ rank 0 region 0: message on a dependency "
+            "cycle\n")
+        assert not (tmp_path / "strict").exists()
 
     def test_default_mode_does_not_validate(self, short_header, tmp_path,
                                             monkeypatch):

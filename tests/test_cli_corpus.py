@@ -6,7 +6,8 @@ Every case is analyzed three ways (plain, --strict, and --format json
 covers, for each run in that order, the exit code, stdout, stderr and
 every output file (name and bytes, by name), so any drift in an output
 byte, a message or an exit code shows here.  The temporary directory is
-masked in stdout and stderr.
+masked in stdout and stderr.  On every case, the strict run fails (exit
+5) exactly when the plain run succeeds with anomalies logged.
 """
 
 from __future__ import annotations
@@ -107,10 +108,13 @@ DIGESTS = {
 }
 
 
-def cli_digest(tmp_path, seed: int, mutators) -> str:
+def cli_digest(tmp_path, seed: int, mutators) -> tuple[str, list, list]:
+    """The case's digest, each run's exit code, and each run's logged
+    anomaly total (None when it wrote no anomaly file)."""
     path = tmp_path / "t.prv"
     corpus_file(path, seed, mutators)
     h = hashlib.sha256()
+    codes, totals = [], []
     for k, flags in enumerate(MODES):
         out_dir = tmp_path / f"out{k}"
         stdout, stderr = io.StringIO(), io.StringIO()
@@ -119,6 +123,8 @@ def cli_digest(tmp_path, seed: int, mutators) -> str:
             code = main(["analyze", str(path), "--out-dir", str(out_dir),
                          *flags])
         h.update(f"exit {code}\n".encode())
+        codes.append(code)
+        totals.append(None)
         for stream in (stdout, stderr):
             text = stream.getvalue().replace(str(tmp_path), "<tmp>")
             h.update(f"{len(text)}\n{text}".encode())
@@ -127,11 +133,16 @@ def cli_digest(tmp_path, seed: int, mutators) -> str:
             data = f.read_bytes()
             h.update(f"{f.name} {len(data)}\n".encode())
             h.update(data)
-    return h.hexdigest()
+            if f.name.endswith(".anomalies.txt"):
+                totals[-1] = int(data.split(b"\n", 1)[0].split()[1])
+    return h.hexdigest(), codes, totals
 
 
 @pytest.mark.parametrize("seed,mutators", CASES,
                          ids=[f"{s}-{'+'.join(m.__name__ for m in ms)}"
                               for s, ms in CASES])
 def test_cli_outcome_pinned(tmp_path, seed, mutators):
-    assert cli_digest(tmp_path, seed, mutators) == DIGESTS[seed]
+    digest, codes, totals = cli_digest(tmp_path, seed, mutators)
+    assert digest == DIGESTS[seed]
+    assert (codes[1] == 5) == (codes[0] == 0 and totals[0] > 0), \
+        (codes, totals)

@@ -81,6 +81,18 @@ class TestHeader:
         assert meta.total_duration_ns == 5_000_000
         assert meta.time_unit is TimeUnit.MICROSECONDS
 
+    def test_duration_short_of_last_region_exit_logged(self):
+        # region exits count, message times do not
+        body = [ev(0, 10, (EVTYPE_P2P, 1)), ev(0, 30, (EVTYPE_P2P, 0)),
+                "3:1:1:1:1:10:10:2:1:2:1:40:40:64:7"]
+        _, log, _ = assemble(body, duration="30_ns")
+        assert log.total == 0
+        _, log, counters = assemble(body, duration="29_ns")
+        assert [(e.kind, e.location, e.detail) for e in log.entries] == [
+            (AnomalyKind.MALFORMED_RECORD, "header",
+             "total_duration 29 < last timestamp 30")]
+        assert counters.anomalies == 1
+
     def test_explicit_unit_overrides_bare(self):
         meta = parse_header(header("5000", 2), time_unit=TimeUnit.MICROSECONDS)
         assert meta.total_duration_ns == 5_000_000
@@ -291,8 +303,10 @@ class TestOutOfRangeIntegers:
             ev(0, last_ok + 1, (EVTYPE_P2P, 0)),
             ev(0, last_ok, (EVTYPE_P2P, 0)),
         ], duration="1000_us")
+        # the header's 1000 us is short of the region's exit, too
         assert [(e.kind, e.location) for e in log.entries] \
-            == [(AnomalyKind.MALFORMED_RECORD, "line 3")]
+            == [(AnomalyKind.MALFORMED_RECORD, "line 3"),
+                (AnomalyKind.MALFORMED_RECORD, "header")]
         assert counters.dropped == 1
         regs = trace.regions[0]
         assert (regs.entry_times.tolist(), regs.exit_times.tolist()) \
@@ -383,6 +397,19 @@ class TestCommunicators:
     def test_length_mismatch_logged(self):
         _, log, _ = assemble(["c:1:5:3:1:2"])
         assert log.count(AnomalyKind.MALFORMED_RECORD) == 1
+
+    def test_bad_members_logged_at_stream_end(self):
+        # whether or not a collective uses the communicator: each fault
+        # once, in definition order, after the entries of the lines
+        _, log, counters = assemble(
+            ["c:1:5:0", "c:1:6:3:1:1:9", "c:1:7:2:1:2", "c:1:8:1"])
+        assert [(e.location, e.detail) for e in log.entries] == [
+            ("line 5", "communicator definition length mismatch"),
+            ("communicator 5", "empty membership"),
+            ("communicator 6", "duplicate members"),
+            ("communicator 6", "member out of range")]
+        assert log.count(AnomalyKind.MALFORMED_RECORD) == 4
+        assert counters.anomalies == 4
 
     def test_hint_binds_regardless_of_line_order(self):
         def scenario(lines):

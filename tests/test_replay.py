@@ -11,16 +11,14 @@ from paraslice import (
     CommunicatorDef,
     MpiRegion,
     PtpMessage,
-    ReplayConfig,
     Trace,
     TraceMeta,
     replay,
 )
 from paraslice.model import STATUS_CODES, AnomalyKind, MessageStatus
 from paraslice.replay import (
+    DEFAULT_EAGER_LIMIT,
     ClockTriple,
-    DependencyCycleError,
-    StrictAnomalyError,
     WorldCollectiveIndex,
 )
 
@@ -71,9 +69,9 @@ def well_ordered(tl):
                  & (tl.ideal <= tl.times)).all())
 
 
-def exit_ideals(trace, config=None):
+def exit_ideals(trace, eager_limit_bytes=DEFAULT_EAGER_LIMIT):
     """(sender, receiver) ideal clocks at their region exits, and the log."""
-    timeline, log = replay(trace, config)
+    timeline, log = replay(trace, eager_limit_bytes)
     return tuple(ideal_at(tl, 12) for tl in timeline.ranks), log
 
 
@@ -89,17 +87,16 @@ class TestSynchronizePtp:
         assert recv_exit == 7          # receiver already ahead
 
     def test_rendezvous_floor_absorbs_receiver_entry(self):
-        cfg = ReplayConfig(eager_limit_bytes=100)
         (send_exit, recv_exit), log = exit_ideals(one_message(2, 7, 101),
-                                                  cfg)
+                                                  eager_limit_bytes=100)
         assert log.total == 0
         assert recv_exit == 7
         assert send_exit == 7          # sender must wait for the receiver
 
     def test_degraded_message_rejected(self):
         trace = one_message(2, 7, 101, status=MessageStatus.FAULTY_LOCAL)
-        (send_exit, recv_exit), log = exit_ideals(
-            trace, ReplayConfig(eager_limit_bytes=100))
+        (send_exit, recv_exit), log = exit_ideals(trace,
+                                                  eager_limit_bytes=100)
         assert log.total == 0
         assert (send_exit, recv_exit) == (2, 7)   # no synchronization
 
@@ -192,9 +189,11 @@ class TestWorldCollectiveCrossing:
         assert trace.messages.status_codes[0] == FAULTY
 
     def test_strict_mode_raises(self):
-        trace = crossing_fixture()
-        with pytest.raises(StrictAnomalyError):
-            replay(trace, ReplayConfig(strict_mode=True))
+        # the entry a --strict run reports first
+        first = replay(crossing_fixture())[1].entries[0]
+        assert (first.kind, first.location, first.detail) == (
+            AnomalyKind.REVERSED_PTP, "message 0",
+            "message matched across a world collective")
 
 
 class TestReplayMicroTrace:
@@ -258,13 +257,11 @@ class TestRendezvous:
         assert r1.ideal == 10
 
     def test_limit_override_restores_eager(self):
-        cfg = ReplayConfig(eager_limit_bytes=200_000)
-        timeline, _ = replay(self.make(100_000), cfg)
+        timeline, _ = replay(self.make(100_000), eager_limit_bytes=200_000)
         assert timeline.final_triples()[0].ideal == 2
 
     def test_exact_limit_is_eager(self):
-        cfg = ReplayConfig(eager_limit_bytes=100)
-        timeline, _ = replay(self.make(100), cfg)
+        timeline, _ = replay(self.make(100), eager_limit_bytes=100)
         assert timeline.final_triples()[0].ideal == 2
 
 
@@ -329,9 +326,9 @@ class TestCollectiveSync:
         assert [ideal_at(tl, 45) for tl in timeline.ranks] == [44, 44, 44]
 
     def test_one_bad_occurrence_strict_mode_raises(self):
-        with pytest.raises(StrictAnomalyError, match="comm=2 occ=1"):
-            replay(self.sub_communicator_gap(),
-                   ReplayConfig(strict_mode=True))
+        # the entry a --strict run reports first
+        _, log = replay(self.sub_communicator_gap())
+        assert log.entries[0].location == "collective comm=2 occ=1"
 
     def test_stacked_zero_length_split_collectives(self, tmp_path):
         """Regression: a zero-length subgroup collective stacked on a world
@@ -467,8 +464,18 @@ class TestReplayAnomalies:
             [[(2, 6, P2P)], [(10, 14, P2P)]],
             messages=[PtpMessage(sender, receiver, send, recv, size_bytes=8)],
         )
-        with pytest.raises(StrictAnomalyError):
-            replay(trace, ReplayConfig(strict_mode=True))
+        # the entry a --strict run reports first
+        _, log = replay(trace)
+        first = log.entries[0]
+        if send > recv:
+            assert (first.kind, first.detail) == (
+                AnomalyKind.REVERSED_PTP,
+                f"send at {send} after receive completion {recv}")
+        else:
+            assert (first.kind, first.detail) == (
+                AnomalyKind.UNMATCHED_SEND,
+                f"send at {send} outside any region of rank {sender}")
+        assert first.location == "message 0"
 
     def test_self_message_completes(self):
         trace = trace_of(
@@ -518,8 +525,12 @@ class TestDependencyCycle:
             == [(e.kind, e.location) for e in log2.entries]
 
     def test_strict_mode_raises_cycle_error(self):
-        with pytest.raises(DependencyCycleError):
-            replay(self.make_cycle(), ReplayConfig(strict_mode=True))
+        # the entry a --strict run reports first
+        _, log = replay(self.make_cycle())
+        first = log.entries[0]
+        assert (first.kind, first.location, first.detail) == (
+            AnomalyKind.REVERSED_PTP, "rank 0 region 0",
+            "message on a dependency cycle")
 
     def make_floor_cycle(self):
         # rank 0's first region floors on the rendezvous receive in rank
@@ -552,11 +563,10 @@ class TestDependencyCycle:
         assert timeline.ranks[1].ideal.tolist() == [0, 5, 5, 5, 10]
 
     def test_rendezvous_floor_cycle_strict_listing(self):
-        with pytest.raises(DependencyCycleError) as info:
-            replay(self.make_floor_cycle(), ReplayConfig(strict_mode=True))
-        assert info.value.cycle == [(0, 0), (1, 0)]
-        assert str(info.value) == ("message dependency cycle: "
-                                   "rank 0 region 0, rank 1 region 0")
+        # one entry per rank on the cycle, at the region it waits in
+        _, log = replay(self.make_floor_cycle())
+        assert [e.location for e in log.entries] == ["rank 0 region 0",
+                                                     "rank 1 region 0"]
 
     def make_collective_cycle(self):
         # two communicators over both ranks, entered in opposite order,
@@ -581,10 +591,10 @@ class TestDependencyCycle:
         assert timeline.ranks[1].ideal.tolist() == [0, 3, 3, 4, 4, 5, 8, 10]
 
     def test_collective_cycle_strict_listing(self):
-        with pytest.raises(DependencyCycleError) as info:
-            replay(self.make_collective_cycle(),
-                   ReplayConfig(strict_mode=True))
-        assert info.value.cycle == [(0, 0), (1, 0)]
+        # one entry per rank on the cycle, at the region it waits in
+        _, log = replay(self.make_collective_cycle())
+        assert [e.location for e in log.entries] == ["rank 0 region 0",
+                                                     "rank 1 region 0"]
 
 
 @pytest.mark.usefixtures("every_wave_wide")
@@ -598,14 +608,17 @@ class TestDependencyCycleScalar(TestDependencyCycle):
 
 
 class TestReplayConfig:
+    """replay's one setting: the eager limit."""
+
     def test_negative_eager_limit_rejected(self):
         with pytest.raises(ValueError):
-            ReplayConfig(eager_limit_bytes=-1)
+            replay(one_message(2, 7), eager_limit_bytes=-1)
 
     def test_defaults(self):
-        cfg = ReplayConfig()
-        assert cfg.eager_limit_bytes == 65536
-        assert not cfg.strict_mode
+        # 64 KiB goes eagerly by default; one byte more waits for the
+        # receiver's entry value
+        assert exit_ideals(one_message(2, 7, 65536))[0] == (2, 7)
+        assert exit_ideals(one_message(2, 7, 65537))[0] == (7, 7)
 
 
 class TestInvariantsOnGeneratedTraces:
@@ -682,7 +695,7 @@ class TestWideCollectiveOracle:
         finals, ideal = brute_force_ideal(self.make(), eager_limit)
         trace = self.make()
         assert len(trace.collectives) == self.ITERATIONS + 1
-        timeline, log = replay(trace, ReplayConfig(eager_limit))
+        timeline, log = replay(trace, eager_limit)
         assert [(e.kind, e.location) for e in log.entries] == [
             (AnomalyKind.MALFORMED_RECORD, "collective comm=2 occ=0")]
         got = [t.ideal for t in timeline.final_triples()]
@@ -693,7 +706,7 @@ class TestWideCollectiveOracle:
         # rank 5 leaves each rendezvous send no earlier than rank 6's
         # entry value at the matching receive
         timeline, _ = replay(self.make())
-        relaxed, _ = replay(self.make(), ReplayConfig(1 << 20))
+        relaxed, _ = replay(self.make(), 1 << 20)
         for exit_ in (10_000 + 585, self.TAIL + 105):
             floored = ideal_at(timeline.ranks[5], exit_)
             eager = ideal_at(relaxed.ranks[5], exit_)

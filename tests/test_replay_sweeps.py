@@ -28,13 +28,12 @@ from paraslice import (
     CommunicatorDef,
     MpiRegion,
     PtpMessage,
-    ReplayConfig,
     Trace,
     TraceMeta,
     replay,
 )
 from paraslice.model import MessageStatus
-from paraslice.replay import DependencyCycleError, StrictAnomalyError
+from paraslice.replay import DEFAULT_EAGER_LIMIT
 
 from paraslice.synth import load_scenario
 
@@ -159,16 +158,11 @@ def build(spec: dict) -> Trace:
     return Trace.build(meta, regions, messages, spec["comms"])
 
 
-def outcome(spec: dict, config: ReplayConfig):
+def outcome(spec: dict, eager_limit_bytes: int = DEFAULT_EAGER_LIMIT):
     """The replayed trace and everything replay reports about it: the
-    timelines and the anomaly log (or the error strict mode raised) and
-    every message's status afterwards."""
+    timelines, the anomaly log and every message's status afterwards."""
     trace = build(spec)
-    try:
-        timeline, log = replay(trace, config)
-    except (StrictAnomalyError, DependencyCycleError) as exc:
-        return trace, (type(exc).__name__, str(exc),
-                       bytes(trace.messages.status_codes))
+    timeline, log = replay(trace, eager_limit_bytes)
     return trace, (
         [(tl.times.tolist(), tl.oom.tolist(), tl.ideal.tolist())
          for tl in timeline.ranks],
@@ -222,19 +216,19 @@ def test_both_sweeps_match_each_other_and_the_oracle(monkeypatch):
 
     monkeypatch.setattr(replay_module, "_wave", counted)
     spy = LanePass(monkeypatch)
-    seen = {"cycle": 0, "collective cycle": 0, "skipped": 0, "strict": 0,
-            "oracle": 0, "cut": 0, "stalled": 0}
+    seen = {"cycle": 0, "collective cycle": 0, "skipped": 0, "oracle": 0,
+            "cut": 0, "stalled": 0}
     for case in range(CASES):
         spec = random_spec(rng)
-        config = ReplayConfig(eager_limit_bytes=rng.choice((0, 512, 65536)),
-                              strict_mode=rng.random() < 0.15)
+        eager_limit = rng.choice((0, 512, 65536))
+        rng.random()    # kept, so that the seeded traces stay the same
         got = {}
         for cuts, path in MODES:
             monkeypatch.setattr(replay_module, "WIDE_WAVE_RANKS", path)
             spy.cutting = cuts
             spy.cuts.clear()
             spy.stalls.clear()
-            got[cuts, path] = outcome(spec, config)
+            got[cuts, path] = outcome(spec, eager_limit)
             if spy.cuts:
                 assert (spy.lanes() is not None) == bool(spy.stalls), case
             if (cuts, path) == MODES[0] and spy.stalls:
@@ -243,9 +237,6 @@ def test_both_sweeps_match_each_other_and_the_oracle(monkeypatch):
         trace, result = got[MODES[0]]
         for mode in MODES[1:]:
             assert got[mode][1] == result, (case, mode)
-        if config.strict_mode:
-            seen["strict"] += 1
-            continue
         timelines, entries, _ = result
         details = [detail for _, _, detail in entries]
         seen["cycle"] += any("dependency cycle" in d for d in details)
@@ -255,7 +246,7 @@ def test_both_sweeps_match_each_other_and_the_oracle(monkeypatch):
             seen["collective cycle"] += 1
             continue
         # the replayed trace carries the degradations replay made
-        finals, _ = brute_force_ideal(trace, config.eager_limit_bytes)
+        finals, _ = brute_force_ideal(trace, eager_limit)
         assert [ideal[-1] for _, _, ideal in timelines] == finals, case
         seen["oracle"] += 1
     assert waves and max(waves) > 1
@@ -388,14 +379,14 @@ def test_group_cuts_match_no_cuts_and_the_oracle(monkeypatch):
     for case in range(GROUP_CASES):
         flaw = FLAWS[case // 3 % len(FLAWS)] if case % 3 == 0 else None
         spec = group_spec(rng, flaw)
-        config = ReplayConfig(eager_limit_bytes=rng.choice((512, 65536)),
-                              strict_mode=rng.random() < 0.1)
+        eager_limit = rng.choice((512, 65536))
+        rng.random()    # kept, so that the seeded traces stay the same
         got = {}
         for cuts, path in MODES:
             monkeypatch.setattr(replay_module, "WIDE_WAVE_RANKS", path)
             spy.cutting = cuts
             spy.cuts.clear()
-            got[cuts, path] = outcome(spec, config)
+            got[cuts, path] = outcome(spec, eager_limit)
             if (cuts, path) == MODES[0]:
                 plan = spy.cuts[-1] if spy.cuts else None
         trace, result = got[MODES[0]]
@@ -406,12 +397,10 @@ def test_group_cuts_match_no_cuts_and_the_oracle(monkeypatch):
             seen[flaw] += 1
         else:
             seen["grouped"] += own_cuts(plan)
-        if config.strict_mode:
-            continue
         timelines, entries, _ = result
         if COLLECTIVE_CYCLE in [detail for _, _, detail in entries]:
             continue
-        finals, _ = brute_force_ideal(trace, config.eager_limit_bytes)
+        finals, _ = brute_force_ideal(trace, eager_limit)
         assert [ideal[-1] for _, _, ideal in timelines] == finals, case
         seen["oracle"] += 1
     assert seen["grouped"] >= GROUP_CASES // 4, seen
@@ -424,11 +413,11 @@ def two_ways(monkeypatch, spec: dict):
     outcome."""
     with monkeypatch.context() as patch:
         spy = LanePass(patch)
-        result = outcome(spec, ReplayConfig())[1]
+        result = outcome(spec)[1]
         lanes = spy.lanes()
         assert spy.stalls == ([] if lanes is None else [False])
         spy.cutting = False
-        assert outcome(spec, ReplayConfig())[1] == result
+        assert outcome(spec)[1] == result
     return lanes, result
 
 
@@ -648,13 +637,13 @@ def test_clock_sums_near_int64_limits(monkeypatch, late):
     spec = {"P": 2, "comms": [], "messages": [], "duration": late + 100,
             "regions": [[(0, 10, COLL, None), (late, late + 10, P2P, None)],
                         [(5, 10, COLL, None)]]}
-    _, expected = outcome(spec, ReplayConfig())
+    _, expected = outcome(spec)
     waves = []
     original = replay_module._wave
     monkeypatch.setattr(replay_module, "WIDE_WAVE_RANKS", EVERY_WAVE_WIDE)
     monkeypatch.setattr(replay_module, "_wave",
                         lambda *args: waves.append(1) or original(*args))
-    assert outcome(spec, ReplayConfig())[1] == expected
+    assert outcome(spec)[1] == expected
     assert bool(waves) == (late < 1 << 61)
 
 
