@@ -47,15 +47,22 @@ broken by degrading the offending edges, each logged.  The lane sweep
 writes no message status and logs nothing, so the rerun reports exactly
 what a sweep on ranks alone would.
 
-Every lane's first region has its entry ideal from the start, so all
-lane heads fire their triggers in one vectorized step.  Then the lanes
-that are ready at once advance by one of two paths, chosen each time a
-batch of them forms: at least WIDE_WAVE_RANKS lanes (all of a trace's
-iterations at once, or the participants a collective releases) advance
-as numpy waves of at most _WAVE_LANES lanes each, which finalize every
-run up to its next waiting region, fire the triggers the runs reach and
-collect the next batch; a narrower batch goes lane by lane through the
-scalar loop, which follows a serial chain to its end in one pass.  Both
+Every lane's first region has its entry ideal from the start.  A lane
+is quiet when none of its regions waits on an edge or fires a trigger
+(say, a one-region lane of a cut collective): nothing reaches it and it
+reaches nothing, so its exit ideals are its running gap sums from 0.
+Whenever waves are on, all quiet lanes are finalized in that closed
+form, a segmented cumsum per block of lanes, before anything fires
+(once a head fires, the lanes its edges reach would look quiet too).
+The heads of the other lanes fire their triggers in one vectorized
+step.  Then the lanes that are ready at once advance by one of two
+paths, chosen each time a batch of them forms: at least WIDE_WAVE_RANKS
+lanes (all of a trace's iterations at once, or the participants a
+collective releases) advance as numpy waves of at most _WAVE_LANES
+lanes each, which finalize every run up to its next waiting region,
+fire the triggers the runs reach and collect the next batch; a narrower
+batch goes lane by lane through the scalar loop, which follows a serial
+chain to its end in one pass.  Both
 work on the same flat state, and the fixpoint does not depend on the
 order in which lanes advance, so the path changes nothing in the
 result.  Cycle breaking is scalar.
@@ -114,6 +121,10 @@ WIDE_WAVE_RANKS = 96
 # so that its temporaries stay bounded; a wider batch is split evenly.
 _WAVE_LANES = 1024
 
+# Most lanes, and most regions unless one lane holds more, that one step
+# of the sweep's first passes over all lanes takes.
+_LANE_BLOCK = 1 << 16
+
 
 def _narrow(values: np.ndarray, top: int) -> np.ndarray:
     """A copy of an integer array as int32 when every value lies in
@@ -156,20 +167,31 @@ class RankTimeline:
 
 
 class AnnotatedTimeline:
-    """Replay output: one RankTimeline per rank plus the shared end time.
+    """Replay output: every rank's clock points plus the shared end time.
 
-    The MPI event times that window planning counts are rank-major
-    columns: rank r owns rows event_offsets[r]:event_offsets[r+1] of each
-    column in event_columns.  Replay hands over the region table's entry
-    and exit columns, uncopied.
+    The points are three rank-major columns, times, oom and ideal: rank
+    r owns rows point_offsets[r]:point_offsets[r+1] of each, and ranks[r]
+    is a RankTimeline of views of those rows.  The MPI event times that
+    window planning counts are rank-major columns too: rank r owns rows
+    event_offsets[r]:event_offsets[r+1] of each column in event_columns.
+    Replay hands over the region table's entry and exit columns,
+    uncopied.
     """
 
-    def __init__(self, ranks: list[RankTimeline], total_duration: int,
+    def __init__(self, times: np.ndarray, oom: np.ndarray,
+                 ideal: np.ndarray, point_offsets: np.ndarray,
+                 total_duration: int,
                  event_offsets: np.ndarray | None = None,
                  event_columns: tuple[np.ndarray, ...] = ()):
-        self.ranks = ranks
+        self.times = times
+        self.oom = oom
+        self.ideal = ideal
+        self.point_offsets = point_offsets
         self.total_duration = total_duration
-        self.event_offsets = np.zeros(len(ranks) + 1, dtype=np.int64) \
+        bounds = point_offsets.tolist()
+        self.ranks = [RankTimeline(r, times[a:b], oom[a:b], ideal[a:b])
+                      for r, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+        self.event_offsets = np.zeros(len(bounds), dtype=np.int64) \
             if event_offsets is None else event_offsets
         self.event_columns = event_columns
 
@@ -934,19 +956,30 @@ def _sweep(graph: _Graph, lanes: np.ndarray, base, segs: np.ndarray,
         ready.extend(batch.tolist())
 
     # every lane's first region has its entry ideal, gap[head], from the
-    # start: fire all heads, then every lane whose head waits on nothing
-    # is ready
-    heads = lanes[:-1]
-    busy = lanes[1:] > heads
-    for lo in range(0, L, _WAVE_LANES):
-        at = heads[lo:lo + _WAVE_LANES][busy[lo:lo + _WAVE_LANES]]
-        _fire(at, v.gap[at], v, lanes)
-    batch = []
-    for lo in range(0, L, _WAVE_LANES):
-        at = lo + np.flatnonzero(busy[lo:lo + _WAVE_LANES])
-        batch.append(at[v.count[heads[at]] == 0])
-    del heads, busy
-    advance(np.concatenate(batch) if batch else np.zeros(0, np.int64))
+    # start.  With waves on, the quiet lanes are finalized first, all of
+    # them before any head fires: a fired edge lowers the count of the
+    # region it reaches, which would make that region's lane look quiet.
+    # The other lanes fire their heads, and every one whose head then
+    # waits on nothing is ready.  Lanes are taken in blocks, and the
+    # ready ones marked in one flag per lane, so that no temporary holds
+    # every lane; the later passes find the lanes left by their frontiers.
+    blocks = _lane_blocks(lanes)
+    heads, ends = lanes[:-1], lanes[1:]
+    if waves:
+        for lo, hi in blocks:
+            _finish_quiet(lo + np.flatnonzero(ends[lo:hi] > heads[lo:hi]),
+                          v, lanes)
+    for lo, hi in blocks:
+        at = heads[lo:hi][v.front[lo:hi] < ends[lo:hi]]
+        for k in range(0, len(at), _WAVE_LANES):
+            g = at[k:k + _WAVE_LANES]
+            _fire(g, v.gap[g], v, lanes)
+    batch = np.zeros(L, dtype=bool)
+    for lo, hi in blocks:
+        at = lo + np.flatnonzero(v.front[lo:hi] < ends[lo:hi])
+        batch[at[v.count[heads[at]] == 0]] = True
+    del heads, ends
+    advance(np.flatnonzero(batch))
     del batch
     while True:
         while ready:
@@ -990,6 +1023,51 @@ def _sweep(graph: _Graph, lanes: np.ndarray, base, segs: np.ndarray,
         if not break_cycles:
             return None
         break_cycle(blocked.tolist())
+
+
+def _lane_blocks(lanes: np.ndarray) -> list[tuple[int, int]]:
+    """The lanes in consecutive ranges [lo, hi) of at most _LANE_BLOCK
+    lanes that hold at most _LANE_BLOCK regions together, or one lane
+    that holds more."""
+    L = len(lanes) - 1
+    blocks = []
+    lo = 0
+    while lo < L:
+        hi = int(np.searchsorted(lanes, lanes[lo] + _LANE_BLOCK,
+                                 side="right")) - 1
+        hi = min(max(hi, lo + 1), lo + _LANE_BLOCK)
+        blocks.append((lo, hi))
+        lo = hi
+    return blocks
+
+
+def _finish_quiet(at: np.ndarray, v: SimpleNamespace,
+                  offsets: np.ndarray) -> None:
+    """Finalize the quiet lanes among the non-empty lanes at, in order,
+    before any head fires: those none of whose regions waits on an edge
+    or fires a trigger.  Nothing reaches such a lane and it reaches
+    nothing, so its exit ideals are its running gap sums from 0, and its
+    frontier moves to its end: what a wave would give, without the
+    wave's running maximum of arrived values."""
+    if not len(at):
+        return
+    head, end = offsets[at], offsets[at + 1]
+    quiet = v.trig_off[head] == v.trig_off[end]
+    # counts are never negative; reduceat reads only this block's regions
+    quiet &= np.add.reduceat(v.count[head[0]:end[-1]], head - head[0]) == 0
+    if not quiet.any():
+        return
+    at, head, end = at[quiet], head[quiet], end[quiet]
+    v.front[at] = end
+    v.ideal[head] = v.gap[head]
+    n = end - head
+    long = n > 1
+    if long.any():
+        head, n = head[long], n[long]
+        g = _spans(head, n)
+        c = np.cumsum(v.gap[g])
+        c -= np.repeat(c[np.cumsum(n) - n] - v.gap[head], n)
+        v.ideal[g] = c
 
 
 def _sums_fit(gap: np.ndarray) -> bool:
@@ -1220,7 +1298,5 @@ def _assemble_timeline(table: RegionTable, ideal_exit: np.ndarray,
     ideal_entry[head] = ent[head]
     ideal = column(ideal_entry, ideal_exit,
                    by_rank(ideal_exit[tail])[extra] + after)
-    bounds = [0] + stop.tolist()
-    ranks = [RankTimeline(r, times[a:b], oom[a:b], ideal[a:b])
-             for r, (a, b) in enumerate(zip(bounds, bounds[1:]))]
-    return AnnotatedTimeline(ranks, end_time, offsets, (ent, ex))
+    return AnnotatedTimeline(times, oom, ideal, np.concatenate(([0], stop)),
+                             end_time, offsets, (ent, ex))

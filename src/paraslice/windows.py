@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .replay import AnnotatedTimeline, RankTimeline
+from .replay import AnnotatedTimeline
 
 
 @dataclass(slots=True)
@@ -161,17 +161,6 @@ def plan_windows(timeline: AnnotatedTimeline, base_length_ns: int,
                       clamped, min_events)
 
 
-def clocks_at(tl: RankTimeline, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized min-cap interpolation: (oom, ideal) at each time (the
-    elapsed clock is the time itself)."""
-    idx = np.searchsorted(tl.times, ts, side="right") - 1
-    idx = np.clip(idx, 0, len(tl.times) - 2)
-    dt = ts - tl.times[idx]
-    oom = np.minimum(tl.oom[idx] + dt, tl.oom[idx + 1])
-    ideal = np.minimum(tl.ideal[idx] + dt, tl.ideal[idx + 1])
-    return oom, ideal
-
-
 @dataclass(slots=True)
 class BoundaryClocks:
     """Out-of-MPI and ideal clock values of every rank at every window
@@ -183,10 +172,29 @@ class BoundaryClocks:
 
 def boundary_clocks(timeline: AnnotatedTimeline,
                     boundaries: np.ndarray) -> BoundaryClocks:
-    ooms = []
-    ideals = []
-    for tl in timeline.ranks:
-        o, i = clocks_at(tl, boundaries)
-        ooms.append(o)
-        ideals.append(i)
-    return BoundaryClocks(boundaries, np.stack(ooms), np.stack(ideals))
+    """Every rank's clocks at every boundary, by the min-cap rule.
+
+    Each rank's times are searched for the point at or before every
+    boundary; the interpolation then runs on the ranks x boundaries
+    index matrix at once.  Every rank has points at 0 and at the
+    duration, and the boundaries lie between them.
+    """
+    times, offsets = timeline.times, timeline.point_offsets
+    bounds = offsets.tolist()
+    at = np.empty((len(bounds) - 1, len(boundaries)), dtype=np.int64)
+    for r, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        at[r] = np.searchsorted(times[a:b], boundaries, side="right")
+    # the point at or before each boundary, and never a rank's last one
+    at -= 1
+    np.clip(at, 0, np.diff(offsets)[:, None] - 2, out=at)
+    at += offsets[:-1, None]
+    dt = times[at]
+    np.subtract(boundaries, dt, out=dt)
+    oom, ideal = timeline.oom[at], timeline.ideal[at]
+    oom += dt
+    ideal += dt
+    del dt
+    at += 1
+    np.minimum(oom, timeline.oom[at], out=oom)
+    np.minimum(ideal, timeline.ideal[at], out=ideal)
+    return BoundaryClocks(boundaries, oom, ideal)

@@ -1,12 +1,15 @@
 """Shared fixtures: force one of replay's two sweep paths, or turn off
-its cuts at collectives (world cuts and group cuts alike); and a reader
-of a trace's region columns."""
+its cuts at collectives (world cuts and group cuts alike); a reader of a
+trace's region columns; and a builder of replay's output from per-rank
+clock points."""
 
 import importlib
 
+import numpy as np
 import pytest
 
 from paraslice.model import CLASS_CODES
+from paraslice.replay import AnnotatedTimeline
 
 # the module, not the replay function the package exports under its name
 replay_module = importlib.import_module("paraslice.replay")
@@ -52,3 +55,14 @@ def region_lists(trace):
                     [hints.get(j) for j in range(t.row_count)]))
     bounds = t.offsets.tolist()
     return [rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def timeline_of_ranks(ranks, duration, event_offsets=None, event_columns=()):
+    """An AnnotatedTimeline whose rank r has the clock points of
+    ranks[r], a RankTimeline, packed into rank-major point columns."""
+    bounds = np.cumsum([0] + [len(tl.times) for tl in ranks])
+    columns = [np.concatenate([np.asarray(getattr(tl, name), dtype=np.int64)
+                               for tl in ranks] + [np.zeros(0, np.int64)])
+               for name in ("times", "oom", "ideal")]
+    return AnnotatedTimeline(*columns, bounds, duration, event_offsets,
+                             event_columns)

@@ -40,9 +40,10 @@ from paraslice.model import (
     group_collectives,
 )
 from paraslice.synth import expected_metrics, generate_to_files, load_scenario
-from paraslice.windows import boundary_clocks, clocks_at
+from paraslice.windows import boundary_clocks
 
 from bruteforce import brute_force_ideal, brute_force_oom
+from conftest import timeline_of_ranks
 from scenarios import phase_bench_scenario, random_scenario, roundtrip
 
 P2P = CallClass.POINT_TO_POINT
@@ -258,8 +259,9 @@ def test_criterion_5_boundary_interpolation_exact_deltas():
 
     # inside rank 0's receive the ideal clock keeps pace with elapsed
     # time until its finalized exit value caps it
-    oom, ideal = clocks_at(tl0, np.asarray([7], dtype=np.int64))
-    assert (oom.tolist(), ideal.tolist()) == ([4], [7])
+    alone = boundary_clocks(timeline_of_ranks([tl0], 10),
+                            np.asarray([7], dtype=np.int64))
+    assert (alone.oom.tolist(), alone.ideal.tolist()) == ([[4]], [[7]])
 
     bc = boundary_clocks(timeline, np.asarray([0, 7, 10], dtype=np.int64))
     assert np.diff(bc.oom[0]).tolist() == [4, 0]

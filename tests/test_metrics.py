@@ -14,9 +14,10 @@ from paraslice import (
     window_series,
 )
 from paraslice.metrics import critical_path, window_metrics
-from paraslice.replay import AnnotatedTimeline, RankTimeline
+from paraslice.replay import RankTimeline
 from paraslice.windows import Window, WindowPlan, boundary_clocks
 
+from conftest import timeline_of_ranks
 from scenarios import random_scenario, roundtrip
 from test_replay import trace_of, P2P
 from test_windows import linear_rank
@@ -83,8 +84,7 @@ class TestWindowMetrics:
 
 class TestGlobalMetrics:
     def test_single_rank_identity(self):
-        tl = AnnotatedTimeline(
-            [linear_rank(0, 50)], 50)
+        tl = timeline_of_ranks([linear_rank(0, 50)], 50)
         g = global_metrics(tl)
         assert g.load_balance == 1.0
         assert g.serialisation == 1.0
@@ -94,7 +94,7 @@ class TestGlobalMetrics:
 
     def test_balanced_ranks_identity(self):
         ranks = [linear_rank(r, 50) for r in range(4)]
-        g = global_metrics(AnnotatedTimeline(ranks, 50))
+        g = global_metrics(timeline_of_ranks(ranks, 50))
         assert (g.load_balance, g.serialisation, g.transfer,
                 g.efficiency) == (1.0, 1.0, 1.0, 1.0)
 
@@ -110,7 +110,7 @@ class TestGlobalMetrics:
                          np.asarray([0, 40, 50])),
             linear_rank(1, 50),
         ]
-        g = global_metrics(AnnotatedTimeline(ranks, 50))
+        g = global_metrics(timeline_of_ranks(ranks, 50))
         assert g.load_balance == pytest.approx(0.9)
         assert g.serialisation == 1.0
         assert g.transfer == 1.0

@@ -629,22 +629,193 @@ def test_ring_with_a_barrier_per_iteration_replays_in_lanes(monkeypatch):
     assert [ideal[-1] for _, _, ideal in timelines] == finals
 
 
+class QuietPass:
+    """Spies on replay's waves and its closed form of quiet lanes: how
+    many waves ran, and the region count of every lane finalized in
+    closed form."""
+
+    def __init__(self, monkeypatch):
+        self.waves = 0
+        self.quiet = []
+        wave, finish = replay_module._wave, replay_module._finish_quiet
+
+        def spy_wave(*args):
+            self.waves += 1
+            return wave(*args)
+
+        def spy_finish(busy, v, offsets):
+            finish(busy, v, offsets)
+            quiet = busy[v.front[busy] == offsets[busy + 1]]
+            self.quiet += (offsets[quiet + 1] - offsets[quiet]).tolist()
+
+        monkeypatch.setattr(replay_module, "_wave", spy_wave)
+        monkeypatch.setattr(replay_module, "_finish_quiet", spy_finish)
+
+
+def test_sub_communicator_allreduce_replays_without_waves(monkeypatch,
+                                                          tmp_path):
+    """The coll256_fine shape at 16 ranks: every lane ends at one
+    allreduce of its group or the final barrier, both cuts, so every lane
+    is quiet and finalized in closed form, and no wave runs; the clocks
+    equal the rank-by-rank sweep's and the oracle's."""
+    scenario = load_scenario({
+        "name": "split", "rank_count": 16, "seed": 7, "phases": [{
+            "pattern": "allreduce", "iterations": 20,
+            "compute": {"kind": "linear_imbalance", "mean_ns": 50000,
+                        "imbalance_ratio": 1.5, "jitter_ns": 10000},
+            "communicator_split": 4, "injected_wait_ns": 2000}]})
+    trace = roundtrip(scenario, tmp_path)[0]
+    with monkeypatch.context() as patch:
+        spy = LanePass(patch)
+        quiet = QuietPass(patch)
+        timeline, log = replay(trace)
+    lanes = spy.lanes()
+    assert lanes is not None and lanes >= replay_module.WIDE_WAVE_RANKS
+    busy = np.count_nonzero(np.diff(spy.cuts[-1].lanes))
+    assert quiet.waves == 0 and len(quiet.quiet) == busy > 0
+    assert log.total == 0
+    with monkeypatch.context() as patch:
+        patch.setattr(replay_module, "_find_cuts", no_cuts)
+        ranks, _ = replay(trace)
+    clocks = [(tl.times.tolist(), tl.oom.tolist(), tl.ideal.tolist())
+              for tl in timeline.ranks]
+    assert clocks == [(tl.times.tolist(), tl.oom.tolist(), tl.ideal.tolist())
+                      for tl in ranks.ranks]
+    finals, _ = brute_force_ideal(trace)
+    assert [ideal[-1] for _, _, ideal in clocks] == finals
+
+
+def quiet_beside_messages(ranks: int) -> dict:
+    """Per iteration every rank computes and enters a world barrier;
+    before it, ranks 0 and 1 exchange an eager and a rendezvous message,
+    and every other rank passes through several regions that carry
+    nothing, so its lanes are quiet and longer than one region."""
+    regions = [[] for _ in range(ranks)]
+    messages = []
+    for it in range(6):
+        t0 = 1000 * it
+        regions[0] += [(t0 + 100, t0 + 110, P2P, None),
+                       (t0 + 120, t0 + 300, P2P, None)]
+        regions[1] += [(t0 + 105, t0 + 115, P2P, None),
+                       (t0 + 130, t0 + 310, P2P, None)]
+        messages += [(0, 1, t0 + 100, t0 + 310, 8, V),
+                     (1, 0, t0 + 105, t0 + 300, 100_000, V)]
+        for r in range(2, ranks):
+            t = t0 + 10 + (r * 37 + it * 11) % 90
+            for k in range(1 + (r + it) % 4):
+                regions[r].append((t, t + 5 + k, P2P, None))
+                t += 20 + k
+        for r in range(ranks):
+            regions[r].append((t0 + 500 + r, t0 + 600, COLL, None))
+    return {"P": ranks, "regions": regions, "comms": [],
+            "messages": messages, "duration": 6100}
+
+
+@pytest.mark.parametrize("path", [EVERY_WAVE_WIDE, EVERY_WAVE_SCALAR])
+def test_quiet_lanes_of_several_regions_beside_message_lanes(monkeypatch,
+                                                             path):
+    """Quiet lanes of several regions are finalized by a segmented cumsum
+    beside lanes that carry messages; waves or lane by lane, the result
+    equals the scalar sweep's, the rank-by-rank sweep's and the
+    oracle's."""
+    spec = quiet_beside_messages(8)
+    monkeypatch.setattr(replay_module, "WIDE_WAVE_RANKS", EVERY_WAVE_SCALAR)
+    _, expected = outcome(spec)
+    monkeypatch.setattr(replay_module, "WIDE_WAVE_RANKS", path)
+    quiet = QuietPass(monkeypatch)
+    lanes, result = two_ways(monkeypatch, spec)
+    assert result == expected and result[1] == []
+    assert lanes == 8 * 7
+    if path == EVERY_WAVE_WIDE:
+        # all lanes but those of ranks 0 and 1, and the empty last ones
+        assert len(quiet.quiet) == 6 * 6 and max(quiet.quiet) > 2
+        assert quiet.waves
+    else:
+        assert quiet.quiet == []
+    finals, _ = brute_force_ideal(build(spec))
+    assert [ideal[-1] for _, _, ideal in result[0]] == finals
+
+
+@pytest.mark.parametrize("path", [EVERY_WAVE_WIDE, EVERY_WAVE_SCALAR])
+def test_cycle_sweep_on_ranks_with_quiet_ranks(monkeypatch, path):
+    """A rendezvous floor back across a collective of ranks 0 and 1 closes
+    a dependency cycle, so replay sweeps rank by rank and breaks it;
+    ranks 2 and 3 carry nothing, so they are quiet ranks, finalized in
+    closed form when waves are on."""
+    spec = ranks_of(4, {0: [(0, 10, P2P, None), (20, 30, COLL, 4)],
+                        1: [(0, 10, P2P, None), (20, 30, COLL, 4),
+                            (40, 50, P2P, None)],
+                        2: [(3, 8, P2P, None), (12, 40, OTHER, None),
+                            (45, 47, COLL, 5)],
+                        3: [(45, 47, COLL, 5)]},
+                    [CommunicatorDef(4, [0, 1]), CommunicatorDef(5, [3])],
+                    [(0, 1, 5, 45, 100_000, V)])
+    monkeypatch.setattr(replay_module, "WIDE_WAVE_RANKS", EVERY_WAVE_SCALAR)
+    trace, expected = outcome(spec)
+    monkeypatch.setattr(replay_module, "WIDE_WAVE_RANKS", path)
+    quiet = QuietPass(monkeypatch)
+    lanes, result = two_ways(monkeypatch, spec)
+    assert lanes is None and result == expected
+    assert {detail for _, _, detail in result[1]} == {
+        "rendezvous floor on a dependency cycle",
+        "participants do not match communicator membership; "
+        "synchronization skipped"}
+    assert quiet.quiet == ([3, 1, 3, 1] if path == EVERY_WAVE_WIDE else [])
+    finals, _ = brute_force_ideal(trace)
+    assert [ideal[-1] for _, _, ideal in result[0]] == finals
+
+
+def test_quiet_lanes_are_found_before_any_head_fires(monkeypatch):
+    """Rank 0's lanes each open with an eager send that rank 1's lane of
+    the same iteration receives.  With lane blocks of a few regions,
+    rank 1's lanes lie in later blocks than the sends; once a send has
+    fired, its receive counts no edge, so the quiet-lane pass must run
+    over every block before any head fires, or it would take rank 1's
+    lanes for quiet and drop the wait for the sender."""
+    iterations = 40
+    regions = [[], []]
+    messages = []
+    for it in range(iterations):
+        t0 = 1000 * it
+        regions[0] += [(t0 + 300, t0 + 310, P2P, None),
+                       (t0 + 400, t0 + 410, COLL, None)]
+        regions[1] += [(t0 + 20, t0 + 330, P2P, None),
+                       (t0 + 400, t0 + 410, COLL, None)]
+        messages.append((0, 1, t0 + 300, t0 + 330, 8, V))
+    spec = {"P": 2, "regions": regions, "comms": [], "messages": messages,
+            "duration": 1000 * iterations}
+    monkeypatch.setattr(replay_module, "WIDE_WAVE_RANKS", EVERY_WAVE_SCALAR)
+    _, expected = outcome(spec)
+    monkeypatch.setattr(replay_module, "WIDE_WAVE_RANKS", EVERY_WAVE_WIDE)
+    for block in (3, 16, replay_module._LANE_BLOCK):
+        with monkeypatch.context() as patch:
+            patch.setattr(replay_module, "_LANE_BLOCK", block)
+            quiet = QuietPass(patch)
+            lanes, result = two_ways(patch, spec)
+        assert lanes == 2 * (iterations + 1) and result == expected
+        assert quiet.quiet == []
+    finals, _ = brute_force_ideal(build(spec))
+    assert [ideal[-1] for _, _, ideal in result[0]] == finals
+
+
 @pytest.mark.parametrize("late", [1 << 60, (1 << 61) + 1000])
 def test_clock_sums_near_int64_limits(monkeypatch, late):
-    """A wave subtracts partial gap sums from clock values in int64; when
-    the gaps of a trace add up to 2**61 or more, every batch takes the
-    scalar loop, whose Python integers cannot wrap."""
+    """A wave subtracts partial gap sums from clock values in int64, and
+    the closed form of quiet lanes adds them up in int64; when the gaps
+    of a trace add up to 2**61 or more, neither runs and every batch
+    takes the scalar loop, whose Python integers cannot wrap."""
     spec = {"P": 2, "comms": [], "messages": [], "duration": late + 100,
             "regions": [[(0, 10, COLL, None), (late, late + 10, P2P, None)],
                         [(5, 10, COLL, None)]]}
     _, expected = outcome(spec)
-    waves = []
-    original = replay_module._wave
+    vector = []
     monkeypatch.setattr(replay_module, "WIDE_WAVE_RANKS", EVERY_WAVE_WIDE)
-    monkeypatch.setattr(replay_module, "_wave",
-                        lambda *args: waves.append(1) or original(*args))
+    for name in ("_wave", "_finish_quiet"):
+        original = getattr(replay_module, name)
+        monkeypatch.setattr(replay_module, name, lambda *args, f=original: (
+            vector.append(1) or f(*args)))
     assert outcome(spec)[1] == expected
-    assert bool(waves) == (late < 1 << 61)
+    assert bool(vector) == (late < 1 << 61)
 
 
 def barrier_trace(ranks: int, iterations: int) -> Trace:

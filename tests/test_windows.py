@@ -1,14 +1,19 @@
 """Tests for window planning, merging, and min-cap clock interpolation."""
 
+import random
 import tracemalloc
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 
 from paraslice import load_trace, replay
-from paraslice.replay import AnnotatedTimeline, RankTimeline
+from paraslice.replay import RankTimeline
 from paraslice.synth import ComputeSpec, PhaseSpec, Scenario, generate_to_files
-from paraslice.windows import boundary_clocks, clocks_at, plan_windows
+from paraslice.windows import boundary_clocks, plan_windows
+
+from conftest import timeline_of_ranks
+from test_replay_sweeps import build, random_spec
 
 
 def linear_rank(rank, duration):
@@ -23,7 +28,7 @@ def timeline_of(duration, *event_lists):
     ranks = [linear_rank(r, duration) for r in range(len(event_lists))]
     offsets = np.cumsum([0] + [len(ev) for ev in event_lists])
     events = np.asarray([t for ev in event_lists for t in ev], dtype=np.int64)
-    return AnnotatedTimeline(ranks, duration, offsets, (events,))
+    return timeline_of_ranks(ranks, duration, offsets, (events,))
 
 
 class TestPlanWindows:
@@ -155,6 +160,14 @@ def mpi_rank():
                         np.asarray([0, 4, 8]))
 
 
+def clocks_at(tl, ts):
+    """(oom, ideal) arrays of the rank tl at the times ts, read from the
+    boundary clocks of a timeline of tl alone, which ends at its last
+    point."""
+    bc = boundary_clocks(timeline_of_ranks([tl], int(tl.times[-1])), ts)
+    return bc.oom[0], bc.ideal[0]
+
+
 def clocks_of(tl, *ts):
     """(oom, ideal) lists of tl at the times ts."""
     oom, ideal = clocks_at(tl, np.asarray(ts, dtype=np.int64))
@@ -201,7 +214,7 @@ class TestBoundaryClocks:
         ranks = [mpi_rank(),
                  RankTimeline(1, np.asarray([0, 10]), np.asarray([0, 8]),
                               np.asarray([0, 8]))]
-        tl = AnnotatedTimeline(ranks, 10)
+        tl = timeline_of_ranks(ranks, 10)
         bounds = np.asarray([0, 5, 10], dtype=np.int64)
         bc = boundary_clocks(tl, bounds)
         assert bc.oom.shape == (2, 3) and bc.ideal.shape == (2, 3)
@@ -209,3 +222,53 @@ class TestBoundaryClocks:
         assert list(bc.ideal[:, 0]) == [0, 0]
         assert list(bc.oom[:, -1]) == [4, 8]
         assert list(bc.ideal[:, -1]) == [8, 8]
+
+
+def min_cap(times, clock, t):
+    """One clock of one rank at time t, point by point: from the last
+    point at or before t, never the rank's last one, it rises 1:1 with
+    elapsed time until the next point's value caps it."""
+    k = min(max(bisect_right(times, t) - 1, 0), len(times) - 2)
+    return min(clock[k] + t - times[k], clock[k + 1])
+
+
+def replayed_timelines(cases: int):
+    """Timelines of random replayed traces, each with the sorted
+    boundaries to read it at: 0, the duration, every point time and
+    random times between.  Half the traces end at their last region
+    exit, so the ranks that exit last get no end sentinel."""
+    rng = random.Random(20261020)
+    for _ in range(cases):
+        spec = random_spec(rng)
+        exits = [spec_[1] for specs in spec["regions"] for spec_ in specs]
+        if exits and rng.random() < 0.5:
+            spec["duration"] = max(exits)
+        spec["duration"] = max(spec["duration"], 1)
+        timeline, _ = replay(build(spec))
+        D = timeline.total_duration
+        picks = [rng.randint(0, D) for _ in range(rng.randint(0, 20))]
+        bounds = np.unique(np.concatenate((
+            timeline.times, np.asarray([0, D] + picks, dtype=np.int64))))
+        yield spec, timeline, bounds
+
+
+def test_boundary_clocks_match_the_rule_point_by_point():
+    """Boundary clocks equal the min-cap rule applied point by point, at
+    point times, at 0 and at the duration, on ranks with and without an
+    end sentinel."""
+    seen = {"sentinel": 0, "no sentinel": 0}
+    for spec, timeline, bounds in replayed_timelines(300):
+        D = timeline.total_duration
+        bc = boundary_clocks(timeline, bounds)
+        assert bc.oom.shape == bc.ideal.shape == (
+            timeline.rank_count, len(bounds))
+        for tl, oom, ideal in zip(timeline.ranks, bc.oom, bc.ideal):
+            times, t = tl.times.tolist(), bounds.tolist()
+            assert oom.tolist() == [min_cap(times, tl.oom.tolist(), b)
+                                    for b in t]
+            assert ideal.tolist() == [min_cap(times, tl.ideal.tolist(), b)
+                                      for b in t]
+        for specs in spec["regions"]:
+            seen["sentinel" if not specs or specs[-1][1] < D
+                 else "no sentinel"] += 1
+    assert all(count >= 30 for count in seen.values()), seen
