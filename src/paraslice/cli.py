@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .metrics import (
@@ -72,19 +71,15 @@ def parse_duration(text: str) -> int:
     return ns
 
 
-@dataclass(slots=True)
-class RunConfig:
-    trace_path: str
-    window_ns: int | None = None
-    cutoff_ns: int | None = None
-    min_events: int = 8
-    eager_limit: int = DEFAULT_EAGER_LIMIT
-    out_format: str = "csv"
-    out_dir: str = "."
-    plot: bool = False
-    strict: bool = False
-    time_unit: TimeUnit | None = None
-    reference_global: tuple[float, float, float, float] | None = None
+FACTORS = ("load_balance", "serialisation", "transfer", "efficiency")
+
+# every window output carries these fields, in this order: the CSV and
+# JSON series all of them, the plot payload all but the derived seconds
+# and the merge bookkeeping
+_COLUMNS = ("start_ns", "end_ns", "start_s", "end_s", "merged_from",
+            "flags", *FACTORS)
+_PLOT_COLUMNS = tuple(c for c in _COLUMNS if c not in
+                      ("start_s", "end_s", "merged_from", "flags"))
 
 
 def _fmt(value) -> str:
@@ -100,50 +95,44 @@ def _flags(wm: WindowMetrics) -> str:
     return "|".join(parts)
 
 
-_COLUMNS = ("start_ns", "end_ns", "start_s", "end_s", "merged_from",
-            "flags", "load_balance", "serialisation", "transfer",
-            "efficiency")
+def _window_fields(wm: WindowMetrics) -> dict:
+    """One window's output row, keyed by _COLUMNS, with raw values."""
+    return dict(zip(_COLUMNS, (
+        wm.start_ns, wm.end_ns, wm.start_ns / 1e9, wm.end_ns / 1e9,
+        wm.merged_from, _flags(wm), *(getattr(wm, f) for f in FACTORS))))
 
 
-def _window_row(wm: WindowMetrics) -> list[str]:
-    return [str(wm.start_ns), str(wm.end_ns),
-            _fmt(wm.start_ns / 1e9), _fmt(wm.end_ns / 1e9),
-            str(wm.merged_from), _flags(wm),
-            _fmt(wm.load_balance), _fmt(wm.serialisation),
-            _fmt(wm.transfer), _fmt(wm.efficiency)]
+def _cell(value) -> str:
+    """A CSV cell: floats and None as _fmt writes them, the rest as is."""
+    return _fmt(value) if value is None or isinstance(value, float) \
+        else str(value)
 
 
-def write_windows_csv(path: Path, series: list[WindowMetrics]) -> None:
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                    encoding="utf-8")
+
+
+def _kind_counts(log: AnomalyLog, indent: str = "") -> list[str]:
+    """One line per anomaly kind the log holds, in AnomalyKind order."""
+    return [f"{indent}{kind.value}: {log.count(kind)}"
+            for kind in AnomalyKind if log.count(kind)]
+
+
+def write_windows(path: Path, rows: list[dict], fmt: str) -> None:
+    """The window series, one row per window, as CSV or JSON."""
+    if fmt == "json":
+        _write_json(path, {"schema": "windows/1", "windows": rows})
+        return
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_COLUMNS)
-        for wm in series:
-            writer.writerow(_window_row(wm))
-
-
-def write_windows_json(path: Path, series: list[WindowMetrics]) -> None:
-    rows = []
-    for wm in series:
-        rows.append({
-            "start_ns": wm.start_ns,
-            "end_ns": wm.end_ns,
-            "start_s": wm.start_ns / 1e9,
-            "end_s": wm.end_ns / 1e9,
-            "merged_from": wm.merged_from,
-            "flags": _flags(wm),
-            "load_balance": wm.load_balance,
-            "serialisation": wm.serialisation,
-            "transfer": wm.transfer,
-            "efficiency": wm.efficiency,
-        })
-    path.write_text(json.dumps({"schema": "windows/1", "windows": rows},
-                               indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+        writer.writerows([_cell(v) for v in row.values()] for row in rows)
 
 
 def write_summary(path: Path, source: str, gm: GlobalMetrics,
                   plan: WindowPlan, series: list[WindowMetrics],
-                  log: AnomalyLog, config: RunConfig) -> None:
+                  log: AnomalyLog, eager_limit: int) -> None:
     merged = sum(1 for w in series if w.merged)
     idle = sum(1 for w in series if w.idle)
     lines = [
@@ -154,10 +143,7 @@ def write_summary(path: Path, source: str, gm: GlobalMetrics,
         f"t_compute_max_ns: {max(gm.t_compute)}",
         f"t_compute_mean_ns: {_fmt(sum(gm.t_compute) / gm.rank_count)}",
         "",
-        f"load_balance: {_fmt(gm.load_balance)}",
-        f"serialisation: {_fmt(gm.serialisation)}",
-        f"transfer: {_fmt(gm.transfer)}",
-        f"efficiency: {_fmt(gm.efficiency)}",
+        *(f"{f}: {_fmt(getattr(gm, f))}" for f in FACTORS),
         "",
         f"windows: {len(series)} ({merged} merged, {idle} idle)",
         f"window_length_ns: {plan.base_length_ns} "
@@ -165,13 +151,10 @@ def write_summary(path: Path, source: str, gm: GlobalMetrics,
         f"analysis_span_ns: {plan.effective_duration_ns}"
         + (" (clamped)" if plan.clamped else ""),
         f"min_events: {plan.min_events}",
-        f"eager_limit_bytes: {config.eager_limit}",
+        f"eager_limit_bytes: {eager_limit}",
         f"anomalies: {log.total}",
+        *_kind_counts(log, "  "),
     ]
-    for kind in AnomalyKind:
-        n = log.count(kind)
-        if n:
-            lines.append(f"  {kind.value}: {n}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -181,11 +164,8 @@ def write_anomalies(path: Path, log: AnomalyLog,
         f"total: {log.total}",
         f"records: {counters.records} consumed: {counters.consumed} "
         f"ignored: {counters.ignored} dropped: {counters.dropped}",
+        *_kind_counts(log),
     ]
-    for kind in AnomalyKind:
-        n = log.count(kind)
-        if n:
-            lines.append(f"{kind.value}: {n}")
     if log.entries:
         lines.append("")
     for e in log.entries:
@@ -193,24 +173,15 @@ def write_anomalies(path: Path, log: AnomalyLog,
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_plot(path: Path, plan: WindowPlan, series: list[WindowMetrics],
+def write_plot(path: Path, plan: WindowPlan, rows: list[dict],
                cp: list[int]) -> None:
     """Plain JSON payload a notebook can plot without this package."""
-    payload = {
+    _write_json(path, {
         "schema": "plot/1",
         "boundaries_ns": [int(b) for b in plan.boundaries()],
         "critical_path_ns": cp,
-        "windows": {
-            "start_ns": [w.start_ns for w in series],
-            "end_ns": [w.end_ns for w in series],
-            "load_balance": [w.load_balance for w in series],
-            "serialisation": [w.serialisation for w in series],
-            "transfer": [w.transfer for w in series],
-            "efficiency": [w.efficiency for w in series],
-        },
-    }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+        "windows": {c: [row[c] for row in rows] for c in _PLOT_COLUMNS},
+    })
 
 
 def _strict_failure(log: AnomalyLog, stage: str) -> int:
@@ -223,52 +194,53 @@ def _strict_failure(log: AnomalyLog, stage: str) -> int:
     return EXIT_STRICT
 
 
-def run(config: RunConfig) -> int:
-    """Analyze one trace per the config; returns the process exit code."""
+def run(args: argparse.Namespace) -> int:
+    """Analyze one trace per the parsed `analyze` arguments, whose
+    eager_limit main has resolved; returns the process exit code."""
     try:
-        trace, log, counters = load_trace(config.trace_path,
-                                          time_unit=config.time_unit)
+        trace, log, counters = load_trace(
+            args.trace,
+            time_unit=TimeUnit(args.time_unit) if args.time_unit else None)
     except OSError as exc:
-        print(f"error: cannot read {config.trace_path}: {exc}",
-              file=sys.stderr)
+        print(f"error: cannot read {args.trace}: {exc}", file=sys.stderr)
         return EXIT_UNREADABLE
     except IngestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
 
-    if config.strict and log.total:
+    if args.strict and log.total:
         return _strict_failure(log, "ingest")
 
-    if config.strict:
+    try:
+        timeline, replay_log = replay(trace,
+                                      eager_limit_bytes=args.eager_limit)
+    except ReplayError as exc:
+        print(f"error: replay: {exc}", file=sys.stderr)
+        return EXIT_STRICT
+    if args.strict:
+        if replay_log.total:
+            return _strict_failure(replay_log, "replay")
+        # replay degraded nothing, so the trace is as ingest built it
         report = validate_trace(trace)
         if not report.ok:
             print(f"error: strict mode: {report}", file=sys.stderr)
             return EXIT_STRICT
-
-    try:
-        timeline, replay_log = replay(trace,
-                                      eager_limit_bytes=config.eager_limit)
-    except ReplayError as exc:
-        print(f"error: replay: {exc}", file=sys.stderr)
-        return EXIT_STRICT
-    if config.strict and replay_log.total:
-        return _strict_failure(replay_log, "replay")
     # the timeline keeps the region times windowing needs; the rest of
     # the trace goes before window planning allocates
     del trace
     log.extend(replay_log)
 
-    window_ns = config.window_ns
+    window_ns = args.window
     if window_ns is None:
         span = min(timeline.total_duration,
-                   config.cutoff_ns or timeline.total_duration)
+                   args.cutoff or timeline.total_duration)
         window_ns = max(span // 50, 1)
 
     try:
         gm = global_metrics(timeline)
         plan = plan_windows(timeline, window_ns,
-                            min_events=config.min_events,
-                            cutoff_ns=config.cutoff_ns)
+                            min_events=args.min_events,
+                            cutoff_ns=args.cutoff)
     except NoComputeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_COMPUTE
@@ -277,32 +249,29 @@ def run(config: RunConfig) -> int:
         return EXIT_BAD_CONFIG
     bc = boundary_clocks(timeline, plan.boundaries())
     series = window_series(timeline, plan, bc)
+    rows = [_window_fields(wm) for wm in series]
 
-    out_dir = Path(config.out_dir)
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stem = Path(config.trace_path).stem
-    if config.out_format == "json":
-        write_windows_json(out_dir / f"{stem}.windows.json", series)
-    else:
-        write_windows_csv(out_dir / f"{stem}.windows.csv", series)
+    stem = Path(args.trace).stem
+    write_windows(out_dir / f"{stem}.windows.{args.format}", rows,
+                  args.format)
     write_summary(out_dir / f"{stem}.summary.txt",
-                  os.path.basename(config.trace_path), gm, plan, series,
-                  log, config)
+                  os.path.basename(args.trace), gm, plan, series, log,
+                  args.eager_limit)
     write_anomalies(out_dir / f"{stem}.anomalies.txt", log, counters)
-    if config.plot:
+    if args.plot:
         cp = [int(v) for v in critical_path(bc)]
-        write_plot(out_dir / f"{stem}.plot.json", plan, series, cp)
+        write_plot(out_dir / f"{stem}.plot.json", plan, rows, cp)
 
+    got = [getattr(gm, f) for f in FACTORS]
+    lb, ser, trf, eff = map(_fmt, got)
     print(f"{stem}: {gm.rank_count} ranks, {len(series)} windows, "
-          f"efficiency {_fmt(gm.efficiency)} "
-          f"(LB {_fmt(gm.load_balance)} x Ser {_fmt(gm.serialisation)} "
-          f"x Trf {_fmt(gm.transfer)})")
+          f"efficiency {eff} (LB {lb} x Ser {ser} x Trf {trf})")
 
-    if config.reference_global is not None:
-        got = (gm.load_balance, gm.serialisation, gm.transfer, gm.efficiency)
-        names = ("load_balance", "serialisation", "transfer", "efficiency")
+    if args.reference_global is not None:
         bad = [f"{n}: got {_fmt(g)}, reference {_fmt(r)}"
-               for n, g, r in zip(names, got, config.reference_global)
+               for n, g, r in zip(FACTORS, got, args.reference_global)
                if abs(g - r) > 1e-6]
         if bad:
             print("reference mismatch: " + "; ".join(bad), file=sys.stderr)
@@ -387,8 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="exit 5, writing nothing, when ingest or replay "
                          "logs an anomaly")
     an.add_argument("--time-unit", choices=("ns", "us"), default=None,
-                    help="override the trace time unit when the header "
-                         "does not carry one")
+                    help="time unit of a header duration without a "
+                         "_ns/_us suffix (default ns)")
     an.add_argument("--reference-global", type=_reference_arg, default=None,
                     metavar="LB,SER,TRF,EFF",
                     help="compare global factors against reference values "
@@ -423,29 +392,20 @@ def _run_generate(args) -> int:
         return EXIT_UNREADABLE
     exp = expected_metrics(scenario)
     if args.expected:
-        payload = {
+        _write_json(Path(prv_path).with_suffix(".expected.json"), {
             "rank_count": exp.rank_count,
             "total_duration_ns": exp.total_duration_ns,
             "runtime_ideal_ns": exp.runtime_ideal,
             "t_compute_ns": list(exp.t_compute),
-            "load_balance": exp.load_balance,
-            "serialisation": exp.serialisation,
-            "transfer": exp.transfer,
-            "efficiency": exp.efficiency,
+            **{f: getattr(exp, f) for f in FACTORS},
             "phases": [{
                 "index": p.index,
                 "pattern": p.pattern,
                 "start_ns": p.start_ns,
                 "end_ns": p.end_ns,
-                "load_balance": p.load_balance,
-                "serialisation": p.serialisation,
-                "transfer": p.transfer,
-                "efficiency": p.efficiency,
+                **{f: getattr(p, f) for f in FACTORS},
             } for p in exp.phases],
-        }
-        Path(prv_path).with_suffix(".expected.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
+        })
     print(f"wrote {prv_path} and {pcf_path} "
           f"(efficiency {_fmt(exp.efficiency)})")
     return EXIT_OK
@@ -458,28 +418,14 @@ def main(argv: list[str] | None = None) -> int:
         return _run_generate(args)
 
     try:
-        eager = args.eager_limit if args.eager_limit is not None \
-            else _eager_limit_default()
-        if eager < 0:
+        if args.eager_limit is None:
+            args.eager_limit = _eager_limit_default()
+        if args.eager_limit < 0:
             raise ValueError("eager limit must be non-negative")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-
-    config = RunConfig(
-        trace_path=args.trace,
-        window_ns=args.window,
-        cutoff_ns=args.cutoff,
-        min_events=args.min_events,
-        eager_limit=eager,
-        out_format=args.format,
-        out_dir=args.out_dir,
-        plot=args.plot,
-        strict=args.strict,
-        time_unit=TimeUnit(args.time_unit) if args.time_unit else None,
-        reference_global=args.reference_global,
-    )
-    return run(config)
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -4,9 +4,9 @@ Within a window of length E the factors come from integer clock deltas:
 load balance spreads the out-of-MPI work across ranks, serialisation
 relates the slowest rank to the critical-path advance, and transfer
 relates that advance to elapsed time.  Their product equals the plain
-efficiency sum(delta_oom) / (P * E).  The global factors use the final
-clock values instead, so they are exact for the full run and independent
-of the window layout.
+efficiency sum(delta_oom) / (P * E).  The global factors are those of
+one window spanning the whole run, whose deltas are the final clock
+values, so they are exact and independent of the window layout.
 """
 
 from __future__ import annotations
@@ -109,22 +109,22 @@ def critical_path(bc: BoundaryClocks) -> np.ndarray:
 
 
 def global_metrics(timeline: AnnotatedTimeline) -> GlobalMetrics:
-    """Whole-run factors from the final clock values of every rank."""
+    """Whole-run factors: those of one window spanning the run, whose
+    deltas are the final clock values of every rank."""
     finals = timeline.final_triples()
-    t_compute = tuple(f.oom for f in finals)
-    ranks = len(t_compute)
-    peak = max(t_compute)
-    if peak == 0:
+    if not any(f.oom for f in finals):
         raise NoComputeError("no rank spent any time outside MPI")
     runtime_ideal = max(f.ideal for f in finals)
-    runtime_observed = timeline.total_duration
+    wm = window_metrics(0, timeline.total_duration,
+                        np.array([f.oom for f in finals], dtype=np.int64),
+                        runtime_ideal)
     return GlobalMetrics(
-        rank_count=ranks,
-        t_compute=t_compute,
+        rank_count=len(finals),
+        t_compute=wm.delta_oom,
         runtime_ideal=runtime_ideal,
-        runtime_observed=runtime_observed,
-        load_balance=sum(t_compute) / (ranks * peak),
-        serialisation=peak / runtime_ideal,
-        transfer=runtime_ideal / runtime_observed,
-        efficiency=sum(t_compute) / (ranks * runtime_observed),
+        runtime_observed=timeline.total_duration,
+        load_balance=wm.load_balance,
+        serialisation=wm.serialisation,
+        transfer=wm.transfer,
+        efficiency=wm.efficiency,
     )

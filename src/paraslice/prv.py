@@ -158,14 +158,13 @@ def parse_header(line: str, time_unit: TimeUnit | None = None,
     if len(parts) < 4:
         raise IngestError("line 1: header too short")
 
+    # a unit the header states wins; time_unit applies to a bare duration
     dur_text = parts[0].strip()
-    unit = time_unit
+    unit = time_unit or TimeUnit.NANOSECONDS
     if dur_text.endswith("_ns"):
-        dur_text, unit = dur_text[:-3], unit or TimeUnit.NANOSECONDS
+        dur_text, unit = dur_text[:-3], TimeUnit.NANOSECONDS
     elif dur_text.endswith("_us"):
-        dur_text, unit = dur_text[:-3], unit or TimeUnit.MICROSECONDS
-    if unit is None:
-        unit = TimeUnit.NANOSECONDS
+        dur_text, unit = dur_text[:-3], TimeUnit.MICROSECONDS
     try:
         duration = int(dur_text)
     except ValueError as exc:

@@ -694,8 +694,10 @@ def _sweep(graph: _Graph, lanes: np.ndarray, base, segs: np.ndarray,
     # One CSR over providers (global region ids): the triggers of region g
     # are the slice [trig_off[g], trig_off[g+1]).  A message trigger holds
     # the message index and its consumer region; a collective arrival
-    # holds ~occurrence.  Each region counts its unfired edges, plus one
-    # while its collective occurrence has not delivered.
+    # holds ~occurrence, and its own participant region as consumer
+    # (never read).  Each region counts its unfired edges, plus one while
+    # its collective occurrence has not delivered, so each region's count
+    # is the number of triggers it consumes.
     live = np.flatnonzero(~skip)
     part_g = graph.part_gid[np.repeat(~skip, part_counts)]
     prov = np.concatenate((graph.s_row[recv_i], graph.r_row[floor_i], part_g))
@@ -710,9 +712,8 @@ def _sweep(graph: _Graph, lanes: np.ndarray, base, segs: np.ndarray,
     trig_id = _narrow(ids, max(len(graph.senders), len(skip)))
     del ids
     cons = np.concatenate((graph.r_row[recv_i], graph.s_row[floor_i],
-                           np.zeros(len(part_g), dtype=np.int64)))
-    counts = np.bincount(cons[:len(recv_i) + len(floor_i)], minlength=N)
-    counts += np.bincount(part_g, minlength=N)
+                           part_g))
+    counts = np.bincount(cons, minlength=N)
     trig_cons = _narrow(cons[order], N)
     del cons, order, part_g, live
 

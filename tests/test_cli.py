@@ -19,7 +19,12 @@ from paraslice.cli import (
     main,
     parse_duration,
 )
+from paraslice.model import validate_trace
+from paraslice.prv import IngestError, load_trace
+from paraslice.replay import replay
 from paraslice.windows import boundary_clocks
+
+from test_ingest_diff import CASES, corpus_file
 
 SCENARIO = {
     "name": "demo",
@@ -49,6 +54,34 @@ def generated(tmp_path):
         "expected": json.loads(
             (tmp_path / "demo.expected.json").read_text(encoding="utf-8")),
     }
+
+
+@pytest.fixture()
+def unmatched_send(generated, tmp_path):
+    """The generated trace plus one message sent after its end, so
+    outside every region of its sender: ingest keeps it, replay
+    degrades it."""
+    total = generated["expected"]["total_duration_ns"]
+    send = total + 100
+    prv = tmp_path / "unmatched.prv"
+    prv.write_bytes(generated["prv"].read_bytes()
+                    + b"3:1:1:1:1:%d:%d:2:1:2:1:%d:%d:64:999\n"
+                    % (send, send, send + 50, send + 50))
+    return prv
+
+
+@pytest.fixture()
+def short_header(generated, tmp_path):
+    """The generated trace with its header duration halved, which
+    ingest logs and analysis tolerates."""
+    total = generated["expected"]["total_duration_ns"]
+    header, body = generated["prv"].read_bytes().split(b"\n", 1)
+    old = b":%d_ns:" % total
+    assert old in header
+    prv = tmp_path / "short.prv"
+    prv.write_bytes(header.replace(old, b":%d_ns:" % (total // 2))
+                    + b"\n" + body)
+    return prv, total
 
 
 def analyze(prv, out_dir, *extra):
@@ -286,19 +319,6 @@ class TestAnalyze:
         assert analyze(generated["prv"], tmp_path / "out", "--strict") \
             == EXIT_OK
 
-    @pytest.fixture()
-    def short_header(self, generated, tmp_path):
-        """The generated trace with its header duration halved, which
-        ingest logs and analysis tolerates."""
-        total = generated["expected"]["total_duration_ns"]
-        header, body = generated["prv"].read_bytes().split(b"\n", 1)
-        old = b":%d_ns:" % total
-        assert old in header
-        prv = tmp_path / "short.prv"
-        prv.write_bytes(header.replace(old, b":%d_ns:" % (total // 2))
-                        + b"\n" + body)
-        return prv, total
-
     def test_strict_rejects_duration_short_of_last_timestamp(
             self, short_header, tmp_path, capsys):
         prv, total = short_header
@@ -319,6 +339,20 @@ class TestAnalyze:
             "malformed_record: 1", "",
             f"malformed_record @ header: total_duration {total // 2} "
             f"< last timestamp {total}"]
+
+    def test_strict_reports_unmatched_send_from_replay(
+            self, unmatched_send, tmp_path, capsys):
+        # validate_trace would reject the message too, with three lines;
+        # under --strict replay's one-line report comes first
+        assert analyze(unmatched_send, tmp_path / "out", "--strict") \
+            == EXIT_STRICT
+        send = int(unmatched_send.read_text(encoding="utf-8")
+                   .splitlines()[-1].split(":")[5])
+        assert capsys.readouterr().err == (
+            "error: strict mode: 1 anomalies during replay; first: "
+            f"unmatched_send @ message 20: send at {send} outside any "
+            "region of rank 0\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.fixture()
     def unused_bad_communicator(self, generated, tmp_path):
@@ -448,10 +482,60 @@ class TestAnalyze:
         summary = (out_dir / "bare.summary.txt").read_text(encoding="utf-8")
         assert "runtime_observed_ns: 1000000" in summary
 
+    def test_time_unit_never_overrides_header_suffix(self, tmp_path):
+        prv = tmp_path / "suffixed.prv"
+        prv.write_text(
+            "#Paraver (12/07/2025 at 10:00):1000_ns:1(2):1:2(1:1,1:1)\n",
+            encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert analyze(prv, out_dir, "--time-unit", "us") == EXIT_OK
+        summary = (out_dir / "suffixed.summary.txt").read_text(
+            encoding="utf-8")
+        assert "runtime_observed_ns: 1000\n" in summary
+
     def test_out_dir_created(self, generated, tmp_path):
         nested = tmp_path / "deep" / "er"
         assert analyze(generated["prv"], nested) == EXIT_OK
         assert (nested / "demo.summary.txt").exists()
+
+
+def logs_and_validity(prv):
+    """Ingest's and replay's anomaly totals, and whether validate_trace
+    passes the trace as ingest built it."""
+    trace, ingest_log, _ = load_trace(str(prv))
+    ok = validate_trace(trace).ok
+    _, replay_log = replay(trace)
+    return ingest_log.total, replay_log.total, ok
+
+
+class TestStrictValidateIsInert:
+    """--strict runs validate_trace only once ingest and replay have
+    logged nothing; on those traces it must pass, or it would be the
+    one strict refusal a default run does not log."""
+
+    def test_corpus_traces_clean_in_both_logs_validate(self, tmp_path):
+        clean, failed = [], []
+        for seed, mutators in CASES:
+            path = tmp_path / f"{seed}.prv"
+            corpus_file(path, seed, mutators)
+            try:
+                ingest, replayed, ok = logs_and_validity(path)
+            except IngestError:
+                continue
+            if ingest == replayed == 0:
+                clean.append(seed)
+                if not ok:
+                    failed.append(seed)
+        assert clean
+        assert failed == []
+
+    def test_unmatched_send_is_caught_by_replay_not_ingest(
+            self, unmatched_send):
+        # an empty ingest log alone does not make validate_trace pass
+        assert logs_and_validity(unmatched_send) == (0, 1, False)
+
+    def test_short_header_is_caught_by_ingest(self, short_header):
+        assert logs_and_validity(short_header[0]) == (1, 0, False)
 
 
 class TestConsoleScript:

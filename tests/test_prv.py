@@ -97,6 +97,18 @@ class TestHeader:
         meta = parse_header(header("5000", 2), time_unit=TimeUnit.MICROSECONDS)
         assert meta.total_duration_ns == 5_000_000
 
+    def test_ns_suffix_wins_over_explicit_unit(self):
+        meta = parse_header(header("5000_ns", 2),
+                            time_unit=TimeUnit.MICROSECONDS)
+        assert meta.total_duration_ns == 5000
+        assert meta.time_unit is TimeUnit.NANOSECONDS
+
+    def test_us_suffix_wins_over_explicit_unit(self):
+        meta = parse_header(header("5000_us", 2),
+                            time_unit=TimeUnit.NANOSECONDS)
+        assert meta.total_duration_ns == 5_000_000
+        assert meta.time_unit is TimeUnit.MICROSECONDS
+
     def test_flat_single_task_form(self):
         line = "#Paraver (01/01/25 at 00:00):900_ns:1(4):1:1(4:0)"
         meta = parse_header(line)
