@@ -6,8 +6,8 @@ synthetic trace with known factors.  All outputs are byte-deterministic
 for identical inputs and flags — nothing here reads the wall clock.
 
 Exit codes: 0 success, 1 reference-value mismatch, 2 invalid
-configuration, 3 unreadable input, 4 malformed trace, 5 anomaly in
-strict mode, 6 trace without compute time.
+configuration, 3 unreadable input or unwritable output, 4 malformed
+trace, 5 anomaly in strict mode, 6 trace without compute time.
 """
 
 from __future__ import annotations
@@ -252,17 +252,21 @@ def run(args: argparse.Namespace) -> int:
     rows = [_window_fields(wm) for wm in series]
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.trace).stem
-    write_windows(out_dir / f"{stem}.windows.{args.format}", rows,
-                  args.format)
-    write_summary(out_dir / f"{stem}.summary.txt",
-                  os.path.basename(args.trace), gm, plan, series, log,
-                  args.eager_limit)
-    write_anomalies(out_dir / f"{stem}.anomalies.txt", log, counters)
-    if args.plot:
-        cp = [int(v) for v in critical_path(bc)]
-        write_plot(out_dir / f"{stem}.plot.json", plan, rows, cp)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_windows(out_dir / f"{stem}.windows.{args.format}", rows,
+                      args.format)
+        write_summary(out_dir / f"{stem}.summary.txt",
+                      os.path.basename(args.trace), gm, plan, series, log,
+                      args.eager_limit)
+        write_anomalies(out_dir / f"{stem}.anomalies.txt", log, counters)
+        if args.plot:
+            cp = [int(v) for v in critical_path(bc)]
+            write_plot(out_dir / f"{stem}.plot.json", plan, rows, cp)
+    except OSError as exc:
+        print(f"error: cannot write {out_dir}: {exc}", file=sys.stderr)
+        return EXIT_UNREADABLE
 
     got = [getattr(gm, f) for f in FACTORS]
     lb, ser, trf, eff = map(_fmt, got)

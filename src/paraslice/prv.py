@@ -21,12 +21,12 @@ events continue its cursor cleanly; each type/value pair is classed by
 its type's offset from EVTYPE_P2P.  A rank that does not continue
 cleanly goes through the sequential cursor rules for that block, so
 counters and anomaly entries, in line order, are those of a
-record-at-a-time reader.  Both emit the block's regions as one chunk in
-rank order; at the end of the stream the chunks are scattered into one
-rank-major RegionTable, which keeps each rank's regions in emission
-order.  So a clean block costs one np.fromstring, one scan of its bytes
-and a fixed number of numpy calls over its lines, whatever its rank
-count.
+record-at-a-time reader.  Both emit the block's regions, each tagged
+with its rank; at the end of the stream one stable sort by rank turns
+them into the rank-major RegionTable, so each rank keeps its regions in
+emission order.  So a clean block costs one np.fromstring, one scan of
+its bytes and a fixed number of numpy calls over its lines, whatever its
+rank count.
 
 Only MPI event types, communication records and communicator definitions
 feed the model.  State records are counted and their coordinates checked
@@ -224,7 +224,7 @@ _TIME_FIELDS = {RecordKind.STATE: (4, 5), RecordKind.EVENT: (4,),
 
 
 def iter_raw_records(lines: Iterable[str], log: AnomalyLog,
-                     counters: IngestCounters | None = None,
+                     counters: IngestCounters,
                      first_line_number: int = 2,
                      scale: int = 1) -> Iterator[RawRecord]:
     """Yield well-formed records; malformed lines go to the anomaly log.
@@ -234,7 +234,6 @@ def iter_raw_records(lines: Iterable[str], log: AnomalyLog,
     nanoseconds, so a time that would leave int64 once scaled is caught
     here too.
     """
-    counters = counters if counters is not None else IngestCounters()
     lineno = first_line_number - 1
     event_kind = RecordKind.EVENT
     comm_kind = RecordKind.COMMUNICATION
@@ -341,10 +340,8 @@ def _entry_line(entry) -> int:
     return int(entry.location[len("line "):])
 
 
-def build_trace(stream: BinaryIO, meta: TraceMeta,
-                log: AnomalyLog | None = None,
-                counters: IngestCounters | None = None,
-                ) -> tuple[Trace, AnomalyLog]:
+def build_trace(stream: BinaryIO, meta: TraceMeta, log: AnomalyLog,
+                counters: IngestCounters) -> tuple[Trace, AnomalyLog]:
     """Assemble the trace model from a .prv body, read as bytes from
     stream; its first line is line 2, after the header.
 
@@ -360,8 +357,6 @@ def build_trace(stream: BinaryIO, meta: TraceMeta,
     Lines are numbered as a text-mode reader numbers them: a carriage
     return not followed by a newline ends a line too.
     """
-    log = log if log is not None else AnomalyLog()
-    counters = counters if counters is not None else IngestCounters()
     asm = _Assembly(meta, log, counters)
     lineno = 2
     for block in _blocks(stream, BLOCK_SIZE):
@@ -401,11 +396,10 @@ class _Assembly:
     its timestamp; and the last event time.  Times here are never
     negative: they start at 0 and are clamped to never decrease.
 
-    Closed regions are emitted a chunk at a time, each chunk in rank
-    order, onto growing columns in emission order; a chunk is recorded
-    as its ranks and their region counts.  finish scatters the columns
-    into one rank-major RegionTable.  Messages grow columns of their
-    own, in line order, which finish hands to the MessageStore.
+    Closed regions are emitted onto growing columns in emission order,
+    their ranks onto one more, and finish sorts the columns by rank into
+    one rank-major RegionTable.  Messages grow columns of their own, in
+    line order, which finish hands to the MessageStore.
     """
 
     def __init__(self, meta: TraceMeta, log: AnomalyLog,
@@ -424,10 +418,10 @@ class _Assembly:
         self.hint_time = np.full(P, -1, dtype=np.int64)
         self.hint_value = np.zeros(P, dtype=np.int64)
         self.last_time = np.zeros(P, dtype=np.int64)
-        self.region_counts = np.zeros(P, dtype=np.int64)
-        self.chunks: list[tuple[np.ndarray, np.ndarray]] = []
-        # entry, exit, class code; the hinted rows and their hints
-        self.columns = [_Column(np.int64), _Column(np.int64),
+        # rank, in the narrowest type that holds P - 1; entry, exit,
+        # class code; the hinted rows and their hints
+        self.columns = [_Column(np.min_scalar_type(max(P - 1, 0))),
+                        _Column(np.int64), _Column(np.int64),
                         _Column(np.uint8)]
         self.hint_rows = _Column(np.int64)
         self.hint_values = _Column(np.int64)
@@ -440,20 +434,13 @@ class _Assembly:
     def _emit(self, rank: np.ndarray, entry: np.ndarray, exit_: np.ndarray,
               codes: np.ndarray, hinted: np.ndarray,
               hints: np.ndarray) -> None:
-        """Closed regions as columns, ordered by rank, each rank's in
-        entry order; hints[i] is region i's hint where hinted[i] is set."""
-        if not len(rank):
-            return
-        head = np.flatnonzero(np.diff(rank, prepend=-1))
-        ranks = rank[head]
-        counts = np.diff(np.append(head, len(rank)))
-        self.region_counts[ranks] += counts
-        self.chunks.append((ranks, counts))
+        """Closed regions as columns, each rank's in entry order;
+        hints[i] is region i's hint where hinted[i] is set."""
         at = np.flatnonzero(hinted)
         for column, values in (
                 (self.hint_rows, at + self.columns[0].size),
                 (self.hint_values, hints[at]),
-                *zip(self.columns, (entry, exit_, codes))):
+                *zip(self.columns, (rank, entry, exit_, codes))):
             column.extend(values)
 
     # --- one block -------------------------------------------------------
@@ -663,7 +650,7 @@ class _Assembly:
 
     def _sequential(self, slow: _Queues) -> None:
         """The queued events, rank by rank in line order, through the
-        cursor rules; their regions are emitted as one chunk."""
+        cursor rules; their regions are emitted together."""
         log = self.pending
         scale = self.scale
         nonmonotonic = AnomalyKind.NONMONOTONIC_TIMESTAMP
@@ -946,36 +933,25 @@ class _Assembly:
         return trace
 
     def _table(self) -> RegionTable:
-        """The emitted regions as one rank-major table.  A chunk's rows of
-        rank r follow that rank's rows of the chunks before it, so every
-        rank keeps its emission order.  The columns are scattered one at a
-        time, and each is freed once copied."""
-        P = len(self.region_counts)
-        offsets = np.zeros(P + 1, dtype=np.int64)
-        np.cumsum(self.region_counts, out=offsets[1:])
-        fill = offsets[:-1].copy()      # each rank's next free row
-        rows = np.empty(offsets[-1], dtype=np.int64)    # of each emitted region
-        at = 0
-        for ranks, counts in self.chunks:
-            end = at + int(counts.sum())
-            rows[at:end] = np.repeat(fill[ranks] + counts - np.cumsum(counts)
-                                     - at, counts)
-            rows[at:end] += np.arange(at, end)
-            fill[ranks] += counts
-            at = end
+        """The emitted regions as one rank-major table: a stable sort by
+        rank keeps every rank's regions in emission order.  The columns
+        are gathered one at a time, and each is freed once gathered."""
+        P = self.meta.rank_count
+        ranks = self.columns.pop(0).values()
+        order = rank_order(ranks, P)
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(ranks,
+                                                             minlength=P))))
+        hinted = np.zeros(len(order), dtype=bool)
+        hinted[self.hint_rows.values()] = True
+        hint_rows = np.flatnonzero(hinted[order])
+        # the hints in the same stable order by rank as their rows
+        hint_values = self.hint_values.values()[
+            rank_order(ranks[self.hint_rows.values()], P)]
+        del hinted, ranks
         columns = []
-        for c, column in enumerate(self.columns):
-            out = np.empty(offsets[-1], dtype=column.data.dtype)
-            out[rows] = column.values()
-            self.columns[c] = None
-            columns.append(out)
-        hint_rows = rows[self.hint_rows.values()]
-        del rows
-        # each rank's hinted rows ascend already
-        order = rank_order(np.searchsorted(offsets, hint_rows, side="right")
-                           - 1, P)
-        return RegionTable(offsets, *columns, hint_rows[order],
-                           self.hint_values.values()[order])
+        while self.columns:
+            columns.append(self.columns.pop(0).values()[order])
+        return RegionTable(offsets, *columns, hint_rows, hint_values)
 
 
 def load_trace(path: str, time_unit: TimeUnit | None = None,

@@ -180,9 +180,8 @@ class AnnotatedTimeline:
 
     def __init__(self, times: np.ndarray, oom: np.ndarray,
                  ideal: np.ndarray, point_offsets: np.ndarray,
-                 total_duration: int,
-                 event_offsets: np.ndarray | None = None,
-                 event_columns: tuple[np.ndarray, ...] = ()):
+                 total_duration: int, event_offsets: np.ndarray,
+                 event_columns: tuple[np.ndarray, ...]):
         self.times = times
         self.oom = oom
         self.ideal = ideal
@@ -191,8 +190,7 @@ class AnnotatedTimeline:
         bounds = point_offsets.tolist()
         self.ranks = [RankTimeline(r, times[a:b], oom[a:b], ideal[a:b])
                       for r, (a, b) in enumerate(zip(bounds, bounds[1:]))]
-        self.event_offsets = np.zeros(len(bounds), dtype=np.int64) \
-            if event_offsets is None else event_offsets
+        self.event_offsets = event_offsets
         self.event_columns = event_columns
 
     @property
@@ -743,10 +741,8 @@ def _sweep(graph: _Graph, lanes: np.ndarray, base, segs: np.ndarray,
             graph.senders, graph.receivers, graph.status, graph.s_row,
             graph.r_row, graph.part_off, graph.part_rank, graph.part_gid,
             segs))
-    # lane l: regions first[l] to first[l+1]-1; the scalar loop reads a
-    # list faster than a memoryview, which holds many lanes in 8 bytes
-    # each
-    first = lanes.tolist() if len(lanes) <= 1 << 12 else memoryview(lanes)
+    # lane l: regions first[l] to first[l+1]-1
+    first = memoryview(lanes)
     ready: deque[int] = deque()
 
     def release(r: int, g: int) -> None:
@@ -1129,33 +1125,29 @@ def _wave(batch: np.ndarray, v: SimpleNamespace,
     end = _run_ends(v.count, s, top)
     v.front[batch] = end
     size = end - s
-    longest = int(size.max())
     prev = v.ideal[s - 1]
     prev[s == offsets[batch]] = 0         # a lane's first region
-    if longest == 1:
-        g = s
-        x = np.maximum(v.ideal[s], prev + v.gap[s])
-    else:
-        # with C the running gap sum of a run, X - C is a running maximum
-        # of arrived - C seeded with the exit ideal before the run
-        head = np.cumsum(size) - size
-        pos = np.arange(int(head[-1] + size[-1])) - np.repeat(head, size)
-        g = pos + np.repeat(s, size)
-        gap = v.gap[g]
-        c = np.cumsum(gap)
-        c -= np.repeat(c[head] - gap[head], size)
-        y = v.ideal[g]
-        none = y == _NONE
-        y -= c
-        y[none] = _NONE
-        y[head] = np.maximum(y[head], prev)
-        step = 1
-        while step < longest:
-            i = np.flatnonzero(pos >= step)
-            y[i] = np.maximum(y[i], y[i - step])
-            step *= 2
-        x = c + y
-        top = np.repeat(top, size)
+    # with C the running gap sum of a run, X - C is a running maximum of
+    # arrived - C seeded with the exit ideal before the run
+    head = np.cumsum(size) - size
+    pos = np.arange(int(head[-1] + size[-1])) - np.repeat(head, size)
+    g = pos + np.repeat(s, size)
+    gap = v.gap[g]
+    c = np.cumsum(gap)
+    c -= np.repeat(c[head] - gap[head], size)
+    y = v.ideal[g]
+    none = y == _NONE
+    y -= c
+    y[none] = _NONE
+    y[head] = np.maximum(y[head], prev)
+    step = 1
+    longest = int(size.max())
+    while step < longest:
+        i = np.flatnonzero(pos >= step)
+        y[i] = np.maximum(y[i], y[i - step])
+        step *= 2
+    x = c + y
+    top = np.repeat(top, size)
     v.ideal[g] = x
 
     # fire the triggers of the region after each finalized one

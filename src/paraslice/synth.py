@@ -189,6 +189,23 @@ def _check_compute(spec: ComputeSpec, rank_count: int,
     return problems
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(doc: dict, key: str, default, where: str = "",
+            real: bool = False):
+    """doc[key], or default when it is absent: an integer, or any real
+    number when real is set, never a bool; null only where default is."""
+    value = doc.get(key, default)
+    if not (value is None and default is None or _is_int(value)
+            or real and isinstance(value, float)):
+        raise ScenarioError(f"{where}{key} must be "
+                            f"{'a number' if real else 'an integer'}, "
+                            f"got {value!r}")
+    return value
+
+
 def load_scenario(source) -> Scenario:
     """Build a validated Scenario from a dict, a JSON file path, or JSON
     text that has already been read."""
@@ -208,8 +225,11 @@ def load_scenario(source) -> Scenario:
     except ValueError:
         raise ScenarioError(f"unknown time_unit {data.get('time_unit')!r}")
 
+    docs = data.get("phases", [])
+    if not isinstance(docs, list):
+        raise ScenarioError("phases must be a list")
     phases = []
-    for n, ph in enumerate(data.get("phases", [])):
+    for n, ph in enumerate(docs):
         if not isinstance(ph, dict):
             raise ScenarioError(f"phase {n} must be an object")
         unknown = set(ph) - {"pattern", "iterations", "compute",
@@ -225,26 +245,33 @@ def load_scenario(source) -> Scenario:
         if unknown:
             raise ScenarioError(
                 f"phase {n}: unknown compute keys {sorted(unknown)}")
+        where = f"phase {n}: "
         values = comp.get("values_ns")
+        if values is not None and not (isinstance(values, list)
+                                       and all(map(_is_int, values))):
+            raise ScenarioError(f"{where}values_ns must be a list of "
+                                f"integers, got {values!r}")
         spec = ComputeSpec(
             kind=comp.get("kind", "uniform"),
             values_ns=tuple(values) if values is not None else None,
-            mean_ns=comp.get("mean_ns"),
-            imbalance_ratio=comp.get("imbalance_ratio"),
-            jitter_ns=comp.get("jitter_ns", 0))
+            mean_ns=_number(comp, "mean_ns", None, where),
+            imbalance_ratio=_number(comp, "imbalance_ratio", None, where,
+                                    real=True),
+            jitter_ns=_number(comp, "jitter_ns", 0, where))
         phases.append(PhaseSpec(
             pattern=ph.get("pattern", "none"),
-            iterations=ph.get("iterations", 1),
+            iterations=_number(ph, "iterations", 1, where),
             compute=spec,
-            message_bytes=ph.get("message_bytes", 0),
-            injected_wait_ns=ph.get("injected_wait_ns", 0),
-            communicator_split=ph.get("communicator_split")))
+            message_bytes=_number(ph, "message_bytes", 0, where),
+            injected_wait_ns=_number(ph, "injected_wait_ns", 0, where),
+            communicator_split=_number(ph, "communicator_split", None,
+                                       where)))
 
     scenario = Scenario(
         name=str(data.get("name", "scenario")),
-        rank_count=data.get("rank_count", 0),
+        rank_count=_number(data, "rank_count", 0),
         phases=tuple(phases),
-        seed=data.get("seed", 0),
+        seed=_number(data, "seed", 0),
         time_unit=unit)
     scenario.validate()
     return scenario
@@ -542,6 +569,14 @@ def expected_metrics(scenario: Scenario) -> ExpectedMetrics:
                                    _communicator_ids(scenario))
     P = scenario.rank_count
 
+    def factors(compute: tuple[int, ...], ideal: int, span: int) -> dict:
+        """The four factors of per-rank compute times over span, whose
+        critical path is ideal."""
+        peak = max(compute)
+        return dict(load_balance=sum(compute) / (P * peak),
+                    serialisation=peak / ideal, transfer=ideal / span,
+                    efficiency=sum(compute) / (P * span))
+
     phases = []
     for n, ph in enumerate(scenario.phases):
         before, after = snaps[n], snaps[n + 1]
@@ -549,28 +584,18 @@ def expected_metrics(scenario: Scenario) -> ExpectedMetrics:
         end = max(after.elapsed)
         doom = tuple(after.oom[i] - before.oom[i] for i in range(P))
         dcp = max(after.ideal) - max(before.ideal)
-        span = end - start
-        peak = max(doom)
         phases.append(PhaseExpectation(
             index=n, pattern=ph.pattern, start_ns=start, end_ns=end,
-            delta_oom=doom, delta_cp=dcp,
-            load_balance=sum(doom) / (P * peak),
-            serialisation=peak / dcp,
-            transfer=dcp / span,
-            efficiency=sum(doom) / (P * span)))
+            delta_oom=doom, delta_cp=dcp, **factors(doom, dcp, end - start)))
 
     t_compute = tuple(final.oom)
-    peak = max(t_compute)
     runtime_ideal = max(final.ideal)
     return ExpectedMetrics(
         rank_count=P,
         total_duration_ns=duration,
         t_compute=t_compute,
         runtime_ideal=runtime_ideal,
-        load_balance=sum(t_compute) / (P * peak),
-        serialisation=peak / runtime_ideal,
-        transfer=runtime_ideal / duration,
-        efficiency=sum(t_compute) / (P * duration),
+        **factors(t_compute, runtime_ideal, duration),
         phases=tuple(phases))
 
 

@@ -16,7 +16,7 @@ region, never smeared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ class Window:
     end_ns: int
     merged_from: int = 1
     idle: bool = False
-    event_counts: list[int] = field(default_factory=list)
 
     @property
     def merged(self) -> bool:
@@ -118,16 +117,19 @@ def plan_windows(timeline: AnnotatedTimeline, base_length_ns: int,
     del rank_base, columns
     counts = np.bincount(key, minlength=P * nspans).reshape(P, nspans)
     del key
-    alone = counts.min(axis=0) >= min_events
+    # no window holds more than all of a rank's points, so any larger
+    # threshold plans as one above that total does
+    need = min(min_events, int(counts.sum(axis=1).max()) + 1)
+    alone = counts.min(axis=0) >= need
 
-    # a window merges spans i..j, the fewest that give every rank
-    # min_events points.  Row r of cum holds rank r's running counts
-    # through each span, lifted above every value of the rows before it,
-    # so one searchsorted over the flattened rows finds, per rank, the
-    # first span that suffices.
+    # a window merges spans i..j, the fewest that give every rank need
+    # points.  Row r of cum holds rank r's running counts through each
+    # span, lifted above every value of the rows before it, so one
+    # searchsorted over the flattened rows finds, per rank, the first
+    # span that suffices.
     cum = np.cumsum(counts, axis=1, out=counts)
     lift = np.arange(P, dtype=np.int64) * (int(cum[:, -1].max())
-                                           + min_events + 1)
+                                           + need + 1)
     cum += lift[:, None]
 
     def before(spans: list[int]) -> np.ndarray:
@@ -145,18 +147,15 @@ def plan_windows(timeline: AnnotatedTimeline, base_length_ns: int,
         if alone[i]:
             j = i
         else:
-            need = before([i])[:, 0] + min_events
-            first = np.searchsorted(cum.ravel(), need)
+            first = np.searchsorted(cum.ravel(), before([i])[:, 0] + need)
             j = min(int((first - row_start).max()), nspans - 1)
         starts.append(i)
         ends.append(j)
         i = j + 1
-    event_counts = cum[:, ends] - before(starts)
-    idle = (event_counts.min(axis=0) < min_events).tolist()
+    idle = ((cum[:, ends] - before(starts)).min(axis=0) < need).tolist()
     windows = [Window(i * length, min((j + 1) * length, duration), j - i + 1,
-                      idle=w_idle, event_counts=c)
-               for i, j, w_idle, c in zip(starts, ends, idle,
-                                          event_counts.T.tolist())]
+                      idle=w_idle)
+               for i, j, w_idle in zip(starts, ends, idle)]
     return WindowPlan(windows, length, base_length_ns, duration,
                       clamped, min_events)
 

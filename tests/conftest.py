@@ -59,8 +59,12 @@ def region_lists(trace):
 
 def timeline_of_ranks(ranks, duration, event_offsets=None, event_columns=()):
     """An AnnotatedTimeline whose rank r has the clock points of
-    ranks[r], a RankTimeline, packed into rank-major point columns."""
+    ranks[r], a RankTimeline, packed into rank-major point columns; it
+    has no event points unless event_offsets and event_columns give
+    them."""
     bounds = np.cumsum([0] + [len(tl.times) for tl in ranks])
+    if event_offsets is None:
+        event_offsets = np.zeros(len(ranks) + 1, dtype=np.int64)
     columns = [np.concatenate([np.asarray(getattr(tl, name), dtype=np.int64)
                                for tl in ranks] + [np.zeros(0, np.int64)])
                for name in ("times", "oom", "ideal")]

@@ -135,6 +135,17 @@ class TestGenerate:
                      str(tmp_path / "x.prv")])
         assert code == EXIT_BAD_CONFIG
 
+    def test_wrongly_typed_scenario_is_bad_config(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(SCENARIO, rank_count="2")),
+                       encoding="utf-8")
+        code = main(["generate", str(bad), "--out",
+                     str(tmp_path / "x.prv")])
+        assert code == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err == (
+            "error: invalid scenario: rank_count must be an integer, "
+            "got '2'\n")
+
     def test_missing_scenario_is_unreadable(self, tmp_path, capsys):
         code = main(["generate", str(tmp_path / "nope.json"), "--out",
                      str(tmp_path / "x.prv")])
@@ -497,6 +508,34 @@ class TestAnalyze:
         nested = tmp_path / "deep" / "er"
         assert analyze(generated["prv"], nested) == EXIT_OK
         assert (nested / "demo.summary.txt").exists()
+
+    @pytest.mark.parametrize("under", ["", "sub"])
+    def test_unwritable_out_dir_is_unreadable(self, generated, tmp_path,
+                                              capsys, under):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        out_dir = taken / under if under else taken
+        assert analyze(generated["prv"], out_dir) == EXIT_UNREADABLE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: cannot write {out_dir}: ")
+
+    @pytest.mark.parametrize("value", ["9223372036854775807",
+                                       "99999999999999999999"])
+    def test_min_events_beyond_int64(self, generated, tmp_path, value):
+        # no window can hold more points than a rank has: such a
+        # threshold plans as any other above every rank's total
+        assert analyze(generated["prv"], tmp_path / "huge", "--min-events",
+                       value) == EXIT_OK
+        assert analyze(generated["prv"], tmp_path / "bound", "--min-events",
+                       "1000000") == EXIT_OK
+        read = lambda d, name: (tmp_path / d / name).read_text(
+            encoding="utf-8")
+        assert read("huge", "demo.windows.csv") \
+            == read("bound", "demo.windows.csv")
+        assert f"min_events: {value}\n" in read("huge", "demo.summary.txt")
 
 
 def logs_and_validity(prv):

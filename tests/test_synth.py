@@ -189,6 +189,29 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="multiple of 1000"):
             load_scenario(doc)
 
+    @pytest.mark.parametrize("doc, message", [
+        (base_doc(rank_count="2"), "rank_count must be an integer"),
+        (base_doc(rank_count=True), "rank_count must be an integer"),
+        (base_doc(seed=1.5), "seed must be an integer"),
+        (base_doc(phases={"pattern": "none"}), "phases must be a list"),
+        (phase_doc(iterations=1e9), "phase 0: iterations must be an integer"),
+        (phase_doc(message_bytes="8"), "message_bytes must be an integer"),
+        (phase_doc(pattern="allreduce", message_bytes=0,
+                   communicator_split="2"),
+         "communicator_split must be an integer"),
+        (compute_doc(mean_ns="5"), "mean_ns must be an integer"),
+        (compute_doc(jitter_ns=False), "jitter_ns must be an integer"),
+        (compute_doc(kind="explicit", values_ns=[5, "a"]),
+         "values_ns must be a list of integers"),
+        (compute_doc(kind="explicit", values_ns="5"),
+         "values_ns must be a list of integers"),
+        (compute_doc(kind="linear_imbalance", imbalance_ratio="x"),
+         "imbalance_ratio must be a number"),
+    ])
+    def test_wrongly_typed_field(self, doc, message):
+        with pytest.raises(ScenarioError, match=message):
+            load_scenario(doc)
+
     def test_microsecond_wait_granularity(self):
         doc = base_doc(time_unit="us")
         doc["phases"][0] = {"pattern": "allreduce", "iterations": 1,
@@ -431,7 +454,6 @@ class TestManyRanks:
         plan = plan_windows(timeline, exp.phases[0].end_ns // 5,
                             min_events=3)
         assert len(plan.windows) >= 5
-        assert all(len(w.event_counts) == P for w in plan.windows)
         series = window_series(timeline, plan)
         assert tuple(np.sum([w.delta_oom for w in series], axis=0).tolist()) \
             == exp.t_compute

@@ -31,6 +31,13 @@ def timeline_of(duration, *event_lists):
     return timeline_of_ranks(ranks, duration, offsets, (events,))
 
 
+def points_in(events, window, duration):
+    """How many of events window counts: those in [start, end), and the
+    point at its end when it ends the analysis span."""
+    return sum(window.start_ns <= t < window.end_ns
+               or t == window.end_ns == duration for t in events)
+
+
 class TestPlanWindows:
     def test_plain_tiling(self):
         tl = timeline_of(100, range(0, 101, 2))
@@ -49,9 +56,9 @@ class TestPlanWindows:
         assert spans == [(0, 30), (30, 60), (60, 90), (90, 95)]
 
     def test_event_on_final_boundary_counts(self):
-        tl = timeline_of(20, [1, 5, 9, 12, 16, 20])
-        plan = plan_windows(tl, 10, min_events=3)
-        assert plan.windows[-1].event_counts == [3]   # 12, 16 and 20
+        events = [1, 5, 9, 12, 16, 20]
+        plan = plan_windows(timeline_of(20, events), 10, min_events=3)
+        assert points_in(events, plan.windows[-1], 20) == 3  # 12, 16, 20
         assert not plan.windows[-1].idle
 
     def test_doubling_on_empty_tile(self):
@@ -79,7 +86,7 @@ class TestPlanWindows:
         spans = [(w.start_ns, w.end_ns, w.merged_from) for w in plan.windows]
         assert spans == [(0, 75, 3), (75, 100, 1)]
         assert plan.windows[0].merged and not plan.windows[0].idle
-        assert plan.windows[0].event_counts[1] == 3   # rank 1: 60, 65, 70
+        assert points_in(r1, plan.windows[0], 100) == 3  # 60, 65, 70
 
     def test_final_deficient_window_stays_idle(self):
         r0 = range(0, 101, 5)
@@ -89,13 +96,20 @@ class TestPlanWindows:
         last = plan.windows[-1]
         assert last.idle
         assert last.end_ns == 100
-        assert last.event_counts[1] < 3
+        assert points_in(r1, last, 100) < 3
 
     def test_min_events_monotone_in_window_count(self):
         tl = timeline_of(100, range(0, 101, 3), range(1, 101, 7))
         low = plan_windows(tl, 10, min_events=3)
         high = plan_windows(tl, 10, min_events=8)
         assert len(high.windows) <= len(low.windows)
+
+    def test_min_events_beyond_every_rank_total(self):
+        tl = timeline_of(100, range(0, 101, 3), range(1, 101, 7))
+        huge = plan_windows(tl, 10, min_events=2 ** 70)
+        bound = plan_windows(tl, 10, min_events=10 ** 6)
+        assert huge.windows == bound.windows
+        assert huge.min_events == 2 ** 70
 
     def test_cutoff_clamps_span(self):
         tl = timeline_of(100, range(0, 101, 2))
