@@ -7,7 +7,9 @@ for identical inputs and flags — nothing here reads the wall clock.
 
 Exit codes: 0 success, 1 reference-value mismatch, 2 invalid
 configuration, 3 unreadable input or unwritable output, 4 malformed
-trace, 5 anomaly in strict mode, 6 trace without compute time.
+trace (ingest's IngestError, or replay's ReplayError for clocks that
+would leave int64), 5 anomaly in strict mode, 6 trace without compute
+time.
 """
 
 from __future__ import annotations
@@ -216,7 +218,7 @@ def run(args: argparse.Namespace) -> int:
                                       eager_limit_bytes=args.eager_limit)
     except ReplayError as exc:
         print(f"error: replay: {exc}", file=sys.stderr)
-        return EXIT_STRICT
+        return EXIT_MALFORMED
     if args.strict:
         if replay_log.total:
             return _strict_failure(replay_log, "replay")

@@ -15,18 +15,19 @@ bytes) goes through the per-line rules of iter_raw_records on its
 decoded text, one pass per run of such lines.
 
 Each rank's open-region state (its cursor) lives in per-rank numpy
-columns.  A block's event lines, grouped by rank with one radix sort,
-pair into regions on arrays, for all ranks at once, wherever a rank's
-events continue its cursor cleanly; each type/value pair is classed by
-its type's offset from EVTYPE_P2P.  A rank that does not continue
-cleanly goes through the sequential cursor rules for that block, so
-counters and anomaly entries, in line order, are those of a
-record-at-a-time reader.  Both emit the block's regions, each tagged
-with its rank; at the end of the stream one stable sort by rank turns
-them into the rank-major RegionTable, so each rank keeps its regions in
-emission order.  So a clean block costs one np.fromstring, one scan of
-its bytes and a fixed number of numpy calls over its lines, whatever its
-rank count.
+columns.  A block's event lines, plain or parsed by the per-line rules,
+are grouped by rank with one radix sort and continue their ranks'
+cursors on arrays, for all ranks at once: the monotonic clamp, the
+alternation of opens and closes with its anomalies, and the binding of
+communicator-id companions are each a few array formulas, so counters,
+regions and anomaly entries, in line order, are those of a
+record-at-a-time reader.  Each type/value pair is classed by its type's
+offset from EVTYPE_P2P.  Every block emits its regions, each tagged with
+its rank; at the end of the stream one stable sort by rank turns them
+into the rank-major RegionTable, so each rank keeps its regions in
+emission order.  So a block costs one np.fromstring, one scan of its
+bytes and a fixed number of numpy calls over its lines, whatever its
+rank count, plus one running maximum per rank whose time steps back.
 
 Only MPI event types, communication records and communicator definitions
 feed the model.  State records are counted and their coordinates checked
@@ -39,7 +40,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter, itemgetter
+from itertools import chain
+from operator import attrgetter
 from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -313,8 +315,6 @@ _HINT = 3
 _FOREIGN = 4
 assert all(_MPI_CODE[EVTYPE_P2P + c] == c for c in range(_HINT)) \
     and EVTYPE_COMM_ID == EVTYPE_P2P + _HINT
-# per rank, the (line number, payload) of events for the cursor rules
-_Queues = dict[int, list[tuple[int, list[int]]]]
 
 
 def _blocks(stream: BinaryIO, block_size: int) -> Iterator[bytes]:
@@ -395,6 +395,7 @@ class _Assembly:
     time (-1: none) and value of a hint waiting for a region opened at
     its timestamp; and the last event time.  Times here are never
     negative: they start at 0 and are clamped to never decrease.
+    _events applies the cursor rules to every event line of a block.
 
     Closed regions are emitted onto growing columns in emission order,
     their ranks onto one more, and finish sorts the columns by rank into
@@ -488,18 +489,16 @@ class _Assembly:
                 _KIND_BY_PREFIX[chr(kind[i])],
                 tok[f0[i]:f0[i] + ncol[i]].tolist(), int(linenos[i])))
         irregular.sort(key=attrgetter("line_number"))
-        slow: _Queues = {}
+        events: list[tuple[int, int, list[int]]] = []
         messages: list[tuple[int, ...]] = []
-        self._irregular(irregular, slow, messages)
+        self._irregular(irregular, events, messages)
 
         good = ok[comm]
         sel = comm[good]
         self._messages(tok, f0[sel], linenos[sel], rank[sel],
                        recv_rank[good], messages)
         sel = np.flatnonzero(ok & (kind == _EVENT_BYTE))
-        sel = sel[rank_order(rank[sel], self.meta.rank_count)]
-        self._events(tok, f0[sel], ncol[sel], linenos[sel], rank[sel], slow)
-        self._sequential(slow)
+        self._events(tok, f0[sel], ncol[sel], linenos[sel], rank[sel], events)
 
         if self.pending.entries:
             self.pending.entries.sort(key=_entry_line)
@@ -610,14 +609,15 @@ class _Assembly:
             raise IngestError(f"line {lineno}: rank index {rank} out of range")
         return rank
 
-    # --- the sequential rules --------------------------------------------
+    # --- the per-record rules --------------------------------------------
 
     def _irregular(self, records: list[RawRecord],
-                   slow: _Queues, messages: list[tuple[int, ...]]) -> None:
+                   events: list[tuple[int, int, list[int]]],
+                   messages: list[tuple[int, ...]]) -> None:
         """Records that take the per-record rules, in line order: those
         of lines that were not plain, and plain ones whose coordinates
-        resolve_rank must log or reject.  Events are queued on their
-        rank's cursor, messages on the block's message list."""
+        resolve_rank must log or reject.  Events are queued on events as
+        (line, rank, payload), messages on messages."""
         trace = self.trace
         counters = self.counters
         for rec in records:
@@ -628,7 +628,7 @@ class _Assembly:
                 if rank is None:
                     counters.dropped += 1
                 else:
-                    slow.setdefault(rank, []).append((lineno, f))
+                    events.append((lineno, rank, f))
             elif rec.kind is RecordKind.COMMUNICATION:
                 s_rank = self.resolve_rank(f[1], f[2], f[3], lineno)
                 r_rank = self.resolve_rank(f[7], f[8], f[9], lineno)
@@ -647,84 +647,6 @@ class _Assembly:
             else:
                 # a state line: only its coordinates are checked
                 self.resolve_rank(f[1], f[2], f[3], lineno)
-
-    def _sequential(self, slow: _Queues) -> None:
-        """The queued events, rank by rank in line order, through the
-        cursor rules; their regions are emitted together."""
-        log = self.pending
-        scale = self.scale
-        nonmonotonic = AnomalyKind.NONMONOTONIC_TIMESTAMP
-        rows: list[tuple[int, ...]] = []
-        touched_lines = 0
-        lines = 0
-        for rank in sorted(slow):
-            queue = slow[rank]
-            queue.sort(key=itemgetter(0))
-            lines += len(queue)
-            open_entry = int(self.open_entry[rank])
-            open_class = int(self.open_class[rank])
-            open_hint = int(self.open_hint[rank]) \
-                if self.open_hinted[rank] else None
-            hint_time = int(self.hint_time[rank])
-            hint_value = int(self.hint_value[rank])
-            last = int(self.last_time[rank])
-            for lineno, f in queue:
-                time = f[4] * scale
-                if time < last:
-                    log.add(nonmonotonic, f"line {lineno}",
-                            f"rank {rank} time {time} before {last}")
-                    time = last
-                last = time
-                touched = False
-                for i in range(5, len(f), 2):
-                    etype, value = f[i], f[i + 1]
-                    code = _MPI_CODE.get(etype)
-                    if code is None:
-                        if etype == EVTYPE_COMM_ID:
-                            if open_entry == time:
-                                open_hint = value
-                            else:
-                                hint_time = time
-                                hint_value = value
-                            touched = True
-                        continue
-                    touched = True
-                    if value > 0:
-                        if open_entry >= 0:
-                            log.add(AnomalyKind.UNMATCHED_SEND,
-                                    f"line {lineno}",
-                                    f"rank {rank} region opened at "
-                                    f"{open_entry} never closed")
-                            rows.append((rank, open_entry, time, open_class,
-                                         open_hint is not None,
-                                         open_hint or 0))
-                            open_hint = None
-                        open_entry = time
-                        open_class = code
-                        if hint_time == time:
-                            open_hint = hint_value
-                            hint_time = -1
-                    elif open_entry < 0:
-                        log.add(AnomalyKind.UNMATCHED_RECV, f"line {lineno}",
-                                f"rank {rank} close event with no open "
-                                f"region")
-                    else:
-                        rows.append((rank, open_entry, time, open_class,
-                                     open_hint is not None, open_hint or 0))
-                        open_entry = -1
-                        open_hint = None
-                touched_lines += touched
-            self.open_entry[rank] = open_entry
-            self.open_class[rank] = open_class
-            self.open_hinted[rank] = open_hint is not None
-            self.open_hint[rank] = open_hint or 0
-            self.hint_time[rank] = hint_time
-            self.hint_value[rank] = hint_value
-            self.last_time[rank] = last
-        self.counters.consumed += touched_lines
-        self.counters.ignored += lines - touched_lines
-        if rows:
-            self._emit(*np.array(rows, dtype=np.int64).T)
 
     # --- the array paths -------------------------------------------------
 
@@ -761,148 +683,186 @@ class _Assembly:
 
     def _events(self, tok: np.ndarray, f0: np.ndarray, ncol: np.ndarray,
                 linenos: np.ndarray, ranks: np.ndarray,
-                slow: _Queues) -> None:
-        """Pair the block's plain event lines into regions, rank by rank.
-        The lines come grouped by rank, each rank's in line order.
+                queued: list[tuple[int, int, list[int]]]) -> None:
+        """Pair the block's event lines into regions by the cursor rules,
+        on arrays, for all ranks at once: the plain lines at payload
+        offsets f0 of tok, in line order, and the queued (line, rank,
+        payload) records of the per-record rules.
 
-        A rank's lines take the array path when they continue its cursor
-        cleanly: times never decrease, MPI opens and closes strictly
-        alternate, each communicator-id companion binds to a region
-        opened at its own timestamp (before or after it, one companion
-        per region), and no hint is pending that a later open could
-        take.  Regions then pair each close with the open before it.
-        Other ranks, and ranks with records in slow already, queue their
-        lines in slow for the cursor.
+        Each rank's lines continue its cursor in line order, and each
+        line's type/value pairs in pair order:
+        - a time before the rank's latest is logged and clamped to it;
+        - an MPI event that follows an open ends the region that open
+          began, and a second open logs that region as never closed; a
+          close that follows no open is logged and dropped;
+        - a communicator-id companion binds to the region open before it
+          if that region opened at its time, the last binding winning;
+          any other companion waits, replacing the rank's waiting one,
+          and an open at its time takes it unless another open comes
+          first.
+        A line logs its clamp first, then its MPI events in pair order,
+        as a record-at-a-time reader does.
         """
+        P = self.meta.rank_count
+        if queued:
+            lines, more_ranks, fields = zip(*queued)
+            width = np.fromiter(map(len, fields), np.int64, len(fields))
+            f0 = np.concatenate((f0, len(tok) + np.cumsum(width) - width))
+            tok = np.concatenate((tok, np.fromiter(
+                chain.from_iterable(fields), np.int64, int(width.sum()))))
+            ncol = np.concatenate((ncol, width))
+            linenos = np.concatenate((linenos, lines))
+            ranks = np.concatenate((ranks, more_ranks))
+            order = np.argsort(linenos, kind="stable")
+            order = order[rank_order(ranks[order], P)]
+        else:
+            order = rank_order(ranks, P)
+        f0, ncol, linenos, ranks = (c[order] for c in (f0, ncol, linenos,
+                                                       ranks))
         n = len(f0)
         if not n:
             return
-        counters = self.counters
+        log = self.pending
         times = tok[f0 + 4]
         if self.scale != 1:
             times *= self.scale
 
-        # group g: one rank's lines
+        # group g: one rank's lines, in line order
         head = np.empty(n, dtype=bool)
         head[0] = True
         np.not_equal(ranks[1:], ranks[:-1], out=head[1:])
         g_start = np.flatnonzero(head)
         g_rank = ranks[g_start]
-        g_count = np.diff(g_start, append=n)
-        line_g = np.repeat(np.arange(len(g_start)), g_count)
-        c_open = self.open_entry[g_rank]
-        c_class = self.open_class[g_rank]
-        c_hinted = self.open_hinted[g_rank]
-        c_hint = self.open_hint[g_rank]
-        first_time = times[g_start]
-        bad = (first_time < self.last_time[g_rank]) \
-            | (self.hint_time[g_rank] >= first_time)
-        if slow:
-            bad |= np.isin(g_rank, list(slow))
-        bad[line_g[1:][(times[1:] < times[:-1]) & ~head[1:]]] = True
+        G = len(g_rank)
+        line_g = np.cumsum(head) - 1
+
+        # the clamp: before[i] is the latest time of line i's rank before
+        # it, a running maximum over the ranks that step back
+        before = np.empty(n, dtype=np.int64)
+        before[1:] = times[:-1]
+        before[g_start] = self.last_time[g_rank]
+        back = times < before
+        if back.any():
+            stepped = np.zeros(G, dtype=bool)
+            stepped[line_g[back]] = True
+            g_end = np.append(g_start[1:], n)
+            for lo, hi in zip(g_start[stepped].tolist(),
+                              g_end[stepped].tolist()):
+                before[lo + 1:hi] = np.maximum.accumulate(
+                    np.maximum(times[lo:hi - 1], before[lo]))
+            for i in np.flatnonzero(times < before).tolist():
+                log.add(AnomalyKind.NONMONOTONIC_TIMESTAMP,
+                        f"line {linenos[i]}",
+                        f"rank {ranks[i]} time {times[i]} before {before[i]}")
+            np.maximum(times, before, out=times)
+        del head, before, back
 
         # every type/value pair, in line order, classed by its type
         npairs = (ncol - 5) >> 1
+        p_first = np.cumsum(npairs) - npairs    # each line's first pair
         p_line = np.repeat(np.arange(n), npairs)
-        p_at = (f0 + 5 - 2 * (np.cumsum(npairs) - npairs))[p_line] \
-            + 2 * np.arange(len(p_line))
+        p_at = (f0 + 5 - 2 * p_first)[p_line] + 2 * np.arange(len(p_line))
         p_value = tok[p_at + 1]
         # a type below EVTYPE_P2P wraps round to a large unsigned offset
         p_class = np.minimum((tok[p_at] - EVTYPE_P2P).view(np.uint64),
                              _FOREIGN).view(np.int64)
         touched = np.zeros(n, dtype=bool)
         touched[p_line[p_class != _FOREIGN]] = True
+        consumed = int(np.count_nonzero(touched))
+        self.counters.consumed += consumed
+        self.counters.ignored += n - consumed
 
-        # the MPI events; from the rank's carried cursor on, opens and
-        # closes alternate
+        # The MPI events m.  Slot g holds group g's carried cursor and
+        # slot G + k MPI event k; was[k], the slot before MPI event k, is
+        # its rank's last open or close, and if an open, k ends a region.
         m = np.flatnonzero(p_class < _HINT)
         m_line = p_line[m]
-        m_g, m_time = line_g[m_line], times[m_line]
-        m_class, m_open = p_class[m], p_value[m] > 0
-        m_head = np.empty(len(m), dtype=bool)
-        m_head[:1] = True
-        np.not_equal(m_g[1:], m_g[:-1], out=m_head[1:])
-        was_open = np.empty(len(m), dtype=bool)
-        was_open[1:] = m_open[:-1]
-        first = np.flatnonzero(m_head)
-        was_open[first] = c_open[m_g[first]] >= 0
-        bad[m_g[m_open == was_open]] = True
+        m_g, m_time, m_open = line_g[m_line], times[m_line], p_value[m] > 0
+        c_open = self.open_entry[g_rank]
+        s_time = np.concatenate((c_open, m_time))
+        s_open = np.concatenate((c_open >= 0, m_open))
+        s_class = np.concatenate((self.open_class[g_rank], p_class[m]))
+        s_hinted = np.concatenate((self.open_hinted[g_rank],
+                                   np.zeros(len(m), dtype=bool)))
+        s_hint = np.concatenate((self.open_hint[g_rank],
+                                 np.zeros(len(m), dtype=np.int64)))
+        was = G - 1 + np.arange(len(m))
+        first = np.flatnonzero(np.diff(m_g, prepend=-1))
+        was[first] = m_g[first]
 
-        m_hinted = np.zeros(len(m), dtype=bool)
-        m_hint = np.zeros(len(m), dtype=np.int64)
-        # the companions h; k[i] pairs that are not MPI events precede
-        # companion i
-        other = np.flatnonzero(p_class >= _HINT)
-        k = np.flatnonzero(p_class[other] == _HINT)
-        h = other[k]
-        if len(h):
-            h_line = p_line[h]
-            h_g, h_time, h_value = line_g[h_line], times[h_line], p_value[h]
-            # the MPI events around each hint, padded with a no-event
-            nxt = h - k     # the MPI events before each companion
-            prev = nxt - 1
-            pad_g = np.append(m_g, -1)
-            pad_time = np.append(m_time, -1)
-            pad_open = np.append(m_open, False)
-            has_prev = pad_g[prev] == h_g
-            on_prev = has_prev & pad_open[prev] & (pad_time[prev] == h_time)
-            on_carried = ~has_prev & (c_open[h_g] == h_time)
-            on_next = ~on_prev & ~on_carried & (pad_g[nxt] == h_g) \
-                & pad_open[nxt] & (pad_time[nxt] == h_time)
-            bad[h_g[~(on_prev | on_carried | on_next)]] = True
-            # the region each binds to: an MPI event, or -1 - g for the
-            # carried one of group g; two on one region spoil the group
-            opener = np.where(on_prev, prev, np.where(on_next, nxt, -1 - h_g))
-            shared = np.bincount(opener + len(g_rank))[opener + len(g_rank)] > 1
-            bad[h_g[shared]] = True
-            on_m = on_prev | on_next
-            m_hinted[opener[on_m]] = True
-            m_hint[opener[on_m]] = h_value[on_m]
-            c_hinted[h_g[on_carried]] = True
-            c_hint[h_g[on_carried]] = h_value[on_carried]
+        # the companions h bind to the region open before them if it
+        # opened at their time; the others wait, after each rank's
+        # carried waiting one at its first pair
+        h = np.flatnonzero(p_class == _HINT)
+        h_line = p_line[h]
+        h_g, h_time, h_value = line_g[h_line], times[h_line], p_value[h]
+        nxt = np.searchsorted(m, h)
+        h_slot = np.where(np.append(m_g, -1)[nxt - 1] == h_g, G + nxt - 1,
+                          h_g)
+        binds = s_open[h_slot] & (s_time[h_slot] == h_time)
+        carried = np.flatnonzero(self.hint_time[g_rank] >= 0)
+        w_pos, w_g, w_time, w_value = (np.concatenate(c) for c in (
+            (p_first[g_start[carried]], h[~binds]), (carried, h_g[~binds]),
+            (self.hint_time[g_rank[carried]], h_time[~binds]),
+            (self.hint_value[g_rank[carried]], h_value[~binds])))
+        by_pos = np.argsort(w_pos, kind="stable")
+        w_pos, w_g, w_time, w_value = (c[by_pos] for c in (w_pos, w_g,
+                                                           w_time, w_value))
+        del p_line, p_first, p_at, p_value, p_class, touched, by_pos
 
-        bad_line = np.repeat(bad, g_count)
-        consumed = int(np.count_nonzero(touched & ~bad_line))
-        counters.consumed += consumed
-        counters.ignored += n - int(np.count_nonzero(bad_line)) - consumed
+        # an open takes the latest waiting companion before it, if that
+        # is of its rank and time and no other open came between them
+        taken = np.zeros(len(w_pos), dtype=bool)
+        if len(w_pos):
+            o = np.flatnonzero(m_open)
+            w_opens = np.append(0, np.cumsum(m_open))[
+                np.searchsorted(m, w_pos)]
+            at = np.searchsorted(w_pos, m[o], side="right") - 1
+            took = (at >= 0) & (w_g[at] == m_g[o]) \
+                & (w_time[at] == m_time[o]) \
+                & (w_opens[at] == np.arange(len(o)))
+            taken[at[took]] = True
+            s_hinted[G + o[took]] = True
+            s_hint[G + o[took]] = w_value[at[took]]
+        # then each region takes its last binding companion
+        b_slot, b_value = h_slot[binds], h_value[binds]
+        last = np.ones(len(b_slot), dtype=bool)
+        last[:-1] = b_slot[1:] != b_slot[:-1]
+        s_hinted[b_slot[last]] = True
+        s_hint[b_slot[last]] = b_value[last]
 
-        # a region per close; by alternation its open is the MPI event
-        # before it, or the rank's carried open for a rank's first one
-        close = np.flatnonzero(~m_open & ~bad[m_g])
-        opened = close - 1
-        r_g = m_g[close]
-        in_block = ~m_head[close]
-        entry = np.where(in_block, m_time[opened], c_open[r_g])
-        codes = np.where(in_block, m_class[opened], c_class[r_g])
-        hinted = np.where(in_block, m_hinted[opened], c_hinted[r_g])
-        hints = np.where(in_block, m_hint[opened], c_hint[r_g])
-        self._emit(g_rank[r_g], entry, m_time[close], codes, hinted, hints)
+        was_open = s_open[was]
+        odd = np.flatnonzero(m_open == was_open)
+        for line, rank, opens, entry in zip(
+                linenos[m_line[odd]].tolist(), g_rank[m_g[odd]].tolist(),
+                m_open[odd].tolist(), s_time[was[odd]].tolist()):
+            if opens:
+                log.add(AnomalyKind.UNMATCHED_SEND, f"line {line}",
+                        f"rank {rank} region opened at {entry} never closed")
+            else:
+                log.add(AnomalyKind.UNMATCHED_RECV, f"line {line}",
+                        f"rank {rank} close event with no open region")
+        ends = np.flatnonzero(was_open)
+        src = was[ends]
+        self._emit(g_rank[m_g[ends]], s_time[src], m_time[ends], s_class[src],
+                   s_hinted[src], s_hint[src])
 
-        # the cursors of the good groups: the open region after their
-        # last MPI event, or the carried one with its hint
-        good = np.flatnonzero(~bad)
-        m_at = np.searchsorted(m_g, np.arange(len(g_rank) + 1))
-        last = m_at[1:][good] - 1
-        has = last >= m_at[:-1][good]
-        r, last = g_rank[good[has]], last[has]
-        is_open = m_open[last]
-        self.open_entry[r] = np.where(is_open, m_time[last], -1)
-        self.open_class[r[is_open]] = m_class[last[is_open]]
-        self.open_hinted[r] = is_open & m_hinted[last]
-        self.open_hint[r] = m_hint[last]
-        carried = good[~has]
-        self.open_hinted[g_rank[carried]] = c_hinted[carried]
-        self.open_hint[g_rank[carried]] = c_hint[carried]
-        self.last_time[g_rank[good]] = times[g_start[good] + g_count[good] - 1]
-        # none pending, or older than any time ahead
-        self.hint_time[g_rank[good]] = -1
-
-        # the bad groups' lines go to the cursor rules
-        lines = np.flatnonzero(bad_line)
-        for r, line, at, width in zip(ranks[lines].tolist(),
-                                      linenos[lines].tolist(),
-                                      f0[lines].tolist(), ncol[lines].tolist()):
-            slow.setdefault(r, []).append((line, tok[at:at + width].tolist()))
+        # the cursors: each rank's last slot, its latest time, and its
+        # latest waiting companion unless an open took it
+        m_at = np.searchsorted(m_g, np.arange(G + 1))
+        final = np.where(m_at[1:] > m_at[:-1], G + m_at[1:] - 1,
+                         np.arange(G))
+        is_open = s_open[final]
+        self.open_entry[g_rank] = np.where(is_open, s_time[final], -1)
+        self.open_class[g_rank] = s_class[final]
+        self.open_hinted[g_rank] = is_open & s_hinted[final]
+        self.open_hint[g_rank] = s_hint[final]
+        self.last_time[g_rank] = times[np.append(g_start[1:], n) - 1]
+        tail = np.ones(len(w_g), dtype=bool)
+        tail[:-1] = w_g[1:] != w_g[:-1]
+        self.hint_time[g_rank[w_g[tail]]] = np.where(taken[tail], -1,
+                                                     w_time[tail])
+        self.hint_value[g_rank[w_g[tail]]] = w_value[tail]
 
     # --- end of stream ---------------------------------------------------
 

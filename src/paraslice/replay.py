@@ -133,8 +133,9 @@ def _narrow(values: np.ndarray, top: int) -> np.ndarray:
 
 
 class ReplayError(Exception):
-    """Replay met a dependency cycle that no degradation breaks, which
-    the cycle breaker's rules make unreachable."""
+    """Replay met a trace whose clocks could leave int64 (see _sums_fit),
+    or a dependency cycle that no degradation breaks, which the cycle
+    breaker's rules make unreachable."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -382,6 +383,8 @@ def replay(trace: Trace, eager_limit_bytes: int = DEFAULT_EAGER_LIMIT,
         heads = offsets[:-1][offsets[1:] > offsets[:-1]]
         gap[heads] = ent[heads]
         del heads
+    if not _sums_fit(gap) or end_time >= 1 << 62:
+        raise ReplayError("clock values would overflow 64-bit nanoseconds")
     graph = _Graph(rows=N, gap=gap, senders=snd, receivers=rcv,
                    status=status, s_row=s_row, r_row=r_row,
                    part_off=colls.part_offsets,
@@ -391,7 +394,7 @@ def replay(trace: Trace, eager_limit_bytes: int = DEFAULT_EAGER_LIMIT,
     # --- sweep ---------------------------------------------------------------
     cuts = _find_cuts(table, graph, op_skip, recv_i, floor_i, colls.comm_ids)
     widest = P if cuts is None else len(cuts.lanes) - 1
-    waves = widest >= WIDE_WAVE_RANKS and _sums_fit(gap)
+    waves = widest >= WIDE_WAVE_RANKS
     ideal_exit = None
     if cuts is not None:
         keep = cuts.keep
@@ -1068,10 +1071,12 @@ def _finish_quiet(at: np.ndarray, v: SimpleNamespace,
 
 
 def _sums_fit(gap: np.ndarray) -> bool:
-    """Whether every value a wave forms fits in int64.  Each clock value
-    is a sum of gaps of distinct regions, and a wave also subtracts
-    partial gap sums from clock values, so a total |gap| below 2**61
-    bounds them all.  It is summed in float64, in small blocks."""
+    """Whether every value replay forms fits in int64.  Each ideal and
+    out-of-MPI clock value is a sum of gaps of distinct regions, and a
+    wave also subtracts partial gap sums from clock values, so a total
+    |gap| below 2**61 bounds them all; with the trace's end below 2**62,
+    so do elapsed clocks, end sentinels and any difference of two clock
+    values.  It is summed in float64, in small blocks."""
     total = 0.0
     for i in range(0, len(gap), 1 << 14):
         total += float(np.abs(gap[i:i + (1 << 14)], dtype=np.float64).sum())

