@@ -43,8 +43,6 @@ EXIT_MALFORMED = 4
 EXIT_STRICT = 5
 EXIT_NO_COMPUTE = 6
 
-EAGER_LIMIT_ENV = "PARASLICE_EAGER_LIMIT"
-
 _SUFFIXES = (("ns", 1), ("us", 1_000), ("ms", 1_000_000), ("s", 1_000_000_000))
 
 
@@ -286,20 +284,6 @@ def run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _eager_limit_default() -> int:
-    raw = os.environ.get(EAGER_LIMIT_ENV)
-    if raw is None:
-        return DEFAULT_EAGER_LIMIT
-    try:
-        value = int(raw)
-        if value < 0:
-            raise ValueError
-    except ValueError:
-        raise ValueError(f"{EAGER_LIMIT_ENV} must be a non-negative "
-                         f"integer, got {raw!r}")
-    return value
-
-
 def _min_events(text: str) -> int:
     value = int(text)
     if value < 3:
@@ -348,10 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="N",
                     help="per-rank event points a window must hold "
                          "(default 8, minimum 3)")
-    an.add_argument("--eager-limit", type=int, default=None, metavar="BYTES",
+    an.add_argument("--eager-limit", type=int, default=DEFAULT_EAGER_LIMIT,
+                    metavar="BYTES",
                     help="largest message size sent eagerly "
-                         f"(default {DEFAULT_EAGER_LIMIT}, or "
-                         f"${EAGER_LIMIT_ENV})")
+                         f"(default {DEFAULT_EAGER_LIMIT})")
     an.add_argument("--format", choices=("csv", "json"), default="csv",
                     help="window series format (default csv)")
     an.add_argument("--out-dir", default=".", metavar="DIR",
@@ -423,13 +407,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "generate":
         return _run_generate(args)
 
-    try:
-        if args.eager_limit is None:
-            args.eager_limit = _eager_limit_default()
-        if args.eager_limit < 0:
-            raise ValueError("eager limit must be non-negative")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if args.eager_limit < 0:
+        print("error: eager limit must be non-negative", file=sys.stderr)
         return EXIT_BAD_CONFIG
     return run(args)
 

@@ -12,22 +12,24 @@ block, with its colons made spaces and its other lines blanked.  Every
 other line (comments, communicator definitions, blank, garbled or
 oversized lines, signs, underscores, a lone carriage return, non-ASCII
 bytes) goes through the per-line rules of iter_raw_records on its
-decoded text, one pass per run of such lines.
+decoded text, one pass per run of such lines.  The records these accept
+join the block's arrays as rows of their own, in line order, so one
+coordinate rule decodes every record's appl:task:thread on arrays.
 
 Each rank's open-region state (its cursor) lives in per-rank numpy
-columns.  A block's event lines, plain or parsed by the per-line rules,
-are grouped by rank with one radix sort and continue their ranks'
-cursors on arrays, for all ranks at once: the monotonic clamp, the
-alternation of opens and closes with its anomalies, and the binding of
-communicator-id companions are each a few array formulas, so counters,
-regions and anomaly entries, in line order, are those of a
-record-at-a-time reader.  Each type/value pair is classed by its type's
-offset from EVTYPE_P2P.  Every block emits its regions, each tagged with
-its rank; at the end of the stream one stable sort by rank turns them
-into the rank-major RegionTable, so each rank keeps its regions in
-emission order.  So a block costs one np.fromstring, one scan of its
-bytes and a fixed number of numpy calls over its lines, whatever its
-rank count, plus one running maximum per rank whose time steps back.
+columns.  A block's event rows are grouped by rank with one radix sort
+and continue their ranks' cursors on arrays, for all ranks at once: the
+monotonic clamp, the alternation of opens and closes with its anomalies,
+and the binding of communicator-id companions are each a few array
+formulas, so counters, regions and anomaly entries, in line order, are
+those of a record-at-a-time reader.  Each type/value pair is classed by
+its type's offset from EVTYPE_P2P.  Every block emits its regions, each
+tagged with its rank; at the end of the stream one stable sort by rank
+turns them into the rank-major RegionTable, so each rank keeps its
+regions in emission order.  So a block costs one np.fromstring, one
+scan of its bytes and a fixed number of numpy calls over its lines,
+whatever its rank count, plus one running maximum per rank whose time
+steps back.
 
 Only MPI event types, communication records and communicator definitions
 feed the model.  State records are counted and their coordinates checked
@@ -40,8 +42,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
-from operator import attrgetter
 from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -211,6 +211,8 @@ def parse_header(line: str, time_unit: TimeUnit | None = None,
 
 _KIND_BY_PREFIX = {"1": RecordKind.STATE, "2": RecordKind.EVENT,
                    "3": RecordKind.COMMUNICATION}
+#: a record's kind as the first byte of its line
+_KIND_BYTE = {kind: ord(prefix) for prefix, kind in _KIND_BY_PREFIX.items()}
 
 # Payload lengths: state rows carry 7 integers, events 5 plus
 # type/value pairs, communication rows exactly 14.
@@ -469,10 +471,10 @@ class _Assembly:
         runs = list(zip(routed[np.append(0, cut + 1)].tolist(),
                         routed[np.append(cut, -1)].tolist())) \
             if len(routed) else []
-        irregular = self._per_line(data, starts, ends, linenos, runs)
+        records = self._per_line(data, starts, ends, linenos, runs)
 
         p = np.flatnonzero(plain)
-        # from here on, one entry per plain line
+        # from here on, one row per record, the plain lines' first
         kind, ncol, linenos = kinds[p], ncol[p], linenos[p]
         f0 = np.cumsum(ncol + 1) - ncol     # token of payload field 0
         tok = self._tokens(a, starts, ends, runs, int(f0[-1] + ncol[-1])
@@ -480,25 +482,28 @@ class _Assembly:
         states = int(np.count_nonzero(kind == _STATE_BYTE))
         self.counters.records += len(p) - states
         self.counters.states += states
-        rank, ok = self._coords(tok, f0 + 1)
+        if records:
+            width = [len(rec.fields) for rec in records]
+            f0 = np.append(f0, len(tok) + np.cumsum(width) - width)
+            tok = np.append(tok, [v for rec in records for v in rec.fields])
+            ncol = np.append(ncol, width)
+            kind = np.append(kind, [_KIND_BYTE[rec.kind] for rec in records])
+            linenos = np.append(linenos,
+                                [rec.line_number for rec in records])
+            order = np.argsort(linenos, kind="stable")
+            kind, ncol, linenos, f0 = (c[order] for c in (kind, ncol,
+                                                          linenos, f0))
         comm = np.flatnonzero(kind == _COMM_BYTE)
-        recv_rank, recv_ok = self._coords(tok, f0[comm] + 7)
-        ok[comm] &= recv_ok
-        for i in np.flatnonzero(~ok).tolist():
-            irregular.append(RawRecord(
-                _KIND_BY_PREFIX[chr(kind[i])],
-                tok[f0[i]:f0[i] + ncol[i]].tolist(), int(linenos[i])))
-        irregular.sort(key=attrgetter("line_number"))
-        events: list[tuple[int, int, list[int]]] = []
-        messages: list[tuple[int, ...]] = []
-        self._irregular(irregular, events, messages)
+        rank, recv_rank, ok = self._coords(tok, f0, comm, linenos)
+        # a rejected state row is only logged
+        self.counters.dropped += int(np.count_nonzero(
+            ~ok[kind != _STATE_BYTE]))
 
         good = ok[comm]
         sel = comm[good]
-        self._messages(tok, f0[sel], linenos[sel], rank[sel],
-                       recv_rank[good], messages)
+        self._messages(tok, f0[sel], linenos[sel], rank[sel], recv_rank[good])
         sel = np.flatnonzero(ok & (kind == _EVENT_BYTE))
-        self._events(tok, f0[sel], ncol[sel], linenos[sel], rank[sel], events)
+        self._events(tok, f0[sel], ncol[sel], linenos[sel], rank[sel])
 
         if self.pending.entries:
             self.pending.entries.sort(key=_entry_line)
@@ -550,15 +555,26 @@ class _Assembly:
                   linenos: np.ndarray, runs: list[tuple[int, int]],
                   ) -> list[RawRecord]:
         """Records of the lines that are not plain, by the per-line rules
-        on their text, one pass of the rules per run of such lines."""
+        on their text, one pass of the rules per run of such lines;
+        communicator definitions are applied as they come."""
         records: list[RawRecord] = []
         for first, last in runs:
             text = data[starts[first]:ends[last]].decode("utf-8", "replace")
             # a lone \r left in them ends a line too
             lines = text.replace("\r", "\n").split("\n")
             self.counters.routed += len(lines)
-            records.extend(iter_raw_records(lines, self.pending, self.counters,
-                                            int(linenos[first]), self.scale))
+            for rec in iter_raw_records(lines, self.pending, self.counters,
+                                        int(linenos[first]), self.scale):
+                f = rec.fields
+                if rec.kind is not RecordKind.COMMUNICATOR_DEF:
+                    records.append(rec)
+                elif len(f) < 3 or len(f) != 3 + f[2]:
+                    self.pending.add(AnomalyKind.MALFORMED_RECORD,
+                                     f"line {rec.line_number}",
+                                     "communicator definition length mismatch")
+                else:
+                    self.trace.communicators[f[1]] = CommunicatorDef(
+                        f[1], [t - 1 for t in f[3:]])
         return records
 
     def _tokens(self, a: np.ndarray, starts: np.ndarray, ends: np.ndarray,
@@ -580,95 +596,54 @@ class _Assembly:
                               f"{len(tok)} of {expected} integers")
         return tok
 
-    def _coords(self, tok: np.ndarray, at: np.ndarray,
-                ) -> tuple[np.ndarray, np.ndarray]:
-        """Rank addressed by appl:task:thread at tok[at:at+3], and where
-        that straight-line decode holds; elsewhere resolve_rank decides."""
+    def _coords(self, tok: np.ndarray, f0: np.ndarray, comm: np.ndarray,
+                linenos: np.ndarray,
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The coordinate rule, on every row at once: the rank that each
+        row's appl:task:thread (payload fields 1-3) addresses, that of
+        each communication row comm's receiver (fields 7-9), and whether
+        the row is kept.  An application other than 1, or a second thread
+        of a rank, is logged and rejects the row; a rank out of range
+        raises IngestError, the first in line order, a line's sender
+        before its receiver."""
+        n = len(f0)
+        row = np.concatenate((np.arange(n), comm))
+        at = np.concatenate((f0, f0[comm] + 6)) + 1
         appl, task, thread = tok[at], tok[at + 1], tok[at + 2]
         if self.meta.flat_rank_encoding:
             rank, other = thread - 1, task
         else:
             rank, other = task - 1, thread
-        ok = (appl == 1) & (other == 1) & (rank >= 0) \
-            & (rank < self.meta.rank_count)
-        return rank, ok
-
-    def resolve_rank(self, appl: int, task: int, thread: int,
-                     lineno: int) -> int | None:
-        if appl != 1:
-            self.pending.add(AnomalyKind.MALFORMED_RECORD, f"line {lineno}",
-                             f"application {appl} out of range")
-            return None
-        flat = self.meta.flat_rank_encoding
-        rank, other = (thread - 1, task) if flat else (task - 1, thread)
-        if other != 1:
-            self.pending.add(AnomalyKind.MALFORMED_RECORD, f"line {lineno}",
+        fine = (appl == 1) & (other == 1)
+        out = np.flatnonzero(fine & ((rank < 0)
+                                     | (rank >= self.meta.rank_count)))
+        if len(out):
+            j = out[np.argmin(2 * row[out] + (out >= n))]
+            raise IngestError(f"line {linenos[row[j]]}: "
+                              f"rank index {rank[j]} out of range")
+        bad = np.flatnonzero(~fine)
+        for line, appl_j in zip(linenos[row[bad]].tolist(),
+                                appl[bad].tolist()):
+            self.pending.add(AnomalyKind.MALFORMED_RECORD, f"line {line}",
+                             f"application {appl_j} out of range"
+                             if appl_j != 1 else
                              "record addresses a second thread of a rank")
-            return None
-        if not (0 <= rank < self.meta.rank_count):
-            raise IngestError(f"line {lineno}: rank index {rank} out of range")
-        return rank
-
-    # --- the per-record rules --------------------------------------------
-
-    def _irregular(self, records: list[RawRecord],
-                   events: list[tuple[int, int, list[int]]],
-                   messages: list[tuple[int, ...]]) -> None:
-        """Records that take the per-record rules, in line order: those
-        of lines that were not plain, and plain ones whose coordinates
-        resolve_rank must log or reject.  Events are queued on events as
-        (line, rank, payload), messages on messages."""
-        trace = self.trace
-        counters = self.counters
-        for rec in records:
-            f = rec.fields
-            lineno = rec.line_number
-            if rec.kind is RecordKind.EVENT:
-                rank = self.resolve_rank(f[1], f[2], f[3], lineno)
-                if rank is None:
-                    counters.dropped += 1
-                else:
-                    events.append((lineno, rank, f))
-            elif rec.kind is RecordKind.COMMUNICATION:
-                s_rank = self.resolve_rank(f[1], f[2], f[3], lineno)
-                r_rank = self.resolve_rank(f[7], f[8], f[9], lineno)
-                if s_rank is None or r_rank is None:
-                    counters.dropped += 1
-                    continue
-                messages.append((lineno, s_rank, r_rank, f[4], f[11], f[12]))
-            elif rec.kind is RecordKind.COMMUNICATOR_DEF:
-                if len(f) < 3 or len(f) != 3 + f[2]:
-                    self.pending.add(AnomalyKind.MALFORMED_RECORD,
-                                     f"line {lineno}",
-                                     "communicator definition length mismatch")
-                    continue
-                members = [t - 1 for t in f[3:]]
-                trace.communicators[f[1]] = CommunicatorDef(f[1], members)
-            else:
-                # a state line: only its coordinates are checked
-                self.resolve_rank(f[1], f[2], f[3], lineno)
+        ok = fine[:n].copy()
+        ok[comm] &= fine[n:]
+        return rank[:n], rank[n:], ok
 
     # --- the array paths -------------------------------------------------
 
     def _messages(self, tok: np.ndarray, f0: np.ndarray,
                   linenos: np.ndarray, senders: np.ndarray,
-                  receivers: np.ndarray, queued: list[tuple[int, ...]],
-                  ) -> None:
-        """Append the block's messages in line order: those of the plain
-        communication lines at payload offsets f0, and the queued
-        (line, sender, receiver, payload fields 4, 11, 12) ones."""
-        cols = [linenos, senders, receivers, tok[f0 + 4], tok[f0 + 11],
-                tok[f0 + 12]]
-        if queued:
-            more = np.array(queued, dtype=np.int64).T
-            order = np.argsort(np.concatenate((linenos, more[0])),
-                               kind="stable")
-            cols = [np.concatenate((c, m))[order] for c, m in zip(cols, more)]
-        linenos, senders, receivers, send, recv, sizes = cols
+                  receivers: np.ndarray) -> None:
+        """Append the block's messages, the communication rows at payload
+        offsets f0 of tok, in line order."""
         if not len(linenos):
             return
-        send = send * self.scale    # logical send
-        recv = recv * self.scale    # physical receive completion
+        send = tok[f0 + 4] * self.scale     # logical send
+        recv = tok[f0 + 11] * self.scale    # physical receive completion
+        sizes = tok[f0 + 12]
         flipped = send > recv
         for i in np.flatnonzero(flipped).tolist():
             self.pending.add(
@@ -682,12 +657,10 @@ class _Assembly:
             column.extend(values)
 
     def _events(self, tok: np.ndarray, f0: np.ndarray, ncol: np.ndarray,
-                linenos: np.ndarray, ranks: np.ndarray,
-                queued: list[tuple[int, int, list[int]]]) -> None:
-        """Pair the block's event lines into regions by the cursor rules,
-        on arrays, for all ranks at once: the plain lines at payload
-        offsets f0 of tok, in line order, and the queued (line, rank,
-        payload) records of the per-record rules.
+                linenos: np.ndarray, ranks: np.ndarray) -> None:
+        """Pair the block's event rows into regions by the cursor rules,
+        on arrays, for all ranks at once: the rows at payload offsets f0
+        of tok, in line order.
 
         Each rank's lines continue its cursor in line order, and each
         line's type/value pairs in pair order:
@@ -703,20 +676,7 @@ class _Assembly:
         A line logs its clamp first, then its MPI events in pair order,
         as a record-at-a-time reader does.
         """
-        P = self.meta.rank_count
-        if queued:
-            lines, more_ranks, fields = zip(*queued)
-            width = np.fromiter(map(len, fields), np.int64, len(fields))
-            f0 = np.concatenate((f0, len(tok) + np.cumsum(width) - width))
-            tok = np.concatenate((tok, np.fromiter(
-                chain.from_iterable(fields), np.int64, int(width.sum()))))
-            ncol = np.concatenate((ncol, width))
-            linenos = np.concatenate((linenos, lines))
-            ranks = np.concatenate((ranks, more_ranks))
-            order = np.argsort(linenos, kind="stable")
-            order = order[rank_order(ranks[order], P)]
-        else:
-            order = rank_order(ranks, P)
+        order = rank_order(ranks, self.meta.rank_count)
         f0, ncol, linenos, ranks = (c[order] for c in (f0, ncol, linenos,
                                                        ranks))
         n = len(f0)

@@ -51,21 +51,21 @@ Every lane's first region has its entry ideal from the start.  A lane
 is quiet when none of its regions waits on an edge or fires a trigger
 (say, a one-region lane of a cut collective): nothing reaches it and it
 reaches nothing, so its exit ideals are its running gap sums from 0.
-Whenever waves are on, all quiet lanes are finalized in that closed
-form, a segmented cumsum per block of lanes, before anything fires
-(once a head fires, the lanes its edges reach would look quiet too).
-The heads of the other lanes fire their triggers in one vectorized
-step.  Then the lanes that are ready at once advance by one of two
-paths, chosen each time a batch of them forms: at least WIDE_WAVE_RANKS
-lanes (all of a trace's iterations at once, or the participants a
-collective releases) advance as numpy waves of at most _WAVE_LANES
-lanes each, which finalize every run up to its next waiting region,
-fire the triggers the runs reach and collect the next batch; a narrower
-batch goes lane by lane through the scalar loop, which follows a serial
-chain to its end in one pass.  Both
-work on the same flat state, and the fixpoint does not depend on the
-order in which lanes advance, so the path changes nothing in the
-result.  Cycle breaking is scalar.
+With at least WIDE_WAVE_RANKS lanes, all quiet lanes are finalized in
+that closed form, a segmented cumsum per block of lanes, before
+anything fires (once a head fires, the lanes its edges reach would look
+quiet too).  The heads of the other lanes fire their triggers in one
+vectorized step.  Then the lanes that are ready at once advance by one
+of two paths, chosen each time a batch of them forms: at least
+WIDE_WAVE_RANKS lanes (all of a trace's iterations at once, or the
+participants a collective releases) advance as numpy waves of at most
+_WAVE_LANES lanes each, which finalize every run up to its next waiting
+region, fire the triggers the runs reach and collect the next batch; a
+narrower batch goes lane by lane through the scalar loop, which follows
+a serial chain to its end in one pass.  Both work on the same flat
+state, and the fixpoint does not depend on the order in which lanes
+advance, so the path changes nothing in the result.  Cycle breaking is
+scalar.
 
 Internally everything lives in numpy arrays (the message columns,
 triggers in offset/payload (CSR) form, collective participant slices and
@@ -393,22 +393,19 @@ def replay(trace: Trace, eager_limit_bytes: int = DEFAULT_EAGER_LIMIT,
 
     # --- sweep ---------------------------------------------------------------
     cuts = _find_cuts(table, graph, op_skip, recv_i, floor_i, colls.comm_ids)
-    widest = P if cuts is None else len(cuts.lanes) - 1
-    waves = widest >= WIDE_WAVE_RANKS
     ideal_exit = None
     if cuts is not None:
         keep = cuts.keep
         ideal_exit = _sweep(graph, cuts.lanes, cuts.base.tolist(), cuts.segs,
                             recv_i[keep[:len(recv_i)]],
                             floor_i[keep[len(recv_i):]], op_skip | cuts.occs,
-                            waves, log, break_cycles=False)
+                            log, break_cycles=False)
         del keep
     if ideal_exit is None:
         # no cut, or a dependency cycle: every edge, rank by rank
         ideal_exit = _sweep(graph, offsets, range(P),
                             np.zeros(len(op_skip), dtype=np.uint8), recv_i,
-                            floor_i, op_skip, waves, log,
-                            break_cycles=True)
+                            floor_i, op_skip, log, break_cycles=True)
     else:
         _stitch(ideal_exit, cuts)
     del graph, cuts, s_row, r_row, recv_i, floor_i, op_skip
@@ -678,8 +675,7 @@ def _stitch(ideal: np.ndarray, cuts: _Cuts) -> None:
 
 def _sweep(graph: _Graph, lanes: np.ndarray, base, segs: np.ndarray,
            recv_i: np.ndarray, floor_i: np.ndarray, skip: np.ndarray,
-           waves: bool, log: AnomalyLog,
-           break_cycles: bool) -> np.ndarray | None:
+           log: AnomalyLog, break_cycles: bool) -> np.ndarray | None:
     """Counted propagation over lanes (lane l owns regions lanes[l] to
     lanes[l+1] - 1 and starts from 0; rank r's first lane is base[r]),
     along the given receive edges and floors and the occurrences not in
@@ -940,14 +936,14 @@ def _sweep(graph: _Graph, lanes: np.ndarray, base, segs: np.ndarray,
             raise ReplayError("unbreakable dependency cycle")
 
     # --- sweep ---------------------------------------------------------------
-    # A batch of at least `wide` ready lanes advances as numpy waves of at
-    # most about _WAVE_LANES lanes each; narrower batches take the scalar
-    # loop below, in queue order.
-    wide = WIDE_WAVE_RANKS if waves else L + 1
+    # A batch of at least WIDE_WAVE_RANKS ready lanes advances as numpy
+    # waves of at most about _WAVE_LANES lanes each; narrower batches take
+    # the scalar loop below, in queue order.  A batch never holds more
+    # than L lanes, so with L below WIDE_WAVE_RANKS no wave runs.
 
     def advance(batch: np.ndarray) -> None:
         """Run waves while the batch is wide; queue what is left."""
-        while len(batch) >= wide:
+        while len(batch) >= WIDE_WAVE_RANKS:
             parts = -(-len(batch) // _WAVE_LANES)
             batch = _wave(batch, v, lanes) if parts == 1 else \
                 np.concatenate([_wave(part, v, lanes)
@@ -956,8 +952,8 @@ def _sweep(graph: _Graph, lanes: np.ndarray, base, segs: np.ndarray,
         ready.extend(batch.tolist())
 
     # every lane's first region has its entry ideal, gap[head], from the
-    # start.  With waves on, the quiet lanes are finalized first, all of
-    # them before any head fires: a fired edge lowers the count of the
+    # start.  When waves can run, the quiet lanes are finalized first, all
+    # of them before any head fires: a fired edge lowers the count of the
     # region it reaches, which would make that region's lane look quiet.
     # The other lanes fire their heads, and every one whose head then
     # waits on nothing is ready.  Lanes are taken in blocks, and the
@@ -965,7 +961,7 @@ def _sweep(graph: _Graph, lanes: np.ndarray, base, segs: np.ndarray,
     # every lane; the later passes find the lanes left by their frontiers.
     blocks = _lane_blocks(lanes)
     heads, ends = lanes[:-1], lanes[1:]
-    if waves:
+    if L >= WIDE_WAVE_RANKS:
         for lo, hi in blocks:
             _finish_quiet(lo + np.flatnonzero(ends[lo:hi] > heads[lo:hi]),
                           v, lanes)
@@ -983,7 +979,7 @@ def _sweep(graph: _Graph, lanes: np.ndarray, base, segs: np.ndarray,
     del batch
     while True:
         while ready:
-            if len(ready) >= wide:
+            if len(ready) >= WIDE_WAVE_RANKS:
                 batch = np.fromiter(ready, np.int64, len(ready))
                 ready.clear()
                 v.queued[batch] = 0

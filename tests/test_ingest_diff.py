@@ -406,3 +406,84 @@ def test_cursor_rules_match_reference(tmp_path, monkeypatch):
         for size in (prv.BLOCK_SIZE, rng.randint(40, 240)):
             monkeypatch.setattr(prv, "BLOCK_SIZE", size)
             assert outcome(load_trace, str(path)) == want, (case, size)
+
+
+def coordinate_stream(rng: random.Random) -> bytes:
+    """A random trace of 1-6 ranks, under a flat 1(P:0) or a per-task
+    header, whose event, communication (both triples) and state lines
+    sometimes address an application other than 1, a second thread or
+    task, or a rank out of range, and whose communication lines
+    sometimes pair a receiver out of range with a faulty sender; each
+    line plain or routed to the per-line rules by a trailing space,
+    with communicator definitions, some of the wrong length, among
+    them."""
+    P = rng.randint(1, 6)
+    flat = P > 1 and rng.random() < 0.5
+
+    def triple(fault: float) -> bytes:
+        appl, rank, other = 1, rng.randrange(P), 1
+        if fault < 0.06:
+            appl = rng.choice((0, 2, 3))
+        elif fault < 0.12:
+            other = rng.choice((0, 2))
+        elif fault < 0.13:
+            rank = rng.choice((-1, P, 98))
+        # cpu:appl:task:thread
+        return b"1:%d:%d:%d" % ((appl, other, rank + 1) if flat
+                                else (appl, rank + 1, other))
+
+    t = 0
+    lines = []
+    for _ in range(rng.randint(1, 40)):
+        t += rng.randint(0, 3)
+        kind = rng.random()
+        if kind < 0.5:
+            line = b"2:%s:%d:%s:%d" % (triple(rng.random()), t,
+                                       rng.choice(MPI_TYPES),
+                                       rng.choice((0, 1)))
+        elif kind < 0.75:
+            sender, receiver = rng.random(), rng.random()
+            if rng.random() < 0.05:
+                sender = rng.choice((0.0, 0.1, 0.125))
+                receiver = 0.125
+            line = b"3:%s:%d:%d:%s:%d:%d:64:7" % (
+                triple(sender), t, t, triple(receiver), t + 5, t + 5)
+        elif kind < 0.95:
+            line = b"1:%s:%d:%d:1" % (triple(rng.random()), t, t + 3)
+        else:
+            members = rng.sample(range(1, P + 1), rng.randint(1, P))
+            count = len(members) + (rng.random() < 0.2)
+            line = b"c:1:%d:%d:%s" % (rng.randint(2, 4), count, b":".join(
+                b"%d" % m for m in members))
+        if rng.random() < 0.3:
+            line += b" "
+        lines.append(line)
+    apps = b"%d:0" % P if flat else b",".join(b"1:1" for _ in range(P))
+    header = b"#Paraver (01/01/25 at 00:00):%d_ns:1(%d):1:%d(%s)" % (
+        t + 10, P, 1 if flat else P, apps)
+    return header + b"\n" + b"\n".join(lines) + b"\n"
+
+
+def test_coordinate_rule_matches_reference(tmp_path, monkeypatch):
+    """The coordinate rule on random streams, at the default block size
+    and at blocks of a few lines, against the reference reader: the
+    same logged and dropped records, and the same line and rank in the
+    error of the first rank out of range."""
+    path = tmp_path / "coords.prv"
+    rng = random.Random(21)
+    seen = set()
+    for case in range(400):
+        path.write_bytes(coordinate_stream(rng))
+        want = outcome(load_reference, str(path))
+        for size in (prv.BLOCK_SIZE, rng.randint(40, 240)):
+            monkeypatch.setattr(prv, "BLOCK_SIZE", size)
+            assert outcome(load_trace, str(path)) == want, (case, size)
+        if isinstance(want, str):
+            seen.add("error")
+        else:
+            seen.update(detail for kind, _, detail in want["anomalies"]
+                        if kind is AnomalyKind.MALFORMED_RECORD)
+            seen.add(want["meta"].flat_rank_encoding)
+    assert {"error", True, False, "application 2 out of range",
+            "record addresses a second thread of a rank",
+            "communicator definition length mismatch"} <= seen

@@ -254,9 +254,23 @@ class TestRecordStream:
         assert log.count(AnomalyKind.MALFORMED_RECORD) == 1
         assert counters.dropped == 1
 
-    def test_rank_out_of_range_aborts(self):
-        with pytest.raises(IngestError, match="rank index"):
-            assemble([f"2:9:1:9:1:10:{EVTYPE_P2P}:1"])
+    @pytest.mark.parametrize("lines,error", [
+        pytest.param([f"2:9:1:9:1:10:{EVTYPE_P2P}:1"],
+                     "line 2: rank index 8 out of range", id="event"),
+        # the sender's rank is reported before the receiver's
+        pytest.param([ev(0, 5, (EVTYPE_P2P, 1)),
+                      "3:7:1:7:1:10:10:9:1:9:1:20:20:64:0"],
+                     "line 3: rank index 6 out of range",
+                     id="communication"),
+        # a routed line (trailing space) before a plain one, one block
+        pytest.param([ev(0, 5, (EVTYPE_P2P, 1)),
+                      f"2:5:1:5:1:10:{EVTYPE_P2P}:1 ",
+                      f"2:4:1:4:1:10:{EVTYPE_P2P}:1"],
+                     "line 3: rank index 4 out of range", id="routed_first"),
+    ])
+    def test_rank_out_of_range_aborts(self, lines, error):
+        with pytest.raises(IngestError, match=f"^{error}$"):
+            assemble(lines)
 
     def test_flat_encoding_uses_thread_field(self):
         line = "#Paraver (01/01/25 at 00:00):900_ns:1(3):1:1(3:0)"
