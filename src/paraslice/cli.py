@@ -365,8 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_generate(args) -> int:
     # imported here so that `analyze` never loads the generator
-    from .synth import (ScenarioError, expected_metrics, generate_to_files,
-                        load_scenario)
+    from .synth import ScenarioError, generate_with_expected, load_scenario
     try:
         scenario = load_scenario(args.scenario)
     except OSError as exc:
@@ -376,11 +375,10 @@ def _run_generate(args) -> int:
         print(f"error: invalid scenario: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     try:
-        prv_path, pcf_path = generate_to_files(scenario, args.out)
+        prv_path, pcf_path, exp = generate_with_expected(scenario, args.out)
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_UNREADABLE
-    exp = expected_metrics(scenario)
     if args.expected:
         _write_json(Path(prv_path).with_suffix(".expected.json"), {
             "rank_count": exp.rank_count,

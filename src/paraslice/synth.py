@@ -20,14 +20,25 @@ Patterns:
 Injected wait models network/arrival latency: it delays receive
 completions and collective exits in elapsed time but can never appear in
 the ideal clock, which is the whole point of the decomposition.
+
+Generation walks the scenario twice: a walk with no sink sizes the
+header and gives the expectation, and a second walk writes the records,
+a batch per iteration in (time, rank, emission) order.  Each walk
+redraws the compute times from the scenario's seed, a block of
+iterations at a time, with draw_below taking exactly the values
+randint would; no walk holds more than one block, so memory does not
+grow with the iteration count.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .model import TimeUnit
 from .prv import (
@@ -277,27 +288,81 @@ def load_scenario(source) -> Scenario:
     return scenario
 
 
-def compute_matrix(scenario: Scenario) -> list[list[list[int]]]:
-    """Realized compute times, [phase][iteration][rank], in nanoseconds.
+def draw_below(rng: random.Random, n: int, count: int) -> np.ndarray:
+    """The next count values of rng.randint(0, n - 1), drawn in one go.
 
-    One seeded generator drawn in a fixed order makes the matrix — and
-    with it the whole trace — reproducible.
+    CPython draws each value as getrandbits(n.bit_length()) and draws
+    again while the result is not below n.  For n.bit_length() <= 32 a
+    draw is the top bits of one 32-bit output of the generator, and
+    getrandbits(32 * m) is the next m outputs, the first in the lowest
+    bits; taking only as many outputs as values are still missing keeps
+    the generator from running ahead, so it ends in the state count
+    randint calls leave.  Wider draws take the same rule one at a time.
+    Returns int64 values, or Python ints when n exceeds 2**63.
+    """
+    k = n.bit_length()
+    if k > 32:
+        getrandbits = rng.getrandbits
+        out = []
+        for _ in range(count):
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            out.append(r)
+        return np.array(out, dtype=np.int64 if n <= 1 << 63 else object)
+    out = np.empty(count, dtype=np.int64)
+    got = 0
+    while got < count:
+        need = count - got
+        words = np.frombuffer(rng.getrandbits(32 * need).to_bytes(
+            4 * need, "little"), dtype="<u4") >> (32 - k)
+        words = words[words < n]
+        out[got:got + len(words)] = words
+        got += len(words)
+    return out
+
+
+# values drawn at a time: bounds the generator's memory whatever the
+# iteration count, while the draws stay a few numpy calls per block
+_DRAW_BLOCK = 1 << 12
+
+
+def _compute_rows(scenario: Scenario) -> Iterator[list[int]]:
+    """Realized compute times in nanoseconds, one [rank] row per
+    iteration, phase after phase.
+
+    One seeded generator drawn in a fixed order, rank by rank within an
+    iteration, makes every row, and with them the whole trace,
+    reproducible.  Rows are drawn a block of iterations at a time, never
+    the whole run; a phase without jitter yields one shared row.
     """
     rng = random.Random(scenario.seed)
+    P = scenario.rank_count
     step = 1000 if scenario.time_unit is TimeUnit.MICROSECONDS else 1
-    out = []
     for ph in scenario.phases:
-        base = ph.compute.base_values(scenario.rank_count)
+        base = ph.compute.base_values(P)
         jitter = ph.compute.jitter_ns
-        rows = []
-        for _ in range(ph.iterations):
-            if jitter:
-                rows.append([b + rng.randint(0, jitter // step) * step
-                             for b in base])
-            else:
-                rows.append(list(base))
-        out.append(rows)
-    return out
+        if not jitter:
+            for _ in range(ph.iterations):
+                yield base
+            continue
+        n = jitter // step + 1
+        # exact integers past int64, numpy's fast ones below it
+        dtype = np.int64 if max(base) + (n - 1) * step < 1 << 63 else object
+        start = np.array(base, dtype=dtype)
+        per = max(1, _DRAW_BLOCK // P)
+        for first in range(0, ph.iterations, per):
+            count = min(per, ph.iterations - first)
+            draws = draw_below(rng, n, count * P).astype(dtype, copy=False)
+            yield from (draws.reshape(count, P) * step + start).tolist()
+
+
+def compute_matrix(scenario: Scenario) -> list[list[list[int]]]:
+    """Realized compute times, [phase][iteration][rank], in nanoseconds:
+    every row the walk draws, held at once."""
+    rows = _compute_rows(scenario)
+    return [[list(next(rows)) for _ in range(ph.iterations)]
+            for ph in scenario.phases]
 
 
 # --------------------------------------------------------------------------
@@ -322,42 +387,47 @@ class _Sink:
 
 
 class _StreamSink(_Sink):
-    """Writes Paraver record lines to fh a batch at a time, each batch
-    ordered by (time, rank, per-rank sequence) so every rank's
-    open/close order survives the merge."""
+    """Writes Paraver record lines to fh a batch at a time.
+
+    A batch is ordered by time, then rank, then the order the walk
+    emitted that rank's records in: one stable sort on the integer key
+    time * P + rank, so every rank's open/close order survives the
+    merge.  The per-rank object fields are built once.
+    """
 
     def __init__(self, scenario: Scenario, fh):
         self.fh = fh
+        self.P = scenario.rank_count
         self.div = 1000 if scenario.time_unit is TimeUnit.MICROSECONDS else 1
-        self._seq = [0] * scenario.rank_count
-        self._batch: list[tuple[int, int, int, str]] = []
-
-    def _push(self, time: int, rank: int, text: str) -> None:
-        self._batch.append((time, rank, self._seq[rank], text))
-        self._seq[rank] += 1
+        self._obj = [f"{r}:1:{r}:1" for r in range(1, self.P + 1)]
+        self._keys: list[int] = []
+        self._lines: list[str] = []
 
     def region(self, rank, entry, exit_, etype, call, comm_id=None):
-        obj = f"{rank + 1}:1:{rank + 1}:1"
-        pairs = f"{etype}:{call}"
-        if comm_id is not None:
-            pairs += f":{EVTYPE_COMM_ID}:{comm_id}"
-        self._push(entry, rank, f"2:{obj}:{entry // self.div}:{pairs}")
-        self._push(exit_, rank, f"2:{obj}:{exit_ // self.div}:{etype}:0")
+        obj = self._obj[rank]
+        div = self.div
+        if comm_id is None:
+            opened = f"2:{obj}:{entry // div}:{etype}:{call}"
+        else:
+            opened = (f"2:{obj}:{entry // div}:{etype}:{call}"
+                      f":{EVTYPE_COMM_ID}:{comm_id}")
+        self._keys += (entry * self.P + rank, exit_ * self.P + rank)
+        self._lines += (opened, f"2:{obj}:{exit_ // div}:{etype}:0")
 
     def message(self, sender, receiver, send_begin, recv_end, size, tag):
-        s = f"{sender + 1}:1:{sender + 1}:1"
-        r = f"{receiver + 1}:1:{receiver + 1}:1"
         sb = send_begin // self.div
         re = recv_end // self.div
-        self._push(send_begin, sender,
-                   f"3:{s}:{sb}:{sb}:{r}:{re}:{re}:{size}:{tag}")
+        self._keys.append(send_begin * self.P + sender)
+        self._lines.append(f"3:{self._obj[sender]}:{sb}:{sb}:"
+                           f"{self._obj[receiver]}:{re}:{re}:{size}:{tag}")
 
     def batch_done(self) -> None:
-        if self._batch:
-            self._batch.sort()
-            self.fh.write("\n".join([t[3] for t in self._batch]))
-            self.fh.write("\n")
-            self._batch.clear()
+        if self._lines:
+            order = sorted(range(len(self._keys)), key=self._keys.__getitem__)
+            lines = self._lines
+            self.fh.write("\n".join([lines[i] for i in order]) + "\n")
+            self._keys.clear()
+            lines.clear()
 
 
 @dataclass(slots=True)
@@ -371,28 +441,25 @@ def _snapshot(e, o, d) -> _Snap:
     return _Snap(list(e), list(o), list(d))
 
 
-def _split_groups(rank_count: int, split: int) -> list[list[int]]:
-    return [[i for i in range(rank_count) if i % split == g]
-            for g in range(split)]
+# split count -> one (member ranks, communicator id) pair per group
+_Comms = dict[int, list[tuple[list[int], int]]]
 
 
-def _communicator_ids(scenario: Scenario) -> dict[tuple[int, int], int]:
-    """Stable ids for every subcommunicator the scenario uses; the world
-    communicator keeps id 1."""
-    ids: dict[tuple[int, int], int] = {}
-    nxt = 2
-    for ph in scenario.phases:
-        k = ph.communicator_split or 1
-        if k > 1:
-            for g in range(k):
-                if (k, g) not in ids:
-                    ids[(k, g)] = nxt
-                    nxt += 1
-    return ids
+def _communicators(scenario: Scenario) -> _Comms:
+    """Members and id of every communicator the scenario uses, per split
+    count: split 1 is the world, id 1; a split into k groups puts rank i
+    in group i % k, and its groups take the next free ids."""
+    P = scenario.rank_count
+    comms: _Comms = {}
+    nxt = 1
+    for k in (1, *(ph.communicator_split or 1 for ph in scenario.phases)):
+        if k not in comms:
+            comms[k] = [(list(range(g, P, k)), nxt + g) for g in range(k)]
+            nxt += k
+    return comms
 
 
-def _walk(scenario: Scenario, matrix, sink: _Sink,
-          comm_ids: dict[tuple[int, int], int],
+def _walk(scenario: Scenario, sink: _Sink, comms: _Comms,
           ) -> tuple[int, _Snap, list[_Snap]]:
     """Run the scenario, emitting records and tracking the exact clocks.
 
@@ -409,10 +476,11 @@ def _walk(scenario: Scenario, matrix, sink: _Sink,
         sink.region(i, 0, 0, EVTYPE_OTHER, OTHER_INIT)
     sink.batch_done()
 
-    for pi, ph in enumerate(scenario.phases):
+    rows = _compute_rows(scenario)
+    for ph in scenario.phases:
+        iteration = _ITERATION[ph.pattern]
         for it in range(ph.iterations):
-            c = matrix[pi][it]
-            _ITERATION[ph.pattern](ph, it, c, e, o, d, sink, comm_ids)
+            iteration(ph, it, next(rows), e, o, d, sink, comms)
             sink.batch_done()
         if ph.pattern == "allreduce" and (ph.communicator_split or 1) > 1:
             # realign the groups so the next phase starts from one front
@@ -432,14 +500,14 @@ def _walk(scenario: Scenario, matrix, sink: _Sink,
     return duration, _snapshot(e, o, d), snaps
 
 
-def _iter_none(ph, it, c, e, o, d, sink, comm_ids):
+def _iter_none(ph, it, c, e, o, d, sink, comms):
     for i in range(len(e)):
         e[i] += c[i]
         o[i] += c[i]
         d[i] += c[i]
 
 
-def _iter_ring(ph, it, c, e, o, d, sink, comm_ids):
+def _iter_ring(ph, it, c, e, o, d, sink, comms):
     P = len(e)
     w = ph.injected_wait_ns
     r = [e[i] + c[i] for i in range(P)]
@@ -458,7 +526,7 @@ def _iter_ring(ph, it, c, e, o, d, sink, comm_ids):
         d[i] = peak
 
 
-def _iter_stencil(ph, it, c, e, o, d, sink, comm_ids):
+def _iter_stencil(ph, it, c, e, o, d, sink, comms):
     P = len(e)
     w = ph.injected_wait_ns
     r = [e[i] + c[i] for i in range(P)]
@@ -478,23 +546,21 @@ def _iter_stencil(ph, it, c, e, o, d, sink, comm_ids):
         d[i] = peak
 
 
-def _iter_allreduce(ph, it, c, e, o, d, sink, comm_ids):
-    P = len(e)
+def _iter_allreduce(ph, it, c, e, o, d, sink, comms):
     k = ph.communicator_split or 1
-    r = [e[i] + c[i] for i in range(P)]
-    for g, members in enumerate(_split_groups(P, k)):
-        end = max(r[i] for i in members) + ph.injected_wait_ns
-        peak = max(d[i] + c[i] for i in members)
-        cid = comm_ids[(k, g)] if k > 1 else None
+    r = [e[i] + c[i] for i in range(len(e))]
+    for members, cid in comms[k]:
+        end = max([r[i] for i in members]) + ph.injected_wait_ns
+        peak = max([d[i] + c[i] for i in members])
         for i in members:
             sink.region(i, r[i], end, EVTYPE_COLLECTIVE, COLL_ALLREDUCE,
-                        comm_id=cid)
+                        comm_id=cid if k > 1 else None)
             e[i] = end
             o[i] += c[i]
             d[i] = peak
 
 
-def _iter_chain(ph, it, c, e, o, d, sink, comm_ids):
+def _iter_chain(ph, it, c, e, o, d, sink, comms):
     P = len(e)
     w = ph.injected_wait_ns
     q = [0] * P
@@ -564,9 +630,13 @@ class ExpectedMetrics:
 def expected_metrics(scenario: Scenario) -> ExpectedMetrics:
     """Exact factor decomposition the analyzer must reproduce, computed
     from the integer recurrences alone."""
-    matrix = compute_matrix(scenario)
-    duration, final, snaps = _walk(scenario, matrix, _Sink(),
-                                   _communicator_ids(scenario))
+    return _expectation(scenario, *_walk(scenario, _Sink(),
+                                         _communicators(scenario)))
+
+
+def _expectation(scenario: Scenario, duration: int, final: _Snap,
+                 snaps: list[_Snap]) -> ExpectedMetrics:
+    """The factor decomposition of one walk's clocks."""
     P = scenario.rank_count
 
     def factors(compute: tuple[int, ...], ideal: int, span: int) -> dict:
@@ -613,16 +683,10 @@ def _header(scenario: Scenario, duration: int) -> str:
     return f"#Paraver {HEADER_DATE}:{dur}:1({P}):1:{P}({tasks})"
 
 
-def _communicator_lines(scenario: Scenario,
-                        comm_ids: dict[tuple[int, int], int]) -> list[str]:
-    P = scenario.rank_count
-    world = ":".join(str(i + 1) for i in range(P))
-    lines = [f"c:1:1:{P}:{world}"]
-    for (k, g), cid in sorted(comm_ids.items(), key=lambda kv: kv[1]):
-        members = _split_groups(P, k)[g]
-        body = ":".join(str(i + 1) for i in members)
-        lines.append(f"c:1:{cid}:{len(members)}:{body}")
-    return lines
+def _communicator_lines(comms: _Comms) -> list[str]:
+    return [f"c:1:{cid}:{len(members)}:"
+            + ":".join([str(i + 1) for i in members])
+            for groups in comms.values() for members, cid in groups]
 
 
 def pcf_text(scenario: Scenario | None = None) -> str:
@@ -660,19 +724,31 @@ EVENT_TYPE
 """
 
 
-def generate_to_files(scenario: Scenario, prv_path) -> tuple[str, str]:
-    """Stream the scenario to <prv_path> and a sibling .pcf; memory use
-    stays proportional to one iteration, not to the file."""
+def generate_with_expected(scenario: Scenario, prv_path,
+                           ) -> tuple[str, str, ExpectedMetrics]:
+    """Stream the scenario to <prv_path> and a sibling .pcf, and return
+    both paths with the scenario's expected metrics.
+
+    Two walks: the first, with no sink, sizes the header and gives the
+    expectation; the second writes the records.  Memory use stays
+    proportional to one block of iterations, not to the file.
+    """
     scenario.validate()
     prv_path = Path(prv_path)
-    matrix = compute_matrix(scenario)
-    comm_ids = _communicator_ids(scenario)
-    duration, _, _ = _walk(scenario, matrix, _Sink(), comm_ids)
+    comms = _communicators(scenario)
+    duration, final, snaps = _walk(scenario, _Sink(), comms)
     with open(prv_path, "w", encoding="utf-8") as fh:
         fh.write(_header(scenario, duration) + "\n")
-        for line in _communicator_lines(scenario, comm_ids):
+        for line in _communicator_lines(comms):
             fh.write(line + "\n")
-        _walk(scenario, matrix, _StreamSink(scenario, fh), comm_ids)
+        _walk(scenario, _StreamSink(scenario, fh), comms)
     pcf_path = prv_path.with_suffix(".pcf")
     pcf_path.write_text(pcf_text(scenario), encoding="utf-8")
-    return str(prv_path), str(pcf_path)
+    return (str(prv_path), str(pcf_path),
+            _expectation(scenario, duration, final, snaps))
+
+
+def generate_to_files(scenario: Scenario, prv_path) -> tuple[str, str]:
+    """Stream the scenario to <prv_path> and a sibling .pcf; returns
+    both paths."""
+    return generate_with_expected(scenario, prv_path)[:2]

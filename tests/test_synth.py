@@ -1,13 +1,17 @@
 """Scenario validation, deterministic generation, and the planted-factor
 identities each communication pattern is designed to exhibit."""
 
+import hashlib
 import json
 import math
+import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from paraslice.cli import main as cli_main
 from paraslice.prv import EVTYPE_COMM_ID
 from paraslice.replay import replay
 from paraslice.metrics import (
@@ -25,6 +29,7 @@ from paraslice.synth import (
     ScenarioError,
     TimeUnit,
     compute_matrix,
+    draw_below,
     expected_metrics,
     generate_to_files,
     load_scenario,
@@ -267,6 +272,27 @@ class TestComputeMatrix:
                 for v in row]
         assert all(v % 1000 == 0 for v in flat)
         assert len(set(flat)) > 1                      # jitter did fire
+
+
+class TestDrawBelow:
+    @pytest.mark.parametrize("n", [1, 2, 3, 2**7, 2**7 + 1, 2**31,
+                                   2**31 + 1, 2**32, 2**32 + 1, 10**12])
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_matches_randint_draw_for_draw(self, seed, n):
+        """Values and generator state are what count randint(0, n - 1)
+        calls give, also across calls of several sizes."""
+        bulk, single = random.Random(seed), random.Random(seed)
+        for count in (0, 1, 5, 300):
+            got = draw_below(bulk, n, count).tolist()
+            assert got == [single.randint(0, n - 1) for _ in range(count)]
+            assert bulk.getstate() == single.getstate()
+
+    def test_values_past_int64_stay_exact(self):
+        bulk, single = random.Random(3), random.Random(3)
+        n = 2**64 + 13
+        assert draw_below(bulk, n, 20).tolist() == \
+            [single.randint(0, n - 1) for _ in range(20)]
+        assert bulk.getstate() == single.getstate()
 
 
 def pipeline_metrics(scenario, tmp_path):
@@ -549,3 +575,124 @@ class TestGeneration:
         assert us.t_compute == ns.t_compute
         assert us.runtime_ideal == ns.runtime_ideal
         assert us.efficiency == ns.efficiency
+
+
+def _pinned_phases(step):
+    """Every pattern and compute kind, jitter on and off, a split
+    allreduce, and a none phase that leaves the ranks unaligned before a
+    barrier pattern; times scaled by step."""
+    return [
+        {"pattern": "none", "iterations": 3,
+         "compute": {"kind": "uniform", "mean_ns": 4000 * step,
+                     "jitter_ns": 3000 * step}},
+        {"pattern": "ring_exchange", "iterations": 4,
+         "compute": {"kind": "explicit", "values_ns": [
+             v * step for v in (5000, 7000, 6000, 9000, 8000)]},
+         "message_bytes": 64, "injected_wait_ns": 100 * step},
+        {"pattern": "neighbor_stencil", "iterations": 3,
+         "compute": {"kind": "linear_imbalance", "mean_ns": 6000 * step,
+                     "imbalance_ratio": 1.5, "jitter_ns": 2000 * step},
+         "message_bytes": 512},
+        {"pattern": "allreduce", "iterations": 4,
+         "compute": {"kind": "uniform", "mean_ns": 3000 * step,
+                     "jitter_ns": 1000 * step},
+         "communicator_split": 2, "injected_wait_ns": 50 * step},
+        {"pattern": "serial_chain", "iterations": 3,
+         "compute": {"kind": "explicit", "values_ns": [
+             v * step for v in (2000, 1000, 3000, 1000, 2000)],
+             "jitter_ns": 500 * step},
+         "message_bytes": 128, "injected_wait_ns": 20 * step},
+        {"pattern": "allreduce", "iterations": 2,
+         "compute": {"kind": "linear_imbalance", "mean_ns": 2000 * step,
+                     "imbalance_ratio": 1.25}},
+    ]
+
+
+PINNED_SCENARIOS = {
+    "mixed_ns": {"name": "mixed_ns", "rank_count": 5, "seed": 11,
+                 "phases": _pinned_phases(1)},
+    "mixed_us": {"name": "mixed_us", "rank_count": 5, "seed": 12,
+                 "time_unit": "us", "phases": _pinned_phases(1000)},
+    # jitter draws wider than 32 bits, and past int64
+    "wide_draws": {"name": "wide_draws", "rank_count": 3, "seed": 13,
+                   "phases": [
+                       {"pattern": "allreduce", "iterations": 5,
+                        "compute": {"kind": "uniform", "mean_ns": 1000,
+                                    "jitter_ns": 10**12}},
+                       {"pattern": "serial_chain", "iterations": 5,
+                        "compute": {"kind": "uniform", "mean_ns": 1000,
+                                    "jitter_ns": 2**32}},
+                       {"pattern": "allreduce", "iterations": 3,
+                        "compute": {"kind": "uniform", "mean_ns": 1000,
+                                    "jitter_ns": 2**64}}]},
+}
+
+# sha256 of what `generate --expected` writes for each pinned scenario;
+# the generator's output is a format, and a change that moves one byte of
+# it has to say so here
+PINNED_DIGESTS = {
+    "mixed_ns": {
+        ".prv": "5074730768cd082a3ad44606c87b3f66"
+                "04e684acc607c32e3f34e9d0da2be65c",
+        ".pcf": "5ace0f150c33c6e7a9fad741c46bcc44"
+                "e395c425b6d297cbd3ca3f3394f8a0b3",
+        ".expected.json": "1c6738321b1af35659c7dcbc330e100a"
+                          "a1962a937b2b201a893457a8701b878e",
+    },
+    "mixed_us": {
+        ".prv": "64b36ebb6732d1f41aa9357760ca823b"
+                "32b6eb7a233125ff1b623258b13a14fc",
+        ".pcf": "c421794306480f4f18f8dce59fa4e5c1"
+                "b3b09b1d24f5e8280c0ba9af451e5f45",
+        ".expected.json": "d9869765d97890c3653079d3f7252315"
+                          "954531fe2c48864ccb372a42e5104a86",
+    },
+    "wide_draws": {
+        ".prv": "143a59c115d36983126de038923a8f19"
+                "79c710ed989d73843df37928f2b9f00c",
+        ".pcf": "5ace0f150c33c6e7a9fad741c46bcc44"
+                "e395c425b6d297cbd3ca3f3394f8a0b3",
+        ".expected.json": "dca269c9ae4fab4b17c62fec283640d8"
+                          "2b10a0e02017806658c7f78e5f0873f4",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SCENARIOS))
+def test_generated_bytes_are_pinned(name, tmp_path):
+    scenario = tmp_path / f"{name}.json"
+    scenario.write_text(json.dumps(PINNED_SCENARIOS[name]),
+                        encoding="utf-8")
+    prv = tmp_path / f"{name}.prv"
+    assert cli_main(["generate", str(scenario), "--out", str(prv),
+                     "--expected"]) == 0
+    digests = {suffix: hashlib.sha256(
+        prv.with_suffix(suffix).read_bytes()).hexdigest()
+        for suffix in PINNED_DIGESTS[name]}
+    assert digests == PINNED_DIGESTS[name]
+
+
+# tracemalloc peaks of 16-rank ring generation read 264 924 B at 256 and
+# 269 946 B at 2560 iterations (Python 3.11); a whole compute matrix held
+# at once adds about 630 B per iteration (1.6 MB between the two)
+GENERATION_PEAK_GROWTH_BOUND = 64 * 1024
+
+
+def test_generation_memory_does_not_grow_with_iterations(tmp_path):
+    def peak(iterations):
+        sc = load_scenario({
+            "name": "mem", "rank_count": 16, "seed": 1,
+            "phases": [{"pattern": "ring_exchange",
+                        "iterations": iterations,
+                        "compute": {"kind": "uniform", "mean_ns": 50000,
+                                    "jitter_ns": 10000},
+                        "message_bytes": 1024}]})
+        tracemalloc.start()
+        try:
+            generate_to_files(sc, tmp_path / "mem.prv")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(256), peak(2560)
+    assert abs(large - small) < GENERATION_PEAK_GROWTH_BOUND, (small, large)
