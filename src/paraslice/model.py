@@ -521,25 +521,36 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def member_faults(members: list[int], rank_count: int) -> list[str]:
-    """What is wrong with a communicator's member list, if anything."""
-    faults = []
-    if not members:
-        faults.append("empty membership")
-    if len(set(members)) != len(members):
-        faults.append("duplicate members")
-    if any(not (0 <= m < rank_count) for m in members):
-        faults.append("member out of range")
-    return faults
+def stream_end_faults(trace: Trace) -> Iterator[tuple[str, str, str]]:
+    """The checks that need the whole trace, as (code, location, detail):
+    each communicator definition with empty, duplicate or out-of-range
+    members, then a header duration short of the last region exit.
+    Ingest logs each as a malformed record at the end of the stream."""
+    meta = trace.meta
+    for comm_id, comm in trace.communicators.items():
+        members = comm.members
+        fault = ("communicator.members", f"communicator {comm_id}")
+        if not members:
+            yield *fault, "empty membership"
+        if len(set(members)) != len(members):
+            yield *fault, "duplicate members"
+        if any(not (0 <= m < meta.rank_count) for m in members):
+            yield *fault, "member out of range"
+    # collective participants are regions, so this covers their exits
+    exits = trace.regions.exit_times
+    last = max(0, int(exits.max())) if len(exits) else 0
+    if meta.total_duration_ns < last:
+        yield ("meta.duration", "header",
+               f"total_duration {meta.total_duration_ns} "
+               f"< last timestamp {last}")
 
 
 def validate_trace(trace: Trace) -> ValidationReport:
-    """Check the structural invariants of the model; report, never raise.
-
-    Ingest logs the same communicator member faults, and a header
-    duration short of the last region exit, as anomalies of its own.  The
-    command line runs this under --strict only, once ingest's log is
-    empty; a default analysis does not.
+    """Check the invariants that ingest keeps and Trace.build does not
+    (the rank count, no negative or overlapping region), then the
+    stream_end_faults ingest logs; report, never raise.  Faulty messages
+    and collectives are replay's to log.  The command line runs this
+    under --strict only, once ingest's and replay's logs are empty.
     """
     report = ValidationReport()
     meta = trace.meta
@@ -569,102 +580,28 @@ def validate_trace(trace: Trace) -> ValidationReport:
         else:
             report.add("region.negative", f"rank {r} region {k}",
                        f"entry {ent[j]} > exit {ex[j]}")
-    # collective participants are regions, so this covers their exits
-    max_ts = max(0, int(ex.max())) if len(ex) else 0
-
-    max_ts = _validate_messages(trace, report, max_ts)
-
-    for comm_id, comm in trace.communicators.items():
-        where = f"communicator {comm_id}"
-        if comm.communicator_id != comm_id:
-            report.add("communicator.id", where, "key does not match definition")
-        for detail in member_faults(comm.members, meta.rank_count):
-            report.add("communicator.members", where, detail)
-
-    _validate_collectives(trace, report)
-
-    if meta.total_duration_ns < max_ts:
-        report.add("meta.duration", "header",
-                   f"total_duration {meta.total_duration_ns} < last timestamp {max_ts}")
+    for fault in stream_end_faults(trace):
+        report.add(*fault)
     return report
 
 
-def collective_membership(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
-    """Per collective occurrence: whether its communicator is defined,
-    and whether its participant ranks equal the communicator's sorted
-    distinct members (never, when it is undefined)."""
+def collective_membership(trace: Trace) -> np.ndarray:
+    """Per collective occurrence: whether its participant ranks equal its
+    communicator's sorted distinct members (never, when the communicator
+    is undefined)."""
     colls = trace.collectives
     cid = colls.comm_ids
     counts = np.diff(colls.part_offsets)
     ranks = colls.part_ranks()
-    defined = np.zeros(len(cid), dtype=bool)
     fits = np.zeros(len(cid), dtype=bool)
     # participants are distinct ranks in rank order
     for c in distinct(cid).tolist():
         comm = trace.communicators.get(c)
         if comm is None:
             continue
-        defined[cid == c] = True
         members = distinct(comm.members)
         same = (cid == c) & (counts == len(members))
         if same.any():
             got = ranks[np.repeat(same, counts)].reshape(-1, len(members))
             fits[np.flatnonzero(same)[(got == members).all(axis=1)]] = True
-    return defined, fits
-
-
-def _validate_collectives(trace: Trace, report: ValidationReport) -> None:
-    """Collective check of validate_trace, per occurrence in store order:
-    participants that differ from the communicator's members.  One
-    (communicator, rank)'s occurrences ascend in table rows, so they
-    enter in order unless a region overlap or negative region, reported
-    already, lies between them."""
-    colls = trace.collectives
-    if not len(colls):
-        return
-    defined, fits = collective_membership(trace)
-    ranks = colls.part_ranks()
-    offsets = colls.part_offsets
-    for i in np.flatnonzero(defined & ~fits).tolist():
-        c = int(colls.comm_ids[i])
-        got = ranks[offsets[i]:offsets[i + 1]].tolist()
-        members = sorted(set(trace.communicators[c].members))
-        report.add("collective.membership",
-                   f"collective comm={c} occ={colls.occ_indices[i]}",
-                   f"participants {got} != members {members}")
-
-
-def _validate_messages(trace: Trace, report: ValidationReport,
-                       max_ts: int) -> int:
-    """Message checks of validate_trace; returns the updated max timestamp."""
-    meta = trace.meta
-    msgs = trace.messages
-    if not len(msgs):
-        return max_ts
-    snd, rcv = msgs.senders, msgs.receivers
-    sb, re_, st = msgs.send_begins, msgs.recv_ends, msgs.status_codes
-
-    in_range = ((snd >= 0) & (snd < meta.rank_count)
-                & (rcv >= 0) & (rcv < meta.rank_count))
-    for i in np.nonzero(~in_range)[0]:
-        report.add("message.rank_range", f"message {i}",
-                   f"sender={snd[i]} receiver={rcv[i]}")
-    for i in np.nonzero(in_range & (st == 0) & (sb > re_))[0]:
-        report.add("message.reversed", f"message {i}",
-                   f"send {sb[i]} > recv {re_[i]} but status valid")
-
-    outside_send = np.zeros(len(snd), dtype=bool)
-    outside_recv = np.zeros(len(snd), dtype=bool)
-    ok = np.flatnonzero(in_range)
-    outside_send[ok] = locate_rows(trace.regions, snd[ok], sb[ok]) < 0
-    outside_recv[ok] = locate_rows(trace.regions, rcv[ok], re_[ok],
-                                   prefer_exit=True) < 0
-    for i in np.nonzero(outside_send)[0]:
-        report.add("message.sender_region", f"message {i}",
-                   f"send_begin {sb[i]} outside any region of rank {snd[i]}")
-    for i in np.nonzero(outside_recv)[0]:
-        report.add("message.recv_region", f"message {i}",
-                   f"recv_end {re_[i]} outside any region of rank {rcv[i]}")
-    if in_range.any():
-        max_ts = max(max_ts, int(sb[in_range].max()), int(re_[in_range].max()))
-    return max_ts
+    return fits

@@ -60,8 +60,8 @@ from .model import (
     Trace,
     TraceMeta,
     group_collectives,
-    member_faults,
     rank_order,
+    stream_end_faults,
 )
 
 # Event types carrying MPI call activity.  A positive value opens a region
@@ -839,16 +839,8 @@ class _Assembly:
         trace.regions = self._table()
         trace.messages = MessageStore(*(c.values() for c in self.messages))
         group_collectives(trace)
-        for comm_id, comm in trace.communicators.items():
-            for detail in member_faults(comm.members, self.meta.rank_count):
-                self.log.add(AnomalyKind.MALFORMED_RECORD,
-                             f"communicator {comm_id}", detail)
-        exits = trace.regions.exit_times
-        last = int(exits.max()) if len(exits) else 0
-        if self.meta.total_duration_ns < last:
-            self.log.add(AnomalyKind.MALFORMED_RECORD, "header",
-                         f"total_duration {self.meta.total_duration_ns} "
-                         f"< last timestamp {last}")
+        for _, location, detail in stream_end_faults(trace):
+            self.log.add(AnomalyKind.MALFORMED_RECORD, location, detail)
         self.counters.anomalies = self.log.total
         return trace
 

@@ -1214,7 +1214,7 @@ def _skipped_collectives(trace: Trace, log: AnomalyLog) -> np.ndarray:
     undefined communicator, or whose participant ranks differ from the
     members.  Each is logged in occurrence order."""
     colls = trace.collectives
-    bad = ~collective_membership(trace)[1]
+    bad = ~collective_membership(trace)
     for i in np.flatnonzero(bad):
         where = f"collective comm={colls.comm_ids[i]} " \
                 f"occ={colls.occ_indices[i]}"

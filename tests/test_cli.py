@@ -19,7 +19,7 @@ from paraslice.cli import (
     main,
     parse_duration,
 )
-from paraslice.model import validate_trace
+from paraslice.model import AnomalyKind, validate_trace
 from paraslice.prv import IngestError, load_trace
 from paraslice.replay import replay
 from paraslice.windows import boundary_clocks
@@ -374,8 +374,8 @@ class TestAnalyze:
 
     def test_strict_reports_unmatched_send_from_replay(
             self, unmatched_send, tmp_path, capsys):
-        # validate_trace would reject the message too, with three lines;
-        # under --strict replay's one-line report comes first
+        # ingest keeps the message and validate_trace leaves messages to
+        # replay, whose one-line report is the strict refusal
         assert analyze(unmatched_send, tmp_path / "out", "--strict") \
             == EXIT_STRICT
         send = int(unmatched_send.read_text(encoding="utf-8")
@@ -592,11 +592,29 @@ class TestStrictValidateIsInert:
 
     def test_unmatched_send_is_caught_by_replay_not_ingest(
             self, unmatched_send):
-        # an empty ingest log alone does not make validate_trace pass
-        assert logs_and_validity(unmatched_send) == (0, 1, False)
+        # validate_trace leaves messages to replay, which logs this one
+        assert logs_and_validity(unmatched_send) == (0, 1, True)
+        trace, _, _ = load_trace(str(unmatched_send))
+        assert [(e.kind, e.location) for e in replay(trace)[1].entries] \
+            == [(AnomalyKind.UNMATCHED_SEND, "message 20")]
 
     def test_short_header_is_caught_by_ingest(self, short_header):
         assert logs_and_validity(short_header[0]) == (1, 0, False)
+
+    def test_ingest_and_validate_share_the_stream_end_rules(
+            self, short_header, tmp_path):
+        """A duplicate-member communicator and a halved header duration:
+        ingest logs exactly the faults validate_trace reports for them."""
+        prv = tmp_path / "both.prv"
+        prv.write_bytes(short_header[0].read_bytes() + b"c:1:5:2:1:1\n")
+        trace, log, _ = load_trace(str(prv))
+        assert set(log.counters) == {AnomalyKind.MALFORMED_RECORD}
+        found = [(v.code, v.location, v.detail)
+                 for v in validate_trace(trace).violations]
+        assert [code for code, _, _ in found] \
+            == ["communicator.members", "meta.duration"]
+        assert [(e.location, e.detail) for e in log.entries] \
+            == [(location, detail) for _, location, detail in found]
 
 
 class TestConsoleScript:
@@ -635,3 +653,39 @@ class TestConsoleScript:
         run = subprocess.run([sys.executable, "-c", code],
                              capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
+
+
+class TestKnownDefects:
+    # CI's clean 16-rank ring trace
+    RING = {
+        "name": "bench", "rank_count": 16, "seed": 1, "time_unit": "ns",
+        "phases": [{"pattern": "ring_exchange", "iterations": 1000,
+                    "compute": {"kind": "uniform", "mean_ns": 50000,
+                                "jitter_ns": 10000},
+                    "message_bytes": 1024}],
+    }
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 12")
+    def test_doubled_open_line_keeps_ideal_within_elapsed(self, tmp_path):
+        """One MPI open line written twice gives rank 6 an extra
+        zero-length collective region, and every later world occurrence
+        pairs wrong; the analysis must still keep ideal <= elapsed."""
+        scenario = tmp_path / "bench.json"
+        scenario.write_text(json.dumps(self.RING), encoding="utf-8")
+        prv = tmp_path / "bench.prv"
+        assert main(["generate", str(scenario), "--out", str(prv)]) \
+            == EXIT_OK
+        line = b"2:7:1:7:1:29745422:50000002:1\n"
+        text = prv.read_bytes()
+        assert text.count(b"\n" + line) == 1
+        prv.write_bytes(text.replace(b"\n" + line, b"\n" + line + line))
+        out_dir = tmp_path / "out"
+        assert analyze(prv, out_dir, "--format", "json") == EXIT_OK
+        summary = dict(
+            row.split(": ", 1) for row in (out_dir / "bench.summary.txt")
+            .read_text(encoding="utf-8").splitlines() if ": " in row)
+        assert int(summary["runtime_ideal_ns"]) \
+            <= int(summary["runtime_observed_ns"])
+        windows = json.loads((out_dir / "bench.windows.json")
+                             .read_text(encoding="utf-8"))["windows"]
+        assert all(w["transfer"] <= 1 for w in windows)

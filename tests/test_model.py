@@ -12,6 +12,7 @@ from paraslice import (
     PtpMessage,
     Trace,
     TraceMeta,
+    replay,
     validate_trace,
 )
 from paraslice.model import (
@@ -163,6 +164,16 @@ def violations(trace):
             for v in validate_trace(trace).violations]
 
 
+SKIPPED = ("participants do not match communicator membership; "
+           "synchronization skipped")
+
+
+def replay_log(trace):
+    """replay's log of the trace as (kind, location, detail) triples."""
+    return [(e.kind.value, e.location, e.detail)
+            for e in replay(trace)[1].entries]
+
+
 class TestTraceBuild:
     def test_packs_records_into_stores(self):
         t = make_clean_trace()
@@ -232,31 +243,39 @@ class TestValidateTrace:
         report = validate_trace(t)
         assert any(v.code == "region.negative" for v in report.violations)
 
+    # a faulty message or collective is replay's to log, once, and
+    # validate_trace passes the trace
+
     def test_reversed_valid_message_flagged(self):
         t = make_clean_trace(message=(1, 0, 60, 30))
-        report = validate_trace(t)
-        assert any(v.code == "message.reversed" for v in report.violations)
+        assert replay_log(t) == [("reversed_ptp", "message 0",
+                                  "send at 60 after receive completion 30")]
+        assert validate_trace(t).ok
 
     def test_degraded_reversed_message_accepted(self):
         t = make_clean_trace(message=(1, 0, 60, 50),
                              status=MessageStatus.FAULTY_LOCAL)
-        report = validate_trace(t)
-        assert not any(v.code == "message.reversed" for v in report.violations)
+        assert replay_log(t) == []
+        assert validate_trace(t).ok
 
     def test_message_rank_out_of_range(self):
         t = make_clean_trace(message=(1, 7, 30, 60))
-        report = validate_trace(t)
-        assert any(v.code == "message.rank_range" for v in report.violations)
+        assert replay_log(t) == [("malformed_record", "message 0",
+                                  "rank out of range")]
+        assert validate_trace(t).ok
 
     def test_message_outside_regions(self):
         t = make_clean_trace(message=(1, 0, 10, 60))  # rank 1 gap
-        report = validate_trace(t)
-        assert any(v.code == "message.sender_region" for v in report.violations)
+        assert replay_log(t) == [("unmatched_send", "message 0",
+                                  "send at 10 outside any region of rank 1")]
+        assert validate_trace(t).ok
 
     def test_message_receive_outside_regions(self):
         t = make_clean_trace(message=(1, 0, 30, 70))  # rank 0 gap
-        report = validate_trace(t)
-        assert [v.code for v in report.violations] == ["message.recv_region"]
+        assert replay_log(t) == [("unmatched_recv", "message 0",
+                                  "receive at 70 outside any region of "
+                                  "rank 0")]
+        assert validate_trace(t).ok
 
     def test_bad_communicator_membership(self):
         t = make_clean_trace(members=(0, 0, 1))
@@ -266,8 +285,9 @@ class TestValidateTrace:
     def test_collective_participant_mismatch(self):
         # rank 1 enters a world collective that rank 0 never joins
         t = make_clean_trace(rank1_middle=(30, 50, CallClass.COLLECTIVE))
-        report = validate_trace(t)
-        assert any(v.code == "collective.membership" for v in report.violations)
+        assert replay_log(t) == [
+            ("malformed_record", "collective comm=1 occ=0", SKIPPED)]
+        assert validate_trace(t).ok
 
     def test_collective_entered_out_of_order(self):
         # regions out of entry order: each (communicator, rank)'s
@@ -298,12 +318,12 @@ class TestValidateTrace:
              "entry 20 < previous exit 50"),
             ("region.overlap", "rank 1 region 2",
              "entry 10 < previous exit 25"),
-            ("collective.membership", "collective comm=1 occ=1",
-             "participants [1] != members [0, 1]"),
-            ("collective.membership", "collective comm=1 occ=2",
-             "participants [1] != members [0, 1]"),
         ]
         assert not validate_trace(t).ok
+        # the occurrences rank 0 never joins are replay's to log
+        assert replay_log(t) == [
+            ("malformed_record", f"collective comm=1 occ={k}", SKIPPED)
+            for k in (1, 2)]
 
     def test_collective_exit_counts_toward_duration(self):
         t = collectives_trace([[(40, 60)], [(30, 120)]])

@@ -540,6 +540,8 @@ class TestGeneration:
         trace, anomalies, counters = roundtrip(self.scenario(), tmp_path)
         assert validate_trace(trace).ok
         assert anomalies.total == 0
+        # message and collective faults are replay's to log
+        assert replay(trace)[1].total == 0
         assert counters.records == counters.consumed + counters.ignored \
             + counters.dropped
         assert trace.meta.rank_count == 3
