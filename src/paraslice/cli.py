@@ -7,8 +7,9 @@ for identical inputs and flags — nothing here reads the wall clock.
 
 Exit codes: 0 success, 1 reference-value mismatch, 2 invalid
 configuration, 3 unreadable input or unwritable output, 4 malformed
-trace (ingest's IngestError, or replay's ReplayError for clocks that
-would leave int64), 5 anomaly in strict mode, 6 trace without compute
+trace (ingest's IngestError, a header of more than prv.MAX_RANK_COUNT
+ranks among them, or replay's ReplayError for clocks that would leave
+int64), 5 anomaly in strict mode, 6 trace without compute
 time.
 """
 

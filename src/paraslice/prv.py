@@ -8,10 +8,12 @@ the colons, newlines and odd bytes give every line's bounds, field count
 and field lengths.  The plain lines -- state, event and communication
 records made of digit fields and colons only, with the field count of
 their kind -- are converted together in one np.fromstring call over the
-block, with its colons made spaces and its other lines blanked.  Every
-other line (comments, communicator definitions, blank, garbled or
-oversized lines, signs, underscores, a lone carriage return, non-ASCII
-bytes) goes through the per-line rules of iter_raw_records on its
+block, with its other lines cut out and its newlines made colons, read
+as colon-separated uint64: a plain line's fields have at most 18
+digits, so every value is below 10**18 and has the bits of its int64
+value.  Every other line (comments, communicator definitions, blank,
+garbled or oversized lines, signs, underscores, a lone carriage return,
+non-ASCII bytes) goes through the per-line rules of iter_raw_records on its
 decoded text, one pass per run of such lines.  The records these accept
 join the block's arrays as rows of their own, in line order, so one
 coordinate rule decodes every record's appl:task:thread on arrays.
@@ -79,6 +81,12 @@ _MPI_CODE = {
     EVTYPE_COLLECTIVE: CLASS_CODES[CallClass.COLLECTIVE],
     EVTYPE_OTHER: CLASS_CODES[CallClass.OTHER_MPI],
 }
+
+
+#: Most ranks a header may declare.  Ingest and replay keep a few int64
+#: columns per rank, allocated before the first record is read, so a
+#: larger count is refused as malformed rather than allocated.
+MAX_RANK_COUNT = 1 << 24
 
 
 class IngestError(Exception):
@@ -203,6 +211,9 @@ def parse_header(line: str, time_unit: TimeUnit | None = None,
         rank_count = ntasks
     if rank_count < 1:
         raise IngestError("line 1: no ranks declared")
+    if rank_count > MAX_RANK_COUNT:
+        raise IngestError(f"line 1: {rank_count} ranks declared, at most "
+                          f"{MAX_RANK_COUNT} supported")
 
     return TraceMeta(total_duration_ns=duration * _scale(unit),
                      rank_count=rank_count, time_unit=unit,
@@ -307,7 +318,7 @@ def iter_raw_records(lines: Iterable[str], log: AnomalyLog,
 BLOCK_SIZE = 1 << 19
 
 # byte values the block classifier looks at
-_NL, _CR, _SPACE, _COLON, _ZERO = 10, 13, 32, 58, 48
+_NL, _CR, _COLON, _ZERO = 10, 13, 58, 48
 _STATE_BYTE, _EVENT_BYTE, _COMM_BYTE = 49, 50, 51       # "1", "2", "3"
 # Classes of an event's type/value pair: the CLASS_CODES 0..2 of the MPI
 # types, then a companion, then any other type.  The types run in that
@@ -477,7 +488,7 @@ class _Assembly:
         # from here on, one row per record, the plain lines' first
         kind, ncol, linenos = kinds[p], ncol[p], linenos[p]
         f0 = np.cumsum(ncol + 1) - ncol     # token of payload field 0
-        tok = self._tokens(a, starts, ends, runs, int(f0[-1] + ncol[-1])
+        tok = self._tokens(data, starts, ends, runs, int(f0[-1] + ncol[-1])
                            if len(p) else 0, first_line)
         states = int(np.count_nonzero(kind == _STATE_BYTE))
         self.counters.records += len(p) - states
@@ -577,20 +588,27 @@ class _Assembly:
                         f[1], [t - 1 for t in f[3:]])
         return records
 
-    def _tokens(self, a: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+    def _tokens(self, data: bytes, starts: np.ndarray, ends: np.ndarray,
                 runs: list[tuple[int, int]], expected: int,
                 lineno: int) -> np.ndarray:
         """Every integer of the plain lines, in line order, in one call:
-        the block with its colons made spaces and the runs of other lines
-        blanked."""
+        the block with the runs of other lines cut out, each with its
+        newline, and the other newlines made colons.  What is parsed is
+        then digit fields and colons only, and a plain line's fields are
+        at most 18 digits, so each reads as uint64 with the bits of its
+        int64 value.  Blanked runs would not do: numpy reads whitespace
+        between two colons, or after the last, as an extra 0."""
         if not expected:
             return np.empty(0, dtype=np.int64)
-        text = (a == _COLON).view(np.uint8)
-        text *= _COLON - _SPACE
-        np.subtract(a, text, out=text)
-        for first, last in runs:
-            text[starts[first]:ends[last]] = _SPACE
-        tok = np.fromstring(text.tobytes(), dtype=np.int64, sep=" ")
+        if runs:
+            view, kept, at = memoryview(data), [], 0
+            for first, last in runs:
+                kept.append(view[at:starts[first]])
+                at = ends[last] + 1
+            kept.append(view[at:])
+            data = b"".join(kept)
+        tok = np.fromstring(data.replace(b"\n", b":"), dtype=np.uint64,
+                            sep=":").view(np.int64)
         if len(tok) != expected:
             raise IngestError(f"line {lineno}: block tokenizer read "
                               f"{len(tok)} of {expected} integers")
@@ -761,19 +779,17 @@ class _Assembly:
                           h_g)
         binds = s_open[h_slot] & (s_time[h_slot] == h_time)
         carried = np.flatnonzero(self.hint_time[g_rank] >= 0)
-        w_pos, w_g, w_time, w_value = (np.concatenate(c) for c in (
-            (p_first[g_start[carried]], h[~binds]), (carried, h_g[~binds]),
-            (self.hint_time[g_rank[carried]], h_time[~binds]),
-            (self.hint_value[g_rank[carried]], h_value[~binds])))
-        by_pos = np.argsort(w_pos, kind="stable")
-        w_pos, w_g, w_time, w_value = (c[by_pos] for c in (w_pos, w_g,
-                                                           w_time, w_value))
-        del p_line, p_first, p_at, p_value, p_class, touched, by_pos
-
-        # an open takes the latest waiting companion before it, if that
-        # is of its rank and time and no other open came between them
-        taken = np.zeros(len(w_pos), dtype=bool)
-        if len(w_pos):
+        waits = ~binds
+        if len(carried) or waits.any():
+            w_pos, w_g, w_time, w_value = (np.concatenate(c) for c in (
+                (p_first[g_start[carried]], h[waits]), (carried, h_g[waits]),
+                (self.hint_time[g_rank[carried]], h_time[waits]),
+                (self.hint_value[g_rank[carried]], h_value[waits])))
+            by_pos = np.argsort(w_pos, kind="stable")
+            w_pos, w_g, w_time, w_value = (c[by_pos] for c in (
+                w_pos, w_g, w_time, w_value))
+            # an open takes the latest waiting companion before it, if
+            # that is of its rank and time and no other open came between
             o = np.flatnonzero(m_open)
             w_opens = np.append(0, np.cumsum(m_open))[
                 np.searchsorted(m, w_pos)]
@@ -781,9 +797,19 @@ class _Assembly:
             took = (at >= 0) & (w_g[at] == m_g[o]) \
                 & (w_time[at] == m_time[o]) \
                 & (w_opens[at] == np.arange(len(o)))
-            taken[at[took]] = True
             s_hinted[G + o[took]] = True
             s_hint[G + o[took]] = w_value[at[took]]
+            # each rank's cursor: its latest waiting companion, unless an
+            # open took it
+            taken = np.zeros(len(w_pos), dtype=bool)
+            taken[at[took]] = True
+            tail = np.ones(len(w_g), dtype=bool)
+            tail[:-1] = w_g[1:] != w_g[:-1]
+            self.hint_time[g_rank[w_g[tail]]] = np.where(taken[tail], -1,
+                                                         w_time[tail])
+            self.hint_value[g_rank[w_g[tail]]] = w_value[tail]
+        del p_line, p_first, p_at, p_value, p_class, touched
+
         # then each region takes its last binding companion
         b_slot, b_value = h_slot[binds], h_value[binds]
         last = np.ones(len(b_slot), dtype=bool)
@@ -807,8 +833,7 @@ class _Assembly:
         self._emit(g_rank[m_g[ends]], s_time[src], m_time[ends], s_class[src],
                    s_hinted[src], s_hint[src])
 
-        # the cursors: each rank's last slot, its latest time, and its
-        # latest waiting companion unless an open took it
+        # the cursors: each rank's last slot and its latest time
         m_at = np.searchsorted(m_g, np.arange(G + 1))
         final = np.where(m_at[1:] > m_at[:-1], G + m_at[1:] - 1,
                          np.arange(G))
@@ -818,11 +843,6 @@ class _Assembly:
         self.open_hinted[g_rank] = is_open & s_hinted[final]
         self.open_hint[g_rank] = s_hint[final]
         self.last_time[g_rank] = times[np.append(g_start[1:], n) - 1]
-        tail = np.ones(len(w_g), dtype=bool)
-        tail[:-1] = w_g[1:] != w_g[:-1]
-        self.hint_time[g_rank[w_g[tail]]] = np.where(taken[tail], -1,
-                                                     w_time[tail])
-        self.hint_value[g_rank[w_g[tail]]] = w_value[tail]
 
     # --- end of stream ---------------------------------------------------
 

@@ -1269,13 +1269,14 @@ def _assemble_timeline(table: RegionTable, ideal_exit: np.ndarray,
     stop = np.cumsum(keep_start + rank_kept + extra)
     entry_at += np.repeat((stop - rank_kept - extra)[busy] - entry_at[head],
                           n[busy])
-    exit_at = (entry_at + keep_entry)[keep_exit]
-    entry_at = entry_at[keep_entry]
+    points = int(stop[-1]) if P else 0
+    exit_at = _narrow((entry_at + keep_entry)[keep_exit], points)
+    entry_at = _narrow(entry_at[keep_entry], points)
     sentinel = stop[extra] - 1
     after = end_time - last[extra]  # from the last exit to the end
 
     def column(entry_values, exit_values, end_values) -> np.ndarray:
-        out = np.zeros(int(stop[-1]) if P else 0, dtype=np.int64)
+        out = np.zeros(points, dtype=np.int64)
         out[entry_at] = entry_values[keep_entry]
         out[exit_at] = exit_values[keep_exit]
         out[sentinel] = end_values

@@ -283,6 +283,18 @@ class TestAnalyze:
         assert analyze(bad, tmp_path) == EXIT_MALFORMED
         assert "error" in capsys.readouterr().err
 
+    def test_huge_rank_count_exits_malformed(self, tmp_path, capsys):
+        """A header declaring 10**12 ranks ends in exit 4 and one error
+        line, before any per-rank column is allocated."""
+        bad = tmp_path / "huge.prv"
+        bad.write_text("#Paraver (01/01/25 at 00:00):100_ns:1(1):1:"
+                       "1(1000000000000:0)\n2:1:1:1:1:10:50000001:1\n")
+        assert analyze(bad, tmp_path / "out") == EXIT_MALFORMED
+        err = capsys.readouterr().err
+        assert err == ("error: line 1: 1000000000000 ranks declared, at "
+                       "most 16777216 supported\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flags", [(), ("--strict",)])
     def test_clocks_beyond_int64_exit_malformed(self, tmp_path, capsys,
                                                 flags):

@@ -26,7 +26,7 @@ from paraslice.prv import (
 from paraslice.synth import generate_to_files, load_scenario
 
 from conftest import region_lists
-from ref_ingest import snapshot
+from ref_ingest import load_reference, snapshot
 
 TINY_BLOCK = 64
 
@@ -61,6 +61,13 @@ def assemble(body_lines, duration="1000_ns", rank_count=2, time_unit=None,
 def ev(rank, time, *pairs):
     tail = ":".join(str(x) for p in pairs for x in p)
     return f"2:{rank + 1}:1:{rank + 1}:1:{time}:{tail}"
+
+
+#: plain lines of a two-rank trace: regions on both ranks, one message
+#: and a state record
+PLAIN = [ev(0, 10, (EVTYPE_P2P, 1)), ev(1, 12, (EVTYPE_COLLECTIVE, 1)),
+         "3:1:1:1:1:10:10:2:1:2:1:12:12:64:7", ev(0, 20, (EVTYPE_P2P, 0)),
+         "1:1:1:2:1:12:30:1", ev(1, 30, (EVTYPE_COLLECTIVE, 0))]
 
 
 class TestHeader:
@@ -132,6 +139,22 @@ class TestHeader:
     def test_bad_duration(self):
         with pytest.raises(IngestError, match="duration"):
             parse_header(header("xyz_ns", 2))
+
+    def test_rank_count_limit(self):
+        """Ingest allocates per-rank columns from the header's count
+        before it reads a record, so a count beyond MAX_RANK_COUNT is
+        refused here, not allocated.  The flat form states any count in
+        a few bytes; a per-task header lists every task."""
+        def line(count):
+            return f"#Paraver (01/01/25 at 00:00):900_ns:1(1):1:1({count}:0)"
+
+        assert parse_header(line(prv.MAX_RANK_COUNT)).rank_count \
+            == prv.MAX_RANK_COUNT
+        for count in (prv.MAX_RANK_COUNT + 1, 10**8, 10**9, 10**12):
+            with pytest.raises(IngestError, match=f"^line 1: {count} ranks "
+                               f"declared, at most {prv.MAX_RANK_COUNT} "
+                               "supported$"):
+                parse_header(line(count))
 
 
 class TestRecordStream:
@@ -313,6 +336,19 @@ class TestOutOfRangeIntegers:
         assert (regs.entry_times.tolist(), regs.exit_times.tolist()) \
             == ([10], [30])
 
+    def test_widest_plain_fields_keep_their_values(self):
+        """18 digits is the widest field the block tokenizer reads, as
+        uint64; a 19-digit one takes the per-line rules.  Both keep
+        their int64 values."""
+        top18, top19 = 10**18 - 1, (1 << 63) - 1
+        trace, log, counters = assemble([
+            f"3:1:1:1:1:10:10:2:1:2:1:40:40:{top18}:7",
+            f"3:1:1:1:1:10:10:2:1:2:1:40:40:{top19}:7",
+        ])
+        assert log.total == 0
+        assert counters.routed == 1
+        assert trace.messages.sizes.tolist() == [top18, top19]
+
     def test_message_size(self):
         trace, log, counters = assemble([
             f"3:1:1:1:1:10:10:2:1:2:1:40:40:{self.HUGE}:7",
@@ -398,6 +434,39 @@ class TestBlockReader:
         assert (regs.entry_times.tolist(), regs.exit_times.tolist()) \
             == ([10], [10])
         assert counters.routed == 2     # a \r\n line is still plain
+
+    RUNS = {
+        "start": [ev(0, 5, (EVTYPE_OTHER, 1)) + " ", "# comment",
+                  *PLAIN],
+        "middle": [*PLAIN[:3], "   ", "\t", " \t ", "",
+                   ev(1, 13, (EVTYPE_OTHER, 1)) + " ", *PLAIN[3:]],
+        "end": [*PLAIN, ev(1, 40, (EVTYPE_OTHER, 0)) + " "],
+        "trailing_blank": [*PLAIN, "   "],
+        "no_final_newline": [*PLAIN[:2], "\t", *PLAIN[2:], None],
+        "routed_last_no_newline": [*PLAIN, "\t", "x:1", None],
+        "only_routed": [line + " " for line in PLAIN],
+    }
+
+    @pytest.mark.parametrize("body", RUNS.values(), ids=RUNS)
+    def test_routed_runs_wherever_they_fall(self, tmp_path, body):
+        """The tokenizer reads the plain lines' integers with every run
+        of other lines left out: at a block's start, in its middle and
+        at its end, whitespace-only and empty lines among them, and a
+        block of routed lines only.  At the default block size and at
+        TINY_BLOCK, where runs fall at every place in a block, ingest
+        matches the record-at-a-time reference.  None ends the body
+        without a newline."""
+        text = "".join(line + "\n" for line in body if line is not None)
+        if body[-1] is None:
+            text = text[:-1]
+        path = tmp_path / "runs.prv"
+        path.write_text(header("100_ns", 2) + "\n" + text)
+        want = snapshot(*load_reference(str(path)))
+        assert want["regions"][0] and want["messages"][0]
+        for size in (prv.BLOCK_SIZE, TINY_BLOCK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(prv, "BLOCK_SIZE", size)
+                assert snapshot(*load_trace(str(path))) == want, size
 
 
 class TestCommunicators:
