@@ -372,29 +372,31 @@ def _run_generate(args) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.scenario}: {exc}", file=sys.stderr)
         return EXIT_UNREADABLE
-    except (ScenarioError, json.JSONDecodeError) as exc:
+    except (ScenarioError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: invalid scenario: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
+    target = args.out
     try:
-        prv_path, pcf_path, exp = generate_with_expected(scenario, args.out)
+        prv_path, pcf_path, exp = generate_with_expected(scenario, target)
+        if args.expected:
+            target = Path(prv_path).with_suffix(".expected.json")
+            _write_json(target, {
+                "rank_count": exp.rank_count,
+                "total_duration_ns": exp.total_duration_ns,
+                "runtime_ideal_ns": exp.runtime_ideal,
+                "t_compute_ns": list(exp.t_compute),
+                **{f: getattr(exp, f) for f in FACTORS},
+                "phases": [{
+                    "index": p.index,
+                    "pattern": p.pattern,
+                    "start_ns": p.start_ns,
+                    "end_ns": p.end_ns,
+                    **{f: getattr(p, f) for f in FACTORS},
+                } for p in exp.phases],
+            })
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        print(f"error: cannot write {target}: {exc}", file=sys.stderr)
         return EXIT_UNREADABLE
-    if args.expected:
-        _write_json(Path(prv_path).with_suffix(".expected.json"), {
-            "rank_count": exp.rank_count,
-            "total_duration_ns": exp.total_duration_ns,
-            "runtime_ideal_ns": exp.runtime_ideal,
-            "t_compute_ns": list(exp.t_compute),
-            **{f: getattr(exp, f) for f in FACTORS},
-            "phases": [{
-                "index": p.index,
-                "pattern": p.pattern,
-                "start_ns": p.start_ns,
-                "end_ns": p.end_ns,
-                **{f: getattr(p, f) for f in FACTORS},
-            } for p in exp.phases],
-        })
     print(f"wrote {prv_path} and {pcf_path} "
           f"(efficiency {_fmt(exp.efficiency)})")
     return EXIT_OK

@@ -21,19 +21,20 @@ Injected wait models network/arrival latency: it delays receive
 completions and collective exits in elapsed time but can never appear in
 the ideal clock, which is the whole point of the decomposition.
 
-Generation walks the scenario twice: a walk with no sink sizes the
-header and gives the expectation, and a second walk writes the records,
-a batch per iteration in (time, rank, emission) order.  Each walk
-redraws the compute times from the scenario's seed, a block of
-iterations at a time, with draw_below taking exactly the values
-randint would; no walk holds more than one block, so memory does not
-grow with the iteration count.
+Generation walks the scenario twice, a block of iterations at a time: a
+walk with no sink sizes the header and gives the expectation, a second
+writes each block's records, sorted by (iteration, time, rank, emission),
+in one write.  The recurrences are max-plus, so a block's clocks are
+numpy arrays and its iteration ends a cumsum of row maxima.  Each walk
+redraws the compute times from the seed, draw_below taking exactly the
+values randint would, and holds one block at a time.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,6 +47,7 @@ from .prv import (
     EVTYPE_COMM_ID,
     EVTYPE_OTHER,
     EVTYPE_P2P,
+    MAX_RANK_COUNT,
 )
 from .replay import DEFAULT_EAGER_LIMIT
 
@@ -116,8 +118,8 @@ class Scenario:
     def validate(self) -> None:
         problems: list[str] = []
         P = self.rank_count
-        if P < 1:
-            problems.append("rank_count must be at least 1")
+        if not 1 <= P <= MAX_RANK_COUNT:    # before any per-rank list
+            raise ScenarioError(f"rank_count must be in [1, {MAX_RANK_COUNT}]")
         if not self.phases:
             problems.append("at least one phase is required")
         step = 1000 if self.time_unit is TimeUnit.MICROSECONDS else 1
@@ -322,123 +324,121 @@ def draw_below(rng: random.Random, n: int, count: int) -> np.ndarray:
     return out
 
 
-# values drawn at a time: bounds the generator's memory whatever the
-# iteration count, while the draws stay a few numpy calls per block
-_DRAW_BLOCK = 1 << 12
+# values drawn at a time: bounds the generator's memory, a block's text
+# included, while the draws and clocks stay a few numpy calls per block
+_DRAW_BLOCK = 1 << 10
 
 
-def _compute_rows(scenario: Scenario) -> Iterator[list[int]]:
-    """Realized compute times in nanoseconds, one [rank] row per
-    iteration, phase after phase.
-
-    One seeded generator drawn in a fixed order, rank by rank within an
-    iteration, makes every row, and with them the whole trace,
-    reproducible.  Rows are drawn a block of iterations at a time, never
-    the whole run; a phase without jitter yields one shared row.
-    """
+def _compute_blocks(scenario: Scenario, dtype: type,
+                    ) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Realized compute times in nanoseconds, as (phase index, first
+    iteration, [iteration, rank] block) of _DRAW_BLOCK values or one
+    iteration, all from one seeded generator drawn rank by rank within an
+    iteration; a phase without jitter draws nothing."""
     rng = random.Random(scenario.seed)
     P = scenario.rank_count
     step = 1000 if scenario.time_unit is TimeUnit.MICROSECONDS else 1
-    for ph in scenario.phases:
-        base = ph.compute.base_values(P)
-        jitter = ph.compute.jitter_ns
-        if not jitter:
-            for _ in range(ph.iterations):
-                yield base
-            continue
-        n = jitter // step + 1
-        # exact integers past int64, numpy's fast ones below it
-        dtype = np.int64 if max(base) + (n - 1) * step < 1 << 63 else object
-        start = np.array(base, dtype=dtype)
-        per = max(1, _DRAW_BLOCK // P)
+    per = max(1, _DRAW_BLOCK // P)
+    for index, ph in enumerate(scenario.phases):
+        base = np.array(ph.compute.base_values(P), dtype=dtype)
+        n = ph.compute.jitter_ns // step + 1
         for first in range(0, ph.iterations, per):
             count = min(per, ph.iterations - first)
-            draws = draw_below(rng, n, count * P).astype(dtype, copy=False)
-            yield from (draws.reshape(count, P) * step + start).tolist()
+            if n == 1:
+                yield index, first, np.broadcast_to(base, (count, P))
+            else:
+                draws = draw_below(rng, n, count * P).astype(dtype, copy=False)
+                yield index, first, draws.reshape(count, P) * step + base
 
 
 def compute_matrix(scenario: Scenario) -> list[list[list[int]]]:
     """Realized compute times, [phase][iteration][rank], in nanoseconds:
-    every row the walk draws, held at once."""
-    rows = _compute_rows(scenario)
-    return [[list(next(rows)) for _ in range(ph.iterations)]
-            for ph in scenario.phases]
+    every block the walk draws, held at once."""
+    matrix = [[] for _ in scenario.phases]
+    for index, _, c in _compute_blocks(scenario, object):
+        matrix[index] += c.tolist()
+    return matrix
 
 
 # --------------------------------------------------------------------------
 # simulation walk: one pass drives both the record emission and the
-# expectation bookkeeping
+# expectation bookkeeping, a block of iterations at a time
+
+
+# one call on each of ranks in every row (iteration) of a block: entry
+# and exit are [row, rank] times, comm is a communicator id per rank
+_Regions = namedtuple("_Regions", "etype call ranks entry exit comm",
+                      defaults=(None,))
+# one message from each of ranks to the receiver at its position in every
+# row of a block: send and recv are [row, rank] times; row b has tag + b
+_Messages = namedtuple("_Messages", "ranks receivers send recv size tag")
 
 
 class _Sink:
-    """Receiver for the records the walk produces; the null variant turns
-    the walk into the pure expectation oracle."""
+    """Receives a block's records, a list of _Regions and _Messages in
+    each rank's order; this null sink ignores them: the pure oracle."""
 
-    def region(self, rank: int, entry: int, exit_: int, etype: int,
-               call: int, comm_id: int | None = None) -> None:
-        pass
-
-    def message(self, sender: int, receiver: int, send_begin: int,
-                recv_end: int, size: int, tag: int) -> None:
-        pass
-
-    def batch_done(self) -> None:
+    def block(self, rows: int, records: list) -> None:
         pass
 
 
 class _StreamSink(_Sink):
-    """Writes Paraver record lines to fh a batch at a time.
+    """Writes Paraver record lines to fh, one write per block, ordered by
+    row, time, rank and then the rank's own order (a region opens before
+    it closes) by one lexsort; each line is a per-rank head, a time and a
+    per-call tail from tables built once."""
 
-    A batch is ordered by time, then rank, then the order the walk
-    emitted that rank's records in: one stable sort on the integer key
-    time * P + rank, so every rank's open/close order survives the
-    merge.  The per-rank object fields are built once.
-    """
-
-    def __init__(self, scenario: Scenario, fh):
+    def __init__(self, scenario: Scenario, fh, comms: _Comms):
         self.fh = fh
-        self.P = scenario.rank_count
         self.div = 1000 if scenario.time_unit is TimeUnit.MICROSECONDS else 1
-        self._obj = [f"{r}:1:{r}:1" for r in range(1, self.P + 1)]
-        self._keys: list[int] = []
-        self._lines: list[str] = []
+        obj = [f"{r}:1:{r}:1" for r in range(1, scenario.rank_count + 1)]
+        self._event = [f"2:{o}:" for o in obj]
+        self._sender = [f"3:{o}:" for o in obj]
+        self._receiver = [f":{o}:" for o in obj]
+        self._comm = {cid: f":{EVTYPE_COMM_ID}:{cid}"
+                      for groups in comms.values() for _, cid in groups}
 
-    def region(self, rank, entry, exit_, etype, call, comm_id=None):
-        obj = self._obj[rank]
+    def block(self, rows, records):
         div = self.div
-        if comm_id is None:
-            opened = f"2:{obj}:{entry // div}:{etype}:{call}"
-        else:
-            opened = (f"2:{obj}:{entry // div}:{etype}:{call}"
-                      f":{EVTYPE_COMM_ID}:{comm_id}")
-        self._keys += (entry * self.P + rank, exit_ * self.P + rank)
-        self._lines += (opened, f"2:{obj}:{exit_ // div}:{etype}:0")
+        keys, lines = [], []
+        for slot, rec in enumerate(records):
+            n = len(rec.ranks)
+            ranks = rec.ranks.tolist()
+            row = np.repeat(np.arange(rows), n)
+            # rank, then slot, then open before close: one sort key
+            rank = np.tile(rec.ranks * (2 * len(records)) + 2 * slot, rows)
+            if isinstance(rec, _Messages):
+                keys.append((row, rec.send.ravel(), rank))
+                tags = [f":{rec.size}:{rec.tag + b}" for b in range(rows)]
+                # each time is written twice: made a str once
+                lines += [f"{h}{s}:{s}{m}{r}:{r}{t}" for h, s, m, r, t in zip(
+                    [self._sender[i] for i in ranks] * rows,
+                    map(str, (rec.send // div).ravel().tolist()),
+                    [self._receiver[i] for i in rec.receivers.tolist()]
+                    * rows,
+                    map(str, (rec.recv // div).ravel().tolist()),
+                    [t for t in tags for _ in range(n)])]
+                continue
+            opened = [f":{rec.etype}:{rec.call}"] * n
+            if rec.comm is not None:
+                opened = [opened[0] + self._comm[c] for c in rec.comm.tolist()]
+            heads = [self._event[i] for i in ranks] * rows
+            for times, tails, rank in (
+                    (rec.entry, opened * rows, rank),
+                    (rec.exit, [f":{rec.etype}:0"] * n * rows, rank + 1)):
+                keys.append((row, times.ravel(), rank))
+                lines += [f"{h}{t}{s}" for h, t, s in
+                          zip(heads, (times // div).ravel().tolist(), tails)]
+        row, time, rank = (np.concatenate(k) for k in zip(*keys))
+        lines = np.array(lines, dtype=object)[
+            np.lexsort((rank, time, row))].tolist()
+        lines.append("")        # the last newline, without a copy of the text
+        text = "\n".join(lines)
+        del lines               # before the text is encoded and written
+        self.fh.write(text)
 
-    def message(self, sender, receiver, send_begin, recv_end, size, tag):
-        sb = send_begin // self.div
-        re = recv_end // self.div
-        self._keys.append(send_begin * self.P + sender)
-        self._lines.append(f"3:{self._obj[sender]}:{sb}:{sb}:"
-                           f"{self._obj[receiver]}:{re}:{re}:{size}:{tag}")
 
-    def batch_done(self) -> None:
-        if self._lines:
-            order = sorted(range(len(self._keys)), key=self._keys.__getitem__)
-            lines = self._lines
-            self.fh.write("\n".join([lines[i] for i in order]) + "\n")
-            self._keys.clear()
-            lines.clear()
-
-
-@dataclass(slots=True)
-class _Snap:
-    elapsed: list[int]
-    oom: list[int]
-    ideal: list[int]
-
-
-def _snapshot(e, o, d) -> _Snap:
-    return _Snap(list(e), list(o), list(d))
+_Snap = namedtuple("_Snap", "elapsed oom ideal")
 
 
 # split count -> one (member ranks, communicator id) pair per group
@@ -459,6 +459,100 @@ def _communicators(scenario: Scenario) -> _Comms:
     return comms
 
 
+def _lift(v: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """c with v added to its first row."""
+    x = c.copy()
+    x[0] += v
+    return x
+
+
+def _meet(x: np.ndarray, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """(ends, starts), per rank, of a block's iterations, where rank i
+    leaves with the ranks of its group, i % k, at their latest x.
+
+    The clocks are max-plus and shift-equivariant in the start vector,
+    and each iteration after a block's first starts from its group's
+    previous end: so row 0 of x is absolute and every other row relative
+    to its own start, and the ends are a cumsum of row group maxima."""
+    rows, P = x.shape
+    m = -(-P // k)
+    # the ranks padded to m * k with members of the same groups
+    wide = np.concatenate([x, x[:, P - k:(m - 1) * k]], axis=1)
+    rel = np.tile(wide.reshape(rows, m, k).max(axis=1), m)[:, :P]
+    ends = np.cumsum(rel, axis=0)
+    return ends, ends - rel
+
+
+def _chain_arrivals(v: np.ndarray, c: np.ndarray, w: int) -> np.ndarray:
+    """When each rank of a chain may start computing: the rank before it
+    has finished and w has passed, a[i] = max(v[i], a[i-1] + c[i-1] + w),
+    as one running maximum along the ranks (v lifts row 0 only)."""
+    u = c + w
+    before = np.cumsum(u, axis=1) - u
+    return np.maximum.accumulate(_lift(v, -before), axis=1) + before
+
+
+def _none(ph, first, c, e, d, comms):
+    total = c.sum(axis=0)
+    return e + total, d + total, []
+
+
+def _exchange(ph, first, c, e, d, comms):
+    """ring_exchange and neighbor_stencil: each rank sends to its
+    neighbours, waits for theirs and meets the others at a barrier."""
+    ranks = np.arange(len(e))
+    # the call that waits, and (senders, receivers) of every message
+    if ph.pattern == "ring_exchange":
+        wait, pairs = CALL_RECV, [(ranks, np.roll(ranks, -1))]
+    else:
+        wait, pairs = CALL_WAITALL, [(ranks[1:], ranks[:-1]),
+                                     (ranks[:-1], ranks[1:])]
+    r = _lift(e, c)
+    done = r.copy()
+    for s, t in pairs:
+        done[:, t] = np.maximum(done[:, t], r[:, s] + ph.injected_wait_ns)
+    end, start = _meet(done)
+    r += start
+    done += start
+    return end[-1], _meet(_lift(d, c))[0][-1], [
+        _Regions(EVTYPE_P2P, CALL_ISEND, ranks, r, r),
+        _Regions(EVTYPE_P2P, wait, ranks, r, done),
+        _Regions(EVTYPE_COLLECTIVE, COLL_BARRIER, ranks, done, end),
+        *(_Messages(s, t, r[:, s], done[:, t], ph.message_bytes, first + 1)
+          for s, t in pairs)]
+
+
+def _allreduce(ph, first, c, e, d, comms):
+    k = ph.communicator_split or 1
+    ranks = np.arange(len(e))
+    r = _lift(e, c)
+    end, start = _meet(r + ph.injected_wait_ns, k)
+    r += start
+    return end[-1], _meet(_lift(d, c), k)[0][-1], [_Regions(
+        EVTYPE_COLLECTIVE, COLL_ALLREDUCE, ranks, r, end,
+        comms[k][0][1] + ranks % k if k > 1 else None)]
+
+
+def _chain(ph, first, c, e, d, comms):
+    ranks = np.arange(len(e))
+    arrived = _chain_arrivals(e, c, ph.injected_wait_ns)
+    end, start = _meet(arrived + c)
+    arrived += start
+    q = arrived + c
+    return end[-1], _meet(_chain_arrivals(d, c, 0) + c)[0][-1], [
+        _Regions(EVTYPE_P2P, CALL_RECV, ranks[1:], _lift(e, start)[:, 1:],
+                 arrived[:, 1:]),
+        _Regions(EVTYPE_P2P, CALL_ISEND, ranks[:-1], q[:, :-1], q[:, :-1]),
+        _Messages(ranks[:-1], ranks[1:], q[:, :-1], arrived[:, 1:],
+                  ph.message_bytes, first + 1),
+        _Regions(EVTYPE_COLLECTIVE, COLL_BARRIER, ranks, q, end)]
+
+
+_BLOCK = {"none": _none, "ring_exchange": _exchange,
+          "neighbor_stencil": _exchange, "allreduce": _allreduce,
+          "serial_chain": _chain}
+
+
 def _walk(scenario: Scenario, sink: _Sink, comms: _Comms,
           ) -> tuple[int, _Snap, list[_Snap]]:
     """Run the scenario, emitting records and tracking the exact clocks.
@@ -467,133 +561,38 @@ def _walk(scenario: Scenario, sink: _Sink, comms: _Comms,
     the starting state first).
     """
     P = scenario.rank_count
-    e = [0] * P   # elapsed cursor
-    o = [0] * P   # out-of-MPI total
-    d = [0] * P   # ideal clock
-    snaps = [_snapshot(e, o, d)]
+    # int64 where it holds every clock: no iteration moves one by more
+    # than P times the largest compute time plus the wait
+    bound = sum(ph.iterations * P * (max(ph.compute.base_values(P))
+                + ph.compute.jitter_ns + ph.injected_wait_ns)
+                for ph in scenario.phases)
+    dtype = np.int64 if bound < 1 << 63 else object
+    ranks = np.arange(P)
+    # elapsed cursor, out-of-MPI total and ideal clock of every rank
+    e, o, d = np.zeros((3, P), dtype=dtype)
+    snaps = [_Snap(e.tolist(), o.tolist(), d.tolist())]
+    sink.block(1, [_Regions(EVTYPE_OTHER, OTHER_INIT, ranks, e, e)])
 
-    for i in range(P):
-        sink.region(i, 0, 0, EVTYPE_OTHER, OTHER_INIT)
-    sink.batch_done()
-
-    rows = _compute_rows(scenario)
-    for ph in scenario.phases:
-        iteration = _ITERATION[ph.pattern]
-        for it in range(ph.iterations):
-            iteration(ph, it, next(rows), e, o, d, sink, comms)
-            sink.batch_done()
-        if ph.pattern == "allreduce" and (ph.communicator_split or 1) > 1:
+    for index, first, c in _compute_blocks(scenario, dtype):
+        ph = scenario.phases[index]
+        e, d, records = _BLOCK[ph.pattern](ph, first, c, e, d, comms)
+        o = o + c.sum(axis=0)
+        if records:
+            sink.block(len(c), records)
+        if first + len(c) < ph.iterations:
+            continue
+        if (ph.communicator_split or 1) > 1:
             # realign the groups so the next phase starts from one front
-            end = max(e)
-            peak = max(d)
-            for i in range(P):
-                sink.region(i, e[i], end, EVTYPE_COLLECTIVE, COLL_BARRIER)
-                e[i] = end
-                d[i] = peak
-            sink.batch_done()
-        snaps.append(_snapshot(e, o, d))
+            end = np.full(P, e.max(), dtype=dtype)
+            sink.block(1, [_Regions(EVTYPE_COLLECTIVE, COLL_BARRIER,
+                                    ranks, e, end)])
+            e = end
+            d = np.full(P, d.max(), dtype=dtype)
+        snaps.append(_Snap(e.tolist(), o.tolist(), d.tolist()))
 
-    duration = max(e)
-    for i in range(P):
-        sink.region(i, e[i], duration, EVTYPE_OTHER, OTHER_FINALIZE)
-    sink.batch_done()
-    return duration, _snapshot(e, o, d), snaps
-
-
-def _iter_none(ph, it, c, e, o, d, sink, comms):
-    for i in range(len(e)):
-        e[i] += c[i]
-        o[i] += c[i]
-        d[i] += c[i]
-
-
-def _iter_ring(ph, it, c, e, o, d, sink, comms):
-    P = len(e)
-    w = ph.injected_wait_ns
-    r = [e[i] + c[i] for i in range(P)]
-    g = [d[i] + c[i] for i in range(P)]
-    done = [max(r[i], r[(i - 1) % P] + w) for i in range(P)]
-    end = max(done)
-    peak = max(g)
-    for i in range(P):
-        sink.region(i, r[i], r[i], EVTYPE_P2P, CALL_ISEND)
-        sink.region(i, r[i], done[i], EVTYPE_P2P, CALL_RECV)
-        sink.region(i, done[i], end, EVTYPE_COLLECTIVE, COLL_BARRIER)
-        sink.message(i, (i + 1) % P, r[i], done[(i + 1) % P],
-                     ph.message_bytes, it + 1)
-        e[i] = end
-        o[i] += c[i]
-        d[i] = peak
-
-
-def _iter_stencil(ph, it, c, e, o, d, sink, comms):
-    P = len(e)
-    w = ph.injected_wait_ns
-    r = [e[i] + c[i] for i in range(P)]
-    g = [d[i] + c[i] for i in range(P)]
-    nbrs = [[j for j in (i - 1, i + 1) if 0 <= j < P] for i in range(P)]
-    done = [max(r[i], max(r[j] + w for j in nbrs[i])) for i in range(P)]
-    end = max(done)
-    peak = max(g)
-    for i in range(P):
-        sink.region(i, r[i], r[i], EVTYPE_P2P, CALL_ISEND)
-        sink.region(i, r[i], done[i], EVTYPE_P2P, CALL_WAITALL)
-        sink.region(i, done[i], end, EVTYPE_COLLECTIVE, COLL_BARRIER)
-        for j in nbrs[i]:
-            sink.message(i, j, r[i], done[j], ph.message_bytes, it + 1)
-        e[i] = end
-        o[i] += c[i]
-        d[i] = peak
-
-
-def _iter_allreduce(ph, it, c, e, o, d, sink, comms):
-    k = ph.communicator_split or 1
-    r = [e[i] + c[i] for i in range(len(e))]
-    for members, cid in comms[k]:
-        end = max([r[i] for i in members]) + ph.injected_wait_ns
-        peak = max([d[i] + c[i] for i in members])
-        for i in members:
-            sink.region(i, r[i], end, EVTYPE_COLLECTIVE, COLL_ALLREDUCE,
-                        comm_id=cid if k > 1 else None)
-            e[i] = end
-            o[i] += c[i]
-            d[i] = peak
-
-
-def _iter_chain(ph, it, c, e, o, d, sink, comms):
-    P = len(e)
-    w = ph.injected_wait_ns
-    q = [0] * P
-    g = [0] * P
-    for i in range(P):
-        if i == 0:
-            q[0] = e[0] + c[0]
-            g[0] = d[0] + c[0]
-        else:
-            arrived = max(e[i], q[i - 1] + w)
-            sink.region(i, e[i], arrived, EVTYPE_P2P, CALL_RECV)
-            sink.message(i - 1, i, q[i - 1], arrived, ph.message_bytes,
-                         it + 1)
-            q[i] = arrived + c[i]
-            g[i] = max(d[i], g[i - 1]) + c[i]
-        if i < P - 1:
-            sink.region(i, q[i], q[i], EVTYPE_P2P, CALL_ISEND)
-    end = max(q)
-    peak = max(g)
-    for i in range(P):
-        sink.region(i, q[i], end, EVTYPE_COLLECTIVE, COLL_BARRIER)
-        e[i] = end
-        o[i] += c[i]
-        d[i] = peak
-
-
-_ITERATION = {
-    "none": _iter_none,
-    "ring_exchange": _iter_ring,
-    "neighbor_stencil": _iter_stencil,
-    "allreduce": _iter_allreduce,
-    "serial_chain": _iter_chain,
-}
+    end = np.full(P, e.max(), dtype=dtype)
+    sink.block(1, [_Regions(EVTYPE_OTHER, OTHER_FINALIZE, ranks, e, end)])
+    return int(end[0]), _Snap(e.tolist(), o.tolist(), d.tolist()), snaps
 
 
 # --------------------------------------------------------------------------
@@ -741,7 +740,7 @@ def generate_with_expected(scenario: Scenario, prv_path,
         fh.write(_header(scenario, duration) + "\n")
         for line in _communicator_lines(comms):
             fh.write(line + "\n")
-        _walk(scenario, _StreamSink(scenario, fh), comms)
+        _walk(scenario, _StreamSink(scenario, fh, comms), comms)
     pcf_path = prv_path.with_suffix(".pcf")
     pcf_path.write_text(pcf_text(scenario), encoding="utf-8")
     return (str(prv_path), str(pcf_path),

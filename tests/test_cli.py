@@ -152,6 +152,28 @@ class TestGenerate:
         assert code == EXIT_UNREADABLE
         assert "cannot read" in capsys.readouterr().err
 
+    def test_non_utf8_scenario_is_bad_config(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe" + json.dumps(SCENARIO).encode())
+        code = main(["generate", str(bad), "--out",
+                     str(tmp_path / "x.prv")])
+        assert code == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid scenario: ")
+        assert err.count("\n") == 1
+
+    def test_unwritable_expected_json_is_unreadable(self, tmp_path, capsys):
+        scenario = tmp_path / "sc.json"
+        scenario.write_text(json.dumps(SCENARIO), encoding="utf-8")
+        (tmp_path / "x.expected.json").mkdir()
+        code = main(["generate", str(scenario), "--out",
+                     str(tmp_path / "x.prv"), "--expected"])
+        assert code == EXIT_UNREADABLE
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: cannot write {tmp_path / 'x.expected.json'}: ")
+        assert err.count("\n") == 1
+
 
 class TestAnalyze:
     def test_roundtrip_outputs(self, generated, tmp_path, capsys):

@@ -217,6 +217,25 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match=message):
             load_scenario(doc)
 
+    @pytest.mark.parametrize("count", [2**24 + 1, 10**30])
+    def test_rank_count_above_the_analyzer_limit(self, count, monkeypatch):
+        """Refused before any per-rank list is built."""
+        monkeypatch.setattr(ComputeSpec, "base_values", None)
+        with pytest.raises(ScenarioError,
+                           match=r"rank_count must be in \[1, 16777216\]"):
+            load_scenario(base_doc(rank_count=count))
+
+    def test_rank_count_at_the_analyzer_limit(self, monkeypatch):
+        """2**24 passes the count rule; one explicit value fails the
+        per-phase rule before any per-rank list is built."""
+        monkeypatch.setattr(ComputeSpec, "base_values", None)
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(compute_doc(kind="explicit", values_ns=[1000],
+                                      mean_ns=None)
+                          | {"rank_count": 2**24})
+        assert "one value per rank" in str(err.value)
+        assert "rank_count" not in str(err.value)
+
     def test_microsecond_wait_granularity(self):
         doc = base_doc(time_unit="us")
         doc["phases"][0] = {"pattern": "allreduce", "iterations": 1,
@@ -674,8 +693,8 @@ def test_generated_bytes_are_pinned(name, tmp_path):
     assert digests == PINNED_DIGESTS[name]
 
 
-# tracemalloc peaks of 16-rank ring generation read 264 924 B at 256 and
-# 269 946 B at 2560 iterations (Python 3.11); a whole compute matrix held
+# tracemalloc peaks of 16-rank ring generation read 1 308 267 B at 256 and
+# 1 355 756 B at 2560 iterations (Python 3.11); a whole compute matrix held
 # at once adds about 630 B per iteration (1.6 MB between the two)
 GENERATION_PEAK_GROWTH_BOUND = 64 * 1024
 
