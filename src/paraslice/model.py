@@ -368,13 +368,41 @@ class Trace:
         """A trace from records: regions[r] lists rank r's regions in
         entry order (their rank field is implied by position).
         Collectives are grouped from the regions as ingest groups them,
-        and a world communicator is added unless given."""
+        and a world communicator is added unless given.
+
+        Raises ValueError on what ingest never emits: no rank, a region
+        that enters before 0, after its exit or before the previous exit
+        on its rank, or a message whose sender or receiver lies outside
+        [0, rank_count).  Touching and stacked zero-length regions build.
+        """
+        P = meta.rank_count
+        if P < 1:
+            raise ValueError(f"rank_count {P} < 1")
         table = RegionTable.from_regions(regions)
-        if table.rank_count != meta.rank_count:
-            raise ValueError(f"{table.rank_count} rank lists for "
-                             f"{meta.rank_count} ranks")
-        trace = cls(meta=meta, regions=table,
-                    messages=MessageStore.from_messages(messages))
+        if table.rank_count != P:
+            raise ValueError(f"{table.rank_count} rank lists for {P} ranks")
+        # each region's entry against the exit before it on its rank, and
+        # a rank's first region against 0
+        ent, ex = table.entry_times, table.exit_times
+        prev = np.zeros(len(ent), dtype=np.int64)
+        prev[1:] = ex[:-1]
+        prev[table.offsets[:-1][np.diff(table.offsets) > 0]] = 0
+        bad = np.flatnonzero((ent < prev) | (ent > ex))
+        if len(bad):
+            j = int(bad[0])
+            r = int(table.ranks_of(j))
+            k = j - int(table.offsets[r])
+            raise ValueError(f"rank {r} region {k}: entry {ent[j]} " + (
+                f"> exit {ex[j]}" if ent[j] >= prev[j] else
+                f"< previous exit {prev[j]}" if k else "< 0"))
+        msgs = MessageStore.from_messages(messages)
+        bad = np.flatnonzero((np.minimum(msgs.senders, msgs.receivers) < 0)
+                             | (np.maximum(msgs.senders, msgs.receivers) >= P))
+        if len(bad):
+            i = int(bad[0])
+            raise ValueError(f"message {i}: sender {msgs.senders[i]} or "
+                             f"receiver {msgs.receivers[i]} outside [0, {P})")
+        trace = cls(meta=meta, regions=table, messages=msgs)
         for comm in communicators:
             trace.communicators[comm.communicator_id] = comm
         group_collectives(trace)
@@ -546,40 +574,12 @@ def stream_end_faults(trace: Trace) -> Iterator[tuple[str, str, str]]:
 
 
 def validate_trace(trace: Trace) -> ValidationReport:
-    """Check the invariants that ingest keeps and Trace.build does not
-    (the rank count, no negative or overlapping region), then the
-    stream_end_faults ingest logs; report, never raise.  Faulty messages
-    and collectives are replay's to log.  The command line runs this
-    under --strict only, once ingest's and replay's logs are empty.
-    """
+    """Report the stream_end_faults of a trace; never raise.  Trace.build
+    and ingest refuse every other fault of a trace's structure, and
+    faulty messages and collectives are replay's to log.  The command
+    line runs this under --strict only, once ingest's and replay's logs
+    are empty."""
     report = ValidationReport()
-    meta = trace.meta
-    if meta.rank_count < 1:
-        report.add("meta.rank_count", "header", f"rank_count={meta.rank_count}")
-    if len(trace.regions) != meta.rank_count:
-        report.add("meta.rank_count", "regions",
-                   f"{len(trace.regions)} rank lists for {meta.rank_count} ranks")
-
-    # seq and owner rank hold by construction; check times in bulk, and
-    # report each rank's negative regions, then its overlaps
-    table = trace.regions
-    ent, ex = table.entry_times, table.exit_times
-    head = np.zeros(len(ent), dtype=bool)
-    head[table.offsets[:-1][table.offsets[:-1] < len(ent)]] = True
-    negative = np.flatnonzero(ent > ex)
-    overlap = np.flatnonzero(~head[1:] & (ent[1:] < ex[:-1])) + 1
-    rows = np.concatenate((negative, overlap))
-    kind = np.repeat((0, 1), (len(negative), len(overlap)))
-    rank = table.ranks_of(rows)
-    for j, r, is_overlap in zip(*(a[np.lexsort((rows, kind, rank))].tolist()
-                                  for a in (rows, rank, kind))):
-        k = j - int(table.offsets[r])
-        if is_overlap:
-            report.add("region.overlap", f"rank {r} region {k}",
-                       f"entry {ent[j]} < previous exit {ex[j - 1]}")
-        else:
-            report.add("region.negative", f"rank {r} region {k}",
-                       f"entry {ent[j]} > exit {ex[j]}")
     for fault in stream_end_faults(trace):
         report.add(*fault)
     return report

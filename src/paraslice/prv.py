@@ -120,7 +120,6 @@ class IngestCounters:
     ignored: int = 0
     dropped: int = 0
     comments: int = 0
-    states: int = 0
     communicator_defs: int = 0
     anomalies: int = 0
     #: lines that took the per-line rules instead of the block tokenizer
@@ -308,8 +307,6 @@ def iter_raw_records(lines: Iterable[str], log: AnomalyLog,
             if countable:
                 counters.dropped += 1
             continue
-        if kind is state_kind:
-            counters.states += 1
         yield RawRecord(kind, fields, lineno)
 
 
@@ -492,7 +489,6 @@ class _Assembly:
                            if len(p) else 0, first_line)
         states = int(np.count_nonzero(kind == _STATE_BYTE))
         self.counters.records += len(p) - states
-        self.counters.states += states
         if records:
             width = [len(rec.fields) for rec in records]
             f0 = np.append(f0, len(tok) + np.cumsum(width) - width)

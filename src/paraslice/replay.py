@@ -24,28 +24,29 @@ occurrence not of all ranks join them into.  A cut is a live occurrence
 of all ranks of a group: a world cut when all ranks take part, which
 every group shares, or a group cut of one group's own.  Each rank's
 sequence is cut after each of its cuts, and each stretch between two
-cuts (a segment) is a lane.  With no negative gap, ideal clocks never
-fall along a rank, so the ranks of a cut leave it with one exit ideal,
-the maximum of their entries, and an edge whose provider p lies in an
-earlier segment than its consumer c is dominated: the cut between them
-gives entry(p) <= its exit ideal <= entry(c).  So the cut occurrences
-and those forward edges are dropped, every lane is replayed from 0, and
-the segments are stitched with prefix sums: with D the largest exit
-ideal a group's ranks reach at a cut, counted from 0, the group's cuts
-after world cut k-1 sit at V_(k-1) plus the group's running sum of D,
-and world cut k at V_k, V_(k-1) plus the largest such sum over the
-groups.  A group is not cut at its own occurrences when its ranks meet
-its cuts in different orders, when an edge's provider lies in a later
-segment than its consumer, or when another live occurrence has
-participants in two of its segments; it keeps the world cuts.  Replay
-does not cut at all when a gap is negative, or when the world cuts alone
-break one of those rules.  Every dropped edge then leads into a later
-segment and nothing leads back, so none lies on a dependency cycle: when
-the lane sweep stalls, the trace has one, and the sweep is rerun on
-ranks with every edge, where dependency cycles in corrupt traces are
-broken by degrading the offending edges, each logged.  The lane sweep
-writes no message status and logs nothing, so the rerun reports exactly
-what a sweep on ranks alone would.
+cuts (a segment) is a lane.  Trace.build and ingest admit no region
+that enters before the previous exit on its rank, so no gap is negative
+and ideal clocks never fall along a rank: the ranks of a cut leave it
+with one exit ideal, the maximum of their entries, and an edge whose
+provider p lies in an earlier segment than its consumer c is dominated:
+the cut between them gives entry(p) <= its exit ideal <= entry(c).  So
+the cut occurrences and those forward edges are dropped, every lane is
+replayed from 0, and the segments are stitched with prefix sums: with D
+the largest exit ideal a group's ranks reach at a cut, counted from 0,
+the group's cuts after world cut k-1 sit at V_(k-1) plus the group's
+running sum of D, and world cut k at V_k, V_(k-1) plus the largest such
+sum over the groups.  A group is not cut at its own occurrences when
+its ranks meet its cuts in different orders, when an edge's provider
+lies in a later segment than its consumer, or when another live
+occurrence has participants in two of its segments; it keeps the world
+cuts.  Replay does not cut at all when the world cuts alone break one
+of those rules.  Every dropped edge then leads into a later segment and
+nothing leads back, so none lies on a dependency cycle: when the lane
+sweep stalls, the trace has one, and the sweep is rerun on ranks with
+every edge, where dependency cycles in corrupt traces are broken by
+degrading the offending edges, each logged.  The lane sweep writes no
+message status and logs nothing, so the rerun reports exactly what a
+sweep on ranks alone would.
 
 Every lane's first region has its entry ideal from the start.  A lane
 is quiet when none of its regions waits on an edge or fires a trigger
@@ -206,9 +207,9 @@ class WorldCollectiveIndex:
     """World-communicator collectives by rank, for causality checks.
 
     One row per world participant, sorted by (rank, occurrence): its
-    entry time, occurrence index, and the minimum exit time over the
-    rank's rows from this one on.  Rank r owns rows bounds[r] to
-    bounds[r + 1].
+    entry time, occurrence index and exit time.  Regions never overlap,
+    so each rank's exits ascend with its entries.  Rank r owns rows
+    bounds[r] to bounds[r + 1].
     """
 
     def __init__(self, trace: Trace):
@@ -224,13 +225,9 @@ class WorldCollectiveIndex:
         self.ranks = rank[order]
         self.occs = occ[order]
         self.entries = table.entry_times[rows]
-        exit_ = table.exit_times[rows]
+        self.exits = table.exit_times[rows]
         self.bounds = np.searchsorted(
             self.ranks, np.arange(trace.meta.rank_count + 1)).tolist()
-        self.suffix_min_exit = exit_
-        for r in np.flatnonzero(np.diff(self.bounds)).tolist():
-            rows = slice(self.bounds[r], self.bounds[r + 1])
-            exit_[rows] = np.minimum.accumulate(exit_[rows][::-1])[::-1]
         # (rank, occurrence) as one sorted key
         self.width = int(self.occs.max()) + 1 if len(order) else 1
         self.occ_keys = self.ranks * self.width + self.occs
@@ -250,10 +247,9 @@ class WorldCollectiveIndex:
         if not n:
             return out
         P = len(self.bounds) - 1
-        sel = np.flatnonzero((snd >= 0) & (snd < P) & (rcv >= 0) & (rcv < P))
         # the receiver's first world collective entered after the
         # receive completes, searched with the messages sorted by receiver
-        sel = sel[rank_order(rcv[sel], P)]
+        sel = rank_order(rcv, P)
         cut = np.searchsorted(rcv[sel], np.arange(P + 1)).tolist()
         t = re_[sel]
         row = np.full(len(sel), -1, dtype=np.int64)
@@ -263,13 +259,14 @@ class WorldCollectiveIndex:
                                      t[cut[r]:cut[r + 1]], side="right")
             row[cut[r]:cut[r + 1]] = np.where(i < hi, i, -1)
         sel, row = sel[row >= 0], row[row >= 0]
-        # the sender's first world collective of that occurrence or later
+        # the sender's world collective of that occurrence or the first
+        # later one: its exit is the sender's earliest from there on
         s = snd[sel]
         j = np.searchsorted(self.occ_keys, s * self.width + self.occs[row])
         found = j < n
         j = np.minimum(j, n - 1)
         out[sel] = found & (self.ranks[j] == s) \
-            & (self.suffix_min_exit[j] < sb[sel])
+            & (self.exits[j] < sb[sel])
         return out
 
 
@@ -336,20 +333,15 @@ def replay(trace: Trace, eager_limit_bytes: int = DEFAULT_EAGER_LIMIT,
     recv_i = floor_i = np.zeros(0, dtype=np.int64)
     if nmsg:
         consider = status == _STATUS_VALID
-        rank_ok = (snd >= 0) & (snd < P) & (rcv >= 0) & (rcv < P)
-        at = np.flatnonzero(consider & rank_ok)
+        at = np.flatnonzero(consider)
         s_row[at] = locate_rows(table, snd[at], sb[at])
         r_row[at] = locate_rows(table, rcv[at], re_[at], prefer_exit=True)
 
-        bad_rank = consider & ~rank_ok
-        un_send = consider & rank_ok & (s_row < 0)
-        un_recv = consider & rank_ok & (s_row >= 0) & (r_row < 0)
-        for i in np.nonzero(bad_rank | un_send | un_recv)[0]:
+        un_send = consider & (s_row < 0)
+        un_recv = consider & (s_row >= 0) & (r_row < 0)
+        for i in np.nonzero(un_send | un_recv)[0]:
             i = int(i)
-            if bad_rank[i]:
-                log.add(AnomalyKind.MALFORMED_RECORD, f"message {i}",
-                        "rank out of range")
-            elif un_send[i]:
+            if un_send[i]:
                 log.add(AnomalyKind.UNMATCHED_SEND, f"message {i}",
                         f"send at {sb[i]} outside any region of "
                         f"rank {snd[i]}")
@@ -359,9 +351,8 @@ def replay(trace: Trace, eager_limit_bytes: int = DEFAULT_EAGER_LIMIT,
                         f"rank {rcv[i]}")
             status[i] = _STATUS_FAULTY
 
-        attached = np.flatnonzero(consider & rank_ok & (s_row >= 0)
-                                  & (r_row >= 0))
-        del consider, rank_ok, bad_rank, un_send, un_recv, at
+        attached = np.flatnonzero(consider & (s_row >= 0) & (r_row >= 0))
+        del consider, un_send, un_recv, at
         # regions of the other-MPI class never synchronize, and an edge
         # from a region to itself holds nothing back
         sg, rg = s_row[attached], r_row[attached]
@@ -466,12 +457,12 @@ def _find_cuts(table: RegionTable, graph: _Graph, skip: np.ndarray,
     A group is a connected component of ranks, joined by the attached
     message edges and by every live occurrence that is not all-rank;
     without such occurrences no group has cuts of its own, and all ranks
-    count as one.  Any negative gap, or ranks that meet the world cuts in
-    different orders, void every cut.  A group whose members meet its
-    cuts in different orders, that has a message edge whose provider
-    lies in a later segment than its consumer, or another live
-    occurrence with participants in two segments, loses its group cuts;
-    when it breaks a rule with world cuts alone, nothing is cut."""
+    count as one.  Ranks that meet the world cuts in different orders
+    void every cut.  A group whose members meet its cuts in different
+    orders, that has a message edge whose provider lies in a later
+    segment than its consumer, or another live occurrence with
+    participants in two segments, loses its group cuts; when it breaks a
+    rule with world cuts alone, nothing is cut."""
     P = table.rank_count
     part_off, part_rank = graph.part_off, graph.part_rank
     counts = np.diff(part_off)
@@ -495,8 +486,6 @@ def _find_cuts(table: RegionTable, graph: _Graph, skip: np.ndarray,
         # a group cut: an occurrence of every rank of its group
         size = np.bincount(label, minlength=P)
         cut[sub] = counts[sub] == size[label[part_rank[part_off[sub]]]]
-    if not cut.any() or (graph.gap < 0).any():
-        return None
     while cut.any():
         plan = _lay_out(table, graph, skip, cut, world, label, recv_i,
                         floor_i)
@@ -627,7 +616,7 @@ def _stitch(ideal: np.ndarray, cuts: _Cuts) -> None:
     """Lift each segment's exit ideals, computed from 0, onto the exit
     ideal its ranks share at the cut before it.
 
-    With no negative gap, ideal clocks never fall along a rank, so the
+    No gap is negative, so ideal clocks never fall along a rank, and the
     members of a group leave a cut with the largest exit ideal any of
     them reaches there, counted from 0 in the segment it ends: D.  A
     group's cuts between world cuts k-1 and k add up their D on top of

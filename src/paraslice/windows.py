@@ -74,11 +74,12 @@ def plan_windows(timeline: AnnotatedTimeline, base_length_ns: int,
     if duration <= 0:
         raise ValueError("analysis span is empty")
 
-    # each column's points inside the analysis span, and where they sit
+    # each column's points inside the analysis span, and where they sit;
+    # no event time is negative
     offsets = timeline.event_offsets
     columns = []
     for col in timeline.event_columns:
-        inside = (col >= 0) & (col <= duration)
+        inside = col <= duration
         columns.append((col, None) if inside.all() else (col[inside], inside))
     key = np.empty(sum(len(col) for col, _ in columns), dtype=np.int64)
 

@@ -135,8 +135,6 @@ def iter_raw_records(lines: Iterable[str], log: AnomalyLog,
             if countable:
                 counters.dropped += 1
             continue
-        if kind is state_kind:
-            counters.states += 1
         yield RawRecord(kind, fields, lineno)
 
 

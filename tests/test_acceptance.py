@@ -433,6 +433,37 @@ def test_criterion_8_windowed_metrics_localize_planted_phases(tmp_path):
     assert max(wm.efficiency for wm in series) > 0.99
 
 
+def test_criterion_8_windows_expose_a_migrating_hotspot(tmp_path):
+    """Rank i computes twice as long as the others in phase i of eight:
+    every rank carries the same load over the run, so the global load
+    balance reads a perfect 1, while every window of the default plan
+    shows the imbalance of the one or two phases it covers."""
+    P = 8
+    sc = load_scenario({
+        "name": "migrating-hotspot", "rank_count": P, "seed": 7,
+        "phases": [{"pattern": "ring_exchange", "iterations": 20,
+                    "compute": {"kind": "explicit", "values_ns": [
+                        100_000 if r == hot else 50_000 for r in range(P)]}}
+                   for hot in range(P)]})
+    trace, log, _ = roundtrip(sc, tmp_path)
+    timeline, rlog = replay(trace)
+    assert log.total == rlog.total == 0
+    gm = global_metrics(timeline)
+    assert gm.load_balance == 1.0
+    assert gm.serialisation == 0.5625
+    assert gm.efficiency == 0.5625
+
+    duration = timeline.total_duration
+    series = window_series(timeline, plan_windows(timeline, duration // 50))
+    assert len(series) == 50
+    for wm in series:
+        assert 0.535 <= wm.load_balance <= 0.70, wm.start_ns
+        assert 0.8125 <= wm.serialisation <= 1.0, wm.start_ns
+    recomposed = sum(wm.efficiency * (wm.end_ns - wm.start_ns)
+                     for wm in series) / duration
+    assert math.isclose(recomposed, 0.5625, rel_tol=1e-12)
+
+
 @pytest.mark.slow
 def test_criterion_9_gigabyte_trace_analyzes_under_five_minutes(
         tmp_path_factory):

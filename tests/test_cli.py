@@ -699,27 +699,85 @@ class TestKnownDefects:
                     "message_bytes": 1024}],
     }
 
+    def ring(self, tmp_path, iterations=1000, seed=1):
+        """The ring trace, with the given iterations and seed."""
+        spec = json.loads(json.dumps(self.RING))
+        spec["seed"] = seed
+        spec["phases"][0]["iterations"] = iterations
+        scenario = tmp_path / "bench.json"
+        scenario.write_text(json.dumps(spec), encoding="utf-8")
+        prv = tmp_path / "bench.prv"
+        assert main(["generate", str(scenario), "--out", str(prv)]) \
+            == EXIT_OK
+        return prv
+
+    @staticmethod
+    def results(out_dir):
+        """The summary's key: value rows and the JSON windows."""
+        rows = (out_dir / "bench.summary.txt").read_text(
+            encoding="utf-8").splitlines()
+        summary = {key.strip(): value for key, value in (
+            row.split(": ", 1) for row in rows if ": " in row)}
+        windows = json.loads((out_dir / "bench.windows.json")
+                             .read_text(encoding="utf-8"))["windows"]
+        return summary, windows
+
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 12")
     def test_doubled_open_line_keeps_ideal_within_elapsed(self, tmp_path):
         """One MPI open line written twice gives rank 6 an extra
         zero-length collective region, and every later world occurrence
         pairs wrong; the analysis must still keep ideal <= elapsed."""
-        scenario = tmp_path / "bench.json"
-        scenario.write_text(json.dumps(self.RING), encoding="utf-8")
-        prv = tmp_path / "bench.prv"
-        assert main(["generate", str(scenario), "--out", str(prv)]) \
-            == EXIT_OK
+        prv = self.ring(tmp_path)
         line = b"2:7:1:7:1:29745422:50000002:1\n"
         text = prv.read_bytes()
         assert text.count(b"\n" + line) == 1
         prv.write_bytes(text.replace(b"\n" + line, b"\n" + line + line))
         out_dir = tmp_path / "out"
         assert analyze(prv, out_dir, "--format", "json") == EXIT_OK
-        summary = dict(
-            row.split(": ", 1) for row in (out_dir / "bench.summary.txt")
-            .read_text(encoding="utf-8").splitlines() if ": " in row)
+        summary, windows = self.results(out_dir)
         assert int(summary["runtime_ideal_ns"]) \
             <= int(summary["runtime_observed_ns"])
-        windows = json.loads((out_dir / "bench.windows.json")
-                             .read_text(encoding="utf-8"))["windows"]
         assert all(w["transfer"] <= 1 for w in windows)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP items 12 and 18")
+    def test_every_message_rendezvous_keeps_transfer_within_one(
+            self, tmp_path):
+        """With --eager-limit 0 every send waits for its receive; on a
+        clean 200-iteration ring some windows' ideal clocks still gain on
+        elapsed time (12 of 51 read transfer above 1, and one reads 0)."""
+        prv = self.ring(tmp_path, iterations=200, seed=7)
+        out_dir = tmp_path / "out"
+        assert analyze(prv, out_dir, "--eager-limit", 0, "--format",
+                       "json") == EXIT_OK
+        _, windows = self.results(out_dir)
+        assert len(windows) == 51
+        assert all(0 < w["transfer"] <= 1 for w in windows)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP items 12 and 15")
+    def test_skewed_rank_clock_keeps_ideal_within_elapsed(self, tmp_path):
+        """Rank 5's clock runs 30 us ahead: each message it receives
+        reads as sent after it arrived and is degraded, and the ideal
+        runtime that is left passes the observed one."""
+        prv = self.ring(tmp_path, iterations=2500, seed=7)
+        skew = 30_000
+        lines = prv.read_text(encoding="utf-8").splitlines(keepends=True)
+        for k, line in enumerate(lines):
+            # task 6 is rank 5: the time of its events, and the times of
+            # its sends and of its receives
+            f = line.rstrip("\n").split(":")
+            if f[0] == "2":
+                at = [5] * (f[3] == "6")
+            elif f[0] == "3":
+                at = [5, 6] * (f[3] == "6") + [11, 12] * (f[9] == "6")
+            else:
+                continue
+            for i in at:
+                f[i] = str(int(f[i]) + skew)
+            lines[k] = ":".join(f) + "\n"
+        prv.write_text("".join(lines), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert analyze(prv, out_dir, "--format", "json") == EXIT_OK
+        summary, _ = self.results(out_dir)
+        assert summary["reversed_ptp"] == "2500"
+        assert int(summary["runtime_ideal_ns"]) \
+            <= int(summary["runtime_observed_ns"])

@@ -1,4 +1,5 @@
-"""Tests for the in-memory trace model and its structural validation."""
+"""Tests for the in-memory trace model: what Trace.build refuses, and
+what validate_trace still reports."""
 
 from collections import Counter
 
@@ -225,23 +226,46 @@ class TestTraceBuild:
         with pytest.raises(ValueError):
             Trace.build(TraceMeta(total_duration_ns=10, rank_count=2), [[]])
 
+    def test_refuses_no_rank(self):
+        with pytest.raises(ValueError, match=r"^rank_count 0 < 1$"):
+            Trace.build(TraceMeta(total_duration_ns=10, rank_count=0), [])
+
+    def test_refuses_entry_before_zero(self):
+        with pytest.raises(ValueError,
+                           match=r"^rank 1 region 0: entry -20 < 0$"):
+            Trace.build(TraceMeta(total_duration_ns=10, rank_count=2),
+                        [[region(0, 0, 5)], [region(1, -20, 5)]])
+
+    def test_touching_and_stacked_zero_length_regions_build(self):
+        """Ingest emits both: a region that enters as the one before it
+        exits, and zero-length regions at one timestamp."""
+        t = Trace.build(TraceMeta(total_duration_ns=20, rank_count=1), [[
+            region(0, 0, 5), region(0, 5, 5), region(0, 5, 5),
+            region(0, 5, 9)]])
+        assert t.regions.entry_times.tolist() == [0, 5, 5, 5]
+        assert t.regions.exit_times.tolist() == [5, 5, 5, 9]
+
 
 class TestValidateTrace:
+    """A trace's structural faults (a region that overlaps the one before
+    it or exits before it enters, a message rank out of range) are
+    Trace.build's to refuse, with the rank and region or the message in
+    the error; validate_trace reports the stream-end faults, and faulty
+    messages and collectives are replay's to log."""
+
     def test_clean_trace_passes(self):
         report = validate_trace(make_clean_trace())
         assert report.ok, str(report)
 
     def test_overlapping_regions_flagged(self):
-        t = make_clean_trace(rank0_last=(55, 100))
-        report = validate_trace(t)
-        assert not report.ok
-        assert any(v.code == "region.overlap" for v in report.violations)
+        with pytest.raises(ValueError, match=r"^rank 0 region 2: entry 55 "
+                           r"< previous exit 60$"):
+            make_clean_trace(rank0_last=(55, 100))
 
     def test_negative_region_flagged(self):
-        t = make_clean_trace(
-            rank1_middle=(50, 30, CallClass.POINT_TO_POINT))
-        report = validate_trace(t)
-        assert any(v.code == "region.negative" for v in report.violations)
+        with pytest.raises(ValueError,
+                           match=r"^rank 1 region 1: entry 50 > exit 30$"):
+            make_clean_trace(rank1_middle=(50, 30, CallClass.POINT_TO_POINT))
 
     # a faulty message or collective is replay's to log, once, and
     # validate_trace passes the trace
@@ -259,10 +283,11 @@ class TestValidateTrace:
         assert validate_trace(t).ok
 
     def test_message_rank_out_of_range(self):
-        t = make_clean_trace(message=(1, 7, 30, 60))
-        assert replay_log(t) == [("malformed_record", "message 0",
-                                  "rank out of range")]
-        assert validate_trace(t).ok
+        for sender, receiver in ((1, 7), (-1, 0), (2, 1)):
+            with pytest.raises(ValueError, match=rf"^message 0: sender "
+                               rf"{sender} or receiver {receiver} outside "
+                               rf"\[0, 2\)$"):
+                make_clean_trace(message=(sender, receiver, 30, 60))
 
     def test_message_outside_regions(self):
         t = make_clean_trace(message=(1, 0, 10, 60))  # rank 1 gap
@@ -290,37 +315,23 @@ class TestValidateTrace:
         assert validate_trace(t).ok
 
     def test_collective_entered_out_of_order(self):
-        # regions out of entry order: each (communicator, rank)'s
-        # occurrences ascend in table rows, so the overlaps between them
-        # are what fails validation
-        t = collectives_trace([
-            [(40, 60), (35, 38), (38, 39), (5, 6, 2)],
-            [(30, 50), (20, 25), (10, 12), (5, 6, 2)],
-        ], comms=[CommunicatorDef(2, [1, 0])])
-        assert violations(t) == [
-            ("region.overlap", "rank 0 region 1",
-             "entry 35 < previous exit 60"),
-            ("region.overlap", "rank 0 region 3",
-             "entry 5 < previous exit 39"),
-            ("region.overlap", "rank 1 region 1",
-             "entry 20 < previous exit 50"),
-            ("region.overlap", "rank 1 region 2",
-             "entry 10 < previous exit 25"),
-            ("region.overlap", "rank 1 region 3",
-             "entry 5 < previous exit 12"),
-        ]
-        assert not validate_trace(t).ok
+        # regions out of entry order overlap the ones before them; the
+        # error names the first, by rank and then region
+        with pytest.raises(ValueError, match=r"^rank 0 region 1: entry 35 "
+                           r"< previous exit 60$"):
+            collectives_trace([
+                [(40, 60), (35, 38), (38, 39), (5, 6, 2)],
+                [(30, 50), (20, 25), (10, 12), (5, 6, 2)],
+            ], comms=[CommunicatorDef(2, [1, 0])])
 
     def test_collective_order_and_membership_interleave(self):
-        t = collectives_trace([[(40, 60)], [(30, 50), (20, 25), (10, 12)]])
-        assert violations(t) == [
-            ("region.overlap", "rank 1 region 1",
-             "entry 20 < previous exit 50"),
-            ("region.overlap", "rank 1 region 2",
-             "entry 10 < previous exit 25"),
-        ]
-        assert not validate_trace(t).ok
-        # the occurrences rank 0 never joins are replay's to log
+        with pytest.raises(ValueError, match=r"^rank 1 region 1: entry 20 "
+                           r"< previous exit 50$"):
+            collectives_trace([[(40, 60)], [(30, 50), (20, 25), (10, 12)]])
+        # in entry order, the occurrences rank 0 never joins are replay's
+        # to log
+        t = collectives_trace([[(40, 60)], [(10, 12), (20, 25), (30, 50)]])
+        assert validate_trace(t).ok
         assert replay_log(t) == [
             ("malformed_record", f"collective comm=1 occ={k}", SKIPPED)
             for k in (1, 2)]

@@ -199,7 +199,6 @@ class TestRecordStream:
         assert counters.ignored == 1
         assert counters.dropped == 1
         assert counters.comments == 1
-        assert counters.states == 1
         assert log.count(AnomalyKind.MALFORMED_RECORD) == 1
 
     def test_message_fields(self):

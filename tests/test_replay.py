@@ -449,10 +449,10 @@ class TestReplayAnomalies:
         assert log.count(AnomalyKind.UNMATCHED_RECV) == 1
 
     def test_rank_out_of_range(self):
-        trace = trace_of(20, [[(2, 6, P2P)]],
-                         messages=[PtpMessage(0, 5, 4, 9)])
-        _, log = replay(trace)
-        assert log.count(AnomalyKind.MALFORMED_RECORD) == 1
+        # replay never sees such a message: Trace.build refuses it
+        with pytest.raises(ValueError, match=r"^message 0: sender 0 or "
+                           r"receiver 5 outside \[0, 1\)$"):
+            trace_of(20, [[(2, 6, P2P)]], messages=[PtpMessage(0, 5, 4, 9)])
 
     @pytest.mark.parametrize("sender,receiver,send,recv", [
         (1, 0, 12, 4),   # reversed

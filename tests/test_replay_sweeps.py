@@ -18,6 +18,7 @@ group must keep the cut plan of world cuts alone.
 from __future__ import annotations
 
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -53,14 +54,15 @@ COLLECTIVE_CYCLE = "collective on a dependency cycle; synchronization skipped"
 
 def random_spec(rng: random.Random) -> dict:
     """Records of a small random trace: rendezvous and eager messages,
-    messages within one rank, reversed, degraded and out-of-range ones,
-    world and sub-communicator collectives (some on an undefined
-    communicator, some missing a member), ranks without regions, bursts
-    of messages that a rank later finds already arrived, and, from
-    messages against the flow of time, dependency cycles.  About a third
+    messages within one rank, reversed and degraded ones, world and
+    sub-communicator collectives (some on an undefined communicator,
+    some missing a member), ranks without regions, bursts of messages
+    that a rank later finds already arrived, and, from messages against
+    the flow of time, dependency cycles.  About a third
     of the traces put one to three barriers on every rank, on the world
     communicator or on communicator 4 (all ranks), which replay may cut
-    at."""
+    at.  A message that names rank P, which Trace.build refuses, is kept
+    apart in "strays"."""
     P = rng.randint(1, 7)
     barriers = rng.randint(1, 3) if rng.random() < 0.35 else 0
     barrier_comm = rng.choice((None, 4))
@@ -120,7 +122,7 @@ def random_spec(rng: random.Random) -> dict:
         entry, exit_ = rng.choice(pool)[:2]
         return rng.randint(entry, exit_)
 
-    messages = []
+    messages, strays = [], []
     for _ in range(rng.randint(0, 3 * P)):
         s, r = rng.randrange(P), rng.randrange(P)
         # with barriers, mostly both ends between the same two
@@ -129,12 +131,12 @@ def random_spec(rng: random.Random) -> dict:
         send, recv = inside(s, stretch), inside(r, stretch)
         if rng.random() < 0.6 and send > recv:
             send, recv = recv, send          # mostly forward in time
-        if rng.random() < 0.03:
-            r = P                             # rank out of range
+        stray = rng.random() < 0.03
         status = MessageStatus.FAULTY_LOCAL if rng.random() < 0.05 \
             else MessageStatus.VALID
-        messages.append((s, r, send, recv, rng.choice((8, 512, 100_000)),
-                         status))
+        (strays if stray else messages).append(
+            (s, P if stray else r, send, recv,
+             rng.choice((8, 512, 100_000)), status))
     if P > 1 and regions[0] and rng.random() < 0.3:
         # a burst from rank 0's first region into rank 1's regions
         send = regions[0][0][0]
@@ -143,7 +145,8 @@ def random_spec(rng: random.Random) -> dict:
                 messages.append((0, 1, send, exit_, 8, MessageStatus.VALID))
     end = max([spec[1] for specs in regions for spec in specs] + [0])
     return {"P": P, "regions": regions, "comms": comms,
-            "messages": messages, "duration": end + rng.randint(0, 10)}
+            "messages": messages, "strays": strays,
+            "duration": end + rng.randint(0, 10)}
 
 
 def build(spec: dict) -> Trace:
@@ -217,11 +220,16 @@ def test_both_sweeps_match_each_other_and_the_oracle(monkeypatch):
     monkeypatch.setattr(replay_module, "_wave", counted)
     spy = LanePass(monkeypatch)
     seen = {"cycle": 0, "collective cycle": 0, "skipped": 0, "oracle": 0,
-            "cut": 0, "stalled": 0}
+            "cut": 0, "stalled": 0, "stray": 0}
     for case in range(CASES):
         spec = random_spec(rng)
         eager_limit = rng.choice((0, 512, 65536))
         rng.random()    # kept, so that the seeded traces stay the same
+        if spec["strays"]:
+            with pytest.raises(ValueError, match=rf"receiver {spec['P']} "
+                               rf"outside \[0, {spec['P']}\)$"):
+                build(spec | {"messages": spec["messages"] + spec["strays"]})
+            seen["stray"] += 1
         got = {}
         for cuts, path in MODES:
             monkeypatch.setattr(replay_module, "WIDE_WAVE_RANKS", path)
@@ -268,7 +276,7 @@ def group_spec(rng: random.Random, flaw: str | None = None) -> dict:
     communicators in the other order ("order"), a rendezvous floor runs
     back across a cut ("later provider"), an occurrence of two of its
     members straddles a cut ("straddle"), or a region enters before the
-    one before it exits ("negative gap")."""
+    one before it exits ("negative gap"), which Trace.build refuses."""
     P = rng.randint(5 if flaw else 2, 9)
     ranks = rng.sample(range(P), P)
     left_out = int(P > 3 and rng.random() < 0.3)
@@ -381,6 +389,11 @@ def test_group_cuts_match_no_cuts_and_the_oracle(monkeypatch):
         spec = group_spec(rng, flaw)
         eager_limit = rng.choice((512, 65536))
         rng.random()    # kept, so that the seeded traces stay the same
+        if flaw == "negative gap":
+            with pytest.raises(ValueError, match=r"< previous exit \d+$"):
+                build(spec)
+            seen[flaw] += 1
+            continue
         got = {}
         for cuts, path in MODES:
             monkeypatch.setattr(replay_module, "WIDE_WAVE_RANKS", path)
@@ -433,14 +446,15 @@ def ranks_of(P: int, regions: dict, comms=(), messages=(),
 ALL2 = [CommunicatorDef(4, [0, 1])]
 
 # Each case: a trace replay must not cut, the cycle or skip text every
-# entry of its log carries (None: it logs nothing), and the nearest
-# trace replay does cut.
+# entry of its log carries (None: it logs nothing; a ValueError: the
+# error Trace.build refuses it with, so replay never sees it), and the
+# nearest trace replay does cut.
 REFUSED = {
     "negative gap": (
         ranks_of(2, {0: [(0, 10, P2P, None), (5, 12, COLL, None),
                          (15, 20, P2P, None)],
                      1: [(0, 12, COLL, None)]}),
-        None,
+        ValueError("rank 0 region 1: entry 5 < previous exit 10"),
         ranks_of(2, {0: [(0, 10, P2P, None), (10, 12, COLL, None),
                          (15, 20, P2P, None)],
                      1: [(0, 12, COLL, None)]})),
@@ -497,10 +511,14 @@ REFUSED = {
 @pytest.mark.parametrize("case", sorted(REFUSED))
 def test_replay_does_not_cut_where_cuts_are_unsound(monkeypatch, case):
     refused, logged, cut = REFUSED[case]
-    lanes, (_, entries, _) = two_ways(monkeypatch, refused)
-    assert lanes is None
-    assert {detail for _, _, detail in entries} == (
-        set() if logged is None else {logged})
+    if isinstance(logged, ValueError):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(logged))}$"):
+            build(refused)
+    else:
+        lanes, (_, entries, _) = two_ways(monkeypatch, refused)
+        assert lanes is None
+        assert {detail for _, _, detail in entries} == (
+            set() if logged is None else {logged})
     lanes, (_, entries, _) = two_ways(monkeypatch, cut)
     assert lanes is not None and lanes > cut["P"] and entries == []
 
