@@ -328,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="window length (e.g. 25ms); default: span/50")
     an.add_argument("--cutoff", type=_duration_arg, default=None,
                     metavar="DUR",
-                    help="only analyze the first DUR of the trace")
+                    help="end the window series at DUR; the global "
+                         "factors and runtimes still cover the whole run")
     an.add_argument("--min-events", type=_min_events, default=8,
                     metavar="N",
                     help="per-rank event points a window must hold "

@@ -63,8 +63,10 @@ def window_metrics(start_ns: int, end_ns: int, delta_oom: np.ndarray,
     for every window; load balance needs at least one computing rank and
     serialisation a critical path that advanced, so each is None when its
     denominator vanishes.  A window where nobody computed is flagged
-    idle; defined marks windows where the full factor decomposition
-    load_balance * serialisation * transfer = efficiency exists.
+    idle, as is one the plan flags (some rank holds fewer than
+    min_events points even after merging); defined marks windows where
+    the full factor decomposition load_balance * serialisation *
+    transfer = efficiency exists.
     Serialisation may exceed 1 in a window that drains work queued
     before its start; it is reported as measured.
     """

@@ -58,7 +58,6 @@ class TraceMeta:
     total_duration_ns: int
     rank_count: int
     time_unit: TimeUnit = TimeUnit.NANOSECONDS
-    source_name: str = ""
     flat_rank_encoding: bool = False
 
 
@@ -372,8 +371,10 @@ class Trace:
 
         Raises ValueError on what ingest never emits: no rank, a region
         that enters before 0, after its exit or before the previous exit
-        on its rank, or a message whose sender or receiver lies outside
-        [0, rank_count).  Touching and stacked zero-length regions build.
+        on its rank, a message whose sender or receiver lies outside
+        [0, rank_count), or a valid message sent after its receive
+        completes (ingest marks such a message faulty).  Touching and
+        stacked zero-length regions build.
         """
         P = meta.rank_count
         if P < 1:
@@ -402,6 +403,12 @@ class Trace:
             i = int(bad[0])
             raise ValueError(f"message {i}: sender {msgs.senders[i]} or "
                              f"receiver {msgs.receivers[i]} outside [0, {P})")
+        bad = np.flatnonzero((msgs.status_codes == STATUS_CODES[
+            MessageStatus.VALID]) & (msgs.send_begins > msgs.recv_ends))
+        if len(bad):
+            i = int(bad[0])
+            raise ValueError(f"message {i}: send at {msgs.send_begins[i]} "
+                             f"after receive completion {msgs.recv_ends[i]}")
         trace = cls(meta=meta, regions=table, messages=msgs)
         for comm in communicators:
             trace.communicators[comm.communicator_id] = comm

@@ -41,7 +41,6 @@ tag is not kept, since no rule reads it.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from enum import Enum
 from typing import BinaryIO, Iterable, Iterator, NamedTuple
@@ -119,8 +118,6 @@ class IngestCounters:
     consumed: int = 0
     ignored: int = 0
     dropped: int = 0
-    comments: int = 0
-    communicator_defs: int = 0
     anomalies: int = 0
     #: lines that took the per-line rules instead of the block tokenizer
     routed: int = 0
@@ -148,8 +145,7 @@ def _scale(unit: TimeUnit) -> int:
     return 1000 if unit is TimeUnit.MICROSECONDS else 1
 
 
-def parse_header(line: str, time_unit: TimeUnit | None = None,
-                 source_name: str = "") -> TraceMeta:
+def parse_header(line: str, time_unit: TimeUnit | None = None) -> TraceMeta:
     """Extract duration and rank count from a #Paraver header line.
 
     The application list accepts both the per-task form
@@ -216,7 +212,7 @@ def parse_header(line: str, time_unit: TimeUnit | None = None,
 
     return TraceMeta(total_duration_ns=duration * _scale(unit),
                      rank_count=rank_count, time_unit=unit,
-                     source_name=source_name, flat_rank_encoding=flat)
+                     flat_rank_encoding=flat)
 
 
 _KIND_BY_PREFIX = {"1": RecordKind.STATE, "2": RecordKind.EVENT,
@@ -259,7 +255,6 @@ def iter_raw_records(lines: Iterable[str], log: AnomalyLog,
         if not line:
             continue
         if line[0] == "#":
-            counters.comments += 1
             continue
         head, _, rest = line.partition(":")
         if head == "c":
@@ -269,7 +264,6 @@ def iter_raw_records(lines: Iterable[str], log: AnomalyLog,
                 log.add(AnomalyKind.MALFORMED_RECORD, f"line {lineno}",
                         "unparseable communicator definition")
                 continue
-            counters.communicator_defs += 1
             yield RawRecord(RecordKind.COMMUNICATOR_DEF, fields, lineno)
             continue
         kind = kind_of(head)
@@ -894,7 +888,6 @@ def load_trace(path: str, time_unit: TimeUnit | None = None,
             fh.seek(cr + 1 + (header[cr + 1:cr + 2] == b"\n"))
             header = header[:cr]
         meta = parse_header(header.decode("utf-8", "replace"),
-                            time_unit=time_unit,
-                            source_name=os.path.basename(path))
+                            time_unit=time_unit)
         trace, log = build_trace(fh, meta, log, counters)
     return trace, log, counters

@@ -35,18 +35,18 @@ replayed from 0, and the segments are stitched with prefix sums: with D
 the largest exit ideal a group's ranks reach at a cut, counted from 0,
 the group's cuts after world cut k-1 sit at V_(k-1) plus the group's
 running sum of D, and world cut k at V_k, V_(k-1) plus the largest such
-sum over the groups.  A group is not cut at its own occurrences when
-its ranks meet its cuts in different orders, when an edge's provider
-lies in a later segment than its consumer, or when another live
-occurrence has participants in two of its segments; it keeps the world
-cuts.  Replay does not cut at all when the world cuts alone break one
-of those rules.  Every dropped edge then leads into a later segment and
-nothing leads back, so none lies on a dependency cycle: when the lane
-sweep stalls, the trace has one, and the sweep is rerun on ranks with
-every edge, where dependency cycles in corrupt traces are broken by
-degrading the offending edges, each logged.  The lane sweep writes no
-message status and logs nothing, so the rerun reports exactly what a
-sweep on ranks alone would.
+sum over the groups.  A cut plan is sound when the ranks of each group
+meet its cuts in one order, no edge's provider lies in a later segment
+than its consumer, and no other live occurrence has participants in two
+segments.  When the world and group cuts together break a rule, in any
+group, every group falls back to the world cuts alone; when those break
+one too, replay does not cut at all.  Every dropped edge then leads
+into a later segment and nothing leads back, so none lies on a
+dependency cycle: when the lane sweep stalls, the trace has one, and
+the sweep is rerun on ranks with every edge, where dependency cycles in
+corrupt traces are broken by degrading the offending edges, each
+logged.  The lane sweep writes no message status and logs nothing, so
+the rerun reports exactly what a sweep on ranks alone would.
 
 Every lane's first region has its entry ideal from the start.  A lane
 is quiet when none of its regions waits on an edge or fires a trigger
@@ -274,8 +274,9 @@ def replay(trace: Trace, eager_limit_bytes: int = DEFAULT_EAGER_LIMIT,
            ) -> tuple[AnnotatedTimeline, AnomalyLog]:
     """Reconstruct every rank's clocks.  Deterministic for a given input.
 
-    Faulty matches are degraded first (reversed pairs and world-collective
-    crossings), messages are attached to the regions containing their
+    Faulty matches are degraded first (world-collective crossings; a
+    valid message never sends after its receive completes, see
+    Trace.build), messages are attached to the regions containing their
     endpoints, then counted propagation finalizes region exits in
     dependency order.  Every degradation is logged.  Messages larger than
     eager_limit_bytes are rendezvous: the send also waits for the receive.
@@ -305,24 +306,15 @@ def replay(trace: Trace, eager_limit_bytes: int = DEFAULT_EAGER_LIMIT,
     # --- degrade faulty matches --------------------------------------------
     if nmsg:
         world_index = WorldCollectiveIndex(trace)
-        valid = status == _STATUS_VALID
-        rev = valid & (sb > re_)
-        cross = np.zeros(nmsg, dtype=bool)
-        chk = np.nonzero(valid & ~rev)[0]
-        if len(chk):
-            cross[chk] = world_index.crosses_many(
-                snd[chk], rcv[chk], sb[chk], re_[chk])
-        del world_index
-        for i in np.nonzero(rev | cross)[0]:
-            i = int(i)
-            if rev[i]:
-                detail = (f"send at {sb[i]} after receive completion "
-                          f"{re_[i]}")
-            else:
-                detail = "message matched across a world collective"
+        chk = np.flatnonzero(status == _STATUS_VALID)
+        cross = chk[world_index.crosses_many(snd[chk], rcv[chk], sb[chk],
+                                             re_[chk])]
+        del world_index, chk
+        for i in cross.tolist():
             status[i] = _STATUS_FAULTY
-            log.add(AnomalyKind.REVERSED_PTP, f"message {i}", detail)
-        del valid, rev, cross, chk
+            log.add(AnomalyKind.REVERSED_PTP, f"message {i}",
+                    "message matched across a world collective")
+        del cross
 
     # --- attach messages to regions ---------------------------------------
     # A receive edge runs from the sender's region holding the send to the
@@ -425,12 +417,13 @@ class _Cuts:
 
     Rank r's lanes are base[r] to base[r+1] - 1, in order: lane l owns
     regions lanes[l] to lanes[l+1] - 1, and the lane after rank r's j-th
-    cut is base[r] + j.  The ranks of one class meet the same cuts in the
-    same order; classes[r] is rank r's class, and world flags which of
-    the cuts, listed class by class in each class's order, are world
-    cuts.  occs marks the cut occurrences, segs holds the segment of
-    every other occurrence, and keep says which message edges (receive
-    edges, then floors) stay within one segment."""
+    cut is base[r] + j.  The classes are the groups, or all ranks as one
+    when only world cuts are taken; the ranks of one class meet the same
+    cuts in the same order.  classes[r] is rank r's class, and world
+    flags which of the cuts, listed class by class in each class's
+    order, are world cuts.  occs marks the cut occurrences, segs holds
+    the segment of every other occurrence, and keep says which message
+    edges (receive edges, then floors) stay within one segment."""
 
     __slots__ = ("lanes", "base", "classes", "world", "occs", "segs", "keep")
 
@@ -457,19 +450,14 @@ def _find_cuts(table: RegionTable, graph: _Graph, skip: np.ndarray,
     A group is a connected component of ranks, joined by the attached
     message edges and by every live occurrence that is not all-rank;
     without such occurrences no group has cuts of its own, and all ranks
-    count as one.  Ranks that meet the world cuts in different orders
-    void every cut.  A group whose members meet its cuts in different
-    orders, that has a message edge whose provider lies in a later
-    segment than its consumer, or another live occurrence with
-    participants in two segments, loses its group cuts; when it breaks a
-    rule with world cuts alone, nothing is cut."""
+    count as one.  When the world and group cuts together break a rule
+    (see _lay_out), every group keeps the world cuts alone; when those
+    break one too, nothing is cut."""
     P = table.rank_count
     part_off, part_rank = graph.part_off, graph.part_rank
     counts = np.diff(part_off)
     world = ~skip & (counts == P)
     sub = np.flatnonzero(~skip & ~world)
-    label = np.zeros(P, dtype=np.int64)
-    cut = world.copy()
     if len(sub):
         # the first live occurrence of each communicator joins its members
         comms = comm_ids[sub]
@@ -485,14 +473,17 @@ def _find_cuts(table: RegionTable, graph: _Graph, skip: np.ndarray,
         del comms, heads, first, ends, pairs
         # a group cut: an occurrence of every rank of its group
         size = np.bincount(label, minlength=P)
+        cut = world.copy()
         cut[sub] = counts[sub] == size[label[part_rank[part_off[sub]]]]
-    while cut.any():
-        plan = _lay_out(table, graph, skip, cut, world, label, recv_i,
-                        floor_i)
-        if not isinstance(plan, np.ndarray):
-            return plan
-        cut &= ~plan
-    return None
+        if (cut & ~world).any():
+            plan = _lay_out(table, graph, skip, cut, world, label, recv_i,
+                            floor_i)
+            if plan is not None:
+                return plan
+    if not world.any():
+        return None
+    return _lay_out(table, graph, skip, world, world,
+                    np.zeros(P, dtype=np.int64), recv_i, floor_i)
 
 
 def _components(P: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -520,30 +511,18 @@ def _components(P: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _lay_out(table: RegionTable, graph: _Graph, skip: np.ndarray,
              cut: np.ndarray, world: np.ndarray, label: np.ndarray,
-             recv_i: np.ndarray, floor_i: np.ndarray,
-             ) -> _Cuts | np.ndarray | None:
-    """The lanes of cutting after the occurrences in cut, if sound.
-    Otherwise, when only groups with cuts of their own break a rule, the
-    group cuts to drop; or None, when the world cuts do."""
+             recv_i: np.ndarray, floor_i: np.ndarray) -> _Cuts | None:
+    """The lanes of cutting after the occurrences in cut, with the ranks
+    grouped by label, each group named by its lowest rank; None when the
+    ranks of a group meet its cuts in different orders, a message edge's
+    provider lies in a later segment than its consumer, or another live
+    occurrence has participants in two segments."""
     P, N = table.rank_count, table.row_count
     n_occ = len(cut)
-    part_off, part_rank = graph.part_off, graph.part_rank
-    counts = np.diff(part_off)
-    group_cut = np.flatnonzero(cut & ~world)
-    group_of = label[part_rank[part_off[group_cut]]]
-    # classes: the members of each group with cuts of its own, and all
-    # other ranks; each is named by its lowest rank, its reference
-    own = np.zeros(P, dtype=bool)
-    own[group_of] = True
-    key = np.where(own[label], label, P)
-    named = np.zeros(P + 1, dtype=bool)
-    named[key] = True
-    ref = np.flatnonzero(named)
-    owns = ref < P                       # classes with cuts of their own
-    cls = np.searchsorted(ref, key)
-    if not owns[-1]:
-        ref[-1] = int(np.argmax(key == P))
-    del own, key, named
+    counts = np.diff(graph.part_off)
+    # each group's lowest rank is its reference, and its index its class
+    ref = distinct(label)
+    cls = np.searchsorted(ref, label)
     C = len(ref)
 
     # every cut row with its occurrence, in row order, which is (rank,
@@ -563,12 +542,11 @@ def _lay_out(table: RegionTable, graph: _Graph, skip: np.ndarray,
     seq = slot_occ[slot_world].reshape(C, K)
     if (seq != seq[0]).any():
         return None                      # world cuts met in different orders
-    bad = np.zeros(C, dtype=bool)
     # each rank meets its class's cuts in its reference rank's order
-    wrong = occ[np.arange(len(rows)) + np.repeat(before[ref][cls] - before,
-                                                 m)] != occ
-    bad[cls[table.ranks_of(rows[wrong])]] = True
-    del occ, wrong
+    if (occ[np.arange(len(rows)) + np.repeat(before[ref][cls] - before, m)]
+            != occ).any():
+        return None
+    del occ
 
     base = np.zeros(P + 1, dtype=np.int64)
     np.cumsum(m + 1, out=base[1:])
@@ -582,33 +560,22 @@ def _lay_out(table: RegionTable, graph: _Graph, skip: np.ndarray,
     top = int(m.max(initial=0)) + 1
     segment = np.repeat((np.arange(L) - np.repeat(base[:-1], m + 1)).astype(
         np.min_scalar_type(top)), np.diff(lanes))
-    ends = np.concatenate((recv_i, floor_i))
     prov = segment[np.concatenate((graph.s_row[recv_i],
                                    graph.r_row[floor_i]))]
     cons = segment[np.concatenate((graph.r_row[recv_i],
                                    graph.s_row[floor_i]))]
-    back = prov > cons
-    if back.any():
-        bad[cls[graph.senders[ends[back]]]] = True
+    if (prov > cons).any():
+        return None
     keep = prov == cons
-    del prov, cons, back, ends
+    del prov, cons
     other = ~skip & ~cut
     segs = np.zeros(n_occ, dtype=np.int64)
     if other.any():
         seg = segment[graph.part_gid[np.repeat(other, counts)]]
         n = counts[other]
-        head = np.cumsum(n) - n
-        segs[other] = seg[head]
-        split = seg != np.repeat(segs[other], n)
-        if split.any():
-            spans = np.logical_or.reduceat(split, head)
-            bad[cls[part_rank[part_off[:-1][other][spans]]]] = True
-    if bad.any():
-        if (bad & ~owns).any():
+        segs[other] = seg[np.cumsum(n) - n]
+        if (seg != np.repeat(segs[other], n)).any():
             return None
-        drop = np.zeros(n_occ, dtype=bool)
-        drop[group_cut] = bad[cls[group_of]]
-        return drop
     return _Cuts(lanes, base, cls, slot_world, cut, segs, keep)
 
 

@@ -220,8 +220,9 @@ def _number(doc: dict, key: str, default, where: str = "",
 
 
 def load_scenario(source) -> Scenario:
-    """Build a validated Scenario from a dict, a JSON file path, or JSON
-    text that has already been read."""
+    """Build a validated Scenario from a dict (a parsed scenario) or from
+    the path of a JSON file; a str is always read as a path, never as
+    JSON text."""
     if isinstance(source, (str, Path)):
         data = json.loads(Path(source).read_text(encoding="utf-8"))
     else:

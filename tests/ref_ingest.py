@@ -15,7 +15,6 @@ one comparable value.
 from __future__ import annotations
 
 import dataclasses
-import os
 from array import array
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple
@@ -96,7 +95,6 @@ def iter_raw_records(lines: Iterable[str], log: AnomalyLog,
         if not line:
             continue
         if line[0] == "#":
-            counters.comments += 1
             continue
         head, _, rest = line.partition(":")
         if head == "c":
@@ -106,7 +104,6 @@ def iter_raw_records(lines: Iterable[str], log: AnomalyLog,
                 log.add(AnomalyKind.MALFORMED_RECORD, f"line {lineno}",
                         "unparseable communicator definition")
                 continue
-            counters.communicator_defs += 1
             yield RawRecord(RecordKind.COMMUNICATOR_DEF, fields, lineno)
             continue
         kind = kind_of(head)
@@ -364,8 +361,7 @@ def load_reference(path: str, time_unit: TimeUnit | None = None,
     counters = IngestCounters()
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         header = fh.readline()
-        meta = parse_header(header, time_unit=time_unit,
-                            source_name=os.path.basename(path))
+        meta = parse_header(header, time_unit=time_unit)
         records = iter_raw_records(fh, log, counters)
         trace, log = build_trace(records, meta, log, counters)
     return trace, log, counters

@@ -93,7 +93,6 @@ def _scale_trace(trace, factor):
     meta = TraceMeta(total_duration_ns=trace.meta.total_duration_ns * factor,
                      rank_count=trace.meta.rank_count,
                      time_unit=trace.meta.time_unit,
-                     source_name=trace.meta.source_name,
                      flat_rank_encoding=trace.meta.flat_rank_encoding)
     t, m = trace.regions, trace.messages
     regions = RegionTable(t.offsets, t.entry_times * factor,

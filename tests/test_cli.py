@@ -146,6 +146,26 @@ class TestGenerate:
             "error: invalid scenario: rank_count must be an integer, "
             "got '2'\n")
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"phases": []}, "at least one phase is required"),
+        ({"phases": [dict(SCENARIO["phases"][0], injected_wait_ns=-1)]},
+         "phase 0: negative injected_wait_ns"),
+        ({"phases": [1]}, "phase 0 must be an object"),
+        ({"phases": [dict(SCENARIO["phases"][0], compute=3)]},
+         "phase 0: compute must be an object"),
+    ], ids=["no phase", "negative wait", "phase not an object",
+            "compute not an object"])
+    def test_invalid_scenario_names_its_fault(self, tmp_path, capsys, edit,
+                                              message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(SCENARIO | edit), encoding="utf-8")
+        code = main(["generate", str(bad), "--out",
+                     str(tmp_path / "x.prv")])
+        assert code == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err == \
+            f"error: invalid scenario: {message}\n"
+        assert not (tmp_path / "x.prv").exists()
+
     def test_missing_scenario_is_unreadable(self, tmp_path, capsys):
         code = main(["generate", str(tmp_path / "nope.json"), "--out",
                      str(tmp_path / "x.prv")])
@@ -304,6 +324,15 @@ class TestAnalyze:
         bad.write_text("this is not a trace\n", encoding="utf-8")
         assert analyze(bad, tmp_path) == EXIT_MALFORMED
         assert "error" in capsys.readouterr().err
+
+    def test_refused_header_exits_malformed(self, tmp_path, capsys):
+        bad = tmp_path / "negative.prv"
+        bad.write_text("#Paraver (01/01/25 at 00:00):-5_ns:1(2):1:"
+                       "2(1:1,1:1)\n2:1:1:1:1:10:50000001:1\n")
+        assert analyze(bad, tmp_path / "out") == EXIT_MALFORMED
+        assert capsys.readouterr().err == \
+            "error: line 1: negative duration\n"
+        assert not (tmp_path / "out").exists()
 
     def test_huge_rank_count_exits_malformed(self, tmp_path, capsys):
         """A header declaring 10**12 ranks ends in exit 4 and one error
@@ -533,6 +562,21 @@ class TestAnalyze:
             analyze(generated["prv"], tmp_path / "out", option, value)
         assert exc.value.code == EXIT_BAD_CONFIG
         assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--reference-global", "1,2,3",
+         "expected LB,SER,TRF,EFF (four comma-separated numbers)"),
+        ("--reference-global", "a,b,c,d", "bad reference values 'a,b,c,d'"),
+        ("--window", "5xs", "bad duration '5xs'"),
+    ])
+    def test_malformed_value_rejected_by_parser(self, tmp_path, capsys,
+                                                option, value, message):
+        with pytest.raises(SystemExit) as exc:
+            analyze(tmp_path / "t.prv", tmp_path / "out", option, value)
+        assert exc.value.code == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"paraslice analyze: error: argument {option}: {message}")
         assert not (tmp_path / "out").exists()
 
     def test_time_unit_override_scales_bare_header(self, tmp_path):

@@ -10,12 +10,13 @@ import random
 
 import pytest
 
-from paraslice import prv
-from paraslice.model import AnomalyKind
+from paraslice import MpiRegion, PtpMessage, Trace, prv
+from paraslice.model import STATUS_CODES, AnomalyKind
 from paraslice.prv import IngestError, load_trace
 from paraslice.synth import (ComputeSpec, PhaseSpec, Scenario,
                              generate_to_files)
 
+from conftest import region_lists
 from ref_ingest import load_reference, snapshot
 from scenarios import random_scenario
 
@@ -291,6 +292,33 @@ def test_corpus_reaches_every_path(tmp_path):
     assert {AnomalyKind.NONMONOTONIC_TIMESTAMP, AnomalyKind.UNMATCHED_SEND,
             AnomalyKind.UNMATCHED_RECV, AnomalyKind.REVERSED_PTP,
             AnomalyKind.MALFORMED_RECORD} <= kinds
+
+
+def test_corpus_traces_rebuild_through_trace_build(tmp_path):
+    """Every case that ingests builds again through Trace.build from its
+    columns (regions, messages with their status codes, communicators):
+    ingest's regions, ranks and valid messages meet every rule that
+    Trace.build checks, and that replay relies on."""
+    status_of = {code: status for status, code in STATUS_CODES.items()}
+    rebuilt = 0
+    for seed, mutators in CASES:
+        path = tmp_path / f"{seed}.prv"
+        corpus_file(path, seed, mutators)
+        try:
+            trace, _, _ = load_trace(str(path))
+        except IngestError:
+            continue
+        m = trace.messages
+        messages = [PtpMessage(*row[:5], status=status_of[row[5]])
+                    for row in zip(*(getattr(m, c).tolist()
+                                     for c in m.COLUMNS))]
+        regions = [[MpiRegion(r, *spec[:3], comm_hint=spec[3])
+                    for spec in specs]
+                   for r, specs in enumerate(region_lists(trace))]
+        Trace.build(trace.meta, regions, messages,
+                    trace.communicators.values())
+        rebuilt += 1
+    assert rebuilt >= len(CASES) // 2
 
 
 def _task(line: bytes) -> int:

@@ -113,12 +113,18 @@ class TestDegradeFaulty:
     replay's anomaly log and the message status it writes back."""
 
     def test_reversed_degraded_and_logged(self):
-        trace = one_message(2, 3, send_begin=9, recv_end=5)
-        _, log = exit_ideals(trace)
+        # ingest degrades a reversed message and logs it at its line;
+        # Trace.build refuses a valid one, and replay leaves a degraded
+        # one as it is, without a second log entry
+        with pytest.raises(ValueError, match=r"^message 0: send at 9 after "
+                           r"receive completion 5$"):
+            one_message(2, 3, send_begin=9, recv_end=5)
+        trace = one_message(2, 3, send_begin=9, recv_end=5,
+                            status=MessageStatus.FAULTY_LOCAL)
+        (send_exit, recv_exit), log = exit_ideals(trace)
+        assert log.total == 0
         assert trace.messages.status_codes[0] == FAULTY
-        assert [(e.kind, e.location, e.detail) for e in log.entries] == [
-            (AnomalyKind.REVERSED_PTP, "message 0",
-             "send at 9 after receive completion 5")]
+        assert (send_exit, recv_exit) == (2, 3)   # no synchronization
 
     def test_healthy_untouched(self):
         trace = one_message(5, 3, recv_end=9)
@@ -127,10 +133,10 @@ class TestDegradeFaulty:
         assert log.total == 0
 
     def test_no_double_degradation(self):
-        trace = one_message(2, 3, send_begin=9, recv_end=5)
-        assert exit_ideals(trace)[1].total == 1
+        trace = crossing_fixture()
+        assert replay(trace)[1].total == 1
         # the status written back keeps a second replay from logging again
-        assert exit_ideals(trace)[1].total == 0
+        assert replay(trace)[1].total == 0
         assert trace.messages.status_codes[0] == FAULTY
 
     def test_crossing_flag_forces_degradation(self):
@@ -417,14 +423,19 @@ class TestOtherMpi:
 
 class TestReplayAnomalies:
     def test_reversed_message_degraded(self):
+        # as ingest emits it: degraded, and logged at its line already
         trace = trace_of(
             20,
             [[(2, 6, P2P)], [(10, 14, P2P)]],
             messages=[PtpMessage(1, 0, send_begin=12, recv_end=4,
-                                 size_bytes=8)],
+                                 size_bytes=8,
+                                 status=MessageStatus.FAULTY_LOCAL)],
         )
-        _, log = replay(trace)
-        assert log.count(AnomalyKind.REVERSED_PTP) == 1
+        timeline, log = replay(trace)
+        assert log.total == 0
+        assert trace.messages.status_codes[0] == FAULTY
+        # rank 0's receive is not raised to rank 1's entry ideal 10
+        assert ideal_at(timeline.ranks[0], 6) == 2
 
     def test_unmatched_send(self):
         trace = trace_of(
@@ -455,27 +466,28 @@ class TestReplayAnomalies:
             trace_of(20, [[(2, 6, P2P)]], messages=[PtpMessage(0, 5, 4, 9)])
 
     @pytest.mark.parametrize("sender,receiver,send,recv", [
-        (1, 0, 12, 4),   # reversed
+        (1, 0, 12, 4),   # reversed: Trace.build refuses it
         (0, 1, 8, 14),   # unmatched send
     ])
     def test_strict_mode_raises(self, sender, receiver, send, recv):
-        trace = trace_of(
-            20,
-            [[(2, 6, P2P)], [(10, 14, P2P)]],
-            messages=[PtpMessage(sender, receiver, send, recv, size_bytes=8)],
-        )
-        # the entry a --strict run reports first
-        _, log = replay(trace)
-        first = log.entries[0]
+        def build():
+            return trace_of(
+                20,
+                [[(2, 6, P2P)], [(10, 14, P2P)]],
+                messages=[PtpMessage(sender, receiver, send, recv,
+                                     size_bytes=8)],
+            )
+
         if send > recv:
-            assert (first.kind, first.detail) == (
-                AnomalyKind.REVERSED_PTP,
-                f"send at {send} after receive completion {recv}")
-        else:
-            assert (first.kind, first.detail) == (
-                AnomalyKind.UNMATCHED_SEND,
-                f"send at {send} outside any region of rank {sender}")
-        assert first.location == "message 0"
+            with pytest.raises(ValueError, match=rf"^message 0: send at "
+                               rf"{send} after receive completion {recv}$"):
+                build()
+            return
+        # the entry a --strict run reports first
+        first = replay(build())[1].entries[0]
+        assert (first.kind, first.location, first.detail) == (
+            AnomalyKind.UNMATCHED_SEND, "message 0",
+            f"send at {send} outside any region of rank {sender}")
 
     def test_self_message_completes(self):
         trace = trace_of(

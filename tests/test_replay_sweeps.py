@@ -10,9 +10,10 @@ the shared clock at a cut dominates, so forcing either path on every
 batch, with or without cuts, must give the same timelines, anomaly logs
 and message statuses, and all must agree with the brute-force relaxation
 in tests/bruteforce.py.  Where a cut would not be sound, replay must not
-cut there: a group that breaks a rule loses its own cuts, and a trace
-whose world cuts break one is not cut at all.  Traces that form one
-group must keep the cut plan of world cuts alone.
+cut there: when one group breaks a rule, every group loses its own
+cuts and keeps the world cuts, and a trace whose world cuts break one
+is not cut at all.  Traces that form one group must keep the cut plan
+of world cuts alone.
 """
 
 from __future__ import annotations
@@ -54,15 +55,15 @@ COLLECTIVE_CYCLE = "collective on a dependency cycle; synchronization skipped"
 
 def random_spec(rng: random.Random) -> dict:
     """Records of a small random trace: rendezvous and eager messages,
-    messages within one rank, reversed and degraded ones, world and
-    sub-communicator collectives (some on an undefined communicator,
-    some missing a member), ranks without regions, bursts of messages
-    that a rank later finds already arrived, and, from messages against
-    the flow of time, dependency cycles.  About a third
-    of the traces put one to three barriers on every rank, on the world
-    communicator or on communicator 4 (all ranks), which replay may cut
-    at.  A message that names rank P, which Trace.build refuses, is kept
-    apart in "strays"."""
+    messages within one rank, degraded ones (every reversed one among
+    them, as ingest degrades it), world and sub-communicator collectives
+    (some on an undefined communicator, some missing a member), ranks
+    without regions, bursts of messages that a rank later finds already
+    arrived, and dependency cycles.  About a third of the traces put one
+    to three barriers on every rank, on the world communicator or on
+    communicator 4 (all ranks), which replay may cut at.  A message that
+    names rank P, which Trace.build refuses, is kept apart in
+    "strays"."""
     P = rng.randint(1, 7)
     barriers = rng.randint(1, 3) if rng.random() < 0.35 else 0
     barrier_comm = rng.choice((None, 4))
@@ -132,8 +133,9 @@ def random_spec(rng: random.Random) -> dict:
         if rng.random() < 0.6 and send > recv:
             send, recv = recv, send          # mostly forward in time
         stray = rng.random() < 0.03
-        status = MessageStatus.FAULTY_LOCAL if rng.random() < 0.05 \
-            else MessageStatus.VALID
+        # ingest marks a message sent after its receive completes faulty
+        faulty = rng.random() < 0.05 or send > recv
+        status = MessageStatus.FAULTY_LOCAL if faulty else MessageStatus.VALID
         (strays if stray else messages).append(
             (s, P if stray else r, send, recv,
              rng.choice((8, 512, 100_000)), status))
@@ -364,23 +366,22 @@ def group_spec(rng: random.Random, flaw: str | None = None) -> dict:
         if recv is not None:
             messages.append((s, r, send, recv, 8, V))
     return {"P": P, "regions": regions, "comms": comms,
-            "messages": messages, "duration": 1000 * rounds + 50,
-            "group 0": a}
+            "messages": messages, "duration": 1000 * rounds + 50}
 
 
-def own_cuts(plan, rank: int | None = None) -> bool:
-    """Whether a cut plan cuts some group (the one of `rank`, if given)
-    at its own collectives, not only at world cuts."""
+def own_cuts(plan) -> bool:
+    """Whether a cut plan cuts some group at its own collectives, not
+    only at world cuts."""
     if plan is None:
         return False
     world = int(plan.world.sum()) // (int(plan.classes.max()) + 1)
-    cuts = np.diff(plan.base) - 1
-    return bool((cuts[rank] if rank is not None else cuts.max()) > world)
+    return bool((np.diff(plan.base) - 1).max() > world)
 
 
 def test_group_cuts_match_no_cuts_and_the_oracle(monkeypatch):
     """Sub-communicator traces replayed with and without cuts, on both
-    sweep paths; group cuts are taken where sound, never where not."""
+    sweep paths; group cuts are taken where sound, and where group 0's
+    are not, no group keeps its own."""
     rng = random.Random(20261019)
     spy = LanePass(monkeypatch)
     seen = {"grouped": 0, "oracle": 0} | dict.fromkeys(FLAWS, 0)
@@ -406,7 +407,7 @@ def test_group_cuts_match_no_cuts_and_the_oracle(monkeypatch):
         for mode in MODES[1:]:
             assert got[mode][1] == result, (case, flaw, mode)
         if flaw:
-            assert not own_cuts(plan, spec["group 0"]), (case, flaw)
+            assert not own_cuts(plan), (case, flaw)
             seen[flaw] += 1
         else:
             seen["grouped"] += own_cuts(plan)
@@ -882,3 +883,40 @@ def test_waves_free_their_views_with_the_sweep(monkeypatch):
         monkeypatch.setattr(replay_module, "WIDE_WAVE_RANKS", path)
         peaks[path] = replay_peak(trace)
     assert peaks[EVERY_WAVE_WIDE] <= 1.05 * peaks[EVERY_WAVE_SCALAR], peaks
+
+
+def test_one_unsound_group_sends_every_group_to_world_cuts(monkeypatch):
+    """Two groups, each with two allreduces on its own communicator, and
+    a world barrier.  Group 0's message is sent after rank 0's first
+    allreduce and received before rank 1's, so it runs back across group
+    0's first cut: group 0's cuts are unsound, and group 1, sound on its
+    own, falls back to the world cut with it.  The message also closes
+    a dependency cycle, so the lane sweep stalls and replay reruns on
+    ranks; every mode gives the outcome of no cuts."""
+    def regions(first_exit, comm):
+        return [(0, first_exit, P2P, None),
+                (first_exit, first_exit + 10, COLL, comm),
+                (first_exit + 10, first_exit + 20, P2P, None),
+                (100, 110, COLL, comm), (200, 210, COLL, None)]
+
+    spec = {"P": 4, "duration": 220,
+            "regions": [regions(10, 2), regions(40, 2), regions(10, 3),
+                        regions(15, 3)],
+            "comms": [CommunicatorDef(2, [0, 1]), CommunicatorDef(3, [2, 3])],
+            # sent at 25, after rank 0's first allreduce [10, 20], and
+            # received at 40, when rank 1's first allreduce begins
+            "messages": [(0, 1, 25, 40, 8, V)]}
+    spy = LanePass(monkeypatch)
+    got = {}
+    for cuts, path in MODES:
+        monkeypatch.setattr(replay_module, "WIDE_WAVE_RANKS", path)
+        spy.cutting = cuts
+        spy.cuts.clear()
+        got[cuts, path] = outcome(spec)[1]
+        if cuts:
+            plan = spy.cuts[-1]
+            # the world barrier is every rank's only cut
+            assert plan is not None and not own_cuts(plan)
+            assert (np.diff(plan.base) - 1).tolist() == [1] * 4
+    for mode in MODES[1:]:
+        assert got[mode] == got[MODES[0]], mode
