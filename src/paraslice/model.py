@@ -474,33 +474,6 @@ def group_collectives(trace: Trace) -> None:
                                         np.append(at, len(rows)), rows)
 
 
-def locate_regions(entries: np.ndarray, exits: np.ndarray, t: np.ndarray,
-                   prefer_exit: bool = False) -> np.ndarray:
-    """Index of the region containing each time in t, or -1.
-
-    entries and exits are one rank's region columns in entry order.
-    Consecutive regions may share a boundary and zero-length regions may
-    stack at one timestamp, so several regions can contain t.  A receive
-    completion (prefer_exit) resolves to the earliest of them: the region
-    that ends at t.  A send origin resolves to the earliest region that
-    begins at t, falling back to the last one containing it.
-    """
-    t = np.asarray(t, dtype=np.int64)
-    if not len(entries):
-        return np.full(len(t), -1, dtype=np.int64)
-    # t lies in some region iff the earliest region ending at or after t
-    # (lo) has begun by t, i.e. lo is not past the last one begun (hi)
-    hi = np.searchsorted(entries, t, side="right") - 1
-    lo = np.searchsorted(exits, t, side="left")
-    if prefer_exit:
-        res = lo
-    else:
-        at_entry = np.asarray(entries)[np.maximum(hi, 0)] == t
-        res = np.where(at_entry, np.maximum(
-            lo, np.searchsorted(entries, t, side="left")), hi)
-    return np.where(lo <= hi, res, -1)
-
-
 def rank_order(ranks: np.ndarray, rank_count: int) -> np.ndarray:
     """A stable order of ranks, each in [0, rank_count), by rank.  They
     are sorted as the smallest unsigned type that holds them, which
@@ -510,25 +483,42 @@ def rank_order(ranks: np.ndarray, rank_count: int) -> np.ndarray:
 
 
 def locate_rows(table: RegionTable, ranks: np.ndarray, t: np.ndarray,
-                prefer_exit: bool = False) -> np.ndarray:
-    """Table row of the region of rank ranks[i] containing t[i], or -1.
+                prefer_exit: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """For each query i, on rank ranks[i] (in range): the table row of
+    the region containing t[i], or -1, and the first row of that rank
+    entered after t[i] (the rank's end row when none is).
 
-    locate_regions applied to each rank's slice of the table, with the
-    queries sorted by rank; ranks must lie in range."""
+    Consecutive regions may share a boundary and zero-length regions may
+    stack at one timestamp, so several regions can contain t.  A receive
+    completion (prefer_exit) resolves to the earliest of them: the region
+    that ends at t.  A send origin resolves to the earliest region that
+    begins at t, falling back to the last one containing it.  The queries
+    are sorted by rank once and each rank's slice is searched once.
+    """
     order = rank_order(ranks, table.rank_count)
-    bounds = np.searchsorted(ranks[order],
-                             np.arange(table.rank_count + 1)).tolist()
-    t = np.asarray(t, dtype=np.int64)[order]
+    bounds = [0, *np.cumsum(np.bincount(ranks, minlength=table.rank_count))
+              .tolist()]
+    t = np.asarray(t, dtype=np.int64)
     offsets = table.offsets.tolist()
-    found = np.full(len(t), -1, dtype=np.int64)
+    rows = np.empty(len(t), dtype=np.int64)
+    after = np.empty(len(t), dtype=np.int64)
     for r in np.flatnonzero(np.diff(bounds)).tolist():
         lo, hi = offsets[r], offsets[r + 1]
-        k = locate_regions(table.entry_times[lo:hi], table.exit_times[lo:hi],
-                           t[bounds[r]:bounds[r + 1]], prefer_exit)
-        found[bounds[r]:bounds[r + 1]] = np.where(k >= 0, k + lo, -1)
-    out = np.empty(len(t), dtype=np.int64)
-    out[order] = found
-    return out
+        at = order[bounds[r]:bounds[r + 1]]
+        q = t[at]
+        entries = table.entry_times[lo:hi]
+        # t lies in some region iff the earliest region ending at or
+        # after t (k) lies before the first one entered after t (nxt);
+        # exits ascend with entries, as regions never overlap
+        nxt = np.searchsorted(entries, q, side="right")
+        k = np.searchsorted(table.exit_times[lo:hi], q, side="left")
+        held = k < nxt
+        if not prefer_exit:
+            begun = np.searchsorted(entries, q, side="left")
+            k = np.where(begun < nxt, begun, nxt - 1)
+        rows[at] = np.where(held, k + lo, -1)
+        after[at] = nxt + lo
+    return rows, after
 
 
 @dataclass(slots=True)
@@ -592,14 +582,14 @@ def validate_trace(trace: Trace) -> ValidationReport:
     return report
 
 
-def collective_membership(trace: Trace) -> np.ndarray:
-    """Per collective occurrence: whether its participant ranks equal its
+def collective_membership(trace: Trace, ranks: np.ndarray) -> np.ndarray:
+    """Per collective occurrence: whether its participant ranks (ranks,
+    one per participant row, as CollectiveStore.part_ranks) equal its
     communicator's sorted distinct members (never, when the communicator
     is undefined)."""
     colls = trace.collectives
     cid = colls.comm_ids
     counts = np.diff(colls.part_offsets)
-    ranks = colls.part_ranks()
     fits = np.zeros(len(cid), dtype=bool)
     # participants are distinct ranks in rank order
     for c in distinct(cid).tolist():

@@ -206,10 +206,10 @@ class AnnotatedTimeline:
 class WorldCollectiveIndex:
     """World-communicator collectives by rank, for causality checks.
 
-    One row per world participant, sorted by (rank, occurrence): its
-    entry time, occurrence index and exit time.  Regions never overlap,
-    so each rank's exits ascend with its entries.  Rank r owns rows
-    bounds[r] to bounds[r + 1].
+    One row per world participant in table-row order, which is (rank,
+    occurrence) order: its table row, rank, occurrence index and exit
+    time.  Regions never overlap, so each rank's exits ascend with its
+    rows.
     """
 
     def __init__(self, trace: Trace):
@@ -220,45 +220,41 @@ class WorldCollectiveIndex:
         occ = np.repeat(colls.occ_indices, counts)[world]
         rows = colls.part_rows[world]
         rank = table.ranks_of(rows)
-        order = np.lexsort((occ, rank))
-        rows = rows[order]
+        self.rank_count = table.rank_count
+        # each rank's occurrences ascend with its rows
+        order = rank_order(rank, self.rank_count)
+        self.rows = rows[order]
         self.ranks = rank[order]
         self.occs = occ[order]
-        self.entries = table.entry_times[rows]
-        self.exits = table.exit_times[rows]
-        self.bounds = np.searchsorted(
-            self.ranks, np.arange(trace.meta.rank_count + 1)).tolist()
+        self.exits = table.exit_times[self.rows]
         # (rank, occurrence) as one sorted key
         self.width = int(self.occs.max()) + 1 if len(order) else 1
         self.occ_keys = self.ranks * self.width + self.occs
 
-    def crosses_many(self, snd: np.ndarray, rcv: np.ndarray, sb: np.ndarray,
-                     re_: np.ndarray) -> np.ndarray:
+    def crosses_many(self, snd: np.ndarray, rcv: np.ndarray,
+                     after: np.ndarray, sb: np.ndarray) -> np.ndarray:
         """Which messages would have to pass through a world collective
         backwards: the receive completes before a world collective begins
         on the receiver, and the send starts only after that same
-        collective ended on the sender.
+        collective ended on the sender.  after holds the first row of
+        each receiver entered after its receive completed (locate_rows).
 
         Strict on both sides: at exact timestamp ties the four events are
         simultaneous, which zero-length regions produce legitimately.
         """
         out = np.zeros(len(snd), dtype=bool)
-        n = len(self.ranks)
+        n = len(self.rows)
         if not n:
             return out
-        P = len(self.bounds) - 1
-        # the receiver's first world collective entered after the
-        # receive completes, searched with the messages sorted by receiver
-        sel = rank_order(rcv, P)
-        cut = np.searchsorted(rcv[sel], np.arange(P + 1)).tolist()
-        t = re_[sel]
-        row = np.full(len(sel), -1, dtype=np.int64)
-        for r in np.flatnonzero(np.diff(cut)).tolist():
-            lo, hi = self.bounds[r], self.bounds[r + 1]
-            i = lo + np.searchsorted(self.entries[lo:hi],
-                                     t[cut[r]:cut[r + 1]], side="right")
-            row[cut[r]:cut[r + 1]] = np.where(i < hi, i, -1)
-        sel, row = sel[row >= 0], row[row >= 0]
+        # the receiver's first world collective at or after that row,
+        # searched with the messages sorted by receiver, so that both
+        # searches below read nearly sorted keys (unsorted ones cost 4x)
+        sel = rank_order(rcv, self.rank_count)
+        row = np.searchsorted(self.rows, after[sel])
+        found = row < n
+        sel, row = sel[found], row[found]
+        hit = self.ranks[row] == rcv[sel]
+        sel, row = sel[hit], row[hit]
         # the sender's world collective of that occurrence or the first
         # later one: its exit is the sender's earliest from there on
         s = snd[sel]
@@ -303,32 +299,33 @@ def replay(trace: Trace, eager_limit_bytes: int = DEFAULT_EAGER_LIMIT,
     sb, re_ = msgs.send_begins, msgs.recv_ends
     status = msgs.status_codes      # degradations write through
 
-    # --- degrade faulty matches --------------------------------------------
+    # --- degrade world crossings, attach messages to regions --------------
+    # The receive side is located first: the crossing check reads each
+    # receiver's next row from it, and only the messages it leaves valid
+    # have their send located.  A receive edge runs from the sender's
+    # region holding the send to the receiver's region holding the
+    # receive; a rendezvous floor runs back from the receive region to the
+    # send region.
+    s_row = r_row = recv_i = floor_i = np.zeros(0, dtype=np.int64)
     if nmsg:
-        world_index = WorldCollectiveIndex(trace)
-        chk = np.flatnonzero(status == _STATUS_VALID)
-        cross = chk[world_index.crosses_many(snd[chk], rcv[chk], sb[chk],
-                                             re_[chk])]
-        del world_index, chk
-        for i in cross.tolist():
+        at = np.flatnonzero(status == _STATUS_VALID)
+        found, after = locate_rows(table, rcv[at], re_[at], prefer_exit=True)
+        cross = WorldCollectiveIndex(trace).crosses_many(
+            snd[at], rcv[at], after, sb[at])
+        del after
+        for i in at[cross].tolist():
             status[i] = _STATUS_FAULTY
             log.add(AnomalyKind.REVERSED_PTP, f"message {i}",
                     "message matched across a world collective")
+        at, found = at[~cross], found[~cross]
         del cross
+        r_row = np.full(nmsg, -1, dtype=np.int64)
+        r_row[at] = found
+        del found
+        s_row = np.full(nmsg, -1, dtype=np.int64)
+        s_row[at] = locate_rows(table, snd[at], sb[at])[0]
 
-    # --- attach messages to regions ---------------------------------------
-    # A receive edge runs from the sender's region holding the send to the
-    # receiver's region holding the receive; a rendezvous floor runs back
-    # from the receive region to the send region.
-    s_row = np.full(nmsg, -1, dtype=np.int64)
-    r_row = np.full(nmsg, -1, dtype=np.int64)
-    recv_i = floor_i = np.zeros(0, dtype=np.int64)
-    if nmsg:
         consider = status == _STATUS_VALID
-        at = np.flatnonzero(consider)
-        s_row[at] = locate_rows(table, snd[at], sb[at])
-        r_row[at] = locate_rows(table, rcv[at], re_[at], prefer_exit=True)
-
         un_send = consider & (s_row < 0)
         un_recv = consider & (s_row >= 0) & (r_row < 0)
         for i in np.nonzero(un_send | un_recv)[0]:
@@ -356,7 +353,8 @@ def replay(trace: Trace, eager_limit_bytes: int = DEFAULT_EAGER_LIMIT,
 
     # --- attach collectives --------------------------------------------------
     colls = trace.collectives
-    op_skip = _skipped_collectives(trace, log)
+    part_rank = _narrow(colls.part_ranks(), P)
+    op_skip = _skipped_collectives(trace, part_rank, log)
 
     # entry ideal of region g: the exit ideal before it plus gap[g], the
     # out-of-MPI time in between (a rank's first region: its entry time)
@@ -371,7 +369,7 @@ def replay(trace: Trace, eager_limit_bytes: int = DEFAULT_EAGER_LIMIT,
     graph = _Graph(rows=N, gap=gap, senders=snd, receivers=rcv,
                    status=status, s_row=s_row, r_row=r_row,
                    part_off=colls.part_offsets,
-                   part_rank=_narrow(colls.part_ranks(), P),
+                   part_rank=part_rank,
                    part_gid=_narrow(colls.part_rows, N))
 
     # --- sweep ---------------------------------------------------------------
@@ -391,7 +389,7 @@ def replay(trace: Trace, eager_limit_bytes: int = DEFAULT_EAGER_LIMIT,
                             floor_i, op_skip, log, break_cycles=True)
     else:
         _stitch(ideal_exit, cuts)
-    del graph, cuts, s_row, r_row, recv_i, floor_i, op_skip
+    del graph, cuts, s_row, r_row, recv_i, floor_i, op_skip, part_rank
 
     timeline = _assemble_timeline(table, ideal_exit, gap, end_time)
     return timeline, log
@@ -1165,12 +1163,13 @@ def _fire(reached: np.ndarray, e: np.ndarray, v: SimpleNamespace,
     return np.searchsorted(offsets, ready, side="right") - 1
 
 
-def _skipped_collectives(trace: Trace, log: AnomalyLog) -> np.ndarray:
+def _skipped_collectives(trace: Trace, part_rank: np.ndarray,
+                         log: AnomalyLog) -> np.ndarray:
     """Which collective occurrences do not synchronize: those on an
-    undefined communicator, or whose participant ranks differ from the
-    members.  Each is logged in occurrence order."""
+    undefined communicator, or whose participant ranks (part_rank)
+    differ from the members.  Each is logged in occurrence order."""
     colls = trace.collectives
-    bad = ~collective_membership(trace)
+    bad = ~collective_membership(trace, part_rank)
     for i in np.flatnonzero(bad):
         where = f"collective comm={colls.comm_ids[i]} " \
                 f"occ={colls.occ_indices[i]}"

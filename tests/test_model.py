@@ -1,6 +1,7 @@
 """Tests for the in-memory trace model: what Trace.build refuses, and
 what validate_trace still reports."""
 
+import random
 from collections import Counter
 
 import numpy as np
@@ -21,9 +22,10 @@ from paraslice.model import (
     AnomalyLog,
     MessageStatus,
     MessageStore,
+    RegionTable,
     STATUS_CODES,
     WORLD_COMM_ID,
-    locate_regions,
+    locate_rows,
 )
 
 from conftest import region_lists
@@ -31,6 +33,16 @@ from conftest import region_lists
 
 def region(rank, entry, exit_, klass=CallClass.POINT_TO_POINT, **kw):
     return MpiRegion(rank, entry, exit_, klass, **kw)
+
+
+def locate_regions(entries, exits, t, prefer_exit=False):
+    """The region indices locate_rows finds on a one-rank table of these
+    regions, for every time in t (locate_rows reads no class codes)."""
+    table = RegionTable([0, len(entries)], entries, exits,
+                        np.zeros(len(entries), dtype=np.uint8))
+    t = np.asarray(t, dtype=np.int64)
+    return locate_rows(table, np.zeros(len(t), dtype=np.int64), t,
+                       prefer_exit)[0]
 
 
 def locate(regs, t, prefer_exit=False):
@@ -102,6 +114,84 @@ class TestLocateRegion:
             == [-1, 0, 1, 2, -1, 3, 3, -1]
         assert locate_regions(entries, exits, t, prefer_exit=True).tolist() \
             == [-1, 0, 0, 2, -1, 3, 3, -1]
+
+
+def random_table(rng: random.Random) -> RegionTable:
+    """Up to six ranks of regions, some of them without any: regions
+    touch, leave gaps or stack at zero length at one timestamp."""
+    offsets, entries, exits = [0], [], []
+    for _ in range(rng.randint(1, 6)):
+        t = rng.randint(0, 5)
+        for _ in range(0 if rng.random() < 0.25 else rng.randint(1, 8)):
+            entry = t + rng.choice((0, 0, rng.randint(1, 6)))
+            t = entry + rng.choice((0, 0, rng.randint(1, 6)))
+            entries.append(entry)
+            exits.append(t)
+        offsets.append(len(entries))
+    return RegionTable(offsets, entries, exits,
+                       np.zeros(len(entries), dtype=np.uint8))
+
+
+def locate_by_scan(table, rank, t, prefer_exit):
+    """locate_rows' two answers for one query, by scanning every row of
+    the rank: the row holding t by the tie rules, and the first row
+    entered after t."""
+    lo, hi = table.offsets[rank], table.offsets[rank + 1]
+    rows = range(lo, hi)
+    ent, ex = table.entry_times, table.exit_times
+    after = next((g for g in rows if ent[g] > t), hi)
+    holding = [g for g in rows if ent[g] <= t <= ex[g]]
+    if not holding:
+        return -1, after
+    if prefer_exit:
+        return holding[0], after            # the region that ends at t
+    begins = [g for g in holding if ent[g] == t]
+    return (begins[0] if begins else holding[-1]), after
+
+
+class TestLocateRowsAgainstScan:
+    """locate_rows on random multi-rank tables against a per-query scan,
+    at times before, between, on and after every region's bounds."""
+
+    def test_random_tables(self):
+        rng = random.Random(2028)
+        seen = Counter()
+        for _ in range(300):
+            table = random_table(rng)
+            P = table.rank_count
+            bounds = sorted({*table.entry_times.tolist(),
+                             *table.exit_times.tolist()})
+            times = [-1, 0, *(b + d for b in bounds for d in (-1, 0, 1))]
+            n = rng.randint(0, 40)
+            ranks = np.array([rng.randrange(P) for _ in range(n)],
+                             dtype=np.int64)
+            t = np.array([rng.choice(times) for _ in range(n)],
+                         dtype=np.int64)
+            for prefer_exit in (False, True):
+                rows, after = locate_rows(table, ranks, t, prefer_exit)
+                want = [locate_by_scan(table, r, q, prefer_exit)
+                        for r, q in zip(ranks.tolist(), t.tolist())]
+                assert list(zip(rows.tolist(), after.tolist())) == want
+            seen.update(where(table, r, q)
+                        for r, q in zip(ranks.tolist(), t.tolist()))
+            seen["empty table"] += not table.row_count
+        assert set(seen) == {"no regions", "before the first", "between",
+                             "held", "held twice", "after the last",
+                             "empty table"}, seen
+
+
+def where(table, rank, t):
+    """Where t falls among the regions of the rank."""
+    lo, hi = table.offsets[rank], table.offsets[rank + 1]
+    ent, ex = table.entry_times[lo:hi], table.exit_times[lo:hi]
+    held = int(((ent <= t) & (t <= ex)).sum())
+    if lo == hi:
+        return "no regions"
+    if t < ent[0]:
+        return "before the first"
+    if t > ex[-1]:
+        return "after the last"
+    return ("between", "held")[held] if held < 2 else "held twice"
 
 
 class TestAnomalyLog:

@@ -3,7 +3,10 @@ counted replay, and the assembled timelines."""
 
 import math
 import random
+from bisect import bisect_right
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from paraslice import (
@@ -15,7 +18,13 @@ from paraslice import (
     TraceMeta,
     replay,
 )
-from paraslice.model import STATUS_CODES, AnomalyKind, MessageStatus
+from paraslice.model import (
+    STATUS_CODES,
+    WORLD_COMM_ID,
+    AnomalyKind,
+    MessageStatus,
+    locate_rows,
+)
 from paraslice.replay import (
     DEFAULT_EAGER_LIMIT,
     ClockTriple,
@@ -25,6 +34,7 @@ from paraslice.replay import (
 from bruteforce import brute_force_ideal
 from conftest import no_cuts, replay_module
 from scenarios import random_scenario, roundtrip
+from test_replay_sweeps import build, random_spec
 from test_windows import clocks_of
 
 P2P = CallClass.POINT_TO_POINT
@@ -161,8 +171,9 @@ def crossing_fixture(sender_coll=(10, 22), receiver_coll=(28, 30),
 
 def crosses(trace):
     m = trace.messages
+    after = locate_rows(trace.regions, m.receivers, m.recv_ends, True)[1]
     return WorldCollectiveIndex(trace).crosses_many(
-        m.senders, m.receivers, m.send_begins, m.recv_ends).tolist()
+        m.senders, m.receivers, after, m.send_begins).tolist()
 
 
 class TestWorldCollectiveCrossing:
@@ -200,6 +211,85 @@ class TestWorldCollectiveCrossing:
         assert (first.kind, first.location, first.detail) == (
             AnomalyKind.REVERSED_PTP, "message 0",
             "message matched across a world collective")
+
+
+def world_collectives(trace):
+    """Per rank, its world participant rows as (occurrence, entry, exit),
+    read participant by participant."""
+    colls, table = trace.collectives, trace.regions
+    offsets = table.offsets.tolist()
+    out = {r: [] for r in range(table.rank_count)}
+    for i in range(len(colls)):
+        if colls.comm_ids[i] != WORLD_COMM_ID:
+            continue
+        lo, hi = colls.part_offsets[i], colls.part_offsets[i + 1]
+        for row in colls.part_rows[lo:hi].tolist():
+            out[bisect_right(offsets, row) - 1].append(
+                (int(colls.occ_indices[i]), int(table.entry_times[row]),
+                 int(table.exit_times[row])))
+    return {r: sorted(rows) for r, rows in out.items()}
+
+
+def crosses_by_scan(world, s, r, sb, re_):
+    """The crossing definition for one message, scanning every world
+    collective of both ranks, and which case decided it."""
+    later = [occ for occ, entry, _ in world[r] if entry > re_]
+    if not later:
+        return False, "no world collective after the receive"
+    on_sender = [exit_ for occ, _, exit_ in world[s] if occ >= min(later)]
+    if not on_sender:
+        return False, "sender lacks the occurrence"
+    return on_sender[0] < sb, "compared"
+
+
+class TestCrossingAgainstScan:
+    """crosses_many, fed locate_rows' rows, against a per-message scan on
+    random traces with world collectives: their own messages, and one
+    message between every two ranks at times on and around every region
+    bound, past the end, and on ranks without regions."""
+
+    def test_random_traces(self):
+        rng = random.Random(28)
+        seen = Counter()
+        cases = 0
+        while cases < 150:
+            trace = build(random_spec(rng))
+            world = world_collectives(trace)
+            if not any(world.values()):
+                continue
+            cases += 1
+            table, m = trace.regions, trace.messages
+            P = table.rank_count
+            times = sorted({-1, *table.entry_times.tolist(),
+                            *table.exit_times.tolist()})
+            times = [t + d for t in times for d in (-1, 0, 1)]
+            extra = [(s, r, rng.choice(times), rng.choice(times))
+                     for s in range(P) for r in range(P)]
+            columns = (m.senders, m.receivers, m.send_begins, m.recv_ends)
+            snd, rcv, sb, re_ = (np.array(own.tolist() + list(more),
+                                          dtype=np.int64)
+                                 for own, more in zip(columns, zip(*extra)))
+            after = locate_rows(table, rcv, re_, prefer_exit=True)[1]
+            got = WorldCollectiveIndex(trace).crosses_many(snd, rcv, after,
+                                                           sb)
+            want = [crosses_by_scan(world, *q) for q in
+                    zip(snd.tolist(), rcv.tolist(), sb.tolist(),
+                        re_.tolist())]
+            assert got.tolist() == [w for w, _ in want]
+            offsets = table.offsets.tolist()
+            for r, t, (crossed, case) in zip(rcv.tolist(), re_.tolist(),
+                                             want):
+                lo, hi = offsets[r], offsets[r + 1]
+                seen[case] += 1
+                seen["crossing"] += crossed
+                seen["receiver without regions"] += lo == hi
+                seen["receive after the last region"] += \
+                    lo < hi and t > table.exit_times[hi - 1]
+        assert all(seen[case] for case in (
+            "no world collective after the receive",
+            "sender lacks the occurrence", "compared", "crossing",
+            "receiver without regions", "receive after the last region")), \
+            seen
 
 
 class TestReplayMicroTrace:
