@@ -99,7 +99,6 @@ from .model import (
     collective_membership,
     distinct,
     locate_rows,
-    rank_order,
 )
 
 DEFAULT_EAGER_LIMIT = 65536
@@ -195,10 +194,6 @@ class AnnotatedTimeline:
         self.event_offsets = event_offsets
         self.event_columns = event_columns
 
-    @property
-    def rank_count(self) -> int:
-        return len(self.ranks)
-
     def final_triples(self) -> list[ClockTriple]:
         return [r.final() for r in self.ranks]
 
@@ -206,30 +201,27 @@ class AnnotatedTimeline:
 class WorldCollectiveIndex:
     """World-communicator collectives by rank, for causality checks.
 
-    One row per world participant in table-row order, which is (rank,
-    occurrence) order: its table row, rank, occurrence index and exit
-    time.  Regions never overlap, so each rank's exits ascend with its
-    rows.
+    group_collectives numbers each rank's world collectives 0, 1, ... in
+    row order, so a rank's k-th world row is its row of occurrence k,
+    and counting world rows finds an occurrence without a search.
+    below[g] counts the world rows before table row g, start[r] is rank
+    r's first position among them (below at its first row), and exits
+    holds their exit times in row order.
     """
 
     def __init__(self, trace: Trace):
-        colls = trace.collectives
-        table = trace.regions
-        counts = np.diff(colls.part_offsets)
-        world = np.repeat(colls.comm_ids == WORLD_COMM_ID, counts)
-        occ = np.repeat(colls.occ_indices, counts)[world]
-        rows = colls.part_rows[world]
-        rank = table.ranks_of(rows)
-        self.rank_count = table.rank_count
-        # each rank's occurrences ascend with its rows
-        order = rank_order(rank, self.rank_count)
-        self.rows = rows[order]
-        self.ranks = rank[order]
-        self.occs = occ[order]
-        self.exits = table.exit_times[self.rows]
-        # (rank, occurrence) as one sorted key
-        self.width = int(self.occs.max()) + 1 if len(order) else 1
-        self.occ_keys = self.ranks * self.width + self.occs
+        colls, table = trace.collectives, trace.regions
+        # occurrences are ordered by communicator: the world's are one run
+        lo, hi = colls.part_offsets[np.searchsorted(
+            colls.comm_ids, [WORLD_COMM_ID, WORLD_COMM_ID + 1])]
+        rows = colls.part_rows[lo:hi]
+        below = np.zeros(table.row_count + 1,
+                         dtype=np.min_scalar_type(len(rows)))
+        below[1:][rows] = 1
+        self.below = np.cumsum(below, out=below)
+        self.start = below[table.offsets]
+        self.exits = np.empty(len(rows), dtype=np.int64)
+        self.exits[below[rows]] = table.exit_times[rows]
 
     def crosses_many(self, snd: np.ndarray, rcv: np.ndarray,
                      after: np.ndarray, sb: np.ndarray) -> np.ndarray:
@@ -237,32 +229,20 @@ class WorldCollectiveIndex:
         backwards: the receive completes before a world collective begins
         on the receiver, and the send starts only after that same
         collective ended on the sender.  after holds the first row of
-        each receiver entered after its receive completed (locate_rows).
+        each receiver entered after its receive completed (locate_rows),
+        so the receiver's world rows before it number that collective's
+        occurrence k, and the sender's row of occurrence k is its k-th.
 
         Strict on both sides: at exact timestamp ties the four events are
         simultaneous, which zero-length regions produce legitimately.
         """
+        # in below's narrow unsigned type: k >= 0, as after lies in the
+        # receiver's rows, and only a hit's row start[snd] + k is formed
+        start, count = self.start, np.diff(self.start)
+        k = self.below[after] - start[rcv]
+        hit = np.flatnonzero((k < count[rcv]) & (k < count[snd]))
         out = np.zeros(len(snd), dtype=bool)
-        n = len(self.rows)
-        if not n:
-            return out
-        # the receiver's first world collective at or after that row,
-        # searched with the messages sorted by receiver, so that both
-        # searches below read nearly sorted keys (unsorted ones cost 4x)
-        sel = rank_order(rcv, self.rank_count)
-        row = np.searchsorted(self.rows, after[sel])
-        found = row < n
-        sel, row = sel[found], row[found]
-        hit = self.ranks[row] == rcv[sel]
-        sel, row = sel[hit], row[hit]
-        # the sender's world collective of that occurrence or the first
-        # later one: its exit is the sender's earliest from there on
-        s = snd[sel]
-        j = np.searchsorted(self.occ_keys, s * self.width + self.occs[row])
-        found = j < n
-        j = np.minimum(j, n - 1)
-        out[sel] = found & (self.ranks[j] == s) \
-            & (self.exits[j] < sb[sel])
+        out[hit] = self.exits[start[snd[hit]] + k[hit]] < sb[hit]
         return out
 
 

@@ -502,6 +502,37 @@ class TestAnalyze:
             "cycle\n")
         assert not (tmp_path / "strict").exists()
 
+    def test_message_across_a_world_collective(self, tmp_path, capsys):
+        # rank 1 receives at 25 from a send at 23, then enters the world
+        # barrier at 28, which rank 0 left at 22: the match runs back
+        # through the barrier, so replay degrades it before the sweep
+        prv = tmp_path / "crossing.prv"
+        prv.write_text(
+            "#Paraver (01/01/25 at 00:00):50_ns:1(2):1:2(1:1,1:1)\n"
+            "2:1:1:1:1:10:50000002:1\n"
+            "2:2:1:2:1:12:50000001:2\n"
+            "2:1:1:1:1:22:50000002:0\n"
+            "2:1:1:1:1:22:50000001:1\n"
+            "3:1:1:1:1:23:23:2:1:2:1:25:25:8:1\n"
+            "2:1:1:1:1:24:50000001:0\n"
+            "2:2:1:2:1:25:50000001:0\n"
+            "2:2:1:2:1:28:50000002:1\n"
+            "2:2:1:2:1:30:50000002:0\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert analyze(prv, out_dir) == EXIT_OK
+        lines = (out_dir / "crossing.anomalies.txt").read_text(
+            encoding="utf-8").splitlines()
+        assert "reversed_ptp: 1" in lines
+        assert lines[-1] == ("reversed_ptp @ message 0: message matched "
+                             "across a world collective")
+        assert "efficiency 0.71 (LB 0.986111111 x Ser 0.87804878 x " \
+            "Trf 0.82)" in capsys.readouterr().out
+        assert analyze(prv, tmp_path / "strict", "--strict") == EXIT_STRICT
+        assert capsys.readouterr().err == (
+            "error: strict mode: 1 anomalies during replay; first: "
+            "reversed_ptp @ message 0: message matched across a world "
+            "collective\n")
+
     def test_default_mode_does_not_validate(self, short_header, tmp_path,
                                             monkeypatch):
         def refuse(trace):

@@ -18,6 +18,7 @@ from paraslice import (
     validate_trace,
 )
 from paraslice.model import (
+    CLASS_CODES,
     AnomalyKind,
     AnomalyLog,
     MessageStatus,
@@ -25,6 +26,7 @@ from paraslice.model import (
     RegionTable,
     STATUS_CODES,
     WORLD_COMM_ID,
+    group_collectives,
     locate_rows,
 )
 
@@ -178,6 +180,65 @@ class TestLocateRowsAgainstScan:
         assert set(seen) == {"no regions", "before the first", "between",
                              "held", "held twice", "after the last",
                              "empty table"}, seen
+
+
+def with_collectives(rng: random.Random, table: RegionTable) -> Trace:
+    """A trace of the table's regions, each now point-to-point or
+    collective, and some rows of either class hinted at the world or at
+    communicator 2 or 3."""
+    n = table.row_count
+    codes = [CLASS_CODES[rng.choice((CallClass.POINT_TO_POINT,
+                                     CallClass.COLLECTIVE))]
+             for _ in range(n)]
+    hinted = sorted(rng.sample(range(n), rng.randint(0, n)))
+    regions = RegionTable(table.offsets, table.entry_times,
+                          table.exit_times, codes, hinted,
+                          [rng.choice((WORLD_COMM_ID, 2, 3))
+                           for _ in hinted])
+    trace = Trace(TraceMeta(total_duration_ns=100,
+                            rank_count=table.rank_count), regions)
+    group_collectives(trace)
+    return trace
+
+
+class TestCollectiveNumbering:
+    """What WorldCollectiveIndex counts on: on each rank, the k-th
+    collective row of communicator c is a participant of occurrence k
+    of c, and occurrences are ordered by communicator, then occurrence,
+    so each communicator's participant rows are one run."""
+
+    def test_random_tables(self):
+        rng = random.Random(2029)
+        seen = Counter()
+        for _ in range(300):
+            trace = with_collectives(rng, random_table(rng))
+            table, colls = trace.regions, trace.collectives
+            hints = dict(zip(table.hint_rows.tolist(),
+                             table.hint_values.tolist()))
+            want = set()
+            for r in range(table.rank_count):
+                count = Counter()
+                for g in range(table.offsets[r], table.offsets[r + 1]):
+                    if table.class_codes[g] != CLASS_CODES[
+                            CallClass.COLLECTIVE]:
+                        continue
+                    c = hints.get(g, WORLD_COMM_ID)
+                    want.add((c, count[c], g))
+                    count[c] += 1
+                    seen["hinted" if g in hints else "unhinted"] += 1
+            bounds = colls.part_offsets.tolist()
+            got = {(c, k, g) for c, k, lo, hi in zip(
+                       colls.comm_ids.tolist(), colls.occ_indices.tolist(),
+                       bounds, bounds[1:])
+                   for g in colls.part_rows[lo:hi].tolist()}
+            assert got == want
+            keys = list(zip(colls.comm_ids.tolist(),
+                            colls.occ_indices.tolist()))
+            assert keys == sorted(set(keys))
+            seen.update(f"communicator {c}" for c, _, _ in want)
+        assert all(seen[case] for case in (
+            "hinted", "unhinted", f"communicator {WORLD_COMM_ID}",
+            "communicator 2", "communicator 3")), seen
 
 
 def where(table, rank, t):

@@ -49,6 +49,6 @@ def test_in_memory_example_runs(capsys):
     namespace = {}
     exec(library_blocks()[1], namespace)
     timeline, replay_log = namespace["timeline"], namespace["replay_log"]
-    assert timeline.rank_count == 2
+    assert len(timeline.ranks) == 2
     assert replay_log.total == 0
     assert capsys.readouterr().out == "[10 50] [0]\n"

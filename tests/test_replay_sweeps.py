@@ -869,7 +869,7 @@ def replay_peak(trace: Trace) -> int:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert log.total == 0 and timeline.rank_count == trace.meta.rank_count
+    assert log.total == 0 and len(timeline.ranks) == trace.meta.rank_count
     return peak - base
 
 

@@ -275,7 +275,7 @@ def test_boundary_clocks_match_the_rule_point_by_point():
         D = timeline.total_duration
         bc = boundary_clocks(timeline, bounds)
         assert bc.oom.shape == bc.ideal.shape == (
-            timeline.rank_count, len(bounds))
+            len(timeline.ranks), len(bounds))
         for tl, oom, ideal in zip(timeline.ranks, bc.oom, bc.ideal):
             times, t = tl.times.tolist(), bounds.tolist()
             assert oom.tolist() == [min_cap(times, tl.oom.tolist(), b)
