@@ -10,13 +10,15 @@ configuration, 3 unreadable input or unwritable output, 4 malformed
 trace (ingest's IngestError, a header of more than prv.MAX_RANK_COUNT
 ranks among them, or replay's ReplayError for clocks that would leave
 int64), 5 anomaly in strict mode, 6 trace without compute
-time.
+time.  A standard output whose reader has gone (a pipe closed early)
+also exits 3, with one error line; files already written stay.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import math
 import os
@@ -415,5 +417,24 @@ def main(argv: list[str] | None = None) -> int:
     return run(args)
 
 
+def entry() -> None:
+    """`paraslice` and `python -m paraslice.cli`: main, then exit with
+    the heap frozen, as shutdown does not collect frozen objects (main
+    has closed every output file; atexit and stream flushing still run).
+    main never freezes: tests and library callers run it in process."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader has gone; fd 1 goes to devnull so that the
+        # flush at shutdown finds somewhere to write
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: cannot write to standard output: broken pipe",
+              file=sys.stderr)
+        code = EXIT_UNREADABLE
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()
