@@ -106,12 +106,13 @@ class RegionTable:
     the ids they announced.
 
     As a sequence the table holds one RankRegions view per rank:
-    trace.regions[r] reads rank r's slice of the columns.
+    trace.regions[r] builds a view of rank r's slice of the columns each
+    time it is indexed.
     """
 
     COLUMNS = ("offsets", "entry_times", "exit_times", "class_codes",
                "hint_rows", "hint_values")
-    __slots__ = COLUMNS + ("_views",)
+    __slots__ = COLUMNS
 
     def __init__(self, offsets, entry_times, exit_times, class_codes,
                  hint_rows=(), hint_values=()) -> None:
@@ -126,7 +127,6 @@ class RegionTable:
                                      self.class_codes)) \
                 or len(self.hint_rows) != len(self.hint_values):
             raise ValueError("region columns of unequal length")
-        self._views = None
 
     @classmethod
     def from_regions(cls, regions: Iterable[Iterable[MpiRegion]],
@@ -156,17 +156,11 @@ class RegionTable:
     def __len__(self) -> int:
         return self.rank_count
 
-    def _rank_views(self) -> list["RankRegions"]:
-        if self._views is None:
-            self._views = [RankRegions(self, r)
-                           for r in range(self.rank_count)]
-        return self._views
-
     def __getitem__(self, rank: int) -> "RankRegions":
-        return self._rank_views()[rank]
+        return RankRegions(self, range(self.rank_count)[rank])
 
     def __iter__(self) -> Iterator["RankRegions"]:
-        return iter(self._rank_views())
+        return (RankRegions(self, r) for r in range(self.rank_count))
 
     def __repr__(self) -> str:
         return (f"RegionTable(ranks={self.rank_count}, "
@@ -276,19 +270,14 @@ class CollectiveStore:
     """
 
     COLUMNS = ("comm_ids", "occ_indices", "part_offsets", "part_rows")
-    __slots__ = COLUMNS + ("table",)
+    __slots__ = COLUMNS
 
-    def __init__(self, table: RegionTable | None = None, comm_ids=(),
-                 occ_indices=(), part_offsets=(0,), part_rows=()) -> None:
-        self.table = table
+    def __init__(self, comm_ids=(), occ_indices=(), part_offsets=(0,),
+                 part_rows=()) -> None:
         self.comm_ids = _frozen(comm_ids, np.int64)
         self.occ_indices = _frozen(occ_indices, np.int64)
         self.part_offsets = _frozen(part_offsets, np.int64)
         self.part_rows = _frozen(part_rows, np.int64)
-
-    def part_ranks(self) -> np.ndarray:
-        """The rank of every participant row."""
-        return self.table.ranks_of(self.part_rows)
 
     def __len__(self) -> int:
         return len(self.comm_ids)
@@ -354,11 +343,6 @@ class Trace:
     messages: MessageStore = field(default_factory=MessageStore)
     collectives: CollectiveStore = field(default_factory=CollectiveStore)
     communicators: dict[int, CommunicatorDef] = field(default_factory=dict)
-
-    @classmethod
-    def empty(cls, meta: TraceMeta) -> "Trace":
-        return cls(meta=meta, regions=RegionTable(
-            np.zeros(meta.rank_count + 1, dtype=np.int64), (), (), (), ()))
 
     @classmethod
     def build(cls, meta: TraceMeta, regions: Iterable[Iterable[MpiRegion]],
@@ -432,7 +416,7 @@ def group_collectives(trace: Trace) -> None:
     is_coll = table.class_codes == CLASS_CODES[CallClass.COLLECTIVE]
     rows = np.flatnonzero(is_coll)
     if not len(rows):
-        trace.collectives = CollectiveStore(table)
+        trace.collectives = CollectiveStore()
         return
     # the table is rank-major, and rows and hint_rows both ascend, so
     # the k-th hinted collective row takes the k-th collective hint
@@ -470,7 +454,7 @@ def group_collectives(trace: Trace) -> None:
     head = np.ones(len(rows), dtype=bool)
     head[1:] = (cid[1:] != cid[:-1]) | (occ[1:] != occ[:-1])
     at = np.flatnonzero(head)
-    trace.collectives = CollectiveStore(table, cid[at], occ[at],
+    trace.collectives = CollectiveStore(cid[at], occ[at],
                                         np.append(at, len(rows)), rows)
 
 
@@ -584,7 +568,7 @@ def validate_trace(trace: Trace) -> ValidationReport:
 
 def collective_membership(trace: Trace, ranks: np.ndarray) -> np.ndarray:
     """Per collective occurrence: whether its participant ranks (ranks,
-    one per participant row, as CollectiveStore.part_ranks) equal its
+    one per participant row, as table.ranks_of(part_rows)) equal its
     communicator's sorted distinct members (never, when the communicator
     is undefined)."""
     colls = trace.collectives

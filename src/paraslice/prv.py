@@ -404,7 +404,7 @@ class _Assembly:
     Closed regions are emitted onto growing columns in emission order,
     their ranks onto one more, and finish sorts the columns by rank into
     one rank-major RegionTable.  Messages grow columns of their own, in
-    line order, which finish hands to the MessageStore.
+    line order; finish builds the Trace from these and the communicators.
     """
 
     def __init__(self, meta: TraceMeta, log: AnomalyLog,
@@ -413,7 +413,7 @@ class _Assembly:
         self.log = log
         self.counters = counters
         self.scale = _scale(meta.time_unit)
-        self.trace = Trace.empty(meta)
+        self.communicators: dict[int, CommunicatorDef] = {}
         P = meta.rank_count
         self.open_entry = np.full(P, -1, dtype=np.int64)
         self.open_class = np.full(P, CLASS_CODES[CallClass.OTHER_MPI],
@@ -574,7 +574,7 @@ class _Assembly:
                                      f"line {rec.line_number}",
                                      "communicator definition length mismatch")
                 else:
-                    self.trace.communicators[f[1]] = CommunicatorDef(
+                    self.communicators[f[1]] = CommunicatorDef(
                         f[1], [t - 1 for t in f[3:]])
         return records
 
@@ -845,9 +845,9 @@ class _Assembly:
         self._emit(still, self.open_entry[still], self.last_time[still],
                    self.open_class[still], self.open_hinted[still],
                    self.open_hint[still])
-        trace = self.trace
-        trace.regions = self._table()
-        trace.messages = MessageStore(*(c.values() for c in self.messages))
+        trace = Trace(self.meta, self._table(),
+                      MessageStore(*(c.values() for c in self.messages)),
+                      communicators=self.communicators)
         group_collectives(trace)
         for _, location, detail in stream_end_faults(trace):
             self.log.add(AnomalyKind.MALFORMED_RECORD, location, detail)

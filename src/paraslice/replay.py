@@ -66,7 +66,8 @@ narrower batch goes lane by lane through the scalar loop, which follows
 a serial chain to its end in one pass.  Both work on the same flat
 state, and the fixpoint does not depend on the order in which lanes
 advance, so the path changes nothing in the result.  Cycle breaking is
-scalar.
+scalar, and reads each region's live inbound message edges in one order:
+receive edges, then floors, each in message order.
 
 Internally everything lives in numpy arrays (the message columns,
 triggers in offset/payload (CSR) form, collective participant slices and
@@ -81,6 +82,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -162,10 +164,6 @@ class RankTimeline:
         self.oom = oom
         self.ideal = ideal
 
-    def final(self) -> ClockTriple:
-        return ClockTriple(int(self.times[-1]), int(self.oom[-1]),
-                           int(self.ideal[-1]))
-
 
 class AnnotatedTimeline:
     """Replay output: every rank's clock points plus the shared end time.
@@ -195,7 +193,11 @@ class AnnotatedTimeline:
         self.event_columns = event_columns
 
     def final_triples(self) -> list[ClockTriple]:
-        return [r.final() for r in self.ranks]
+        """Every rank's clocks at its last point."""
+        last = self.point_offsets[1:] - 1
+        return [ClockTriple(*t) for t in zip(self.times[last].tolist(),
+                                             self.oom[last].tolist(),
+                                             self.ideal[last].tolist())]
 
 
 class WorldCollectiveIndex:
@@ -333,7 +335,7 @@ def replay(trace: Trace, eager_limit_bytes: int = DEFAULT_EAGER_LIMIT,
 
     # --- attach collectives --------------------------------------------------
     colls = trace.collectives
-    part_rank = _narrow(colls.part_ranks(), P)
+    part_rank = _narrow(table.ranks_of(colls.part_rows), P)
     op_skip = _skipped_collectives(trace, part_rank, log)
 
     # entry ideal of region g: the exit ideal before it plus gap[g], the
@@ -346,11 +348,15 @@ def replay(trace: Trace, eager_limit_bytes: int = DEFAULT_EAGER_LIMIT,
         del heads
     if not _sums_fit(gap) or end_time >= 1 << 62:
         raise ReplayError("clock values would overflow 64-bit nanoseconds")
-    graph = _Graph(rows=N, gap=gap, senders=snd, receivers=rcv,
-                   status=status, s_row=s_row, r_row=r_row,
-                   part_off=colls.part_offsets,
-                   part_rank=part_rank,
-                   part_gid=_narrow(colls.part_rows, N))
+    # what every sweep shares: the gap before each region, the message
+    # columns (whose status bytes degradations write through) with each
+    # message's send and receive rows, and each collective participant's
+    # rank and region (occurrence o owns participants part_off[o] to
+    # part_off[o+1] - 1)
+    graph = SimpleNamespace(rows=N, gap=gap, senders=snd, receivers=rcv,
+                            status=status, s_row=s_row, r_row=r_row,
+                            part_off=colls.part_offsets, part_rank=part_rank,
+                            part_gid=_narrow(colls.part_rows, N))
 
     # --- sweep ---------------------------------------------------------------
     cuts = _find_cuts(table, graph, op_skip, recv_i, floor_i, colls.comm_ids)
@@ -375,51 +381,9 @@ def replay(trace: Trace, eager_limit_bytes: int = DEFAULT_EAGER_LIMIT,
     return timeline, log
 
 
-class _Graph:
-    """What every sweep over one trace shares: the gap before each region,
-    the message columns (whose status bytes degradations write through)
-    with each message's send and receive rows, and each collective
-    participant's rank and region (occurrence o owns participants
-    part_off[o] to part_off[o+1] - 1)."""
-
-    __slots__ = ("rows", "gap", "senders", "receivers", "status", "s_row",
-                 "r_row", "part_off", "part_rank", "part_gid")
-
-    def __init__(self, **columns):
-        for name, values in columns.items():
-            setattr(self, name, values)
-
-
-class _Cuts:
-    """Where each rank's region sequence is cut, and how the pieces fit.
-
-    Rank r's lanes are base[r] to base[r+1] - 1, in order: lane l owns
-    regions lanes[l] to lanes[l+1] - 1, and the lane after rank r's j-th
-    cut is base[r] + j.  The classes are the groups, or all ranks as one
-    when only world cuts are taken; the ranks of one class meet the same
-    cuts in the same order.  classes[r] is rank r's class, and world
-    flags which of the cuts, listed class by class in each class's
-    order, are world cuts.  occs marks the cut occurrences, segs holds
-    the segment of every other occurrence, and keep says which message
-    edges (receive edges, then floors) stay within one segment."""
-
-    __slots__ = ("lanes", "base", "classes", "world", "occs", "segs", "keep")
-
-    def __init__(self, lanes: np.ndarray, base: np.ndarray,
-                 classes: np.ndarray, world: np.ndarray, occs: np.ndarray,
-                 segs: np.ndarray, keep: np.ndarray):
-        self.lanes = lanes
-        self.base = base
-        self.classes = classes
-        self.world = world
-        self.occs = occs
-        self.segs = segs
-        self.keep = keep
-
-
-def _find_cuts(table: RegionTable, graph: _Graph, skip: np.ndarray,
+def _find_cuts(table: RegionTable, graph: SimpleNamespace, skip: np.ndarray,
                recv_i: np.ndarray, floor_i: np.ndarray,
-               comm_ids: np.ndarray) -> _Cuts | None:
+               comm_ids: np.ndarray) -> SimpleNamespace | None:
     """Cut every rank after each live collective occurrence that all
     ranks take part in (a world cut), and after each one whose
     participants are exactly its group (a group cut); None when there is
@@ -487,14 +451,27 @@ def _components(P: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return label
 
 
-def _lay_out(table: RegionTable, graph: _Graph, skip: np.ndarray,
+def _lay_out(table: RegionTable, graph: SimpleNamespace, skip: np.ndarray,
              cut: np.ndarray, world: np.ndarray, label: np.ndarray,
-             recv_i: np.ndarray, floor_i: np.ndarray) -> _Cuts | None:
+             recv_i: np.ndarray, floor_i: np.ndarray,
+             ) -> SimpleNamespace | None:
     """The lanes of cutting after the occurrences in cut, with the ranks
     grouped by label, each group named by its lowest rank; None when the
     ranks of a group meet its cuts in different orders, a message edge's
     provider lies in a later segment than its consumer, or another live
-    occurrence has participants in two segments."""
+    occurrence has participants in two segments.
+
+    The plan says where each rank's region sequence is cut, and how the
+    pieces fit.  Rank r's lanes are base[r] to base[r+1] - 1, in order:
+    lane l owns regions lanes[l] to lanes[l+1] - 1, and the lane after
+    rank r's j-th cut is base[r] + j.  The classes are the groups, or all
+    ranks as one when only world cuts are taken; the ranks of one class
+    meet the same cuts in the same order.  classes[r] is rank r's class,
+    and world flags which of the cuts, listed class by class in each
+    class's order, are world cuts.  occs marks the cut occurrences, segs
+    holds the segment of every other occurrence, and keep says which
+    message edges (receive edges, then floors) stay within one
+    segment."""
     P, N = table.rank_count, table.row_count
     n_occ = len(cut)
     counts = np.diff(graph.part_off)
@@ -554,10 +531,11 @@ def _lay_out(table: RegionTable, graph: _Graph, skip: np.ndarray,
         segs[other] = seg[np.cumsum(n) - n]
         if (seg != np.repeat(segs[other], n)).any():
             return None
-    return _Cuts(lanes, base, cls, slot_world, cut, segs, keep)
+    return SimpleNamespace(lanes=lanes, base=base, classes=cls,
+                           world=slot_world, occs=cut, segs=segs, keep=keep)
 
 
-def _stitch(ideal: np.ndarray, cuts: _Cuts) -> None:
+def _stitch(ideal: np.ndarray, cuts: SimpleNamespace) -> None:
     """Lift each segment's exit ideals, computed from 0, onto the exit
     ideal its ranks share at the cut before it.
 
@@ -600,14 +578,13 @@ def _stitch(ideal: np.ndarray, cuts: _Cuts) -> None:
     lift = np.zeros(L, dtype=np.int64)
     lift[at] = exit_
     del at
-    for lo in range(0, L, 1 << 16):
-        hi = min(lo + (1 << 16), L)
+    for lo, hi in _lane_blocks(lanes):
         ideal[lanes[lo]:lanes[hi]] += np.repeat(
             lift[lo:hi], np.diff(lanes[lo:hi + 1]))
     ideal[rows] = exit_
 
 
-def _sweep(graph: _Graph, lanes: np.ndarray, base, segs: np.ndarray,
+def _sweep(graph: SimpleNamespace, lanes: np.ndarray, base, segs: np.ndarray,
            recv_i: np.ndarray, floor_i: np.ndarray, skip: np.ndarray,
            log: AnomalyLog, break_cycles: bool) -> np.ndarray | None:
     """Counted propagation over lanes (lane l owns regions lanes[l] to
@@ -747,6 +724,18 @@ def _sweep(graph: _Graph, lanes: np.ndarray, base, segs: np.ndarray,
         lo, mid, hi = np.searchsorted(key, (2 * g, 2 * g + 1, 2 * g + 2))
         return mi[lo:mid].tolist(), mi[mid:hi].tolist()
 
+    def inbound(g: int) -> Iterator[tuple[int, int, int, bool]]:
+        """Region g's live inbound message edges, receive edges then
+        floors, each in message order, as (message, providing rank, its
+        region, whether a floor)."""
+        recv, floor = edges_into(g)
+        for i in recv:
+            if not m_status[i]:
+                yield i, m_sender[i], s_row[i], False
+        for i in floor:
+            if not m_status[i]:
+                yield i, m_receiver[i], r_row[i], True
+
     def occurrence_at(g: int) -> int:
         """The collective occurrence region g takes part in, or -1."""
         if not coll_of:
@@ -764,15 +753,9 @@ def _sweep(graph: _Graph, lanes: np.ndarray, base, segs: np.ndarray,
 
     def first_unmet(r: int) -> tuple[int, int] | None:
         """A dependency rank r's frontier waits on, as (rank, region)."""
-        recv, floor = edges_into(front[r])
-        for i in recv:
-            s = m_sender[i]
-            if not m_status[i] and front[s] < s_row[i]:
-                return s, s_row[i] - first[s]
-        for i in floor:
-            q = m_receiver[i]
-            if not m_status[i] and front[q] < r_row[i]:
-                return q, r_row[i] - first[q]
+        for _, q, pg, _ in inbound(front[r]):
+            if front[q] < pg:
+                return q, pg - first[q]
         o = occurrence_at(front[r])
         if o >= 0 and not op_skip[o] and left[o]:
             for j in range(part_off[o], part_off[o + 1]):
@@ -784,15 +767,9 @@ def _sweep(graph: _Graph, lanes: np.ndarray, base, segs: np.ndarray,
     def refill(g: int) -> None:
         """Recompute region g's arrived maximum without degraded edges."""
         x = _NONE
-        recv, floor = edges_into(g)
-        for i in recv:
-            s = m_sender[i]
-            if not m_status[i] and front[s] >= s_row[i]:
-                x = max(x, entry_ideal(s, s_row[i]))
-        for i in floor:
-            q = m_receiver[i]
-            if not m_status[i] and front[q] >= r_row[i]:
-                x = max(x, entry_ideal(q, r_row[i]))
+        for _, q, pg, _ in inbound(g):
+            if front[q] >= pg:
+                x = max(x, entry_ideal(q, pg))
         o = occurrence_at(g)
         if o >= 0 and not op_skip[o] and not left[o]:
             x = max(x, op_max[o])
@@ -835,20 +812,12 @@ def _sweep(graph: _Graph, lanes: np.ndarray, base, segs: np.ndarray,
         degraded = False
         for r in sorted(cycle_set):
             k = ptr(r)
-            recv, floor = edges_into(front[r])
-            for i in recv:
-                if not m_status[i] and m_sender[i] in cycle_set \
-                        and front[m_sender[i]] < s_row[i]:
+            for i, q, pg, floor in inbound(front[r]):
+                if q in cycle_set and front[q] < pg:
                     degrade(i)
                     log.add(AnomalyKind.REVERSED_PTP, f"rank {r} region {k}",
-                            "message on a dependency cycle")
-                    degraded = True
-            for i in floor:
-                if not m_status[i] and m_receiver[i] in cycle_set \
-                        and front[m_receiver[i]] < r_row[i]:
-                    degrade(i)
-                    log.add(AnomalyKind.REVERSED_PTP, f"rank {r} region {k}",
-                            "rendezvous floor on a dependency cycle")
+                            "rendezvous floor on a dependency cycle" if floor
+                            else "message on a dependency cycle")
                     degraded = True
         if not degraded:
             # held together by collectives alone: drop their synchronization.

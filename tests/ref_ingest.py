@@ -171,7 +171,7 @@ def build_trace(records: Iterable[RawRecord], meta: TraceMeta,
     log = log if log is not None else AnomalyLog()
     counters = counters if counters is not None else IngestCounters()
     scale = _scale(meta.time_unit)
-    trace = Trace.empty(meta)
+    trace = Trace(meta, RegionTable.from_regions([[]] * meta.rank_count))
     regions: list[list[MpiRegion]] = [[] for _ in range(meta.rank_count)]
     messages: list[PtpMessage] = []
     trace.collectives = CollectiveStore()
@@ -350,8 +350,8 @@ def _group_collectives(trace: Trace, regions: list[list[MpiRegion]]) -> None:
             comm_ids.append(cid)
             occ_indices.append(occ)
             part_offsets.append(len(part_rows))
-    trace.collectives = CollectiveStore(trace.regions, comm_ids, occ_indices,
-                                        part_offsets, part_rows)
+    trace.collectives = CollectiveStore(comm_ids, occ_indices, part_offsets,
+                                        part_rows)
 
 
 def load_reference(path: str, time_unit: TimeUnit | None = None,

@@ -203,8 +203,8 @@ def test_criterion_2_oracle_equivalence_on_randomized_scenarios(tmp_path):
         # independent fixed-point relaxation oracle, exact integers
         finals, ideal_bf = brute_force_ideal(trace)
         assert gm.runtime_ideal == ideal_bf, sc.name
-        for r, tl in enumerate(timeline.ranks):
-            assert tl.final().ideal == finals[r], (sc.name, r)
+        for r, f in enumerate(timeline.final_triples()):
+            assert f.ideal == finals[r], (sc.name, r)
         assert list(gm.t_compute) == brute_force_oom(trace), sc.name
     assert time.monotonic() - t0 < 30.0
 
@@ -249,10 +249,10 @@ def test_criterion_5_boundary_interpolation_exact_deltas():
     assert log.total == 0
 
     tl0 = timeline.ranks[0]
-    f0 = tl0.final()
+    f0 = timeline.final_triples()[0]
     assert (f0.elapsed, f0.oom, f0.ideal) == \
         (tl0.times[-1], tl0.oom[-1], tl0.ideal[-1])
-    f1 = timeline.ranks[1].final()
+    f1 = timeline.final_triples()[1]
     assert (f0.elapsed, f0.oom, f0.ideal) == (10, 4, 8)
     assert (f1.elapsed, f1.oom, f1.ideal) == (10, 8, 8)
 

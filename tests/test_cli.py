@@ -21,7 +21,7 @@ from paraslice.cli import (
 )
 from paraslice.model import AnomalyKind, validate_trace
 from paraslice.prv import IngestError, load_trace
-from paraslice.replay import replay
+from paraslice.replay import ClockTriple, replay
 from paraslice.windows import boundary_clocks
 
 from test_ingest_diff import CASES, corpus_file
@@ -501,6 +501,44 @@ class TestAnalyze:
             "reversed_ptp @ rank 0 region 0: message on a dependency "
             "cycle\n")
         assert not (tmp_path / "strict").exists()
+
+    def test_rendezvous_floor_cycle(self, tmp_path, capsys):
+        # test_replay's make_floor_cycle read from a file: rank 0's first
+        # region floors on the rendezvous receive in rank 1's second
+        # region, and rank 1's first region receives from rank 0's second
+        # region.  The receive edge has fired when the cycle is broken,
+        # so its degradation takes the value back out of rank 1's region.
+        prv = tmp_path / "floor.prv"
+        prv.write_text(
+            "#Paraver (01/01/25 at 00:00):30_ns:1(2):1:2(1:1,1:1)\n"
+            + "".join(f"2:{t}:1:{t}:1:{time}:50000001:{value}\n"
+                      for t, start in ((1, 15), (2, 5))
+                      for time, value in ((start, 1), (20, 0), (20, 1),
+                                          (25, 0)))
+            + "3:1:1:1:1:15:15:2:1:2:1:25:25:100000:1\n"
+            + "3:1:1:1:1:20:20:2:1:2:1:20:20:8:1\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert analyze(prv, out_dir) == EXIT_OK
+        lines = (out_dir / "floor.anomalies.txt").read_text(
+            encoding="utf-8").splitlines()
+        assert "reversed_ptp: 2" in lines
+        assert lines[-2:] == [
+            "reversed_ptp @ rank 0 region 0: rendezvous floor on a "
+            "dependency cycle",
+            "reversed_ptp @ rank 1 region 0: message on a dependency cycle"]
+        assert "runtime_ideal_ns: 20" in (out_dir / "floor.summary.txt"
+                                          ).read_text(encoding="utf-8")
+        capsys.readouterr()
+        assert analyze(prv, tmp_path / "strict", "--strict") == EXIT_STRICT
+        assert capsys.readouterr().err == (
+            "error: strict mode: 2 anomalies during replay; first: "
+            "reversed_ptp @ rank 0 region 0: rendezvous floor on a "
+            "dependency cycle\n")
+        assert not (tmp_path / "strict").exists()
+        # the summary shows only rank 0's clock: rank 1's, which the
+        # fired edge's degradation lowers, is read from replay
+        assert replay(load_trace(str(prv))[0])[0].final_triples() == [
+            ClockTriple(30, 20, 20), ClockTriple(30, 10, 10)]
 
     def test_message_across_a_world_collective(self, tmp_path, capsys):
         # rank 1 receives at 25 from a send at 23, then enters the world

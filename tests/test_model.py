@@ -1,6 +1,7 @@
 """Tests for the in-memory trace model: what Trace.build refuses, and
 what validate_trace still reports."""
 
+import json
 import random
 from collections import Counter
 
@@ -17,18 +18,21 @@ from paraslice import (
     replay,
     validate_trace,
 )
+from paraslice import cli
 from paraslice.model import (
     CLASS_CODES,
     AnomalyKind,
     AnomalyLog,
     MessageStatus,
     MessageStore,
+    RankRegions,
     RegionTable,
     STATUS_CODES,
     WORLD_COMM_ID,
     group_collectives,
     locate_rows,
 )
+from paraslice.prv import load_trace
 
 from conftest import region_lists
 
@@ -364,14 +368,15 @@ class TestTraceBuild:
         assert colls.comm_ids.tolist() == [WORLD_COMM_ID, WORLD_COMM_ID, 7]
         assert colls.occ_indices.tolist() == [0, 1, 0]
         assert colls.part_offsets.tolist() == [0, 3, 5, 7]
-        assert colls.part_ranks().tolist() == [0, 1, 2, 0, 2, 0, 1]
+        ranks = t.regions.ranks_of(colls.part_rows)
+        assert ranks.tolist() == [0, 1, 2, 0, 2, 0, 1]
         assert t.regions.entry_times[colls.part_rows].tolist() \
             == [1, 6, 2, 8, 4, 5, 3]
         assert t.regions.exit_times[colls.part_rows].tolist() \
             == [2, 7, 3, 9, 9, 6, 4]
         assert colls.part_rows.tolist() == [0, 4, 5, 2, 6, 1, 3]
-        assert (colls.part_rows - t.regions.offsets[colls.part_ranks()]
-                ).tolist() == [0, 1, 0, 2, 1, 1, 0]
+        assert (colls.part_rows - t.regions.offsets[ranks]).tolist() \
+            == [0, 1, 0, 2, 1, 1, 0]
 
     def test_rank_count_must_match(self):
         with pytest.raises(ValueError):
@@ -395,6 +400,57 @@ class TestTraceBuild:
             region(0, 5, 9)]])
         assert t.regions.entry_times.tolist() == [0, 5, 5, 5]
         assert t.regions.exit_times.tolist() == [5, 5, 5, 9]
+
+
+class TestRankViews:
+    """RegionTable builds a RankRegions view each time it is indexed or
+    iterated, and behaves as a sequence of one view per rank."""
+
+    def test_views_read_each_ranks_slice(self):
+        offsets = [0, 2, 2, 5]
+        table = RegionTable(offsets, [0, 4, 1, 3, 6], [2, 5, 2, 5, 9],
+                            [0, 1, 2, 1, 0])
+        P = 3
+        assert len(table) == P
+        assert table[-1].rank == P - 1 and table[-P].rank == 0
+        for rank in (P, -P - 1):
+            with pytest.raises(IndexError):
+                table[rank]
+        views = list(table)
+        assert [v.rank for v in views] == list(range(P))
+        for r, v in enumerate(views):
+            lo, hi = offsets[r], offsets[r + 1]
+            assert len(v) == hi - lo
+            for name in ("entry_times", "exit_times", "class_codes"):
+                assert getattr(v, name).tolist() \
+                    == getattr(table, name)[lo:hi].tolist(), (r, name)
+
+    @pytest.mark.parametrize("flags", [(), ("--strict",),
+                                       ("--format", "json", "--plot")])
+    def test_analyze_builds_no_view(self, tmp_path, monkeypatch, flags):
+        scenario = tmp_path / "ring.json"
+        scenario.write_text(json.dumps({
+            "name": "ring", "rank_count": 4, "seed": 3,
+            "phases": [{"pattern": "ring_exchange", "iterations": 5,
+                        "compute": {"kind": "uniform", "mean_ns": 50000,
+                                    "jitter_ns": 5000},
+                        "message_bytes": 256}]}), encoding="utf-8")
+        prv = tmp_path / "ring.prv"
+        assert cli.main(["generate", str(scenario), "--out", str(prv)]) == 0
+        built = []
+        init = RankRegions.__init__
+
+        def counted(self, table, rank):
+            built.append(rank)
+            init(self, table, rank)
+
+        monkeypatch.setattr(RankRegions, "__init__", counted)
+        assert cli.main(["analyze", str(prv), "--out-dir",
+                         str(tmp_path / "out"), *flags]) == 0
+        assert built == []
+        # the count is live: indexing a table builds a view
+        assert load_trace(str(prv))[0].regions[1].rank == 1
+        assert built == [1]
 
 
 class TestValidateTrace:

@@ -561,7 +561,7 @@ class TestCommunicators:
         trace, log, _ = assemble(lines)
         assert log.total == 0
         colls = trace.collectives
-        ranks = colls.part_ranks().tolist()
+        ranks = trace.regions.ranks_of(colls.part_rows).tolist()
         bounds = colls.part_offsets.tolist()
         ops = {(c, occ): ranks[lo:hi] for c, occ, lo, hi in zip(
             colls.comm_ids.tolist(), colls.occ_indices.tolist(), bounds,
@@ -579,7 +579,7 @@ class TestCommunicators:
         colls, table = trace.collectives, trace.regions
         assert colls.comm_ids.tolist() == [WORLD_COMM_ID]
         assert colls.part_offsets.tolist() == [0, 2]
-        assert colls.part_ranks().tolist() == [0, 1]
+        assert trace.regions.ranks_of(colls.part_rows).tolist() == [0, 1]
         assert table.entry_times[colls.part_rows].tolist() == [10, 10]
         assert table.exit_times[colls.part_rows].tolist() == [15, 16]
 

@@ -806,7 +806,7 @@ def test_quiet_lanes_are_found_before_any_head_fires(monkeypatch):
     monkeypatch.setattr(replay_module, "WIDE_WAVE_RANKS", EVERY_WAVE_SCALAR)
     _, expected = outcome(spec)
     monkeypatch.setattr(replay_module, "WIDE_WAVE_RANKS", EVERY_WAVE_WIDE)
-    for block in (3, 16, replay_module._LANE_BLOCK):
+    for block in (1, 3, 16, replay_module._LANE_BLOCK):
         with monkeypatch.context() as patch:
             patch.setattr(replay_module, "_LANE_BLOCK", block)
             quiet = QuietPass(patch)
