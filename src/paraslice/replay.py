@@ -52,22 +52,24 @@ Every lane's first region has its entry ideal from the start.  A lane
 is quiet when none of its regions waits on an edge or fires a trigger
 (say, a one-region lane of a cut collective): nothing reaches it and it
 reaches nothing, so its exit ideals are its running gap sums from 0.
-With at least WIDE_WAVE_RANKS lanes, all quiet lanes are finalized in
-that closed form, a segmented cumsum per block of lanes, before
-anything fires (once a head fires, the lanes its edges reach would look
-quiet too).  The heads of the other lanes fire their triggers in one
-vectorized step.  Then the lanes that are ready at once advance by one
-of two paths, chosen each time a batch of them forms: at least
-WIDE_WAVE_RANKS lanes (all of a trace's iterations at once, or the
-participants a collective releases) advance as numpy waves of at most
-_WAVE_LANES lanes each, which finalize every run up to its next waiting
-region, fire the triggers the runs reach and collect the next batch; a
-narrower batch goes lane by lane through the scalar loop, which follows
-a serial chain to its end in one pass.  Both work on the same flat
-state, and the fixpoint does not depend on the order in which lanes
-advance, so the path changes nothing in the result.  Cycle breaking is
-scalar, and reads each region's live inbound message edges in one order:
-receive edges, then floors, each in message order.
+Every sweep finalizes its quiet lanes in that closed form, a segmented
+cumsum per block of lanes, before anything fires (once a head fires,
+the lanes its edges reach would look quiet too).  One vectorized pass
+then fires the heads of the other lanes and collects the ready ones.
+Wherever a message edge or a collective releases a region, its lane is
+found by one rule, a search of the sorted lane offsets.  Then the lanes
+that are ready at once advance by one of two paths, chosen each time a
+batch of them forms: at least WIDE_WAVE_RANKS lanes (all of a trace's
+iterations at once, or the participants a collective releases) advance
+as numpy waves of at most _WAVE_LANES lanes each, which finalize every
+run up to its next waiting region, fire the triggers the runs reach and
+collect the next batch; a narrower batch goes lane by lane through the
+scalar loop, which follows a serial chain to its end in one pass.  Both
+work on the same flat state, and the fixpoint does not depend on the
+order in which lanes advance, so the path changes nothing in the
+result.  Cycle breaking is scalar, and reads each region's live inbound
+message edges in one order: receive edges, then floors, each in message
+order.
 
 Internally everything lives in numpy arrays (the message columns,
 triggers in offset/payload (CSR) form, collective participant slices and
@@ -136,8 +138,8 @@ def _narrow(values: np.ndarray, top: int) -> np.ndarray:
 
 class ReplayError(Exception):
     """Replay met a trace whose clocks could leave int64 (see _sums_fit),
-    or a dependency cycle that no degradation breaks, which the cycle
-    breaker's rules make unreachable."""
+    or, which the sweep's counts make unreachable, a dependency cycle
+    that no degradation breaks or a stalled rank that waits on nothing."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -363,16 +365,12 @@ def replay(trace: Trace, eager_limit_bytes: int = DEFAULT_EAGER_LIMIT,
     ideal_exit = None
     if cuts is not None:
         keep = cuts.keep
-        ideal_exit = _sweep(graph, cuts.lanes, cuts.base.tolist(), cuts.segs,
-                            recv_i[keep[:len(recv_i)]],
-                            floor_i[keep[len(recv_i):]], op_skip | cuts.occs,
-                            log, break_cycles=False)
+        ideal_exit = _sweep(graph, cuts.lanes, recv_i[keep[:len(recv_i)]],
+                            floor_i[keep[len(recv_i):]], op_skip | cuts.occs)
         del keep
     if ideal_exit is None:
         # no cut, or a dependency cycle: every edge, rank by rank
-        ideal_exit = _sweep(graph, offsets, range(P),
-                            np.zeros(len(op_skip), dtype=np.uint8), recv_i,
-                            floor_i, op_skip, log, break_cycles=True)
+        ideal_exit = _sweep(graph, offsets, recv_i, floor_i, op_skip, log=log)
     else:
         _stitch(ideal_exit, cuts)
     del graph, cuts, s_row, r_row, recv_i, floor_i, op_skip, part_rank
@@ -468,10 +466,9 @@ def _lay_out(table: RegionTable, graph: SimpleNamespace, skip: np.ndarray,
     ranks as one when only world cuts are taken; the ranks of one class
     meet the same cuts in the same order.  classes[r] is rank r's class,
     and world flags which of the cuts, listed class by class in each
-    class's order, are world cuts.  occs marks the cut occurrences, segs
-    holds the segment of every other occurrence, and keep says which
-    message edges (receive edges, then floors) stay within one
-    segment."""
+    class's order, are world cuts.  occs marks the cut occurrences, and
+    keep says which message edges (receive edges, then floors) stay
+    within one segment."""
     P, N = table.rank_count, table.row_count
     n_occ = len(cut)
     counts = np.diff(graph.part_off)
@@ -524,15 +521,13 @@ def _lay_out(table: RegionTable, graph: SimpleNamespace, skip: np.ndarray,
     keep = prov == cons
     del prov, cons
     other = ~skip & ~cut
-    segs = np.zeros(n_occ, dtype=np.int64)
     if other.any():
         seg = segment[graph.part_gid[np.repeat(other, counts)]]
         n = counts[other]
-        segs[other] = seg[np.cumsum(n) - n]
-        if (seg != np.repeat(segs[other], n)).any():
+        if (seg != np.repeat(seg[np.cumsum(n) - n], n)).any():
             return None
     return SimpleNamespace(lanes=lanes, base=base, classes=cls,
-                           world=slot_world, occs=cut, segs=segs, keep=keep)
+                           world=slot_world, occs=cut, keep=keep)
 
 
 def _stitch(ideal: np.ndarray, cuts: SimpleNamespace) -> None:
@@ -584,16 +579,14 @@ def _stitch(ideal: np.ndarray, cuts: SimpleNamespace) -> None:
     ideal[rows] = exit_
 
 
-def _sweep(graph: SimpleNamespace, lanes: np.ndarray, base, segs: np.ndarray,
-           recv_i: np.ndarray, floor_i: np.ndarray, skip: np.ndarray,
-           log: AnomalyLog, break_cycles: bool) -> np.ndarray | None:
+def _sweep(graph: SimpleNamespace, lanes: np.ndarray, recv_i: np.ndarray,
+           floor_i: np.ndarray, skip: np.ndarray,
+           log: AnomalyLog | None = None) -> np.ndarray | None:
     """Counted propagation over lanes (lane l owns regions lanes[l] to
-    lanes[l+1] - 1 and starts from 0; rank r's first lane is base[r]),
-    along the given receive edges and floors and the occurrences not in
-    skip; occurrence o lies in segment segs[o], so rank r takes part in
-    lane base[r] + segs[o].  Returns the exit ideals, or None when the
-    sweep stalls and break_cycles is off; cycles are broken only when
-    lanes are ranks."""
+    lanes[l+1] - 1 and starts from 0), along the given receive edges and
+    floors and the occurrences not in skip.  Returns the exit ideals.
+    Without a log, a sweep that stalls returns None; with one, lanes are
+    ranks, and each dependency cycle is broken and logged."""
     N = graph.rows
     L = len(lanes) - 1
     part_counts = np.diff(graph.part_off)
@@ -647,10 +640,9 @@ def _sweep(graph: SimpleNamespace, lanes: np.ndarray, base, segs: np.ndarray,
             v.gap, v.ideal, v.front, v.queued, v.count, v.trig_off,
             v.trig_id, v.trig_cons, v.left, v.op_max, v.op_skip))
     m_sender, m_receiver, m_status, s_row, r_row, part_off, part_rank, \
-        part_gid, segs = map(memoryview, (
+        part_gid = map(memoryview, (
             graph.senders, graph.receivers, graph.status, graph.s_row,
-            graph.r_row, graph.part_off, graph.part_rank, graph.part_gid,
-            segs))
+            graph.r_row, graph.part_off, graph.part_rank, graph.part_gid))
     # lane l: regions first[l] to first[l+1]-1
     first = memoryview(lanes)
     ready: deque[int] = deque()
@@ -693,7 +685,6 @@ def _sweep(graph: SimpleNamespace, lanes: np.ndarray, base, segs: np.ndarray,
             # the last participant arrived: every participant waits at
             # this occurrence, so each is at its frontier
             x = op_max[o]
-            seg = segs[o]
             for j in range(part_off[o], part_off[o + 1]):
                 c = part_gid[j]
                 if x > ideal_exit[c]:
@@ -701,7 +692,7 @@ def _sweep(graph: SimpleNamespace, lanes: np.ndarray, base, segs: np.ndarray,
                 n = count[c] - 1
                 count[c] = n
                 if not n:
-                    r = base[part_rank[j]] + seg
+                    r = bisect_right(first, c) - 1
                     if not queued[r]:
                         queued[r] = 1
                         ready.append(r)
@@ -751,28 +742,29 @@ def _sweep(graph: SimpleNamespace, lanes: np.ndarray, base, segs: np.ndarray,
     def entry_ideal(r: int, g: int) -> int:
         return gap[g] + (ideal_exit[g - 1] if g != first[r] else 0)
 
-    def first_unmet(r: int) -> tuple[int, int] | None:
-        """A dependency rank r's frontier waits on, as (rank, region)."""
+    def first_unmet(r: int) -> int:
+        """A rank whose frontier lies before a region that rank r's
+        blocked frontier waits on.  The frontier holds a count, so one of
+        its live edges, or its occurrence, has not fired."""
         for _, q, pg, _ in inbound(front[r]):
             if front[q] < pg:
-                return q, pg - first[q]
+                return q
         o = occurrence_at(front[r])
         if o >= 0 and not op_skip[o] and left[o]:
             for j in range(part_off[o], part_off[o + 1]):
                 pr = part_rank[j]
                 if front[pr] < part_gid[j]:
-                    return pr, part_gid[j] - first[pr]
-        return None
+                    return pr
+        raise ReplayError(f"rank {r} is blocked by nothing")
 
     def refill(g: int) -> None:
-        """Recompute region g's arrived maximum without degraded edges."""
+        """Recompute region g's arrived maximum without degraded edges.
+        g lies ahead of its rank's frontier, so its own arrival has not
+        fired and its occurrence has delivered nothing."""
         x = _NONE
         for _, q, pg, _ in inbound(g):
             if front[q] >= pg:
                 x = max(x, entry_ideal(q, pg))
-        o = occurrence_at(g)
-        if o >= 0 and not op_skip[o] and not left[o]:
-            x = max(x, op_max[o])
         ideal_exit[g] = x
 
     def degrade(i: int) -> None:
@@ -792,13 +784,7 @@ def _sweep(graph: SimpleNamespace, lanes: np.ndarray, base, segs: np.ndarray,
 
     def break_cycle(blocked: list[int]) -> None:
         """Find one dependency cycle among the blocked frontiers, cut it."""
-        succ: dict[int, int] = {}
-        for r in blocked:
-            dep_ = first_unmet(r)
-            if dep_ is None:
-                # a degradation elsewhere already unblocked this rank
-                return
-            succ[r] = dep_[0]
+        succ = {r: first_unmet(r) for r in blocked}
         cur = min(blocked)
         order: dict[int, int] = {}
         path: list[int] = []
@@ -855,28 +841,26 @@ def _sweep(graph: SimpleNamespace, lanes: np.ndarray, base, segs: np.ndarray,
         ready.extend(batch.tolist())
 
     # every lane's first region has its entry ideal, gap[head], from the
-    # start.  When waves can run, the quiet lanes are finalized first, all
-    # of them before any head fires: a fired edge lowers the count of the
-    # region it reaches, which would make that region's lane look quiet.
-    # The other lanes fire their heads, and every one whose head then
-    # waits on nothing is ready.  Lanes are taken in blocks, and the
-    # ready ones marked in one flag per lane, so that no temporary holds
-    # every lane; the later passes find the lanes left by their frontiers.
+    # start.  The quiet lanes are finalized first, all of them before any
+    # head fires: a fired edge lowers the count of the region it reaches,
+    # which would make that region's lane look quiet.  Then one pass
+    # fires the other lanes' heads and marks the ready ones: those whose
+    # head already waits on nothing, and those the firing releases.
+    # Lanes are taken in blocks, and the ready ones marked in one flag per
+    # lane, so that no temporary holds every lane; the start-up pass
+    # tells the lanes the quiet-lane pass left open by their frontiers.
     blocks = _lane_blocks(lanes)
     heads, ends = lanes[:-1], lanes[1:]
-    if L >= WIDE_WAVE_RANKS:
-        for lo, hi in blocks:
-            _finish_quiet(lo + np.flatnonzero(ends[lo:hi] > heads[lo:hi]),
-                          v, lanes)
     for lo, hi in blocks:
-        at = heads[lo:hi][v.front[lo:hi] < ends[lo:hi]]
-        for k in range(0, len(at), _WAVE_LANES):
-            g = at[k:k + _WAVE_LANES]
-            _fire(g, v.gap[g], v, lanes)
+        _finish_quiet(lo + np.flatnonzero(ends[lo:hi] > heads[lo:hi]),
+                      v, lanes)
     batch = np.zeros(L, dtype=bool)
     for lo, hi in blocks:
         at = lo + np.flatnonzero(v.front[lo:hi] < ends[lo:hi])
         batch[at[v.count[heads[at]] == 0]] = True
+        for k in range(0, len(at), _WAVE_LANES):
+            g = heads[at[k:k + _WAVE_LANES]]
+            batch[_fire(g, v.gap[g], v, lanes)] = True
     del heads, ends
     advance(np.flatnonzero(batch))
     del batch
@@ -919,7 +903,7 @@ def _sweep(graph: SimpleNamespace, lanes: np.ndarray, base, segs: np.ndarray,
         blocked = np.flatnonzero(v.front < lanes[1:])
         if not len(blocked):
             return v.ideal
-        if not break_cycles:
+        if log is None:
             return None
         break_cycle(blocked.tolist())
 

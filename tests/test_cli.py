@@ -540,6 +540,45 @@ class TestAnalyze:
         assert replay(load_trace(str(prv))[0])[0].final_triples() == [
             ClockTriple(30, 20, 20), ClockTriple(30, 10, 10)]
 
+    def test_collective_cycle(self, tmp_path, capsys):
+        # test_replay's make_collective_cycle read from a file: both ranks
+        # enter communicators 2 and 3 in opposite orders, then a world
+        # barrier.  No message joins the cycle, so replay skips the
+        # synchronization of both collectives it waits on.
+        prv = tmp_path / "coll.prv"
+        prv.write_text(
+            "#Paraver (01/01/25 at 00:00):20_ns:1(2):1:2(1:1,1:1)\n"
+            "c:1:2:2:1:2\n"
+            "c:1:3:2:1:2\n"
+            "2:2:1:2:1:3:50000002:1:50000004:3\n"
+            "2:1:1:1:1:5:50000002:1:50000004:2\n"
+            "2:2:1:2:1:8:50000002:0\n"
+            "2:2:1:2:1:9:50000002:1:50000004:2\n"
+            "2:1:1:1:1:10:50000002:0\n"
+            "2:1:1:1:1:12:50000002:1:50000004:3\n"
+            "2:1:1:1:1:15:50000002:0\n"
+            "2:2:1:2:1:15:50000002:0\n"
+            "2:1:1:1:1:16:50000002:1\n"
+            "2:2:1:2:1:16:50000002:1\n"
+            "2:1:1:1:1:18:50000002:0\n"
+            "2:2:1:2:1:18:50000002:0\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert analyze(prv, out_dir) == EXIT_OK
+        lines = (out_dir / "coll.anomalies.txt").read_text(
+            encoding="utf-8").splitlines()
+        assert "malformed_record: 2" in lines
+        detail = "collective on a dependency cycle; synchronization skipped"
+        assert lines[-2:] == [f"malformed_record @ rank 0 region 0: {detail}",
+                              f"malformed_record @ rank 1 region 0: {detail}"]
+        assert "runtime_ideal_ns: 10" in (out_dir / "coll.summary.txt"
+                                          ).read_text(encoding="utf-8")
+        capsys.readouterr()
+        assert analyze(prv, tmp_path / "strict", "--strict") == EXIT_STRICT
+        assert capsys.readouterr().err == (
+            "error: strict mode: 2 anomalies during replay; first: "
+            f"malformed_record @ rank 0 region 0: {detail}\n")
+        assert not (tmp_path / "strict").exists()
+
     def test_message_across_a_world_collective(self, tmp_path, capsys):
         # rank 1 receives at 25 from a send at 23, then enters the world
         # barrier at 28, which rank 0 left at 22: the match runs back

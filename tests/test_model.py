@@ -402,6 +402,34 @@ class TestTraceBuild:
         assert t.regions.exit_times.tolist() == [5, 5, 5, 9]
 
 
+class TestColumnLengths:
+    """Both stores refuse columns that disagree in length."""
+
+    REGIONS = {"offsets": [0, 1, 2], "entry_times": [0, 3],
+               "exit_times": [2, 5], "class_codes": [1, 1],
+               "hint_rows": [1], "hint_values": [7]}
+
+    @pytest.mark.parametrize("short", ["offsets", "entry_times",
+                                       "exit_times", "class_codes",
+                                       "hint_rows", "hint_values"])
+    def test_region_table(self, short):
+        assert RegionTable(**self.REGIONS).row_count == 2
+        columns = dict(self.REGIONS)
+        columns[short] = columns[short][:-1]
+        with pytest.raises(ValueError,
+                           match=r"^region columns of unequal length$"):
+            RegionTable(**columns)
+
+    @pytest.mark.parametrize("short", MessageStore.COLUMNS)
+    def test_message_store(self, short):
+        columns = {name: [1, 0] for name in MessageStore.COLUMNS}
+        assert len(MessageStore(**columns)) == 2
+        columns[short] = [1]
+        with pytest.raises(ValueError,
+                           match=r"^message columns of unequal length$"):
+            MessageStore(**columns)
+
+
 class TestRankViews:
     """RegionTable builds a RankRegions view each time it is indexed or
     iterated, and behaves as a sequence of one view per rank."""

@@ -190,9 +190,9 @@ class LanePass:
             self.cuts.append((find if self.cutting else no_cuts)(*args))
             return self.cuts[-1]
 
-        def spy_sweep(*args, break_cycles):
-            ideal = sweep(*args, break_cycles=break_cycles)
-            if not break_cycles:
+        def spy_sweep(*args, log=None):
+            ideal = sweep(*args, log=log)
+            if log is None:
                 self.stalls.append(ideal is None)
             return ideal
 
@@ -734,9 +734,9 @@ def quiet_beside_messages(ranks: int) -> dict:
 def test_quiet_lanes_of_several_regions_beside_message_lanes(monkeypatch,
                                                              path):
     """Quiet lanes of several regions are finalized by a segmented cumsum
-    beside lanes that carry messages; waves or lane by lane, the result
-    equals the scalar sweep's, the rank-by-rank sweep's and the
-    oracle's."""
+    beside lanes that carry messages, whichever path the other lanes
+    take; waves or lane by lane, the result equals the scalar sweep's,
+    the rank-by-rank sweep's and the oracle's."""
     spec = quiet_beside_messages(8)
     monkeypatch.setattr(replay_module, "WIDE_WAVE_RANKS", EVERY_WAVE_SCALAR)
     _, expected = outcome(spec)
@@ -745,12 +745,9 @@ def test_quiet_lanes_of_several_regions_beside_message_lanes(monkeypatch,
     lanes, result = two_ways(monkeypatch, spec)
     assert result == expected and result[1] == []
     assert lanes == 8 * 7
-    if path == EVERY_WAVE_WIDE:
-        # all lanes but those of ranks 0 and 1, and the empty last ones
-        assert len(quiet.quiet) == 6 * 6 and max(quiet.quiet) > 2
-        assert quiet.waves
-    else:
-        assert quiet.quiet == []
+    # all lanes but those of ranks 0 and 1, and the empty last ones
+    assert len(quiet.quiet) == 6 * 6 and max(quiet.quiet) > 2
+    assert bool(quiet.waves) == (path == EVERY_WAVE_WIDE)
     finals, _ = brute_force_ideal(build(spec))
     assert [ideal[-1] for _, _, ideal in result[0]] == finals
 
@@ -760,7 +757,7 @@ def test_cycle_sweep_on_ranks_with_quiet_ranks(monkeypatch, path):
     """A rendezvous floor back across a collective of ranks 0 and 1 closes
     a dependency cycle, so replay sweeps rank by rank and breaks it;
     ranks 2 and 3 carry nothing, so they are quiet ranks, finalized in
-    closed form when waves are on."""
+    closed form on either path."""
     spec = ranks_of(4, {0: [(0, 10, P2P, None), (20, 30, COLL, 4)],
                         1: [(0, 10, P2P, None), (20, 30, COLL, 4),
                             (40, 50, P2P, None)],
@@ -779,7 +776,7 @@ def test_cycle_sweep_on_ranks_with_quiet_ranks(monkeypatch, path):
         "rendezvous floor on a dependency cycle",
         "participants do not match communicator membership; "
         "synchronization skipped"}
-    assert quiet.quiet == ([3, 1, 3, 1] if path == EVERY_WAVE_WIDE else [])
+    assert quiet.quiet == [3, 1, 3, 1]
     finals, _ = brute_force_ideal(trace)
     assert [ideal[-1] for _, _, ideal in result[0]] == finals
 
